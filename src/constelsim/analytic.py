@@ -12,6 +12,12 @@ with probability ``p_zero`` no other satellite falls inside the receive
 beam's effective range, otherwise a single interferer is placed uniformly in
 that cap and its power is taken at the serving satellite's range. MEO beams
 are noise limited.
+
+:func:`evaluate` returns one metric for every K = 1..k_max at once. It runs
+one rank-coverage pass per config, whose per-rank probabilities give the LEO
+values for all K, computes the MEO single-satellite probabilities once, and
+mixes the layers in one convolution. The per-K functions
+(``leo_availability`` ... ``hybrid_localizability``) read their value off it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .channel import (
     LinkParams,
     SrFadingParams,
     effective_beam_range,
-    sr_cdf,  # noqa: F401 -- perfbench traces constelsim.analytic.sr_cdf
+    sr_cdf,  # noqa: F401 -- unused; perfbench/tests/test_bench.py traces it here
     sr_pdf,
     sr_sf,
 )
@@ -171,12 +177,7 @@ def leo_availability(config: SystemConfig, k_min: int) -> float:
     """Probability that at least ``k_min`` LEO satellites are detectable."""
     if k_min < 0:
         raise ValueError("k_min must be non-negative")
-    if k_min == 0:
-        return 1.0
-    if k_min > config.leo.n_sats:
-        return 0.0
-    p = _cap_fraction(config.leo_theta_max)
-    return float(binom.sf(k_min - 1, config.leo.n_sats, p))
+    return _at_level(config, "availability", "leo", k_min, DEFAULT_QUADRATURE)
 
 
 def meo_single_availability(config: SystemConfig, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
@@ -208,15 +209,9 @@ def meo_availability(config: SystemConfig, k_min: int, quad_spec: QuadratureSpec
     Satellites are treated as independent with the orbit-averaged
     single-satellite probability; same-orbit correlation is ignored.
     """
-    n = config.meo.n_sats
     if k_min < 0:
         raise ValueError("k_min must be non-negative")
-    if k_min == 0:
-        return 1.0
-    if k_min > n:
-        return 0.0
-    p1 = meo_single_availability(config, quad_spec)
-    return float(binom.sf(k_min - 1, n, p1))
+    return _at_level(config, "availability", "meo", k_min, quad_spec)
 
 
 def n_meo_max(config: SystemConfig, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> int:
@@ -236,19 +231,21 @@ def _n_meo_max_from_p(n: int, p1: float, epsilon: float) -> int:
     return k
 
 
-def _hybrid_convolution(leo_tail, meo_pmf: np.ndarray, k_min: int, cutoff: int) -> float:
-    """Mix a LEO tail function with a MEO count distribution.
+def _hybrid_convolution(leo: np.ndarray, meo_pmf: np.ndarray, cutoff: int) -> np.ndarray:
+    """Mix per-K LEO values with a MEO count distribution, for K = 1..len(leo).
 
-    With ``j`` MEO satellites counted, the LEO layer must supply the
-    remaining ``k_min - j``; counts beyond ``cutoff`` are dropped (their
-    total mass is below epsilon by construction).
+    ``leo[K - 1]`` is the probability that the LEO layer alone supplies K
+    satellites (zero past the LEO population). With ``j`` MEO satellites
+    counted, the LEO layer must supply the remaining ``K - j``; counts
+    beyond ``cutoff`` are dropped (their total mass is below epsilon by
+    construction), and so are counts ``meo_pmf`` does not cover.
     """
-    total = 0.0
-    for j in range(0, min(k_min - 1, cutoff) + 1):
-        total += leo_tail(k_min - j) * meo_pmf[j]
-    if k_min <= cutoff:
-        total += float(meo_pmf[k_min: cutoff + 1].sum())
-    return total
+    k_max = len(leo)
+    total = np.zeros(k_max)
+    for j in range(min(cutoff, len(meo_pmf) - 1) + 1):
+        # LEO value for K - j, zero where j >= K (those K are covered below).
+        total += np.concatenate([np.zeros(j), leo])[:k_max] * meo_pmf[j]
+    return total + np.array([meo_pmf[k: cutoff + 1].sum() for k in range(1, k_max + 1)])
 
 
 def hybrid_availability(config: SystemConfig, k_min: int, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
@@ -256,17 +253,7 @@ def hybrid_availability(config: SystemConfig, k_min: int, quad_spec: QuadratureS
     detectable satellites."""
     if k_min < 1:
         raise ValueError("k_min must be at least 1")
-    p1 = meo_single_availability(config, quad_spec)
-    n = config.meo.n_sats
-    cutoff = _n_meo_max_from_p(n, p1, config.epsilon)
-    pmf = binom.pmf(np.arange(cutoff + 1), n, p1)
-
-    def leo_tail(j):
-        if j > config.leo.n_sats:
-            return 0.0
-        return leo_availability(config, j)
-
-    return _hybrid_convolution(leo_tail, pmf, k_min, cutoff)
+    return _at_level(config, "availability", "hybrid", k_min, quad_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +338,15 @@ class InterferenceMixture:
         )
 
 
+def leo_interference_cap(config: SystemConfig) -> tuple[float, float]:
+    """Interference cap of a LEO beam: the central half-angle ``theta_d`` of
+    the cap around the serving satellite that the receive beam's effective
+    range maps to, and the probability ``p_zero`` that no LEO satellite
+    falls inside it."""
+    theta_d = central_from_dome(config.leo_geom, effective_beam_range(config.rx_pattern))
+    return theta_d, (0.5 * (1.0 + math.cos(theta_d))) ** config.leo.n_sats
+
+
 def interference_mixture(
     config: SystemConfig,
     serving_angle: float,
@@ -367,8 +363,7 @@ def interference_mixture(
     if not 0 <= serving_angle <= config.leo_theta_max:
         raise ValueError("serving angle outside the detectable range")
     geom = config.leo_geom
-    theta_d = central_from_dome(geom, effective_beam_range(config.rx_pattern))
-    p_zero = (0.5 * (1.0 + math.cos(theta_d))) ** config.leo.n_sats
+    theta_d, p_zero = leo_interference_cap(config)
     link = config.leo_link
     # One unit of fading power at gain shape 1 lands this many watts.
     watts_per_fading = (
@@ -429,8 +424,7 @@ def _leo_sinr_pass_function(config: SystemConfig, quad_spec: QuadratureSpec):
     fading = config.leo_fading
     link = config.leo_link
     gamma = link.sinr_threshold
-    theta_d = central_from_dome(geom, effective_beam_range(config.rx_pattern))
-    p_zero = (0.5 * (1.0 + math.cos(theta_d))) ** config.leo.n_sats
+    theta_d, p_zero = leo_interference_cap(config)
     cap = 1.0 - math.cos(theta_d)
     inner_spec = quad_spec.tighter()
     w_nodes, w_weights = _fading_rule(fading)
@@ -497,11 +491,9 @@ def leo_localizability(config: SystemConfig, k_min: int, quad_spec: QuadratureSp
     SINR thresholds (per-rank probabilities multiplied)."""
     if k_min < 0:
         raise ValueError("k_min must be non-negative")
-    if k_min == 0:
-        return 1.0
     if k_min > config.leo.n_sats:
-        return 0.0
-    return float(np.prod(leo_rank_coverage_probs(config, k_min, quad_spec)))
+        return 0.0  # without running a pass over every rank
+    return _at_level(config, "localizability", "leo", k_min, quad_spec)
 
 
 def meo_single_localizability(config: SystemConfig, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
@@ -523,15 +515,9 @@ def meo_single_localizability(config: SystemConfig, quad_spec: QuadratureSpec = 
 
 def meo_localizability(config: SystemConfig, k_min: int, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Probability that at least ``k_min`` MEO satellites are localizable."""
-    n = config.meo.n_sats
     if k_min < 0:
         raise ValueError("k_min must be non-negative")
-    if k_min == 0:
-        return 1.0
-    if k_min > n:
-        return 0.0
-    p1 = meo_single_localizability(config, quad_spec)
-    return float(binom.sf(k_min - 1, n, p1))
+    return _at_level(config, "localizability", "meo", k_min, quad_spec)
 
 
 def hybrid_localizability(config: SystemConfig, k_min: int, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
@@ -540,22 +526,65 @@ def hybrid_localizability(config: SystemConfig, k_min: int, quad_spec: Quadratur
     hybrid availability."""
     if k_min < 1:
         raise ValueError("k_min must be at least 1")
-    n = config.meo.n_sats
-    p1_avail = meo_single_availability(config, quad_spec)
-    cutoff = _n_meo_max_from_p(n, p1_avail, config.epsilon)
-    p1_loc = meo_single_localizability(config, quad_spec)
-    pmf = binom.pmf(np.arange(cutoff + 1), n, p1_loc)
+    return _at_level(config, "localizability", "hybrid", k_min, quad_spec)
 
-    max_leo_rank = min(k_min, config.leo.n_sats)
-    if max_leo_rank >= 1:
-        rank_probs = leo_rank_coverage_probs(config, max_leo_rank, quad_spec)
-        leo_products = np.concatenate([[1.0], np.cumprod(rank_probs)])
-    else:
-        leo_products = np.array([1.0])
 
-    def leo_tail(j):
-        if j > config.leo.n_sats:
-            return 0.0
-        return float(leo_products[j])
+# ---------------------------------------------------------------------------
+# All-K evaluation
+# ---------------------------------------------------------------------------
 
-    return _hybrid_convolution(leo_tail, pmf, k_min, cutoff)
+METRICS = ("availability", "localizability")
+SYSTEMS = ("leo", "meo", "hybrid")
+
+
+def evaluate(
+    config: SystemConfig,
+    metric: str,
+    systems: tuple[str, ...],
+    k_max: int,
+    quad_spec: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> dict[str, np.ndarray]:
+    """Closed-form ``metric`` for K = 1..k_max, one array per system.
+
+    The LEO values are built once and the hybrid values derived from them:
+    availability is the binomial tail of the detectable count, and
+    localizability the running product of the per-rank probabilities from
+    one rank-coverage pass (zero past the LEO population). That pass runs
+    only when ``"leo"`` or ``"hybrid"`` is requested. The MEO
+    single-satellite probability and the truncation cutoff are computed
+    once, and one convolution covers every K.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric '{metric}'")
+    if not set(systems) <= set(SYSTEMS):
+        raise ValueError(f"systems must be drawn from {SYSTEMS}")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    ks = np.arange(1, k_max + 1)
+    out = {}
+    if "leo" in systems or "hybrid" in systems:
+        n = config.leo.n_sats
+        if metric == "availability":
+            out["leo"] = binom.sf(ks - 1, n, _cap_fraction(config.leo_theta_max))
+        else:
+            out["leo"] = np.zeros(k_max)
+            k_eff = min(k_max, n)
+            if k_eff >= 1:
+                out["leo"][:k_eff] = np.cumprod(leo_rank_coverage_probs(config, k_eff, quad_spec))
+    if "meo" in systems or "hybrid" in systems:
+        n = config.meo.n_sats
+        p_avail = meo_single_availability(config, quad_spec)
+        p1 = p_avail if metric == "availability" else meo_single_localizability(config, quad_spec)
+        out["meo"] = binom.sf(ks - 1, n, p1)
+        if "hybrid" in systems:
+            cutoff = _n_meo_max_from_p(n, p_avail, config.epsilon)
+            pmf = binom.pmf(np.arange(cutoff + 1), n, p1)
+            out["hybrid"] = _hybrid_convolution(out["leo"], pmf, cutoff)
+    return {system: out[system] for system in systems}
+
+
+def _at_level(config: SystemConfig, metric: str, system: str, k_min: int, quad_spec: QuadratureSpec) -> float:
+    """One value of :func:`evaluate`; at least zero satellites is certain."""
+    if k_min == 0:
+        return 1.0
+    return float(evaluate(config, metric, (system,), k_min, quad_spec)[system][k_min - 1])

@@ -21,12 +21,22 @@ must be summed this way: the CDF series is truncated at an absolute tail
 bound of 1e-12, so ``1 - F`` floors near 4e-13 and cannot resolve any
 survival below about 1e-12, while the complementary series goes to zero with
 the true tail.
+
+For integer z, Q(z + 1, x) = P(Poisson(x) <= z) = sum_{j<=z} pi_j(x) with
+pi_j(x) = x^j e^{-x} / j!. Swapping the order of summation turns the series
+truncated after Z terms, exactly, into
+
+    sum_{z<Z} c_z Q(z + 1, x) = sum_{j<Z} pi_j(x) T_j,   T_j = sum_{z=j}^{Z-1} c_z,
+
+so the survival needs only Poisson probabilities, computed in log space,
+against weight tails that depend on the fading parameters alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -167,14 +177,14 @@ def sr_cdf(params: SrFadingParams, w, tol: float = _SERIES_TOL):
     return float(out) if np.isscalar(w) or np.ndim(w) == 0 else out
 
 
-def _sf_term_count(params: SrFadingParams) -> int:
+def _sf_term_count(params: SrFadingParams, max_terms: int) -> int:
     """Number of complementary-series terms whose dropped weights, times the
     prefactor, sum to at most ``_SERIES_TOL``."""
     beta = params._beta
     prefactor = math.exp(params._log_prefactor)
     block = 16
     z_end = block
-    while z_end <= _MAX_SERIES_TERMS:
+    while z_end <= max_terms:
         # Q <= 1, so the tail is bounded by the weights' own tail. Their
         # ratio beta (m + z) / (z + 1) tends to beta monotonically, so its
         # supremum past the last term z_end - 1 is at one end or the other.
@@ -185,13 +195,24 @@ def _sf_term_count(params: SrFadingParams) -> int:
                 return z_end
         z_end += block
     raise SeriesConvergenceError(
-        f"shadowed-Rician series did not converge within {_MAX_SERIES_TERMS} terms"
+        f"shadowed-Rician series did not converge within {max_terms} terms"
     )
+
+
+@lru_cache(maxsize=32)
+def _sf_poisson_weights(params: SrFadingParams, max_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """lgamma(j + 1) and the weight tails T_j = prefactor * sum_{z=j}^{Z-1}
+    c_z for j < Z, the ``sr_sf`` term count. Keyed on the term limit too, so
+    a lowered limit is never bypassed by a cached result."""
+    z = np.arange(_sf_term_count(params, max_terms), dtype=float)
+    weights = np.exp(params._log_prefactor + _series_coeffs(params, z))
+    return special.gammaln(z + 1.0), np.cumsum(weights[::-1])[::-1]
 
 
 def sr_sf(params: SrFadingParams, w):
     """Survival function P(W > w) of the shadowed-Rician power fading,
-    elementwise over ``w``, summed as the complementary series.
+    elementwise over ``w``, summed as the complementary series in its
+    Poisson form.
 
     The series is truncated once its tail is bounded by 1e-12
     (``_SERIES_TOL``). Every term is non-negative, so up to rounding the
@@ -203,9 +224,11 @@ def sr_sf(params: SrFadingParams, w):
     if np.any(w_arr < 0):
         raise ValueError("fading power must be non-negative")
     x = np.ravel(w_arr / (2.0 * params.b0))
-    z = np.arange(_sf_term_count(params), dtype=float)
-    weights = math.exp(params._log_prefactor) * np.exp(_series_coeffs(params, z))
-    out = np.minimum(weights @ special.gammaincc(z[:, None] + 1.0, x[None, :]), 1.0)
+    log_factorial, tails = _sf_poisson_weights(params, _MAX_SERIES_TERMS)
+    j = np.arange(len(tails), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_poisson = j[:, None] * np.log(x)[None, :] - x[None, :] - log_factorial[:, None]
+        out = np.minimum(tails @ np.exp(log_poisson), 1.0)
     # At x = 0 every Q is one and the full weights sum to one.
     out = np.where(x == 0.0, 1.0, out).reshape(w_arr.shape)
     return float(out) if np.isscalar(w) or np.ndim(w) == 0 else out

@@ -13,11 +13,10 @@ Exit codes: 0 success, 1 validation failures, 2 configuration errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import analytic
 from .analytic import QuadratureSpec
@@ -67,12 +66,9 @@ def _parse_sweep(text: str) -> SweepAxis:
     if hi < lo:
         raise ConfigError("sweep max must not be below min")
     caster = _SWEEP_PARAMS[name][1]
-    values = []
-    v = lo
-    while v <= hi + 1e-9 * max(1.0, abs(hi)):
-        values.append(caster(round(v, 12)))
-        v += step
-    return SweepAxis(name=name, values=values)
+    # Each point is computed from its index, so rounding does not accumulate.
+    count = math.floor((hi - lo) / step + 1e-9 * max(1.0, abs(hi)) / step) + 1
+    return SweepAxis(name=name, values=[caster(round(lo + i * step, 12)) for i in range(count)])
 
 
 def _apply_axis(settings: dict, name: str, value) -> dict:
@@ -82,7 +78,6 @@ def _apply_axis(settings: dict, name: str, value) -> dict:
         out["meo.n_orbits"] = int(value)
         out["meo.sats_per_orbit"] = 1
     elif name.startswith("phi_"):
-        import math
         out[key] = math.radians(float(value))
     else:
         out[key] = caster(value)
@@ -110,30 +105,17 @@ def _parse_k_list(text: str) -> list[int]:
     return ks
 
 
-_ANALYTIC = {
-    ("availability", "meo"): analytic.meo_availability,
-    ("availability", "hybrid"): analytic.hybrid_availability,
-    ("localizability", "meo"): analytic.meo_localizability,
-    ("localizability", "hybrid"): analytic.hybrid_localizability,
-}
+# Unused by the CLI. perfbench/tests/test_bench.py reads this entry to check
+# that its tracer rebinds functions held in module-level dicts.
+_ANALYTIC = {("localizability", "hybrid"): analytic.hybrid_localizability}
 
 
 def _analytic_values(settings, metric, system, ks, quad_spec):
     cfg = build_system_config(settings)
     if not ks:
         return []
-    if metric == "localizability" and system == "leo":
-        k_eff = min(max(ks), cfg.leo.n_sats)
-        if k_eff >= 1:
-            probs = analytic.leo_rank_coverage_probs(cfg, k_eff, quad_spec)
-            products = np.cumprod(probs)
-        else:
-            products = np.array([])
-        return [float(products[k - 1]) if k <= len(products) else 0.0 for k in ks]
-    if metric == "availability" and system == "leo":
-        return [analytic.leo_availability(cfg, k) for k in ks]
-    fn = _ANALYTIC[(metric, system)]
-    return [float(fn(cfg, k, quad_spec)) for k in ks]
+    values = analytic.evaluate(cfg, metric, (system,), max(ks), quad_spec)[system]
+    return [float(values[k - 1]) for k in ks]
 
 
 def _mc_values(settings, metric, system, ks, mc_spec):

@@ -116,10 +116,7 @@ class _Simulator:
         )
         self.pattern = config.rx_pattern
         # Effective receive cap around the serving satellite, central angle.
-        from .channel import effective_beam_range
-        from .geom import central_from_dome
-        self.theta_d_leo = central_from_dome(config.leo_geom, effective_beam_range(self.pattern))
-        self.p_zero_leo = (0.5 * (1.0 + math.cos(self.theta_d_leo))) ** config.leo.n_sats
+        self.theta_d_leo, self.p_zero_leo = analytic.leo_interference_cap(config)
 
     # -- single-layer beam evaluation ------------------------------------
 
@@ -296,26 +293,6 @@ def _proportion_se(p, n: float) -> np.ndarray:
     return np.sqrt(p_tilde * (1.0 - p_tilde) / n)
 
 
-def _compose_localizability(rank_fracs, meo_pmf, k_values, cutoff):
-    """Theorem-style composition: LEO rank products convolved with the MEO
-    localizable-count distribution."""
-    leo_products = np.concatenate([[1.0], np.cumprod(rank_fracs)])
-
-    def leo_term(j):
-        return leo_products[j] if j < len(leo_products) else 0.0
-
-    out = []
-    for k in k_values:
-        total = 0.0
-        for j in range(0, min(k - 1, cutoff) + 1):
-            if j < len(meo_pmf):
-                total += meo_pmf[j] * leo_term(k - j)
-        if k <= cutoff:
-            total += float(np.sum(meo_pmf[k: cutoff + 1]))
-        out.append(total)
-    return np.array(out)
-
-
 def simulate(config: SystemConfig, spec: McSpec) -> SimulationSummary:
     """Run the full Monte Carlo campaign and aggregate all estimators."""
     import time as _time
@@ -375,7 +352,7 @@ def simulate(config: SystemConfig, spec: McSpec) -> SimulationSummary:
     if spec.sum_all_interferers:
         # Honest mode: empirical MEO count distribution, untruncated.
         meo_loc = pooled(meo_loc_tail)
-        hyb_loc = _compose_localizability(rank_fracs, pmf_total, k_values, cutoff=n_meo)
+        hyb_loc = analytic._hybrid_convolution(np.cumprod(rank_fracs), pmf_total, n_meo)
         cutoff = n_meo
     else:
         # Approximation-matched mode: binomial composition with the
@@ -386,7 +363,7 @@ def simulate(config: SystemConfig, spec: McSpec) -> SimulationSummary:
         pmf_fit = binom.pmf(np.arange(n_meo + 1), n_meo, meo_single_pass) if n_meo else np.array([1.0])
         meo_loc = np.array([float(binom.sf(k - 1, n_meo, meo_single_pass)) for k in k_values]) \
             if n_meo else np.zeros(k_max)
-        hyb_loc = _compose_localizability(rank_fracs, pmf_fit, k_values, cutoff=cutoff)
+        hyb_loc = analytic._hybrid_convolution(np.cumprod(rank_fracs), pmf_fit, cutoff)
     leo_loc = np.cumprod(rank_fracs)
 
     # Batch-means standard errors for the composed estimators.
@@ -409,14 +386,14 @@ def simulate(config: SystemConfig, spec: McSpec) -> SimulationSummary:
     if spec.sum_all_interferers:
         meo_loc_se = se_from_batches(lambda b, size: meo_loc_tail[b] / size)
         hyb_loc_se = se_from_batches(
-            lambda b, size: _compose_localizability(
-                rank_pass[b] / size, meo_loc_pmf[b] / size, k_values, cutoff=n_meo)
+            lambda b, size: analytic._hybrid_convolution(
+                np.cumprod(rank_pass[b] / size), meo_loc_pmf[b] / size, n_meo)
         )
     else:
         def matched_batch(b, size):
             p_pass = float(np.dot(np.arange(n_meo + 1), meo_loc_pmf[b] / size) / n_meo) if n_meo else 0.0
             pmf_b = binom.pmf(np.arange(n_meo + 1), n_meo, p_pass) if n_meo else np.array([1.0])
-            return _compose_localizability(rank_pass[b] / size, pmf_b, k_values, cutoff=cutoff)
+            return analytic._hybrid_convolution(np.cumprod(rank_pass[b] / size), pmf_b, cutoff)
 
         meo_loc_se = se_from_batches(
             lambda b, size: np.array([
@@ -545,14 +522,6 @@ def run_validation(
     k_values = list(range(1, spec.k_max + 1))
     rows: list[ValidationRow] = []
 
-    analytic_fns = {
-        ("availability", "leo"): lambda k: analytic.leo_availability(config, k),
-        ("availability", "meo"): lambda k: analytic.meo_availability(config, k, quad_spec),
-        ("availability", "hybrid"): lambda k: analytic.hybrid_availability(config, k, quad_spec),
-        ("localizability", "leo"): None,
-        ("localizability", "meo"): lambda k: analytic.meo_localizability(config, k, quad_spec),
-        ("localizability", "hybrid"): lambda k: analytic.hybrid_localizability(config, k, quad_spec),
-    }
     empirical = {
         ("availability", "leo"): (summary.leo_avail, summary.leo_avail_se),
         ("availability", "meo"): (summary.meo_avail, summary.meo_avail_se),
@@ -562,23 +531,12 @@ def run_validation(
         ("localizability", "hybrid"): (summary.hybrid_loc, summary.hybrid_loc_se),
     }
 
-    leo_rank_products = None
-    if want_loc and "leo" in systems:
-        k_eff = min(spec.k_max, config.leo.n_sats)
-        if k_eff >= 1:
-            probs = analytic.leo_rank_coverage_probs(config, k_eff, quad_spec)
-            leo_rank_products = np.concatenate([np.cumprod(probs), np.zeros(spec.k_max - k_eff)])
-        else:
-            leo_rank_products = np.zeros(spec.k_max)
-
     for metric in metrics:
+        closed_forms = analytic.evaluate(config, metric, systems, spec.k_max, quad_spec)
         for system in systems:
             values, errors = empirical[(metric, system)]
             for k in k_values:
-                if metric == "localizability" and system == "leo":
-                    ana = float(leo_rank_products[k - 1])
-                else:
-                    ana = float(analytic_fns[(metric, system)](k))
+                ana = float(closed_forms[system][k - 1])
                 emp = float(values[k - 1])
                 se = float(errors[k - 1])
                 delta = ana - emp

@@ -434,3 +434,65 @@ class TestSystemConfigValidation:
             replace(CFG, epsilon=0.0)
         with pytest.raises(ValueError):
             replace(CFG, epsilon=1.0)
+
+
+class TestHybridConvolution:
+    # Outputs of the Monte Carlo composition this convolution replaced, for
+    # LEO rank probabilities 0.9, 0.8, ..., 0.4: a truncated binomial MEO
+    # law, a MEO pmf shorter than the cutoff, no MEO layer, and a cutoff
+    # below the pmf's end.
+    RANKS = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.4])
+    CASES = [
+        (binom.pmf(np.arange(13), 12, 0.37), 9,
+         [0.998208364582388, 0.9947496636708102, 0.9800469552101768,
+          0.9398675398628596, 0.8601190631999336, 0.7369548370595039]),
+        (np.array([0.1, 0.2, 0.3, 0.4]), 6,
+         [0.99, 0.952, 0.8644000000000001, 0.7070400000000001, 0.5148, 0.328608]),
+        (np.array([1.0]), 0,
+         [0.9, 0.7200000000000001, 0.504, 0.3024, 0.1512, 0.060480000000000006]),
+        (np.array([0.25, 0.25, 0.5]), 1,
+         [0.475, 0.405, 0.30600000000000005, 0.2016, 0.1134, 0.05292]),
+    ]
+
+    @pytest.mark.parametrize("meo_pmf, cutoff, want", CASES)
+    def test_matches_previous_composition(self, meo_pmf, cutoff, want):
+        got = an._hybrid_convolution(np.cumprod(self.RANKS), meo_pmf, cutoff)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("n_leo", ["2000", "3", "0"])
+    @pytest.mark.parametrize("metric", an.METRICS)
+    def test_matches_scalar_functions(self, metric, n_leo):
+        cfg = config_with(**{"leo.n_sats": n_leo})
+        got = an.evaluate(cfg, metric, an.SYSTEMS, 8)
+        assert list(got) == list(an.SYSTEMS)
+        for system in an.SYSTEMS:
+            scalar = getattr(an, f"{system}_{metric}")
+            want = [scalar(cfg, k) for k in range(1, 9)]
+            np.testing.assert_allclose(got[system], want, rtol=0, atol=1e-12)
+
+    def test_one_rank_coverage_pass(self, monkeypatch):
+        calls = []
+        original = an.leo_rank_coverage_probs
+
+        def counting(config, k_max, quad_spec=an.DEFAULT_QUADRATURE):
+            calls.append(k_max)
+            return original(config, k_max, quad_spec)
+
+        monkeypatch.setattr(an, "leo_rank_coverage_probs", counting)
+        an.evaluate(CFG, "localizability", an.SYSTEMS, 6)
+        assert calls == [6]
+        an.evaluate(CFG, "localizability", ("hybrid",), 4)
+        assert calls == [6, 4]
+        an.evaluate(CFG, "localizability", ("meo",), 6)
+        an.evaluate(CFG, "availability", an.SYSTEMS, 6)
+        assert calls == [6, 4]
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            an.evaluate(CFG, "coverage", an.SYSTEMS, 6)
+        with pytest.raises(ValueError):
+            an.evaluate(CFG, "availability", ("geo",), 6)
+        with pytest.raises(ValueError):
+            an.evaluate(CFG, "availability", an.SYSTEMS, 0)

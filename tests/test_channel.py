@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 from scipy.stats import kstest
 
@@ -104,6 +105,25 @@ class TestSrSf:
     def test_one_sided_error_against_reference(self):
         for w, want in self.REFERENCE.items():
             assert 0.0 <= want - sr_sf(BASE, w) <= 1e-12
+
+    def test_poisson_form_matches_gammaincc_sum(self):
+        # The same truncated series with the same weights, summed directly as
+        # prefactor * c_z * Q(z + 1, x).
+        z = np.arange(channel._sf_term_count(BASE, channel._MAX_SERIES_TERMS), dtype=float)
+        weights = np.exp(BASE._log_prefactor + channel._series_coeffs(BASE, z))
+        # w = 0 is excluded: there sr_sf returns the untruncated value 1.
+        w = np.concatenate([np.linspace(0.0, 40.0 * BASE.mean_power, 4001)[1:],
+                            [1e3 * BASE.mean_power, 1e6 * BASE.mean_power, 1e12 * BASE.mean_power]])
+        want = weights @ special.gammaincc(z[:, None] + 1.0, w[None, :] / (2 * BASE.b0))
+        assert np.max(np.abs(sr_sf(BASE, w) - want)) <= 1e-15
+
+    def test_convergence_guard_after_cached_call(self, monkeypatch):
+        # A cached term count for the default limit must not let a call
+        # under a lower limit through.
+        sr_sf(BASE, 1.0)
+        monkeypatch.setattr(channel, "_MAX_SERIES_TERMS", 4)
+        with pytest.raises(SeriesConvergenceError):
+            sr_sf(BASE, 1.0)
 
 
 class TestSrPdf:

@@ -1,0 +1,156 @@
+from decimal import Decimal
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from constelsim import cli
+from constelsim.config import ConfigError, load_settings, parse_config_text
+
+VALIDATE_HEADER = "metric,K,analytic,empirical,std_err,delta,pass"
+
+
+def run(tmp_path, *argv, name="out.csv"):
+    """Run the CLI in-process; return its exit code and the written file."""
+    out = tmp_path / name
+    code = cli.main([*argv, "--out", str(out)])
+    return code, out.read_text(encoding="utf-8") if out.exists() else None
+
+
+def rows(text):
+    assert text.endswith("\n")
+    return [line.split(",") for line in text.splitlines()]
+
+
+class TestCurve:
+    def test_analytic_columns(self, tmp_path):
+        code, text = run(tmp_path, "curve", "--metric", "availability", "--system", "hybrid",
+                         "--K", "1,3", "--sweep", "n_leo=1000:2000:500")
+        assert code == 0
+        table = rows(text)
+        assert table[0] == ["x", "availability_K1", "availability_K3"]
+        assert [r[0] for r in table[1:]] == ["1000", "1500", "2000"]
+        assert all(0.0 <= float(v) <= 1.0 for r in table[1:] for v in r[1:])
+
+    def test_mc_columns(self, tmp_path):
+        code, text = run(tmp_path, "curve", "--metric", "availability", "--system", "leo", "--K", "2",
+                         "--sweep", "n_leo=1000:1000:1", "--mc", "--trials", "50")
+        assert code == 0
+        table = rows(text)
+        assert table[0] == ["x", "availability_K2", "availability_K2_mc", "availability_K2_se"]
+        assert len(table) == 2 and len(table[1]) == 4
+
+    def test_parallel_output_is_identical(self, tmp_path):
+        argv = ["curve", "--metric", "localizability", "--system", "hybrid", "--K", "1,2,4",
+                "--sweep", "h_leo=900:1100:100"]
+        code_1, serial = run(tmp_path, *argv, "--jobs", "1", name="serial.csv")
+        code_2, parallel = run(tmp_path, *argv, "--jobs", "2", name="parallel.csv")
+        assert code_1 == code_2 == 0
+        assert serial == parallel
+        assert len(rows(serial)) == 4
+
+    def test_axis_must_affect_system(self, tmp_path, capsys):
+        code, text = run(tmp_path, "curve", "--system", "meo", "--sweep", "n_leo=1000:2000:1000")
+        assert code == 2 and text is None
+        assert "configuration error" in capsys.readouterr().err
+
+
+class TestHeatmap:
+    def test_grid(self, tmp_path):
+        code, text = run(tmp_path, "heatmap", "--sweep", "n_leo=0:1000:500", "--sweep", "n_meo=0:12:6", "--K", "3")
+        assert code == 0
+        table = rows(text)
+        assert table[0] == ["n_leo", "n_meo", "value"]
+        assert [(r[0], r[1]) for r in table[1:]] == [
+            (str(a), str(b)) for a in (0, 500, 1000) for b in (0, 6, 12)]
+        # No satellites at all cannot provide three.
+        assert float(table[1][2]) == 0.0
+
+    def test_needs_two_axes(self, tmp_path):
+        code, _ = run(tmp_path, "heatmap", "--sweep", "n_leo=0:1000:500")
+        assert code == 2
+
+
+class TestValidate:
+    def test_rows_and_status_agree(self, tmp_path):
+        code, text = run(tmp_path, "validate", "--trials", "200")
+        table = rows(text)
+        assert ",".join(table[0]) == VALIDATE_HEADER
+        assert len(table) == 1 + 2 * 3 * 6
+        assert {r[0] for r in table[1:]} == {
+            f"{system}_{metric}" for system in ("leo", "meo", "hybrid")
+            for metric in ("availability", "localizability")}
+        passed = [r[-1] for r in table[1:]]
+        assert set(passed) <= {"true", "false"}
+        assert code == (1 if "false" in passed else 0)
+
+    def test_all_rows_pass(self, tmp_path):
+        code, text = run(tmp_path, "validate", "--trials", "200", "--metrics", "availability")
+        assert code == 0
+        assert [r[-1] for r in rows(text)[1:]] == ["true"] * 18
+
+    def test_failures_exit_one(self, tmp_path, capsys):
+        # A truncation this loose drops nearly all of the MEO count
+        # distribution from the hybrid closed form.
+        code, text = run(tmp_path, "validate", "--trials", "200", "--metrics", "availability",
+                         "--set", "epsilon=0.99", "--K", "4")
+        assert code == 1
+        assert rows(text)[1:] and all(r[-1] == "false" for r in rows(text)[1:] if r[0] == "hybrid_availability")
+        assert "out of tolerance" in capsys.readouterr().err
+
+    def test_unknown_metric(self, tmp_path):
+        code, _ = run(tmp_path, "validate", "--trials", "200", "--metrics", "coverage")
+        assert code == 2
+
+
+class TestSample:
+    def test_one_row_per_satellite(self, tmp_path):
+        code, text = run(tmp_path, "sample", "--set", "leo.n_sats=5")
+        assert code == 0
+        table = rows(text)
+        assert table[0] == ["layer", "orbit_index", "sat_index", "x_km", "y_km", "z_km"]
+        assert [r[0] for r in table[1:]] == ["leo"] * 5 + ["meo"] * 12
+        assert [(r[1], r[2]) for r in table[-12:]] == [(str(o), str(s)) for o in range(2) for s in range(6)]
+
+
+class TestEmitConfig:
+    def test_round_trip(self, tmp_path):
+        code, text = run(tmp_path, "emit-config", "--set", "leo.n_sats=1234", name="first.cfg")
+        assert code == 0
+        assert "leo.n_sats = 1234" in text.splitlines()
+        want = load_settings(overrides={"leo.n_sats": "1234"})
+        assert parse_config_text(text) == pytest.approx(want, rel=1e-11)
+        code, again = run(tmp_path, "emit-config", "--config", str(tmp_path / "first.cfg"), name="second.cfg")
+        assert code == 0 and again == text
+
+    @pytest.mark.parametrize("bad", ["nosuch.key=1", "leo.n_sats=abc", "leo.n_sats"])
+    def test_bad_set_exits_two(self, tmp_path, capsys, bad):
+        code, text = run(tmp_path, "emit-config", "--set", bad)
+        assert code == 2 and text is None
+        assert "configuration error" in capsys.readouterr().err
+
+
+decimals = st.decimals(min_value=-1000, max_value=1000, places=2)
+steps = st.decimals(min_value=Decimal("0.01"), max_value=50, places=2)
+
+
+class TestParseSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(lo=decimals, step=steps, count=st.integers(1, 2000), past_last=st.booleans())
+    def test_points_lie_on_the_grid(self, lo, step, count, past_last):
+        # hi is the last grid point, or half a step beyond it.
+        hi = lo + (count - 1) * step + (step / 2 if past_last else 0)
+        axis = cli._parse_sweep(f"h_leo={lo}:{hi}:{step}")
+        assert len(axis.values) == count
+        lo_f, step_f = float(lo), float(step)
+        assert axis.values == [round(lo_f + i * step_f, 12) for i in range(count)]
+
+    def test_known_drift_case(self):
+        values = cli._parse_sweep("h_leo=500:2000:0.3").values
+        assert len(values) == 5001
+        assert values[61] == 518.3 and values[-1] == 2000.0
+
+    @pytest.mark.parametrize("text", ["h_leo", "h_leo=1:2", "h_leo=1:2:0", "h_leo=2:1:1", "bogus=1:2:1"])
+    def test_rejects_malformed(self, text):
+        with pytest.raises(ConfigError):
+            cli._parse_sweep(text)
