@@ -28,7 +28,7 @@ from .config import (
     load_settings,
 )
 from .constellation import derive_rng, sample_bpp, sample_dsbpp
-from .mc import McSpec, run_validation, simulate, simulate_availability, validation_csv
+from .mc import McSpec, run_validation, simulate, validation_csv
 
 # Sweepable parameter names and how they land in the settings dict.
 # n_meo sets the total MEO count; the closed forms depend only on the total.
@@ -126,17 +126,7 @@ def _mc_values(settings, metric, system, ks, mc_spec):
         k_max=max(ks),
         sum_all_interferers=mc_spec.sum_all_interferers,
     )
-    if metric == "availability":
-        summary = simulate_availability(cfg, spec)
-        table = {"leo": (summary.leo_avail, summary.leo_avail_se),
-                 "meo": (summary.meo_avail, summary.meo_avail_se),
-                 "hybrid": (summary.hybrid_avail, summary.hybrid_avail_se)}
-    else:
-        summary = simulate(cfg, spec)
-        table = {"leo": (summary.leo_loc, summary.leo_loc_se),
-                 "meo": (summary.meo_loc, summary.meo_loc_se),
-                 "hybrid": (summary.hybrid_loc, summary.hybrid_loc_se)}
-    values, errors = table[system]
+    values, errors = simulate(cfg, spec, metrics=(metric,)).estimate(metric, system)
     return [(float(values[k - 1]), float(errors[k - 1])) for k in ks]
 
 

@@ -226,10 +226,10 @@ def default_config() -> SystemConfig:
 
 
 def emit_settings(settings: dict) -> str:
-    """Canonical re-emission: linear units, radians, 12 significant digits.
+    """Canonical re-emission: linear units, radians, and floats in their
+    shortest exact form (``repr``).
 
-    Parsing the emitted text reproduces the same settings, so the round trip
-    is idempotent.
+    Parsing the emitted text reproduces the same settings exactly.
     """
     lines = []
     for key in _DEFAULTS:
@@ -241,6 +241,6 @@ def emit_settings(settings: dict) -> str:
         elif float(value).is_integer() and abs(value) < 1e15:
             rendered = str(int(value))
         else:
-            rendered = format(value, ".12g")
+            rendered = repr(float(value))
         lines.append(f"{key} = {rendered}")
     return "\n".join(lines) + "\n"

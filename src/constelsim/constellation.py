@@ -9,6 +9,15 @@ independent uniform anomalies along each orbit.
 Positions are returned as ``(n, 3)`` float arrays in kilometres. MEO points
 are ordered orbit-major: satellite ``j`` of orbit ``i`` sits at row
 ``i * sats_per_orbit + j``.
+
+The Monte Carlo engine draws whole batches of shells at once. With
+``size=n``, :func:`sample_dsbpp` returns ``(n, n_sats, 3)``: n independent
+shells, drawn in the same per-block order as a single one. For LEO the
+engine draws only the horizon cap, through :func:`sample_bpp_cap`: no
+satellite beyond the horizon can be seen, serve or interfere, and the
+binomial cap-count law makes the restricted draw exact. That sampler returns
+polar coordinates about the target, which :func:`cap_positions` turns into
+positions. :func:`sample_bpp` still draws a whole shell.
 """
 
 from __future__ import annotations
@@ -60,22 +69,14 @@ class MeoShellConfig:
         return self.n_orbits * self.sats_per_orbit
 
 
-@dataclass(frozen=True)
-class OrbitOrientation:
-    """Orbit plane attitude relative to the target axis."""
+def derive_rng(master_seed: int, index: int = 0) -> np.random.Generator:
+    """Independent, reproducible substream, such as one Monte Carlo batch's.
 
-    inclination: float  # angle between orbit normal and +z, sin/2 density
-    azimuth: float  # rotation about +z, uniform on [0, 2*pi)
-
-
-def derive_rng(master_seed: int, trial_index: int = 0) -> np.random.Generator:
-    """Independent, reproducible substream for one Monte Carlo trial.
-
-    Keyed on (master_seed, trial_index) through the seed-sequence spawn
-    mechanism, so distinct trials never share state and the same pair always
+    Keyed on (master_seed, index) through the seed-sequence spawn mechanism,
+    so distinct indices never share state and the same pair always
     reproduces the same stream.
     """
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial_index,)))
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
 def sample_bpp(config: LeoShellConfig, rng: np.random.Generator) -> np.ndarray:
@@ -92,49 +93,68 @@ def sample_bpp(config: LeoShellConfig, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def sample_orbit_orientations(n_orbits: int, rng: np.random.Generator) -> list[OrbitOrientation]:
-    """Draw orbit attitudes: inclination with sin/2 density, azimuth uniform."""
-    inclinations = np.arccos(1.0 - 2.0 * rng.random(n_orbits))
-    azimuths = 2.0 * np.pi * rng.random(n_orbits)
-    return [OrbitOrientation(float(i), float(a)) for i, a in zip(inclinations, azimuths)]
-
-
-def _orbit_points(config: MeoShellConfig, orient: OrbitOrientation, anomalies: np.ndarray) -> np.ndarray:
-    """Place points on one orbit circle and rotate it into attitude.
-
-    The circle starts in the xy-plane, is tilted about the x-axis by the
-    inclination, then swung about the z-axis by the azimuth.
-    """
-    r = config.radius_km
-    flat = np.column_stack([r * np.cos(anomalies), r * np.sin(anomalies), np.zeros_like(anomalies)])
-    ci, si = math.cos(orient.inclination), math.sin(orient.inclination)
-    ca, sa = math.cos(orient.azimuth), math.sin(orient.azimuth)
-    rot_x = np.array([[1.0, 0.0, 0.0], [0.0, ci, -si], [0.0, si, ci]])
-    rot_z = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    return flat @ rot_x.T @ rot_z.T
-
-
-def sample_dsbpp(config: MeoShellConfig, rng: np.random.Generator) -> np.ndarray:
+def sample_dsbpp(config: MeoShellConfig, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw the MEO shell: random orbits, uniform anomalies along each.
 
-    Random draws happen in a fixed order (all inclinations, all azimuths,
-    then the anomalies orbit by orbit) so a given (config, stream) pair is
-    reproducible.
+    Each orbit circle starts in the xy-plane, is tilted about the x-axis by
+    its inclination (sin/2 density), then swung about the z-axis by its
+    azimuth (uniform). Random draws happen in a fixed order: all
+    inclinations, all azimuths, then the anomalies orbit by orbit, so a
+    given (config, stream, size) triple is reproducible. With ``size=n`` the
+    draws cover n shells at once, each block in that order along the
+    trailing axes, and the result has shape ``(n, n_sats, 3)``.
     """
-    orientations = sample_orbit_orientations(config.n_orbits, rng)
-    blocks = []
-    for orient in orientations:
-        anomalies = 2.0 * np.pi * rng.random(config.sats_per_orbit)
-        blocks.append(_orbit_points(config, orient, anomalies))
-    if not blocks:
-        return np.empty((0, 3))
-    return np.vstack(blocks)
+    shape = () if size is None else (size,)
+    n_orbits, per_orbit = config.n_orbits, config.sats_per_orbit
+    inclination = np.arccos(1.0 - 2.0 * rng.random(shape + (n_orbits,)))[..., None]
+    azimuth = 2.0 * np.pi * rng.random(shape + (n_orbits,))[..., None]
+    anomaly = 2.0 * np.pi * rng.random(shape + (n_orbits, per_orbit))
+    x_flat = config.radius_km * np.cos(anomaly)
+    y_flat = config.radius_km * np.sin(anomaly)
+    y_tilt = y_flat * np.cos(inclination)
+    out = np.empty(shape + (n_orbits, per_orbit, 3))
+    out[..., 0] = x_flat * np.cos(azimuth) - y_tilt * np.sin(azimuth)
+    out[..., 1] = x_flat * np.sin(azimuth) + y_tilt * np.cos(azimuth)
+    out[..., 2] = y_flat * np.sin(inclination)
+    return out.reshape(shape + (n_orbits * per_orbit, 3))
+
+
+def sample_bpp_cap(
+    config: LeoShellConfig, rng: np.random.Generator, cap_angle: float, size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the part of ``size`` independent LEO shells that lies within
+    central angle ``cap_angle`` of the target, nearest first.
+
+    A binomial point process puts Binomial(n_sats, f) of its points in a cap
+    of area fraction f = (1 - cos cap_angle) / 2, each uniform in the cap, so
+    this is the exact law of the shell restricted to the cap. Points are
+    returned in polar coordinates about the target direction: the cosine of
+    the central angle and the azimuth about the target axis, both of shape
+    ``(size, largest count)``. Row i holds shell i's satellites by
+    increasing central angle, then NaN padding.
+    """
+    counts = rng.binomial(config.n_sats, 0.5 * (1.0 - math.cos(cap_angle)), size=size)
+    width = int(counts.max(initial=0))
+    padding = np.arange(width) >= counts[:, None]
+    # Ascending uniforms give descending cosines; the azimuths are i.i.d.,
+    # so they need no reordering.
+    u = np.sort(np.where(padding, np.inf, rng.random((size, width))), axis=1)
+    u[padding] = np.nan
+    azimuth = np.where(padding, np.nan, 2.0 * np.pi * rng.random((size, width)))
+    return 1.0 - u * (1.0 - math.cos(cap_angle)), azimuth
+
+
+def cap_positions(radius_km: float, cos_theta: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
+    """Positions (km, trailing axis of 3) of points on a shell given in the
+    polar coordinates of :func:`sample_bpp_cap`, whose axis is
+    ``TARGET_DIRECTION`` (the x axis)."""
+    sin_theta = np.sqrt(1.0 - cos_theta**2)
+    return radius_km * np.stack([cos_theta, sin_theta * np.cos(azimuth), sin_theta * np.sin(azimuth)], axis=-1)
 
 
 def central_angle_to_target(positions: np.ndarray, target_direction: np.ndarray = TARGET_DIRECTION) -> np.ndarray:
-    """Central angle (radians, in [0, pi]) between each satellite and the target."""
-    pos = np.atleast_2d(positions)
-    norms = np.linalg.norm(pos, axis=1)
-    cos_theta = pos @ target_direction / np.where(norms > 0, norms, 1.0)
-    angles = np.arccos(np.clip(cos_theta, -1.0, 1.0))
-    return angles if positions.ndim > 1 else angles[0]
+    """Central angle (radians, in [0, pi]) between each satellite and the
+    target; ``positions`` has the coordinates on its last axis."""
+    norms = np.linalg.norm(positions, axis=-1)
+    cos_theta = positions @ target_direction / np.where(norms > 0, norms, 1.0)
+    return np.arccos(np.clip(cos_theta, -1.0, 1.0))

@@ -1,10 +1,30 @@
 """Monte Carlo simulation of the full system model.
 
-Every trial draws fresh constellations, associates up to ``k_max`` beams
-(available MEO satellites first, then nearest LEO satellites), draws an
-independent shadowed-Rician fading value per link, and evaluates each beam's
-SINR with exact ranges. Interference is same-layer only: the two layers use
-different carriers.
+Every trial draws fresh constellations and an independent shadowed-Rician
+fading value per link, and evaluates the SINR of every visible MEO
+satellite and of the ``k_max`` nearest LEO satellites with exact ranges.
+Interference is same-layer only: the two layers use different carriers.
+
+Trials run as arrays. The LEO shell is drawn only inside the horizon cap
+(:func:`~constelsim.constellation.sample_bpp_cap`): a binomial point process
+puts a Binomial(N, cap fraction) count there, each point uniform in the cap,
+so the restricted draw has the exact law of the full shell where it
+matters. The cap is a superset of the visible cap, because the detection
+angle never exceeds the horizon angle, and satellites outside the visible
+cap neither serve nor interfere. The visibility test still runs on the drawn
+geometry. The cap sampler returns each trial's satellites nearest first, so
+the visible ones form a prefix; the MEO satellites get one argsort by
+central angle. Ragged visible sets are padded to the chunk's largest and
+masked, so the K nearest ranks and the interferer set come from the same
+sorted arrays.
+
+RNG contract. Batch ``b`` of the ``spec.n_batches`` batch-means batches
+draws its geometry from ``derive_rng(master_seed, b)`` and its fading from
+that stream's first spawned child, in sub-chunks of at most
+``CHUNK_TRIALS`` trials (a module constant, so memory stays bounded at any
+trial count). Results therefore depend on the config, ``master_seed`` and
+``n_trials`` only, and availability estimates do not depend on whether
+localizability is simulated too.
 
 Two interference modes exist. The faithful default sums every visible
 same-layer satellite with its exact range and exact dome-angle receive gain.
@@ -21,8 +41,7 @@ around the target), which moves per-rank pass rates by several percent.
 The availability estimates are plain trial fractions. The localizability
 estimates mirror the closed-form metric, which multiplies per-rank
 probabilities: per-rank pass fractions are estimated and composed exactly as
-the analytic expressions compose theirs. The joint "all beams pass in one
-trial" fractions are also reported for diagnostics.
+the analytic expressions compose theirs.
 """
 
 from __future__ import annotations
@@ -35,17 +54,23 @@ from scipy.stats import binom
 
 from . import analytic
 from .analytic import SystemConfig, QuadratureSpec, DEFAULT_QUADRATURE
-from .channel import sr_sample
+from .channel import LinkParams, SrFadingParams, sr_sample
 from .constellation import (
     TARGET_DIRECTION,
+    cap_positions,
     central_angle_to_target,
     derive_rng,
-    sample_bpp,
+    sample_bpp_cap,
     sample_dsbpp,
 )
-from .geom import EARTH_RADIUS_KM, dome_from_central
+from .geom import EARTH_RADIUS_KM
 
 KM_TO_M = 1e3
+
+# Largest number of trials drawn as one array.
+CHUNK_TRIALS = 1024
+
+_TARGET_KM = TARGET_DIRECTION * EARTH_RADIUS_KM
 
 
 @dataclass(frozen=True)
@@ -65,188 +90,68 @@ class McSpec:
             object.__setattr__(self, "n_batches", max(2, min(self.n_batches, self.n_trials)))
 
 
-@dataclass
-class TrialResult:
-    """Outcome of a single trial."""
+class _Link:
+    """Per-layer constants of SINR = (W_s / l_s^2) / (noise_term + sum shape_i W_i / l_i^2)."""
 
-    n_leo_available: int
-    n_meo_available: int
-    per_rank_sinr_pass: list[bool]  # LEO beam ranks 1..k_max
-    n_meo_localizable: int
-    beam_layers: list[str]  # association order under MEO-first assignment
-    hybrid_all_pass: list[bool]  # joint pass at levels 1..k_max
-    seed_info: int
-
-
-class _LayerGeometry:
-    """Precomputed per-layer constants for the SINR evaluation."""
-
-    def __init__(self, shell_cfg, link, fading, geom, theta_max):
-        self.shell_cfg = shell_cfg
-        self.link = link
-        self.fading = fading
-        self.geom = geom
-        self.theta_max = theta_max
-        # SINR = (W_s / l_s^2) / (noise_term + sum shape_i W_i / l_i^2)
+    def __init__(self, link: LinkParams, fading: SrFadingParams):
         amp = link.tx_power_w * link.tx_gain * link.max_rx_gain * link.system_loss \
             * (link.wavelength_m / (4.0 * math.pi)) ** 2
         self.noise_term = link.noise_power_w / amp
+        self.threshold = link.sinr_threshold
+        self.fading = fading
 
 
-def _distances_m(positions: np.ndarray) -> np.ndarray:
-    target = TARGET_DIRECTION * EARTH_RADIUS_KM
-    return np.linalg.norm(positions - target, axis=1) * KM_TO_M
+def _nearest_first(positions: np.ndarray, theta_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's satellites sorted by central angle, cut to the largest
+    visible count, and the mask of the visible ones."""
+    angles = central_angle_to_target(positions)
+    order = np.argsort(angles, axis=1)
+    width = int((angles <= theta_max).sum(axis=1).max(initial=0))
+    nearest = order[:, :width]
+    visible = np.take_along_axis(angles, nearest, axis=1) <= theta_max
+    return np.take_along_axis(positions, nearest[..., None], axis=1), visible
 
 
-def _unit_from_target(positions: np.ndarray) -> np.ndarray:
-    target = TARGET_DIRECTION * EARTH_RADIUS_KM
-    rel = positions - target
-    return rel / np.linalg.norm(rel, axis=1, keepdims=True)
+def _fading(link: _Link, rng: np.random.Generator, mask: np.ndarray) -> np.ndarray:
+    """Independent fading powers where ``mask`` is set, zero elsewhere."""
+    out = np.zeros(mask.shape)
+    out[mask] = sr_sample(link.fading, rng, size=int(mask.sum()))
+    return out
 
 
-class _Simulator:
-    def __init__(self, config: SystemConfig, spec: McSpec):
-        self.config = config
-        self.spec = spec
-        self.leo = _LayerGeometry(
-            config.leo, config.leo_link, config.leo_fading, config.leo_geom, config.leo_theta_max,
-        )
-        self.meo = _LayerGeometry(
-            config.meo, config.meo_link, config.meo_fading, config.meo_geom, config.meo_theta_max,
-        )
-        self.pattern = config.rx_pattern
-        # Effective receive cap around the serving satellite, central angle.
-        self.theta_d_leo, self.p_zero_leo = analytic.leo_interference_cap(config)
+def _sinr_passes(config, link, positions, visible, n_serve, rng, faithful, matched_cap=None) -> np.ndarray:
+    """Pass flags of the first ``n_serve`` satellites of each trial's
+    visible-first set, shape ``(trials, n_serve)``.
 
-    # -- single-layer beam evaluation ------------------------------------
-
-    def _leo_rank_passes(self, positions, angles, rng) -> np.ndarray:
-        """Pass/fail of the LEO beams at ranks 1..k_max (nearest first)."""
-        k_max = self.spec.k_max
-        layer = self.leo
-        n = len(angles)
-        passes = np.zeros(k_max, dtype=bool)
-        if n == 0:
-            return passes
-        k_eff = min(k_max, n)
-        nearest = np.argpartition(angles, k_eff - 1)[:k_eff] if k_eff < n else np.arange(n)
-        nearest = nearest[np.argsort(angles[nearest])]
-        visible = angles <= layer.theta_max
-        if not visible[nearest[0]]:
-            return passes
-        dist_m = _distances_m(positions)
-        if self.spec.sum_all_interferers:
-            vis_idx = np.flatnonzero(visible)
-            units = _unit_from_target(positions[vis_idx])
-        for rank_pos, sat in enumerate(nearest):
-            if not visible[sat]:
-                break
-            w_serving = sr_sample(layer.fading, rng)
-            signal = w_serving / dist_m[sat] ** 2
-            if self.spec.sum_all_interferers:
-                others = vis_idx[vis_idx != sat]
-                if others.size:
-                    serving_unit = _unit_from_target(positions[sat][None, :])[0]
-                    unit_others = units[np.searchsorted(vis_idx, others)]
-                    cos_dome = np.clip(unit_others @ serving_unit, -1.0, 1.0)
-                    shapes = self.pattern.gain_shape(np.arccos(cos_dome))
-                    w_int = sr_sample(layer.fading, rng, size=others.size)
-                    interference = float(np.sum(shapes * w_int / dist_m[others] ** 2))
-                else:
-                    interference = 0.0
-            else:
-                interference = self._matched_interference(dist_m[sat], rng)
-            sinr = signal / (layer.noise_term + interference)
-            passes[rank_pos] = sinr > layer.link.sinr_threshold
-        return passes
-
-    def _matched_interference(self, serving_dist_m, rng) -> float:
-        """Single synthesized interferer following the closed-form mixture:
-        present with probability 1 - p_zero, angle uniform over the cap,
-        serving-range path loss, zenith-mapped dome gain."""
-        layer = self.leo
-        if rng.random() < self.p_zero_leo:
-            return 0.0
-        cos_theta_i = 1.0 - rng.random() * (1.0 - math.cos(self.theta_d_leo))
-        theta_i = math.acos(min(1.0, cos_theta_i))
-        if theta_i <= 0.0:
-            shape = 1.0
-        else:
-            shape = float(self.pattern.gain_shape(dome_from_central(layer.geom, theta_i)))
-        w_int = sr_sample(layer.fading, rng)
-        return shape * w_int / serving_dist_m ** 2
-
-    def _meo_passes(self, positions, angles, rng) -> np.ndarray:
-        """Per-satellite availability-and-SNR pass flags for the MEO layer."""
-        layer = self.meo
-        visible = angles <= layer.theta_max
-        n_vis = int(visible.sum())
-        passes = np.zeros(len(angles), dtype=bool)
-        if n_vis == 0:
-            return passes
-        vis_idx = np.flatnonzero(visible)
-        dist_m = _distances_m(positions[vis_idx])
-        w_serving = sr_sample(layer.fading, rng, size=n_vis)
-        signal = w_serving / dist_m**2
-        if self.spec.sum_all_interferers and n_vis > 1:
-            units = _unit_from_target(positions[vis_idx])
-            cos_dome = np.clip(units @ units.T, -1.0, 1.0)
-            shapes = self.pattern.gain_shape(np.arccos(cos_dome))
-            w_matrix = sr_sample(layer.fading, rng, size=(n_vis, n_vis))
-            contrib = shapes * w_matrix / dist_m[None, :] ** 2
-            np.fill_diagonal(contrib, 0.0)
-            interference = contrib.sum(axis=1)
-        else:
-            interference = np.zeros(n_vis)
-        sinr = signal / (layer.noise_term + interference)
-        passes[vis_idx] = sinr > layer.link.sinr_threshold
-        return passes
-
-    # -- one full trial ---------------------------------------------------
-
-    def run_trial(self, trial_index: int) -> TrialResult:
-        rng = derive_rng(self.spec.master_seed, trial_index)
-        k_max = self.spec.k_max
-        leo_pos = sample_bpp(self.config.leo, rng)
-        meo_pos = sample_dsbpp(self.config.meo, rng)
-        leo_angles = central_angle_to_target(leo_pos) if len(leo_pos) else np.empty(0)
-        meo_angles = central_angle_to_target(meo_pos) if len(meo_pos) else np.empty(0)
-
-        n_leo_avail = int((leo_angles <= self.leo.theta_max).sum()) if len(leo_pos) else 0
-        n_meo_avail = int((meo_angles <= self.meo.theta_max).sum()) if len(meo_pos) else 0
-
-        rank_passes = self._leo_rank_passes(leo_pos, leo_angles, rng) if len(leo_pos) else np.zeros(k_max, bool)
-        meo_sat_passes = self._meo_passes(meo_pos, meo_angles, rng) if len(meo_pos) else np.zeros(0, bool)
-        n_meo_loc = int(meo_sat_passes.sum())
-
-        # MEO-first association: available MEO satellites by angle, then LEO ranks.
-        beam_layers = ["meo"] * min(n_meo_avail, k_max)
-        beam_layers += ["leo"] * (k_max - len(beam_layers))
-        if len(meo_pos) and n_meo_avail:
-            avail_idx = np.flatnonzero(meo_angles <= self.meo.theta_max)
-            avail_sorted = avail_idx[np.argsort(meo_angles[avail_idx])]
-            meo_beam_passes = meo_sat_passes[avail_sorted]
-        else:
-            meo_beam_passes = np.zeros(0, bool)
-
-        hybrid_all = []
-        for level in range(1, k_max + 1):
-            n_meo_beams = min(n_meo_avail, level)
-            n_leo_beams = level - n_meo_beams
-            ok = bool(np.all(meo_beam_passes[:n_meo_beams]))
-            if n_leo_beams > 0:
-                ok = ok and bool(np.all(rank_passes[:n_leo_beams]))
-            hybrid_all.append(ok)
-
-        return TrialResult(
-            n_leo_available=n_leo_avail,
-            n_meo_available=n_meo_avail,
-            per_rank_sinr_pass=[bool(b) for b in rank_passes],
-            n_meo_localizable=n_meo_loc,
-            beam_layers=beam_layers,
-            hybrid_all_pass=hybrid_all,
-            seed_info=trial_index,
-        )
+    Faithful interference sums every other visible satellite. Otherwise a
+    ``matched_cap`` of (theta_d, p_zero) synthesizes the closed form's one
+    interferer, and without one there is no interference. Padding entries
+    may hold NaN positions; every use of them is masked.
+    """
+    rel = positions - _TARGET_KM
+    dist_km = np.linalg.norm(rel, axis=-1)
+    dist_sq = (dist_km * KM_TO_M) ** 2
+    serving = visible[:, :n_serve]
+    signal = _fading(link, rng, serving) / dist_sq[:, :n_serve]
+    if faithful:
+        units = rel / dist_km[..., None]
+        cos_dome = np.einsum("bkx,bmx->bkm", units[:, :n_serve], units)
+        gain = config.rx_pattern.gain_shape(np.arccos(np.clip(cos_dome, -1.0, 1.0)))
+        others = visible[:, None, :] & ~np.eye(n_serve, visible.shape[1], dtype=bool)
+        interference = np.where(others, gain * _fading(link, rng, others) / dist_sq[:, None, :], 0.0).sum(axis=-1)
+    elif matched_cap is not None:
+        # Present with probability 1 - p_zero, angle uniform over the cap,
+        # serving-range path loss, zenith-mapped dome gain (the dome angle is
+        # geom.dome_from_central over arrays).
+        theta_d, p_zero = matched_cap
+        present = serving & (rng.random(serving.shape) >= p_zero)
+        theta_i = np.arccos(1.0 - rng.random(serving.shape) * (1.0 - math.cos(theta_d)))
+        rq = config.leo.radius_km
+        dome = np.arctan2(rq * np.sin(theta_i), rq * np.cos(theta_i) - EARTH_RADIUS_KM)
+        interference = config.rx_pattern.gain_shape(dome) * _fading(link, rng, present) / dist_sq[:, :n_serve]
+    else:
+        interference = 0.0
+    return serving & (signal / (link.noise_term + interference) > link.threshold)
 
 
 @dataclass
@@ -256,11 +161,11 @@ class SimulationSummary:
     Availability entries are plain fractions with binomial standard errors;
     localizability entries are composed from per-rank and per-satellite
     fractions (matching the closed-form metric) with batch-means standard
-    errors. Arrays are indexed by K - 1 for K = 1..k_max.
+    errors, and are NaN when localizability was not simulated. Arrays are
+    indexed by K - 1 for K = 1..k_max.
     """
 
     spec: McSpec
-    n_meo_sats: int
     leo_avail: np.ndarray
     meo_avail: np.ndarray
     hybrid_avail: np.ndarray
@@ -275,15 +180,11 @@ class SimulationSummary:
     hybrid_loc_se: np.ndarray
     leo_rank_pass: np.ndarray  # marginal per-rank pass fractions
     meo_single_pass: float  # marginal per-satellite pass fraction
-    meo_single_avail: float
-    leo_loc_joint: np.ndarray  # all-ranks-pass trial fractions (diagnostic)
-    hybrid_loc_joint: np.ndarray
-    elapsed_s: float = 0.0
 
-
-def _batch_slices(n_trials: int, n_batches: int) -> np.ndarray:
-    edges = np.linspace(0, n_trials, n_batches + 1).astype(int)
-    return edges
+    def estimate(self, metric: str, system: str) -> tuple[np.ndarray, np.ndarray]:
+        """Values and standard errors of one metric for one system."""
+        suffix = {"availability": "avail", "localizability": "loc"}[metric]
+        return getattr(self, f"{system}_{suffix}"), getattr(self, f"{system}_{suffix}_se")
 
 
 def _proportion_se(p, n: float) -> np.ndarray:
@@ -293,203 +194,92 @@ def _proportion_se(p, n: float) -> np.ndarray:
     return np.sqrt(p_tilde * (1.0 - p_tilde) / n)
 
 
-def simulate(config: SystemConfig, spec: McSpec) -> SimulationSummary:
-    """Run the full Monte Carlo campaign and aggregate all estimators."""
-    import time as _time
+def simulate(
+    config: SystemConfig,
+    spec: McSpec,
+    metrics: tuple[str, ...] = ("availability", "localizability"),
+) -> SimulationSummary:
+    """Run the Monte Carlo campaign and aggregate all estimators.
 
-    start = _time.time()
-    sim = _Simulator(config, spec)
+    Availability is always estimated. Without ``"localizability"`` in
+    ``metrics`` no fading is drawn and the localizability entries are NaN.
+    """
+    want_loc = "localizability" in metrics
     k_max = spec.k_max
-    n_meo = config.meo.n_sats
-    n_b = spec.n_batches
-    edges = _batch_slices(spec.n_trials, n_b)
-
-    leo_tail = np.zeros((n_b, k_max))
-    meo_tail = np.zeros((n_b, k_max))
-    hyb_tail = np.zeros((n_b, k_max))
-    rank_pass = np.zeros((n_b, k_max))
-    meo_loc_tail = np.zeros((n_b, k_max))
-    meo_loc_pmf = np.zeros((n_b, n_meo + 1))
-    meo_avail_sum = np.zeros(n_b)
-    leo_joint = np.zeros((n_b, k_max))
-    hyb_joint = np.zeros((n_b, k_max))
-    batch_sizes = np.diff(edges)
-
-    batch = 0
-    for trial in range(spec.n_trials):
-        while trial >= edges[batch + 1]:
-            batch += 1
-        res = sim.run_trial(trial)
-        ks = np.arange(1, k_max + 1)
-        leo_tail[batch] += res.n_leo_available >= ks
-        meo_tail[batch] += res.n_meo_available >= ks
-        hyb_tail[batch] += (res.n_leo_available + res.n_meo_available) >= ks
-        rank_pass[batch] += res.per_rank_sinr_pass
-        meo_loc_tail[batch] += res.n_meo_localizable >= ks
-        meo_loc_pmf[batch, res.n_meo_localizable] += 1
-        meo_avail_sum[batch] += res.n_meo_available
-        joint = np.cumprod(res.per_rank_sinr_pass)
-        leo_joint[batch] += joint
-        hyb_joint[batch] += res.hybrid_all_pass
-
-    n = float(spec.n_trials)
-
-    def pooled(mat):
-        return mat.sum(axis=0) / n
-
-    def binom_se(p):
-        return _proportion_se(p, n)
-
-    leo_avail = pooled(leo_tail)
-    meo_avail = pooled(meo_tail)
-    hyb_avail = pooled(hyb_tail)
-    rank_fracs = pooled(rank_pass)
-    pmf_total = meo_loc_pmf.sum(axis=0) / n
-    meo_single_pass = float(np.dot(np.arange(n_meo + 1), pmf_total) / n_meo) if n_meo else 0.0
-    meo_single_avail = float(meo_avail_sum.sum() / n / n_meo) if n_meo else 0.0
-
-    k_values = list(range(1, k_max + 1))
-    if spec.sum_all_interferers:
-        # Honest mode: empirical MEO count distribution, untruncated.
-        meo_loc = pooled(meo_loc_tail)
-        hyb_loc = analytic._hybrid_convolution(np.cumprod(rank_fracs), pmf_total, n_meo)
-        cutoff = n_meo
-    else:
-        # Approximation-matched mode: binomial composition with the
-        # empirical marginals, truncated exactly like the closed form
-        # (the cutoff is taken from the closed form, not re-estimated, so
-        # its discreteness cannot flip on sampling noise).
-        cutoff = analytic.n_meo_max(config) if n_meo else 0
-        pmf_fit = binom.pmf(np.arange(n_meo + 1), n_meo, meo_single_pass) if n_meo else np.array([1.0])
-        meo_loc = np.array([float(binom.sf(k - 1, n_meo, meo_single_pass)) for k in k_values]) \
-            if n_meo else np.zeros(k_max)
-        hyb_loc = analytic._hybrid_convolution(np.cumprod(rank_fracs), pmf_fit, cutoff)
-    leo_loc = np.cumprod(rank_fracs)
-
-    # Batch-means standard errors for the composed estimators.
-    def batch_estimates(fn):
-        vals = []
-        for b in range(n_b):
-            size = batch_sizes[b]
-            if size == 0:
-                continue
-            vals.append(fn(b, float(size)))
-        return np.array(vals)
-
-    def se_from_batches(mat_fn):
-        vals = batch_estimates(mat_fn)
-        if len(vals) < 2:
-            return np.full(k_max, np.inf)
-        return np.std(vals, axis=0, ddof=1) / math.sqrt(len(vals))
-
-    leo_loc_se = se_from_batches(lambda b, size: np.cumprod(rank_pass[b] / size))
-    if spec.sum_all_interferers:
-        meo_loc_se = se_from_batches(lambda b, size: meo_loc_tail[b] / size)
-        hyb_loc_se = se_from_batches(
-            lambda b, size: analytic._hybrid_convolution(
-                np.cumprod(rank_pass[b] / size), meo_loc_pmf[b] / size, n_meo)
-        )
-    else:
-        def matched_batch(b, size):
-            p_pass = float(np.dot(np.arange(n_meo + 1), meo_loc_pmf[b] / size) / n_meo) if n_meo else 0.0
-            pmf_b = binom.pmf(np.arange(n_meo + 1), n_meo, p_pass) if n_meo else np.array([1.0])
-            return analytic._hybrid_convolution(np.cumprod(rank_pass[b] / size), pmf_b, cutoff)
-
-        meo_loc_se = se_from_batches(
-            lambda b, size: np.array([
-                float(binom.sf(k - 1, n_meo, float(np.dot(np.arange(n_meo + 1), meo_loc_pmf[b] / size) / n_meo)))
-                for k in k_values]) if n_meo else np.zeros(k_max)
-        )
-        hyb_loc_se = se_from_batches(matched_batch)
-
-    return SimulationSummary(
-        spec=spec,
-        n_meo_sats=n_meo,
-        leo_avail=leo_avail,
-        meo_avail=meo_avail,
-        hybrid_avail=hyb_avail,
-        leo_avail_se=binom_se(leo_avail),
-        meo_avail_se=binom_se(meo_avail),
-        hybrid_avail_se=binom_se(hyb_avail),
-        leo_loc=leo_loc,
-        meo_loc=meo_loc,
-        hybrid_loc=hyb_loc,
-        leo_loc_se=leo_loc_se,
-        meo_loc_se=meo_loc_se,
-        hybrid_loc_se=hyb_loc_se,
-        leo_rank_pass=rank_fracs,
-        meo_single_pass=meo_single_pass,
-        meo_single_avail=meo_single_avail,
-        leo_loc_joint=pooled(leo_joint),
-        hybrid_loc_joint=pooled(hyb_joint),
-        elapsed_s=_time.time() - start,
-    )
-
-
-def simulate_availability(config: SystemConfig, spec: McSpec) -> SimulationSummary:
-    """Availability-only campaign (no fading or SINR work)."""
-    import time as _time
-
-    start = _time.time()
-    k_max = spec.k_max
-    n_b = spec.n_batches
-    edges = _batch_slices(spec.n_trials, n_b)
-    leo_tail = np.zeros((n_b, k_max))
-    meo_tail = np.zeros((n_b, k_max))
-    hyb_tail = np.zeros((n_b, k_max))
-    meo_avail_sum = 0.0
-    theta_leo = config.leo_theta_max
-    theta_meo = config.meo_theta_max
     ks = np.arange(1, k_max + 1)
+    n_meo = config.meo.n_sats
+    faithful = spec.sum_all_interferers
+    leo_link = _Link(config.leo_link, config.leo_fading)
+    meo_link = _Link(config.meo_link, config.meo_fading)
+    matched_cap = None if faithful else analytic.leo_interference_cap(config)
+    horizon = config.leo_geom.horizon_angle
+    cos_leo_max = math.cos(config.leo_theta_max)
 
-    batch = 0
-    for trial in range(spec.n_trials):
-        while trial >= edges[batch + 1]:
-            batch += 1
-        rng = derive_rng(spec.master_seed, trial)
-        leo_pos = sample_bpp(config.leo, rng)
-        meo_pos = sample_dsbpp(config.meo, rng)
-        n_leo = int((central_angle_to_target(leo_pos) <= theta_leo).sum()) if len(leo_pos) else 0
-        n_meo = int((central_angle_to_target(meo_pos) <= theta_meo).sum()) if len(meo_pos) else 0
-        leo_tail[batch] += n_leo >= ks
-        meo_tail[batch] += n_meo >= ks
-        hyb_tail[batch] += (n_leo + n_meo) >= ks
-        meo_avail_sum += n_meo
+    sizes = np.diff(np.linspace(0, spec.n_trials, spec.n_batches + 1).astype(int))
+    avail_tail = np.zeros((len(sizes), 3, k_max))  # leo, meo, hybrid counts >= K
+    rank_pass = np.zeros((len(sizes), k_max))
+    meo_pmf = np.zeros((len(sizes), n_meo + 1))
+    for b, size in enumerate(sizes):
+        geo_rng = derive_rng(spec.master_seed, b)
+        fading_rng = geo_rng.spawn(1)[0]
+        for start in range(0, size, CHUNK_TRIALS):
+            n = min(CHUNK_TRIALS, size - start)
+            cos_theta, azimuth = sample_bpp_cap(config.leo, geo_rng, horizon, n)
+            leo_vis = cos_theta >= cos_leo_max  # nearest first, so a prefix
+            leo_vis = leo_vis[:, :int(leo_vis.sum(axis=1).max(initial=0))]
+            meo_pos, meo_vis = _nearest_first(sample_dsbpp(config.meo, geo_rng, size=n), config.meo_theta_max)
+            n_leo, n_meo_vis = leo_vis.sum(axis=1), meo_vis.sum(axis=1)
+            counts = np.stack([n_leo, n_meo_vis, n_leo + n_meo_vis], axis=1)
+            avail_tail[b] += (counts[:, :, None] >= ks).sum(axis=0)
+            if want_loc:
+                width = leo_vis.shape[1]
+                leo_pos = cap_positions(config.leo.radius_km, cos_theta[:, :width], azimuth[:, :width])
+                n_serve = min(k_max, width)
+                rank_pass[b, :n_serve] += _sinr_passes(
+                    config, leo_link, leo_pos, leo_vis, n_serve, fading_rng, faithful, matched_cap).sum(axis=0)
+                meo_pass = _sinr_passes(config, meo_link, meo_pos, meo_vis, meo_vis.shape[1], fading_rng, faithful)
+                meo_pmf[b] += np.bincount(meo_pass.sum(axis=1), minlength=n_meo + 1)
 
     n = float(spec.n_trials)
-    leo_avail = leo_tail.sum(axis=0) / n
-    meo_avail = meo_tail.sum(axis=0) / n
-    hyb_avail = hyb_tail.sum(axis=0) / n
+    avail = avail_tail.sum(axis=0) / n
+    cutoff = n_meo if faithful else (analytic.n_meo_max(config) if n_meo else 0)
 
-    def binom_se(p):
-        return _proportion_se(p, n)
+    def single_pass(pmf):
+        return float(np.dot(np.arange(n_meo + 1), pmf) / n_meo) if n_meo else 0.0
 
-    zeros = np.zeros(k_max)
+    def loc_estimates(rank_fracs, pmf):
+        """LEO, MEO and hybrid localizability from per-rank pass fractions
+        and the MEO pass-count distribution."""
+        leo = np.cumprod(rank_fracs)
+        if faithful:
+            # Empirical MEO count distribution, untruncated.
+            return leo, np.array([pmf[k:].sum() for k in ks]), analytic._hybrid_convolution(leo, pmf, n_meo)
+        # Approximation-matched mode: binomial composition with the empirical
+        # marginal, truncated exactly like the closed form (the cutoff is
+        # taken from the closed form, not re-estimated, so its discreteness
+        # cannot flip on sampling noise).
+        if not n_meo:
+            return leo, np.zeros(k_max), analytic._hybrid_convolution(leo, np.array([1.0]), cutoff)
+        p = single_pass(pmf)
+        pmf_fit = binom.pmf(np.arange(n_meo + 1), n_meo, p)
+        return leo, binom.sf(ks - 1, n_meo, p), analytic._hybrid_convolution(leo, pmf_fit, cutoff)
+
+    loc = se = [np.full(k_max, np.nan)] * 3
+    if want_loc:
+        loc = loc_estimates(rank_pass.sum(axis=0) / n, meo_pmf.sum(axis=0) / n)
+        # Batch-means standard errors for the composed estimators.
+        per_batch = [loc_estimates(rank_pass[b] / s, meo_pmf[b] / s) for b, s in enumerate(sizes) if s > 0]
+        if len(per_batch) < 2:
+            se = [np.full(k_max, np.inf)] * 3
+        else:
+            se = list(np.std(np.array(per_batch), axis=0, ddof=1) / math.sqrt(len(per_batch)))
+
+    # Positional in field order: availability, its SE, localizability, its SE.
     return SimulationSummary(
-        spec=spec,
-        n_meo_sats=config.meo.n_sats,
-        leo_avail=leo_avail,
-        meo_avail=meo_avail,
-        hybrid_avail=hyb_avail,
-        leo_avail_se=binom_se(leo_avail),
-        meo_avail_se=binom_se(meo_avail),
-        hybrid_avail_se=binom_se(hyb_avail),
-        leo_loc=zeros.copy(),
-        meo_loc=zeros.copy(),
-        hybrid_loc=zeros.copy(),
-        leo_loc_se=zeros.copy(),
-        meo_loc_se=zeros.copy(),
-        hybrid_loc_se=zeros.copy(),
-        leo_rank_pass=zeros.copy(),
-        meo_single_pass=0.0,
-        meo_single_avail=float(meo_avail_sum / n / config.meo.n_sats) if config.meo.n_sats else 0.0,
-        leo_loc_joint=zeros.copy(),
-        hybrid_loc_joint=zeros.copy(),
-        elapsed_s=_time.time() - start,
+        spec, *avail, *(_proportion_se(p, n) for p in avail), *loc, *se,
+        leo_rank_pass=rank_pass.sum(axis=0) / n,
+        meo_single_pass=single_pass(meo_pmf.sum(axis=0) / n),
     )
-
-
-simulate_localizability = simulate
 
 
 @dataclass
@@ -517,25 +307,13 @@ def run_validation(
     at |delta| <= max(0.02, 3 SE), tightened to 3 SE in approximation-matched
     mode.
     """
-    want_loc = "localizability" in metrics
-    summary = simulate(config, spec) if want_loc else simulate_availability(config, spec)
-    k_values = list(range(1, spec.k_max + 1))
+    summary = simulate(config, spec, metrics)
     rows: list[ValidationRow] = []
-
-    empirical = {
-        ("availability", "leo"): (summary.leo_avail, summary.leo_avail_se),
-        ("availability", "meo"): (summary.meo_avail, summary.meo_avail_se),
-        ("availability", "hybrid"): (summary.hybrid_avail, summary.hybrid_avail_se),
-        ("localizability", "leo"): (summary.leo_loc, summary.leo_loc_se),
-        ("localizability", "meo"): (summary.meo_loc, summary.meo_loc_se),
-        ("localizability", "hybrid"): (summary.hybrid_loc, summary.hybrid_loc_se),
-    }
-
     for metric in metrics:
         closed_forms = analytic.evaluate(config, metric, systems, spec.k_max, quad_spec)
         for system in systems:
-            values, errors = empirical[(metric, system)]
-            for k in k_values:
+            values, errors = summary.estimate(metric, system)
+            for k in range(1, spec.k_max + 1):
                 ana = float(closed_forms[system][k - 1])
                 emp = float(values[k - 1])
                 se = float(errors[k - 1])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 from scipy.stats import kstest
@@ -26,6 +28,16 @@ from constelsim.channel import (
 from constelsim.constellation import derive_rng
 
 BASE = SrFadingParams(m=19.4, b0=0.158, omega=1.29)
+
+# Fading parameters whose series converge well inside the term limit.
+fading_params = st.builds(
+    SrFadingParams,
+    m=st.floats(1.0, 25.0),
+    b0=st.floats(0.05, 1.0),
+    omega=st.floats(0.0, 3.0),
+)
+# Fading powers as multiples of the mean power.
+power_multiples = st.lists(st.floats(0.0, 40.0), min_size=1, max_size=30)
 
 
 class TestSrCdf:
@@ -58,6 +70,21 @@ class TestSrCdf:
         monkeypatch.setattr(channel, "_MAX_SERIES_TERMS", 4)
         with pytest.raises(SeriesConvergenceError):
             sr_cdf(BASE, 1.0)
+
+
+class TestSeriesProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(params=fading_params, multiples=power_multiples)
+    def test_cdf_monotone_in_unit_interval(self, params, multiples):
+        values = sr_cdf(params, np.sort(multiples) * params.mean_power)
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        assert np.all(np.diff(values) >= -1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=fading_params, multiples=power_multiples)
+    def test_cdf_and_sf_sum_to_one(self, params, multiples):
+        w = np.array(multiples) * params.mean_power
+        assert np.max(np.abs(sr_cdf(params, w) + sr_sf(params, w) - 1.0)) <= 2e-12
 
 
 class TestSrSf:

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from constelsim import cli
-from constelsim.config import ConfigError, load_settings, parse_config_text
+from constelsim.config import ConfigError, emit_settings, load_settings, parse_config_text
 
 VALIDATE_HEADER = "metric,K,analytic,empirical,std_err,delta,pass"
+UNIT_SUFFIXES = ("dBW", "dBm", "dBi", "dB", "deg", "rad")
+NUMERIC_KEYS = sorted(set(load_settings()) - {"rx.pattern", "mc.sum_all_interferers"})
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -119,9 +121,21 @@ class TestEmitConfig:
         assert code == 0
         assert "leo.n_sats = 1234" in text.splitlines()
         want = load_settings(overrides={"leo.n_sats": "1234"})
-        assert parse_config_text(text) == pytest.approx(want, rel=1e-11)
+        assert parse_config_text(text) == want
         code, again = run(tmp_path, "emit-config", "--config", str(tmp_path / "first.cfg"), name="second.cfg")
         assert code == 0 and again == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_round_trip_is_exact(self, data):
+        # Any numeric key, any finite value, any unit suffix: emitting and
+        # re-parsing gives back exactly the parsed settings.
+        keys = st.sampled_from(NUMERIC_KEYS)
+        values = st.floats(min_value=-300.0, max_value=300.0, allow_nan=False)
+        suffixes = st.sampled_from(("",) + UNIT_SUFFIXES)
+        overrides = data.draw(st.dictionaries(keys, st.tuples(values, suffixes), min_size=1))
+        settings_in = load_settings(overrides={k: f"{v!r} {unit}" for k, (v, unit) in overrides.items()})
+        assert parse_config_text(emit_settings(settings_in)) == settings_in
 
     @pytest.mark.parametrize("bad", ["nosuch.key=1", "leo.n_sats=abc", "leo.n_sats"])
     def test_bad_set_exits_two(self, tmp_path, capsys, bad):

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare, ks_2samp
+from scipy.stats import chisquare, ks_2samp, kstest
 
 from constelsim.constellation import (
     LeoShellConfig,
     MeoShellConfig,
+    cap_positions,
     central_angle_to_target,
     derive_rng,
     sample_bpp,
+    sample_bpp_cap,
     sample_dsbpp,
 )
 
@@ -73,7 +75,93 @@ class TestBpp:
             LeoShellConfig(10, 7371.0, 7.0)
 
 
+class TestBppCap:
+    HORIZON = math.acos(6371.0 / 7371.0)
+    FRACTION = 0.5 * (1.0 - math.cos(HORIZON))
+
+    def test_count_mean_and_variance(self):
+        n = 20_000
+        cos_theta, _ = sample_bpp_cap(LEO, derive_rng(11), self.HORIZON, n)
+        counts = np.sum(~np.isnan(cos_theta), axis=1)
+        mean = LEO.n_sats * self.FRACTION
+        var = mean * (1.0 - self.FRACTION)
+        assert abs(counts.mean() - mean) < 4.0 * math.sqrt(var / n)
+        assert abs(counts.var(ddof=1) / var - 1.0) < 4.0 * math.sqrt(2.0 / n)
+
+    def test_cosine_uniform_over_cap(self):
+        cos_theta, azimuth = sample_bpp_cap(LEO, derive_rng(12), self.HORIZON, 200)
+        live = ~np.isnan(cos_theta)
+        cos_h = math.cos(self.HORIZON)
+        assert kstest(cos_theta[live], "uniform", args=(cos_h, 1.0 - cos_h)).pvalue > 0.01
+        assert kstest(azimuth[live], "uniform", args=(0.0, 2.0 * math.pi)).pvalue > 0.01
+
+    def test_rows_nearest_first_then_padding(self):
+        cos_theta, azimuth = sample_bpp_cap(LEO, derive_rng(13), self.HORIZON, 50)
+        live = ~np.isnan(cos_theta)
+        assert np.array_equal(np.isnan(azimuth), ~live)
+        # Padding only at the end of a row, and the widest row has none.
+        assert np.all(live[:, :-1] >= live[:, 1:]) and live[:, -1].any()
+        assert np.all(np.diff(cos_theta, axis=1)[live[:, 1:]] <= 0.0)
+
+    def test_positions_on_shell_inside_cap(self):
+        cos_theta, azimuth = sample_bpp_cap(LEO, derive_rng(14), self.HORIZON, 20)
+        pos = cap_positions(LEO.radius_km, cos_theta, azimuth)
+        live = ~np.isnan(cos_theta)
+        assert pos.shape == cos_theta.shape + (3,)
+        assert np.max(np.abs(np.linalg.norm(pos[live], axis=1) / LEO.radius_km - 1.0)) < 1e-12
+        angles = central_angle_to_target(pos[live])
+        assert np.max(np.abs(np.cos(angles) - cos_theta[live])) < 1e-12
+        assert np.all(angles <= self.HORIZON + 1e-12)
+
+    def test_empty_shell(self):
+        cos_theta, azimuth = sample_bpp_cap(LeoShellConfig(0, 7371.0, 1.0), derive_rng(15), self.HORIZON, 4)
+        assert cos_theta.shape == azimuth.shape == (4, 0)
+
+
+def per_orbit_dsbpp(config, rng):
+    """The per-orbit construction: draw every inclination, then every
+    azimuth, then each orbit's anomalies, and rotate each orbit's flat
+    circle about x by its inclination and then about z by its azimuth."""
+    inclinations = np.arccos(1.0 - 2.0 * rng.random(config.n_orbits))
+    azimuths = 2.0 * np.pi * rng.random(config.n_orbits)
+    blocks = []
+    for inc, az in zip(inclinations, azimuths):
+        anomalies = 2.0 * np.pi * rng.random(config.sats_per_orbit)
+        r = config.radius_km
+        flat = np.column_stack([r * np.cos(anomalies), r * np.sin(anomalies), np.zeros_like(anomalies)])
+        ci, si, ca, sa = math.cos(inc), math.sin(inc), math.cos(az), math.sin(az)
+        rot_x = np.array([[1.0, 0.0, 0.0], [0.0, ci, -si], [0.0, si, ci]])
+        rot_z = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+        blocks.append(flat @ rot_x.T @ rot_z.T)
+    return np.vstack(blocks)
+
+
 class TestDsbpp:
+    def test_matches_per_orbit_construction(self):
+        for cfg in (MEO, MeoShellConfig(5, 3, 26371.0, math.pi / 6), MeoShellConfig(1, 1, 26371.0, 1.0)):
+            for trial in range(10):
+                got = sample_dsbpp(cfg, derive_rng(21, trial))
+                want = per_orbit_dsbpp(cfg, derive_rng(21, trial))
+                assert got.shape == want.shape == (cfg.n_sats, 3)
+                assert np.max(np.abs(got - want)) < 1e-9
+
+    def test_batched_shape_and_coplanarity(self):
+        pts = sample_dsbpp(MEO, derive_rng(22), size=50)
+        assert pts.shape == (50, 12, 3)
+        assert np.max(np.abs(np.linalg.norm(pts, axis=-1) / 26371.0 - 1.0)) < 1e-12
+        for shell in pts:
+            for orbit in range(MEO.n_orbits):
+                block = shell[orbit * 6:(orbit + 1) * 6]
+                normal = np.cross(block[0], block[1])
+                norm = np.linalg.norm(normal)
+                if norm < 1e-6:
+                    continue
+                assert np.max(np.abs(block @ (normal / norm))) < 1e-9 * 26371.0
+
+    def test_batched_empty(self):
+        cfg = MeoShellConfig(0, 6, 26371.0, math.pi / 6)
+        assert sample_dsbpp(cfg, derive_rng(1), size=3).shape == (3, 0, 3)
+
     def test_empty(self):
         cfg = MeoShellConfig(0, 6, 26371.0, math.pi / 6)
         assert sample_dsbpp(cfg, derive_rng(1)).shape == (0, 3)

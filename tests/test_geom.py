@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from constelsim.geom import (
     EARTH_RADIUS_KM,
@@ -244,6 +246,21 @@ class TestDomeCentralConversions:
         for phi in np.linspace(1e-3, math.pi / 2 - 1e-6, 60):
             theta = central_from_dome(LEO, float(phi))
             assert dome_from_central(LEO, theta) == pytest.approx(float(phi), abs=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(altitude=st.floats(100.0, 40_000.0), fraction=st.floats(1e-6, 1.0 - 1e-6))
+    def test_dome_inverts_central(self, altitude, fraction):
+        geom = SphereGeometry(EARTH_RADIUS_KM + altitude)
+        phi = fraction * math.pi / 2
+        assert dome_from_central(geom, central_from_dome(geom, phi)) == pytest.approx(phi, abs=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(altitude=st.floats(100.0, 40_000.0), fraction=st.floats(1e-6, 1.0 - 1e-6))
+    def test_central_inverts_dome(self, altitude, fraction):
+        # Below the horizon angle the dome angle stays under pi/2.
+        geom = SphereGeometry(EARTH_RADIUS_KM + altitude)
+        theta = fraction * geom.horizon_angle
+        assert central_from_dome(geom, dome_from_central(geom, theta)) == pytest.approx(theta, abs=1e-10)
 
     def test_strictly_increasing(self):
         grid = np.linspace(1e-4, LEO.horizon_angle, 200)

@@ -1,0 +1,148 @@
+import dataclasses
+import math
+import warnings
+
+import numpy as np
+import pytest
+from scipy.stats import binom
+
+from constelsim import cli
+from constelsim.channel import sr_sample
+from constelsim.config import build_system_config, default_config, load_settings
+from constelsim.constellation import central_angle_to_target, derive_rng, sample_bpp, sample_dsbpp
+from constelsim.mc import CHUNK_TRIALS, McSpec, run_validation, simulate
+
+CFG = default_config()
+DENSE = build_system_config(load_settings(overrides={"leo.altitude_km": "2000"}))
+
+
+def loop_passes(cfg, positions, theta_max, link, k_max, rng):
+    """SINR pass flags of one trial's visible satellites, nearest first,
+    with every other visible satellite interfering: a per-trial loop over
+    full shells, independent of the batched engine."""
+    angles = central_angle_to_target(positions)
+    visible = positions[np.argsort(angles)][: int((angles <= theta_max).sum())]
+    rel = visible - np.array([6371.0, 0.0, 0.0])
+    dist_m = np.linalg.norm(rel, axis=1) * 1e3
+    units = rel / np.linalg.norm(rel, axis=1, keepdims=True)
+    per_watt = link.tx_power_w * link.tx_gain * link.max_rx_gain * link.system_loss \
+        * (link.wavelength_m / (4.0 * math.pi)) ** 2
+    out = []
+    for r in range(min(k_max, len(visible))):
+        others = np.arange(len(visible)) != r
+        dome = np.arccos(np.clip(units[others] @ units[r], -1.0, 1.0))
+        fading = sr_sample(cfg.leo_fading, rng, size=int(others.sum()))
+        interference = per_watt * np.sum(cfg.rx_pattern.gain_shape(dome) * fading / dist_m[others] ** 2)
+        signal = per_watt * sr_sample(cfg.leo_fading, rng) / dist_m[r] ** 2
+        out.append(signal / (link.noise_power_w + interference) > link.sinr_threshold)
+    return out
+
+
+def run(tmp_path, *argv, name="out.csv"):
+    out = tmp_path / name
+    code = cli.main([*argv, "--out", str(out)])
+    return code, out.read_bytes()
+
+
+def assert_summaries_equal(a, b):
+    assert a.spec == b.spec
+    for field in dataclasses.fields(a)[1:]:
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name), equal_nan=True), field.name
+
+
+class TestDeterminism:
+    def test_same_seed_same_summary(self):
+        spec = McSpec(n_trials=400, master_seed=3)
+        assert_summaries_equal(simulate(CFG, spec), simulate(CFG, spec))
+
+    def test_seed_changes_summary(self):
+        a = simulate(CFG, McSpec(n_trials=400, master_seed=3))
+        b = simulate(CFG, McSpec(n_trials=400, master_seed=4))
+        assert not np.array_equal(a.leo_rank_pass, b.leo_rank_pass)
+
+    def test_same_seed_same_validate_bytes(self, tmp_path):
+        argv = ["validate", "--trials", "300", "--seed", "9"]
+        _, first = run(tmp_path, *argv, name="first.csv")
+        _, second = run(tmp_path, *argv, name="second.csv")
+        assert first == second
+
+    def test_curve_mc_independent_of_jobs(self, tmp_path):
+        argv = ["curve", "--metric", "localizability", "--system", "hybrid", "--K", "1,3",
+                "--sweep", "n_leo=1000:2000:1000", "--mc", "--trials", "200"]
+        code_1, serial = run(tmp_path, *argv, "--jobs", "1", name="serial.csv")
+        code_2, parallel = run(tmp_path, *argv, "--jobs", "2", name="parallel.csv")
+        assert code_1 == code_2 == 0
+        assert serial == parallel
+
+    def test_availability_does_not_depend_on_localizability(self):
+        # Geometry and fading come from separate streams per batch, so the
+        # second chunk of a batch sees the same geometry either way.
+        spec = McSpec(n_trials=2500, master_seed=5, n_batches=2)
+        assert spec.n_trials // spec.n_batches > CHUNK_TRIALS
+        both = simulate(CFG, spec)
+        alone = simulate(CFG, spec, metrics=("availability",))
+        for system in ("leo", "meo", "hybrid"):
+            assert np.array_equal(both.estimate("availability", system)[0], alone.estimate("availability", system)[0])
+        assert np.all(np.isnan(alone.leo_loc)) and np.all(np.isnan(alone.hybrid_loc_se))
+
+
+class TestEstimates:
+    def test_leo_availability_matches_binomial(self):
+        # Batches of 1500 trials run as more than one chunk.
+        spec = McSpec(n_trials=30_000, master_seed=17)
+        assert spec.n_trials // spec.n_batches > CHUNK_TRIALS
+        summary = simulate(CFG, spec, metrics=("availability",))
+        fraction = 0.5 * (1.0 - math.cos(CFG.leo_theta_max))
+        exact = binom.sf(np.arange(spec.k_max), CFG.leo.n_sats, fraction)
+        assert np.all(np.abs(summary.leo_avail - exact) <= 3.0 * summary.leo_avail_se)
+
+    def test_matched_mode_localizability_rows_pass(self):
+        spec = McSpec(n_trials=3000, master_seed=1, sum_all_interferers=False)
+        rows = run_validation(CFG, spec, metrics=("localizability",))
+        assert len(rows) == 18
+        assert all(row.passed for row in rows), [(r.metric, r.k) for r in rows if not r.passed]
+
+    def test_faithful_passes_match_per_trial_loop(self):
+        # Two independent samples of the per-rank LEO pass fractions and the
+        # mean MEO pass count must agree within sampling noise.
+        n_loop = 1500
+        leo = np.zeros(3)
+        meo = np.zeros(n_loop)
+        for trial in range(n_loop):
+            rng = derive_rng(99, trial)
+            ranks = loop_passes(DENSE, sample_bpp(DENSE.leo, rng), DENSE.leo_theta_max, DENSE.leo_link, 3, rng)
+            leo[:len(ranks)] += ranks
+            meo_pos = sample_dsbpp(DENSE.meo, rng)
+            meo[trial] = sum(loop_passes(DENSE, meo_pos, DENSE.meo_theta_max, DENSE.meo_link, 12, rng))
+        leo /= n_loop
+        n_mc = 20_000
+        summary = simulate(DENSE, McSpec(n_trials=n_mc, master_seed=8, k_max=3))
+        se = np.sqrt(leo * (1 - leo) / n_loop + summary.leo_rank_pass * (1 - summary.leo_rank_pass) / n_mc)
+        assert np.all(np.abs(summary.leo_rank_pass - leo) <= 4.0 * se + 1e-4)
+        meo_mc = summary.meo_single_pass * DENSE.meo.n_sats
+        assert abs(meo_mc - meo.mean()) <= 4.0 * meo.std() * math.sqrt(1 / n_loop + 1 / n_mc)
+
+    def test_no_leo_no_meo(self):
+        cfg = dataclasses.replace(CFG, leo=dataclasses.replace(CFG.leo, n_sats=0),
+                                  meo=dataclasses.replace(CFG.meo, n_orbits=0))
+        summary = simulate(cfg, McSpec(n_trials=50, master_seed=2))
+        for metric in ("availability", "localizability"):
+            for system in ("leo", "meo", "hybrid"):
+                assert np.all(summary.estimate(metric, system)[0] == 0.0)
+
+
+class TestFewTrials:
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_runs_without_warnings(self, tmp_path, trials):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(tmp_path, "validate", "--trials", str(trials))
+        assert code in (0, 1)
+        table = [line.split(",") for line in text.decode().splitlines()[1:]]
+        assert len(table) == 36
+        loc_se = [row[4] for row in table if row[0].endswith("_localizability")]
+        if trials == 1:
+            # One trial leaves one non-empty batch, so no batch-means SE.
+            assert loc_se == ["inf"] * 18
+        else:
+            assert all(math.isfinite(float(se)) for se in loc_se)
