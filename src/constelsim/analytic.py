@@ -18,6 +18,18 @@ one rank-coverage pass per config, whose per-rank probabilities give the LEO
 values for all K, computes the MEO single-satellite probabilities once, and
 mixes the layers in one convolution. The per-K functions
 (``leo_availability`` ... ``hybrid_localizability``) read their value off it.
+
+Every integral goes through :func:`integrate_adaptive`, a globally adaptive
+Gauss-Kronrod 10/21 rule (QUADPACK's pair) that evaluates its integrand on
+arrays of nodes and integrates vector-valued integrands on one shared
+partition. The rank-coverage pass is three array expressions: the serving
+angle carries every rank at once, the interferer angle is one vector-valued
+integral over all serving-angle nodes, and the interferer's fading is a
+fixed 64-node rule. The MEO visible-arc window is integrated after the
+change of variable theta = pi/2 + half_window * sin(u), which removes the
+square-root behaviour at its edges. Binomial laws come from
+``scipy.special`` (:func:`binom_sf`, :func:`binom_pmf`), so the module
+needs nothing from ``scipy`` beyond it.
 """
 
 from __future__ import annotations
@@ -27,8 +39,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
-from scipy.stats import binom
+from scipy import special
 
 from .channel import (
     AntennaPattern,
@@ -87,18 +98,93 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def integrate_adaptive(func, a: float, b: float, spec: QuadratureSpec, label: str, points=None) -> float:
-    """Adaptive quadrature with an embedded error estimate; raises on failure."""
-    out = integrate.quad(
-        func, a, b,
-        epsabs=spec.absolute_tolerance, epsrel=spec.relative_tolerance,
-        limit=spec.max_subdivisions, full_output=True,
-        points=points if (points and np.isfinite(b)) else None,
-    )
-    value, error = out[0], out[1]
-    if len(out) > 3:
-        raise QuadratureError(label, value, error, detail=str(out[3]))
-    return value
+# Gauss-Kronrod 10/21 pair on [-1, 1] (QUADPACK's dqk21; Piessens et al.,
+# 1983): the positive Kronrod nodes, outermost first, with the Gauss nodes
+# at odd positions, and their weights. The rule is symmetric about 0.
+_HALF_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+])
+_HALF_KRONROD = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+])
+_HALF_GAUSS = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# All 21 nodes in ascending order; the 10 Gauss nodes are _GK_NODES[1::2].
+_GK_NODES = np.concatenate([-_HALF_NODES, [0.0], _HALF_NODES[::-1]])
+_GK_KRONROD = np.concatenate([_HALF_KRONROD, [0.149445554002916905664936468389821], _HALF_KRONROD[::-1]])
+_GK_GAUSS = np.concatenate([_HALF_GAUSS, _HALF_GAUSS[::-1]])
+
+
+def _gk21_panels(func, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod estimates, shape ``(..., n)``, and error estimates, shape
+    ``(n,)``, of the integrals of ``func`` over the panels [lo, hi].
+
+    ``func`` is called once, on all 21 * n nodes. The error is QUADPACK's:
+    the Kronrod-Gauss gap scaled against the integrand's spread about its
+    mean, floored at 50 eps times the integral of |func|, taken per
+    component and then its largest over the components.
+    """
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
+    values = np.asarray(func(nodes.ravel()), dtype=float)
+    values = values.reshape(values.shape[:-1] + nodes.shape)
+    kronrod = values @ _GK_KRONROD
+    gap = np.abs(kronrod - values[..., 1::2] @ _GK_GAUSS)
+    spread = np.abs(values - 0.5 * kronrod[..., None]) @ _GK_KRONROD
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error = np.where(spread > 0, spread * np.minimum(1.0, (200.0 * gap / spread) ** 1.5), gap)
+    error = np.maximum(error, 50.0 * np.finfo(float).eps * (np.abs(values) @ _GK_KRONROD))
+    return kronrod * half, (error * half).reshape(-1, lo.size).max(axis=0)
+
+
+def integrate_adaptive(func, a: float, b: float, spec: QuadratureSpec, label: str):
+    """Integral of ``func`` over [a, b] by globally adaptive Gauss-Kronrod
+    10/21 quadrature; raises :class:`QuadratureError` on failure.
+
+    ``func`` maps an array of nodes, shape ``(m,)``, to values of shape
+    ``(..., m)``; the result has shape ``(...)``, a float for a scalar
+    integrand. All components share one partition of [a, b]. Each round
+    bisects the panels with the largest error estimates, as many as it
+    takes for the others to hold at most half the tolerance, and evaluates
+    ``func`` once on every new node. It stops when the summed error is within
+    max(absolute tolerance, relative tolerance * largest |component|), and
+    fails when that would take more than ``spec.max_subdivisions`` panels or
+    the integrand is not finite.
+    """
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    value, error = _gk21_panels(func, lo, hi)
+    while True:
+        total = value.sum(axis=-1)
+        scale = float(np.max(np.abs(total)))
+        total_error = float(error.sum())
+        if not math.isfinite(total_error):
+            raise QuadratureError(label, scale, total_error, detail="non-finite integrand")
+        tol = max(spec.absolute_tolerance, spec.relative_tolerance * scale)
+        if total_error <= tol:
+            return float(total) if total.ndim == 0 else total
+        room = spec.max_subdivisions - lo.size
+        if room <= 0:
+            raise QuadratureError(label, scale, total_error, detail=f"{lo.size} panels")
+        order = np.argsort(-error)
+        rest = np.append(np.cumsum(error[order][::-1])[::-1][1:], 0.0)
+        split, keep = np.split(order, [min(int(np.argmax(rest <= 0.5 * tol)) + 1, room)])
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        new_value, new_error = _gk21_panels(func, new_lo, new_hi)
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        value = np.concatenate([value[..., keep], new_value], axis=-1)
+        error = np.concatenate([error[keep], new_error])
 
 
 @dataclass(frozen=True)
@@ -191,14 +277,16 @@ def meo_single_availability(config: SystemConfig, quad_spec: QuadratureSpec = DE
         return 0.0
     half_window = math.acos(max(closest, -1.0))
 
-    def integrand(theta):
-        return max_orbit_central_angle(geom, theta, d_max) * math.sin(theta) / (4.0 * math.pi)
+    # The visible arc opens like a square root at the window's edges
+    # theta = pi/2 -+ half_window; over u, with theta = pi/2 + half_window *
+    # sin(u), the integrand is smooth.
+    def integrand(u):
+        theta = math.pi / 2 + half_window * np.sin(u)
+        arc = np.array([max_orbit_central_angle(geom, t, d_max) for t in theta])
+        return arc * np.sin(theta) * half_window * np.cos(u) / (4.0 * math.pi)
 
     return integrate_adaptive(
-        integrand,
-        math.pi / 2 - half_window,
-        math.pi / 2 + half_window,
-        quad_spec,
+        integrand, -math.pi / 2, math.pi / 2, quad_spec,
         label="meo single-satellite availability",
     )
 
@@ -226,9 +314,30 @@ def n_meo_max(config: SystemConfig, quad_spec: QuadratureSpec = DEFAULT_QUADRATU
 
 def _n_meo_max_from_p(n: int, p1: float, epsilon: float) -> int:
     k = 0
-    while k < n and binom.sf(k, n, p1) > epsilon:
+    while k < n and binom_sf(k, n, p1) > epsilon:
         k += 1
     return k
+
+
+def binom_sf(k, n: int, p: float):
+    """P(X > k) for X ~ Binomial(n, p), elementwise over integer ``k``."""
+    k = np.asarray(k, dtype=float)
+    # The regularized incomplete beta I_p(k + 1, n - k) is the tail for
+    # 0 <= k < n only; it is NaN past k = n, where the tail is zero.
+    j = np.clip(k, 0.0, n - 1.0)
+    return np.where(k < 0, 1.0, np.where(k >= n, 0.0, special.betainc(j + 1.0, n - j, p)))
+
+
+def binom_pmf(k, n: int, p: float):
+    """P(X = k) for X ~ Binomial(n, p), elementwise over integer ``k``; zero
+    outside [0, n]."""
+    k = np.asarray(k, dtype=float)
+    j = np.clip(k, 0, n)
+    log_pmf = (
+        special.gammaln(n + 1.0) - special.gammaln(j + 1.0) - special.gammaln(n - j + 1.0)
+        + special.xlogy(j, p) + special.xlog1py(n - j, -p)
+    )
+    return np.where((k >= 0) & (k <= n), np.exp(log_pmf), 0.0)
 
 
 def _hybrid_convolution(leo: np.ndarray, meo_pmf: np.ndarray, cutoff: int) -> np.ndarray:
@@ -315,8 +424,7 @@ class InterferenceMixture:
     _quad_spec: QuadratureSpec
 
     def _gain_shape(self, theta_i):
-        phi = dome_from_central(self._config.leo_geom, theta_i)
-        return float(self._config.rx_pattern.gain_shape(phi))
+        return self._config.rx_pattern.gain_shape(dome_from_central(self._config.leo_geom, theta_i))
 
     def conditional_density(self, interference_w: float) -> float:
         """Density of the nonzero interference branch at ``interference_w``."""
@@ -327,10 +435,9 @@ class InterferenceMixture:
 
         def integrand(theta_i):
             shape = self._gain_shape(theta_i)
-            if shape <= 0.0:
-                return 0.0
-            scale = 1.0 / (self.watts_per_fading * shape)
-            return sr_pdf(fading, interference_w * scale) * scale * math.sin(theta_i) / cap
+            live = shape > 0.0
+            scale = 1.0 / (self.watts_per_fading * np.where(live, shape, 1.0))
+            return np.where(live, sr_pdf(fading, interference_w * scale) * scale, 0.0) * np.sin(theta_i) / cap
 
         return integrate_adaptive(
             integrand, 0.0, self.theta_d_max, self._quad_spec,
@@ -410,40 +517,53 @@ def _fading_rule(fading: SrFadingParams, n_nodes: int = 64) -> tuple:
     return w, weights
 
 
+# Largest number of points passed to one sr_sf call. Its Poisson-term matrix
+# has one row per series term and one column per point, so this bounds the
+# memory of the rank-coverage grid at any number of nodes.
+SF_CHUNK_POINTS = 65_536
+
+
+def _chunked_sf(fading: SrFadingParams, w: np.ndarray) -> np.ndarray:
+    """``sr_sf`` over ``w`` of any size, at most ``SF_CHUNK_POINTS`` per call."""
+    flat = w.ravel()
+    parts = [sr_sf(fading, flat[i: i + SF_CHUNK_POINTS]) for i in range(0, flat.size, SF_CHUNK_POINTS)]
+    return np.concatenate(parts).reshape(w.shape)
+
+
 def _leo_sinr_pass_function(config: SystemConfig, quad_spec: QuadratureSpec):
     """Build P_pass(theta): probability that a LEO beam served from central
-    angle theta clears the SINR threshold under the interference mixture.
+    angle theta clears the SINR threshold under the interference mixture,
+    elementwise over an array of serving angles.
 
     The interferer's contribution enters the threshold argument as
     gamma * gain_shape(dome(theta_i)) * W_i, with path loss taken at the
-    serving range. The interferer-angle integral is adaptive at 10x tighter
-    tolerance; the expectation over the interferer's fading uses the
-    fixed fading rule, vectorized over its nodes.
+    serving range. For all serving angles at once, the interferer-angle
+    expectation is one vector-valued :func:`integrate_adaptive` call at 10x
+    tighter tolerance, so they share one partition of the interferer cap.
+    The expectation over the interferer's fading uses the fixed fading rule,
+    so each round of that integral evaluates one (serving angle x interferer
+    angle x fading node) grid of survivals, in pieces of at most
+    ``SF_CHUNK_POINTS``.
     """
     geom = config.leo_geom
     fading = config.leo_fading
     link = config.leo_link
-    gamma = link.sinr_threshold
     theta_d, p_zero = leo_interference_cap(config)
     cap = 1.0 - math.cos(theta_d)
     inner_spec = quad_spec.tighter()
     w_nodes, w_weights = _fading_rule(fading)
+    gamma_w = link.sinr_threshold * w_nodes
 
-    def survival_with_interferer(x: float, theta_i: float) -> float:
-        shape = float(config.rx_pattern.gain_shape(dome_from_central(geom, theta_i)))
-        if shape <= 0.0:
-            return sr_sf(fading, x)
-        survival = sr_sf(fading, x + gamma * shape * w_nodes)
-        return float(np.dot(w_weights, survival))
-
-    def p_pass(theta: float) -> float:
-        x = float(_snr_threshold_scale(link, geom, theta)) * link.noise_power_w
-        noise_only = sr_sf(fading, x)
+    def p_pass(theta: np.ndarray) -> np.ndarray:
+        x = _snr_threshold_scale(link, geom, theta) * link.noise_power_w
+        noise_only = _chunked_sf(fading, x)
         if p_zero >= 1.0:
             return noise_only
 
         def over_angle(theta_i):
-            return survival_with_interferer(x, theta_i) * math.sin(theta_i) / cap
+            shape = config.rx_pattern.gain_shape(dome_from_central(geom, theta_i))
+            survival = _chunked_sf(fading, x[:, None, None] + shape[:, None] * gamma_w) @ w_weights
+            return survival * np.sin(theta_i) / cap
 
         interfered = integrate_adaptive(
             over_angle, 0.0, theta_d, inner_spec,
@@ -458,8 +578,9 @@ def leo_rank_coverage_probs(config: SystemConfig, k_max: int, quad_spec: Quadrat
     """Per-rank probabilities that the k-th nearest LEO satellite is
     detectable and clears the SINR threshold, for k = 1..k_max.
 
-    All ranks share one adaptive pass so the expensive SINR factor is
-    evaluated once per node.
+    All ranks share one vector-valued :func:`integrate_adaptive` pass over
+    the serving angle, so the expensive SINR factor is evaluated once per
+    node, and each round evaluates it on all its new nodes at once.
     """
     n = config.leo.n_sats
     if k_max < 1:
@@ -468,19 +589,12 @@ def leo_rank_coverage_probs(config: SystemConfig, k_max: int, quad_spec: Quadrat
     if not ranks:
         return np.zeros(k_max)
     p_pass = _leo_sinr_pass_function(config, quad_spec)
-    theta_max = config.leo_theta_max
 
     def integrand(theta):
         densities = np.array([leo_contact_angle_pdf(config, k, theta) for k in ranks])
         return densities * p_pass(theta)
 
-    result, err_est, info = integrate.quad_vec(
-        integrand, 0.0, theta_max,
-        epsabs=quad_spec.absolute_tolerance, epsrel=quad_spec.relative_tolerance,
-        limit=quad_spec.max_subdivisions, full_output=True,
-    )
-    if not info.success:
-        raise QuadratureError("rank coverage", float(np.max(result)), float(err_est))
+    result = integrate_adaptive(integrand, 0.0, config.leo_theta_max, quad_spec, label="rank coverage")
     out = np.zeros(k_max)
     out[: len(ranks)] = np.clip(result, 0.0, 1.0)
     return out
@@ -507,8 +621,8 @@ def meo_single_localizability(config: SystemConfig, quad_spec: QuadratureSpec = 
         return 0.0
 
     def integrand(theta):
-        x = float(_snr_threshold_scale(link, geom, theta)) * link.noise_power_w
-        return 0.5 * math.sin(theta) * sr_sf(fading, x)
+        x = _snr_threshold_scale(link, geom, theta) * link.noise_power_w
+        return 0.5 * np.sin(theta) * sr_sf(fading, x)
 
     return integrate_adaptive(integrand, 0.0, theta_max, quad_spec, label="meo single-satellite localizability")
 
@@ -565,7 +679,7 @@ def evaluate(
     if "leo" in systems or "hybrid" in systems:
         n = config.leo.n_sats
         if metric == "availability":
-            out["leo"] = binom.sf(ks - 1, n, _cap_fraction(config.leo_theta_max))
+            out["leo"] = binom_sf(ks - 1, n, _cap_fraction(config.leo_theta_max))
         else:
             out["leo"] = np.zeros(k_max)
             k_eff = min(k_max, n)
@@ -575,10 +689,10 @@ def evaluate(
         n = config.meo.n_sats
         p_avail = meo_single_availability(config, quad_spec)
         p1 = p_avail if metric == "availability" else meo_single_localizability(config, quad_spec)
-        out["meo"] = binom.sf(ks - 1, n, p1)
+        out["meo"] = binom_sf(ks - 1, n, p1)
         if "hybrid" in systems:
             cutoff = _n_meo_max_from_p(n, p_avail, config.epsilon)
-            pmf = binom.pmf(np.arange(cutoff + 1), n, p1)
+            pmf = binom_pmf(np.arange(cutoff + 1), n, p1)
             out["hybrid"] = _hybrid_convolution(out["leo"], pmf, cutoff)
     return {system: out[system] for system in systems}
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import analytic
@@ -143,6 +142,18 @@ def _curve_point(args):
     return row
 
 
+def _map_points(tasks, jobs: int) -> list:
+    """``_curve_point`` of every task, in order, on ``jobs`` worker processes
+    when ``jobs`` is above one."""
+    if jobs <= 1:
+        return [_curve_point(t) for t in tasks]
+    # Imported here: multiprocessing costs every serial command start-up time.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_curve_point, tasks))
+
+
 def cmd_curve(opts) -> int:
     settings = load_settings(opts.config, _overrides(opts))
     axes = [_parse_sweep(s) for s in opts.sweep]
@@ -162,11 +173,7 @@ def cmd_curve(opts) -> int:
         (_apply_axis(settings, axis.name, value), opts.metric, opts.system, ks, quad_spec, opts.mc, mc_spec)
         for value in axis.values
     ]
-    if opts.jobs > 1:
-        with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
-            rows = list(pool.map(_curve_point, tasks))
-    else:
-        rows = [_curve_point(t) for t in tasks]
+    rows = _map_points(tasks, opts.jobs)
     lines = [",".join(header)]
     for value, row in zip(axis.values, rows):
         lines.append(_format_row([value] + row))
@@ -195,11 +202,7 @@ def cmd_heatmap(opts) -> int:
         for n_meo in meo_axis.values:
             point = _apply_axis(_apply_axis(settings, "n_leo", n_leo), "n_meo", n_meo)
             tasks.append((point, opts.metric, "hybrid", [k], quad_spec, False, None))
-    if opts.jobs > 1:
-        with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
-            values = list(pool.map(_curve_point, tasks))
-    else:
-        values = [_curve_point(t) for t in tasks]
+    values = _map_points(tasks, opts.jobs)
     lines = ["n_leo,n_meo,value"]
     idx = 0
     for n_leo in leo_axis.values:

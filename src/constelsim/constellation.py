@@ -137,11 +137,18 @@ def sample_bpp_cap(
     width = int(counts.max(initial=0))
     padding = np.arange(width) >= counts[:, None]
     # Ascending uniforms give descending cosines; the azimuths are i.i.d.,
-    # so they need no reordering.
-    u = np.sort(np.where(padding, np.inf, rng.random((size, width))), axis=1)
+    # so they need no reordering. In place, so that each draw allocates
+    # only its two outputs.
+    u = rng.random((size, width))
+    u[padding] = np.inf
+    u.sort(axis=1)
     u[padding] = np.nan
-    azimuth = np.where(padding, np.nan, 2.0 * np.pi * rng.random((size, width)))
-    return 1.0 - u * (1.0 - math.cos(cap_angle)), azimuth
+    u *= -(1.0 - math.cos(cap_angle))
+    u += 1.0  # now the cosine of the central angle
+    azimuth = rng.random((size, width))
+    azimuth *= 2.0 * np.pi
+    azimuth[padding] = np.nan
+    return u, azimuth
 
 
 def cap_positions(radius_km: float, cos_theta: np.ndarray, azimuth: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 EARTH_RADIUS_KM = 6371.0
 
 # Slack for cosine arguments that drift past +/-1 through roundoff.
@@ -111,20 +113,23 @@ def max_orbit_central_angle(geom: SphereGeometry, inclination: float, d_max_km: 
     return 2 * math.acos(min(1.0, max(-1.0, arg)))
 
 
-def dome_from_central(geom: SphereGeometry, theta: float) -> float:
+def dome_from_central(geom: SphereGeometry, theta):
     """Dome angle at the target between the zenith satellite and one offset
-    by central angle ``theta`` on the same shell.
+    by central angle ``theta`` on the same shell, elementwise over ``theta``.
 
     Equals acot(cot(theta) - (Re/Rq)*sqrt(1 + cot(theta)^2)); evaluated in
     atan2 form, which is exact for theta in (0, pi) and has no cotangent
-    blow-up.
+    blow-up. A scalar ``theta`` gives a float.
     """
-    if not math.isfinite(theta) or theta <= 0:
-        raise ValueError(f"central angle must be positive, got {theta}")
-    if theta >= math.pi:
-        raise ValueError(f"central angle must be below pi, got {theta}")
+    theta_arr = np.asarray(theta, dtype=float)
+    bad = ~(np.isfinite(theta_arr) & (theta_arr > 0))
+    if bad.any():
+        raise ValueError(f"central angle must be positive, got {theta_arr[bad].flat[0]}")
+    if np.any(theta_arr >= math.pi):
+        raise ValueError(f"central angle must be below pi, got {theta_arr[theta_arr >= math.pi].flat[0]}")
     rq, re = geom.shell_radius_km, geom.earth_radius_km
-    return math.atan2(rq * math.sin(theta), rq * math.cos(theta) - re)
+    out = np.arctan2(rq * np.sin(theta_arr), rq * np.cos(theta_arr) - re)
+    return float(out) if out.ndim == 0 else out
 
 
 def central_from_dome(geom: SphereGeometry, phi_max: float) -> float:

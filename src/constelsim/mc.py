@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from . import analytic
 from .analytic import SystemConfig, QuadratureSpec, DEFAULT_QUADRATURE
@@ -63,7 +62,7 @@ from .constellation import (
     sample_bpp_cap,
     sample_dsbpp,
 )
-from .geom import EARTH_RADIUS_KM
+from .geom import EARTH_RADIUS_KM, dome_from_central
 
 KM_TO_M = 1e3
 
@@ -141,13 +140,13 @@ def _sinr_passes(config, link, positions, visible, n_serve, rng, faithful, match
         interference = np.where(others, gain * _fading(link, rng, others) / dist_sq[:, None, :], 0.0).sum(axis=-1)
     elif matched_cap is not None:
         # Present with probability 1 - p_zero, angle uniform over the cap,
-        # serving-range path loss, zenith-mapped dome gain (the dome angle is
-        # geom.dome_from_central over arrays).
+        # serving-range path loss, zenith-mapped dome gain. The angle solves
+        # 1 - cos(theta_i) = U (1 - cos(theta_d)) in half-angle form, positive
+        # for any U > 0 as dome_from_central requires (an arccos rounds to 0).
         theta_d, p_zero = matched_cap
         present = serving & (rng.random(serving.shape) >= p_zero)
-        theta_i = np.arccos(1.0 - rng.random(serving.shape) * (1.0 - math.cos(theta_d)))
-        rq = config.leo.radius_km
-        dome = np.arctan2(rq * np.sin(theta_i), rq * np.cos(theta_i) - EARTH_RADIUS_KM)
+        theta_i = 2.0 * np.arcsin(np.sqrt(rng.random(serving.shape)) * math.sin(0.5 * theta_d))
+        dome = dome_from_central(config.leo_geom, theta_i)
         interference = config.rx_pattern.gain_shape(dome) * _fading(link, rng, present) / dist_sq[:, :n_serve]
     else:
         interference = 0.0
@@ -261,8 +260,8 @@ def simulate(
         if not n_meo:
             return leo, np.zeros(k_max), analytic._hybrid_convolution(leo, np.array([1.0]), cutoff)
         p = single_pass(pmf)
-        pmf_fit = binom.pmf(np.arange(n_meo + 1), n_meo, p)
-        return leo, binom.sf(ks - 1, n_meo, p), analytic._hybrid_convolution(leo, pmf_fit, cutoff)
+        pmf_fit = analytic.binom_pmf(np.arange(n_meo + 1), n_meo, p)
+        return leo, analytic.binom_sf(ks - 1, n_meo, p), analytic._hybrid_convolution(leo, pmf_fit, cutoff)
 
     loc = se = [np.full(k_max, np.nan)] * 3
     if want_loc:

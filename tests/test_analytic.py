@@ -8,7 +8,7 @@ from scipy.stats import binom, chisquare, kstest
 
 import constelsim.analytic as an
 from constelsim.analytic import QuadratureSpec, SystemConfig
-from constelsim.channel import GaussianPattern, sr_cdf, sr_pdf
+from constelsim.channel import GaussianPattern, sr_cdf, sr_pdf, sr_sf
 from constelsim.config import build_system_config, default_config, load_settings
 from constelsim.constellation import (
     LeoShellConfig,
@@ -18,6 +18,7 @@ from constelsim.constellation import (
     sample_bpp,
     sample_dsbpp,
 )
+from constelsim.geom import max_orbit_central_angle
 
 CFG = default_config()
 
@@ -117,6 +118,19 @@ class TestMeoAvailability:
         p1 = an.meo_single_availability(CFG)
         assert p1 <= 0.5 * (1 - math.cos(CFG.meo_theta_max)) + 1e-6
 
+    @pytest.mark.parametrize("beam", ["25 deg", "5 deg"])
+    def test_single_satellite_matches_tight_quadrature(self, beam):
+        # Adaptive QAGS over the inclination window itself, square-root edges
+        # and all; the closed form integrates a smoothed variable instead.
+        cfg = config_with(**{"meo.beam_angle": beam})
+        geom, d_max = cfg.meo_geom, cfg.meo_d_max_km
+        rq, re = geom.shell_radius_km, geom.earth_radius_km
+        half_window = math.acos((re * re + rq * rq - d_max * d_max) / (2 * re * rq))
+        want, _ = quad(lambda t: max_orbit_central_angle(geom, t, d_max) * math.sin(t) / (4 * math.pi),
+                       math.pi / 2 - half_window, math.pi / 2 + half_window,
+                       epsabs=1e-14, epsrel=1e-13, limit=400)
+        assert an.meo_single_availability(cfg) == pytest.approx(want, abs=1e-12)
+
     def test_tiny_beam_empty_interval(self):
         cfg = config_with(**{"meo.beam_angle": "1e-5 rad"})
         assert an.meo_single_availability(cfg) == pytest.approx(0.0, abs=1e-9)
@@ -164,6 +178,17 @@ class TestNMeoMax:
     def test_loose_epsilon(self):
         cfg = replace(CFG, epsilon=0.999)
         assert an.n_meo_max(cfg) == 0
+
+
+class TestBinomialLaws:
+    @pytest.mark.parametrize("n", [0, 1, 3, 12, 2000])
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.37, 1.0])
+    def test_match_scipy_stats(self, n, p):
+        k = np.arange(-1, n + 3)
+        np.testing.assert_allclose(an.binom_sf(k, n, p), binom.sf(k, n, p), rtol=1e-13, atol=1e-16)
+        # The pmf is exp of log-gamma differences of size up to
+        # log(2000!) ~ 1.3e4, each good to a few ulp: ~1e-11 relative.
+        np.testing.assert_allclose(an.binom_pmf(k, n, p), binom.pmf(k, n, p), rtol=1e-10, atol=1e-300)
 
 
 class TestHybridAvailability:
@@ -372,6 +397,35 @@ class TestLeoLocalizability:
         for k in range(1, 7):
             assert probs[k - 1] <= an.leo_availability(CFG, k) + 1e-9
 
+    # leo_rank_coverage_probs(cfg, 3) at QuadratureSpec(1e-10, 1e-14) from
+    # the scalar nested quad/quad_vec integration this module used before.
+    PREVIOUS = {
+        "gaussian": [0.5817463647513086, 0.41811399336836075, 0.24178970183986684],
+        "flattop": [0.7146676925835307, 0.5143151569465401, 0.29765364524659743],
+        "sinc": [0.8463618329366565, 0.6090647568746163, 0.3524801485458057],
+        "cosine": [0.8494329972234697, 0.6113087688551061, 0.35379060160163656],
+    }
+
+    @pytest.mark.parametrize("pattern", sorted(PREVIOUS))
+    def test_matches_previous_integration(self, pattern):
+        cfg = config_with(**{"rx.pattern": pattern})
+        np.testing.assert_allclose(an.leo_rank_coverage_probs(cfg, 3), self.PREVIOUS[pattern], rtol=0, atol=1e-10)
+
+    def test_survival_grid_is_chunked(self, monkeypatch):
+        cfg = config_with(**{"leo.altitude_km": "2000"})
+        want = an.leo_rank_coverage_probs(cfg, 6)
+        sizes = []
+
+        def recording(fading, w):
+            sizes.append(np.size(w))
+            return sr_sf(fading, w)
+
+        monkeypatch.setattr(an, "sr_sf", recording)
+        monkeypatch.setattr(an, "SF_CHUNK_POINTS", 1000)
+        got = an.leo_rank_coverage_probs(cfg, 6)
+        assert max(sizes) == 1000
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
     def test_trivial_levels(self):
         assert an.leo_localizability(CFG, 0) == 1.0
         assert an.leo_localizability(config_with(**{"leo.n_sats": "0"}), 1) == 0.0
@@ -413,6 +467,31 @@ class TestHybridLocalizability:
     def test_monotone_in_k(self):
         values = [an.hybrid_localizability(CFG, k) for k in range(1, 7)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+class TestIntegrateAdaptive:
+    COMPONENTS = (
+        lambda x: np.exp(-x) * np.cos(3.0 * x),
+        np.sqrt,  # square-root edge at 0
+        lambda x: 1.0 / (1e-2 + (x - 0.3) ** 2),  # sharp peak inside
+    )
+
+    def test_vector_integrand_matches_quad(self):
+        got = an.integrate_adaptive(lambda x: np.array([f(x) for f in self.COMPONENTS]), 0.0, 2.0,
+                                    QuadratureSpec(1e-12, 1e-14), "vector")
+        assert got.shape == (len(self.COMPONENTS),)
+        for f, value in zip(self.COMPONENTS, got):
+            want, _ = quad(f, 0.0, 2.0, epsabs=1e-14, epsrel=1e-13, limit=400)
+            assert value == pytest.approx(want, abs=1e-12)
+        scalar = an.integrate_adaptive(np.sin, 0.0, math.pi, an.DEFAULT_QUADRATURE, "sine")
+        assert isinstance(scalar, float) and scalar == pytest.approx(2.0, abs=1e-12)
+
+    def test_failures_raise_with_label(self):
+        with pytest.raises(an.QuadratureError, match="square root") as info:
+            an.integrate_adaptive(np.sqrt, 0.0, 1.0, QuadratureSpec(1e-12, 1e-14, max_subdivisions=3), "square root")
+        assert info.value.label == "square root"
+        with pytest.raises(an.QuadratureError, match="non-finite"):
+            an.integrate_adaptive(lambda x: np.full_like(x, np.nan), 0.0, 1.0, an.DEFAULT_QUADRATURE, "nan")
 
 
 class TestQuadratureSpec:

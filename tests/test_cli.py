@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import constelsim
 from constelsim import cli
 from constelsim.config import ConfigError, emit_settings, load_settings, parse_config_text
 
@@ -146,6 +151,33 @@ class TestEmitConfig:
 
 decimals = st.decimals(min_value=-1000, max_value=1000, places=2)
 steps = st.decimals(min_value=Decimal("0.01"), max_value=50, places=2)
+
+
+# Runs every closed form and a small simulation in a fresh interpreter and
+# prints the scipy subpackages it loaded beyond scipy.special.
+_IMPORT_PROBE = """
+import sys
+import constelsim.cli
+from constelsim import analytic, mc
+from constelsim.config import default_config
+
+cfg = default_config()
+for metric in analytic.METRICS:
+    analytic.evaluate(cfg, metric, analytic.SYSTEMS, 6)
+mc.simulate(cfg, mc.McSpec(n_trials=200))
+print(sorted(m for m in sys.modules if m.split(".")[:2] in (
+    ["scipy", "stats"], ["scipy", "integrate"], ["scipy", "optimize"])))
+"""
+
+
+def test_loads_no_heavy_scipy_subpackage():
+    # scipy.stats, scipy.integrate and scipy.optimize take longer to import
+    # than every command but the largest runs; the program needs none of them.
+    src = str(Path(constelsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestParseSweep:

@@ -117,6 +117,25 @@ class TestBppCap:
         cos_theta, azimuth = sample_bpp_cap(LeoShellConfig(0, 7371.0, 1.0), derive_rng(15), self.HORIZON, 4)
         assert cos_theta.shape == azimuth.shape == (4, 0)
 
+    def test_matches_out_of_place_draw(self):
+        # Same stream, same arithmetic: equal to the last bit.
+        for size in (1, 50, 1024):
+            got = sample_bpp_cap(LEO, derive_rng(16), self.HORIZON, size)
+            want = out_of_place_cap_draw(LEO, derive_rng(16), self.HORIZON, size)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+
+def out_of_place_cap_draw(config, rng, cap_angle, size):
+    """The cap draw with a fresh array at every step."""
+    counts = rng.binomial(config.n_sats, 0.5 * (1.0 - math.cos(cap_angle)), size=size)
+    width = int(counts.max(initial=0))
+    padding = np.arange(width) >= counts[:, None]
+    u = np.sort(np.where(padding, np.inf, rng.random((size, width))), axis=1)
+    u[padding] = np.nan
+    azimuth = np.where(padding, np.nan, 2.0 * np.pi * rng.random((size, width)))
+    return 1.0 - u * (1.0 - math.cos(cap_angle)), azimuth
+
 
 def per_orbit_dsbpp(config, rng):
     """The per-orbit construction: draw every inclination, then every

@@ -255,12 +255,22 @@ class TestDomeCentralConversions:
         assert dome_from_central(geom, central_from_dome(geom, phi)) == pytest.approx(phi, abs=1e-10)
 
     @settings(max_examples=300, deadline=None)
-    @given(altitude=st.floats(100.0, 40_000.0), fraction=st.floats(1e-6, 1.0 - 1e-6))
-    def test_central_inverts_dome(self, altitude, fraction):
-        # Below the horizon angle the dome angle stays under pi/2.
+    @given(
+        altitude=st.floats(100.0, 40_000.0),
+        fractions=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=8),
+    )
+    def test_central_inverts_dome(self, altitude, fractions):
+        # Below the horizon angle the dome angle stays under pi/2. An array
+        # maps elementwise, as each of its angles does alone.
         geom = SphereGeometry(EARTH_RADIUS_KM + altitude)
-        theta = fraction * geom.horizon_angle
-        assert central_from_dome(geom, dome_from_central(geom, theta)) == pytest.approx(theta, abs=1e-10)
+        thetas = np.array(fractions) * geom.horizon_angle
+        domes = dome_from_central(geom, thetas)
+        assert isinstance(domes, np.ndarray) and domes.shape == thetas.shape
+        for theta, phi in zip(thetas, domes):
+            alone = dome_from_central(geom, float(theta))
+            assert isinstance(alone, float)
+            assert phi == pytest.approx(alone, rel=1e-15, abs=1e-15)
+            assert central_from_dome(geom, float(phi)) == pytest.approx(theta, abs=1e-10)
 
     def test_strictly_increasing(self):
         grid = np.linspace(1e-4, LEO.horizon_angle, 200)
@@ -270,6 +280,9 @@ class TestDomeCentralConversions:
     def test_rejections(self):
         with pytest.raises(ValueError):
             dome_from_central(LEO, 0.0)
+        for bad in (0.0, -0.1, math.pi, math.nan):
+            with pytest.raises(ValueError):
+                dome_from_central(LEO, np.array([0.1, bad, 0.2]))
         with pytest.raises(ValueError):
             central_from_dome(LEO, 0.0)
         with pytest.raises(ValueError):
