@@ -27,9 +27,9 @@ angle carries every rank at once, the interferer angle is one vector-valued
 integral over all serving-angle nodes, and the interferer's fading is a
 fixed 64-node rule. The MEO visible-arc window is integrated after the
 change of variable theta = pi/2 + half_window * sin(u), which removes the
-square-root behaviour at its edges. Binomial laws come from
-``scipy.special`` (:func:`binom_sf`, :func:`binom_pmf`), so the module
-needs nothing from ``scipy`` beyond it.
+square-root behaviour at its edges. The binomial laws (:func:`binom_sf`,
+:func:`binom_pmf`) read one pmf built by a ratio recurrence out from its
+mode, so the module needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -39,13 +39,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .channel import (
     AntennaPattern,
     LinkParams,
     SrFadingParams,
-    effective_beam_range,
     sr_cdf,  # noqa: F401 -- unused; perfbench/tests/test_bench.py traces it here
     sr_pdf,
     sr_sf,
@@ -313,31 +311,44 @@ def n_meo_max(config: SystemConfig, quad_spec: QuadratureSpec = DEFAULT_QUADRATU
 
 
 def _n_meo_max_from_p(n: int, p1: float, epsilon: float) -> int:
-    k = 0
-    while k < n and binom_sf(k, n, p1) > epsilon:
-        k += 1
-    return k
+    # The tail is non-increasing in k, so this counts the k below the first
+    # one whose tail is at most epsilon.
+    return int(np.count_nonzero(binom_sf(np.arange(n), n, p1) > epsilon))
+
+
+def _binom_law(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) pmf for k = 0..n, from the ratio
+    P(k + 1) / P(k) = (n - k) / (k + 1) * p / (1 - p) run out from the mode
+    in both directions, then normalised. Every value is a product of
+    positive ratios, with no cancellation, so far tails keep their relative
+    accuracy."""
+    if n == 0 or p in (0.0, 1.0):
+        out = np.zeros(n + 1)
+        out[n if p == 1.0 else 0] = 1.0
+        return out
+    mode = int((n + 1) * p)
+    odds = p / (1.0 - p)
+    up = np.arange(mode, n, dtype=float)  # P(k + 1) / P(k) for these k
+    down = np.arange(mode, 0, -1, dtype=float)  # P(k - 1) / P(k) for these k
+    pmf = np.empty(n + 1)
+    pmf[mode:] = np.cumprod(np.concatenate(([1.0], (n - up) / (up + 1.0) * odds)))
+    pmf[:mode] = np.cumprod(down / (n - down + 1.0) / odds)[::-1]
+    return pmf / pmf.sum()
 
 
 def binom_sf(k, n: int, p: float):
-    """P(X > k) for X ~ Binomial(n, p), elementwise over integer ``k``."""
-    k = np.asarray(k, dtype=float)
-    # The regularized incomplete beta I_p(k + 1, n - k) is the tail for
-    # 0 <= k < n only; it is NaN past k = n, where the tail is zero.
-    j = np.clip(k, 0.0, n - 1.0)
-    return np.where(k < 0, 1.0, np.where(k >= n, 0.0, special.betainc(j + 1.0, n - j, p)))
+    """P(X > k) for X ~ Binomial(n, p), elementwise over integer ``k``:
+    one for k < 0, zero for k >= n."""
+    k = np.asarray(k)
+    tail = np.append(np.cumsum(_binom_law(n, p)[::-1])[::-1], 0.0)  # P(X >= j), j = 0..n+1
+    return np.where(k < 0, 1.0, tail[np.clip(k + 1, 0, n + 1).astype(int)])
 
 
 def binom_pmf(k, n: int, p: float):
     """P(X = k) for X ~ Binomial(n, p), elementwise over integer ``k``; zero
     outside [0, n]."""
-    k = np.asarray(k, dtype=float)
-    j = np.clip(k, 0, n)
-    log_pmf = (
-        special.gammaln(n + 1.0) - special.gammaln(j + 1.0) - special.gammaln(n - j + 1.0)
-        + special.xlogy(j, p) + special.xlog1py(n - j, -p)
-    )
-    return np.where((k >= 0) & (k <= n), np.exp(log_pmf), 0.0)
+    k = np.asarray(k)
+    return np.where((k >= 0) & (k <= n), _binom_law(n, p)[np.clip(k, 0, n).astype(int)], 0.0)
 
 
 def _hybrid_convolution(leo: np.ndarray, meo_pmf: np.ndarray, cutoff: int) -> np.ndarray:
@@ -381,7 +392,7 @@ def leo_contact_angle_pdf(config: SystemConfig, k: int, theta):
         raise ValueError(f"rank k must lie in [1, {n}]")
     theta = np.asarray(theta, dtype=float)
     p = 0.5 * (1.0 - np.cos(theta))
-    log_comb = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
+    log_comb = math.log(math.comb(n, k))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_body = math.log(k) + log_comb + (k - 1) * np.log(p) + (n - k) * np.log1p(-p)
         body = np.exp(log_body)
@@ -450,7 +461,7 @@ def leo_interference_cap(config: SystemConfig) -> tuple[float, float]:
     the cap around the serving satellite that the receive beam's effective
     range maps to, and the probability ``p_zero`` that no LEO satellite
     falls inside it."""
-    theta_d = central_from_dome(config.leo_geom, effective_beam_range(config.rx_pattern))
+    theta_d = central_from_dome(config.leo_geom, config.rx_pattern.effective_range)
     return theta_d, (0.5 * (1.0 + math.cos(theta_d))) ** config.leo.n_sats
 
 

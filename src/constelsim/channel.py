@@ -1,35 +1,35 @@
 """Radio-layer models: shadowed-Rician fading, receive patterns, link budget.
 
 Shadowed-Rician power fading describes a Nakagami-distributed line-of-sight
-amplitude plus circular Gaussian scatter. Its CDF is the series
+amplitude plus circular Gaussian scatter (Abdi et al., IEEE TWC 2003). With
+x = w / (2 b0), its CDF is the mixture of Gamma CDFs
 
-    F(w) = (2 b0 m / (2 b0 m + Omega))^m
-           * sum_z (m)_z / z! * beta^z * P(z + 1, w / (2 b0)),
+    F(w) = sum_z c_z P(z + 1, x),   c_z = (2 b0 m / (2 b0 m + Omega))^m
+                                          * (m)_z / z! * beta^z,
 
 with beta = Omega / (2 b0 m + Omega) and P the regularized lower incomplete
-gamma function; the density is its exact term-by-term derivative. Both series
-are truncated by a geometric tail bound.
+gamma function. The weights c_z sum to one and obey
+c_{z+1} = c_z beta (m + z) / (z + 1).
 
-The weights (2 b0 m / (2 b0 m + Omega))^m (m)_z / z! beta^z sum to one, so
-the survival function has the complementary series
+For integer z, P(z + 1, x) = P(Poisson(x) > z), so swapping the order of
+summation turns the series truncated after Z terms, exactly, into sums over
+the Poisson probabilities pi_j(x) = x^j e^{-x} / j!, j < Z:
 
-    1 - F(w) = (2 b0 m / (2 b0 m + Omega))^m
-               * sum_z (m)_z / z! * beta^z * Q(z + 1, w / (2 b0)),
+    survival  1 - F(w) = sum_j T_j pi_j(x),      T_j = sum_{z=j}^{Z-1} c_z,
+    density   f(w)     = sum_j c_j pi_j(x) / (2 b0),
+    CDF       F(w)     = T_0 (1 - e^{-x}) - sum_{j>=1} T_j pi_j(x).
 
-with Q = 1 - P the regularized upper incomplete gamma function. Upper tails
-must be summed this way: the CDF series is truncated at an absolute tail
-bound of 1e-12, so ``1 - F`` floors near 4e-13 and cannot resolve any
-survival below about 1e-12, while the complementary series goes to zero with
-the true tail.
-
-For integer z, Q(z + 1, x) = P(Poisson(x) <= z) = sum_{j<=z} pi_j(x) with
-pi_j(x) = x^j e^{-x} / j!. Swapping the order of summation turns the series
-truncated after Z terms, exactly, into
-
-    sum_{z<Z} c_z Q(z + 1, x) = sum_{j<Z} pi_j(x) T_j,   T_j = sum_{z=j}^{Z-1} c_z,
-
-so the survival needs only Poisson probabilities, computed in log space,
-against weight tails that depend on the fading parameters alone.
+One kernel serves all three. The weights c and their tails T depend on the
+fading parameters alone and are cached; Z is the smallest multiple of 16
+whose dropped weights sum to at most the tolerance. The Poisson
+probabilities are built by the recurrence pi_j = pi_{j-1} x / j, one
+multiply per term and point. Every term is non-negative, so the truncated
+survival and CDF each err on the low side by at most the tolerance.
+Upper tails come from the survival read-out, never from ``1 - F``: that
+floors near the tolerance, while the survival goes to zero with the true
+tail. The CDF takes 1 - e^{-x} as ``-expm1(-x)``, so at small x its terms
+cancel only down to about c_0 x and its relative error stays near
+eps / c_0 (exact when Omega = 0).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 _MAX_SERIES_TERMS = 10_000
 _SERIES_TOL = 1e-12
@@ -98,72 +97,74 @@ class LinkParams:
             raise ValueError("link parameters must be positive and finite")
 
 
-def _series_coeffs(params: SrFadingParams, z: np.ndarray) -> np.ndarray:
-    """log of (m)_z / z! * beta^z, Pochhammer via log-gamma (m need not be
-    an integer)."""
-    m = params.m
-    beta = params._beta
-    log_poch = special.gammaln(m + z) - special.gammaln(m) - special.gammaln(z + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_beta_pow = np.where(z == 0, 0.0, z * (math.log(beta) if beta > 0 else -np.inf))
-    return log_poch + log_beta_pow
+@lru_cache(maxsize=32)
+def _series_weights(params: SrFadingParams, tol: float, max_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights c_z and tails T_j = sum_{z=j}^{Z-1} c_z for j, z < Z, the
+    smallest multiple of 16 terms whose dropped weights sum to at most
+    ``tol``. Keyed on the term limit too, so a lowered limit is never
+    bypassed by a cached result."""
+    beta, m = params._beta, params.m
+    z = np.arange(max_terms, dtype=float)
+    c = np.cumprod(np.concatenate(([math.exp(params._log_prefactor)], beta * (m + z[:-1]) / z[1:])))
+    if c[0] == 0.0:
+        raise SeriesConvergenceError("shadowed-Rician series weights underflow")
+    # The ratio c_{z+1} / c_z = beta (m + z) / (z + 1) tends to beta
+    # monotonically, so its supremum past the last kept term Z - 1 is at one
+    # end or the other, and the dropped weights sum to at most
+    # c_{Z-1} r / (1 - r).
+    ends = np.arange(16, max_terms + 1, 16)
+    ratio = beta * np.maximum(m + ends - 1.0, ends) / ends
+    with np.errstate(divide="ignore"):
+        bound = np.where(ratio < 1.0, c[ends - 1] * ratio / (1.0 - ratio), np.inf)
+    done = np.flatnonzero(bound <= tol)
+    if not done.size:
+        raise SeriesConvergenceError(
+            f"shadowed-Rician series did not converge within {max_terms} terms"
+        )
+    c = c[: ends[done[0]]]
+    # Contiguous, not a reversed view: BLAS takes no negative strides, and
+    # numpy's fallback for ``tails @ pi`` runs ten times slower.
+    tails = np.ascontiguousarray(np.cumsum(c[::-1])[::-1])
+    c.flags.writeable = tails.flags.writeable = False  # shared by every caller
+    return c, tails
 
 
-def _sr_series(params: SrFadingParams, w, density: bool, tol: float) -> np.ndarray:
+# Past this x, e^{-x} nears the end of the normal floats, so pi_0 would lose
+# precision (or underflow, past x = 745) while later terms need not.
+_LOG_SPACE_X = 700.0
+
+
+def _poisson_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
+    """Poisson probabilities pi_j(x) = x^j e^{-x} / j!, shape
+    ``(n_terms, x.size)``, built upward by pi_j = pi_{j-1} x / j, and taken
+    in log space for x past ``_LOG_SPACE_X``."""
+    pi = np.empty((n_terms, x.size))
+    pi[0] = np.exp(-x)
+    for j in range(1, n_terms):
+        np.multiply(pi[j - 1], x, out=pi[j])
+        pi[j] *= 1.0 / j
+    far = x > _LOG_SPACE_X
+    if far.any():
+        j = np.arange(n_terms, dtype=float)
+        log_factorial = np.array([math.lgamma(k + 1.0) for k in j])
+        pi[:, far] = np.exp(j[:, None] * np.log(x[far]) - x[far] - log_factorial[:, None])
+    return pi
+
+
+def _series_terms(params: SrFadingParams, w, tol: float):
+    """x = w / (2 b0) as a flat array, the weights and tails, and the
+    Poisson matrix at x."""
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):
         raise ValueError("fading power must be non-negative")
-    shape = w.shape
     x = np.ravel(w / (2.0 * params.b0))
-    if x.size == 0:
-        return np.zeros(shape)
-    beta = params._beta
-    prefactor = math.exp(params._log_prefactor)
-    if density:
-        # The density is bounded by exp(-x (1 - beta)) times slowly varying
-        # factors; past this point it underflows and the series would churn.
-        x_cut = (745.0 + 200.0 + abs(params._log_prefactor)) / (1.0 - beta)
-        if np.any(x > x_cut):
-            out = np.zeros(x.size)
-            live = x <= x_cut
-            if live.any():
-                out[live] = _sr_series(params, 2.0 * params.b0 * x[live], density=True, tol=tol)
-            return out.reshape(shape)
-    x_max = float(np.max(x))
-    total = np.zeros_like(x)
-    block = 16
-    z0 = 0
-    while z0 < _MAX_SERIES_TERMS:
-        z = np.arange(z0, z0 + block, dtype=float)
-        log_c = _series_coeffs(params, z)
-        if density:
-            # d/dw P(z+1, x) = x^z e^{-x} / Gamma(z+1) / (2 b0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_x_pow = np.where(z[:, None] == 0, 0.0, z[:, None] * np.log(np.where(x > 0, x, 1.0)))
-                log_x_pow = np.where((z[:, None] > 0) & (x == 0), -np.inf, log_x_pow)
-            log_term = (
-                log_c[:, None] + log_x_pow - x[None, :]
-                - special.gammaln(z + 1.0)[:, None] - math.log(2.0 * params.b0)
-            )
-            terms = np.exp(log_term)
-        else:
-            terms = np.exp(log_c)[:, None] * special.gammainc(z[:, None] + 1.0, x[None, :])
-        total += terms.sum(axis=0)
-        z_next = z0 + block
-        # Successive terms shrink at least geometrically once this ratio
-        # drops below one; the remaining tail is then bounded by the last
-        # term times ratio / (1 - ratio).
-        ratio = beta * (params.m + z_next) / (z_next + 1.0)
-        if density:
-            ratio = ratio * x_max / (z_next + 1.0)
-        if ratio < 1.0:
-            tail_bound = prefactor * float(np.max(terms[-1])) * ratio / (1.0 - ratio)
-            if tail_bound <= tol:
-                return (prefactor * total).reshape(shape)
-        z0 = z_next
-    raise SeriesConvergenceError(
-        f"shadowed-Rician series did not converge within {_MAX_SERIES_TERMS} terms"
-    )
+    c, tails = _series_weights(params, tol, _MAX_SERIES_TERMS)
+    return x, c, tails, _poisson_matrix(x, len(c))
+
+
+def _shaped(w, out: np.ndarray):
+    """``out`` in the shape of ``w``, a float for a scalar ``w``."""
+    return float(out[0]) if np.ndim(w) == 0 else out.reshape(np.shape(w))
 
 
 def sr_cdf(params: SrFadingParams, w, tol: float = _SERIES_TOL):
@@ -173,71 +174,30 @@ def sr_cdf(params: SrFadingParams, w, tol: float = _SERIES_TOL):
     survival probabilities below about ``tol``; use :func:`sr_sf` for upper
     tails.
     """
-    out = np.minimum(_sr_series(params, w, density=False, tol=tol), 1.0)
-    return float(out) if np.isscalar(w) or np.ndim(w) == 0 else out
-
-
-def _sf_term_count(params: SrFadingParams, max_terms: int) -> int:
-    """Number of complementary-series terms whose dropped weights, times the
-    prefactor, sum to at most ``_SERIES_TOL``."""
-    beta = params._beta
-    prefactor = math.exp(params._log_prefactor)
-    block = 16
-    z_end = block
-    while z_end <= max_terms:
-        # Q <= 1, so the tail is bounded by the weights' own tail. Their
-        # ratio beta (m + z) / (z + 1) tends to beta monotonically, so its
-        # supremum past the last term z_end - 1 is at one end or the other.
-        ratio = beta * max(params.m + z_end - 1.0, float(z_end)) / z_end
-        if ratio < 1.0:
-            last = math.exp(float(_series_coeffs(params, np.array(z_end - 1.0))))
-            if prefactor * last * ratio / (1.0 - ratio) <= _SERIES_TOL:
-                return z_end
-        z_end += block
-    raise SeriesConvergenceError(
-        f"shadowed-Rician series did not converge within {max_terms} terms"
-    )
-
-
-@lru_cache(maxsize=32)
-def _sf_poisson_weights(params: SrFadingParams, max_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """lgamma(j + 1) and the weight tails T_j = prefactor * sum_{z=j}^{Z-1}
-    c_z for j < Z, the ``sr_sf`` term count. Keyed on the term limit too, so
-    a lowered limit is never bypassed by a cached result."""
-    z = np.arange(_sf_term_count(params, max_terms), dtype=float)
-    weights = np.exp(params._log_prefactor + _series_coeffs(params, z))
-    return special.gammaln(z + 1.0), np.cumsum(weights[::-1])[::-1]
+    x, _, tails, pi = _series_terms(params, w, tol)
+    out = tails[0] * -np.expm1(-x) - tails[1:] @ pi[1:]
+    return _shaped(w, np.clip(out, 0.0, 1.0))
 
 
 def sr_sf(params: SrFadingParams, w):
     """Survival function P(W > w) of the shadowed-Rician power fading,
-    elementwise over ``w``, summed as the complementary series in its
-    Poisson form.
+    elementwise over ``w``.
 
-    The series is truncated once its tail is bounded by 1e-12
-    (``_SERIES_TOL``). Every term is non-negative, so up to rounding the
-    error is one-sided: 0 <= P(W > w) - sr_sf(w) <= 1e-12. The number of
-    terms does not depend on ``w``, so the result is non-increasing in ``w``
-    and reaches zero with the true tail.
+    The series is truncated once its dropped weights sum to at most 1e-12
+    (``_SERIES_TOL``), so up to rounding the error is one-sided:
+    0 <= P(W > w) - sr_sf(w) <= 1e-12. The number of terms does not depend
+    on ``w``, so the result is non-increasing in ``w`` and reaches zero with
+    the true tail. At w = 0 it is exactly one.
     """
-    w_arr = np.asarray(w, dtype=float)
-    if np.any(w_arr < 0):
-        raise ValueError("fading power must be non-negative")
-    x = np.ravel(w_arr / (2.0 * params.b0))
-    log_factorial, tails = _sf_poisson_weights(params, _MAX_SERIES_TERMS)
-    j = np.arange(len(tails), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_poisson = j[:, None] * np.log(x)[None, :] - x[None, :] - log_factorial[:, None]
-        out = np.minimum(tails @ np.exp(log_poisson), 1.0)
-    # At x = 0 every Q is one and the full weights sum to one.
-    out = np.where(x == 0.0, 1.0, out).reshape(w_arr.shape)
-    return float(out) if np.isscalar(w) or np.ndim(w) == 0 else out
+    x, _, tails, pi = _series_terms(params, w, _SERIES_TOL)
+    return _shaped(w, np.where(x == 0.0, 1.0, np.minimum(tails @ pi, 1.0)))
 
 
 def sr_pdf(params: SrFadingParams, w, tol: float = _SERIES_TOL):
-    """Density of the shadowed-Rician power fading, elementwise over ``w``."""
-    out = _sr_series(params, w, density=True, tol=tol)
-    return float(out) if np.isscalar(w) or np.ndim(w) == 0 else out
+    """Density of the shadowed-Rician power fading, elementwise over ``w``;
+    the dropped terms are at most ``tol / (2 b0)``."""
+    x, c, _, pi = _series_terms(params, w, tol)
+    return _shaped(w, c @ pi / (2.0 * params.b0))
 
 
 def sr_sample(params: SrFadingParams, rng: np.random.Generator, size=None):
@@ -332,6 +292,8 @@ class CosinePattern:
         return 1.0 / self.n_elements
 
 
+# Each pattern's ``effective_range`` is the dome angle beyond which received
+# interference is treated as negligible.
 AntennaPattern = GaussianPattern | FlatTopPattern | SincPattern | CosinePattern
 
 
@@ -339,11 +301,6 @@ def rx_gain(pattern: AntennaPattern, max_gain: float, phi):
     """Receive gain at dome angle ``phi`` off boresight."""
     out = max_gain * pattern.gain_shape(phi)
     return float(out) if np.ndim(phi) == 0 else out
-
-
-def effective_beam_range(pattern: AntennaPattern) -> float:
-    """Dome angle beyond which received interference is treated as negligible."""
-    return pattern.effective_range
 
 
 def received_power(link: LinkParams, rx_gain_value: float, distance_m: float, fading: float) -> float:

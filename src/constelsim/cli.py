@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import analytic
 from .analytic import QuadratureSpec
@@ -27,7 +27,7 @@ from .config import (
     load_settings,
 )
 from .constellation import derive_rng, sample_bpp, sample_dsbpp
-from .mc import McSpec, run_validation, simulate, validation_csv
+from .mc import run_validation, simulate, validation_csv
 
 # Sweepable parameter names and how they land in the settings dict.
 # n_meo sets the total MEO count; the closed forms depend only on the total.
@@ -119,12 +119,7 @@ def _analytic_values(settings, metric, system, ks, quad_spec):
 
 def _mc_values(settings, metric, system, ks, mc_spec):
     cfg = build_system_config(settings)
-    spec = McSpec(
-        n_trials=mc_spec.n_trials,
-        master_seed=mc_spec.master_seed,
-        k_max=max(ks),
-        sum_all_interferers=mc_spec.sum_all_interferers,
-    )
+    spec = replace(mc_spec, k_max=max(ks))
     values, errors = simulate(cfg, spec, metrics=(metric,)).estimate(metric, system)
     return [(float(values[k - 1]), float(errors[k - 1])) for k in ks]
 
@@ -216,14 +211,8 @@ def cmd_heatmap(opts) -> int:
 def cmd_validate(opts) -> int:
     settings = load_settings(opts.config, _overrides(opts))
     cfg = build_system_config(settings)
-    mc_settings = build_mc_settings(settings)
     ks = _parse_k_list(opts.k_values)
-    spec = McSpec(
-        n_trials=mc_settings.n_trials,
-        master_seed=mc_settings.master_seed,
-        k_max=max(ks) if ks else 6,
-        sum_all_interferers=mc_settings.sum_all_interferers,
-    )
+    spec = replace(build_mc_settings(settings), k_max=max(ks) if ks else 6)
     quad_spec = QuadratureSpec(relative_tolerance=opts.rtol, absolute_tolerance=opts.rtol * 1e-4)
     metrics = tuple(opts.metrics.split(",")) if opts.metrics else ("availability", "localizability")
     for metric in metrics:

@@ -10,7 +10,6 @@ shell radii. ``#`` starts a comment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .analytic import SystemConfig
 from .channel import (
@@ -23,6 +22,7 @@ from .channel import (
 )
 from .constellation import LeoShellConfig, MeoShellConfig
 from .geom import EARTH_RADIUS_KM
+from .mc import McSpec
 
 
 class ConfigError(ValueError):
@@ -35,19 +35,6 @@ def db_to_linear(db: float) -> float:
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
-
-
-@dataclass
-class McSettings:
-    """Monte Carlo run controls carried alongside the system description."""
-
-    n_trials: int = 100_000
-    master_seed: int = 1
-    sum_all_interferers: bool = True
-
-    def __post_init__(self):
-        if self.n_trials < 1:
-            raise ConfigError("mc.n_trials must be at least 1")
 
 
 # Baseline system: a 2000-satellite LEO shell at 1000 km with 45-degree
@@ -213,12 +200,18 @@ def build_system_config(settings: dict) -> SystemConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def build_mc_settings(settings: dict) -> McSettings:
-    return McSettings(
-        n_trials=int(settings["mc.n_trials"]),
-        master_seed=int(settings["mc.master_seed"]),
-        sum_all_interferers=bool(settings["mc.sum_all_interferers"]),
-    )
+def build_mc_settings(settings: dict) -> McSpec:
+    """Monte Carlo run spec from the ``mc.*`` keys, with up to 20 batches."""
+    n_trials = int(settings["mc.n_trials"])
+    try:
+        return McSpec(
+            n_trials=n_trials,
+            master_seed=int(settings["mc.master_seed"]),
+            sum_all_interferers=bool(settings["mc.sum_all_interferers"]),
+            n_batches=min(20, n_trials),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"mc: {exc}") from exc
 
 
 def default_config() -> SystemConfig:

@@ -26,6 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy imports its random package lazily, on first use; importing it here
+# keeps that cost in start-up rather than in the first Monte Carlo batch.
+import numpy.random  # noqa: F401
 
 from .geom import EARTH_RADIUS_KM
 

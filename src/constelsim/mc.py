@@ -22,9 +22,10 @@ RNG contract. Batch ``b`` of the ``spec.n_batches`` batch-means batches
 draws its geometry from ``derive_rng(master_seed, b)`` and its fading from
 that stream's first spawned child, in sub-chunks of at most
 ``CHUNK_TRIALS`` trials (a module constant, so memory stays bounded at any
-trial count). Results therefore depend on the config, ``master_seed`` and
-``n_trials`` only, and availability estimates do not depend on whether
-localizability is simulated too.
+trial count). ``McSpec`` requires 1 <= n_batches <= n_trials, and the CLI
+runs n_batches = min(20, n_trials). Results therefore depend on the config,
+``master_seed`` and ``n_trials`` only, and availability estimates do not
+depend on whether localizability is simulated too.
 
 Two interference modes exist. The faithful default sums every visible
 same-layer satellite with its exact range and exact dome-angle receive gain.
@@ -74,6 +75,9 @@ _TARGET_KM = TARGET_DIRECTION * EARTH_RADIUS_KM
 
 @dataclass(frozen=True)
 class McSpec:
+    """Monte Carlo run controls: trial count, seed, largest K, interference
+    mode and the number of batch-means batches."""
+
     n_trials: int = 100_000
     master_seed: int = 1
     k_max: int = 6
@@ -85,8 +89,8 @@ class McSpec:
             raise ValueError("n_trials must be at least 1")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
-        if not 2 <= self.n_batches <= self.n_trials:
-            object.__setattr__(self, "n_batches", max(2, min(self.n_batches, self.n_trials)))
+        if not 1 <= self.n_batches <= self.n_trials:
+            raise ValueError("n_batches must lie in [1, n_trials]")
 
 
 class _Link:
@@ -141,11 +145,13 @@ def _sinr_passes(config, link, positions, visible, n_serve, rng, faithful, match
     elif matched_cap is not None:
         # Present with probability 1 - p_zero, angle uniform over the cap,
         # serving-range path loss, zenith-mapped dome gain. The angle solves
-        # 1 - cos(theta_i) = U (1 - cos(theta_d)) in half-angle form, positive
-        # for any U > 0 as dome_from_central requires (an arccos rounds to 0).
+        # 1 - cos(theta_i) = U (1 - cos(theta_d)) in half-angle form. U is
+        # drawn on (0, 1], so the angle is positive as dome_from_central
+        # requires (an arccos form rounds to 0 for tiny U).
         theta_d, p_zero = matched_cap
         present = serving & (rng.random(serving.shape) >= p_zero)
-        theta_i = 2.0 * np.arcsin(np.sqrt(rng.random(serving.shape)) * math.sin(0.5 * theta_d))
+        u = 1.0 - rng.random(serving.shape)
+        theta_i = 2.0 * np.arcsin(np.sqrt(u) * math.sin(0.5 * theta_d))
         dome = dome_from_central(config.leo_geom, theta_i)
         interference = config.rx_pattern.gain_shape(dome) * _fading(link, rng, present) / dist_sq[:, :n_serve]
     else:

@@ -17,7 +17,6 @@ from constelsim.channel import (
     SeriesConvergenceError,
     SincPattern,
     SrFadingParams,
-    effective_beam_range,
     received_power,
     rx_gain,
     sr_cdf,
@@ -70,6 +69,12 @@ class TestSrCdf:
         monkeypatch.setattr(channel, "_MAX_SERIES_TERMS", 4)
         with pytest.raises(SeriesConvergenceError):
             sr_cdf(BASE, 1.0)
+
+    def test_underflowing_weights_raise(self):
+        # c_0 = (2 b0 m / (2 b0 m + omega))^m = (1/6)^1000 is below the
+        # smallest double, so every weight the recurrence builds would be 0.
+        with pytest.raises(SeriesConvergenceError):
+            sr_cdf(SrFadingParams(m=1000.0, b0=0.01, omega=100.0), 1.0)
 
 
 class TestSeriesProperties:
@@ -134,15 +139,28 @@ class TestSrSf:
             assert 0.0 <= want - sr_sf(BASE, w) <= 1e-12
 
     def test_poisson_form_matches_gammaincc_sum(self):
-        # The same truncated series with the same weights, summed directly as
-        # prefactor * c_z * Q(z + 1, x).
-        z = np.arange(channel._sf_term_count(BASE, channel._MAX_SERIES_TERMS), dtype=float)
-        weights = np.exp(BASE._log_prefactor + channel._series_coeffs(BASE, z))
+        # The same truncated series with the kernel's own cached weights,
+        # summed directly as c_z * Q(z + 1, x) over its Z terms.
+        weights, _ = channel._series_weights(BASE, channel._SERIES_TOL, channel._MAX_SERIES_TERMS)
+        z = np.arange(len(weights), dtype=float)
         # w = 0 is excluded: there sr_sf returns the untruncated value 1.
         w = np.concatenate([np.linspace(0.0, 40.0 * BASE.mean_power, 4001)[1:],
                             [1e3 * BASE.mean_power, 1e6 * BASE.mean_power, 1e12 * BASE.mean_power]])
         want = weights @ special.gammaincc(z[:, None] + 1.0, w[None, :] / (2 * BASE.b0))
         assert np.max(np.abs(sr_sf(BASE, w) - want)) <= 1e-15
+
+    def test_tail_past_exp_underflow(self):
+        # Strong line of sight and little scatter: about 850 terms, and
+        # P(W > w) is still about 1e-10 where e^{-x} underflows, because the
+        # Poisson terms near j = x carry the tail.
+        p = SrFadingParams(m=1.0, b0=0.05, omega=3.0)
+        weights, _ = channel._series_weights(p, channel._SERIES_TOL, channel._MAX_SERIES_TERMS)
+        z = np.arange(len(weights), dtype=float)
+        x = np.array([650.0, 699.9, 700.1, 720.0, 740.0, 746.0, 800.0, 1000.0])
+        want = weights @ special.gammaincc(z[:, None] + 1.0, x[None, :])
+        assert len(weights) > 800 and want[5] > 1e-11
+        np.testing.assert_allclose(sr_sf(p, 2 * p.b0 * x), want, rtol=1e-10, atol=1e-300)
+        np.testing.assert_allclose(sr_cdf(p, 2 * p.b0 * x) + want, 1.0, rtol=0, atol=2e-12)
 
     def test_convergence_guard_after_cached_call(self, monkeypatch):
         # A cached term count for the default limit must not let a call
@@ -236,10 +254,10 @@ class TestPatterns:
             assert np.allclose(g, g[::-1], atol=1e-15)
 
     def test_effective_ranges(self):
-        assert effective_beam_range(PATTERNS[0]) == pytest.approx(0.41887902047863905)
-        assert effective_beam_range(PATTERNS[1]) == pytest.approx(0.13962634015954636)
-        assert effective_beam_range(PATTERNS[2]) == pytest.approx(3.0 / 35)
-        assert effective_beam_range(PATTERNS[3]) == pytest.approx(1.0 / 35)
+        assert PATTERNS[0].effective_range == pytest.approx(0.41887902047863905)
+        assert PATTERNS[1].effective_range == pytest.approx(0.13962634015954636)
+        assert PATTERNS[2].effective_range == pytest.approx(3.0 / 35)
+        assert PATTERNS[3].effective_range == pytest.approx(1.0 / 35)
 
     def test_validation(self):
         with pytest.raises(ValueError):

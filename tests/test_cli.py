@@ -153,31 +153,39 @@ decimals = st.decimals(min_value=-1000, max_value=1000, places=2)
 steps = st.decimals(min_value=Decimal("0.01"), max_value=50, places=2)
 
 
-# Runs every closed form and a small simulation in a fresh interpreter and
-# prints the scipy subpackages it loaded beyond scipy.special.
-_IMPORT_PROBE = """
+# Blocks every scipy import, then runs a localizability curve, a small
+# validate and the three fading read-outs in one fresh interpreter. Prints
+# the exit codes, the read-outs and every scipy module that loaded anyway.
+_NO_SCIPY_PROBE = """
 import sys
-import constelsim.cli
-from constelsim import analytic, mc
-from constelsim.config import default_config
+sys.modules["scipy"] = None  # importing scipy or any submodule now fails
+from constelsim import cli
+from constelsim.channel import SrFadingParams, sr_cdf, sr_pdf, sr_sf
 
-cfg = default_config()
-for metric in analytic.METRICS:
-    analytic.evaluate(cfg, metric, analytic.SYSTEMS, 6)
-mc.simulate(cfg, mc.McSpec(n_trials=200))
-print(sorted(m for m in sys.modules if m.split(".")[:2] in (
-    ["scipy", "stats"], ["scipy", "integrate"], ["scipy", "optimize"])))
+out = sys.argv[1]
+curve = cli.main(["curve", "--metric", "localizability", "--system", "hybrid",
+                  "--sweep", "h_leo=1000:1100:100", "--out", out + "/curve.csv"])
+validate = cli.main(["validate", "--trials", "200", "--out", out + "/validate.csv"])
+fading = SrFadingParams(m=19.4, b0=0.158, omega=1.29)
+print(curve, validate, sr_cdf(fading, 1.0), sr_pdf(fading, 1.0), sr_sf(fading, 1.0))
+print(sorted(name for name, module in sys.modules.items() if name.split(".")[0] == "scipy" and module is not None))
 """
 
 
-def test_loads_no_heavy_scipy_subpackage():
-    # scipy.stats, scipy.integrate and scipy.optimize take longer to import
-    # than every command but the largest runs; the program needs none of them.
+def test_runs_with_scipy_blocked(tmp_path):
+    # numpy is the only runtime dependency; scipy serves the tests alone.
     src = str(Path(constelsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path)], capture_output=True, text=True,
                          env=env, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    first, loaded = out.stdout.splitlines()
+    curve, validate, cdf, pdf, sf = first.split()
+    assert curve == "0" and validate in ("0", "1")
+    assert 0.0 < float(cdf) < 1.0 and float(pdf) > 0.0
+    assert abs(float(cdf) + float(sf) - 1.0) <= 2e-12
+    assert loaded == "[]"
+    assert len(rows((tmp_path / "curve.csv").read_text(encoding="utf-8"))) == 3
+    assert len(rows((tmp_path / "validate.csv").read_text(encoding="utf-8"))) == 1 + 2 * 3 * 6
 
 
 class TestParseSweep:

@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from constelsim import cli
+from constelsim import cli, mc
+from constelsim.analytic import leo_interference_cap
 from constelsim.channel import sr_sample
-from constelsim.config import build_system_config, default_config, load_settings
-from constelsim.constellation import central_angle_to_target, derive_rng, sample_bpp, sample_dsbpp
+from constelsim.config import build_mc_settings, build_system_config, default_config, load_settings
+from constelsim.constellation import (
+    cap_positions,
+    central_angle_to_target,
+    derive_rng,
+    sample_bpp,
+    sample_bpp_cap,
+    sample_dsbpp,
+)
 from constelsim.mc import CHUNK_TRIALS, McSpec, run_validation, simulate
 
 CFG = default_config()
@@ -86,6 +94,36 @@ class TestDeterminism:
         assert np.all(np.isnan(alone.leo_loc)) and np.all(np.isnan(alone.hybrid_loc_se))
 
 
+class ZeroUniforms:
+    """A generator whose uniforms are all exactly 0.0; every other draw
+    comes from ``rng``."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def random(self, size=None):
+        return np.zeros(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestSpec:
+    @pytest.mark.parametrize("n_batches", [0, 51])
+    def test_rejects_batches_outside_trials(self, n_batches):
+        with pytest.raises(ValueError):
+            McSpec(n_trials=50, n_batches=n_batches)
+
+    @pytest.mark.parametrize("trials, batches", [(1, 1), (3, 3), (20, 20), (100_000, 20)])
+    def test_settings_use_up_to_twenty_batches(self, trials, batches):
+        spec = build_mc_settings(load_settings(overrides={"mc.n_trials": str(trials)}))
+        assert (spec.n_trials, spec.n_batches) == (trials, batches)
+
+    def test_zero_trials_exit_two(self, tmp_path, capsys):
+        assert cli.main(["validate", "--trials", "0", "--out", str(tmp_path / "out.csv")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
 class TestEstimates:
     def test_leo_availability_matches_binomial(self):
         # Batches of 1500 trials run as more than one chunk.
@@ -121,6 +159,20 @@ class TestEstimates:
         assert np.all(np.abs(summary.leo_rank_pass - leo) <= 4.0 * se + 1e-4)
         meo_mc = summary.meo_single_pass * DENSE.meo.n_sats
         assert abs(meo_mc - meo.mean()) <= 4.0 * meo.std() * math.sqrt(1 / n_loop + 1 / n_mc)
+
+    def test_matched_interferer_survives_zero_uniforms(self):
+        # U = 0 would put the interferer at central angle 0, which
+        # dome_from_central rejects. With p_zero = 0 every beam has one.
+        rng = derive_rng(4)
+        cos_theta, azimuth = sample_bpp_cap(CFG.leo, rng, CFG.leo_geom.horizon_angle, 64)
+        visible = cos_theta >= math.cos(CFG.leo_theta_max)
+        width = int(visible.sum(axis=1).max())
+        positions = cap_positions(CFG.leo.radius_km, cos_theta[:, :width], azimuth[:, :width])
+        theta_d, _ = leo_interference_cap(CFG)
+        link = mc._Link(CFG.leo_link, CFG.leo_fading)
+        passes = mc._sinr_passes(CFG, link, positions, visible[:, :width], 3, ZeroUniforms(rng),
+                                 faithful=False, matched_cap=(theta_d, 0.0))
+        assert passes.shape == (64, 3) and passes.dtype == bool
 
     def test_no_leo_no_meo(self):
         cfg = dataclasses.replace(CFG, leo=dataclasses.replace(CFG.leo, n_sats=0),
