@@ -1,10 +1,14 @@
 """Closed-form availability and localizability probabilities.
 
-Availability counts satellites within the maximum detectable central angle:
-binomial for the LEO shell (points are independent), binomial with an
-orbit-averaged single-satellite probability for the MEO shell, and a
-convolution of the two for hybrid constellations, truncated at the smallest
-MEO count whose exceedance probability drops below ``epsilon``.
+Availability counts satellites within the maximum detectable central angle,
+and needs no quadrature. A single satellite of either shell is uniform on its
+sphere: a LEO point by construction, a MEO satellite because its orbit normal
+and its anomaly are both uniform. So it is detectable with the area fraction
+sin^2(theta_max / 2) of the detectable cap. The LEO count is binomial (points
+are independent), the MEO count binomial with the same single-satellite
+probability (ignoring that one orbit's satellites share its attitude), and
+hybrid constellations take a convolution of the two, truncated at the
+smallest MEO count whose exceedance probability drops below ``epsilon``.
 
 Localizability additionally requires each beam-associated satellite to clear
 its layer's SINR threshold. LEO beams see a zero-or-one interferer mixture:
@@ -25,9 +29,7 @@ arrays of nodes and integrates vector-valued integrands on one shared
 partition. The rank-coverage pass is three array expressions: the serving
 angle carries every rank at once, the interferer angle is one vector-valued
 integral over all serving-angle nodes, and the interferer's fading is a
-fixed 64-node rule. The MEO visible-arc window is integrated after the
-change of variable theta = pi/2 + half_window * sin(u), which removes the
-square-root behaviour at its edges. The binomial laws (:func:`binom_sf`,
+fixed 64-node rule. The binomial laws (:func:`binom_sf`,
 :func:`binom_pmf`) read one pmf built by a ratio recurrence out from its
 mode, so the module needs nothing beyond numpy.
 """
@@ -54,8 +56,6 @@ from .geom import (
     central_from_dome,
     dome_from_central,
     max_central_angle,
-    max_detect_distance,
-    max_orbit_central_angle,
 )
 
 KM_TO_M = 1e3
@@ -218,18 +218,12 @@ class SystemConfig:
     def meo_theta_max(self) -> float:
         return max_central_angle(self.meo_geom, self.meo.beam_angle)
 
-    @property
-    def leo_d_max_km(self) -> float:
-        return max_detect_distance(self.leo_geom, self.leo_theta_max)
 
-    @property
-    def meo_d_max_km(self) -> float:
-        return max_detect_distance(self.meo_geom, self.meo_theta_max)
-
-
-def _cap_fraction(theta: float) -> float:
-    """Area fraction of the spherical cap with central half-angle theta."""
-    return 0.5 * (1.0 - math.cos(theta))
+def _cap_fraction(theta):
+    """Area fraction of the spherical cap with central half-angle theta,
+    elementwise: (1 - cos(theta)) / 2 in the form sin^2(theta / 2), which
+    does not cancel at small theta."""
+    return np.sin(0.5 * theta) ** 2
 
 
 def _slant_range_sq_m2(geom: SphereGeometry, theta) -> np.ndarray:
@@ -244,13 +238,7 @@ def _snr_threshold_scale(link: LinkParams, geom: SphereGeometry, theta) -> np.nd
     The SINR condition 'received power over (I + noise) exceeds the
     threshold' rearranges to W > q(theta) * (I + noise) with this q.
     """
-    q = (
-        link.sinr_threshold
-        * (4.0 * math.pi / link.wavelength_m) ** 2
-        * _slant_range_sq_m2(geom, theta)
-        / (link.tx_power_w * link.tx_gain * link.max_rx_gain * link.system_loss)
-    )
-    return q
+    return link.sinr_threshold * _slant_range_sq_m2(geom, theta) / link.unit_range_power_w
 
 
 # ---------------------------------------------------------------------------
@@ -261,59 +249,42 @@ def leo_availability(config: SystemConfig, k_min: int) -> float:
     """Probability that at least ``k_min`` LEO satellites are detectable."""
     if k_min < 0:
         raise ValueError("k_min must be non-negative")
-    return _at_level(config, "availability", "leo", k_min, DEFAULT_QUADRATURE)
+    return _at_level(config, "availability", "leo", k_min)
 
 
-def meo_single_availability(config: SystemConfig, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Probability that one given MEO satellite is detectable, averaged over
-    its orbit's attitude."""
-    geom = config.meo_geom
-    d_max = config.meo_d_max_km
-    rq, re = geom.shell_radius_km, geom.earth_radius_km
-    closest = (re * re + rq * rq - d_max * d_max) / (2.0 * re * rq)
-    if closest >= 1.0:
-        return 0.0
-    half_window = math.acos(max(closest, -1.0))
+def meo_single_availability(config: SystemConfig) -> float:
+    """Probability that one given MEO satellite is detectable.
 
-    # The visible arc opens like a square root at the window's edges
-    # theta = pi/2 -+ half_window; over u, with theta = pi/2 + half_window *
-    # sin(u), the integrand is smooth.
-    def integrand(u):
-        theta = math.pi / 2 + half_window * np.sin(u)
-        arc = np.array([max_orbit_central_angle(geom, t, d_max) for t in theta])
-        return arc * np.sin(theta) * half_window * np.cos(u) / (4.0 * math.pi)
-
-    return integrate_adaptive(
-        integrand, -math.pi / 2, math.pi / 2, quad_spec,
-        label="meo single-satellite availability",
-    )
+    In the doubly stochastic model the orbit normal is uniform on the sphere
+    and the anomaly uniform along the orbit, so the satellite itself is
+    uniform on the shell: averaged over the attitude, its orbit's visible arc
+    fraction equals the cap fraction sin^2(theta_max / 2).
+    """
+    return float(_cap_fraction(config.meo_theta_max))
 
 
-def meo_availability(config: SystemConfig, k_min: int, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def meo_availability(config: SystemConfig, k_min: int) -> float:
     """Probability that at least ``k_min`` MEO satellites are detectable.
 
-    Satellites are treated as independent with the orbit-averaged
-    single-satellite probability; same-orbit correlation is ignored.
+    Satellites are treated as independent with the single-satellite
+    probability; same-orbit correlation is ignored.
     """
     if k_min < 0:
         raise ValueError("k_min must be non-negative")
-    return _at_level(config, "availability", "meo", k_min, quad_spec)
+    return _at_level(config, "availability", "meo", k_min)
 
 
-def n_meo_max(config: SystemConfig, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> int:
-    """Smallest satellite count whose exceedance probability is below epsilon.
+def n_meo_max(config: SystemConfig) -> int:
+    """Smallest satellite count whose exceedance probability is below
+    epsilon; zero for an empty MEO layer.
 
     Convolution sums over MEO counts are truncated here; the neglected mass
     is at most epsilon.
     """
-    p1 = meo_single_availability(config, quad_spec)
-    return _n_meo_max_from_p(config.meo.n_sats, p1, config.epsilon)
-
-
-def _n_meo_max_from_p(n: int, p1: float, epsilon: float) -> int:
+    n = config.meo.n_sats
     # The tail is non-increasing in k, so this counts the k below the first
     # one whose tail is at most epsilon.
-    return int(np.count_nonzero(binom_sf(np.arange(n), n, p1) > epsilon))
+    return int(np.count_nonzero(binom_sf(np.arange(n), n, meo_single_availability(config)) > config.epsilon))
 
 
 def _binom_law(n: int, p: float) -> np.ndarray:
@@ -368,12 +339,12 @@ def _hybrid_convolution(leo: np.ndarray, meo_pmf: np.ndarray, cutoff: int) -> np
     return total + np.array([meo_pmf[k: cutoff + 1].sum() for k in range(1, k_max + 1)])
 
 
-def hybrid_availability(config: SystemConfig, k_min: int, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def hybrid_availability(config: SystemConfig, k_min: int) -> float:
     """Probability that LEO and MEO layers together provide ``k_min``
     detectable satellites."""
     if k_min < 1:
         raise ValueError("k_min must be at least 1")
-    return _at_level(config, "availability", "hybrid", k_min, quad_spec)
+    return _at_level(config, "availability", "hybrid", k_min)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +362,7 @@ def leo_contact_angle_pdf(config: SystemConfig, k: int, theta):
     if not 1 <= k <= n:
         raise ValueError(f"rank k must lie in [1, {n}]")
     theta = np.asarray(theta, dtype=float)
-    p = 0.5 * (1.0 - np.cos(theta))
+    p = _cap_fraction(theta)
     log_comb = math.log(math.comb(n, k))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_body = math.log(k) + log_comb + (k - 1) * np.log(p) + (n - k) * np.log1p(-p)
@@ -405,56 +376,9 @@ def leo_contact_angle_pdf(config: SystemConfig, k: int, theta):
     return float(out) if out.ndim == 0 else out
 
 
-def meo_contact_angle_pdf(config: SystemConfig, theta):
-    """Density of the central angle between one MEO satellite and the target.
-
-    The orbit-attitude average collapses to the uniform-sphere law sin/2;
-    defective on [0, theta_max] with total mass equal to the
-    single-satellite availability.
-    """
-    theta = np.asarray(theta, dtype=float)
-    in_support = (theta >= 0) & (theta <= config.meo_theta_max)
-    out = np.where(in_support, 0.5 * np.sin(theta), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
-# Interference mixture
+# Interference cap
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InterferenceMixture:
-    """Aggregate LEO interference seen by one beam: an atom at zero plus a
-    continuous part driven by a single in-beam interferer."""
-
-    p_zero: float
-    theta_d_max: float
-    serving_angle: float
-    watts_per_fading: float  # interference watts contributed per unit fading at boresight gain shape 1
-    _config: SystemConfig
-    _quad_spec: QuadratureSpec
-
-    def _gain_shape(self, theta_i):
-        return self._config.rx_pattern.gain_shape(dome_from_central(self._config.leo_geom, theta_i))
-
-    def conditional_density(self, interference_w: float) -> float:
-        """Density of the nonzero interference branch at ``interference_w``."""
-        if interference_w < 0:
-            raise ValueError("interference power must be non-negative")
-        cap = 1.0 - math.cos(self.theta_d_max)
-        fading = self._config.leo_fading
-
-        def integrand(theta_i):
-            shape = self._gain_shape(theta_i)
-            live = shape > 0.0
-            scale = 1.0 / (self.watts_per_fading * np.where(live, shape, 1.0))
-            return np.where(live, sr_pdf(fading, interference_w * scale) * scale, 0.0) * np.sin(theta_i) / cap
-
-        return integrate_adaptive(
-            integrand, 0.0, self.theta_d_max, self._quad_spec,
-            label="conditional interference density",
-        )
-
 
 def leo_interference_cap(config: SystemConfig) -> tuple[float, float]:
     """Interference cap of a LEO beam: the central half-angle ``theta_d`` of
@@ -463,40 +387,6 @@ def leo_interference_cap(config: SystemConfig) -> tuple[float, float]:
     falls inside it."""
     theta_d = central_from_dome(config.leo_geom, config.rx_pattern.effective_range)
     return theta_d, (0.5 * (1.0 + math.cos(theta_d))) ** config.leo.n_sats
-
-
-def interference_mixture(
-    config: SystemConfig,
-    serving_angle: float,
-    quad_spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> InterferenceMixture:
-    """Mixture describing aggregate LEO interference for a beam whose serving
-    satellite sits at ``serving_angle``.
-
-    The effective receive range (a dome angle) is mapped to the central-angle
-    cap around the serving satellite; the interferer's path loss is taken at
-    the serving satellite's own range, which is the narrow-beam
-    approximation.
-    """
-    if not 0 <= serving_angle <= config.leo_theta_max:
-        raise ValueError("serving angle outside the detectable range")
-    geom = config.leo_geom
-    theta_d, p_zero = leo_interference_cap(config)
-    link = config.leo_link
-    # One unit of fading power at gain shape 1 lands this many watts.
-    watts_per_fading = (
-        link.tx_power_w * link.tx_gain * link.max_rx_gain * link.system_loss
-        * (link.wavelength_m / (4.0 * math.pi)) ** 2
-        / float(_slant_range_sq_m2(geom, serving_angle))
-    )
-    return InterferenceMixture(
-        p_zero=p_zero,
-        theta_d_max=theta_d,
-        serving_angle=serving_angle,
-        watts_per_fading=watts_per_fading,
-        _config=config,
-        _quad_spec=quad_spec,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -698,17 +588,19 @@ def evaluate(
                 out["leo"][:k_eff] = np.cumprod(leo_rank_coverage_probs(config, k_eff, quad_spec))
     if "meo" in systems or "hybrid" in systems:
         n = config.meo.n_sats
-        p_avail = meo_single_availability(config, quad_spec)
-        p1 = p_avail if metric == "availability" else meo_single_localizability(config, quad_spec)
+        if metric == "availability":
+            p1 = meo_single_availability(config)
+        else:
+            p1 = meo_single_localizability(config, quad_spec)
         out["meo"] = binom_sf(ks - 1, n, p1)
         if "hybrid" in systems:
-            cutoff = _n_meo_max_from_p(n, p_avail, config.epsilon)
+            cutoff = n_meo_max(config)
             pmf = binom_pmf(np.arange(cutoff + 1), n, p1)
             out["hybrid"] = _hybrid_convolution(out["leo"], pmf, cutoff)
     return {system: out[system] for system in systems}
 
 
-def _at_level(config: SystemConfig, metric: str, system: str, k_min: int, quad_spec: QuadratureSpec) -> float:
+def _at_level(config: SystemConfig, metric: str, system: str, k_min: int, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """One value of :func:`evaluate`; at least zero satellites is certain."""
     if k_min == 0:
         return 1.0

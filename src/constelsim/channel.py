@@ -96,6 +96,13 @@ class LinkParams:
         if not all(math.isfinite(v) and v > 0 for v in values):
             raise ValueError("link parameters must be positive and finite")
 
+    @property
+    def unit_range_power_w(self) -> float:
+        """Received power in watts at 1 m slant range, boresight receive gain
+        and unit fading: P_t G_t G_r L (lambda / 4 pi)^2."""
+        return self.tx_power_w * self.tx_gain * self.max_rx_gain * self.system_loss \
+            * (self.wavelength_m / (4.0 * math.pi)) ** 2
+
 
 @lru_cache(maxsize=32)
 def _series_weights(params: SrFadingParams, tol: float, max_terms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,21 +302,3 @@ class CosinePattern:
 # Each pattern's ``effective_range`` is the dome angle beyond which received
 # interference is treated as negligible.
 AntennaPattern = GaussianPattern | FlatTopPattern | SincPattern | CosinePattern
-
-
-def rx_gain(pattern: AntennaPattern, max_gain: float, phi):
-    """Receive gain at dome angle ``phi`` off boresight."""
-    out = max_gain * pattern.gain_shape(phi)
-    return float(out) if np.ndim(phi) == 0 else out
-
-
-def received_power(link: LinkParams, rx_gain_value: float, distance_m: float, fading: float) -> float:
-    """Free-space received power in watts at slant range ``distance_m``.
-
-    Callers enforce the detectability cutoff (zero beyond the maximum
-    detectable range); this is the bare link equation.
-    """
-    if distance_m <= 0:
-        raise ValueError("distance must be positive")
-    factor = (link.wavelength_m / (4.0 * math.pi)) ** 2
-    return link.tx_power_w * link.tx_gain * rx_gain_value * link.system_loss * factor * fading / distance_m**2

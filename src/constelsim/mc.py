@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .analytic import SystemConfig, QuadratureSpec, DEFAULT_QUADRATURE
+from .analytic import KM_TO_M, SYSTEMS, SystemConfig, QuadratureSpec, DEFAULT_QUADRATURE
 from .channel import LinkParams, SrFadingParams, sr_sample
 from .constellation import (
     TARGET_DIRECTION,
@@ -64,8 +64,6 @@ from .constellation import (
     sample_dsbpp,
 )
 from .geom import EARTH_RADIUS_KM, dome_from_central
-
-KM_TO_M = 1e3
 
 # Largest number of trials drawn as one array.
 CHUNK_TRIALS = 1024
@@ -97,9 +95,7 @@ class _Link:
     """Per-layer constants of SINR = (W_s / l_s^2) / (noise_term + sum shape_i W_i / l_i^2)."""
 
     def __init__(self, link: LinkParams, fading: SrFadingParams):
-        amp = link.tx_power_w * link.tx_gain * link.max_rx_gain * link.system_loss \
-            * (link.wavelength_m / (4.0 * math.pi)) ** 2
-        self.noise_term = link.noise_power_w / amp
+        self.noise_term = link.noise_power_w / link.unit_range_power_w
         self.threshold = link.sinr_threshold
         self.fading = fading
 
@@ -163,33 +159,22 @@ def _sinr_passes(config, link, positions, visible, n_serve, rng, faithful, match
 class SimulationSummary:
     """Aggregated Monte Carlo estimates with standard errors.
 
-    Availability entries are plain fractions with binomial standard errors;
-    localizability entries are composed from per-rank and per-satellite
-    fractions (matching the closed-form metric) with batch-means standard
-    errors, and are NaN when localizability was not simulated. Arrays are
-    indexed by K - 1 for K = 1..k_max.
+    ``estimates`` maps each (metric, system) to its values and standard
+    errors, arrays indexed by K - 1 for K = 1..k_max. Availability values
+    are plain fractions with binomial standard errors; localizability values
+    are composed from per-rank and per-satellite fractions (matching the
+    closed-form metric) with batch-means standard errors, and are NaN when
+    localizability was not simulated.
     """
 
     spec: McSpec
-    leo_avail: np.ndarray
-    meo_avail: np.ndarray
-    hybrid_avail: np.ndarray
-    leo_avail_se: np.ndarray
-    meo_avail_se: np.ndarray
-    hybrid_avail_se: np.ndarray
-    leo_loc: np.ndarray
-    meo_loc: np.ndarray
-    hybrid_loc: np.ndarray
-    leo_loc_se: np.ndarray
-    meo_loc_se: np.ndarray
-    hybrid_loc_se: np.ndarray
+    estimates: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
     leo_rank_pass: np.ndarray  # marginal per-rank pass fractions
     meo_single_pass: float  # marginal per-satellite pass fraction
 
     def estimate(self, metric: str, system: str) -> tuple[np.ndarray, np.ndarray]:
         """Values and standard errors of one metric for one system."""
-        suffix = {"availability": "avail", "localizability": "loc"}[metric]
-        return getattr(self, f"{system}_{suffix}"), getattr(self, f"{system}_{suffix}_se")
+        return self.estimates[metric, system]
 
 
 def _proportion_se(p, n: float) -> np.ndarray:
@@ -247,7 +232,7 @@ def simulate(
 
     n = float(spec.n_trials)
     avail = avail_tail.sum(axis=0) / n
-    cutoff = n_meo if faithful else (analytic.n_meo_max(config) if n_meo else 0)
+    cutoff = n_meo if faithful else analytic.n_meo_max(config)
 
     def single_pass(pmf):
         return float(np.dot(np.arange(n_meo + 1), pmf) / n_meo) if n_meo else 0.0
@@ -279,9 +264,10 @@ def simulate(
         else:
             se = list(np.std(np.array(per_batch), axis=0, ddof=1) / math.sqrt(len(per_batch)))
 
-    # Positional in field order: availability, its SE, localizability, its SE.
+    estimates = {("availability", system): (p, _proportion_se(p, n)) for system, p in zip(SYSTEMS, avail)}
+    estimates.update({("localizability", system): pair for system, pair in zip(SYSTEMS, zip(loc, se))})
     return SimulationSummary(
-        spec, *avail, *(_proportion_se(p, n) for p in avail), *loc, *se,
+        spec, estimates,
         leo_rank_pass=rank_pass.sum(axis=0) / n,
         meo_single_pass=single_pass(meo_pmf.sum(axis=0) / n),
     )

@@ -18,7 +18,7 @@ from constelsim.constellation import (
     sample_bpp,
     sample_dsbpp,
 )
-from constelsim.geom import max_orbit_central_angle
+from constelsim.geom import max_detect_distance, max_orbit_central_angle
 
 CFG = default_config()
 
@@ -120,10 +120,11 @@ class TestMeoAvailability:
 
     @pytest.mark.parametrize("beam", ["25 deg", "5 deg"])
     def test_single_satellite_matches_tight_quadrature(self, beam):
-        # Adaptive QAGS over the inclination window itself, square-root edges
-        # and all; the closed form integrates a smoothed variable instead.
+        # Adaptive QAGS of the visible orbit arc over the inclination window,
+        # square-root edges and all; the closed form is the cap fraction.
         cfg = config_with(**{"meo.beam_angle": beam})
-        geom, d_max = cfg.meo_geom, cfg.meo_d_max_km
+        geom = cfg.meo_geom
+        d_max = max_detect_distance(geom, cfg.meo_theta_max)
         rq, re = geom.shell_radius_km, geom.earth_radius_km
         half_window = math.acos((re * re + rq * rq - d_max * d_max) / (2 * re * rq))
         want, _ = quad(lambda t: max_orbit_central_angle(geom, t, d_max) * math.sin(t) / (4 * math.pi),
@@ -134,6 +135,15 @@ class TestMeoAvailability:
     def test_tiny_beam_empty_interval(self):
         cfg = config_with(**{"meo.beam_angle": "1e-5 rad"})
         assert an.meo_single_availability(cfg) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("beam", ["1e-5 rad", "1e-8 rad"])
+    def test_tiny_beam_keeps_relative_accuracy(self, beam):
+        # Leading terms of the cap fraction sin^2(theta / 2); 1 - cos(theta)
+        # cancels to nothing here.
+        cfg = config_with(**{"meo.beam_angle": beam})
+        theta = cfg.meo_theta_max
+        want = theta**2 / 4 * (1 - theta**2 / 12)
+        assert an.meo_single_availability(cfg) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_degenerate_counts(self):
         assert an.meo_availability(CFG, 0) == 1.0
@@ -289,15 +299,6 @@ class TestContactAngles:
             keep = expected > 10
             assert chisquare(observed[keep], expected[keep] * observed[keep].sum() / expected[keep].sum()).pvalue > 0.01
 
-    def test_meo_pdf_shape_and_mass(self):
-        theta_max = CFG.meo_theta_max
-        assert an.meo_contact_angle_pdf(CFG, 0.0) == 0.0
-        assert an.meo_contact_angle_pdf(CFG, 0.5) == pytest.approx(0.5 * math.sin(0.5), rel=1e-12)
-        assert an.meo_contact_angle_pdf(CFG, theta_max + 0.01) == 0.0
-        mass, _ = quad(lambda t: an.meo_contact_angle_pdf(CFG, t), 0, theta_max,
-                       epsabs=1e-12, epsrel=1e-10, limit=200)
-        assert mass == pytest.approx(an.meo_single_availability(CFG), abs=1e-6)
-
     def test_meo_contact_angle_sampling(self):
         # one satellite's angle, conditioned on detectability, follows the
         # renormalized density
@@ -323,42 +324,30 @@ class TestContactAngles:
             an.leo_contact_angle_pdf(CFG, CFG.leo.n_sats + 1, 0.01)
 
 
-class TestInterferenceMixture:
+class TestLeoInterferenceCap:
     def test_no_satellites(self):
         cfg = config_with(**{"leo.n_sats": "0"})
-        assert an.interference_mixture(cfg, 0.0).p_zero == 1.0
+        assert an.leo_interference_cap(cfg)[1] == 1.0
 
     def test_baseline_values(self):
-        mix = an.interference_mixture(CFG, 0.03)
-        assert mix.theta_d_max == pytest.approx(0.059646355, abs=1e-8)
-        assert mix.p_zero == pytest.approx(0.168788705, abs=1e-8)
+        theta_d, p_zero = an.leo_interference_cap(CFG)
+        assert theta_d == pytest.approx(0.059646355, abs=1e-8)
+        assert p_zero == pytest.approx(0.168788705, abs=1e-8)
 
     def test_empty_cap_fraction_by_simulation(self):
         # fraction of draws leaving a fixed cap of the interference radius
         # empty; the fixed direction plays the serving satellite
-        mix = an.interference_mixture(CFG, 0.03)
+        theta_d, p_zero = an.leo_interference_cap(CFG)
         rng = derive_rng(41)
-        cos_cut = math.cos(mix.theta_d_max)
+        cos_cut = math.cos(theta_d)
         n_draws = 20_000
         empty = 0
         for _ in range(n_draws):
             pts = sample_bpp(CFG.leo, rng)
             cos_sep = pts[:, 2] / CFG.leo.radius_km
             empty += int(np.max(cos_sep) < cos_cut)
-        se = math.sqrt(mix.p_zero * (1 - mix.p_zero) / n_draws)
-        assert abs(empty / n_draws - mix.p_zero) < 3 * se
-
-    def test_conditional_density_normalizes(self):
-        spec = QuadratureSpec(1e-7, 1e-12, 200)
-        mix = an.interference_mixture(CFG, 0.03, spec)
-        scale = mix.watts_per_fading
-        total, _ = quad(lambda u: mix.conditional_density(math.exp(u)) * math.exp(u),
-                        math.log(scale) - 25, math.log(scale) + 6, limit=300)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_rejects_out_of_range_serving_angle(self):
-        with pytest.raises(ValueError):
-            an.interference_mixture(CFG, CFG.leo_theta_max + 0.01)
+        se = math.sqrt(p_zero * (1 - p_zero) / n_draws)
+        assert abs(empty / n_draws - p_zero) < 3 * se
 
 
 class TestFadingRule:
@@ -567,6 +556,17 @@ class TestEvaluate:
         an.evaluate(CFG, "localizability", ("meo",), 6)
         an.evaluate(CFG, "availability", an.SYSTEMS, 6)
         assert calls == [6, 4]
+
+    def test_availability_runs_no_quadrature(self, monkeypatch):
+        want = an.evaluate(CFG, "availability", an.SYSTEMS, 8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("availability ran a quadrature")
+
+        monkeypatch.setattr(an, "integrate_adaptive", refuse)
+        got = an.evaluate(CFG, "availability", an.SYSTEMS, 8)
+        for system in an.SYSTEMS:
+            np.testing.assert_array_equal(got[system], want[system])
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -17,8 +17,6 @@ from constelsim.channel import (
     SeriesConvergenceError,
     SincPattern,
     SrFadingParams,
-    received_power,
-    rx_gain,
     sr_cdf,
     sr_pdf,
     sr_sample,
@@ -233,23 +231,23 @@ PATTERNS = [
 class TestPatterns:
     def test_boresight(self):
         for pat in PATTERNS:
-            assert rx_gain(pat, 1513.56, 0.0) == pytest.approx(1513.56, rel=1e-12)
+            assert 1513.56 * pat.gain_shape(0.0) == pytest.approx(1513.56, rel=1e-12)
 
     def test_gaussian_half_power(self):
         pat = PATTERNS[0]
-        assert rx_gain(pat, 2.0, pat.phi_3db) == pytest.approx(1.0, rel=1e-12)
+        assert 2.0 * pat.gain_shape(pat.phi_3db) == pytest.approx(1.0, rel=1e-12)
 
     def test_gaussian_effective_edge_gain(self):
         pat = PATTERNS[0]
-        assert rx_gain(pat, 1.0, 3 * pat.phi_3db) == pytest.approx(2.0**-9, rel=1e-12)
+        assert pat.gain_shape(3 * pat.phi_3db) == pytest.approx(2.0**-9, rel=1e-12)
 
     def test_sinc_null(self):
-        assert rx_gain(PATTERNS[2], 7.0, 1.0 / 35) == pytest.approx(0.0, abs=1e-25)
+        assert 7.0 * PATTERNS[2].gain_shape(1.0 / 35) == pytest.approx(0.0, abs=1e-25)
 
     def test_even_and_bounded(self):
         phis = np.linspace(-1.5, 1.5, 301)
         for pat in PATTERNS:
-            g = rx_gain(pat, 3.3, phis)
+            g = 3.3 * pat.gain_shape(phis)
             assert np.all(g <= 3.3 + 1e-12)
             assert np.allclose(g, g[::-1], atol=1e-15)
 
@@ -278,27 +276,15 @@ LINK = LinkParams(
 
 
 class TestReceivedPower:
-    def test_zero_fading(self):
-        assert received_power(LINK, LINK.max_rx_gain, 1e6, 0.0) == 0.0
-
-    def test_inverse_square(self):
-        near = received_power(LINK, LINK.max_rx_gain, 1e6, 1.0)
-        far = received_power(LINK, LINK.max_rx_gain, 2e6, 1.0)
-        assert near == pytest.approx(4 * far, rel=1e-12)
-
     def test_decibel_arithmetic(self):
         # budget at 1000 km, boresight, unit fading, assembled in dB
-        got = received_power(LINK, LINK.max_rx_gain, 1e6, 1.0)
+        got = LINK.unit_range_power_w / 1e6**2
         db = (
             15.0 + 33.8 + 31.8 - 6.0
             + 20 * math.log10(0.015 / (4 * math.pi))
             - 20 * math.log10(1e6)
         )
         assert 10 * math.log10(got) == pytest.approx(db, abs=1e-9)
-
-    def test_rejects_zero_distance(self):
-        with pytest.raises(ValueError):
-            received_power(LINK, 1.0, 0.0, 1.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -53,9 +53,11 @@ def run(tmp_path, *argv, name="out.csv"):
 
 
 def assert_summaries_equal(a, b):
-    assert a.spec == b.spec
-    for field in dataclasses.fields(a)[1:]:
-        assert np.array_equal(getattr(a, field.name), getattr(b, field.name), equal_nan=True), field.name
+    assert a.spec == b.spec and a.estimates.keys() == b.estimates.keys()
+    for key in a.estimates:
+        for x, y in zip(a.estimates[key], b.estimates[key]):
+            assert np.array_equal(x, y, equal_nan=True), key
+    assert np.array_equal(a.leo_rank_pass, b.leo_rank_pass) and a.meo_single_pass == b.meo_single_pass
 
 
 class TestDeterminism:
@@ -91,7 +93,8 @@ class TestDeterminism:
         alone = simulate(CFG, spec, metrics=("availability",))
         for system in ("leo", "meo", "hybrid"):
             assert np.array_equal(both.estimate("availability", system)[0], alone.estimate("availability", system)[0])
-        assert np.all(np.isnan(alone.leo_loc)) and np.all(np.isnan(alone.hybrid_loc_se))
+        assert np.all(np.isnan(alone.estimate("localizability", "leo")[0]))
+        assert np.all(np.isnan(alone.estimate("localizability", "hybrid")[1]))
 
 
 class ZeroUniforms:
@@ -132,7 +135,8 @@ class TestEstimates:
         summary = simulate(CFG, spec, metrics=("availability",))
         fraction = 0.5 * (1.0 - math.cos(CFG.leo_theta_max))
         exact = binom.sf(np.arange(spec.k_max), CFG.leo.n_sats, fraction)
-        assert np.all(np.abs(summary.leo_avail - exact) <= 3.0 * summary.leo_avail_se)
+        values, errors = summary.estimate("availability", "leo")
+        assert np.all(np.abs(values - exact) <= 3.0 * errors)
 
     def test_matched_mode_localizability_rows_pass(self):
         spec = McSpec(n_trials=3000, master_seed=1, sum_all_interferers=False)
