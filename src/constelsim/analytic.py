@@ -26,19 +26,19 @@ mixes the layers in one convolution. The per-K functions
 Every integral goes through :func:`integrate_adaptive`, a globally adaptive
 Gauss-Kronrod 10/21 rule (QUADPACK's pair) that evaluates its integrand on
 arrays of nodes and integrates vector-valued integrands on one shared
-partition. The rank-coverage pass is three array expressions: the serving
-angle carries every rank at once, the interferer angle is one vector-valued
-integral over all serving-angle nodes, and the interferer's fading is a
-fixed 64-node rule. The binomial laws (:func:`binom_sf`,
-:func:`binom_pmf`) read one pmf built by a ratio recurrence out from its
-mode, so the module needs nothing beyond numpy.
+partition. The rank-coverage pass nests no integral. The interferer's
+fading and angle reduce to one count law in the fading series
+(:func:`~constelsim.channel.sr_count_pmf`), averaged over the interferer cap
+by one vector-valued integral per config; the serving angle then carries
+every rank at once, one survival series per node. The binomial laws
+(:func:`binom_sf`, :func:`binom_pmf`) read one pmf built by a ratio
+recurrence out from its mode, so the module needs nothing beyond numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .channel import (
     LinkParams,
     SrFadingParams,
     sr_cdf,  # noqa: F401 -- unused; perfbench/tests/test_bench.py traces it here
-    sr_pdf,
+    sr_count_pmf,
     sr_sf,
 )
 from .constellation import LeoShellConfig, MeoShellConfig
@@ -322,7 +322,7 @@ def binom_pmf(k, n: int, p: float):
     return np.where((k >= 0) & (k <= n), _binom_law(n, p)[np.clip(k, 0, n).astype(int)], 0.0)
 
 
-def _hybrid_convolution(leo: np.ndarray, meo_pmf: np.ndarray, cutoff: int) -> np.ndarray:
+def hybrid_convolution(leo: np.ndarray, meo_pmf: np.ndarray, cutoff: int) -> np.ndarray:
     """Mix per-K LEO values with a MEO count distribution, for K = 1..len(leo).
 
     ``leo[K - 1]`` is the probability that the LEO layer alone supplies K
@@ -393,86 +393,28 @@ def leo_interference_cap(config: SystemConfig) -> tuple[float, float]:
 # Localizability
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _fading_upper_bound(fading: SrFadingParams) -> float:
-    """w beyond which the fading survival probability is below 1e-11."""
-    hi = fading.mean_power
-    while sr_sf(fading, hi) > 1e-11:
-        hi *= 2.0
-    return hi
-
-
-@lru_cache(maxsize=32)
-def _fading_rule(fading: SrFadingParams, n_nodes: int = 64) -> tuple:
-    """Gauss-Legendre rule for expectations against the fading density.
-
-    Returns nodes w_j and weights that absorb the density, so
-    E[phi(W)] = sum_j weight_j * phi(w_j) for smooth phi, up to the truncated
-    tail mass (< 1e-11) and the rule's own error; verified against adaptive
-    quadrature in the test suite.
-    """
-    w_hi = _fading_upper_bound(fading)
-    nodes, gl_weights = np.polynomial.legendre.leggauss(n_nodes)
-    w = 0.5 * w_hi * (nodes + 1.0)
-    weights = 0.5 * w_hi * gl_weights * sr_pdf(fading, w)
-    return w, weights
-
-
-# Largest number of points passed to one sr_sf call. Its Poisson-term matrix
-# has one row per series term and one column per point, so this bounds the
-# memory of the rank-coverage grid at any number of nodes.
-SF_CHUNK_POINTS = 65_536
-
-
-def _chunked_sf(fading: SrFadingParams, w: np.ndarray) -> np.ndarray:
-    """``sr_sf`` over ``w`` of any size, at most ``SF_CHUNK_POINTS`` per call."""
-    flat = w.ravel()
-    parts = [sr_sf(fading, flat[i: i + SF_CHUNK_POINTS]) for i in range(0, flat.size, SF_CHUNK_POINTS)]
-    return np.concatenate(parts).reshape(w.shape)
-
-
 def _leo_sinr_pass_function(config: SystemConfig, quad_spec: QuadratureSpec):
     """Build P_pass(theta): probability that a LEO beam served from central
     angle theta clears the SINR threshold under the interference mixture,
     elementwise over an array of serving angles.
 
-    The interferer's contribution enters the threshold argument as
-    gamma * gain_shape(dome(theta_i)) * W_i, with path loss taken at the
-    serving range. For all serving angles at once, the interferer-angle
-    expectation is one vector-valued :func:`integrate_adaptive` call at 10x
-    tighter tolerance, so they share one partition of the interferer cap.
-    The expectation over the interferer's fading uses the fixed fading rule,
-    so each round of that integral evaluates one (serving angle x interferer
-    angle x fading node) grid of survivals, in pieces of at most
-    ``SF_CHUNK_POINTS``.
+    The interferer adds gamma * gain_shape(dome(theta_i)) * W_i to the
+    threshold, with path loss taken at the serving range, so its count law
+    in the fading series (:func:`sr_count_pmf`) does not depend on theta.
+    The mixture's law, p_zero e_0 plus (1 - p_zero) times its cap average,
+    is one vector-valued integral per config at 10x tighter tolerance.
     """
-    geom = config.leo_geom
-    fading = config.leo_fading
-    link = config.leo_link
+    geom, fading, link = config.leo_geom, config.leo_fading, config.leo_link
     theta_d, p_zero = leo_interference_cap(config)
-    cap = 1.0 - math.cos(theta_d)
-    inner_spec = quad_spec.tighter()
-    w_nodes, w_weights = _fading_rule(fading)
-    gamma_w = link.sinr_threshold * w_nodes
+    cap = 2.0 * _cap_fraction(theta_d)
 
-    def p_pass(theta: np.ndarray) -> np.ndarray:
-        x = _snr_threshold_scale(link, geom, theta) * link.noise_power_w
-        noise_only = _chunked_sf(fading, x)
-        if p_zero >= 1.0:
-            return noise_only
+    def over_angle(theta_i):
+        shape = config.rx_pattern.gain_shape(dome_from_central(geom, theta_i))
+        return sr_count_pmf(fading, link.sinr_threshold * shape) * (np.sin(theta_i) / cap)
 
-        def over_angle(theta_i):
-            shape = config.rx_pattern.gain_shape(dome_from_central(geom, theta_i))
-            survival = _chunked_sf(fading, x[:, None, None] + shape[:, None] * gamma_w) @ w_weights
-            return survival * np.sin(theta_i) / cap
-
-        interfered = integrate_adaptive(
-            over_angle, 0.0, theta_d, inner_spec,
-            label="interferer angle expectation",
-        )
-        return p_zero * noise_only + (1.0 - p_zero) * interfered
-
-    return p_pass
+    counts = (1.0 - p_zero) * integrate_adaptive(over_angle, 0.0, theta_d, quad_spec.tighter(), "interferer count law")
+    counts[0] += p_zero
+    return lambda theta: sr_sf(fading, _snr_threshold_scale(link, geom, theta) * link.noise_power_w, counts)
 
 
 def leo_rank_coverage_probs(config: SystemConfig, k_max: int, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
@@ -596,7 +538,7 @@ def evaluate(
         if "hybrid" in systems:
             cutoff = n_meo_max(config)
             pmf = binom_pmf(np.arange(cutoff + 1), n, p1)
-            out["hybrid"] = _hybrid_convolution(out["leo"], pmf, cutoff)
+            out["hybrid"] = hybrid_convolution(out["leo"], pmf, cutoff)
     return {system: out[system] for system in systems}
 
 

@@ -30,6 +30,14 @@ floors near the tolerance, while the survival goes to zero with the true
 tail. The CDF takes 1 - e^{-x} as ``-expm1(-x)``, so at small x its terms
 cancel only down to about c_0 x and its relative error stays near
 eps / c_0 (exact when Omega = 0).
+
+An independent faded power V in the threshold enters the same form as a
+count: if Poisson(x + V / (2 b0)) = Poisson(x) + N, then
+P(W > w + V) = sum_k pi_k(x) sum_i P(N = i) T_{i+k}, again with non-negative
+terms. For V = a W', W' / (2 b0) is Gamma(z + 1) given the mixture index z,
+so N is the c_z-mixture of NB(z + 1, 1 / (1 + a)) (:func:`sr_count_pmf`), and
+a mixture of such laws over a, such as an interferer at a random angle or
+none, is again a count law.
 """
 
 from __future__ import annotations
@@ -186,18 +194,54 @@ def sr_cdf(params: SrFadingParams, w, tol: float = _SERIES_TOL):
     return _shaped(w, np.clip(out, 0.0, 1.0))
 
 
-def sr_sf(params: SrFadingParams, w):
+def sr_sf(params: SrFadingParams, w, counts=None):
     """Survival function P(W > w) of the shadowed-Rician power fading,
-    elementwise over ``w``.
+    elementwise over ``w``; given the law ``counts`` of the count that stands
+    for an independent power V (one value per series term, as from
+    :func:`sr_count_pmf`), P(W > w + V).
 
     The series is truncated once its dropped weights sum to at most 1e-12
     (``_SERIES_TOL``), so up to rounding the error is one-sided:
     0 <= P(W > w) - sr_sf(w) <= 1e-12. The number of terms does not depend
     on ``w``, so the result is non-increasing in ``w`` and reaches zero with
-    the true tail. At w = 0 it is exactly one.
+    the true tail. Without ``counts`` it is exactly one at w = 0.
     """
     x, _, tails, pi = _series_terms(params, w, _SERIES_TOL)
-    return _shaped(w, np.where(x == 0.0, 1.0, np.minimum(tails @ pi, 1.0)))
+    if counts is None:
+        return _shaped(w, np.where(x == 0.0, 1.0, np.minimum(tails @ pi, 1.0)))
+    if np.shape(counts) != tails.shape:
+        raise ValueError(f"counts must hold one value per series term ({tails.size})")
+    # sum_i counts_i T_{i+k} for each k, with T_j = 0 past the last term.
+    shifted = np.convolve(counts[::-1], tails)[tails.size - 1:]
+    return _shaped(w, np.minimum(shifted @ pi, 1.0))
+
+
+def sr_count_pmf(params: SrFadingParams, scale):
+    """Law of N = Poisson(scale * W / (2 b0)) for a shadowed-Rician power W,
+    shape ``(Z,) + shape(scale)``: row i is P(N = i) for i below the term
+    count Z. It mixes NB(z + 1, 1 / (1 + scale)) over the truncated weights
+    c_z, so it is T_0 e_0 at scale zero. Each term is taken in log space, one
+    count at a time, so none underflows while it still matters and memory
+    stays at Z values per scale.
+    """
+    a = np.asarray(scale, dtype=float)
+    if np.any(a < 0):
+        raise ValueError("scale must be non-negative")
+    c, _ = _series_weights(params, _SERIES_TOL, _MAX_SERIES_TERMS)
+    n_terms = c.size
+    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(2 * n_terms - 1)])
+    log_p = -np.log1p(a.ravel())
+    with np.errstate(divide="ignore"):
+        log_q = np.log(a.ravel()) + log_p  # -inf at scale zero
+        # log c_z + (z + 1) log p - log z!: the part of term (i, z) free of i.
+        base = (np.log(c) - log_factorials[:n_terms])[:, None] + np.outer(np.arange(1.0, n_terms + 1), log_p)
+    out = np.empty((n_terms, log_p.size))
+    for i in range(n_terms):
+        log_terms = base + (log_factorials[i: i + n_terms] - log_factorials[i])[:, None]
+        if i:
+            log_terms += i * log_q
+        out[i] = np.exp(log_terms).sum(axis=0)
+    return out.reshape((n_terms,) + a.shape)
 
 
 def sr_pdf(params: SrFadingParams, w, tol: float = _SERIES_TOL):
@@ -233,8 +277,8 @@ class GaussianPattern:
     phi_3db: float
 
     def __post_init__(self):
-        if self.phi_3db <= 0:
-            raise ValueError("phi_3db must be positive")
+        if not 0 < self.phi_3db < math.inf:
+            raise ValueError("phi_3db must be positive and finite")
 
     def gain_shape(self, phi):
         phi = np.asarray(phi, dtype=float)
@@ -251,8 +295,8 @@ class FlatTopPattern:
     phi_3db: float
 
     def __post_init__(self):
-        if self.phi_3db <= 0:
-            raise ValueError("phi_3db must be positive")
+        if not 0 < self.phi_3db < math.inf:
+            raise ValueError("phi_3db must be positive and finite")
 
     def gain_shape(self, phi):
         phi = np.asarray(phi, dtype=float)

@@ -232,7 +232,7 @@ def cmd_validate(opts) -> int:
 def cmd_sample(opts) -> int:
     settings = load_settings(opts.config, _overrides(opts))
     cfg = build_system_config(settings)
-    rng = derive_rng(int(settings["mc.master_seed"]), 0)
+    rng = derive_rng(build_mc_settings(settings).master_seed, 0)
     leo_pos = sample_bpp(cfg.leo, rng)
     meo_pos = sample_dsbpp(cfg.meo, rng)
     lines = ["layer,orbit_index,sat_index,x_km,y_km,z_km"]

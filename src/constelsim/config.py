@@ -143,10 +143,17 @@ def load_settings(path: str | None = None, overrides: dict[str, str] | None = No
     return settings
 
 
+def _integer(settings: dict, key: str) -> int:
+    """``settings[key]`` as an int; it must be finite and integral."""
+    if not float(settings[key]).is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {settings[key]!r}")
+    return int(settings[key])
+
+
 def _build_pattern(settings: dict):
     pattern = settings["rx.pattern"]
     phi_3db = settings["rx.phi_3db"]
-    n_elements = int(settings["rx.n_elements"])
+    n_elements = _integer(settings, "rx.n_elements")
     if pattern == "gaussian":
         return GaussianPattern(phi_3db)
     if pattern == "flattop":
@@ -157,19 +164,19 @@ def _build_pattern(settings: dict):
 
 
 def build_system_config(settings: dict) -> SystemConfig:
-    fading = SrFadingParams(
-        m=settings["fading.m"], b0=settings["fading.b0"], omega=settings["fading.omega"],
-    )
     try:
+        fading = SrFadingParams(
+            m=settings["fading.m"], b0=settings["fading.b0"], omega=settings["fading.omega"],
+        )
         return SystemConfig(
             leo=LeoShellConfig(
-                n_sats=int(settings["leo.n_sats"]),
+                n_sats=_integer(settings, "leo.n_sats"),
                 radius_km=EARTH_RADIUS_KM + settings["leo.altitude_km"],
                 beam_angle=settings["leo.beam_angle"],
             ),
             meo=MeoShellConfig(
-                n_orbits=int(settings["meo.n_orbits"]),
-                sats_per_orbit=int(settings["meo.sats_per_orbit"]),
+                n_orbits=_integer(settings, "meo.n_orbits"),
+                sats_per_orbit=_integer(settings, "meo.sats_per_orbit"),
                 radius_km=EARTH_RADIUS_KM + settings["meo.altitude_km"],
                 beam_angle=settings["meo.beam_angle"],
             ),
@@ -202,11 +209,11 @@ def build_system_config(settings: dict) -> SystemConfig:
 
 def build_mc_settings(settings: dict) -> McSpec:
     """Monte Carlo run spec from the ``mc.*`` keys, with up to 20 batches."""
-    n_trials = int(settings["mc.n_trials"])
+    n_trials, master_seed = _integer(settings, "mc.n_trials"), _integer(settings, "mc.master_seed")
     try:
         return McSpec(
             n_trials=n_trials,
-            master_seed=int(settings["mc.master_seed"]),
+            master_seed=master_seed,
             sum_all_interferers=bool(settings["mc.sum_all_interferers"]),
             n_batches=min(20, n_trials),
         )

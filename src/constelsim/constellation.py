@@ -46,8 +46,8 @@ class LeoShellConfig:
     def __post_init__(self):
         if self.n_sats < 0:
             raise ValueError("n_sats must be non-negative")
-        if self.radius_km <= EARTH_RADIUS_KM:
-            raise ValueError("LEO shell radius must exceed the Earth radius")
+        if not EARTH_RADIUS_KM < self.radius_km < math.inf:
+            raise ValueError("LEO shell radius must be finite and exceed the Earth radius")
         if not 0 < self.beam_angle < 2 * math.pi:
             raise ValueError("beam angle must lie in (0, 2*pi)")
 
@@ -62,8 +62,8 @@ class MeoShellConfig:
     def __post_init__(self):
         if self.n_orbits < 0 or self.sats_per_orbit < 0:
             raise ValueError("orbit and satellite counts must be non-negative")
-        if self.radius_km <= EARTH_RADIUS_KM:
-            raise ValueError("MEO shell radius must exceed the Earth radius")
+        if not EARTH_RADIUS_KM < self.radius_km < math.inf:
+            raise ValueError("MEO shell radius must be finite and exceed the Earth radius")
         if not 0 < self.beam_angle < 2 * math.pi:
             raise ValueError("beam angle must lie in (0, 2*pi)")
 

@@ -85,6 +85,8 @@ class McSpec:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
         if not 1 <= self.n_batches <= self.n_trials:
@@ -243,16 +245,16 @@ def simulate(
         leo = np.cumprod(rank_fracs)
         if faithful:
             # Empirical MEO count distribution, untruncated.
-            return leo, np.array([pmf[k:].sum() for k in ks]), analytic._hybrid_convolution(leo, pmf, n_meo)
+            return leo, np.array([pmf[k:].sum() for k in ks]), analytic.hybrid_convolution(leo, pmf, n_meo)
         # Approximation-matched mode: binomial composition with the empirical
         # marginal, truncated exactly like the closed form (the cutoff is
         # taken from the closed form, not re-estimated, so its discreteness
         # cannot flip on sampling noise).
         if not n_meo:
-            return leo, np.zeros(k_max), analytic._hybrid_convolution(leo, np.array([1.0]), cutoff)
+            return leo, np.zeros(k_max), analytic.hybrid_convolution(leo, np.array([1.0]), cutoff)
         p = single_pass(pmf)
         pmf_fit = analytic.binom_pmf(np.arange(n_meo + 1), n_meo, p)
-        return leo, analytic.binom_sf(ks - 1, n_meo, p), analytic._hybrid_convolution(leo, pmf_fit, cutoff)
+        return leo, analytic.binom_sf(ks - 1, n_meo, p), analytic.hybrid_convolution(leo, pmf_fit, cutoff)
 
     loc = se = [np.full(k_max, np.nan)] * 3
     if want_loc:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.stats import kstest
 
 import constelsim.channel as channel
@@ -18,6 +18,7 @@ from constelsim.channel import (
     SincPattern,
     SrFadingParams,
     sr_cdf,
+    sr_count_pmf,
     sr_pdf,
     sr_sample,
     sr_sf,
@@ -167,6 +168,58 @@ class TestSrSf:
         monkeypatch.setattr(channel, "_MAX_SERIES_TERMS", 4)
         with pytest.raises(SeriesConvergenceError):
             sr_sf(BASE, 1.0)
+
+
+class TestSrCountPmf:
+    # Baseline fading, then strong line of sight with little scatter at two
+    # shapes: 32, 128 and 848 series terms.
+    FADINGS = {
+        "baseline": BASE,
+        "m25": SrFadingParams(m=25.0, b0=0.05, omega=3.0),
+        "m1": SrFadingParams(m=1.0, b0=0.05, omega=3.0),
+    }
+    PAIRS = ((0.0, 0.5), (0.3, 2.0), (1.0, 10.0), (2.5, 0.01), (0.05, 10.0))
+
+    @pytest.mark.parametrize("name", FADINGS)
+    def test_matches_quadrature(self, name):
+        # P(W > x + c W') for independent W, W', against adaptive quadrature
+        # of f(w') P(W > x + c w') over [0, inf), all (x, c) pairs at once.
+        fading = self.FADINGS[name]
+        x, c = (np.array(column) for column in zip(*self.PAIRS))
+        want, _ = quad_vec(lambda w: sr_pdf(fading, w) * sr_sf(fading, x + c * w), 0.0, np.inf,
+                           epsabs=1e-15, epsrel=1e-13, norm="max", limit=500)
+        got = [sr_sf(fading, xi, sr_count_pmf(fading, ci)) for xi, ci in self.PAIRS]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("name", FADINGS)
+    def test_is_a_defective_law(self, name):
+        fading = self.FADINGS[name]
+        pmf = sr_count_pmf(fading, np.array([0.0, 1e-300, 1e-8, 0.3, 10.0, 1e3, 1e8]))
+        assert np.all(pmf >= 0.0)
+        assert np.all(pmf.sum(axis=0) <= 1.0)
+
+    @pytest.mark.parametrize("name", FADINGS)
+    def test_scale_zero_is_no_count(self, name):
+        fading = self.FADINGS[name]
+        _, tails = channel._series_weights(fading, channel._SERIES_TOL, channel._MAX_SERIES_TERMS)
+        pmf = sr_count_pmf(fading, 0.0)
+        assert pmf.shape == tails.shape
+        assert np.all(pmf[1:] == 0.0)
+        assert pmf[0] == pytest.approx(tails[0], rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("name", FADINGS)
+    def test_unit_count_is_plain_survival(self, name):
+        fading = self.FADINGS[name]
+        none = np.zeros(sr_count_pmf(fading, 0.0).size)
+        none[0] = 1.0
+        w = np.linspace(0.0, 20.0 * fading.mean_power, 200)[1:]
+        np.testing.assert_array_equal(sr_sf(fading, w, none), sr_sf(fading, w))
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            sr_count_pmf(BASE, -0.1)
+        with pytest.raises(ValueError):
+            sr_sf(BASE, 1.0, np.ones(3))
 
 
 class TestSrPdf:

@@ -109,6 +109,22 @@ class TestValidate:
         code, _ = run(tmp_path, "validate", "--trials", "200", "--metrics", "coverage")
         assert code == 2
 
+    # Values the parser accepts but the model cannot run: non-finite or
+    # fractional counts, non-finite radii, bad fading, a negative seed.
+    BAD_VALUES = [
+        "fading.m=inf", "fading.b0=0", "leo.altitude_km=nan", "meo.altitude_km=inf",
+        "leo.n_sats=inf", "mc.n_trials=inf", "mc.master_seed=inf", "rx.n_elements=inf",
+        "mc.master_seed=-1", "leo.n_sats=2.5", "rx.phi_3db=nan",
+    ]
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_bad_value_exits_two(self, tmp_path, capsys, bad):
+        # --trials would override mc.n_trials.
+        trials = [] if bad.startswith("mc.n_trials") else ["--trials", "20"]
+        code, text = run(tmp_path, "validate", "--metrics", "availability", "--set", bad, *trials)
+        assert code == 2 and text is None
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestSample:
     def test_one_row_per_satellite(self, tmp_path):
@@ -118,6 +134,11 @@ class TestSample:
         assert table[0] == ["layer", "orbit_index", "sat_index", "x_km", "y_km", "z_km"]
         assert [r[0] for r in table[1:]] == ["leo"] * 5 + ["meo"] * 12
         assert [(r[1], r[2]) for r in table[-12:]] == [(str(o), str(s)) for o in range(2) for s in range(6)]
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        code, text = run(tmp_path, "sample", "--set", "mc.master_seed=-1")
+        assert code == 2 and text is None
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestEmitConfig:

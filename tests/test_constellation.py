@@ -211,7 +211,7 @@ class TestDsbpp:
         cfg = MeoShellConfig(1, 1, 26371.0, math.pi / 6)
         rng = derive_rng(4)
         n = 100_000
-        pts = np.vstack([sample_dsbpp(cfg, rng) for _ in range(n)])
+        pts = sample_dsbpp(cfg, rng, size=n)[:, 0]
         z_bin = np.minimum((pts[:, 2] / 26371.0 + 1.0) / 2.0 * 8.0, 7.9999).astype(int)
         az = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * math.pi)
         az_bin = np.minimum(az / (2 * math.pi) * 6.0, 5.9999).astype(int)

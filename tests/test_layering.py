@@ -1,0 +1,56 @@
+"""Layering guard: a module of the package uses only the public names of
+its sibling modules. Underscore names (the fading kernel's weights and
+Poisson matrix, say) stay inside the module that defines them."""
+
+import ast
+from pathlib import Path
+
+import constelsim
+
+PACKAGE = Path(constelsim.__file__).resolve().parent
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_uses(path: Path) -> list[str]:
+    """``module.name`` of every underscore name that the module at ``path``
+    imports from, or reads as an attribute of, another package module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {}  # local name -> package module it is bound to
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("constelsim")):
+            source = (node.module or "").removeprefix("constelsim").lstrip(".")
+            for alias in node.names:
+                if not source:  # ``from . import analytic``
+                    modules[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    uses.append(f"{source}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("constelsim.") and alias.asname:
+                    modules[alias.asname] = alias.name.removeprefix("constelsim.")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            uses.append(f"{modules[node.value.id]}.{node.attr}")
+    return uses
+
+
+def test_no_module_reaches_into_another():
+    found = {path.name: private_uses(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_guard_sees_both_forms(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import analytic\n"
+        "from .channel import _series_weights, sr_sf\n"
+        "import constelsim.geom as g\n"
+        "analytic._hybrid(analytic.evaluate, g._helper, analytic.__name__)\n",
+        encoding="utf-8",
+    )
+    assert sorted(private_uses(probe)) == ["analytic._hybrid", "channel._series_weights", "geom._helper"]
