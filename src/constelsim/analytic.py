@@ -17,11 +17,12 @@ beam's effective range, otherwise a single interferer is placed uniformly in
 that cap and its power is taken at the serving satellite's range. MEO beams
 are noise limited.
 
-:func:`evaluate` returns one metric for every K = 1..k_max at once. It runs
-one rank-coverage pass per config, whose per-rank probabilities give the LEO
-values for all K, computes the MEO single-satellite probabilities once, and
-mixes the layers in one convolution. The per-K functions
-(``leo_availability`` ... ``hybrid_localizability``) read their value off it.
+:func:`evaluate` returns one metric for every K = 1..k_max at once. It builds
+the LEO values for all K (a binomial tail, or the running product of the
+per-rank probabilities from one rank-coverage pass) and the MEO count law
+(binomial in the single-satellite probability), and :func:`compose` turns
+them into the LEO, MEO and hybrid arrays. The Monte Carlo estimates compose
+through the same function.
 
 Every integral goes through :func:`integrate_adaptive`, a globally adaptive
 Gauss-Kronrod 10/21 rule (QUADPACK's pair) that evaluates its integrand on
@@ -30,15 +31,15 @@ partition. The rank-coverage pass nests no integral. The interferer's
 fading and angle reduce to one count law in the fading series
 (:func:`~constelsim.channel.sr_count_pmf`), averaged over the interferer cap
 by one vector-valued integral per config; the serving angle then carries
-every rank at once, one survival series per node. The binomial laws
-(:func:`binom_sf`, :func:`binom_pmf`) read one pmf built by a ratio
-recurrence out from its mode, so the module needs nothing beyond numpy.
+every rank at once, one survival series per node. The binomial law
+(:func:`binom_law`) is built by a ratio recurrence out from its mode, so the
+module needs nothing beyond numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,26 +75,8 @@ class QuadratureError(RuntimeError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    relative_tolerance: float = 1e-8
-    absolute_tolerance: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.relative_tolerance <= 0 or self.absolute_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-
-    def tighter(self, factor: float = 10.0) -> "QuadratureSpec":
-        """Spec for an inner integral nested under this one."""
-        return replace(
-            self,
-            relative_tolerance=self.relative_tolerance / factor,
-            absolute_tolerance=self.absolute_tolerance / factor,
-        )
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# Most panels integrate_adaptive may use before it gives up.
+MAX_PANELS = 200
 
 
 # Gauss-Kronrod 10/21 pair on [-1, 1] (QUADPACK's dqk21; Piessens et al.,
@@ -146,7 +129,7 @@ def _gk21_panels(func, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
     return kronrod * half, (error * half).reshape(-1, lo.size).max(axis=0)
 
 
-def integrate_adaptive(func, a: float, b: float, spec: QuadratureSpec, label: str):
+def integrate_adaptive(func, a: float, b: float, rtol: float, label: str):
     """Integral of ``func`` over [a, b] by globally adaptive Gauss-Kronrod
     10/21 quadrature; raises :class:`QuadratureError` on failure.
 
@@ -156,9 +139,8 @@ def integrate_adaptive(func, a: float, b: float, spec: QuadratureSpec, label: st
     bisects the panels with the largest error estimates, as many as it
     takes for the others to hold at most half the tolerance, and evaluates
     ``func`` once on every new node. It stops when the summed error is within
-    max(absolute tolerance, relative tolerance * largest |component|), and
-    fails when that would take more than ``spec.max_subdivisions`` panels or
-    the integrand is not finite.
+    max(1e-4 * rtol, rtol * largest |component|), and fails when that would
+    take more than ``MAX_PANELS`` panels or the integrand is not finite.
     """
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
     value, error = _gk21_panels(func, lo, hi)
@@ -168,10 +150,10 @@ def integrate_adaptive(func, a: float, b: float, spec: QuadratureSpec, label: st
         total_error = float(error.sum())
         if not math.isfinite(total_error):
             raise QuadratureError(label, scale, total_error, detail="non-finite integrand")
-        tol = max(spec.absolute_tolerance, spec.relative_tolerance * scale)
+        tol = max(1e-4 * rtol, rtol * scale)
         if total_error <= tol:
             return float(total) if total.ndim == 0 else total
-        room = spec.max_subdivisions - lo.size
+        room = MAX_PANELS - lo.size
         if room <= 0:
             raise QuadratureError(label, scale, total_error, detail=f"{lo.size} panels")
         order = np.argsort(-error)
@@ -245,13 +227,6 @@ def _snr_threshold_scale(link: LinkParams, geom: SphereGeometry, theta) -> np.nd
 # Availability
 # ---------------------------------------------------------------------------
 
-def leo_availability(config: SystemConfig, k_min: int) -> float:
-    """Probability that at least ``k_min`` LEO satellites are detectable."""
-    if k_min < 0:
-        raise ValueError("k_min must be non-negative")
-    return _at_level(config, "availability", "leo", k_min)
-
-
 def meo_single_availability(config: SystemConfig) -> float:
     """Probability that one given MEO satellite is detectable.
 
@@ -263,17 +238,6 @@ def meo_single_availability(config: SystemConfig) -> float:
     return float(_cap_fraction(config.meo_theta_max))
 
 
-def meo_availability(config: SystemConfig, k_min: int) -> float:
-    """Probability that at least ``k_min`` MEO satellites are detectable.
-
-    Satellites are treated as independent with the single-satellite
-    probability; same-orbit correlation is ignored.
-    """
-    if k_min < 0:
-        raise ValueError("k_min must be non-negative")
-    return _at_level(config, "availability", "meo", k_min)
-
-
 def n_meo_max(config: SystemConfig) -> int:
     """Smallest satellite count whose exceedance probability is below
     epsilon; zero for an empty MEO layer.
@@ -282,12 +246,12 @@ def n_meo_max(config: SystemConfig) -> int:
     is at most epsilon.
     """
     n = config.meo.n_sats
-    # The tail is non-increasing in k, so this counts the k below the first
+    # The tail is non-increasing in K, so this counts the K below the first
     # one whose tail is at most epsilon.
-    return int(np.count_nonzero(binom_sf(np.arange(n), n, meo_single_availability(config)) > config.epsilon))
+    return int(np.count_nonzero(_tail(binom_law(n, meo_single_availability(config)), n) > config.epsilon))
 
 
-def _binom_law(n: int, p: float) -> np.ndarray:
+def binom_law(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) pmf for k = 0..n, from the ratio
     P(k + 1) / P(k) = (n - k) / (k + 1) * p / (1 - p) run out from the mode
     in both directions, then normalised. Every value is a product of
@@ -307,44 +271,32 @@ def _binom_law(n: int, p: float) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def binom_sf(k, n: int, p: float):
-    """P(X > k) for X ~ Binomial(n, p), elementwise over integer ``k``:
-    one for k < 0, zero for k >= n."""
-    k = np.asarray(k)
-    tail = np.append(np.cumsum(_binom_law(n, p)[::-1])[::-1], 0.0)  # P(X >= j), j = 0..n+1
-    return np.where(k < 0, 1.0, tail[np.clip(k + 1, 0, n + 1).astype(int)])
+def _tail(law: np.ndarray, k_max: int) -> np.ndarray:
+    """P(N >= K) for K = 1..k_max, where N has the pmf ``law`` on 0, 1, ...;
+    summed from the far end, so small tails keep their relative accuracy,
+    and zero past the law's end."""
+    tail = np.cumsum(law[::-1])[::-1][1:]
+    return np.concatenate([tail, np.zeros(max(0, k_max - tail.size))])[:k_max]
 
 
-def binom_pmf(k, n: int, p: float):
-    """P(X = k) for X ~ Binomial(n, p), elementwise over integer ``k``; zero
-    outside [0, n]."""
-    k = np.asarray(k)
-    return np.where((k >= 0) & (k <= n), _binom_law(n, p)[np.clip(k, 0, n).astype(int)], 0.0)
-
-
-def hybrid_convolution(leo: np.ndarray, meo_pmf: np.ndarray, cutoff: int) -> np.ndarray:
-    """Mix per-K LEO values with a MEO count distribution, for K = 1..len(leo).
+def compose(leo: np.ndarray, meo_law: np.ndarray, cutoff: int) -> dict[str, np.ndarray]:
+    """LEO, MEO and hybrid values for K = 1..len(leo), keyed by system.
 
     ``leo[K - 1]`` is the probability that the LEO layer alone supplies K
-    satellites (zero past the LEO population). With ``j`` MEO satellites
-    counted, the LEO layer must supply the remaining ``K - j``; counts
-    beyond ``cutoff`` are dropped (their total mass is below epsilon by
-    construction), and so are counts ``meo_pmf`` does not cover.
+    satellites (zero past the LEO population), and ``meo_law`` is the law
+    of the MEO count; the MEO value is its tail. The hybrid counts MEO
+    satellites first: with ``j`` of them, the LEO layer must supply the
+    remaining ``K - j``. Counts beyond ``cutoff`` are dropped (their total
+    mass is below epsilon by construction), and so are counts the law does
+    not cover.
     """
     k_max = len(leo)
-    total = np.zeros(k_max)
-    for j in range(min(cutoff, len(meo_pmf) - 1) + 1):
+    hybrid = np.zeros(k_max)
+    for j in range(min(cutoff, len(meo_law) - 1) + 1):
         # LEO value for K - j, zero where j >= K (those K are covered below).
-        total += np.concatenate([np.zeros(j), leo])[:k_max] * meo_pmf[j]
-    return total + np.array([meo_pmf[k: cutoff + 1].sum() for k in range(1, k_max + 1)])
-
-
-def hybrid_availability(config: SystemConfig, k_min: int) -> float:
-    """Probability that LEO and MEO layers together provide ``k_min``
-    detectable satellites."""
-    if k_min < 1:
-        raise ValueError("k_min must be at least 1")
-    return _at_level(config, "availability", "hybrid", k_min)
+        hybrid += np.concatenate([np.zeros(j), leo])[:k_max] * meo_law[j]
+    hybrid += np.array([meo_law[k: cutoff + 1].sum() for k in range(1, k_max + 1)])
+    return {"leo": leo, "meo": _tail(meo_law, k_max), "hybrid": hybrid}
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +345,7 @@ def leo_interference_cap(config: SystemConfig) -> tuple[float, float]:
 # Localizability
 # ---------------------------------------------------------------------------
 
-def _leo_sinr_pass_function(config: SystemConfig, quad_spec: QuadratureSpec):
+def _leo_sinr_pass_function(config: SystemConfig, rtol: float):
     """Build P_pass(theta): probability that a LEO beam served from central
     angle theta clears the SINR threshold under the interference mixture,
     elementwise over an array of serving angles.
@@ -412,12 +364,12 @@ def _leo_sinr_pass_function(config: SystemConfig, quad_spec: QuadratureSpec):
         shape = config.rx_pattern.gain_shape(dome_from_central(geom, theta_i))
         return sr_count_pmf(fading, link.sinr_threshold * shape) * (np.sin(theta_i) / cap)
 
-    counts = (1.0 - p_zero) * integrate_adaptive(over_angle, 0.0, theta_d, quad_spec.tighter(), "interferer count law")
+    counts = (1.0 - p_zero) * integrate_adaptive(over_angle, 0.0, theta_d, rtol / 10, "interferer count law")
     counts[0] += p_zero
     return lambda theta: sr_sf(fading, _snr_threshold_scale(link, geom, theta) * link.noise_power_w, counts)
 
 
-def leo_rank_coverage_probs(config: SystemConfig, k_max: int, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
+def leo_rank_coverage_probs(config: SystemConfig, k_max: int, rtol: float = 1e-8) -> np.ndarray:
     """Per-rank probabilities that the k-th nearest LEO satellite is
     detectable and clears the SINR threshold, for k = 1..k_max.
 
@@ -431,29 +383,19 @@ def leo_rank_coverage_probs(config: SystemConfig, k_max: int, quad_spec: Quadrat
     ranks = [k for k in range(1, min(k_max, n) + 1)]
     if not ranks:
         return np.zeros(k_max)
-    p_pass = _leo_sinr_pass_function(config, quad_spec)
+    p_pass = _leo_sinr_pass_function(config, rtol)
 
     def integrand(theta):
         densities = np.array([leo_contact_angle_pdf(config, k, theta) for k in ranks])
         return densities * p_pass(theta)
 
-    result = integrate_adaptive(integrand, 0.0, config.leo_theta_max, quad_spec, label="rank coverage")
+    result = integrate_adaptive(integrand, 0.0, config.leo_theta_max, rtol, label="rank coverage")
     out = np.zeros(k_max)
     out[: len(ranks)] = np.clip(result, 0.0, 1.0)
     return out
 
 
-def leo_localizability(config: SystemConfig, k_min: int, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Probability that the k_min nearest LEO satellites all clear their
-    SINR thresholds (per-rank probabilities multiplied)."""
-    if k_min < 0:
-        raise ValueError("k_min must be non-negative")
-    if k_min > config.leo.n_sats:
-        return 0.0  # without running a pass over every rank
-    return _at_level(config, "localizability", "leo", k_min, quad_spec)
-
-
-def meo_single_localizability(config: SystemConfig, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def meo_single_localizability(config: SystemConfig, rtol: float = 1e-8) -> float:
     """Probability that one MEO satellite is detectable and clears its
     (noise-limited) SNR threshold."""
     geom = config.meo_geom
@@ -467,23 +409,7 @@ def meo_single_localizability(config: SystemConfig, quad_spec: QuadratureSpec = 
         x = _snr_threshold_scale(link, geom, theta) * link.noise_power_w
         return 0.5 * np.sin(theta) * sr_sf(fading, x)
 
-    return integrate_adaptive(integrand, 0.0, theta_max, quad_spec, label="meo single-satellite localizability")
-
-
-def meo_localizability(config: SystemConfig, k_min: int, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Probability that at least ``k_min`` MEO satellites are localizable."""
-    if k_min < 0:
-        raise ValueError("k_min must be non-negative")
-    return _at_level(config, "localizability", "meo", k_min, quad_spec)
-
-
-def hybrid_localizability(config: SystemConfig, k_min: int, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Localizability of the two-layer system: MEO satellites are used first,
-    LEO ranks fill the remainder; same convolution and truncation as
-    hybrid availability."""
-    if k_min < 1:
-        raise ValueError("k_min must be at least 1")
-    return _at_level(config, "localizability", "hybrid", k_min, quad_spec)
+    return integrate_adaptive(integrand, 0.0, theta_max, rtol, label="meo single-satellite localizability")
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +425,18 @@ def evaluate(
     metric: str,
     systems: tuple[str, ...],
     k_max: int,
-    quad_spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    rtol: float = 1e-8,
 ) -> dict[str, np.ndarray]:
     """Closed-form ``metric`` for K = 1..k_max, one array per system.
 
-    The LEO values are built once and the hybrid values derived from them:
-    availability is the binomial tail of the detectable count, and
+    It builds the LEO values, the MEO count law and the truncation cutoff
+    once, and :func:`compose` derives every system from them. LEO
+    availability is the binomial tail of the detectable count, and LEO
     localizability the running product of the per-rank probabilities from
-    one rank-coverage pass (zero past the LEO population). That pass runs
-    only when ``"leo"`` or ``"hybrid"`` is requested. The MEO
-    single-satellite probability and the truncation cutoff are computed
-    once, and one convolution covers every K.
+    one rank-coverage pass (zero past the LEO population); the MEO count is
+    binomial in the single-satellite probability. A layer no requested
+    system needs keeps the neutral values: no LEO satellite, a MEO count of
+    zero, and no MEO counts mixed in.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric '{metric}'")
@@ -517,33 +444,17 @@ def evaluate(
         raise ValueError(f"systems must be drawn from {SYSTEMS}")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    ks = np.arange(1, k_max + 1)
-    out = {}
+    leo, meo_law, cutoff = np.zeros(k_max), np.array([1.0]), 0
     if "leo" in systems or "hybrid" in systems:
-        n = config.leo.n_sats
         if metric == "availability":
-            out["leo"] = binom_sf(ks - 1, n, _cap_fraction(config.leo_theta_max))
+            leo = _tail(binom_law(config.leo.n_sats, _cap_fraction(config.leo_theta_max)), k_max)
         else:
-            out["leo"] = np.zeros(k_max)
-            k_eff = min(k_max, n)
-            if k_eff >= 1:
-                out["leo"][:k_eff] = np.cumprod(leo_rank_coverage_probs(config, k_eff, quad_spec))
+            leo = np.cumprod(leo_rank_coverage_probs(config, k_max, rtol))
     if "meo" in systems or "hybrid" in systems:
-        n = config.meo.n_sats
         if metric == "availability":
             p1 = meo_single_availability(config)
         else:
-            p1 = meo_single_localizability(config, quad_spec)
-        out["meo"] = binom_sf(ks - 1, n, p1)
-        if "hybrid" in systems:
-            cutoff = n_meo_max(config)
-            pmf = binom_pmf(np.arange(cutoff + 1), n, p1)
-            out["hybrid"] = hybrid_convolution(out["leo"], pmf, cutoff)
+            p1 = meo_single_localizability(config, rtol)
+        meo_law, cutoff = binom_law(config.meo.n_sats, p1), n_meo_max(config)
+    out = compose(leo, meo_law, cutoff)
     return {system: out[system] for system in systems}
-
-
-def _at_level(config: SystemConfig, metric: str, system: str, k_min: int, quad_spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """One value of :func:`evaluate`; at least zero satellites is certain."""
-    if k_min == 0:
-        return 1.0
-    return float(evaluate(config, metric, (system,), k_min, quad_spec)[system][k_min - 1])

@@ -18,7 +18,6 @@ import sys
 from dataclasses import dataclass, replace
 
 from . import analytic
-from .analytic import QuadratureSpec
 from .config import (
     ConfigError,
     build_mc_settings,
@@ -29,18 +28,20 @@ from .config import (
 from .constellation import derive_rng, sample_bpp, sample_dsbpp
 from .mc import run_validation, simulate, validation_csv
 
-# Sweepable parameter names and how they land in the settings dict.
-# n_meo sets the total MEO count; the closed forms depend only on the total.
+# Sweepable parameter names, the settings key each sets and the layer it
+# affects. n_meo sets the total MEO count; the closed forms depend only on
+# the total. Swept values are stored as floats, so a count must be whole
+# when the settings are built, as for --set.
 _SWEEP_PARAMS = {
-    "n_leo": ("leo.n_sats", int, "leo"),
-    "n_meo": (None, int, "meo"),
-    "n_orbits": ("meo.n_orbits", int, "meo"),
-    "sats_per_orbit": ("meo.sats_per_orbit", int, "meo"),
-    "h_leo": ("leo.altitude_km", float, "leo"),
-    "h_meo": ("meo.altitude_km", float, "meo"),
-    "phi_leo_deg": ("leo.beam_angle", float, "leo"),
-    "phi_meo_deg": ("meo.beam_angle", float, "meo"),
-    "phi_3db_deg": ("rx.phi_3db", float, None),
+    "n_leo": ("leo.n_sats", "leo"),
+    "n_meo": (None, "meo"),
+    "n_orbits": ("meo.n_orbits", "meo"),
+    "sats_per_orbit": ("meo.sats_per_orbit", "meo"),
+    "h_leo": ("leo.altitude_km", "leo"),
+    "h_meo": ("meo.altitude_km", "meo"),
+    "phi_leo_deg": ("leo.beam_angle", "leo"),
+    "phi_meo_deg": ("meo.beam_angle", "meo"),
+    "phi_3db_deg": ("rx.phi_3db", None),
 }
 
 
@@ -59,32 +60,36 @@ def _parse_sweep(text: str) -> SweepAxis:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"sweep range must be min:max:step, got '{spec}'")
-    lo, hi, step = (float(p) for p in parts)
+    try:
+        lo, hi, step = (float(p) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"sweep range must be numbers, got '{spec}'") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError(f"sweep range must be finite, got '{spec}'")
     if step <= 0:
         raise ConfigError("sweep step must be positive")
     if hi < lo:
         raise ConfigError("sweep max must not be below min")
-    caster = _SWEEP_PARAMS[name][1]
     # Each point is computed from its index, so rounding does not accumulate.
     count = math.floor((hi - lo) / step + 1e-9 * max(1.0, abs(hi)) / step) + 1
-    return SweepAxis(name=name, values=[caster(round(lo + i * step, 12)) for i in range(count)])
+    return SweepAxis(name=name, values=[round(lo + i * step, 12) for i in range(count)])
 
 
 def _apply_axis(settings: dict, name: str, value) -> dict:
     out = dict(settings)
-    key, caster, _layer = _SWEEP_PARAMS[name]
+    key = _SWEEP_PARAMS[name][0]
     if name == "n_meo":
-        out["meo.n_orbits"] = int(value)
+        out["meo.n_orbits"] = value
         out["meo.sats_per_orbit"] = 1
     elif name.startswith("phi_"):
-        out[key] = math.radians(float(value))
+        out[key] = math.radians(value)
     else:
-        out[key] = caster(value)
+        out[key] = value
     return out
 
 
 def _check_axis_system(name: str, system: str):
-    layer = _SWEEP_PARAMS[name][2]
+    layer = _SWEEP_PARAMS[name][1]
     if layer == "leo" and system == "meo":
         raise ConfigError(f"sweep parameter '{name}' does not affect the meo system")
     if layer == "meo" and system == "leo":
@@ -101,19 +106,20 @@ def _parse_k_list(text: str) -> list[int]:
         raise ConfigError(f"bad K list '{text}'") from exc
     if any(k < 1 for k in ks):
         raise ConfigError("K values must be at least 1")
+    _check_unique("K", ks)
     return ks
 
 
-# Unused by the CLI. perfbench/tests/test_bench.py reads this entry to check
-# that its tracer rebinds functions held in module-level dicts.
-_ANALYTIC = {("localizability", "hybrid"): analytic.hybrid_localizability}
+def _check_unique(what: str, entries: list):
+    if len(set(entries)) != len(entries):
+        raise ConfigError(f"{what} list repeats an entry: {','.join(map(str, entries))}")
 
 
-def _analytic_values(settings, metric, system, ks, quad_spec):
+def _analytic_values(settings, metric, system, ks, rtol):
     cfg = build_system_config(settings)
     if not ks:
         return []
-    values = analytic.evaluate(cfg, metric, (system,), max(ks), quad_spec)[system]
+    values = analytic.evaluate(cfg, metric, (system,), max(ks), rtol)[system]
     return [float(values[k - 1]) for k in ks]
 
 
@@ -129,8 +135,8 @@ def _format_row(values) -> str:
 
 
 def _curve_point(args):
-    settings, metric, system, ks, quad_spec, with_mc, mc_spec = args
-    row = _analytic_values(settings, metric, system, ks, quad_spec)
+    settings, metric, system, ks, rtol, with_mc, mc_spec = args
+    row = _analytic_values(settings, metric, system, ks, rtol)
     if with_mc and ks:
         for value, se in _mc_values(settings, metric, system, ks, mc_spec):
             row.extend([value, se])
@@ -157,7 +163,6 @@ def cmd_curve(opts) -> int:
     axis = axes[0]
     _check_axis_system(axis.name, opts.system)
     ks = _parse_k_list(opts.k_values)
-    quad_spec = QuadratureSpec(relative_tolerance=opts.rtol, absolute_tolerance=opts.rtol * 1e-4)
     mc_spec = build_mc_settings(settings)
 
     header = ["x"] + [f"{opts.metric}_K{k}" for k in ks]
@@ -165,7 +170,7 @@ def cmd_curve(opts) -> int:
         for k in ks:
             header.extend([f"{opts.metric}_K{k}_mc", f"{opts.metric}_K{k}_se"])
     tasks = [
-        (_apply_axis(settings, axis.name, value), opts.metric, opts.system, ks, quad_spec, opts.mc, mc_spec)
+        (_apply_axis(settings, axis.name, value), opts.metric, opts.system, ks, opts.rtol, opts.mc, mc_spec)
         for value in axis.values
     ]
     rows = _map_points(tasks, opts.jobs)
@@ -190,13 +195,12 @@ def cmd_heatmap(opts) -> int:
     if len(ks) != 1:
         raise ConfigError("heatmap needs exactly one K value")
     k = ks[0]
-    quad_spec = QuadratureSpec(relative_tolerance=opts.rtol, absolute_tolerance=opts.rtol * 1e-4)
 
     tasks = []
     for n_leo in leo_axis.values:
         for n_meo in meo_axis.values:
             point = _apply_axis(_apply_axis(settings, "n_leo", n_leo), "n_meo", n_meo)
-            tasks.append((point, opts.metric, "hybrid", [k], quad_spec, False, None))
+            tasks.append((point, opts.metric, "hybrid", [k], opts.rtol, False, None))
     values = _map_points(tasks, opts.jobs)
     lines = ["n_leo,n_meo,value"]
     idx = 0
@@ -213,12 +217,12 @@ def cmd_validate(opts) -> int:
     cfg = build_system_config(settings)
     ks = _parse_k_list(opts.k_values)
     spec = replace(build_mc_settings(settings), k_max=max(ks) if ks else 6)
-    quad_spec = QuadratureSpec(relative_tolerance=opts.rtol, absolute_tolerance=opts.rtol * 1e-4)
     metrics = tuple(opts.metrics.split(",")) if opts.metrics else ("availability", "localizability")
     for metric in metrics:
         if metric not in ("availability", "localizability"):
             raise ConfigError(f"unknown metric '{metric}'")
-    rows = run_validation(cfg, spec, quad_spec, metrics=metrics)
+    _check_unique("metric", metrics)
+    rows = run_validation(cfg, spec, opts.rtol, metrics=metrics)
     if ks:
         rows = [r for r in rows if r.k in ks]
     _write(opts.out, validation_csv(rows))
@@ -328,6 +332,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     opts = parser.parse_args(argv)
     try:
+        if not 0 < opts.rtol < math.inf:  # false for NaN too
+            raise ConfigError(f"--rtol must be positive and finite, got {opts.rtol}")
         return opts.fn(opts)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

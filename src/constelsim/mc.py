@@ -41,8 +41,9 @@ around the target), which moves per-rank pass rates by several percent.
 
 The availability estimates are plain trial fractions. The localizability
 estimates mirror the closed-form metric, which multiplies per-rank
-probabilities: per-rank pass fractions are estimated and composed exactly as
-the analytic expressions compose theirs.
+probabilities: per-rank pass fractions and the MEO pass-count law are
+estimated and go through the closed forms' own
+:func:`~constelsim.analytic.compose`.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .analytic import KM_TO_M, SYSTEMS, SystemConfig, QuadratureSpec, DEFAULT_QUADRATURE
+from .analytic import KM_TO_M, SYSTEMS, SystemConfig
 from .channel import LinkParams, SrFadingParams, sr_sample
 from .constellation import (
     TARGET_DIRECTION,
@@ -241,20 +242,13 @@ def simulate(
 
     def loc_estimates(rank_fracs, pmf):
         """LEO, MEO and hybrid localizability from per-rank pass fractions
-        and the MEO pass-count distribution."""
-        leo = np.cumprod(rank_fracs)
-        if faithful:
-            # Empirical MEO count distribution, untruncated.
-            return leo, np.array([pmf[k:].sum() for k in ks]), analytic.hybrid_convolution(leo, pmf, n_meo)
-        # Approximation-matched mode: binomial composition with the empirical
-        # marginal, truncated exactly like the closed form (the cutoff is
-        # taken from the closed form, not re-estimated, so its discreteness
-        # cannot flip on sampling noise).
-        if not n_meo:
-            return leo, np.zeros(k_max), analytic.hybrid_convolution(leo, np.array([1.0]), cutoff)
-        p = single_pass(pmf)
-        pmf_fit = analytic.binom_pmf(np.arange(n_meo + 1), n_meo, p)
-        return leo, analytic.binom_sf(ks - 1, n_meo, p), analytic.hybrid_convolution(leo, pmf_fit, cutoff)
+        and the MEO pass-count distribution. Faithful mode composes the
+        empirical count law, untruncated. Approximation-matched mode
+        composes its binomial fit, truncated exactly like the closed form
+        (the cutoff is taken from the closed form, not re-estimated, so its
+        discreteness cannot flip on sampling noise)."""
+        law = pmf if faithful else analytic.binom_law(n_meo, single_pass(pmf))
+        return list(analytic.compose(np.cumprod(rank_fracs), law, cutoff).values())
 
     loc = se = [np.full(k_max, np.nan)] * 3
     if want_loc:
@@ -290,9 +284,8 @@ class ValidationRow:
 def run_validation(
     config: SystemConfig,
     spec: McSpec,
-    quad_spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    rtol: float = 1e-8,
     metrics: tuple[str, ...] = ("availability", "localizability"),
-    systems: tuple[str, ...] = ("leo", "meo", "hybrid"),
 ) -> list[ValidationRow]:
     """Compare every closed-form expression against the simulation.
 
@@ -303,8 +296,8 @@ def run_validation(
     summary = simulate(config, spec, metrics)
     rows: list[ValidationRow] = []
     for metric in metrics:
-        closed_forms = analytic.evaluate(config, metric, systems, spec.k_max, quad_spec)
-        for system in systems:
+        closed_forms = analytic.evaluate(config, metric, SYSTEMS, spec.k_max, rtol)
+        for system in SYSTEMS:
             values, errors = summary.estimate(metric, system)
             for k in range(1, spec.k_max + 1):
                 ana = float(closed_forms[system][k - 1])

@@ -12,7 +12,7 @@ from scipy.stats import binom, chisquare, kstest
 
 import constelsim
 import constelsim.analytic as an
-from constelsim.analytic import QuadratureSpec, SystemConfig
+from constelsim.analytic import SystemConfig
 from constelsim.config import build_system_config, default_config, load_settings
 from constelsim.constellation import (
     LeoShellConfig,
@@ -20,6 +20,7 @@ from constelsim.constellation import (
     central_angle_to_target,
     derive_rng,
     sample_bpp,
+    sample_bpp_cap,
     sample_dsbpp,
 )
 from constelsim.geom import max_detect_distance, max_orbit_central_angle
@@ -31,6 +32,11 @@ def config_with(**settings_overrides) -> SystemConfig:
     return build_system_config(load_settings(overrides=settings_overrides))
 
 
+def values(cfg, metric, system, k_max):
+    """``metric`` of one system for K = 1..k_max."""
+    return an.evaluate(cfg, metric, (system,), k_max)[system]
+
+
 def with_leo_threshold(cfg, gamma):
     return replace(cfg, leo_link=replace(cfg.leo_link, sinr_threshold=gamma))
 
@@ -40,36 +46,34 @@ def with_meo_threshold(cfg, gamma):
 
 
 class TestLeoAvailability:
-    def test_zero_level(self):
-        assert an.leo_availability(CFG, 0) == 1.0
-
     def test_single_satellite(self):
         cfg = config_with(**{"leo.n_sats": "1"})
         p = 0.5 * (1 - math.cos(cfg.leo_theta_max))
-        assert an.leo_availability(cfg, 1) == pytest.approx(p, rel=1e-12)
+        assert values(cfg, "availability", "leo", 1)[0] == pytest.approx(p, rel=1e-12)
 
     def test_beyond_population(self):
-        assert an.leo_availability(CFG, CFG.leo.n_sats + 1) == 0.0
+        assert values(CFG, "availability", "leo", CFG.leo.n_sats + 1)[-1] == 0.0
 
     def test_baseline_matches_simulation(self):
-        # counting oracle over full constellation draws
+        # Counting oracle over full constellation draws, whole shells in
+        # batches: a cap of angle pi holds Binomial(N, 1) = N satellites.
         rng = derive_rng(31)
-        theta_max = CFG.leo_theta_max
-        n_draws = 20_000
-        hits = 0
-        for _ in range(n_draws):
-            angles = central_angle_to_target(sample_bpp(CFG.leo, rng))
-            hits += int((angles <= theta_max).sum() >= 3)
-        want = an.leo_availability(CFG, 3)
+        cos_max = math.cos(CFG.leo_theta_max)
+        n_draws, batch = 20_000, 250
+        hits = sum(
+            int(np.count_nonzero((sample_bpp_cap(CFG.leo, rng, math.pi, batch)[0] >= cos_max).sum(axis=1) >= 3))
+            for _ in range(n_draws // batch)
+        )
+        want = values(CFG, "availability", "leo", 3)[2]
         assert want == pytest.approx(0.3706, abs=5e-4)
         se = math.sqrt(want * (1 - want) / n_draws)
         assert abs(hits / n_draws - want) < 3 * se
 
     def test_monotone_in_k_and_population(self):
-        values = [an.leo_availability(CFG, k) for k in range(8)]
-        assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+        levels = values(CFG, "availability", "leo", 7)
+        assert np.all(np.diff(levels) <= 1e-15)
         sizes = [100, 500, 1000, 2000, 4000]
-        grown = [an.leo_availability(config_with(**{"leo.n_sats": str(n)}), 4) for n in sizes]
+        grown = [values(config_with(**{"leo.n_sats": str(n)}), "availability", "leo", 4)[3] for n in sizes]
         assert all(b >= a - 1e-15 for a, b in zip(grown, grown[1:]))
 
 
@@ -150,29 +154,31 @@ class TestMeoAvailability:
         assert an.meo_single_availability(cfg) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_degenerate_counts(self):
-        assert an.meo_availability(CFG, 0) == 1.0
         cfg = config_with(**{"meo.n_orbits": "1", "meo.sats_per_orbit": "1"})
-        assert an.meo_availability(cfg, 1) == pytest.approx(an.meo_single_availability(cfg), rel=1e-10)
+        got = values(cfg, "availability", "meo", 1)[0]
+        assert got == pytest.approx(an.meo_single_availability(cfg), rel=1e-10)
 
     def test_is_binomial_tail(self):
         p1 = an.meo_single_availability(CFG)
-        for k in range(1, 7):
-            assert an.meo_availability(CFG, k) == pytest.approx(float(binom.sf(k - 1, 12, p1)), rel=1e-12)
+        want = binom.sf(np.arange(6), 12, p1)
+        np.testing.assert_allclose(values(CFG, "availability", "meo", 6), want, rtol=1e-12, atol=1e-12)
 
     def test_orbit_correlation_gap_is_as_documented(self):
         # the closed form ignores that same-orbit satellites share their
         # orbit's visibility arc; against the exact count law the error at
         # the baseline configuration peaks at K = 3
-        gap_k3 = an.meo_availability(CFG, 3) - meo_exact_count_tail(CFG, 3)
-        gap_k4 = an.meo_availability(CFG, 4) - meo_exact_count_tail(CFG, 4)
+        meo = values(CFG, "availability", "meo", 4)
+        gap_k3 = meo[2] - meo_exact_count_tail(CFG, 3)
+        gap_k4 = meo[3] - meo_exact_count_tail(CFG, 4)
         assert gap_k3 == pytest.approx(0.0202, abs=0.002)
         assert gap_k4 == pytest.approx(0.0134, abs=0.002)
 
     def test_exact_for_one_satellite_per_orbit(self):
         # with one satellite per orbit there is nothing to correlate
         cfg = config_with(**{"meo.n_orbits": "12", "meo.sats_per_orbit": "1"})
+        meo = values(cfg, "availability", "meo", 6)
         for k in (1, 3, 6):
-            assert an.meo_availability(cfg, k) == pytest.approx(meo_exact_count_tail(cfg, k), abs=1e-7)
+            assert meo[k - 1] == pytest.approx(meo_exact_count_tail(cfg, k), abs=1e-7)
 
 
 class TestNMeoMax:
@@ -198,39 +204,38 @@ class TestBinomialLaws:
     @pytest.mark.parametrize("n", [0, 1, 3, 12, 2000])
     @pytest.mark.parametrize("p", [0.0, 1e-3, 0.37, 1.0])
     def test_match_scipy_stats(self, n, p):
-        k = np.arange(-1, n + 3)
-        np.testing.assert_allclose(an.binom_sf(k, n, p), binom.sf(k, n, p), rtol=1e-13, atol=1e-16)
-        # The pmf is exp of log-gamma differences of size up to
+        law = an.binom_law(n, p)
+        # scipy's pmf is exp of log-gamma differences of size up to
         # log(2000!) ~ 1.3e4, each good to a few ulp: ~1e-11 relative.
-        np.testing.assert_allclose(an.binom_pmf(k, n, p), binom.pmf(k, n, p), rtol=1e-10, atol=1e-300)
+        np.testing.assert_allclose(law, binom.pmf(np.arange(n + 1), n, p), rtol=1e-10, atol=1e-300)
+        # The MEO value of a composition is the law's tail P(N >= K), here
+        # for K = 1..n + 2.
+        tail = an.compose(np.zeros(n + 2), law, 0)["meo"]
+        np.testing.assert_allclose(tail, binom.sf(np.arange(n + 2), n, p), rtol=1e-13, atol=1e-16)
 
 
 class TestHybridAvailability:
     def test_reduces_to_leo(self):
-        cfg = config_with(**{"meo.n_orbits": "0"})
-        for k in (1, 3, 6):
-            assert an.hybrid_availability(cfg, k) == pytest.approx(an.leo_availability(cfg, k), rel=1e-12)
+        got = an.evaluate(config_with(**{"meo.n_orbits": "0"}), "availability", an.SYSTEMS, 6)
+        np.testing.assert_allclose(got["hybrid"], got["leo"], rtol=1e-12, atol=1e-12)
 
     def test_reduces_to_meo_within_epsilon(self):
         cfg = config_with(**{"leo.n_sats": "0"})
-        for k in (1, 3, 6):
-            hybrid = an.hybrid_availability(cfg, k)
-            meo = an.meo_availability(cfg, k)
-            assert meo - cfg.epsilon <= hybrid <= meo + 1e-12
+        got = an.evaluate(cfg, "availability", an.SYSTEMS, 6)
+        assert np.all(got["meo"] - cfg.epsilon <= got["hybrid"])
+        assert np.all(got["hybrid"] <= got["meo"] + 1e-12)
 
     def test_dominates_both_layers(self):
-        for k in (1, 3, 6):
-            hybrid = an.hybrid_availability(CFG, k)
-            assert hybrid >= an.leo_availability(CFG, k) - CFG.epsilon
-            assert hybrid >= an.meo_availability(CFG, k) - CFG.epsilon
+        got = an.evaluate(CFG, "availability", an.SYSTEMS, 6)
+        assert np.all(got["hybrid"] >= got["leo"] - CFG.epsilon)
+        assert np.all(got["hybrid"] >= got["meo"] - CFG.epsilon)
 
     def test_monotone_in_k(self):
-        values = [an.hybrid_availability(CFG, k) for k in range(1, 8)]
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+        assert np.all(np.diff(values(CFG, "availability", "hybrid", 7)) <= 1e-12)
 
     def test_rejects_zero_level(self):
         with pytest.raises(ValueError):
-            an.hybrid_availability(CFG, 0)
+            an.evaluate(CFG, "availability", ("hybrid",), 0)
 
 
 def sum_form_contact_pdf(n, k, theta):
@@ -269,10 +274,11 @@ class TestContactAngles:
 
     def test_mass_equals_availability(self):
         # defective density: total mass is the k-availability tail
+        availability = values(CFG, "availability", "leo", 5)
         for k in (1, 2, 5):
             mass, _ = quad(lambda t: an.leo_contact_angle_pdf(CFG, k, t), 0, CFG.leo_theta_max,
                            epsabs=1e-12, epsrel=1e-10, limit=200)
-            assert mass == pytest.approx(an.leo_availability(CFG, k), abs=1e-6)
+            assert mass == pytest.approx(availability[k - 1], abs=1e-6)
         closed = 1 - (0.5 * (1 + math.cos(CFG.leo_theta_max))) ** CFG.leo.n_sats
         mass1, _ = quad(lambda t: an.leo_contact_angle_pdf(CFG, 1, t), 0, CFG.leo_theta_max,
                         epsabs=1e-12, epsrel=1e-10, limit=200)
@@ -337,16 +343,18 @@ class TestLeoInterferenceCap:
 
     def test_empty_cap_fraction_by_simulation(self):
         # fraction of draws leaving a fixed cap of the interference radius
-        # empty; the fixed direction plays the serving satellite
+        # empty; the fixed direction (the z axis) plays the serving
+        # satellite. Whole shells are drawn in batches as caps of angle pi,
+        # whose unit z coordinate is sqrt(1 - c^2) sin(azimuth).
         theta_d, p_zero = an.leo_interference_cap(CFG)
         rng = derive_rng(41)
         cos_cut = math.cos(theta_d)
-        n_draws = 20_000
+        n_draws, batch = 20_000, 250
         empty = 0
-        for _ in range(n_draws):
-            pts = sample_bpp(CFG.leo, rng)
-            cos_sep = pts[:, 2] / CFG.leo.radius_km
-            empty += int(np.max(cos_sep) < cos_cut)
+        for _ in range(n_draws // batch):
+            cos_theta, azimuth = sample_bpp_cap(CFG.leo, rng, math.pi, batch)
+            cos_sep = np.sqrt(1.0 - cos_theta**2) * np.sin(azimuth)
+            empty += int(np.count_nonzero(cos_sep.max(axis=1) < cos_cut))
         se = math.sqrt(p_zero * (1 - p_zero) / n_draws)
         assert abs(empty / n_draws - p_zero) < 3 * se
 
@@ -355,12 +363,11 @@ class TestLeoLocalizability:
     def test_vanishing_threshold_gives_availability_product(self):
         cfg = with_leo_threshold(CFG, 1e-30)
         probs = an.leo_rank_coverage_probs(cfg, 4)
-        for k in range(1, 5):
-            assert probs[k - 1] == pytest.approx(an.leo_availability(CFG, k), abs=1e-6)
+        np.testing.assert_allclose(probs, values(CFG, "availability", "leo", 4), rtol=0, atol=1e-6)
 
     def test_huge_threshold_kills_coverage(self):
         cfg = with_leo_threshold(CFG, 1e12)
-        assert an.leo_localizability(cfg, 2) == pytest.approx(0.0, abs=1e-12)
+        assert values(cfg, "localizability", "leo", 2)[1] == pytest.approx(0.0, abs=1e-12)
         # Each rank on its own, not just their product: a survival taken as
         # 1 - cdf floors near 4e-13 here.
         assert np.all(np.abs(an.leo_rank_coverage_probs(cfg, 2)) <= 1e-15)
@@ -371,10 +378,9 @@ class TestLeoLocalizability:
 
     def test_rank_coverage_below_availability(self):
         probs = an.leo_rank_coverage_probs(CFG, 6)
-        for k in range(1, 7):
-            assert probs[k - 1] <= an.leo_availability(CFG, k) + 1e-9
+        assert np.all(probs <= values(CFG, "availability", "leo", 6) + 1e-9)
 
-    # leo_rank_coverage_probs(cfg, 3) at QuadratureSpec(1e-10, 1e-14) from
+    # leo_rank_coverage_probs(cfg, 3) at rtol 1e-10 (absolute 1e-14) from
     # the scalar nested quad/quad_vec integration this module used before.
     PREVIOUS = {
         "gaussian": [0.5817463647513086, 0.41811399336836075, 0.24178970183986684],
@@ -414,28 +420,27 @@ class TestLeoLocalizability:
         labels = []
         original = an.integrate_adaptive
 
-        def counting(func, a, b, spec, label):
+        def counting(func, a, b, rtol, label):
             labels.append(label)
-            return original(func, a, b, spec, label)
+            return original(func, a, b, rtol, label)
 
         monkeypatch.setattr(an, "integrate_adaptive", counting)
         an.leo_rank_coverage_probs(config_with(**{"leo.altitude_km": "2000"}), 6)
         assert len(labels) == 2
 
     def test_trivial_levels(self):
-        assert an.leo_localizability(CFG, 0) == 1.0
-        assert an.leo_localizability(config_with(**{"leo.n_sats": "0"}), 1) == 0.0
+        assert values(config_with(**{"leo.n_sats": "0"}), "localizability", "leo", 1)[0] == 0.0
 
 
 class TestMeoLocalizability:
     def test_vanishing_threshold_gives_availability(self):
         cfg = with_meo_threshold(CFG, 1e-30)
-        for k in (1, 4):
-            assert an.meo_localizability(cfg, k) == pytest.approx(an.meo_availability(CFG, k), abs=1e-7)
+        want = values(CFG, "availability", "meo", 4)
+        np.testing.assert_allclose(values(cfg, "localizability", "meo", 4), want, rtol=0, atol=1e-7)
 
     def test_huge_threshold(self):
         cfg = with_meo_threshold(CFG, 1e12)
-        assert an.meo_localizability(cfg, 1) == pytest.approx(0.0, abs=1e-12)
+        assert values(cfg, "localizability", "meo", 1)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_below_availability(self):
         p1c = an.meo_single_localizability(CFG)
@@ -445,24 +450,21 @@ class TestMeoLocalizability:
 
 class TestHybridLocalizability:
     def test_reduces_to_leo(self):
-        cfg = config_with(**{"meo.n_orbits": "0"})
-        got = an.hybrid_localizability(cfg, 3)
-        assert got == pytest.approx(an.leo_localizability(cfg, 3), rel=1e-9)
+        got = an.evaluate(config_with(**{"meo.n_orbits": "0"}), "localizability", an.SYSTEMS, 3)
+        assert got["hybrid"][2] == pytest.approx(got["leo"][2], rel=1e-9)
 
     def test_reduces_to_meo_within_epsilon(self):
         cfg = config_with(**{"leo.n_sats": "0"})
-        for k in (1, 4):
-            hybrid = an.hybrid_localizability(cfg, k)
-            meo = an.meo_localizability(cfg, k)
-            assert meo - cfg.epsilon <= hybrid <= meo + 1e-9
+        got = an.evaluate(cfg, "localizability", an.SYSTEMS, 4)
+        assert np.all(got["meo"] - cfg.epsilon <= got["hybrid"])
+        assert np.all(got["hybrid"] <= got["meo"] + 1e-9)
 
     def test_below_hybrid_availability(self):
-        for k in (1, 3, 6):
-            assert an.hybrid_localizability(CFG, k) <= an.hybrid_availability(CFG, k) + 1e-9
+        localizability = values(CFG, "localizability", "hybrid", 6)
+        assert np.all(localizability <= values(CFG, "availability", "hybrid", 6) + 1e-9)
 
     def test_monotone_in_k(self):
-        values = [an.hybrid_localizability(CFG, k) for k in range(1, 7)]
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+        assert np.all(np.diff(values(CFG, "localizability", "hybrid", 6)) <= 1e-12)
 
 
 class TestIntegrateAdaptive:
@@ -474,33 +476,21 @@ class TestIntegrateAdaptive:
 
     def test_vector_integrand_matches_quad(self):
         got = an.integrate_adaptive(lambda x: np.array([f(x) for f in self.COMPONENTS]), 0.0, 2.0,
-                                    QuadratureSpec(1e-12, 1e-14), "vector")
+                                    1e-12, "vector")
         assert got.shape == (len(self.COMPONENTS),)
         for f, value in zip(self.COMPONENTS, got):
             want, _ = quad(f, 0.0, 2.0, epsabs=1e-14, epsrel=1e-13, limit=400)
             assert value == pytest.approx(want, abs=1e-12)
-        scalar = an.integrate_adaptive(np.sin, 0.0, math.pi, an.DEFAULT_QUADRATURE, "sine")
+        scalar = an.integrate_adaptive(np.sin, 0.0, math.pi, 1e-8, "sine")
         assert isinstance(scalar, float) and scalar == pytest.approx(2.0, abs=1e-12)
 
     def test_failures_raise_with_label(self):
-        with pytest.raises(an.QuadratureError, match="square root") as info:
-            an.integrate_adaptive(np.sqrt, 0.0, 1.0, QuadratureSpec(1e-12, 1e-14, max_subdivisions=3), "square root")
+        # No panel count reaches a relative 1e-20 on a square-root edge.
+        with pytest.raises(an.QuadratureError, match=f"square root.*{an.MAX_PANELS} panels") as info:
+            an.integrate_adaptive(np.sqrt, 0.0, 1.0, 1e-20, "square root")
         assert info.value.label == "square root"
         with pytest.raises(an.QuadratureError, match="non-finite"):
-            an.integrate_adaptive(lambda x: np.full_like(x, np.nan), 0.0, 1.0, an.DEFAULT_QUADRATURE, "nan")
-
-
-class TestQuadratureSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(relative_tolerance=0.0)
-
-    def test_tighter(self):
-        spec = QuadratureSpec(1e-6, 1e-10, 100)
-        inner = spec.tighter()
-        assert inner.relative_tolerance == pytest.approx(1e-7)
-        assert inner.absolute_tolerance == pytest.approx(1e-11)
-        assert inner.max_subdivisions == 100
+            an.integrate_adaptive(lambda x: np.full_like(x, np.nan), 0.0, 1.0, 1e-8, "nan")
 
 
 class TestSystemConfigValidation:
@@ -512,7 +502,7 @@ class TestSystemConfigValidation:
 
 
 class TestHybridConvolution:
-    # Outputs of the Monte Carlo composition this convolution replaced, for
+    # Hybrid outputs of the Monte Carlo composition that compose replaced, for
     # LEO rank probabilities 0.9, 0.8, ..., 0.4: a truncated binomial MEO
     # law, a MEO pmf shorter than the cutoff, no MEO layer, and a cutoff
     # below the pmf's end.
@@ -531,7 +521,7 @@ class TestHybridConvolution:
 
     @pytest.mark.parametrize("meo_pmf, cutoff, want", CASES)
     def test_matches_previous_composition(self, meo_pmf, cutoff, want):
-        got = an.hybrid_convolution(np.cumprod(self.RANKS), meo_pmf, cutoff)
+        got = an.compose(np.cumprod(self.RANKS), meo_pmf, cutoff)["hybrid"]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
@@ -539,21 +529,21 @@ class TestEvaluate:
     @pytest.mark.parametrize("n_leo", ["2000", "3", "0"])
     @pytest.mark.parametrize("metric", an.METRICS)
     def test_matches_scalar_functions(self, metric, n_leo):
+        # All systems and K at once agree with one system and K per call.
         cfg = config_with(**{"leo.n_sats": n_leo})
         got = an.evaluate(cfg, metric, an.SYSTEMS, 8)
         assert list(got) == list(an.SYSTEMS)
         for system in an.SYSTEMS:
-            scalar = getattr(an, f"{system}_{metric}")
-            want = [scalar(cfg, k) for k in range(1, 9)]
+            want = [values(cfg, metric, system, k)[k - 1] for k in range(1, 9)]
             np.testing.assert_allclose(got[system], want, rtol=0, atol=1e-12)
 
     def test_one_rank_coverage_pass(self, monkeypatch):
         calls = []
         original = an.leo_rank_coverage_probs
 
-        def counting(config, k_max, quad_spec=an.DEFAULT_QUADRATURE):
+        def counting(config, k_max, rtol=1e-8):
             calls.append(k_max)
-            return original(config, k_max, quad_spec)
+            return original(config, k_max, rtol)
 
         monkeypatch.setattr(an, "leo_rank_coverage_probs", counting)
         an.evaluate(CFG, "localizability", an.SYSTEMS, 6)

@@ -61,6 +61,18 @@ class TestCurve:
         assert code == 2 and text is None
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep", ["n_leo=1000.5:1002:1", "n_meo=6.5:7:1"])
+    def test_fractional_count_sweep_exits_two(self, tmp_path, capsys, sweep):
+        # The same rule as --set leo.n_sats=1000.5, not a silent truncation.
+        code, text = run(tmp_path, "curve", "--sweep", sweep)
+        assert code == 2 and text is None
+        assert "whole number" in capsys.readouterr().err
+
+    def test_repeated_k_exits_two(self, tmp_path, capsys):
+        code, text = run(tmp_path, "curve", "--K", "1,2,1", "--sweep", "n_leo=1000:1000:1")
+        assert code == 2 and text is None
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestHeatmap:
     def test_grid(self, tmp_path):
@@ -109,6 +121,12 @@ class TestValidate:
         code, _ = run(tmp_path, "validate", "--trials", "200", "--metrics", "coverage")
         assert code == 2
 
+    @pytest.mark.parametrize("option, value", [("--metrics", "availability,availability"), ("--K", "2,2")])
+    def test_repeated_entry_exits_two(self, tmp_path, capsys, option, value):
+        code, text = run(tmp_path, "validate", "--trials", "20", "--metrics", "availability", option, value)
+        assert code == 2 and text is None
+        assert "configuration error" in capsys.readouterr().err
+
     # Values the parser accepts but the model cannot run: non-finite or
     # fractional counts, non-finite radii, bad fading, a negative seed.
     BAD_VALUES = [
@@ -124,6 +142,22 @@ class TestValidate:
         code, text = run(tmp_path, "validate", "--metrics", "availability", "--set", bad, *trials)
         assert code == 2 and text is None
         assert "configuration error" in capsys.readouterr().err
+
+
+# The smallest run of each command that reaches its quadrature.
+RTOL_COMMANDS = {
+    "curve": ["curve", "--metric", "localizability", "--sweep", "n_leo=1000:1000:1"],
+    "heatmap": ["heatmap", "--metric", "localizability", "--sweep", "n_leo=1000:1000:1", "--sweep", "n_meo=12:12:1"],
+    "validate": ["validate", "--trials", "20"],
+}
+
+
+@pytest.mark.parametrize("rtol", ["0", "-1e-8", "nan", "inf"])
+@pytest.mark.parametrize("command", sorted(RTOL_COMMANDS))
+def test_bad_rtol_exits_two(tmp_path, capsys, command, rtol):
+    code, text = run(tmp_path, *RTOL_COMMANDS[command], f"--rtol={rtol}")
+    assert code == 2 and text is None
+    assert "configuration error" in capsys.readouterr().err
 
 
 class TestSample:
@@ -225,7 +259,8 @@ class TestParseSweep:
         assert len(values) == 5001
         assert values[61] == 518.3 and values[-1] == 2000.0
 
-    @pytest.mark.parametrize("text", ["h_leo", "h_leo=1:2", "h_leo=1:2:0", "h_leo=2:1:1", "bogus=1:2:1"])
+    @pytest.mark.parametrize("text", ["h_leo", "h_leo=1:2", "h_leo=1:2:0", "h_leo=2:1:1", "bogus=1:2:1",
+                                      "n_leo=a:b:1", "n_leo=1000:nan:1", "n_leo=1000:inf:1"])
     def test_rejects_malformed(self, text):
         with pytest.raises(ConfigError):
             cli._parse_sweep(text)
