@@ -44,6 +44,9 @@ _SWEEP_PARAMS = {
     "phi_3db_deg": ("rx.phi_3db", None),
 }
 
+# Most points one sweep axis may hold; checked before the list is built.
+MAX_SWEEP_POINTS = 100_000
+
 
 @dataclass
 class SweepAxis:
@@ -71,8 +74,10 @@ def _parse_sweep(text: str) -> SweepAxis:
     if hi < lo:
         raise ConfigError("sweep max must not be below min")
     # Each point is computed from its index, so rounding does not accumulate.
-    count = math.floor((hi - lo) / step + 1e-9 * max(1.0, abs(hi)) / step) + 1
-    return SweepAxis(name=name, values=[round(lo + i * step, 12) for i in range(count)])
+    last = (hi - lo) / step + 1e-9 * max(1.0, abs(hi)) / step
+    if not last < MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep may hold at most {MAX_SWEEP_POINTS} points, got '{spec}'")
+    return SweepAxis(name=name, values=[round(lo + i * step, 12) for i in range(math.floor(last) + 1)])
 
 
 def _apply_axis(settings: dict, name: str, value) -> dict:

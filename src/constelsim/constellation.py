@@ -13,11 +13,11 @@ are ordered orbit-major: satellite ``j`` of orbit ``i`` sits at row
 The Monte Carlo engine draws whole batches of shells at once. With
 ``size=n``, :func:`sample_dsbpp` returns ``(n, n_sats, 3)``: n independent
 shells, drawn in the same per-block order as a single one. For LEO the
-engine draws only the horizon cap, through :func:`sample_bpp_cap`: no
-satellite beyond the horizon can be seen, serve or interfere, and the
-binomial cap-count law makes the restricted draw exact. That sampler returns
-polar coordinates about the target, which :func:`cap_positions` turns into
-positions. :func:`sample_bpp` still draws a whole shell.
+engine draws only the visible cap, through :func:`sample_bpp_cap`: no
+satellite outside it can serve or interfere, and the binomial cap-count law
+makes the restricted draw exact. That sampler returns polar coordinates
+about the target, which :func:`cap_positions` turns into positions.
+:func:`sample_bpp` still draws a whole shell.
 """
 
 from __future__ import annotations

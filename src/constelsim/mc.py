@@ -5,18 +5,18 @@ fading value per link, and evaluates the SINR of every visible MEO
 satellite and of the ``k_max`` nearest LEO satellites with exact ranges.
 Interference is same-layer only: the two layers use different carriers.
 
-Trials run as arrays. The LEO shell is drawn only inside the horizon cap
-(:func:`~constelsim.constellation.sample_bpp_cap`): a binomial point process
-puts a Binomial(N, cap fraction) count there, each point uniform in the cap,
-so the restricted draw has the exact law of the full shell where it
-matters. The cap is a superset of the visible cap, because the detection
-angle never exceeds the horizon angle, and satellites outside the visible
-cap neither serve nor interfere. The visibility test still runs on the drawn
-geometry. The cap sampler returns each trial's satellites nearest first, so
-the visible ones form a prefix; the MEO satellites get one argsort by
-central angle. Ragged visible sets are padded to the chunk's largest and
-masked, so the K nearest ranks and the interferer set come from the same
-sorted arrays.
+Trials run as arrays, and the engine touches only what can be seen. The
+LEO shell is drawn only inside the visible cap
+(:func:`~constelsim.constellation.sample_bpp_cap` at the detection angle): a
+binomial point process puts a Binomial(N, cap fraction) count there, each
+point uniform in the cap, so the restricted draw has the exact law of the
+full shell where it matters, since satellites outside the visible cap
+neither serve nor interfere. Each trial's row is then its visible
+satellites, nearest first, followed by padding, and the K nearest ranks
+are its first K entries. MEO beams carry no rank, so MEO visibility is a
+mask over the orbit-major shell and every visible satellite serves. The
+SINR runs on packed (trial, beam) and (trial, beam, interferer) index
+triples, so fading is drawn only for links that exist.
 
 RNG contract. Batch ``b`` of the ``spec.n_batches`` batch-means batches
 draws its geometry from ``derive_rng(master_seed, b)`` and its fading from
@@ -103,44 +103,36 @@ class _Link:
         self.fading = fading
 
 
-def _nearest_first(positions: np.ndarray, theta_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each trial's satellites sorted by central angle, cut to the largest
-    visible count, and the mask of the visible ones."""
-    angles = central_angle_to_target(positions)
-    order = np.argsort(angles, axis=1)
-    width = int((angles <= theta_max).sum(axis=1).max(initial=0))
-    nearest = order[:, :width]
-    visible = np.take_along_axis(angles, nearest, axis=1) <= theta_max
-    return np.take_along_axis(positions, nearest[..., None], axis=1), visible
+def _sinr_passes(config, link, positions, visible, serving, rng, faithful, matched_cap=None) -> np.ndarray:
+    """Pass flags of the beams set in ``serving``, a mask over each trial's
+    first ``serving.shape[1]`` satellites that lies within ``visible``; the
+    flags have ``serving``'s shape.
 
-
-def _fading(link: _Link, rng: np.random.Generator, mask: np.ndarray) -> np.ndarray:
-    """Independent fading powers where ``mask`` is set, zero elsewhere."""
-    out = np.zeros(mask.shape)
-    out[mask] = sr_sample(link.fading, rng, size=int(mask.sum()))
-    return out
-
-
-def _sinr_passes(config, link, positions, visible, n_serve, rng, faithful, matched_cap=None) -> np.ndarray:
-    """Pass flags of the first ``n_serve`` satellites of each trial's
-    visible-first set, shape ``(trials, n_serve)``.
-
-    Faithful interference sums every other visible satellite. Otherwise a
-    ``matched_cap`` of (theta_d, p_zero) synthesizes the closed form's one
-    interferer, and without one there is no interference. Padding entries
-    may hold NaN positions; every use of them is masked.
+    The work runs on packed indices: one fading draw per serving beam and,
+    in faithful mode, one per (beam, other visible satellite) pair, so no
+    draw goes to padding. Faithful interference sums every other visible
+    satellite. Otherwise a ``matched_cap`` of (theta_d, p_zero) synthesizes
+    the closed form's one interferer, and without one there is no
+    interference. Entries outside ``visible`` may hold NaN positions; none
+    is read.
     """
-    rel = positions - _TARGET_KM
-    dist_km = np.linalg.norm(rel, axis=-1)
+    width, n_beams = visible.shape[1], serving.shape[1]
+    rel = positions.reshape(-1, 3) - _TARGET_KM  # row trial * width + satellite
+    dist_km = np.sqrt(np.einsum("sx,sx->s", rel, rel))
     dist_sq = (dist_km * KM_TO_M) ** 2
-    serving = visible[:, :n_serve]
-    signal = _fading(link, rng, serving) / dist_sq[:, :n_serve]
+    trial, beam = np.nonzero(serving)
+    at_beam = trial * width + beam
+    signal = sr_sample(link.fading, rng, size=trial.size) / dist_sq[at_beam]
     if faithful:
-        units = rel / dist_km[..., None]
-        cos_dome = np.einsum("bkx,bmx->bkm", units[:, :n_serve], units)
-        gain = config.rx_pattern.gain_shape(np.arccos(np.clip(cos_dome, -1.0, 1.0)))
-        others = visible[:, None, :] & ~np.eye(n_serve, visible.shape[1], dtype=bool)
-        interference = np.where(others, gain * _fading(link, rng, others) / dist_sq[:, None, :], 0.0).sum(axis=-1)
+        others = ~np.eye(n_beams, width, dtype=bool)
+        pair_trial, pair_beam, pair_other = np.nonzero(serving[:, :, None] & visible[:, None, :] & others)
+        at_other = pair_trial * width + pair_other
+        units = rel / dist_km[:, None]
+        cos_dome = np.einsum("px,px->p", units.take(pair_trial * width + pair_beam, axis=0), units.take(at_other, axis=0))
+        power = config.rx_pattern.gain_shape(np.arccos(np.clip(cos_dome, -1.0, 1.0))) \
+            * sr_sample(link.fading, rng, size=pair_trial.size) / dist_sq[at_other]
+        interference = np.bincount(pair_trial * n_beams + pair_beam, weights=power,
+                                   minlength=serving.size)[trial * n_beams + beam]
     elif matched_cap is not None:
         # Present with probability 1 - p_zero, angle uniform over the cap,
         # serving-range path loss, zenith-mapped dome gain. The angle solves
@@ -148,14 +140,18 @@ def _sinr_passes(config, link, positions, visible, n_serve, rng, faithful, match
         # drawn on (0, 1], so the angle is positive as dome_from_central
         # requires (an arccos form rounds to 0 for tiny U).
         theta_d, p_zero = matched_cap
-        present = serving & (rng.random(serving.shape) >= p_zero)
-        u = 1.0 - rng.random(serving.shape)
+        present = rng.random(trial.size) >= p_zero
+        u = 1.0 - rng.random(trial.size)
         theta_i = 2.0 * np.arcsin(np.sqrt(u) * math.sin(0.5 * theta_d))
+        fading = np.zeros(trial.size)
+        fading[present] = sr_sample(link.fading, rng, size=int(present.sum()))
         dome = dome_from_central(config.leo_geom, theta_i)
-        interference = config.rx_pattern.gain_shape(dome) * _fading(link, rng, present) / dist_sq[:, :n_serve]
+        interference = config.rx_pattern.gain_shape(dome) * fading / dist_sq[at_beam]
     else:
         interference = 0.0
-    return serving & (signal / (link.noise_term + interference) > link.threshold)
+    passes = np.zeros(serving.shape, dtype=bool)
+    passes[trial, beam] = signal / (link.noise_term + interference) > link.threshold
+    return passes
 
 
 @dataclass
@@ -205,8 +201,6 @@ def simulate(
     leo_link = _Link(config.leo_link, config.leo_fading)
     meo_link = _Link(config.meo_link, config.meo_fading)
     matched_cap = None if faithful else analytic.leo_interference_cap(config)
-    horizon = config.leo_geom.horizon_angle
-    cos_leo_max = math.cos(config.leo_theta_max)
 
     sizes = np.diff(np.linspace(0, spec.n_trials, spec.n_batches + 1).astype(int))
     avail_tail = np.zeros((len(sizes), 3, k_max))  # leo, meo, hybrid counts >= K
@@ -217,20 +211,19 @@ def simulate(
         fading_rng = geo_rng.spawn(1)[0]
         for start in range(0, size, CHUNK_TRIALS):
             n = min(CHUNK_TRIALS, size - start)
-            cos_theta, azimuth = sample_bpp_cap(config.leo, geo_rng, horizon, n)
-            leo_vis = cos_theta >= cos_leo_max  # nearest first, so a prefix
-            leo_vis = leo_vis[:, :int(leo_vis.sum(axis=1).max(initial=0))]
-            meo_pos, meo_vis = _nearest_first(sample_dsbpp(config.meo, geo_rng, size=n), config.meo_theta_max)
+            cos_theta, azimuth = sample_bpp_cap(config.leo, geo_rng, config.leo_theta_max, n)
+            leo_vis = ~np.isnan(cos_theta)  # nearest first, then padding
+            meo_pos = sample_dsbpp(config.meo, geo_rng, size=n)
+            meo_vis = central_angle_to_target(meo_pos) <= config.meo_theta_max
             n_leo, n_meo_vis = leo_vis.sum(axis=1), meo_vis.sum(axis=1)
             counts = np.stack([n_leo, n_meo_vis, n_leo + n_meo_vis], axis=1)
             avail_tail[b] += (counts[:, :, None] >= ks).sum(axis=0)
             if want_loc:
-                width = leo_vis.shape[1]
-                leo_pos = cap_positions(config.leo.radius_km, cos_theta[:, :width], azimuth[:, :width])
-                n_serve = min(k_max, width)
-                rank_pass[b, :n_serve] += _sinr_passes(
-                    config, leo_link, leo_pos, leo_vis, n_serve, fading_rng, faithful, matched_cap).sum(axis=0)
-                meo_pass = _sinr_passes(config, meo_link, meo_pos, meo_vis, meo_vis.shape[1], fading_rng, faithful)
+                leo_pos = cap_positions(config.leo.radius_km, cos_theta, azimuth)
+                leo_serve = leo_vis[:, :k_max]
+                rank_pass[b, :leo_serve.shape[1]] += _sinr_passes(
+                    config, leo_link, leo_pos, leo_vis, leo_serve, fading_rng, faithful, matched_cap).sum(axis=0)
+                meo_pass = _sinr_passes(config, meo_link, meo_pos, meo_vis, meo_vis, fading_rng, faithful)
                 meo_pmf[b] += np.bincount(meo_pass.sum(axis=1), minlength=n_meo + 1)
 
     n = float(spec.n_trials)

@@ -68,6 +68,12 @@ class TestCurve:
         assert code == 2 and text is None
         assert "whole number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep", ["h_leo=0:1e308:1e-10", "n_leo=0:1e9:1"])
+    def test_oversized_sweep_exits_two(self, tmp_path, capsys, sweep):
+        code, text = run(tmp_path, "curve", "--sweep", sweep)
+        assert code == 2 and text is None
+        assert "configuration error" in capsys.readouterr().err
+
     def test_repeated_k_exits_two(self, tmp_path, capsys):
         code, text = run(tmp_path, "curve", "--K", "1,2,1", "--sweep", "n_leo=1000:1000:1")
         assert code == 2 and text is None
@@ -260,7 +266,8 @@ class TestParseSweep:
         assert values[61] == 518.3 and values[-1] == 2000.0
 
     @pytest.mark.parametrize("text", ["h_leo", "h_leo=1:2", "h_leo=1:2:0", "h_leo=2:1:1", "bogus=1:2:1",
-                                      "n_leo=a:b:1", "n_leo=1000:nan:1", "n_leo=1000:inf:1"])
+                                      "n_leo=a:b:1", "n_leo=1000:nan:1", "n_leo=1000:inf:1",
+                                      "h_leo=0:1e308:1e-10", "n_leo=0:1e9:1"])
     def test_rejects_malformed(self, text):
         with pytest.raises(ConfigError):
             cli._parse_sweep(text)

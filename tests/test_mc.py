@@ -164,6 +164,56 @@ class TestEstimates:
         meo_mc = summary.meo_single_pass * DENSE.meo.n_sats
         assert abs(meo_mc - meo.mean()) <= 4.0 * meo.std() * math.sqrt(1 / n_loop + 1 / n_mc)
 
+    @staticmethod
+    def ragged_beams(seed):
+        """Positions, visible mask and serving mask of four trials with 3,
+        0, 1 and 5 visible LEO satellites, the first two of each serving;
+        padding holds NaN like the cap sampler's."""
+        counts = np.array([3, 0, 1, 5])
+        visible = np.arange(5) < counts[:, None]
+        rng = derive_rng(seed)
+        cos_theta = 1.0 - rng.random(visible.shape) * (1.0 - math.cos(CFG.leo_theta_max))
+        azimuth = 2.0 * math.pi * rng.random(visible.shape)
+        positions = cap_positions(CFG.leo.radius_km, np.where(visible, cos_theta, np.nan), azimuth)
+        return positions, visible, visible[:, :2]
+
+    def test_no_fading_drawn_for_missing_beams(self, monkeypatch):
+        positions, visible, serving = self.ragged_beams(21)
+        draws = []
+
+        def counting(params, rng, size=None):
+            draws.append(size)
+            return sr_sample(params, rng, size)
+
+        monkeypatch.setattr(mc, "sr_sample", counting)
+        link = mc._Link(CFG.leo_link, CFG.leo_fading)
+        passes = mc._sinr_passes(CFG, link, positions, visible, serving, derive_rng(22), faithful=True)
+        trial, _ = np.nonzero(serving)
+        assert sum(draws) == serving.sum() + (visible.sum(axis=1)[trial] - 1).sum() == 17
+        assert passes.shape == serving.shape and not passes[~serving].any()
+
+    def test_packed_interference_matches_per_beam_sum(self, monkeypatch):
+        # With unit fading, each beam's SINR is a plain sum over the other
+        # visible satellites; a threshold between the middle two splits the
+        # beams.
+        positions, visible, serving = self.ragged_beams(23)
+        monkeypatch.setattr(mc, "sr_sample", lambda params, rng, size=None: np.ones(size))
+        link = mc._Link(CFG.leo_link, CFG.leo_fading)
+        rel = positions - np.array([6371.0, 0.0, 0.0])
+        dist_sq = (np.linalg.norm(rel, axis=-1) * 1e3) ** 2
+        units = rel / np.linalg.norm(rel, axis=-1, keepdims=True)
+        sinr = {}
+        for t, s in zip(*np.nonzero(serving)):
+            others = [i for i in np.flatnonzero(visible[t]) if i != s]
+            dome = np.arccos(np.clip(units[t, others] @ units[t, s], -1.0, 1.0))
+            interference = np.sum(CFG.rx_pattern.gain_shape(dome) / dist_sq[t, others])
+            sinr[t, s] = (1.0 / dist_sq[t, s]) / (link.noise_term + interference)
+        ordered = sorted(sinr.values())
+        link.threshold = math.sqrt(ordered[len(ordered) // 2 - 1] * ordered[len(ordered) // 2])
+        passes = mc._sinr_passes(CFG, link, positions, visible, serving, derive_rng(24), faithful=True)
+        assert {key: bool(passes[key]) for key in sinr} == {key: value > link.threshold for key, value in sinr.items()}
+        assert 0 < passes.sum() < len(sinr)
+
     def test_matched_interferer_survives_zero_uniforms(self):
         # U = 0 would put the interferer at central angle 0, which
         # dome_from_central rejects. With p_zero = 0 every beam has one.
@@ -174,7 +224,7 @@ class TestEstimates:
         positions = cap_positions(CFG.leo.radius_km, cos_theta[:, :width], azimuth[:, :width])
         theta_d, _ = leo_interference_cap(CFG)
         link = mc._Link(CFG.leo_link, CFG.leo_fading)
-        passes = mc._sinr_passes(CFG, link, positions, visible[:, :width], 3, ZeroUniforms(rng),
+        passes = mc._sinr_passes(CFG, link, positions, visible[:, :width], visible[:, :3], ZeroUniforms(rng),
                                  faithful=False, matched_cap=(theta_d, 0.0))
         assert passes.shape == (64, 3) and passes.dtype == bool
 
