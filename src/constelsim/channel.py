@@ -17,7 +17,8 @@ the Poisson probabilities pi_j(x) = x^j e^{-x} / j!, j < Z:
 
     survival  1 - F(w) = sum_j T_j pi_j(x),      T_j = sum_{z=j}^{Z-1} c_z,
     density   f(w)     = sum_j c_j pi_j(x) / (2 b0),
-    CDF       F(w)     = T_0 (1 - e^{-x}) - sum_{j>=1} T_j pi_j(x).
+    CDF       F(w)     = sum_{j>=1} H_j pi_j(x) + T_0 P(Poisson(x) >= Z),
+                                                 H_j = sum_{z<j} c_z.
 
 One kernel serves all three. The weights c and their tails T depend on the
 fading parameters alone and are cached; Z is the smallest multiple of 16
@@ -27,9 +28,8 @@ multiply per term and point. Every term is non-negative, so the truncated
 survival and CDF each err on the low side by at most the tolerance.
 Upper tails come from the survival read-out, never from ``1 - F``: that
 floors near the tolerance, while the survival goes to zero with the true
-tail. The CDF takes 1 - e^{-x} as ``-expm1(-x)``, so at small x its terms
-cancel only down to about c_0 x and its relative error stays near
-eps / c_0 (exact when Omega = 0).
+tail. The CDF is a sum of positive terms as well, so small CDF values keep
+their relative precision.
 
 An independent faded power V in the threshold enters the same form as a
 count: if Poisson(x + V / (2 b0)) = Poisson(x) + N, then
@@ -189,9 +189,34 @@ def sr_cdf(params: SrFadingParams, w, tol: float = _SERIES_TOL):
     survival probabilities below about ``tol``; use :func:`sr_sf` for upper
     tails.
     """
-    x, _, tails, pi = _series_terms(params, w, tol)
-    out = tails[0] * -np.expm1(-x) - tails[1:] @ pi[1:]
-    return _shaped(w, np.clip(out, 0.0, 1.0))
+    x, c, tails, pi = _series_terms(params, w, tol)
+    out = np.cumsum(c)[:-1] @ pi[1:] + tails[0] * _poisson_upper(x, pi)
+    return _shaped(w, np.minimum(out, 1.0))
+
+
+def _poisson_upper(x: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """P(Poisson(x) >= Z) for the Z rows of the Poisson matrix ``pi``. Past
+    the mean the probability is at least about a half, and one minus the
+    rows' sum is exact enough. Below it, the recurrence runs on past the
+    last row, as a sum of positive terms, until the rest cannot matter."""
+    n_terms = pi.shape[0]
+    upper = np.empty_like(x)
+    past = x >= n_terms
+    upper[past] = np.maximum(1.0 - pi[:, past].sum(axis=0), 0.0)
+    near = x[~past]
+    term, total = pi[-1, ~past], np.zeros(near.size)
+    j = n_terms
+    while True:
+        term = term * near / j
+        total += term
+        j += 1
+        # The ratios x / j fall with j, so the rest is at most
+        # term * r / (1 - r) for the next ratio r < 1.
+        r = near / j
+        if np.all(term * r <= 2.0**-54 * (1.0 - r) * total):
+            break
+    upper[~past] = total
+    return upper
 
 
 def sr_sf(params: SrFadingParams, w, counts=None):
@@ -256,13 +281,20 @@ def sr_sample(params: SrFadingParams, rng: np.random.Generator, size=None):
     amplitude (E[a^2] = omega) and complex scatter of per-component
     variance b0. The power so built has exactly the CDF of :func:`sr_cdf`."""
     shape = () if size is None else size
-    los_power = rng.gamma(shape=params.m, scale=params.omega / params.m, size=shape) \
+    # In place: the line-of-sight power becomes its amplitude, then holds
+    # the quadrature scatter once the in-phase sum is formed.
+    amp = rng.gamma(shape=params.m, scale=params.omega / params.m, size=shape) \
         if params.omega > 0 else np.zeros(shape)
-    amp = np.sqrt(los_power)
+    np.sqrt(amp, out=amp)
     scale = math.sqrt(params.b0)
-    re = amp + scale * rng.standard_normal(shape)
-    im = scale * rng.standard_normal(shape)
-    w = re * re + im * im
+    w = rng.standard_normal(shape)
+    w *= scale
+    w += amp
+    w *= w
+    im = rng.standard_normal(out=amp)
+    im *= scale
+    im *= im
+    w += im
     return float(w) if size is None else w
 
 

@@ -10,14 +10,19 @@ Positions are returned as ``(n, 3)`` float arrays in kilometres. MEO points
 are ordered orbit-major: satellite ``j`` of orbit ``i`` sits at row
 ``i * sats_per_orbit + j``.
 
-The Monte Carlo engine draws whole batches of shells at once. With
-``size=n``, :func:`sample_dsbpp` returns ``(n, n_sats, 3)``: n independent
-shells, drawn in the same per-block order as a single one. For LEO the
-engine draws only the visible cap, through :func:`sample_bpp_cap`: no
-satellite outside it can serve or interfere, and the binomial cap-count law
-makes the restricted draw exact. That sampler returns polar coordinates
-about the target, which :func:`cap_positions` turns into positions.
-:func:`sample_bpp` still draws a whole shell.
+The Monte Carlo engine draws whole batches of shells at once, and of each
+shell only the part that can be seen, as per-trial visible counts and the
+positions of the visible satellites packed trial by trial. For LEO,
+:func:`sample_bpp_cap` draws only the visible cap: no satellite outside it
+can serve or interfere, and the binomial cap-count law makes the restricted
+draw exact. It returns polar coordinates about the target, nearest first,
+which :func:`cap_positions` turns into positions. For MEO,
+:func:`sample_dsbpp_cap` draws every orbit and anomaly, since the orbits
+couple the satellites, but decides visibility from the anomaly alone: each
+orbit's visible part is one arc about the target, so no satellite needs a
+position, or a distance, to be found visible. It builds positions for the
+visible satellites only, and only when asked. :func:`sample_bpp` and
+:func:`sample_dsbpp` still draw whole shells.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 # keeps that cost in start-up rather than in the first Monte Carlo batch.
 import numpy.random  # noqa: F401
 
-from .geom import EARTH_RADIUS_KM
+from .geom import EARTH_RADIUS_KM, orbit_arc
 
 # The ground target used throughout; the point processes are isotropic, so
 # fixing it loses no generality.
@@ -97,29 +102,56 @@ def sample_bpp(config: LeoShellConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_dsbpp(config: MeoShellConfig, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw the MEO shell: random orbits, uniform anomalies along each.
+    """Draw the MEO shell, as :func:`sample_dsbpp_cap` draws it, whole: shape
+    ``(n_sats, 3)``, or ``(n, n_sats, 3)`` for n shells with ``size=n``."""
+    _, positions = sample_dsbpp_cap(config, rng, math.pi, 1 if size is None else size, positions=True)
+    return positions.reshape((() if size is None else (size,)) + (config.n_sats, 3))
+
+
+def sample_dsbpp_cap(
+    config: MeoShellConfig, rng: np.random.Generator, cap_angle: float, size: int, positions: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Draw ``size`` MEO shells, random orbits with uniform anomalies along
+    each, and mark the satellites within central angle ``cap_angle`` of the
+    target.
 
     Each orbit circle starts in the xy-plane, is tilted about the x-axis by
     its inclination (sin/2 density), then swung about the z-axis by its
     azimuth (uniform). Random draws happen in a fixed order: all
-    inclinations, all azimuths, then the anomalies orbit by orbit, so a
-    given (config, stream, size) triple is reproducible. With ``size=n`` the
-    draws cover n shells at once, each block in that order along the
-    trailing axes, and the result has shape ``(n, n_sats, 3)``.
+    inclinations, all azimuths, then the anomalies orbit by orbit, each
+    block shell by shell, so a given (config, stream, size) triple is
+    reproducible and does not depend on ``cap_angle`` or ``positions``.
+
+    Returns the ``(size, n_sats)`` visibility mask and, with ``positions``,
+    the ``(mask.sum(), 3)`` positions of the visible satellites in the
+    mask's row-major order (otherwise None). Visibility takes no position:
+    the part of an orbit within the cap is one arc
+    (:func:`~constelsim.geom.orbit_arc`), and a satellite is visible when
+    its anomaly lies on its orbit's arc. Positions are built for visible
+    satellites only.
     """
-    shape = () if size is None else (size,)
-    n_orbits, per_orbit = config.n_orbits, config.sats_per_orbit
-    inclination = np.arccos(1.0 - 2.0 * rng.random(shape + (n_orbits,)))[..., None]
-    azimuth = 2.0 * np.pi * rng.random(shape + (n_orbits,))[..., None]
-    anomaly = 2.0 * np.pi * rng.random(shape + (n_orbits, per_orbit))
-    x_flat = config.radius_km * np.cos(anomaly)
-    y_flat = config.radius_km * np.sin(anomaly)
-    y_tilt = y_flat * np.cos(inclination)
-    out = np.empty(shape + (n_orbits, per_orbit, 3))
-    out[..., 0] = x_flat * np.cos(azimuth) - y_tilt * np.sin(azimuth)
-    out[..., 1] = x_flat * np.sin(azimuth) + y_tilt * np.cos(azimuth)
-    out[..., 2] = y_flat * np.sin(inclination)
-    return out.reshape(shape + (n_orbits * per_orbit, 3))
+    inclination = np.arccos(1.0 - 2.0 * rng.random((size, config.n_orbits)))
+    azimuth = 2.0 * np.pi * rng.random((size, config.n_orbits))
+    anomaly = 2.0 * np.pi * rng.random((size, config.n_orbits, config.sats_per_orbit))
+    cos_i, cos_az, sin_az = np.cos(inclination), np.cos(azimuth), np.sin(azimuth)
+    centre, half = orbit_arc(cap_angle, cos_az, -cos_i * sin_az)
+    # anomaly - centre lies in (-pi, 3 pi); the arc test wants it wrapped.
+    offset = anomaly - centre[..., None]
+    offset = np.minimum(np.abs(offset), np.abs(offset - 2.0 * np.pi))
+    visible = offset <= half[..., None]
+    if not positions:
+        return visible.reshape(size, config.n_sats), None
+    flat = np.flatnonzero(visible)
+    orbit = flat // max(config.sats_per_orbit, 1)
+    cos_i, sin_i, cos_az, sin_az = (a.take(orbit) for a in (cos_i, np.sin(inclination), cos_az, sin_az))
+    x_flat = config.radius_km * np.cos(anomaly.take(flat))
+    y_flat = config.radius_km * np.sin(anomaly.take(flat))
+    y_tilt = y_flat * cos_i
+    out = np.empty((flat.size, 3))
+    out[:, 0] = x_flat * cos_az - y_tilt * sin_az
+    out[:, 1] = x_flat * sin_az + y_tilt * cos_az
+    out[:, 2] = y_flat * sin_i
+    return visible.reshape(size, config.n_sats), out
 
 
 def sample_bpp_cap(

@@ -14,9 +14,6 @@ import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
-# Slack for cosine arguments that drift past +/-1 through roundoff.
-_COS_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class SphereGeometry:
@@ -73,44 +70,28 @@ def max_central_angle(geom: SphereGeometry, beam_angle: float) -> float:
     return math.asin(math.sin(half) / ratio) - half
 
 
-def max_detect_distance(geom: SphereGeometry, theta_max: float) -> float:
-    """Slant range (km) matching a central angle, by the law of cosines."""
-    if not 0 <= theta_max <= math.pi:
-        raise ValueError(f"central angle must lie in [0, pi], got {theta_max}")
-    rq, re = geom.shell_radius_km, geom.earth_radius_km
-    return math.sqrt(rq * rq + re * re - 2 * rq * re * math.cos(theta_max))
+def orbit_arc(cap_angle: float, along, across):
+    """Centre and half-angle of the part of a circular orbit that lies within
+    central angle ``cap_angle`` of the target, elementwise.
 
-
-def max_orbit_central_angle(geom: SphereGeometry, inclination: float, d_max_km: float) -> float:
-    """Arc (as central angle, up to 2*pi) of one orbit lying within range.
-
-    For a circular orbit whose normal makes angle ``inclination`` with the
-    target direction, returns the central angle spanned by orbit points whose
-    slant range to the target is at most ``d_max_km``. Zero when the orbit
-    never comes within range.
+    The orbit is the great circle cos(a) e1 + sin(a) e2 of anomaly a, and
+    ``along`` and ``across`` are the target direction's components on e1
+    and e2. The cosine of the central angle at anomaly a is then
+    cos(delta) cos(a - centre), where delta is the target's angle from the
+    orbit plane, cos(delta) = hypot(along, across) (a form that does not
+    cancel) and centre = atan2(across, along). The orbit is within the cap
+    where |a - centre| (wrapped to [-pi, pi]) is at most the half-angle
+    arccos(cos(cap_angle) / cos(delta)). The half-angle is -1 where the
+    orbit has no point in the cap, cos(delta) < cos(cap_angle).
     """
-    if not 0 <= inclination <= math.pi:
-        raise ValueError(f"inclination must lie in [0, pi], got {inclination}")
-    if d_max_km <= 0:
-        raise ValueError(f"d_max must be positive, got {d_max_km}")
-    rq, re = geom.shell_radius_km, geom.earth_radius_km
-    closest = (re * re + rq * rq - d_max_km * d_max_km) / (2 * re * rq)
-    if closest < -1 - _COS_EPS:
-        raise ValueError(f"d_max {d_max_km} km exceeds the largest possible separation")
-    if closest >= 1:
-        # Range shorter than the closest possible approach: nothing reachable.
-        return 0.0
-    crit = math.acos(max(closest, -1.0))
-    if abs(inclination - math.pi / 2) > crit:
-        return 0.0
-    sin_inc = math.sin(inclination)
-    arg = closest / sin_inc
-    if abs(arg) > 1 + _COS_EPS:
-        raise ValueError(
-            f"inconsistent inputs: cosine argument {arg} outside [-1, 1] "
-            f"for inclination {inclination}, d_max {d_max_km}"
-        )
-    return 2 * math.acos(min(1.0, max(-1.0, arg)))
+    cos_delta = np.hypot(along, across)
+    centre = np.arctan2(across, along)
+    cos_cap = math.cos(cap_angle)
+    # cos(delta) = 0 is an orbit face-on to the target; the floor keeps the
+    # ratio finite there, and its sign carries the answer.
+    ratio = cos_cap / np.maximum(cos_delta, np.finfo(float).tiny)
+    half = np.arccos(np.clip(ratio, -1.0, 1.0))
+    return centre, np.where(ratio > 1.0, -1.0, half)
 
 
 def dome_from_central(geom: SphereGeometry, theta):

@@ -5,25 +5,38 @@ fading value per link, and evaluates the SINR of every visible MEO
 satellite and of the ``k_max`` nearest LEO satellites with exact ranges.
 Interference is same-layer only: the two layers use different carriers.
 
-Trials run as arrays, and the engine touches only what can be seen. The
-LEO shell is drawn only inside the visible cap
+Trials run as arrays, and the engine touches only what can be seen. Each
+layer comes out of its sampler as per-trial visible counts plus the
+positions of the visible satellites, packed trial by trial. The LEO shell
+is drawn only inside the visible cap
 (:func:`~constelsim.constellation.sample_bpp_cap` at the detection angle): a
 binomial point process puts a Binomial(N, cap fraction) count there, each
 point uniform in the cap, so the restricted draw has the exact law of the
 full shell where it matters, since satellites outside the visible cap
-neither serve nor interfere. Each trial's row is then its visible
-satellites, nearest first, followed by padding, and the K nearest ranks
-are its first K entries. MEO beams carry no rank, so MEO visibility is a
-mask over the orbit-major shell and every visible satellite serves. The
-SINR runs on packed (trial, beam) and (trial, beam, interferer) index
-triples, so fading is drawn only for links that exist.
+neither serve nor interfere. A trial's LEO satellites come nearest first,
+so its K nearest ranks are its first K. The MEO shell is drawn whole, orbit
+by orbit (:func:`~constelsim.constellation.sample_dsbpp_cap`), and a
+satellite is visible when its anomaly lies on its orbit's arc within the
+detection angle; positions are built for visible satellites only, and only
+when localizability runs. MEO beams carry no rank, so every visible MEO
+satellite serves, in orbit-major order.
+
+The SINR works on links, never on padded boxes. From the counts alone,
+:func:`_link_indices` lists every (trial, rank) serving beam and every
+(beam, other visible satellite) pair in ``np.nonzero`` order over the
+padded masks, so fading is drawn only for links that exist, in the order a
+padded layout would draw it. Per-rank pass counts and per-trial MEO pass
+counts come back through ``np.bincount``.
 
 RNG contract. Batch ``b`` of the ``spec.n_batches`` batch-means batches
 draws its geometry from ``derive_rng(master_seed, b)`` and its fading from
 that stream's first spawned child, in sub-chunks of at most
 ``CHUNK_TRIALS`` trials (a module constant, so memory stays bounded at any
-trial count). ``McSpec`` requires 1 <= n_batches <= n_trials, and the CLI
-runs n_batches = min(20, n_trials). Results therefore depend on the config,
+trial count). Each chunk draws the LEO cap, then the whole MEO shell, from
+the geometry stream and then, with localizability, the LEO links' fading
+and the MEO links', serving beams first, from the fading stream.
+``McSpec`` requires 1 <= n_batches <= n_trials, and the CLI runs
+n_batches = min(20, n_trials). Results therefore depend on the config,
 ``master_seed`` and ``n_trials`` only, and availability estimates do not
 depend on whether localizability is simulated too.
 
@@ -56,14 +69,7 @@ import numpy as np
 from . import analytic
 from .analytic import KM_TO_M, SYSTEMS, SystemConfig
 from .channel import LinkParams, SrFadingParams, sr_sample
-from .constellation import (
-    TARGET_DIRECTION,
-    cap_positions,
-    central_angle_to_target,
-    derive_rng,
-    sample_bpp_cap,
-    sample_dsbpp,
-)
+from .constellation import TARGET_DIRECTION, cap_positions, derive_rng, sample_bpp_cap, sample_dsbpp_cap
 from .geom import EARTH_RADIUS_KM, dome_from_central
 
 # Largest number of trials drawn as one array.
@@ -103,36 +109,53 @@ class _Link:
         self.fading = fading
 
 
-def _sinr_passes(config, link, positions, visible, serving, rng, faithful, matched_cap=None) -> np.ndarray:
-    """Pass flags of the beams set in ``serving``, a mask over each trial's
-    first ``serving.shape[1]`` satellites that lies within ``visible``; the
-    flags have ``serving``'s shape.
+def _link_indices(counts: np.ndarray, n_serve: np.ndarray):
+    """Indices of the links of trials whose packed visible satellites number
+    ``counts``, of which the first ``n_serve`` serve.
 
-    The work runs on packed indices: one fading draw per serving beam and,
-    in faithful mode, one per (beam, other visible satellite) pair, so no
-    draw goes to padding. Faithful interference sums every other visible
-    satellite. Otherwise a ``matched_cap`` of (theta_d, p_zero) synthesizes
-    the closed form's one interferer, and without one there is no
-    interference. Entries outside ``visible`` may hold NaN positions; none
-    is read.
+    Returns the trial and rank of every serving beam, trial by trial, and
+    the beam (an index into those) and the other satellite's rank of every
+    (beam, other visible satellite) pair, beam by beam: the order in which
+    ``np.nonzero`` lists the set entries of the padded (trial, rank) and
+    (trial, rank, other) masks.
     """
-    width, n_beams = visible.shape[1], serving.shape[1]
-    rel = positions.reshape(-1, 3) - _TARGET_KM  # row trial * width + satellite
+    def ragged(sizes):
+        # Owner of each item, and its index within the owner.
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        return owner, np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+    trial, rank = ragged(n_serve)
+    beam, other = ragged(counts[trial] - 1)
+    other += other >= rank[beam]
+    return trial, rank, beam, other
+
+
+def _sinr_passes(config, link, positions, counts, n_serve, rng, faithful, matched_cap=None):
+    """Trial, rank and pass flag of every serving beam, in
+    :func:`_link_indices` order. ``positions`` holds each trial's
+    ``counts`` visible satellites, packed trial by trial; the first
+    ``n_serve`` of each trial serve.
+
+    One fading value is drawn per serving beam and, in faithful mode, one per
+    (beam, other visible satellite) pair. Faithful interference sums every
+    other visible satellite. Otherwise a ``matched_cap`` of (theta_d,
+    p_zero) synthesizes the closed form's one interferer, and without one
+    there is no interference.
+    """
+    trial, rank, beam, other = _link_indices(counts, n_serve)
+    first = np.cumsum(counts) - counts  # packed row of each trial's rank 0
+    rel = positions - _TARGET_KM
     dist_km = np.sqrt(np.einsum("sx,sx->s", rel, rel))
     dist_sq = (dist_km * KM_TO_M) ** 2
-    trial, beam = np.nonzero(serving)
-    at_beam = trial * width + beam
+    at_beam = first[trial] + rank
     signal = sr_sample(link.fading, rng, size=trial.size) / dist_sq[at_beam]
     if faithful:
-        others = ~np.eye(n_beams, width, dtype=bool)
-        pair_trial, pair_beam, pair_other = np.nonzero(serving[:, :, None] & visible[:, None, :] & others)
-        at_other = pair_trial * width + pair_other
+        at_other = first[trial[beam]] + other
         units = rel / dist_km[:, None]
-        cos_dome = np.einsum("px,px->p", units.take(pair_trial * width + pair_beam, axis=0), units.take(at_other, axis=0))
+        cos_dome = np.einsum("px,px->p", units.take(at_beam[beam], axis=0), units.take(at_other, axis=0))
         power = config.rx_pattern.gain_shape(np.arccos(np.clip(cos_dome, -1.0, 1.0))) \
-            * sr_sample(link.fading, rng, size=pair_trial.size) / dist_sq[at_other]
-        interference = np.bincount(pair_trial * n_beams + pair_beam, weights=power,
-                                   minlength=serving.size)[trial * n_beams + beam]
+            * sr_sample(link.fading, rng, size=beam.size) / dist_sq[at_other]
+        interference = np.bincount(beam, weights=power, minlength=trial.size)
     elif matched_cap is not None:
         # Present with probability 1 - p_zero, angle uniform over the cap,
         # serving-range path loss, zenith-mapped dome gain. The angle solves
@@ -149,9 +172,7 @@ def _sinr_passes(config, link, positions, visible, serving, rng, faithful, match
         interference = config.rx_pattern.gain_shape(dome) * fading / dist_sq[at_beam]
     else:
         interference = 0.0
-    passes = np.zeros(serving.shape, dtype=bool)
-    passes[trial, beam] = signal / (link.noise_term + interference) > link.threshold
-    return passes
+    return trial, rank, signal / (link.noise_term + interference) > link.threshold
 
 
 @dataclass
@@ -208,23 +229,22 @@ def simulate(
     meo_pmf = np.zeros((len(sizes), n_meo + 1))
     for b, size in enumerate(sizes):
         geo_rng = derive_rng(spec.master_seed, b)
-        fading_rng = geo_rng.spawn(1)[0]
+        fading_rng = geo_rng.spawn(1)[0] if want_loc else None
         for start in range(0, size, CHUNK_TRIALS):
             n = min(CHUNK_TRIALS, size - start)
             cos_theta, azimuth = sample_bpp_cap(config.leo, geo_rng, config.leo_theta_max, n)
             leo_vis = ~np.isnan(cos_theta)  # nearest first, then padding
-            meo_pos = sample_dsbpp(config.meo, geo_rng, size=n)
-            meo_vis = central_angle_to_target(meo_pos) <= config.meo_theta_max
+            meo_vis, meo_pos = sample_dsbpp_cap(config.meo, geo_rng, config.meo_theta_max, n, positions=want_loc)
             n_leo, n_meo_vis = leo_vis.sum(axis=1), meo_vis.sum(axis=1)
             counts = np.stack([n_leo, n_meo_vis, n_leo + n_meo_vis], axis=1)
             avail_tail[b] += (counts[:, :, None] >= ks).sum(axis=0)
             if want_loc:
-                leo_pos = cap_positions(config.leo.radius_km, cos_theta, azimuth)
-                leo_serve = leo_vis[:, :k_max]
-                rank_pass[b, :leo_serve.shape[1]] += _sinr_passes(
-                    config, leo_link, leo_pos, leo_vis, leo_serve, fading_rng, faithful, matched_cap).sum(axis=0)
-                meo_pass = _sinr_passes(config, meo_link, meo_pos, meo_vis, meo_vis, fading_rng, faithful)
-                meo_pmf[b] += np.bincount(meo_pass.sum(axis=1), minlength=n_meo + 1)
+                leo_pos = cap_positions(config.leo.radius_km, cos_theta[leo_vis], azimuth[leo_vis])
+                _, rank, passes = _sinr_passes(config, leo_link, leo_pos, n_leo, np.minimum(n_leo, k_max),
+                                               fading_rng, faithful, matched_cap)
+                rank_pass[b] += np.bincount(rank[passes], minlength=k_max)
+                trial, _, passes = _sinr_passes(config, meo_link, meo_pos, n_meo_vis, n_meo_vis, fading_rng, faithful)
+                meo_pmf[b] += np.bincount(np.bincount(trial[passes], minlength=n), minlength=n_meo + 1)
 
     n = float(spec.n_trials)
     avail = avail_tail.sum(axis=0) / n

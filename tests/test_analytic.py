@@ -23,7 +23,7 @@ from constelsim.constellation import (
     sample_bpp_cap,
     sample_dsbpp,
 )
-from constelsim.geom import max_detect_distance, max_orbit_central_angle
+from test_geom import max_detect_distance, max_orbit_central_angle
 
 CFG = default_config()
 

@@ -76,6 +76,28 @@ class TestSrCdf:
             sr_cdf(SrFadingParams(m=1000.0, b0=0.01, omega=100.0), 1.0)
 
 
+# F(w) to 50 digits: the full series sum_z c_z P(z + 1, w / (2 b0)) in
+# 70-digit arithmetic (mpmath), for (m, b0, omega) and w.
+CDF_REFERENCES = [
+    ((25.0, 0.05, 3.0), 3.1e-06, "8.5286390068711693244790765076652846127604484578214e-14"),
+    ((25.0, 0.05, 3.0), 0.001, "2.9276794478449839814807500462862110001460150810906e-11"),
+    ((25.0, 0.05, 3.0), 0.1, "9.0377774509329485204462883301198403935496456607058e-8"),
+    ((25.0, 0.05, 3.0), 1.0, "3.9389525643157789520272267411128514451658262534986e-3"),
+    ((19.4, 0.158, 1.29), 1e-06, "7.7858774974249625417340545860898225886987858492412e-8"),
+    ((19.4, 0.158, 1.29), 0.05, "4.6265815385094990887642805929794314264225324469453e-3"),
+    ((19.4, 0.158, 1.29), 1.0, "3.1128303280840708389940306183997256020235818015339e-1"),
+    ((1.0, 0.05, 3.0), 0.0001, "3.225754423036035604443722025270713470876077661698e-5"),
+    ((1.0, 0.05, 3.0), 3.0, "6.2006000076696094134199631625249465061037250558639e-1"),
+]
+
+
+@pytest.mark.parametrize("fading, w, want", CDF_REFERENCES)
+def test_cdf_keeps_relative_precision(fading, w, want):
+    # A small first weight c_0 (2.8e-9 at m = 25) once cost a read-out with
+    # cancelling terms eight digits here.
+    assert sr_cdf(SrFadingParams(*fading), w) == pytest.approx(float(want), rel=1e-13, abs=0)
+
+
 class TestSeriesProperties:
     @settings(max_examples=100, deadline=None)
     @given(params=fading_params, multiples=power_multiples)
@@ -271,6 +293,21 @@ class TestSrSample:
     def test_scalar_draw(self):
         w = sr_sample(BASE, derive_rng(7))
         assert isinstance(w, float) and w >= 0
+
+    @pytest.mark.parametrize("params", [BASE, SrFadingParams(m=1.0, b0=0.05, omega=0.0)])
+    @pytest.mark.parametrize("size", [None, 0, 5, (3, 4)])
+    def test_matches_out_of_place_formula(self, params, size):
+        # Same draws, same arithmetic, bit for bit: gamma, then the in-phase
+        # and the quadrature normal.
+        rng = derive_rng(8)
+        shape = () if size is None else size
+        los = rng.gamma(params.m, params.omega / params.m, shape) if params.omega > 0 else np.zeros(shape)
+        re = np.sqrt(los) + math.sqrt(params.b0) * rng.standard_normal(shape)
+        im = math.sqrt(params.b0) * rng.standard_normal(shape)
+        got_rng = derive_rng(8)
+        got = sr_sample(params, got_rng, size)
+        assert np.array_equal(got, re * re + im * im)
+        assert got_rng.random() == rng.random()
 
 
 PATTERNS = [

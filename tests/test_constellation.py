@@ -13,7 +13,9 @@ from constelsim.constellation import (
     sample_bpp,
     sample_bpp_cap,
     sample_dsbpp,
+    sample_dsbpp_cap,
 )
+from constelsim.config import build_system_config, load_settings
 
 LEO = LeoShellConfig(n_sats=2000, radius_km=7371.0, beam_angle=math.pi / 4)
 MEO = MeoShellConfig(n_orbits=2, sats_per_orbit=6, radius_km=26371.0, beam_angle=math.pi / 6)
@@ -222,6 +224,56 @@ class TestDsbpp:
         a = sample_dsbpp(MEO, derive_rng(7, 1))
         b = sample_dsbpp(MEO, derive_rng(7, 1))
         assert np.array_equal(a, b)
+
+
+def whole_shells(config, rng, size):
+    """``size`` whole MEO shells from the rotation of every satellite's flat
+    position, all orbits at once: the arithmetic the packed positions must
+    reproduce bit for bit."""
+    inclination = np.arccos(1.0 - 2.0 * rng.random((size, config.n_orbits, 1)))
+    azimuth = 2.0 * np.pi * rng.random((size, config.n_orbits, 1))
+    anomaly = 2.0 * np.pi * rng.random((size, config.n_orbits, config.sats_per_orbit))
+    x_flat = config.radius_km * np.cos(anomaly)
+    y_flat = config.radius_km * np.sin(anomaly)
+    y_tilt = y_flat * np.cos(inclination)
+    out = np.stack([x_flat * np.cos(azimuth) - y_tilt * np.sin(azimuth),
+                    x_flat * np.sin(azimuth) + y_tilt * np.cos(azimuth),
+                    y_flat * np.sin(inclination)], axis=-1)
+    return out.reshape(size, config.n_sats, 3)
+
+
+class TestDsbppCap:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"meo.n_orbits": "3", "meo.sats_per_orbit": "4"},
+        {"meo.n_orbits": "1", "meo.sats_per_orbit": "1"},
+        {"meo.altitude_km": "8000"},
+    ])
+    def test_matches_whole_shells(self, overrides):
+        # 100k shells in ten chunks, both sides on copies of one stream.
+        cfg = build_system_config(load_settings(overrides=overrides))
+        cap_rng, full_rng = derive_rng(31), derive_rng(31)
+        for _ in range(10):
+            visible, positions = sample_dsbpp_cap(cfg.meo, cap_rng, cfg.meo_theta_max, 10_000, positions=True)
+            full = whole_shells(cfg.meo, full_rng, 10_000)
+            assert np.array_equal(visible, central_angle_to_target(full) <= cfg.meo_theta_max)
+            assert np.array_equal(positions, full[visible])
+        assert cap_rng.random() == full_rng.random()
+
+    def test_whole_shell_sampler_matches(self):
+        assert np.array_equal(sample_dsbpp(MEO, derive_rng(34), size=500), whole_shells(MEO, derive_rng(34), 500))
+        assert np.array_equal(sample_dsbpp(MEO, derive_rng(35)), whole_shells(MEO, derive_rng(35), 1)[0])
+
+    def test_mask_alone_draws_the_same(self):
+        visible, positions = sample_dsbpp_cap(MEO, derive_rng(32), 1.0, 50)
+        with_positions, _ = sample_dsbpp_cap(MEO, derive_rng(32), 1.0, 50, positions=True)
+        assert positions is None and visible.shape == (50, 12)
+        assert np.array_equal(visible, with_positions)
+
+    def test_empty_shell(self):
+        cfg = MeoShellConfig(0, 6, 26371.0, math.pi / 6)
+        visible, positions = sample_dsbpp_cap(cfg, derive_rng(33), 1.0, 4, positions=True)
+        assert visible.shape == (4, 0) and positions.shape == (0, 3)
 
 
 class TestCentralAngle:

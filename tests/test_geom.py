@@ -11,12 +11,55 @@ from constelsim.geom import (
     central_from_dome,
     dome_from_central,
     max_central_angle,
-    max_detect_distance,
-    max_orbit_central_angle,
+    orbit_arc,
 )
 
 MEO = SphereGeometry(26371.0)
 LEO = SphereGeometry(7371.0)
+
+# Slack for cosine arguments that drift past +/-1 through roundoff.
+_COS_EPS = 1e-12
+
+
+def max_detect_distance(geom: SphereGeometry, theta_max: float) -> float:
+    """Slant range (km) matching a central angle, by the law of cosines."""
+    if not 0 <= theta_max <= math.pi:
+        raise ValueError(f"central angle must lie in [0, pi], got {theta_max}")
+    rq, re = geom.shell_radius_km, geom.earth_radius_km
+    return math.sqrt(rq * rq + re * re - 2 * rq * re * math.cos(theta_max))
+
+
+def max_orbit_central_angle(geom: SphereGeometry, inclination: float, d_max_km: float) -> float:
+    """Arc (as central angle, up to 2*pi) of one orbit lying within range.
+
+    For a circular orbit whose normal makes angle ``inclination`` with the
+    target direction, returns the central angle spanned by orbit points whose
+    slant range to the target is at most ``d_max_km``. Zero when the orbit
+    never comes within range. An oracle for :func:`orbit_arc` built from
+    slant ranges instead of central angles.
+    """
+    if not 0 <= inclination <= math.pi:
+        raise ValueError(f"inclination must lie in [0, pi], got {inclination}")
+    if d_max_km <= 0:
+        raise ValueError(f"d_max must be positive, got {d_max_km}")
+    rq, re = geom.shell_radius_km, geom.earth_radius_km
+    closest = (re * re + rq * rq - d_max_km * d_max_km) / (2 * re * rq)
+    if closest < -1 - _COS_EPS:
+        raise ValueError(f"d_max {d_max_km} km exceeds the largest possible separation")
+    if closest >= 1:
+        # Range shorter than the closest possible approach: nothing reachable.
+        return 0.0
+    crit = math.acos(max(closest, -1.0))
+    if abs(inclination - math.pi / 2) > crit:
+        return 0.0
+    sin_inc = math.sin(inclination)
+    arg = closest / sin_inc
+    if abs(arg) > 1 + _COS_EPS:
+        raise ValueError(
+            f"inconsistent inputs: cosine argument {arg} outside [-1, 1] "
+            f"for inclination {inclination}, d_max {d_max_km}"
+        )
+    return 2 * math.acos(min(1.0, max(-1.0, arg)))
 
 
 def visible_3d(sat_pos, target_pos, half_beam):
@@ -202,6 +245,48 @@ class TestMaxOrbitCentralAngle:
     def test_rejects_bad_inclination(self):
         with pytest.raises(ValueError):
             max_orbit_central_angle(MEO, -0.1, 20000.0)
+
+
+class TestOrbitArc:
+    """``orbit_arc`` against the slant-range oracle above. An orbit drawn by
+    the MEO sampler has in-plane axes (cos az, sin az, 0) and
+    (-cos i sin az, cos i cos az, sin i); its normal makes angle
+    arccos(sin i sin az) with the target direction (1, 0, 0)."""
+
+    def test_polar_orbit_doubles_theta_max(self):
+        theta_max = max_central_angle(MEO, math.pi / 6)
+        centre, half = orbit_arc(theta_max, 1.0, 0.0)
+        assert centre == 0.0 and half == pytest.approx(theta_max, rel=1e-12)
+        want = max_orbit_central_angle(MEO, math.pi / 2, max_detect_distance(MEO, theta_max))
+        assert 2.0 * half == pytest.approx(want, rel=1e-12)
+
+    def test_face_on_orbit_is_empty(self):
+        # cos(delta) = 0 exactly: no divide warning, which pytest would raise.
+        _, half = orbit_arc(1.0, np.zeros(2), np.zeros(2))
+        assert np.all(half < 0)
+        assert max_orbit_central_angle(MEO, 0.0, max_detect_distance(MEO, 1.0)) == 0.0
+
+    def test_random_orbits_match_oracle(self):
+        rng = np.random.default_rng(12)
+        got, want = [], []
+        for _ in range(25):
+            theta_max = rng.uniform(0.1, 1.3)
+            inclination, azimuth = math.acos(1.0 - 2.0 * rng.random()), 2.0 * math.pi * rng.random()
+            _, half = orbit_arc(theta_max, math.cos(azimuth), -math.cos(inclination) * math.sin(azimuth))
+            got.append(max(2.0 * half, 0.0))
+            normal = math.acos(math.sin(inclination) * math.sin(azimuth))
+            want.append(max_orbit_central_angle(MEO, normal, max_detect_distance(MEO, theta_max)))
+        assert 0 < np.count_nonzero(got) < 25
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_centre_is_nearest_point(self):
+        rng = np.random.default_rng(13)
+        along, across = rng.normal(size=(2, 50)) * 0.5
+        centre, _ = orbit_arc(0.5, along, across)
+        anomaly = np.linspace(-math.pi, math.pi, 20001)
+        cos_angle = along[:, None] * np.cos(anomaly) + across[:, None] * np.sin(anomaly)
+        nearest = anomaly[np.argmax(cos_angle, axis=1)]
+        np.testing.assert_allclose(np.angle(np.exp(1j * (nearest - centre))), 0.0, atol=2 * math.pi / 20000)
 
 
 class TestDomeCentralConversions:

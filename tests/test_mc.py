@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from constelsim import cli, mc
@@ -166,19 +168,19 @@ class TestEstimates:
 
     @staticmethod
     def ragged_beams(seed):
-        """Positions, visible mask and serving mask of four trials with 3,
-        0, 1 and 5 visible LEO satellites, the first two of each serving;
-        padding holds NaN like the cap sampler's."""
+        """Packed positions, visible counts and serving counts of four trials
+        with 3, 0, 1 and 5 visible LEO satellites, the first two of each
+        serving."""
         counts = np.array([3, 0, 1, 5])
         visible = np.arange(5) < counts[:, None]
         rng = derive_rng(seed)
         cos_theta = 1.0 - rng.random(visible.shape) * (1.0 - math.cos(CFG.leo_theta_max))
         azimuth = 2.0 * math.pi * rng.random(visible.shape)
-        positions = cap_positions(CFG.leo.radius_km, np.where(visible, cos_theta, np.nan), azimuth)
-        return positions, visible, visible[:, :2]
+        positions = cap_positions(CFG.leo.radius_km, cos_theta[visible], azimuth[visible])
+        return positions, counts, np.minimum(counts, 2)
 
     def test_no_fading_drawn_for_missing_beams(self, monkeypatch):
-        positions, visible, serving = self.ragged_beams(21)
+        positions, counts, n_serve = self.ragged_beams(21)
         draws = []
 
         def counting(params, rng, size=None):
@@ -187,31 +189,33 @@ class TestEstimates:
 
         monkeypatch.setattr(mc, "sr_sample", counting)
         link = mc._Link(CFG.leo_link, CFG.leo_fading)
-        passes = mc._sinr_passes(CFG, link, positions, visible, serving, derive_rng(22), faithful=True)
-        trial, _ = np.nonzero(serving)
-        assert sum(draws) == serving.sum() + (visible.sum(axis=1)[trial] - 1).sum() == 17
-        assert passes.shape == serving.shape and not passes[~serving].any()
+        trial, rank, passes = mc._sinr_passes(CFG, link, positions, counts, n_serve, derive_rng(22), faithful=True)
+        assert sum(draws) == n_serve.sum() + (n_serve * (counts - 1)).sum() == 17
+        assert passes.shape == trial.shape == (n_serve.sum(),) and np.all(rank < n_serve[trial])
 
     def test_packed_interference_matches_per_beam_sum(self, monkeypatch):
         # With unit fading, each beam's SINR is a plain sum over the other
         # visible satellites; a threshold between the middle two splits the
         # beams.
-        positions, visible, serving = self.ragged_beams(23)
+        positions, counts, n_serve = self.ragged_beams(23)
         monkeypatch.setattr(mc, "sr_sample", lambda params, rng, size=None: np.ones(size))
         link = mc._Link(CFG.leo_link, CFG.leo_fading)
         rel = positions - np.array([6371.0, 0.0, 0.0])
         dist_sq = (np.linalg.norm(rel, axis=-1) * 1e3) ** 2
         units = rel / np.linalg.norm(rel, axis=-1, keepdims=True)
+        first = np.cumsum(counts) - counts
         sinr = {}
-        for t, s in zip(*np.nonzero(serving)):
-            others = [i for i in np.flatnonzero(visible[t]) if i != s]
-            dome = np.arccos(np.clip(units[t, others] @ units[t, s], -1.0, 1.0))
-            interference = np.sum(CFG.rx_pattern.gain_shape(dome) / dist_sq[t, others])
-            sinr[t, s] = (1.0 / dist_sq[t, s]) / (link.noise_term + interference)
+        for t in range(counts.size):
+            for s in range(n_serve[t]):
+                others = [first[t] + i for i in range(counts[t]) if i != s]
+                dome = np.arccos(np.clip(units[others] @ units[first[t] + s], -1.0, 1.0))
+                interference = np.sum(CFG.rx_pattern.gain_shape(dome) / dist_sq[others])
+                sinr[t, s] = (1.0 / dist_sq[first[t] + s]) / (link.noise_term + interference)
         ordered = sorted(sinr.values())
         link.threshold = math.sqrt(ordered[len(ordered) // 2 - 1] * ordered[len(ordered) // 2])
-        passes = mc._sinr_passes(CFG, link, positions, visible, serving, derive_rng(24), faithful=True)
-        assert {key: bool(passes[key]) for key in sinr} == {key: value > link.threshold for key, value in sinr.items()}
+        trial, rank, passes = mc._sinr_passes(CFG, link, positions, counts, n_serve, derive_rng(24), faithful=True)
+        assert {(t, r): bool(p) for t, r, p in zip(trial, rank, passes)} \
+            == {key: value > link.threshold for key, value in sinr.items()}
         assert 0 < passes.sum() < len(sinr)
 
     def test_matched_interferer_survives_zero_uniforms(self):
@@ -220,13 +224,13 @@ class TestEstimates:
         rng = derive_rng(4)
         cos_theta, azimuth = sample_bpp_cap(CFG.leo, rng, CFG.leo_geom.horizon_angle, 64)
         visible = cos_theta >= math.cos(CFG.leo_theta_max)
-        width = int(visible.sum(axis=1).max())
-        positions = cap_positions(CFG.leo.radius_km, cos_theta[:, :width], azimuth[:, :width])
+        positions = cap_positions(CFG.leo.radius_km, cos_theta[visible], azimuth[visible])
+        counts = visible.sum(axis=1)
         theta_d, _ = leo_interference_cap(CFG)
         link = mc._Link(CFG.leo_link, CFG.leo_fading)
-        passes = mc._sinr_passes(CFG, link, positions, visible[:, :width], visible[:, :3], ZeroUniforms(rng),
-                                 faithful=False, matched_cap=(theta_d, 0.0))
-        assert passes.shape == (64, 3) and passes.dtype == bool
+        _, _, passes = mc._sinr_passes(CFG, link, positions, counts, np.minimum(counts, 3), ZeroUniforms(rng),
+                                       faithful=False, matched_cap=(theta_d, 0.0))
+        assert passes.shape == (np.minimum(counts, 3).sum(),) and passes.dtype == bool
 
     def test_no_leo_no_meo(self):
         cfg = dataclasses.replace(CFG, leo=dataclasses.replace(CFG.leo, n_sats=0),
@@ -235,6 +239,33 @@ class TestEstimates:
         for metric in ("availability", "localizability"):
             for system in ("leo", "meo", "hybrid"):
                 assert np.all(summary.estimate(metric, system)[0] == 0.0)
+
+
+@st.composite
+def ragged_counts(draw):
+    """Visible counts of up to 12 trials, 0 to 9 each, and serving counts:
+    the first ``k_max`` ranks (LEO) or every visible satellite (MEO)."""
+    counts = np.array(draw(st.lists(st.integers(0, 9), max_size=12)), dtype=np.intp)
+    k_max = draw(st.one_of(st.none(), st.integers(1, 6)))
+    return counts, counts.copy() if k_max is None else np.minimum(counts, k_max)
+
+
+class TestLinkIndices:
+    @settings(max_examples=300, deadline=None)
+    @given(ragged_counts())
+    # Empty trials, lone satellites and counts both sides of k_max; then
+    # MEO's every visible satellite serving.
+    @example((np.array([0, 1, 0, 7, 2, 1, 6]), np.array([0, 1, 0, 6, 2, 1, 6])))
+    @example((np.array([0, 1, 12, 3, 0]), np.array([0, 1, 12, 3, 0])))
+    def test_matches_nonzero_over_padded_masks(self, case):
+        counts, n_serve = case
+        width = int(counts.max(initial=0))
+        visible = np.arange(width) < counts[:, None]
+        serving = np.arange(width) < n_serve[:, None]
+        trial, rank, beam, other = mc._link_indices(counts, n_serve)
+        assert np.array_equal(np.stack([trial, rank]), np.stack(np.nonzero(serving)))
+        pairs = np.nonzero(serving[:, :, None] & visible[:, None, :] & ~np.eye(width, dtype=bool))
+        assert np.array_equal(np.stack([trial[beam], rank[beam], other]), np.stack(pairs))
 
 
 class TestFewTrials:
