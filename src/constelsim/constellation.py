@@ -142,7 +142,7 @@ def sample_dsbpp_cap(
     if not positions:
         return visible.reshape(size, config.n_sats), None
     flat = np.flatnonzero(visible)
-    orbit = flat // max(config.sats_per_orbit, 1)
+    orbit = flat // config.sats_per_orbit
     cos_i, sin_i, cos_az, sin_az = (a.take(orbit) for a in (cos_i, np.sin(inclination), cos_az, sin_az))
     x_flat = config.radius_km * np.cos(anomaly.take(flat))
     y_flat = config.radius_km * np.sin(anomaly.take(flat))
