@@ -93,8 +93,8 @@ CDF_REFERENCES = [
 
 @pytest.mark.parametrize("fading, w, want", CDF_REFERENCES)
 def test_cdf_keeps_relative_precision(fading, w, want):
-    # A small first weight c_0 (2.8e-9 at m = 25) once cost a read-out with
-    # cancelling terms eight digits here.
+    # A small first weight c_0 (2.8e-9 at m = 25) costs any read-out that
+    # subtracts terms up to eight digits at small w.
     assert sr_cdf(SrFadingParams(*fading), w) == pytest.approx(float(want), rel=1e-13, abs=0)
 
 
