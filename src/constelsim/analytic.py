@@ -295,7 +295,7 @@ def compose(leo: np.ndarray, meo_law: np.ndarray, cutoff: int) -> dict[str, np.n
     for j in range(min(cutoff, len(meo_law) - 1) + 1):
         # LEO value for K - j, zero where j >= K (those K are covered below).
         hybrid += np.concatenate([np.zeros(j), leo])[:k_max] * meo_law[j]
-    hybrid += np.array([meo_law[k: cutoff + 1].sum() for k in range(1, k_max + 1)])
+    hybrid += _tail(meo_law[: cutoff + 1], k_max)
     return {"leo": leo, "meo": _tail(meo_law, k_max), "hybrid": hybrid}
 
 

@@ -33,11 +33,16 @@ their relative precision.
 
 An independent faded power V in the threshold enters the same form as a
 count: if Poisson(x + V / (2 b0)) = Poisson(x) + N, then
-P(W > w + V) = sum_k pi_k(x) sum_i P(N = i) T_{i+k}, again with non-negative
-terms. For V = a W', W' / (2 b0) is Gamma(z + 1) given the mixture index z,
-so N is the c_z-mixture of NB(z + 1, 1 / (1 + a)) (:func:`sr_count_pmf`), and
-a mixture of such laws over a, such as an interferer at a random angle or
-none, is again a count law.
+P(W > w + V) = sum_k pi_k(x) sum_i P_i T_{i+k}, P_i = P(N = i), again with
+non-negative terms. For V = a W', W' / (2 b0) is Gamma(z + 1) given z, so N
+mixes NB(z + 1, p), p = 1 / (1 + a), over c_z, and a mixture of such laws
+over a (an interferer at a random angle, or none) is again a count law. With
+q = 1 - p and r = q / (1 - beta p), the log of N's generating function
+p (1 - beta r)^m (1 - q s)^(m - 1) / (1 - r s)^m gives n P_n = U_n + m D_n,
+where U_n = q (U_{n-1} + P_{n-1}) and D_n = r D_{n-1} + (r - q) (U_{n-1} +
+P_{n-1}) start at 0: O(Z) per scale, all terms non-negative. The law is
+untruncated, cut at Z, and keeps the survival's one-sided bound for
+P(W > w + V): no T_j is short by more than the dropped weights.
 """
 
 from __future__ import annotations
@@ -80,8 +85,8 @@ class SrFadingParams:
         return self.omega / (2.0 * self.b0 * self.m + self.omega)
 
     @property
-    def _log_prefactor(self) -> float:
-        return self.m * math.log(2.0 * self.b0 * self.m / (2.0 * self.b0 * self.m + self.omega))
+    def _beta_complement(self) -> float:  # 1 - beta, without cancellation
+        return 2.0 * self.b0 * self.m / (2.0 * self.b0 * self.m + self.omega)
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,8 @@ def _series_weights(params: SrFadingParams, tol: float, max_terms: int) -> tuple
     bypassed by a cached result."""
     beta, m = params._beta, params.m
     z = np.arange(max_terms, dtype=float)
-    c = np.cumprod(np.concatenate(([math.exp(params._log_prefactor)], beta * (m + z[:-1]) / z[1:])))
+    c0 = math.exp(m * math.log(params._beta_complement))
+    c = np.cumprod(np.concatenate(([c0], beta * (m + z[:-1]) / z[1:])))
     if c[0] == 0.0:
         raise SeriesConvergenceError("shadowed-Rician series weights underflow")
     # The ratio c_{z+1} / c_z = beta (m + z) / (z + 1) tends to beta
@@ -243,29 +249,26 @@ def sr_sf(params: SrFadingParams, w, counts=None):
 
 def sr_count_pmf(params: SrFadingParams, scale):
     """Law of N = Poisson(scale * W / (2 b0)) for a shadowed-Rician power W,
-    shape ``(Z,) + shape(scale)``: row i is P(N = i) for i below the term
-    count Z. It mixes NB(z + 1, 1 / (1 + scale)) over the truncated weights
-    c_z, so it is T_0 e_0 at scale zero. Each term is taken in log space, one
-    count at a time, so none underflows while it still matters and memory
-    stays at Z values per scale.
-    """
+    shape ``(Z,) + shape(scale)``: row i is P(N = i), i < Z, of the
+    untruncated law (exactly e_0 at scale zero) by the module docstring's
+    recurrence, and :func:`sr_sf` keeps its one-sided bound with it. A
+    column whose rounded sum exceeds one is scaled down until it does not."""
     a = np.asarray(scale, dtype=float)
     if np.any(a < 0):
         raise ValueError("scale must be non-negative")
-    c, _ = _series_weights(params, _SERIES_TOL, _MAX_SERIES_TERMS)
-    n_terms = c.size
-    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(2 * n_terms - 1)])
-    log_p = -np.log1p(a.ravel())
-    with np.errstate(divide="ignore"):
-        log_q = np.log(a.ravel()) + log_p  # -inf at scale zero
-        # log c_z + (z + 1) log p - log z!: the part of term (i, z) free of i.
-        base = (np.log(c) - log_factorials[:n_terms])[:, None] + np.outer(np.arange(1.0, n_terms + 1), log_p)
-    out = np.empty((n_terms, log_p.size))
-    for i in range(n_terms):
-        log_terms = base + (log_factorials[i: i + n_terms] - log_factorials[i])[:, None]
-        if i:
-            log_terms += i * log_q
-        out[i] = np.exp(log_terms).sum(axis=0)
+    n_terms = _series_weights(params, _SERIES_TOL, _MAX_SERIES_TERMS)[0].size
+    m, beta, x = params.m, params._beta, a.ravel()
+    p, r = 1.0 / (1.0 + x), x / (x + params._beta_complement)
+    q, gap = x * p, beta * r * p  # gap = r - q
+    out = np.empty((n_terms, x.size))
+    out[0] = p * np.exp(m * np.log1p(-beta * r))
+    u = d = 0.0
+    for n in range(1, n_terms):
+        t = u + out[n - 1]
+        u, d = q * t, r * d + gap * t
+        out[n] = (u + m * d) / n
+    while np.any((total := out.sum(axis=0)) > 1.0):
+        out[:, total > 1.0] /= total[total > 1.0]
     return out.reshape((n_terms,) + a.shape)
 
 

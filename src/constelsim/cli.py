@@ -44,7 +44,7 @@ _SWEEP_PARAMS = {
     "phi_3db_deg": ("rx.phi_3db", None),
 }
 
-# Most points one sweep axis may hold; checked before the list is built.
+# Most points one sweep axis may hold (checked before the list is built), and the largest K.
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -102,15 +102,12 @@ def _check_axis_system(name: str, system: str):
 
 
 def _parse_k_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
     try:
         ks = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad K list '{text}'") from exc
-    if any(k < 1 for k in ks):
-        raise ConfigError("K values must be at least 1")
+    if not all(1 <= k <= MAX_SWEEP_POINTS for k in ks):
+        raise ConfigError(f"K values must lie in [1, {MAX_SWEEP_POINTS}]")
     _check_unique("K", ks)
     return ks
 
@@ -150,13 +147,14 @@ def _curve_point(args):
 
 def _map_points(tasks, jobs: int) -> list:
     """``_curve_point`` of every task, in order, on ``jobs`` worker processes
-    when ``jobs`` is above one."""
-    if jobs <= 1:
+    but no more than there are tasks, since a pool starts every worker."""
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [_curve_point(t) for t in tasks]
     # Imported here: multiprocessing costs every serial command start-up time.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_curve_point, tasks))
 
 
@@ -339,6 +337,8 @@ def main(argv=None) -> int:
     try:
         if not 0 < opts.rtol < math.inf:  # false for NaN too
             raise ConfigError(f"--rtol must be positive and finite, got {opts.rtol}")
+        if opts.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {opts.jobs}")
         return opts.fn(opts)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

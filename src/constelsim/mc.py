@@ -216,7 +216,6 @@ def simulate(
     """
     want_loc = "localizability" in metrics
     k_max = spec.k_max
-    ks = np.arange(1, k_max + 1)
     n_meo = config.meo.n_sats
     faithful = spec.sum_all_interferers
     leo_link = _Link(config.leo_link, config.leo_fading)
@@ -224,7 +223,8 @@ def simulate(
     matched_cap = None if faithful else analytic.leo_interference_cap(config)
 
     sizes = np.diff(np.linspace(0, spec.n_trials, spec.n_batches + 1).astype(int))
-    avail_tail = np.zeros((len(sizes), 3, k_max))  # leo, meo, hybrid counts >= K
+    avail_hist = np.zeros(3 * (k_max + 1))  # trials per count up to k_max: leo, meo, hybrid
+    row_start = (k_max + 1) * np.arange(3)[:, None]
     rank_pass = np.zeros((len(sizes), k_max))
     meo_pmf = np.zeros((len(sizes), n_meo + 1))
     for b, size in enumerate(sizes):
@@ -236,8 +236,8 @@ def simulate(
             leo_vis = ~np.isnan(cos_theta)  # nearest first, then padding
             meo_vis, meo_pos = sample_dsbpp_cap(config.meo, geo_rng, config.meo_theta_max, n, positions=want_loc)
             n_leo, n_meo_vis = leo_vis.sum(axis=1), meo_vis.sum(axis=1)
-            counts = np.stack([n_leo, n_meo_vis, n_leo + n_meo_vis], axis=1)
-            avail_tail[b] += (counts[:, :, None] >= ks).sum(axis=0)
+            capped = np.minimum([n_leo, n_meo_vis, n_leo + n_meo_vis], k_max) + row_start
+            avail_hist += np.bincount(capped.ravel(), minlength=avail_hist.size)
             if want_loc:
                 leo_pos = cap_positions(config.leo.radius_km, cos_theta[leo_vis], azimuth[leo_vis])
                 _, rank, passes = _sinr_passes(config, leo_link, leo_pos, n_leo, np.minimum(n_leo, k_max),
@@ -247,7 +247,7 @@ def simulate(
                 meo_pmf[b] += np.bincount(np.bincount(trial[passes], minlength=n), minlength=n_meo + 1)
 
     n = float(spec.n_trials)
-    avail = avail_tail.sum(axis=0) / n
+    avail = np.cumsum(avail_hist.reshape(3, k_max + 1)[:, ::-1], axis=1)[:, -2::-1] / n  # counts >= K
     cutoff = n_meo if faithful else analytic.n_meo_max(config)
 
     def single_pass(pmf):

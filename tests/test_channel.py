@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -192,6 +193,49 @@ class TestSrSf:
             sr_sf(BASE, 1.0)
 
 
+def truncated_mixture_pmf(params: SrFadingParams, scale) -> np.ndarray:
+    """The count law as the c_z-mixture of NB(z + 1, 1 / (1 + scale)) over
+    the Z truncated weights, each term in log space, Z^2 exps per scale:
+    the previous implementation of ``sr_count_pmf``, kept as its oracle."""
+    c, _ = channel._series_weights(params, channel._SERIES_TOL, channel._MAX_SERIES_TERMS)
+    n_terms = c.size
+    log_factorials = np.array([math.lgamma(k + 1.0) for k in range(2 * n_terms - 1)])
+    log_p = -np.log1p(np.ravel(scale))
+    with np.errstate(divide="ignore"):
+        log_q = np.log(np.ravel(scale)) + log_p  # -inf at scale zero
+        # log c_z + (z + 1) log p - log z!: the part of term (i, z) free of i.
+        base = (np.log(c) - log_factorials[:n_terms])[:, None] + np.outer(np.arange(1.0, n_terms + 1), log_p)
+    out = np.empty((n_terms, log_p.size))
+    for i in range(n_terms):
+        log_terms = base + (log_factorials[i: i + n_terms] - log_factorials[i])[:, None]
+        if i:
+            log_terms += i * log_q
+        out[i] = np.exp(log_terms).sum(axis=0)
+    return out.reshape((n_terms,) + np.shape(scale))
+
+
+# P(N = count) to 20 digits, from the closed form
+# p (1 - beta)^m q^count 2F1(m, count + 1; 1; beta p) in 50-digit arithmetic
+# (mpmath), for (m, b0, omega), the scale and the count.
+COUNT_REFERENCES = [
+    ((0.5, 0.05, 3.0), 704.0, 0, "0.00018173942010325685746"),
+    ((0.5, 0.05, 3.0), 704.0, 100, "0.00016929916760760520697"),
+    ((0.5, 0.05, 3.0), 704.0, 1000, "0.000099447529801884084131"),
+    ((0.5, 0.05, 3.0), 704.0, 1551, "0.000078095525220816415095"),
+    ((1.0, 0.05, 3.0), 173.0, 0, "0.00018642803877703207564"),
+    ((1.0, 0.05, 3.0), 173.0, 400, "0.00017303037309401561925"),
+    ((1.0, 0.05, 3.0), 173.0, 847, "0.00015919439157210217476"),
+    ((25.0, 0.158, 3.0), 1e-4, 0, "0.99895130112957708189"),
+    ((25.0, 0.158, 3.0), 1e-4, 1, "0.0010480309822245643307"),
+    ((25.0, 0.158, 3.0), 1e-4, 2, "6.6755835054469080618e-7"),
+    ((19.4, 0.158, 1.29), 0.3, 0, "0.30658209063976419653"),
+    ((19.4, 0.158, 1.29), 0.3, 5, "0.0282398956667512399"),
+    ((19.4, 0.158, 1.29), 0.3, 31, "1.6719994649448728491e-13"),
+    ((2.0, 0.5, 0.0), 10.0, 0, "0.090909090909090909091"),
+    ((2.0, 0.5, 0.0), 10.0, 15, "0.021762913579014877126"),
+]
+
+
 class TestSrCountPmf:
     # Baseline fading, then strong line of sight with little scatter at two
     # shapes: 32, 128 and 848 series terms.
@@ -201,14 +245,22 @@ class TestSrCountPmf:
         "m1": SrFadingParams(m=1.0, b0=0.05, omega=3.0),
     }
     PAIRS = ((0.0, 0.5), (0.3, 2.0), (1.0, 10.0), (2.5, 0.01), (0.05, 10.0))
+    # Fading triples (16 to 1,552 series terms) and scales for the oracle.
+    GRID_M = (0.5, 1.0, 2.0, 5.0, 10.0, 19.4, 25.0)
+    GRID_B0 = (0.05, 0.158, 0.5, 1.0)
+    GRID_OMEGA = (0.0, 0.3, 1.29, 3.0)
+    GRID_SCALES = np.concatenate([[0.0], np.logspace(-6, 3, 60)])
 
     @pytest.mark.parametrize("name", FADINGS)
     def test_matches_quadrature(self, name):
         # P(W > x + c W') for independent W, W', against adaptive quadrature
         # of f(w') P(W > x + c w') over [0, inf), all (x, c) pairs at once.
+        # The density of W' is the untruncated one, as the count law is: at
+        # the default 1e-12 truncation the reference itself sits 2.8e-13
+        # from this integral at m1.
         fading = self.FADINGS[name]
         x, c = (np.array(column) for column in zip(*self.PAIRS))
-        want, _ = quad_vec(lambda w: sr_pdf(fading, w) * sr_sf(fading, x + c * w), 0.0, np.inf,
+        want, _ = quad_vec(lambda w: sr_pdf(fading, w, tol=1e-16) * sr_sf(fading, x + c * w), 0.0, np.inf,
                            epsabs=1e-15, epsrel=1e-13, norm="max", limit=500)
         got = [sr_sf(fading, xi, sr_count_pmf(fading, ci)) for xi, ci in self.PAIRS]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -227,7 +279,33 @@ class TestSrCountPmf:
         pmf = sr_count_pmf(fading, 0.0)
         assert pmf.shape == tails.shape
         assert np.all(pmf[1:] == 0.0)
-        assert pmf[0] == pytest.approx(tails[0], rel=0, abs=1e-14)
+        assert pmf[0] == 1.0
+
+    @pytest.mark.parametrize("m", GRID_M)
+    def test_bounds_the_truncated_mixture(self, m):
+        # The law is untruncated, so it lies above the c_z-mixture truncated
+        # at Z terms, by at most the dropped weights 1 - T_0 in all. The
+        # elementwise slack is the oracle's own rounding: at the 209 of
+        # 603,168 entries where the law falls more than 1e-15 below it, the
+        # law is within 4.4e-16 of the closed form of COUNT_REFERENCES and
+        # the oracle 0.8e-15 to 2.2e-15 above it.
+        for b0, omega in itertools.product(self.GRID_B0, self.GRID_OMEGA):
+            fading = SrFadingParams(m=m, b0=b0, omega=omega)
+            _, tails = channel._series_weights(fading, channel._SERIES_TOL, channel._MAX_SERIES_TERMS)
+            pmf = sr_count_pmf(fading, self.GRID_SCALES)
+            oracle = truncated_mixture_pmf(fading, self.GRID_SCALES)
+            assert np.all(pmf >= oracle - 3e-15)
+            assert np.all((pmf - oracle).sum(axis=0) <= 1.0 - tails[0] + 1e-14)
+            assert np.all(pmf >= 0.0)
+            assert np.all(pmf.sum(axis=0) <= 1.0)
+
+    @pytest.mark.parametrize("fading, scale, count, want", COUNT_REFERENCES)
+    def test_keeps_relative_precision(self, fading, scale, count, want):
+        # Near r = q the three-term recurrence from G' / G loses relative
+        # precision as count / (beta p): 1.4e-10 at the last count of the
+        # first fading, 1.1e-11 at the last of the second.
+        pmf = sr_count_pmf(SrFadingParams(*fading), scale)
+        assert pmf[count] == pytest.approx(float(want), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("name", FADINGS)
     def test_unit_count_is_plain_survival(self, name):

@@ -166,6 +166,64 @@ def test_bad_rtol_exits_two(tmp_path, capsys, command, rtol):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", sorted(RTOL_COMMANDS))
+def test_bad_jobs_exits_two(tmp_path, capsys, command, jobs):
+    code, text = run(tmp_path, *RTOL_COMMANDS[command], "--jobs", jobs)
+    assert code == 2 and text is None
+    assert "--jobs" in capsys.readouterr().err
+
+
+class RecordingExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records the worker count it is
+    asked for and maps in this process, so no process is started."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("sweep, jobs, started", [
+    ("n_leo=1000:1000:1", "500", []),  # one task: serial, no pool
+    ("n_leo=1000:1200:100", "500", [3]),
+    ("n_leo=1000:1200:100", "2", [2]),
+])
+def test_jobs_start_at_most_one_worker_per_task(tmp_path, monkeypatch, sweep, jobs, started):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "max_workers", [])
+    code, text = run(tmp_path, "curve", "--sweep", sweep, "--jobs", jobs)
+    assert code == 0 and RecordingExecutor.max_workers == started
+    assert text == run(tmp_path, "curve", "--sweep", sweep, name="serial.csv")[1]
+
+
+# One past the bound only: a regression then costs megabytes, not the
+# gigabytes of a K near 1e9.
+TOO_LARGE_K = {
+    "curve": ["curve", "--sweep", "n_leo=1000:1000:1"],
+    "heatmap": ["heatmap", "--sweep", "n_leo=1000:1000:1", "--sweep", "n_meo=12:12:1"],
+    "validate": ["validate", "--trials", "20"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOO_LARGE_K))
+def test_too_large_k_exits_two(tmp_path, capsys, command):
+    code, text = run(tmp_path, *TOO_LARGE_K[command], "--K", str(cli.MAX_SWEEP_POINTS + 1))
+    assert code == 2 and text is None
+    assert "K values" in capsys.readouterr().err
+
+
 class TestSample:
     def test_one_row_per_satellite(self, tmp_path):
         code, text = run(tmp_path, "sample", "--set", "leo.n_sats=5")
