@@ -2,17 +2,20 @@
 
 Subcommands: ``curve`` sweeps one parameter and writes analytic (optionally
 also Monte Carlo) probabilities per K; ``heatmap`` grids LEO count against
-MEO count; ``validate`` runs the analytic-vs-simulation campaign and exits
-nonzero if any row is out of tolerance; ``sample`` dumps one drawn
-constellation. All output is CSV with 12-significant-digit values and
-newline endings, written in deterministic sweep order.
+MEO count; both run the same sweep, one CSV line per grid point. ``validate``
+runs the analytic-vs-simulation campaign and exits nonzero if any row is out
+of tolerance; ``sample`` dumps one drawn constellation. All output is CSV
+with 12-significant-digit values and newline endings, written in
+deterministic sweep order.
 
-Exit codes: 0 success, 1 validation failures, 2 configuration errors.
+Exit codes: 0 success, 1 validation failures, 2 configuration errors, an
+unreadable ``--config`` or an unwritable ``--out`` among them.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -80,25 +83,24 @@ def _parse_sweep(text: str) -> SweepAxis:
     return SweepAxis(name=name, values=[round(lo + i * step, 12) for i in range(math.floor(last) + 1)])
 
 
-def _apply_axis(settings: dict, name: str, value) -> dict:
+def _apply_point(settings: dict, axes: list[SweepAxis], point: tuple) -> dict:
+    """``settings`` with each of ``axes`` set to its value in ``point``."""
     out = dict(settings)
-    key = _SWEEP_PARAMS[name][0]
-    if name == "n_meo":
-        out["meo.n_orbits"] = value
-        out["meo.sats_per_orbit"] = 1
-    elif name.startswith("phi_"):
-        out[key] = math.radians(value)
-    else:
-        out[key] = value
+    for axis, value in zip(axes, point):
+        key = _SWEEP_PARAMS[axis.name][0]
+        if axis.name == "n_meo":
+            out["meo.n_orbits"] = value
+            out["meo.sats_per_orbit"] = 1
+        elif axis.name.startswith("phi_"):
+            out[key] = math.radians(value)
+        else:
+            out[key] = value
     return out
 
 
 def _check_axis_system(name: str, system: str):
-    layer = _SWEEP_PARAMS[name][1]
-    if layer == "leo" and system == "meo":
-        raise ConfigError(f"sweep parameter '{name}' does not affect the meo system")
-    if layer == "meo" and system == "leo":
-        raise ConfigError(f"sweep parameter '{name}' does not affect the leo system")
+    if {_SWEEP_PARAMS[name][1], system} == {"leo", "meo"}:
+        raise ConfigError(f"sweep parameter '{name}' does not affect the {system} system")
 
 
 def _parse_k_list(text: str) -> list[int]:
@@ -117,31 +119,22 @@ def _check_unique(what: str, entries: list):
         raise ConfigError(f"{what} list repeats an entry: {','.join(map(str, entries))}")
 
 
-def _analytic_values(settings, metric, system, ks, rtol):
-    cfg = build_system_config(settings)
-    if not ks:
-        return []
-    values = analytic.evaluate(cfg, metric, (system,), max(ks), rtol)[system]
-    return [float(values[k - 1]) for k in ks]
-
-
-def _mc_values(settings, metric, system, ks, mc_spec):
-    cfg = build_system_config(settings)
-    spec = replace(mc_spec, k_max=max(ks))
-    values, errors = simulate(cfg, spec, metrics=(metric,)).estimate(metric, system)
-    return [(float(values[k - 1]), float(errors[k - 1])) for k in ks]
-
-
 def _format_row(values) -> str:
     return ",".join(format(v, ".12g") for v in values)
 
 
 def _curve_point(args):
-    settings, metric, system, ks, rtol, with_mc, mc_spec = args
-    row = _analytic_values(settings, metric, system, ks, rtol)
-    if with_mc and ks:
-        for value, se in _mc_values(settings, metric, system, ks, mc_spec):
-            row.extend([value, se])
+    """Closed-form values of one sweep point at each K, followed by an MC
+    (value, SE) pair per K when the task carries an ``McSpec``."""
+    settings, metric, system, ks, rtol, mc_spec = args
+    cfg = build_system_config(settings)
+    if not ks:
+        return []
+    values = analytic.evaluate(cfg, metric, (system,), max(ks), rtol)[system]
+    row = [float(values[k - 1]) for k in ks]
+    if mc_spec is not None:
+        values, errors = simulate(cfg, replace(mc_spec, k_max=max(ks)), metrics=(metric,)).estimate(metric, system)
+        row += [float(v) for k in ks for v in (values[k - 1], errors[k - 1])]
     return row
 
 
@@ -158,61 +151,43 @@ def _map_points(tasks, jobs: int) -> list:
         return list(pool.map(_curve_point, tasks))
 
 
+def _sweep(opts, settings: dict, axes: list[SweepAxis], header: list[str], system: str, ks: list[int],
+           mc_spec=None) -> int:
+    """Evaluate ``system`` at every point of the grid over ``axes``, first
+    axis outermost, and write one CSV line per point: the axis values, then
+    the point's row."""
+    grid = list(itertools.product(*(axis.values for axis in axes)))
+    rows = _map_points([(_apply_point(settings, axes, point), opts.metric, system, ks, opts.rtol, mc_spec)
+                        for point in grid], opts.jobs)
+    lines = [",".join(header)] + [_format_row([*point, *row]) for point, row in zip(grid, rows)]
+    _write(opts.out, "\n".join(lines) + "\n")
+    return 0
+
+
 def cmd_curve(opts) -> int:
     settings = load_settings(opts.config, _overrides(opts))
     axes = [_parse_sweep(s) for s in opts.sweep]
     if len(axes) != 1:
         raise ConfigError("curve needs exactly one --sweep axis")
-    axis = axes[0]
-    _check_axis_system(axis.name, opts.system)
+    _check_axis_system(axes[0].name, opts.system)
     ks = _parse_k_list(opts.k_values)
     mc_spec = build_mc_settings(settings)
 
     header = ["x"] + [f"{opts.metric}_K{k}" for k in ks]
     if opts.mc:
-        for k in ks:
-            header.extend([f"{opts.metric}_K{k}_mc", f"{opts.metric}_K{k}_se"])
-    tasks = [
-        (_apply_axis(settings, axis.name, value), opts.metric, opts.system, ks, opts.rtol, opts.mc, mc_spec)
-        for value in axis.values
-    ]
-    rows = _map_points(tasks, opts.jobs)
-    lines = [",".join(header)]
-    for value, row in zip(axis.values, rows):
-        lines.append(_format_row([value] + row))
-    _write(opts.out, "\n".join(lines) + "\n")
-    return 0
+        header += [f"{opts.metric}_K{k}_{column}" for k in ks for column in ("mc", "se")]
+    return _sweep(opts, settings, axes, header, opts.system, ks, mc_spec if opts.mc else None)
 
 
 def cmd_heatmap(opts) -> int:
     settings = load_settings(opts.config, _overrides(opts))
-    axes = [_parse_sweep(s) for s in opts.sweep]
-    if len(axes) != 2:
-        raise ConfigError("heatmap needs exactly two --sweep axes")
-    names = {a.name for a in axes}
-    if names != {"n_leo", "n_meo"}:
-        raise ConfigError("heatmap axes must be n_leo and n_meo")
-    leo_axis = next(a for a in axes if a.name == "n_leo")
-    meo_axis = next(a for a in axes if a.name == "n_meo")
+    axes = {axis.name: axis for axis in map(_parse_sweep, opts.sweep)}
+    if len(opts.sweep) != 2 or set(axes) != {"n_leo", "n_meo"}:
+        raise ConfigError("heatmap needs exactly two --sweep axes, n_leo and n_meo")
     ks = _parse_k_list(opts.k_values)
     if len(ks) != 1:
         raise ConfigError("heatmap needs exactly one K value")
-    k = ks[0]
-
-    tasks = []
-    for n_leo in leo_axis.values:
-        for n_meo in meo_axis.values:
-            point = _apply_axis(_apply_axis(settings, "n_leo", n_leo), "n_meo", n_meo)
-            tasks.append((point, opts.metric, "hybrid", [k], opts.rtol, False, None))
-    values = _map_points(tasks, opts.jobs)
-    lines = ["n_leo,n_meo,value"]
-    idx = 0
-    for n_leo in leo_axis.values:
-        for n_meo in meo_axis.values:
-            lines.append(_format_row([n_leo, n_meo, values[idx][0]]))
-            idx += 1
-    _write(opts.out, "\n".join(lines) + "\n")
-    return 0
+    return _sweep(opts, settings, [axes["n_leo"], axes["n_meo"]], ["n_leo", "n_meo", "value"], "hybrid", ks)
 
 
 def cmd_validate(opts) -> int:
@@ -220,14 +195,12 @@ def cmd_validate(opts) -> int:
     cfg = build_system_config(settings)
     ks = _parse_k_list(opts.k_values)
     spec = replace(build_mc_settings(settings), k_max=max(ks) if ks else 6)
-    metrics = tuple(opts.metrics.split(",")) if opts.metrics else ("availability", "localizability")
+    metrics = tuple(opts.metrics.split(",")) if opts.metrics else analytic.METRICS
     for metric in metrics:
-        if metric not in ("availability", "localizability"):
+        if metric not in analytic.METRICS:
             raise ConfigError(f"unknown metric '{metric}'")
     _check_unique("metric", metrics)
-    rows = run_validation(cfg, spec, opts.rtol, metrics=metrics)
-    if ks:
-        rows = [r for r in rows if r.k in ks]
+    rows = run_validation(cfg, spec, opts.rtol, metrics=metrics, ks=ks or None)
     _write(opts.out, validation_csv(rows))
     failures = sum(1 for r in rows if not r.passed)
     if failures:
@@ -276,9 +249,12 @@ def _overrides(opts) -> dict:
 def _write(path: str | None, text: str):
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write '{path}': {exc.strerror or exc}") from exc
 
 
 def _add_common(sub):
@@ -301,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     curve = subs.add_parser("curve", help="sweep one parameter, one CSV column per K")
     _add_common(curve)
     curve.add_argument("--sweep", action="append", required=True, metavar="NAME=MIN:MAX:STEP")
-    curve.add_argument("--metric", choices=("availability", "localizability"), default="availability")
-    curve.add_argument("--system", choices=("leo", "meo", "hybrid"), default="hybrid")
+    curve.add_argument("--metric", choices=analytic.METRICS, default="availability")
+    curve.add_argument("--system", choices=analytic.SYSTEMS, default="hybrid")
     curve.add_argument("--K", dest="k_values", default="1,2,3,4,5,6", help="comma-separated K list")
     curve.add_argument("--mc", action="store_true", help="append Monte Carlo columns")
     curve.set_defaults(fn=cmd_curve)
@@ -310,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     heat = subs.add_parser("heatmap", help="grid LEO count against total MEO count")
     _add_common(heat)
     heat.add_argument("--sweep", action="append", required=True, metavar="NAME=MIN:MAX:STEP")
-    heat.add_argument("--metric", choices=("availability", "localizability"), default="availability")
+    heat.add_argument("--metric", choices=analytic.METRICS, default="availability")
     heat.add_argument("--K", dest="k_values", default="6")
     heat.set_defaults(fn=cmd_heatmap)
 
     val = subs.add_parser("validate", help="analytic vs Monte Carlo validation report")
     _add_common(val)
-    val.add_argument("--metrics", default="availability,localizability")
+    val.add_argument("--metrics", default=",".join(analytic.METRICS))
     val.add_argument("--K", dest="k_values", default="", help="restrict report to these K (default all)")
     val.set_defaults(fn=cmd_validate)
 

@@ -33,10 +33,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) * 1e-3
-
-
 # Baseline system: a 2000-satellite LEO shell at 1000 km with 45-degree
 # transmit cones on the 20 GHz band, plus a 12-satellite MEO layer (2 orbits
 # of 6) at 20000 km on the 1.579 GHz band, Gaussian receive pattern with an
@@ -103,11 +99,9 @@ def _parse_value(key: str, raw: str) -> float | str | bool:
         value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse value for {key}: '{raw}'") from exc
-    if unit == "dBW":
-        return db_to_linear(value)
     if unit == "dBm":
-        return dbm_to_watts(value)
-    if unit in ("dBi", "dB"):
+        return db_to_linear(value) * 1e-3
+    if unit in ("dBW", "dBi", "dB"):
         return db_to_linear(value)
     if unit == "deg":
         return math.radians(value)
@@ -134,8 +128,12 @@ def load_settings(path: str | None = None, overrides: dict[str, str] | None = No
     """Settings from defaults, then an optional file, then explicit overrides."""
     settings = {k: _parse_value(k, v) for k, v in _DEFAULTS.items()}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as handle:
-            settings = parse_config_text(handle.read(), base=settings)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read '{path}': {getattr(exc, 'strerror', None) or exc}") from exc
+        settings = parse_config_text(text, base=settings)
     for key, raw in (overrides or {}).items():
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"unknown key '{key}'")
@@ -163,6 +161,14 @@ def _build_pattern(settings: dict):
     return CosinePattern(n_elements)
 
 
+def _link(settings: dict, layer: str) -> LinkParams:
+    """One layer's link budget from its ``<layer>.*`` keys, which carry the
+    field names except for the two powers' ``_w``."""
+    names = ("tx_gain", "max_rx_gain", "wavelength_m", "system_loss", "sinr_threshold")
+    return LinkParams(tx_power_w=settings[f"{layer}.tx_power"], noise_power_w=settings[f"{layer}.noise_power"],
+                      **{name: settings[f"{layer}.{name}"] for name in names})
+
+
 def build_system_config(settings: dict) -> SystemConfig:
     try:
         fading = SrFadingParams(
@@ -180,24 +186,8 @@ def build_system_config(settings: dict) -> SystemConfig:
                 radius_km=EARTH_RADIUS_KM + settings["meo.altitude_km"],
                 beam_angle=settings["meo.beam_angle"],
             ),
-            leo_link=LinkParams(
-                tx_power_w=settings["leo.tx_power"],
-                tx_gain=settings["leo.tx_gain"],
-                max_rx_gain=settings["leo.max_rx_gain"],
-                wavelength_m=settings["leo.wavelength_m"],
-                system_loss=settings["leo.system_loss"],
-                noise_power_w=settings["leo.noise_power"],
-                sinr_threshold=settings["leo.sinr_threshold"],
-            ),
-            meo_link=LinkParams(
-                tx_power_w=settings["meo.tx_power"],
-                tx_gain=settings["meo.tx_gain"],
-                max_rx_gain=settings["meo.max_rx_gain"],
-                wavelength_m=settings["meo.wavelength_m"],
-                system_loss=settings["meo.system_loss"],
-                noise_power_w=settings["meo.noise_power"],
-                sinr_threshold=settings["meo.sinr_threshold"],
-            ),
+            leo_link=_link(settings, "leo"),
+            meo_link=_link(settings, "meo"),
             leo_fading=fading,
             meo_fading=fading,
             rx_pattern=_build_pattern(settings),

@@ -34,10 +34,6 @@ class SphereGeometry:
             )
 
     @property
-    def altitude_km(self) -> float:
-        return self.shell_radius_km - self.earth_radius_km
-
-    @property
     def radius_ratio(self) -> float:
         return self.earth_radius_km / self.shell_radius_km
 

@@ -298,21 +298,26 @@ def run_validation(
     config: SystemConfig,
     spec: McSpec,
     rtol: float = 1e-8,
-    metrics: tuple[str, ...] = ("availability", "localizability"),
+    metrics: tuple[str, ...] = analytic.METRICS,
+    ks: list[int] | None = None,
 ) -> list[ValidationRow]:
-    """Compare every closed-form expression against the simulation.
+    """Compare every closed-form expression against the simulation, at the
+    given K in ascending order, or at every K up to ``spec.k_max``.
 
     Availability rows pass at |delta| <= max(0.01, 3 SE); localizability rows
     at |delta| <= max(0.02, 3 SE), tightened to 3 SE in approximation-matched
     mode.
     """
+    ks = range(1, spec.k_max + 1) if ks is None else sorted(ks)
+    if not all(1 <= k <= spec.k_max for k in ks):
+        raise ValueError(f"K values must lie in [1, {spec.k_max}]")
     summary = simulate(config, spec, metrics)
     rows: list[ValidationRow] = []
     for metric in metrics:
         closed_forms = analytic.evaluate(config, metric, SYSTEMS, spec.k_max, rtol)
         for system in SYSTEMS:
             values, errors = summary.estimate(metric, system)
-            for k in range(1, spec.k_max + 1):
+            for k in ks:
                 ana = float(closed_forms[system][k - 1])
                 emp = float(values[k - 1])
                 se = float(errors[k - 1])

@@ -56,6 +56,15 @@ class TestCurve:
         assert serial == parallel
         assert len(rows(serial)) == 4
 
+    def test_mc_builds_each_config_once(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_system_config
+        monkeypatch.setattr(cli, "build_system_config", lambda settings: built.append(1) or build(settings))
+        code, text = run(tmp_path, "curve", "--metric", "availability", "--system", "leo", "--K", "2",
+                         "--sweep", "n_leo=1000:1200:100", "--mc", "--trials", "50")
+        assert code == 0 and len(rows(text)) == 4
+        assert len(built) == 3
+
     def test_axis_must_affect_system(self, tmp_path, capsys):
         code, text = run(tmp_path, "curve", "--system", "meo", "--sweep", "n_leo=1000:2000:1000")
         assert code == 2 and text is None
@@ -91,6 +100,22 @@ class TestHeatmap:
         # No satellites at all cannot provide three.
         assert float(table[1][2]) == 0.0
 
+    def test_parallel_output_is_identical(self, tmp_path):
+        argv = ["heatmap", "--metric", "localizability", "--sweep", "n_leo=500:1500:500",
+                "--sweep", "n_meo=6:12:6", "--K", "2"]
+        code_1, serial = run(tmp_path, *argv, "--jobs", "1", name="serial.csv")
+        code_2, parallel = run(tmp_path, *argv, "--jobs", "2", name="parallel.csv")
+        assert code_1 == code_2 == 0
+        assert serial == parallel
+        assert len(rows(serial)) == 1 + 3 * 2
+
+    def test_axis_order_does_not_matter(self, tmp_path):
+        leo, meo = "n_leo=0:1000:500", "n_meo=0:12:6"
+        code_1, first = run(tmp_path, "heatmap", "--sweep", leo, "--sweep", meo, name="leo_first.csv")
+        code_2, second = run(tmp_path, "heatmap", "--sweep", meo, "--sweep", leo, name="meo_first.csv")
+        assert code_1 == code_2 == 0
+        assert first == second
+
     def test_needs_two_axes(self, tmp_path):
         code, _ = run(tmp_path, "heatmap", "--sweep", "n_leo=0:1000:500")
         assert code == 2
@@ -122,6 +147,17 @@ class TestValidate:
         assert code == 1
         assert rows(text)[1:] and all(r[-1] == "false" for r in rows(text)[1:] if r[0] == "hybrid_availability")
         assert "out of tolerance" in capsys.readouterr().err
+
+    def test_k_subset_is_the_full_run_filtered(self, tmp_path):
+        # The largest K sets how many LEO ranks the MC draws, so the
+        # unrestricted run stops at the same K.
+        argv = ["validate", "--trials", "200", "--seed", "3"]
+        _, full = run(tmp_path, *argv, "--K", "1,2,3,4,5", name="full.csv")
+        _, subset = run(tmp_path, *argv, "--K", "5,2", name="subset.csv")
+        table = rows(subset)
+        # Ascending K within each system, whatever order --K gave.
+        assert [r[1] for r in table[1:]] == ["2", "5"] * 2 * 3
+        assert table == [r for r in rows(full) if r[1] in ("K", "2", "5")]
 
     def test_unknown_metric(self, tmp_path):
         code, _ = run(tmp_path, "validate", "--trials", "200", "--metrics", "coverage")
@@ -222,6 +258,36 @@ def test_too_large_k_exits_two(tmp_path, capsys, command):
     code, text = run(tmp_path, *TOO_LARGE_K[command], "--K", str(cli.MAX_SWEEP_POINTS + 1))
     assert code == 2 and text is None
     assert "K values" in capsys.readouterr().err
+
+
+# The smallest run of each command that reads --config and writes --out.
+IO_COMMANDS = {
+    "curve": ["curve", "--sweep", "n_leo=1000:1000:1", "--K", "1"],
+    "validate": ["validate", "--trials", "20", "--metrics", "availability", "--K", "1"],
+    "emit-config": ["emit-config"],
+}
+
+
+@pytest.mark.parametrize("config", ["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize("command", sorted(IO_COMMANDS))
+def test_unreadable_config_exits_two(tmp_path, capsys, command, config):
+    path = tmp_path / config
+    if config == "directory":
+        path.mkdir()
+    elif config == "not_utf8":
+        path.write_bytes(b"leo.n_sats = 1000 \xff\n")
+    code, text = run(tmp_path, *IO_COMMANDS[command], "--config", str(path))
+    assert code == 2 and text is None
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(path) in err
+
+
+@pytest.mark.parametrize("command", sorted(IO_COMMANDS))
+def test_unwritable_out_exits_two(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.csv"
+    assert cli.main([*IO_COMMANDS[command], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(out) in err
 
 
 class TestSample:

@@ -146,6 +146,18 @@ class TestEstimates:
         assert len(rows) == 18
         assert all(row.passed for row in rows), [(r.metric, r.k) for r in rows if not r.passed]
 
+    def test_validation_builds_only_the_given_k(self):
+        spec = McSpec(n_trials=200, master_seed=1, k_max=4)
+        rows = run_validation(CFG, spec, ks=[3])
+        assert [(row.metric, row.k) for row in rows] == [
+            (f"{system}_{metric}", 3) for metric in ("availability", "localizability")
+            for system in ("leo", "meo", "hybrid")]
+
+    @pytest.mark.parametrize("ks", [[0], [5], [2, -1]])
+    def test_validation_rejects_k_outside_k_max(self, ks):
+        with pytest.raises(ValueError, match="K values"):
+            run_validation(CFG, McSpec(n_trials=20, master_seed=1, k_max=4), metrics=("availability",), ks=ks)
+
     def test_faithful_passes_match_per_trial_loop(self):
         # Two independent samples of the per-rank LEO pass fractions and the
         # mean MEO pass count must agree within sampling noise.
