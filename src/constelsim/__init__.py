@@ -6,7 +6,7 @@ Monte Carlo simulator of the same system model used to validate every
 expression.
 """
 
-from .geom import EARTH_RADIUS_KM, SphereGeometry
+from .geom import EARTH_RADIUS_KM
 
-__all__ = ["EARTH_RADIUS_KM", "SphereGeometry"]
+__all__ = ["EARTH_RADIUS_KM"]
 __version__ = "0.1.0"

@@ -11,29 +11,36 @@ hybrid constellations take a convolution of the two, truncated at the
 smallest MEO count whose exceedance probability drops below ``epsilon``.
 
 Localizability additionally requires each beam-associated satellite to clear
-its layer's SINR threshold. LEO beams see a zero-or-one interferer mixture:
-with probability ``p_zero`` no other satellite falls inside the receive
-beam's effective range, otherwise a single interferer is placed uniformly in
-that cap and its power is taken at the serving satellite's range. MEO beams
-are noise limited.
+its layer's SINR threshold. Both layers take one pass integral
+(:func:`_pass_integral`): over the serving angle theta, a satellite's
+contact-angle density times its survival P(W > x(theta) + V). For the
+k-th nearest of n satellites uniform on a shell, the density is
+n sin(theta) / 2 * P(Binomial(n - 1, f(theta)) = k - 1), with f the cap
+fraction, by the identity k C(n, k) = n C(n - 1, k - 1)
+(:func:`contact_angle_pdfs`, all ranks in one array). The LEO layer
+integrates every rank at once. A MEO satellite is one satellite uniform on
+its shell (n = 1, density sin(theta) / 2), and the binomial count law does
+the rest. MEO beams are noise limited, V = 0. LEO beams see a
+zero-or-one interferer mixture: with probability ``p_zero`` no other
+satellite falls inside the receive beam's effective range, otherwise a
+single interferer is placed uniformly in that cap and its power is taken at
+the serving satellite's range. Its fading and angle reduce to one count law
+V in the fading series (:func:`~constelsim.channel.sr_count_pmf`),
+averaged over the cap by one vector-valued integral per config, so no
+integral is nested.
 
 :func:`evaluate` returns one metric for every K = 1..k_max at once. It builds
 the LEO values for all K (a binomial tail, or the running product of the
-per-rank probabilities from one rank-coverage pass) and the MEO count law
-(binomial in the single-satellite probability), and :func:`compose` turns
-them into the LEO, MEO and hybrid arrays. The Monte Carlo estimates compose
-through the same function.
+per-rank probabilities) and the MEO count law (binomial in the
+single-satellite probability), and :func:`compose` turns them into the LEO,
+MEO and hybrid arrays. The Monte Carlo estimates compose through the same
+function.
 
 Every integral goes through :func:`integrate_adaptive`, a globally adaptive
 Gauss-Kronrod 10/21 rule (QUADPACK's pair) that evaluates its integrand on
 arrays of nodes and integrates vector-valued integrands on one shared
-partition. The rank-coverage pass nests no integral. The interferer's
-fading and angle reduce to one count law in the fading series
-(:func:`~constelsim.channel.sr_count_pmf`), averaged over the interferer cap
-by one vector-valued integral per config; the serving angle then carries
-every rank at once, one survival series per node. The binomial law
-(:func:`binom_law`) is built by a ratio recurrence out from its mode, so the
-module needs nothing beyond numpy.
+partition. The binomial law (:func:`binom_law`) is built by a ratio
+recurrence out from its mode, so the module needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -52,12 +59,7 @@ from .channel import (
     sr_sf,
 )
 from .constellation import LeoShellConfig, MeoShellConfig
-from .geom import (
-    SphereGeometry,
-    central_from_dome,
-    dome_from_central,
-    max_central_angle,
-)
+from .geom import EARTH_RADIUS_KM, central_from_dome, dome_from_central, max_central_angle
 
 KM_TO_M = 1e3
 
@@ -185,20 +187,12 @@ class SystemConfig:
             raise ValueError("epsilon must lie in (0, 1)")
 
     @property
-    def leo_geom(self) -> SphereGeometry:
-        return SphereGeometry(self.leo.radius_km)
-
-    @property
-    def meo_geom(self) -> SphereGeometry:
-        return SphereGeometry(self.meo.radius_km)
-
-    @property
     def leo_theta_max(self) -> float:
-        return max_central_angle(self.leo_geom, self.leo.beam_angle)
+        return max_central_angle(self.leo.radius_km, self.leo.beam_angle)
 
     @property
     def meo_theta_max(self) -> float:
-        return max_central_angle(self.meo_geom, self.meo.beam_angle)
+        return max_central_angle(self.meo.radius_km, self.meo.beam_angle)
 
 
 def _cap_fraction(theta):
@@ -208,19 +202,17 @@ def _cap_fraction(theta):
     return np.sin(0.5 * theta) ** 2
 
 
-def _slant_range_sq_m2(geom: SphereGeometry, theta) -> np.ndarray:
-    rq, re = geom.shell_radius_km, geom.earth_radius_km
-    d_sq_km2 = rq * rq + re * re - 2.0 * rq * re * np.cos(theta)
-    return d_sq_km2 * KM_TO_M**2
-
-
-def _snr_threshold_scale(link: LinkParams, geom: SphereGeometry, theta) -> np.ndarray:
-    """Fading power that must be exceeded per watt of (interference + noise).
+def _noise_threshold(link: LinkParams, shell_radius_km: float, theta) -> np.ndarray:
+    """Fading power a satellite at central angle theta on the shell must
+    exceed to clear the SINR threshold over noise alone.
 
     The SINR condition 'received power over (I + noise) exceeds the
-    threshold' rearranges to W > q(theta) * (I + noise) with this q.
+    threshold' rearranges to W > q(theta) * (I + noise), with q the
+    threshold times the squared slant range over the unit-range power.
     """
-    return link.sinr_threshold * _slant_range_sq_m2(geom, theta) / link.unit_range_power_w
+    rq, re = shell_radius_km, EARTH_RADIUS_KM
+    d_sq_m2 = (rq * rq + re * re - 2.0 * rq * re * np.cos(theta)) * KM_TO_M**2
+    return link.sinr_threshold * d_sq_m2 / link.unit_range_power_w * link.noise_power_w
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +240,7 @@ def n_meo_max(config: SystemConfig) -> int:
     n = config.meo.n_sats
     # The tail is non-increasing in K, so this counts the K below the first
     # one whose tail is at most epsilon.
-    return int(np.count_nonzero(_tail(binom_law(n, meo_single_availability(config)), n) > config.epsilon))
+    return int(np.count_nonzero(tail(binom_law(n, meo_single_availability(config)), n) > config.epsilon))
 
 
 def binom_law(n: int, p: float) -> np.ndarray:
@@ -271,7 +263,7 @@ def binom_law(n: int, p: float) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def _tail(law: np.ndarray, k_max: int) -> np.ndarray:
+def tail(law: np.ndarray, k_max: int) -> np.ndarray:
     """P(N >= K) for K = 1..k_max, where N has the pmf ``law`` on 0, 1, ...;
     summed from the far end, so small tails keep their relative accuracy,
     and zero past the law's end."""
@@ -295,37 +287,38 @@ def compose(leo: np.ndarray, meo_law: np.ndarray, cutoff: int) -> dict[str, np.n
     for j in range(min(cutoff, len(meo_law) - 1) + 1):
         # LEO value for K - j, zero where j >= K (those K are covered below).
         hybrid += np.concatenate([np.zeros(j), leo])[:k_max] * meo_law[j]
-    hybrid += _tail(meo_law[: cutoff + 1], k_max)
-    return {"leo": leo, "meo": _tail(meo_law, k_max), "hybrid": hybrid}
+    hybrid += tail(meo_law[: cutoff + 1], k_max)
+    return {"leo": leo, "meo": tail(meo_law, k_max), "hybrid": hybrid}
 
 
 # ---------------------------------------------------------------------------
 # Contact angle densities
 # ---------------------------------------------------------------------------
 
-def leo_contact_angle_pdf(config: SystemConfig, k: int, theta):
-    """Density of the central angle to the k-th nearest LEO satellite.
+def contact_angle_pdfs(n: int, theta_max: float, k_max: int, theta) -> np.ndarray:
+    """Densities of the central angle to the k-th nearest of ``n``
+    satellites uniform on their shell, for k = 1..k_max, shape
+    ``(k_max,) + shape(theta)``.
 
-    Derivative of the binomial occupancy CDF of the cap of half-angle theta;
-    defective on [0, theta_max] (it integrates to the probability that a
-    k-th satellite is detectable at all). Zero outside the support.
+    The rank-k density is the derivative of P(Binomial(n, f(theta)) >= k),
+    with f the cap fraction; by k C(n, k) = n C(n - 1, k - 1) it is
+    n sin(theta) / 2 * P(Binomial(n - 1, f(theta)) = k - 1). It is
+    defective on [0, theta_max], where it integrates to the probability that
+    a k-th satellite is detectable at all, and zero outside [0, theta_max].
     """
-    n = config.leo.n_sats
-    if not 1 <= k <= n:
-        raise ValueError(f"rank k must lie in [1, {n}]")
+    if not 1 <= k_max <= n:
+        raise ValueError(f"ranks must lie in [1, {n}], got k_max = {k_max}")
     theta = np.asarray(theta, dtype=float)
     p = _cap_fraction(theta)
-    log_comb = math.log(math.comb(n, k))
+    j = np.arange(1, k_max)  # log C(n - 1, k - 1) is the sum of log((n - j) / j) over j < k
+    log_comb = np.concatenate([[0.0], np.cumsum(np.log((n - j) / j))])
+    k = np.arange(1, k_max + 1).reshape((k_max,) + (1,) * theta.ndim)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_body = math.log(k) + log_comb + (k - 1) * np.log(p) + (n - k) * np.log1p(-p)
-        body = np.exp(log_body)
-    # p = 0 only at theta = 0, where the k = 1 body tends to n and higher
+        body = np.exp(math.log(n) + log_comb.reshape(k.shape) + (k - 1) * np.log(p) + (n - k) * np.log1p(-p))
+    # p = 0 only at theta = 0, where the rank-1 body tends to n and higher
     # ranks vanish; the sin factor zeroes the density either way.
-    limit_at_zero = float(n) if k == 1 else 0.0
-    density = np.where(p > 0, body, limit_at_zero) * 0.5 * np.sin(theta)
-    in_support = (theta >= 0) & (theta <= config.leo_theta_max)
-    out = np.where(in_support, density, 0.0)
-    return float(out) if out.ndim == 0 else out
+    density = np.where(p > 0, body, np.where(k == 1, float(n), 0.0)) * 0.5 * np.sin(theta)
+    return np.where((theta >= 0) & (theta <= theta_max), density, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +330,7 @@ def leo_interference_cap(config: SystemConfig) -> tuple[float, float]:
     the cap around the serving satellite that the receive beam's effective
     range maps to, and the probability ``p_zero`` that no LEO satellite
     falls inside it."""
-    theta_d = central_from_dome(config.leo_geom, config.rx_pattern.effective_range)
+    theta_d = central_from_dome(config.leo.radius_km, config.rx_pattern.effective_range)
     return theta_d, (0.5 * (1.0 + math.cos(theta_d))) ** config.leo.n_sats
 
 
@@ -345,71 +338,61 @@ def leo_interference_cap(config: SystemConfig) -> tuple[float, float]:
 # Localizability
 # ---------------------------------------------------------------------------
 
-def _leo_sinr_pass_function(config: SystemConfig, rtol: float):
-    """Build P_pass(theta): probability that a LEO beam served from central
-    angle theta clears the SINR threshold under the interference mixture,
-    elementwise over an array of serving angles.
+def _pass_integral(n, radius_km, theta_max, link, fading, counts, k_max, rtol, label) -> np.ndarray:
+    """Probabilities that the k-th nearest of ``n`` satellites on the shell
+    of radius ``radius_km`` is detectable and clears the SINR threshold,
+    for k = 1..k_max: the integral over [0, theta_max] of the contact-angle
+    densities times P(W > x(theta) + V), with x the noise threshold and V
+    the count law ``counts`` (no interference when it is None). All ranks share
+    one vector-valued :func:`integrate_adaptive` pass, so the survival
+    series is evaluated once per node."""
+    def integrand(theta):
+        x = _noise_threshold(link, radius_km, theta)
+        return contact_angle_pdfs(n, theta_max, k_max, theta) * sr_sf(fading, x, counts)
 
-    The interferer adds gamma * gain_shape(dome(theta_i)) * W_i to the
-    threshold, with path loss taken at the serving range, so its count law
-    in the fading series (:func:`sr_count_pmf`) does not depend on theta.
-    The mixture's law, p_zero e_0 plus (1 - p_zero) times its cap average,
-    is one vector-valued integral per config at 10x tighter tolerance.
-    """
-    geom, fading, link = config.leo_geom, config.leo_fading, config.leo_link
-    theta_d, p_zero = leo_interference_cap(config)
-    cap = 2.0 * _cap_fraction(theta_d)
-
-    def over_angle(theta_i):
-        shape = config.rx_pattern.gain_shape(dome_from_central(geom, theta_i))
-        return sr_count_pmf(fading, link.sinr_threshold * shape) * (np.sin(theta_i) / cap)
-
-    counts = (1.0 - p_zero) * integrate_adaptive(over_angle, 0.0, theta_d, rtol / 10, "interferer count law")
-    counts[0] += p_zero
-    return lambda theta: sr_sf(fading, _snr_threshold_scale(link, geom, theta) * link.noise_power_w, counts)
+    return np.clip(integrate_adaptive(integrand, 0.0, theta_max, rtol, label), 0.0, 1.0)
 
 
 def leo_rank_coverage_probs(config: SystemConfig, k_max: int, rtol: float = 1e-8) -> np.ndarray:
     """Per-rank probabilities that the k-th nearest LEO satellite is
     detectable and clears the SINR threshold, for k = 1..k_max.
 
-    All ranks share one vector-valued :func:`integrate_adaptive` pass over
-    the serving angle, so the expensive SINR factor is evaluated once per
-    node, and each round evaluates it on all its new nodes at once.
+    The interferer adds gamma * gain_shape(dome(theta_i)) * W_i to the
+    threshold, with path loss taken at the serving range, so its count law
+    in the fading series (:func:`sr_count_pmf`) does not depend on the
+    serving angle. The mixture's law, p_zero e_0 plus (1 - p_zero) times
+    its cap average, is one vector-valued integral per config at 10x
+    tighter tolerance; the pass integral over the serving angle is the
+    other.
     """
-    n = config.leo.n_sats
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    ranks = [k for k in range(1, min(k_max, n) + 1)]
-    if not ranks:
-        return np.zeros(k_max)
-    p_pass = _leo_sinr_pass_function(config, rtol)
-
-    def integrand(theta):
-        densities = np.array([leo_contact_angle_pdf(config, k, theta) for k in ranks])
-        return densities * p_pass(theta)
-
-    result = integrate_adaptive(integrand, 0.0, config.leo_theta_max, rtol, label="rank coverage")
+    leo, fading, link = config.leo, config.leo_fading, config.leo_link
     out = np.zeros(k_max)
-    out[: len(ranks)] = np.clip(result, 0.0, 1.0)
+    if leo.n_sats == 0:
+        return out
+    theta_d, p_zero = leo_interference_cap(config)
+    cap = 2.0 * _cap_fraction(theta_d)
+
+    def over_angle(theta_i):
+        shape = config.rx_pattern.gain_shape(dome_from_central(leo.radius_km, theta_i))
+        return sr_count_pmf(fading, link.sinr_threshold * shape) * (np.sin(theta_i) / cap)
+
+    counts = (1.0 - p_zero) * integrate_adaptive(over_angle, 0.0, theta_d, rtol / 10, "interferer count law")
+    counts[0] += p_zero
+    ranks = min(k_max, leo.n_sats)
+    out[:ranks] = _pass_integral(leo.n_sats, leo.radius_km, config.leo_theta_max, link, fading, counts,
+                                 ranks, rtol, "rank coverage")
     return out
 
 
 def meo_single_localizability(config: SystemConfig, rtol: float = 1e-8) -> float:
     """Probability that one MEO satellite is detectable and clears its
-    (noise-limited) SNR threshold."""
-    geom = config.meo_geom
-    link = config.meo_link
-    fading = config.meo_fading
-    theta_max = config.meo_theta_max
-    if theta_max <= 0:
-        return 0.0
-
-    def integrand(theta):
-        x = _snr_threshold_scale(link, geom, theta) * link.noise_power_w
-        return 0.5 * np.sin(theta) * sr_sf(fading, x)
-
-    return integrate_adaptive(integrand, 0.0, theta_max, rtol, label="meo single-satellite localizability")
+    (noise-limited) SNR threshold: the pass integral of a one-satellite
+    shell, whose contact-angle density is sin(theta) / 2."""
+    pass_prob = _pass_integral(1, config.meo.radius_km, config.meo_theta_max, config.meo_link, config.meo_fading,
+                               None, 1, rtol, "meo single-satellite localizability")
+    return float(pass_prob[0])
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +430,7 @@ def evaluate(
     leo, meo_law, cutoff = np.zeros(k_max), np.array([1.0]), 0
     if "leo" in systems or "hybrid" in systems:
         if metric == "availability":
-            leo = _tail(binom_law(config.leo.n_sats, _cap_fraction(config.leo_theta_max)), k_max)
+            leo = tail(binom_law(config.leo.n_sats, _cap_fraction(config.leo_theta_max)), k_max)
         else:
             leo = np.cumprod(leo_rank_coverage_probs(config, k_max, rtol))
     if "meo" in systems or "hybrid" in systems:

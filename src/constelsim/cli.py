@@ -9,7 +9,9 @@ with 12-significant-digit values and newline endings, written in
 deterministic sweep order.
 
 Exit codes: 0 success, 1 validation failures, 2 configuration errors, an
-unreadable ``--config`` or an unwritable ``--out`` among them.
+unreadable ``--config`` or an unwritable ``--out`` among them. An ``--out``
+that is a directory, or whose directory does not exist, is refused before
+any work.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -47,7 +50,8 @@ _SWEEP_PARAMS = {
     "phi_3db_deg": ("rx.phi_3db", None),
 }
 
-# Most points one sweep axis may hold (checked before the list is built), and the largest K.
+# Most points one sweep may hold, on each axis and over the whole grid (each
+# checked before its list is built), and the largest K.
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -156,6 +160,8 @@ def _sweep(opts, settings: dict, axes: list[SweepAxis], header: list[str], syste
     """Evaluate ``system`` at every point of the grid over ``axes``, first
     axis outermost, and write one CSV line per point: the axis values, then
     the point's row."""
+    if math.prod(len(axis.values) for axis in axes) > MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep grid may hold at most {MAX_SWEEP_POINTS} points")
     grid = list(itertools.product(*(axis.values for axis in axes)))
     rows = _map_points([(_apply_point(settings, axes, point), opts.metric, system, ks, opts.rtol, mc_spec)
                         for point in grid], opts.jobs)
@@ -246,6 +252,18 @@ def _overrides(opts) -> dict:
     return out
 
 
+def _check_out(path: str):
+    """Refuse an ``--out`` path that cannot be written, before any work and
+    without creating anything: it must not be a directory, and its parent
+    must be an existing directory."""
+    if path == "-":
+        return
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write '{path}': Is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write '{path}': No such file or directory")
+
+
 def _write(path: str | None, text: str):
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -315,6 +333,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--rtol must be positive and finite, got {opts.rtol}")
         if opts.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {opts.jobs}")
+        _check_out(opts.out)
         return opts.fn(opts)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -8,42 +8,21 @@ the ground target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
 
-@dataclass(frozen=True)
-class SphereGeometry:
-    """Earth plus one concentric satellite shell."""
-
-    shell_radius_km: float
-    earth_radius_km: float = EARTH_RADIUS_KM
-
-    def __post_init__(self):
-        if not (math.isfinite(self.shell_radius_km) and math.isfinite(self.earth_radius_km)):
-            raise ValueError("radii must be finite")
-        if self.earth_radius_km <= 0:
-            raise ValueError("earth radius must be positive")
-        if self.shell_radius_km < self.earth_radius_km:
-            raise ValueError(
-                f"shell radius {self.shell_radius_km} km below earth radius "
-                f"{self.earth_radius_km} km"
-            )
-
-    @property
-    def radius_ratio(self) -> float:
-        return self.earth_radius_km / self.shell_radius_km
-
-    @property
-    def horizon_angle(self) -> float:
-        """Central angle at which the shell drops below the target's horizon."""
-        return math.acos(min(1.0, self.radius_ratio))
+def _radius_ratio(shell_radius_km: float) -> float:
+    """Re/Rq of a shell of radius ``shell_radius_km``, which must be finite
+    and at least the Earth's radius."""
+    if not EARTH_RADIUS_KM <= shell_radius_km < math.inf:
+        raise ValueError(f"shell radius {shell_radius_km} km must be finite and at least {EARTH_RADIUS_KM} km")
+    return EARTH_RADIUS_KM / shell_radius_km
 
 
-def max_central_angle(geom: SphereGeometry, beam_angle: float) -> float:
+def max_central_angle(shell_radius_km: float, beam_angle: float) -> float:
     """Largest central angle at which a satellite is still detectable.
 
     A satellite is detectable when the target sits inside its transmit cone of
@@ -52,14 +31,14 @@ def max_central_angle(geom: SphereGeometry, beam_angle: float) -> float:
     acos(Re/Rq) once the beam is wide enough, otherwise the beam-limited
     angle asin(Rq*sin(beam/2)/Re) - beam/2.
     """
+    ratio = _radius_ratio(shell_radius_km)
     if not math.isfinite(beam_angle) or beam_angle <= 0:
         raise ValueError(f"beam angle must be positive and finite, got {beam_angle}")
     if beam_angle >= 2 * math.pi:
         raise ValueError(f"beam angle must be below 2*pi, got {beam_angle}")
-    if geom.shell_radius_km == geom.earth_radius_km:
+    if shell_radius_km == EARTH_RADIUS_KM:
         # Degenerate shell on the surface: both branches collapse.
         return 0.0
-    ratio = geom.radius_ratio
     if beam_angle >= 2 * math.asin(ratio):
         return math.acos(ratio)
     half = beam_angle / 2
@@ -90,38 +69,41 @@ def orbit_arc(cap_angle: float, along, across):
     return centre, np.where(ratio > 1.0, -1.0, half)
 
 
-def dome_from_central(geom: SphereGeometry, theta):
+def dome_from_central(shell_radius_km: float, theta):
     """Dome angle at the target between the zenith satellite and one offset
-    by central angle ``theta`` on the same shell, elementwise over ``theta``.
+    by central angle ``theta`` on the same shell of radius
+    ``shell_radius_km``, elementwise over ``theta``.
 
     Equals acot(cot(theta) - (Re/Rq)*sqrt(1 + cot(theta)^2)); evaluated in
     atan2 form, which is exact for theta in (0, pi) and has no cotangent
     blow-up. A scalar ``theta`` gives a float.
     """
+    _radius_ratio(shell_radius_km)
     theta_arr = np.asarray(theta, dtype=float)
     bad = ~(np.isfinite(theta_arr) & (theta_arr > 0))
     if bad.any():
         raise ValueError(f"central angle must be positive, got {theta_arr[bad].flat[0]}")
     if np.any(theta_arr >= math.pi):
         raise ValueError(f"central angle must be below pi, got {theta_arr[theta_arr >= math.pi].flat[0]}")
-    rq, re = geom.shell_radius_km, geom.earth_radius_km
-    out = np.arctan2(rq * np.sin(theta_arr), rq * np.cos(theta_arr) - re)
+    rq = shell_radius_km
+    out = np.arctan2(rq * np.sin(theta_arr), rq * np.cos(theta_arr) - EARTH_RADIUS_KM)
     return float(out) if out.ndim == 0 else out
 
 
-def central_from_dome(geom: SphereGeometry, phi_max: float) -> float:
-    """Central angle whose dome angle at the target equals ``phi_max``.
+def central_from_dome(shell_radius_km: float, phi_max: float) -> float:
+    """Central angle whose dome angle at the target equals ``phi_max``, on
+    a shell of radius ``shell_radius_km`` above the Earth's surface.
 
     Inverse of :func:`dome_from_central` on phi in (0, pi/2): the positive
     root of the quadratic obtained from the sine rule,
     cot(theta) = (u + rho*sqrt(1 + u^2 - rho^2)) / (1 - rho^2)
     with u = cot(phi_max) and rho = Re/Rq.
     """
-    if geom.shell_radius_km <= geom.earth_radius_km:
+    rho = _radius_ratio(shell_radius_km)
+    if shell_radius_km == EARTH_RADIUS_KM:
         raise ValueError("shell radius must exceed earth radius")
     if not 0 < phi_max < math.pi / 2:
         raise ValueError(f"dome angle must lie in (0, pi/2), got {phi_max}")
-    rho = geom.radius_ratio
     u = 1.0 / math.tan(phi_max)
     t = (u + rho * math.sqrt(1 + u * u - rho * rho)) / (1 - rho * rho)
     return math.atan2(1.0, t)

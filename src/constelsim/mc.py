@@ -168,7 +168,7 @@ def _sinr_passes(config, link, positions, counts, n_serve, rng, faithful, matche
         theta_i = 2.0 * np.arcsin(np.sqrt(u) * math.sin(0.5 * theta_d))
         fading = np.zeros(trial.size)
         fading[present] = sr_sample(link.fading, rng, size=int(present.sum()))
-        dome = dome_from_central(config.leo_geom, theta_i)
+        dome = dome_from_central(config.leo.radius_km, theta_i)
         interference = config.rx_pattern.gain_shape(dome) * fading / dist_sq[at_beam]
     else:
         interference = 0.0
@@ -247,7 +247,7 @@ def simulate(
                 meo_pmf[b] += np.bincount(np.bincount(trial[passes], minlength=n), minlength=n_meo + 1)
 
     n = float(spec.n_trials)
-    avail = np.cumsum(avail_hist.reshape(3, k_max + 1)[:, ::-1], axis=1)[:, -2::-1] / n  # counts >= K
+    avail = [analytic.tail(hist, k_max) / n for hist in avail_hist.reshape(3, k_max + 1)]
     cutoff = n_meo if faithful else analytic.n_meo_max(config)
 
     def single_pass(pmf):

@@ -13,6 +13,7 @@ from scipy.stats import binom, chisquare, kstest
 import constelsim
 import constelsim.analytic as an
 from constelsim.analytic import SystemConfig
+from constelsim.channel import sr_sf
 from constelsim.config import build_system_config, default_config, load_settings
 from constelsim.constellation import (
     LeoShellConfig,
@@ -23,6 +24,7 @@ from constelsim.constellation import (
     sample_bpp_cap,
     sample_dsbpp,
 )
+from constelsim.geom import EARTH_RADIUS_KM
 from test_geom import max_detect_distance, max_orbit_central_angle
 
 CFG = default_config()
@@ -131,11 +133,10 @@ class TestMeoAvailability:
         # Adaptive QAGS of the visible orbit arc over the inclination window,
         # square-root edges and all; the closed form is the cap fraction.
         cfg = config_with(**{"meo.beam_angle": beam})
-        geom = cfg.meo_geom
-        d_max = max_detect_distance(geom, cfg.meo_theta_max)
-        rq, re = geom.shell_radius_km, geom.earth_radius_km
+        rq, re = cfg.meo.radius_km, EARTH_RADIUS_KM
+        d_max = max_detect_distance(rq, cfg.meo_theta_max)
         half_window = math.acos((re * re + rq * rq - d_max * d_max) / (2 * re * rq))
-        want, _ = quad(lambda t: max_orbit_central_angle(geom, t, d_max) * math.sin(t) / (4 * math.pi),
+        want, _ = quad(lambda t: max_orbit_central_angle(rq, t, d_max) * math.sin(t) / (4 * math.pi),
                        math.pi / 2 - half_window, math.pi / 2 + half_window,
                        epsabs=1e-14, epsrel=1e-13, limit=400)
         assert an.meo_single_availability(cfg) == pytest.approx(want, abs=1e-12)
@@ -252,35 +253,55 @@ def sum_form_contact_pdf(n, k, theta):
     return math.sin(theta) * total
 
 
+def rank_pdf(cfg, k, theta):
+    """Rank-k contact-angle density of the LEO shell of ``cfg`` at one angle."""
+    return float(an.contact_angle_pdfs(cfg.leo.n_sats, cfg.leo_theta_max, k, theta)[k - 1])
+
+
 class TestContactAngles:
     def test_matches_sum_form(self):
         n = CFG.leo.n_sats
         grid = np.linspace(1e-4, CFG.leo_theta_max, 40)
+        got = an.contact_angle_pdfs(n, CFG.leo_theta_max, 6, grid)
+        assert got.shape == (6, grid.size)
         for k in (1, 2, 4, 6):
-            for theta in grid:
-                want = sum_form_contact_pdf(n, k, float(theta))
-                got = an.leo_contact_angle_pdf(CFG, k, float(theta))
-                assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+            for theta, value in zip(grid, got[k - 1]):
+                assert value == pytest.approx(sum_form_contact_pdf(n, k, float(theta)), rel=1e-9, abs=1e-12)
+
+    def test_every_rank_of_a_small_shell(self):
+        # Over the whole sphere every rank of 50 satellites carries mass
+        # somewhere, so each cumulative log-coefficient up to C(49, 49) is
+        # checked where its rank matters; at each angle the ranks sum to
+        # the density of one of the n satellites, n sin(theta) / 2.
+        n = 50
+        grid = np.linspace(1e-3, math.pi - 1e-3, 60)
+        got = an.contact_angle_pdfs(n, math.pi, n, grid)
+        for k in range(1, n + 1):
+            want = [sum_form_contact_pdf(n, k, float(theta)) for theta in grid]
+            np.testing.assert_allclose(got[k - 1], want, rtol=1e-9, atol=1e-12)
+            assert got[k - 1].max() > 0.01
+        np.testing.assert_allclose(got.sum(axis=0), n * 0.5 * np.sin(grid), rtol=1e-13)
 
     def test_rank_one_closed_form(self):
         n = CFG.leo.n_sats
         for theta in (0.001, 0.01, 0.05):
             want = n * 0.5 * math.sin(theta) * (0.5 * (1 + math.cos(theta))) ** (n - 1)
-            assert an.leo_contact_angle_pdf(CFG, 1, theta) == pytest.approx(want, rel=1e-10)
+            assert rank_pdf(CFG, 1, theta) == pytest.approx(want, rel=1e-10)
 
     def test_zero_angle(self):
-        assert an.leo_contact_angle_pdf(CFG, 1, 0.0) == 0.0
-        assert an.leo_contact_angle_pdf(CFG, 3, 0.0) == 0.0
+        theta_max = CFG.leo_theta_max
+        got = an.contact_angle_pdfs(CFG.leo.n_sats, theta_max, 3, np.array([-0.01, 0.0, theta_max * 1.01]))
+        np.testing.assert_array_equal(got, 0.0)
 
     def test_mass_equals_availability(self):
         # defective density: total mass is the k-availability tail
         availability = values(CFG, "availability", "leo", 5)
         for k in (1, 2, 5):
-            mass, _ = quad(lambda t: an.leo_contact_angle_pdf(CFG, k, t), 0, CFG.leo_theta_max,
+            mass, _ = quad(lambda t: rank_pdf(CFG, k, t), 0, CFG.leo_theta_max,
                            epsabs=1e-12, epsrel=1e-10, limit=200)
             assert mass == pytest.approx(availability[k - 1], abs=1e-6)
         closed = 1 - (0.5 * (1 + math.cos(CFG.leo_theta_max))) ** CFG.leo.n_sats
-        mass1, _ = quad(lambda t: an.leo_contact_angle_pdf(CFG, 1, t), 0, CFG.leo_theta_max,
+        mass1, _ = quad(lambda t: rank_pdf(CFG, 1, t), 0, CFG.leo_theta_max,
                         epsabs=1e-12, epsrel=1e-10, limit=200)
         assert mass1 == pytest.approx(closed, abs=1e-6)
 
@@ -302,7 +323,7 @@ class TestContactAngles:
             samples = np.asarray(samples)
             observed, _ = np.histogram(samples, bins=edges)
             probs = np.array([
-                quad(lambda t: an.leo_contact_angle_pdf(cfg, k, t), a, b, limit=100)[0]
+                quad(lambda t: rank_pdf(cfg, k, t), a, b, limit=100)[0]
                 for a, b in zip(edges[:-1], edges[1:])
             ])
             expected = probs / probs.sum() * len(samples)
@@ -325,10 +346,11 @@ class TestContactAngles:
         assert kstest(samples, conditional_cdf).pvalue > 0.01
 
     def test_rank_bounds(self):
+        n = CFG.leo.n_sats
         with pytest.raises(ValueError):
-            an.leo_contact_angle_pdf(CFG, 0, 0.01)
+            an.contact_angle_pdfs(n, CFG.leo_theta_max, 0, 0.01)
         with pytest.raises(ValueError):
-            an.leo_contact_angle_pdf(CFG, CFG.leo.n_sats + 1, 0.01)
+            an.contact_angle_pdfs(n, CFG.leo_theta_max, n + 1, 0.01)
 
 
 class TestLeoInterferenceCap:
@@ -454,6 +476,25 @@ class TestMeoLocalizability:
         p1c = an.meo_single_localizability(CFG)
         assert p1c <= an.meo_single_availability(CFG)
         assert p1c == pytest.approx(0.3700, abs=2e-3)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"meo.beam_angle": "5 deg", "meo.sinr_threshold": "0.5", "fading.m": "1"},
+    ])
+    def test_single_matches_tight_quadrature(self, overrides):
+        # The one-satellite pass integral against QUADPACK over the serving
+        # angle: density sin(theta) / 2 times P(W > x(theta)), with x from
+        # the slant range by the law of cosines.
+        cfg = config_with(**overrides)
+        link, rq, re = cfg.meo_link, cfg.meo.radius_km, EARTH_RADIUS_KM
+
+        def integrand(theta):
+            d_sq_m2 = (rq * rq + re * re - 2.0 * rq * re * math.cos(theta)) * 1e6
+            x = link.sinr_threshold * link.noise_power_w * d_sq_m2 / link.unit_range_power_w
+            return 0.5 * math.sin(theta) * float(sr_sf(cfg.meo_fading, x))
+
+        want, _ = quad(integrand, 0.0, cfg.meo_theta_max, epsabs=1e-14, epsrel=1e-13, limit=400)
+        assert an.meo_single_localizability(cfg, rtol=1e-10) == pytest.approx(want, rel=0, abs=1e-10)
 
 
 class TestHybridLocalizability:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import constelsim
-from constelsim import cli
+from constelsim import cli, mc
 from constelsim.config import ConfigError, emit_settings, load_settings, parse_config_text
 
 VALIDATE_HEADER = "metric,K,analytic,empirical,std_err,delta,pass"
@@ -288,6 +288,31 @@ def test_unwritable_out_exits_two(tmp_path, capsys, command):
     assert cli.main([*IO_COMMANDS[command], "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and str(out) in err
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("ran work that a bad argument should have prevented")
+
+
+@pytest.mark.parametrize("out", ["missing/out.csv", "directory"])
+def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys, out):
+    # validate would otherwise run its whole Monte Carlo before the write
+    # failed.
+    monkeypatch.setattr(mc, "simulate", refuse)
+    (tmp_path / "directory").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["validate", "--out", str(tmp_path / out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_oversized_grid_exits_two(tmp_path, monkeypatch, capsys):
+    # Each axis is within the bound; the 400 x 400 grid is not, and it is
+    # refused before any point is built or evaluated.
+    monkeypatch.setattr(cli, "_map_points", refuse)
+    code, text = run(tmp_path, "heatmap", "--sweep", "n_leo=0:399:1", "--sweep", "n_meo=0:399:1")
+    assert code == 2 and text is None
+    assert f"at most {cli.MAX_SWEEP_POINTS} points" in capsys.readouterr().err
 
 
 class TestSample:

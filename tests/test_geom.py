@@ -7,29 +7,34 @@ from hypothesis import strategies as st
 
 from constelsim.geom import (
     EARTH_RADIUS_KM,
-    SphereGeometry,
     central_from_dome,
     dome_from_central,
     max_central_angle,
     orbit_arc,
 )
 
-MEO = SphereGeometry(26371.0)
-LEO = SphereGeometry(7371.0)
+# Shell radii (km) of the baseline MEO and LEO layers.
+MEO = 26371.0
+LEO = 7371.0
 
 # Slack for cosine arguments that drift past +/-1 through roundoff.
 _COS_EPS = 1e-12
 
 
-def max_detect_distance(geom: SphereGeometry, theta_max: float) -> float:
+def horizon_angle(shell_radius_km: float) -> float:
+    """Central angle at which the shell drops below the target's horizon."""
+    return math.acos(EARTH_RADIUS_KM / shell_radius_km)
+
+
+def max_detect_distance(shell_radius_km: float, theta_max: float) -> float:
     """Slant range (km) matching a central angle, by the law of cosines."""
     if not 0 <= theta_max <= math.pi:
         raise ValueError(f"central angle must lie in [0, pi], got {theta_max}")
-    rq, re = geom.shell_radius_km, geom.earth_radius_km
+    rq, re = shell_radius_km, EARTH_RADIUS_KM
     return math.sqrt(rq * rq + re * re - 2 * rq * re * math.cos(theta_max))
 
 
-def max_orbit_central_angle(geom: SphereGeometry, inclination: float, d_max_km: float) -> float:
+def max_orbit_central_angle(shell_radius_km: float, inclination: float, d_max_km: float) -> float:
     """Arc (as central angle, up to 2*pi) of one orbit lying within range.
 
     For a circular orbit whose normal makes angle ``inclination`` with the
@@ -42,7 +47,7 @@ def max_orbit_central_angle(geom: SphereGeometry, inclination: float, d_max_km: 
         raise ValueError(f"inclination must lie in [0, pi], got {inclination}")
     if d_max_km <= 0:
         raise ValueError(f"d_max must be positive, got {d_max_km}")
-    rq, re = geom.shell_radius_km, geom.earth_radius_km
+    rq, re = shell_radius_km, EARTH_RADIUS_KM
     closest = (re * re + rq * rq - d_max_km * d_max_km) / (2 * re * rq)
     if closest < -1 - _COS_EPS:
         raise ValueError(f"d_max {d_max_km} km exceeds the largest possible separation")
@@ -90,13 +95,12 @@ def theta_max_bisect(radius, beam_angle):
 
 class TestMaxCentralAngle:
     def test_surface_shell_collapses(self):
-        g = SphereGeometry(EARTH_RADIUS_KM)
         for phi in (0.1, math.pi / 4, 3.0):
-            assert max_central_angle(g, phi) == 0.0
+            assert max_central_angle(EARTH_RADIUS_KM, phi) == 0.0
 
     def test_meo_horizon_branch(self):
         # wide beam: the horizon limits, not the beam
-        assert 2 * math.asin(MEO.radius_ratio) < math.pi / 6
+        assert 2 * math.asin(EARTH_RADIUS_KM / MEO) < math.pi / 6
         got = max_central_angle(MEO, math.pi / 6)
         assert got == pytest.approx(math.acos(6371.0 / 26371.0), abs=1e-15)
         # 3-D oracle; the horizon transition is quadratic, so the bisection
@@ -111,13 +115,13 @@ class TestMaxCentralAngle:
     def test_branch_continuity(self):
         # the beam-limited branch approaches the horizon value like the
         # square root of the offset, so the gap at offset eps is ~sqrt(eps)
-        boundary = 2 * math.asin(LEO.radius_ratio)
+        boundary = 2 * math.asin(EARTH_RADIUS_KM / LEO)
         lo = max_central_angle(LEO, boundary * (1 - 1e-9))
         hi = max_central_angle(LEO, boundary * (1 + 1e-9))
         assert lo <= hi + 1e-12
         assert lo == pytest.approx(hi, abs=1e-4)
         assert max_central_angle(LEO, boundary * (1 - 1e-13)) == pytest.approx(hi, abs=1e-6)
-        assert hi == pytest.approx(LEO.horizon_angle, abs=1e-12)
+        assert hi == pytest.approx(horizon_angle(LEO), abs=1e-12)
 
     def test_monotone_in_beam_and_radius(self):
         rng = np.random.default_rng(42)
@@ -126,9 +130,8 @@ class TestMaxCentralAngle:
             d_phi = rng.uniform(0.0, 0.5)
             r = rng.uniform(6500.0, 45000.0)
             d_r = rng.uniform(0.0, 5000.0)
-            g1, g2 = SphereGeometry(r), SphereGeometry(r + d_r)
-            assert max_central_angle(g1, phi + d_phi) >= max_central_angle(g1, phi) - 1e-12
-            assert max_central_angle(g2, phi) >= max_central_angle(g1, phi) - 1e-12
+            assert max_central_angle(r, phi + d_phi) >= max_central_angle(r, phi) - 1e-12
+            assert max_central_angle(r + d_r, phi) >= max_central_angle(r, phi) - 1e-12
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -137,8 +140,9 @@ class TestMaxCentralAngle:
             max_central_angle(LEO, -1.0)
         with pytest.raises(ValueError):
             max_central_angle(LEO, math.inf)
-        with pytest.raises(ValueError):
-            SphereGeometry(6000.0)
+        for radius in (6000.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="shell radius"):
+                max_central_angle(radius, math.pi / 4)
 
     def test_visibility_oracle_agreement(self):
         # 1000 random satellite positions per shell: the analytic cutoff must
@@ -146,8 +150,7 @@ class TestMaxCentralAngle:
         rng = np.random.default_rng(7)
         target = np.array([EARTH_RADIUS_KM, 0.0, 0.0])
         for radius, beam in ((7371.0, math.pi / 4), (26371.0, math.pi / 6)):
-            geom = SphereGeometry(radius)
-            theta_cut = max_central_angle(geom, beam)
+            theta_cut = max_central_angle(radius, beam)
             mismatches = 0
             for _ in range(500):
                 z = 1 - 2 * rng.random()
@@ -182,17 +185,17 @@ class TestMaxDetectDistance:
             max_detect_distance(MEO, 3.5)
 
 
-def orbit_arc_oracle(geom, inclination, d_max, n=200_000):
-    """Brute-force arc scan: fraction of the orbit circle within range."""
+def orbit_arc_oracle(r, inclination, d_max, n=200_000):
+    """Brute-force arc scan: fraction of the orbit circle of radius ``r``
+    within range."""
     t = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-    r = geom.shell_radius_km
     flat = np.column_stack([r * np.cos(t), r * np.sin(t), np.zeros(n)])
     ci, si = math.cos(inclination), math.sin(inclination)
     rot_x = np.array([[1, 0, 0], [0, ci, -si], [0, si, ci]])
     pts = flat @ rot_x.T
     # orbit normal starts at +z and tilts by the inclination; the target sits
     # on the +z axis for this scan (inclination is defined against it)
-    target = np.array([0.0, 0.0, geom.earth_radius_km])
+    target = np.array([0.0, 0.0, EARTH_RADIUS_KM])
     dist = np.linalg.norm(pts - target, axis=1)
     return 2 * math.pi * float(np.mean(dist <= d_max))
 
@@ -212,7 +215,7 @@ class TestMaxOrbitCentralAngle:
 
     def test_critical_boundary_continuity(self):
         d_max = max_detect_distance(MEO, 0.9)
-        rq, re = MEO.shell_radius_km, MEO.earth_radius_km
+        rq, re = MEO, EARTH_RADIUS_KM
         crit = math.acos((re * re + rq * rq - d_max * d_max) / (2 * re * rq))
         just_inside = max_orbit_central_angle(MEO, math.pi / 2 - crit + 1e-9, d_max)
         assert just_inside == pytest.approx(0.0, abs=1e-3)
@@ -322,7 +325,7 @@ class TestDomeCentralConversions:
             assert central_from_dome(LEO, phi) == pytest.approx(0.5 * (lo + hi), abs=1e-12)
 
     def test_roundtrips(self):
-        horizon = LEO.horizon_angle
+        horizon = horizon_angle(LEO)
         for theta in np.linspace(1e-4, horizon, 60):
             phi = dome_from_central(LEO, float(theta))
             if phi >= math.pi / 2:
@@ -335,9 +338,9 @@ class TestDomeCentralConversions:
     @settings(max_examples=300, deadline=None)
     @given(altitude=st.floats(100.0, 40_000.0), fraction=st.floats(1e-6, 1.0 - 1e-6))
     def test_dome_inverts_central(self, altitude, fraction):
-        geom = SphereGeometry(EARTH_RADIUS_KM + altitude)
+        radius = EARTH_RADIUS_KM + altitude
         phi = fraction * math.pi / 2
-        assert dome_from_central(geom, central_from_dome(geom, phi)) == pytest.approx(phi, abs=1e-10)
+        assert dome_from_central(radius, central_from_dome(radius, phi)) == pytest.approx(phi, abs=1e-10)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -347,18 +350,18 @@ class TestDomeCentralConversions:
     def test_central_inverts_dome(self, altitude, fractions):
         # Below the horizon angle the dome angle stays under pi/2. An array
         # maps elementwise, as each of its angles does alone.
-        geom = SphereGeometry(EARTH_RADIUS_KM + altitude)
-        thetas = np.array(fractions) * geom.horizon_angle
-        domes = dome_from_central(geom, thetas)
+        radius = EARTH_RADIUS_KM + altitude
+        thetas = np.array(fractions) * horizon_angle(radius)
+        domes = dome_from_central(radius, thetas)
         assert isinstance(domes, np.ndarray) and domes.shape == thetas.shape
         for theta, phi in zip(thetas, domes):
-            alone = dome_from_central(geom, float(theta))
+            alone = dome_from_central(radius, float(theta))
             assert isinstance(alone, float)
             assert phi == pytest.approx(alone, rel=1e-15, abs=1e-15)
-            assert central_from_dome(geom, float(phi)) == pytest.approx(theta, abs=1e-10)
+            assert central_from_dome(radius, float(phi)) == pytest.approx(theta, abs=1e-10)
 
     def test_strictly_increasing(self):
-        grid = np.linspace(1e-4, LEO.horizon_angle, 200)
+        grid = np.linspace(1e-4, horizon_angle(LEO), 200)
         values = [dome_from_central(LEO, float(t)) for t in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -373,4 +376,9 @@ class TestDomeCentralConversions:
         with pytest.raises(ValueError):
             central_from_dome(LEO, math.pi / 2)
         with pytest.raises(ValueError):
-            central_from_dome(SphereGeometry(EARTH_RADIUS_KM), 0.3)
+            central_from_dome(EARTH_RADIUS_KM, 0.3)
+        for radius in (6000.0, math.inf):
+            with pytest.raises(ValueError, match="shell radius"):
+                central_from_dome(radius, 0.3)
+            with pytest.raises(ValueError, match="shell radius"):
+                dome_from_central(radius, 0.1)

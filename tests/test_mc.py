@@ -21,6 +21,7 @@ from constelsim.constellation import (
     sample_dsbpp,
 )
 from constelsim.mc import CHUNK_TRIALS, McSpec, run_validation, simulate
+from test_geom import horizon_angle
 
 CFG = default_config()
 DENSE = build_system_config(load_settings(overrides={"leo.altitude_km": "2000"}))
@@ -234,7 +235,7 @@ class TestEstimates:
         # U = 0 would put the interferer at central angle 0, which
         # dome_from_central rejects. With p_zero = 0 every beam has one.
         rng = derive_rng(4)
-        cos_theta, azimuth = sample_bpp_cap(CFG.leo, rng, CFG.leo_geom.horizon_angle, 64)
+        cos_theta, azimuth = sample_bpp_cap(CFG.leo, rng, horizon_angle(CFG.leo.radius_km), 64)
         visible = cos_theta >= math.cos(CFG.leo_theta_max)
         positions = cap_positions(CFG.leo.radius_km, cos_theta[visible], azimuth[visible])
         counts = visible.sum(axis=1)
