@@ -185,6 +185,9 @@ class SystemConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
+        if not self.rx_pattern.effective_range < math.pi / 2:
+            raise ValueError(f"receive pattern's effective range must lie below pi/2, got "
+                             f"{self.rx_pattern.effective_range} rad")
 
     @property
     def leo_theta_max(self) -> float:

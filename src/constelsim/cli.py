@@ -10,8 +10,8 @@ deterministic sweep order.
 
 Exit codes: 0 success, 1 validation failures, 2 configuration errors, an
 unreadable ``--config`` or an unwritable ``--out`` among them. An ``--out``
-that is a directory, or whose directory does not exist, is refused before
-any work.
+that is a directory, whose directory does not exist, or that this process
+may not write, is refused before any work.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import analytic
 from .config import (
@@ -112,6 +112,8 @@ def _parse_k_list(text: str) -> list[int]:
         ks = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad K list '{text}'") from exc
+    if not ks:
+        raise ConfigError("K list is empty")
     if not all(1 <= k <= MAX_SWEEP_POINTS for k in ks):
         raise ConfigError(f"K values must lie in [1, {MAX_SWEEP_POINTS}]")
     _check_unique("K", ks)
@@ -132,12 +134,10 @@ def _curve_point(args):
     (value, SE) pair per K when the task carries an ``McSpec``."""
     settings, metric, system, ks, rtol, mc_spec = args
     cfg = build_system_config(settings)
-    if not ks:
-        return []
     values = analytic.evaluate(cfg, metric, (system,), max(ks), rtol)[system]
     row = [float(values[k - 1]) for k in ks]
     if mc_spec is not None:
-        values, errors = simulate(cfg, replace(mc_spec, k_max=max(ks)), metrics=(metric,)).estimate(metric, system)
+        values, errors = simulate(cfg, mc_spec, max(ks), metrics=(metric,)).estimates[metric, system]
         row += [float(v) for k in ks for v in (values[k - 1], errors[k - 1])]
     return row
 
@@ -200,13 +200,13 @@ def cmd_validate(opts) -> int:
     settings = load_settings(opts.config, _overrides(opts))
     cfg = build_system_config(settings)
     ks = _parse_k_list(opts.k_values)
-    spec = replace(build_mc_settings(settings), k_max=max(ks) if ks else 6)
+    spec = build_mc_settings(settings)
     metrics = tuple(opts.metrics.split(",")) if opts.metrics else analytic.METRICS
     for metric in metrics:
         if metric not in analytic.METRICS:
             raise ConfigError(f"unknown metric '{metric}'")
     _check_unique("metric", metrics)
-    rows = run_validation(cfg, spec, opts.rtol, metrics=metrics, ks=ks or None)
+    rows = run_validation(cfg, spec, ks, opts.rtol, metrics)
     _write(opts.out, validation_csv(rows))
     failures = sum(1 for r in rows if not r.passed)
     if failures:
@@ -254,14 +254,18 @@ def _overrides(opts) -> dict:
 
 def _check_out(path: str):
     """Refuse an ``--out`` path that cannot be written, before any work and
-    without creating anything: it must not be a directory, and its parent
-    must be an existing directory."""
+    without creating anything: it must not be a directory, its parent must
+    be an existing directory, and this process must be allowed to write the
+    file, or to create it there."""
     if path == "-":
         return
+    parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise ConfigError(f"cannot write '{path}': Is a directory")
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    if not os.path.isdir(parent):
         raise ConfigError(f"cannot write '{path}': No such file or directory")
+    if not os.access(parent, os.W_OK | os.X_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise ConfigError(f"cannot write '{path}': Permission denied")
 
 
 def _write(path: str | None, text: str):
@@ -311,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     val = subs.add_parser("validate", help="analytic vs Monte Carlo validation report")
     _add_common(val)
     val.add_argument("--metrics", default=",".join(analytic.METRICS))
-    val.add_argument("--K", dest="k_values", default="", help="restrict report to these K (default all)")
+    val.add_argument("--K", dest="k_values", default="1,2,3,4,5,6", help="comma-separated K list")
     val.set_defaults(fn=cmd_validate)
 
     samp = subs.add_parser("sample", help="dump one sampled constellation as CSV")

@@ -198,15 +198,11 @@ def build_system_config(settings: dict) -> SystemConfig:
 
 
 def build_mc_settings(settings: dict) -> McSpec:
-    """Monte Carlo run spec from the ``mc.*`` keys, with up to 20 batches."""
+    """Monte Carlo run spec from the ``mc.*`` keys."""
     n_trials, master_seed = _integer(settings, "mc.n_trials"), _integer(settings, "mc.master_seed")
     try:
-        return McSpec(
-            n_trials=n_trials,
-            master_seed=master_seed,
-            sum_all_interferers=bool(settings["mc.sum_all_interferers"]),
-            n_batches=min(20, n_trials),
-        )
+        return McSpec(n_trials=n_trials, master_seed=master_seed,
+                      sum_all_interferers=bool(settings["mc.sum_all_interferers"]))
     except ValueError as exc:
         raise ConfigError(f"mc: {exc}") from exc
 

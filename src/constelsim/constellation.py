@@ -11,18 +11,17 @@ are ordered orbit-major: satellite ``j`` of orbit ``i`` sits at row
 ``i * sats_per_orbit + j``.
 
 The Monte Carlo engine draws whole batches of shells at once, and of each
-shell only the part that can be seen, as per-trial visible counts and the
-positions of the visible satellites packed trial by trial. For LEO,
-:func:`sample_bpp_cap` draws only the visible cap: no satellite outside it
-can serve or interfere, and the binomial cap-count law makes the restricted
-draw exact. It returns polar coordinates about the target, nearest first,
-which :func:`cap_positions` turns into positions. For MEO,
-:func:`sample_dsbpp_cap` draws every orbit and anomaly, since the orbits
-couple the satellites, but decides visibility from the anomaly alone: each
-orbit's visible part is one arc about the target, so no satellite needs a
-position, or a distance, to be found visible. It builds positions for the
-visible satellites only, and only when asked. :func:`sample_bpp` and
-:func:`sample_dsbpp` still draw whole shells.
+shell only the part that can be seen. Both cap samplers return per-shell
+visible counts and, only when asked, the positions of the visible
+satellites packed shell by shell. For LEO, :func:`sample_bpp_cap` draws
+only the visible cap: no satellite outside it can serve or interfere, and
+the binomial cap-count law makes the restricted draw exact. Its positions
+come nearest first within each shell. For MEO, :func:`sample_dsbpp_cap`
+draws every orbit and anomaly, since the orbits couple the satellites, but
+decides visibility from the anomaly alone: each orbit's visible part is one
+arc about the target, so no satellite needs a position, or a distance, to
+be found visible. :func:`sample_bpp` and :func:`sample_dsbpp` still draw
+whole shells.
 """
 
 from __future__ import annotations
@@ -122,10 +121,10 @@ def sample_dsbpp_cap(
     block shell by shell, so a given (config, stream, size) triple is
     reproducible and does not depend on ``cap_angle`` or ``positions``.
 
-    Returns the ``(size, n_sats)`` visibility mask and, with ``positions``,
-    the ``(mask.sum(), 3)`` positions of the visible satellites in the
-    mask's row-major order (otherwise None). Visibility takes no position:
-    the part of an orbit within the cap is one arc
+    Returns the per-shell visible counts and, with ``positions``, the
+    ``(counts.sum(), 3)`` positions of the visible satellites, shell by
+    shell in orbit-major order (otherwise None). Visibility takes no
+    position: the part of an orbit within the cap is one arc
     (:func:`~constelsim.geom.orbit_arc`), and a satellite is visible when
     its anomaly lies on its orbit's arc. Positions are built for visible
     satellites only.
@@ -139,8 +138,9 @@ def sample_dsbpp_cap(
     offset = anomaly - centre[..., None]
     offset = np.minimum(np.abs(offset), np.abs(offset - 2.0 * np.pi))
     visible = offset <= half[..., None]
+    counts = visible.sum(axis=(1, 2))
     if not positions:
-        return visible.reshape(size, config.n_sats), None
+        return counts, None
     flat = np.flatnonzero(visible)
     orbit = flat // config.sats_per_orbit
     cos_i, sin_i, cos_az, sin_az = (a.take(orbit) for a in (cos_i, np.sin(inclination), cos_az, sin_az))
@@ -151,45 +151,44 @@ def sample_dsbpp_cap(
     out[:, 0] = x_flat * cos_az - y_tilt * sin_az
     out[:, 1] = x_flat * sin_az + y_tilt * cos_az
     out[:, 2] = y_flat * sin_i
-    return visible.reshape(size, config.n_sats), out
+    return counts, out
 
 
 def sample_bpp_cap(
-    config: LeoShellConfig, rng: np.random.Generator, cap_angle: float, size: int,
-) -> tuple[np.ndarray, np.ndarray]:
+    config: LeoShellConfig, rng: np.random.Generator, cap_angle: float, size: int, positions: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Draw the part of ``size`` independent LEO shells that lies within
-    central angle ``cap_angle`` of the target, nearest first.
+    central angle ``cap_angle`` of the target.
 
     A binomial point process puts Binomial(n_sats, f) of its points in a cap
     of area fraction f = (1 - cos cap_angle) / 2, each uniform in the cap, so
-    this is the exact law of the shell restricted to the cap. Points are
-    returned in polar coordinates about the target direction: the cosine of
-    the central angle and the azimuth about the target axis, both of shape
-    ``(size, largest count)``. Row i holds shell i's satellites by
-    increasing central angle, then NaN padding.
+    this is the exact law of the shell restricted to the cap. Random draws
+    happen in a fixed order: the counts, then ``(size, largest count)``
+    uniforms for the cosines of the central angles, then as many for the
+    azimuths about the target axis, whether or not ``positions`` is set.
+
+    Returns the per-shell counts and, with ``positions``, the
+    ``(counts.sum(), 3)`` positions of the points, shell by shell and by
+    increasing central angle within a shell (otherwise None).
     """
     counts = rng.binomial(config.n_sats, 0.5 * (1.0 - math.cos(cap_angle)), size=size)
     width = int(counts.max(initial=0))
-    padding = np.arange(width) >= counts[:, None]
+    u, azimuth = rng.random((2, size, width))
+    if not positions:
+        return counts, None
     # Ascending uniforms give descending cosines; the azimuths are i.i.d.,
-    # so they need no reordering. In place, so that each draw allocates
-    # only its two outputs.
-    u = rng.random((size, width))
-    u[padding] = np.inf
+    # so they need no reordering.
+    live = np.arange(width) < counts[:, None]
+    u[~live] = np.inf
     u.sort(axis=1)
-    u[padding] = np.nan
-    u *= -(1.0 - math.cos(cap_angle))
-    u += 1.0  # now the cosine of the central angle
-    azimuth = rng.random((size, width))
-    azimuth *= 2.0 * np.pi
-    azimuth[padding] = np.nan
-    return u, azimuth
+    cos_theta = 1.0 - u[live] * (1.0 - math.cos(cap_angle))
+    return counts, cap_positions(config.radius_km, cos_theta, 2.0 * np.pi * azimuth[live])
 
 
 def cap_positions(radius_km: float, cos_theta: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
-    """Positions (km, trailing axis of 3) of points on a shell given in the
-    polar coordinates of :func:`sample_bpp_cap`, whose axis is
-    ``TARGET_DIRECTION`` (the x axis)."""
+    """Positions (km, trailing axis of 3) of points on a shell given in
+    polar coordinates about ``TARGET_DIRECTION`` (the x axis): the cosine of
+    the central angle and the azimuth."""
     sin_theta = np.sqrt(1.0 - cos_theta**2)
     return radius_km * np.stack([cos_theta, sin_theta * np.cos(azimuth), sin_theta * np.sin(azimuth)], axis=-1)
 

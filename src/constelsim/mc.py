@@ -6,9 +6,9 @@ satellite and of the ``k_max`` nearest LEO satellites with exact ranges.
 Interference is same-layer only: the two layers use different carriers.
 
 Trials run as arrays, and the engine touches only what can be seen. Each
-layer comes out of its sampler as per-trial visible counts plus the
-positions of the visible satellites, packed trial by trial. The LEO shell
-is drawn only inside the visible cap
+layer comes out of its sampler as per-trial visible counts and, when
+localizability runs, the positions of the visible satellites, packed trial
+by trial. The LEO shell is drawn only inside the visible cap
 (:func:`~constelsim.constellation.sample_bpp_cap` at the detection angle): a
 binomial point process puts a Binomial(N, cap fraction) count there, each
 point uniform in the cap, so the restricted draw has the exact law of the
@@ -17,28 +17,26 @@ neither serve nor interfere. A trial's LEO satellites come nearest first,
 so its K nearest ranks are its first K. The MEO shell is drawn whole, orbit
 by orbit (:func:`~constelsim.constellation.sample_dsbpp_cap`), and a
 satellite is visible when its anomaly lies on its orbit's arc within the
-detection angle; positions are built for visible satellites only, and only
-when localizability runs. MEO beams carry no rank, so every visible MEO
-satellite serves, in orbit-major order.
+detection angle. MEO beams carry no rank, so every visible MEO satellite
+serves, in orbit-major order.
 
 The SINR works on links, never on padded boxes. From the counts alone,
-:func:`_link_indices` lists every (trial, rank) serving beam and every
-(beam, other visible satellite) pair in ``np.nonzero`` order over the
-padded masks, so fading is drawn only for links that exist, in the order a
-padded layout would draw it. Per-rank pass counts and per-trial MEO pass
-counts come back through ``np.bincount``.
+:func:`_link_indices` lists every (trial, rank) serving beam, trial by trial
+and then rank by rank, and every (beam, other visible satellite) pair, beam
+by beam and then by the other's rank, so fading is drawn only for links that
+exist. Per-rank pass counts and per-trial MEO pass counts come back through
+``np.bincount``.
 
-RNG contract. Batch ``b`` of the ``spec.n_batches`` batch-means batches
+RNG contract. Batch ``b`` of the min(20, n_trials) batch-means batches
 draws its geometry from ``derive_rng(master_seed, b)`` and its fading from
 that stream's first spawned child, in sub-chunks of at most
 ``CHUNK_TRIALS`` trials (a module constant, so memory stays bounded at any
 trial count). Each chunk draws the LEO cap, then the whole MEO shell, from
 the geometry stream and then, with localizability, the LEO links' fading
-and the MEO links', serving beams first, from the fading stream.
-``McSpec`` requires 1 <= n_batches <= n_trials, and the CLI runs
-n_batches = min(20, n_trials). Results therefore depend on the config,
-``master_seed`` and ``n_trials`` only, and availability estimates do not
-depend on whether localizability is simulated too.
+and the MEO links', serving beams first, from the fading stream. Results
+therefore depend on the config, ``master_seed``, ``n_trials`` and ``k_max``
+only, and availability estimates do not depend on whether localizability is
+simulated too.
 
 Two interference modes exist. The faithful default sums every visible
 same-layer satellite with its exact range and exact dome-angle receive gain.
@@ -69,7 +67,7 @@ import numpy as np
 from . import analytic
 from .analytic import KM_TO_M, SYSTEMS, SystemConfig
 from .channel import LinkParams, SrFadingParams, sr_sample
-from .constellation import TARGET_DIRECTION, cap_positions, derive_rng, sample_bpp_cap, sample_dsbpp_cap
+from .constellation import TARGET_DIRECTION, derive_rng, sample_bpp_cap, sample_dsbpp_cap
 from .geom import EARTH_RADIUS_KM, dome_from_central
 
 # Largest number of trials drawn as one array.
@@ -80,44 +78,33 @@ _TARGET_KM = TARGET_DIRECTION * EARTH_RADIUS_KM
 
 @dataclass(frozen=True)
 class McSpec:
-    """Monte Carlo run controls: trial count, seed, largest K, interference
-    mode and the number of batch-means batches."""
+    """Monte Carlo run settings, the ``mc.*`` keys: trial count, master seed
+    and interference mode."""
 
     n_trials: int = 100_000
     master_seed: int = 1
-    k_max: int = 6
     sum_all_interferers: bool = True
-    n_batches: int = 20
 
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
-        if not 1 <= self.n_batches <= self.n_trials:
-            raise ValueError("n_batches must lie in [1, n_trials]")
 
-
-class _Link:
-    """Per-layer constants of SINR = (W_s / l_s^2) / (noise_term + sum shape_i W_i / l_i^2)."""
-
-    def __init__(self, link: LinkParams, fading: SrFadingParams):
-        self.noise_term = link.noise_power_w / link.unit_range_power_w
-        self.threshold = link.sinr_threshold
-        self.fading = fading
+    @property
+    def n_batches(self) -> int:
+        """Number of batch-means batches."""
+        return min(20, self.n_trials)
 
 
 def _link_indices(counts: np.ndarray, n_serve: np.ndarray):
     """Indices of the links of trials whose packed visible satellites number
     ``counts``, of which the first ``n_serve`` serve.
 
-    Returns the trial and rank of every serving beam, trial by trial, and
-    the beam (an index into those) and the other satellite's rank of every
-    (beam, other visible satellite) pair, beam by beam: the order in which
-    ``np.nonzero`` lists the set entries of the padded (trial, rank) and
-    (trial, rank, other) masks.
+    Returns the trial and rank of every serving beam, trial by trial and
+    then rank by rank, and the beam (an index into those) and the other
+    satellite's rank of every (beam, other visible satellite) pair, beam by
+    beam and then by the other's rank.
     """
     def ragged(sizes):
         # Owner of each item, and its index within the owner.
@@ -130,11 +117,14 @@ def _link_indices(counts: np.ndarray, n_serve: np.ndarray):
     return trial, rank, beam, other
 
 
-def _sinr_passes(config, link, positions, counts, n_serve, rng, faithful, matched_cap=None):
-    """Trial, rank and pass flag of every serving beam, in
+def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, counts, n_serve, rng, faithful,
+                 matched_cap=None):
+    """Trial, rank and pass flag of every serving beam of one layer, in
     :func:`_link_indices` order. ``positions`` holds each trial's
     ``counts`` visible satellites, packed trial by trial; the first
-    ``n_serve`` of each trial serve.
+    ``n_serve`` of each trial serve. A beam passes when
+    SINR = (W_s / l_s^2) / (noise / unit-range power + sum shape_i W_i / l_i^2)
+    exceeds the link's threshold.
 
     One fading value is drawn per serving beam and, in faithful mode, one per
     (beam, other visible satellite) pair. Faithful interference sums every
@@ -148,13 +138,13 @@ def _sinr_passes(config, link, positions, counts, n_serve, rng, faithful, matche
     dist_km = np.sqrt(np.einsum("sx,sx->s", rel, rel))
     dist_sq = (dist_km * KM_TO_M) ** 2
     at_beam = first[trial] + rank
-    signal = sr_sample(link.fading, rng, size=trial.size) / dist_sq[at_beam]
+    signal = sr_sample(fading, rng, size=trial.size) / dist_sq[at_beam]
     if faithful:
         at_other = first[trial[beam]] + other
         units = rel / dist_km[:, None]
         cos_dome = np.einsum("px,px->p", units.take(at_beam[beam], axis=0), units.take(at_other, axis=0))
         power = config.rx_pattern.gain_shape(np.arccos(np.clip(cos_dome, -1.0, 1.0))) \
-            * sr_sample(link.fading, rng, size=beam.size) / dist_sq[at_other]
+            * sr_sample(fading, rng, size=beam.size) / dist_sq[at_other]
         interference = np.bincount(beam, weights=power, minlength=trial.size)
     elif matched_cap is not None:
         # Present with probability 1 - p_zero, angle uniform over the cap,
@@ -166,13 +156,14 @@ def _sinr_passes(config, link, positions, counts, n_serve, rng, faithful, matche
         present = rng.random(trial.size) >= p_zero
         u = 1.0 - rng.random(trial.size)
         theta_i = 2.0 * np.arcsin(np.sqrt(u) * math.sin(0.5 * theta_d))
-        fading = np.zeros(trial.size)
-        fading[present] = sr_sample(link.fading, rng, size=int(present.sum()))
+        power = np.zeros(trial.size)
+        power[present] = sr_sample(fading, rng, size=int(present.sum()))
         dome = dome_from_central(config.leo.radius_km, theta_i)
-        interference = config.rx_pattern.gain_shape(dome) * fading / dist_sq[at_beam]
+        interference = config.rx_pattern.gain_shape(dome) * power / dist_sq[at_beam]
     else:
         interference = 0.0
-    return trial, rank, signal / (link.noise_term + interference) > link.threshold
+    noise_term = link.noise_power_w / link.unit_range_power_w
+    return trial, rank, signal / (noise_term + interference) > link.sinr_threshold
 
 
 @dataclass
@@ -187,14 +178,9 @@ class SimulationSummary:
     localizability was not simulated.
     """
 
-    spec: McSpec
     estimates: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
     leo_rank_pass: np.ndarray  # marginal per-rank pass fractions
     meo_single_pass: float  # marginal per-satellite pass fraction
-
-    def estimate(self, metric: str, system: str) -> tuple[np.ndarray, np.ndarray]:
-        """Values and standard errors of one metric for one system."""
-        return self.estimates[metric, system]
 
 
 def _proportion_se(p, n: float) -> np.ndarray:
@@ -207,19 +193,20 @@ def _proportion_se(p, n: float) -> np.ndarray:
 def simulate(
     config: SystemConfig,
     spec: McSpec,
+    k_max: int,
     metrics: tuple[str, ...] = ("availability", "localizability"),
 ) -> SimulationSummary:
-    """Run the Monte Carlo campaign and aggregate all estimators.
+    """Run the Monte Carlo campaign and aggregate all estimators at
+    K = 1..k_max.
 
     Availability is always estimated. Without ``"localizability"`` in
     ``metrics`` no fading is drawn and the localizability entries are NaN.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     want_loc = "localizability" in metrics
-    k_max = spec.k_max
     n_meo = config.meo.n_sats
     faithful = spec.sum_all_interferers
-    leo_link = _Link(config.leo_link, config.leo_fading)
-    meo_link = _Link(config.meo_link, config.meo_fading)
     matched_cap = None if faithful else analytic.leo_interference_cap(config)
 
     sizes = np.diff(np.linspace(0, spec.n_trials, spec.n_batches + 1).astype(int))
@@ -232,18 +219,16 @@ def simulate(
         fading_rng = geo_rng.spawn(1)[0] if want_loc else None
         for start in range(0, size, CHUNK_TRIALS):
             n = min(CHUNK_TRIALS, size - start)
-            cos_theta, azimuth = sample_bpp_cap(config.leo, geo_rng, config.leo_theta_max, n)
-            leo_vis = ~np.isnan(cos_theta)  # nearest first, then padding
-            meo_vis, meo_pos = sample_dsbpp_cap(config.meo, geo_rng, config.meo_theta_max, n, positions=want_loc)
-            n_leo, n_meo_vis = leo_vis.sum(axis=1), meo_vis.sum(axis=1)
+            n_leo, leo_pos = sample_bpp_cap(config.leo, geo_rng, config.leo_theta_max, n, positions=want_loc)
+            n_meo_vis, meo_pos = sample_dsbpp_cap(config.meo, geo_rng, config.meo_theta_max, n, positions=want_loc)
             capped = np.minimum([n_leo, n_meo_vis, n_leo + n_meo_vis], k_max) + row_start
             avail_hist += np.bincount(capped.ravel(), minlength=avail_hist.size)
             if want_loc:
-                leo_pos = cap_positions(config.leo.radius_km, cos_theta[leo_vis], azimuth[leo_vis])
-                _, rank, passes = _sinr_passes(config, leo_link, leo_pos, n_leo, np.minimum(n_leo, k_max),
-                                               fading_rng, faithful, matched_cap)
+                _, rank, passes = _sinr_passes(config, config.leo_link, config.leo_fading, leo_pos, n_leo,
+                                               np.minimum(n_leo, k_max), fading_rng, faithful, matched_cap)
                 rank_pass[b] += np.bincount(rank[passes], minlength=k_max)
-                trial, _, passes = _sinr_passes(config, meo_link, meo_pos, n_meo_vis, n_meo_vis, fading_rng, faithful)
+                trial, _, passes = _sinr_passes(config, config.meo_link, config.meo_fading, meo_pos, n_meo_vis,
+                                                n_meo_vis, fading_rng, faithful)
                 meo_pmf[b] += np.bincount(np.bincount(trial[passes], minlength=n), minlength=n_meo + 1)
 
     n = float(spec.n_trials)
@@ -276,7 +261,7 @@ def simulate(
     estimates = {("availability", system): (p, _proportion_se(p, n)) for system, p in zip(SYSTEMS, avail)}
     estimates.update({("localizability", system): pair for system, pair in zip(SYSTEMS, zip(loc, se))})
     return SimulationSummary(
-        spec, estimates,
+        estimates,
         leo_rank_pass=rank_pass.sum(axis=0) / n,
         meo_single_pass=single_pass(meo_pmf.sum(axis=0) / n),
     )
@@ -297,26 +282,27 @@ class ValidationRow:
 def run_validation(
     config: SystemConfig,
     spec: McSpec,
+    ks: list[int],
     rtol: float = 1e-8,
     metrics: tuple[str, ...] = analytic.METRICS,
-    ks: list[int] | None = None,
 ) -> list[ValidationRow]:
-    """Compare every closed-form expression against the simulation, at the
-    given K in ascending order, or at every K up to ``spec.k_max``.
+    """Compare every closed-form expression against the simulation at the
+    given K, in ascending order; the largest sets how many LEO ranks the
+    simulation draws.
 
     Availability rows pass at |delta| <= max(0.01, 3 SE); localizability rows
     at |delta| <= max(0.02, 3 SE), tightened to 3 SE in approximation-matched
     mode.
     """
-    ks = range(1, spec.k_max + 1) if ks is None else sorted(ks)
-    if not all(1 <= k <= spec.k_max for k in ks):
-        raise ValueError(f"K values must lie in [1, {spec.k_max}]")
-    summary = simulate(config, spec, metrics)
+    if not ks or min(ks) < 1:
+        raise ValueError(f"K values must be given and at least 1, got {ks}")
+    ks, k_max = sorted(ks), max(ks)
+    summary = simulate(config, spec, k_max, metrics)
     rows: list[ValidationRow] = []
     for metric in metrics:
-        closed_forms = analytic.evaluate(config, metric, SYSTEMS, spec.k_max, rtol)
+        closed_forms = analytic.evaluate(config, metric, SYSTEMS, k_max, rtol)
         for system in SYSTEMS:
-            values, errors = summary.estimate(metric, system)
+            values, errors = summary.estimates[metric, system]
             for k in ks:
                 ana = float(closed_forms[system][k - 1])
                 emp = float(values[k - 1])

@@ -62,8 +62,12 @@ class TestLeoAvailability:
         rng = derive_rng(31)
         cos_max = math.cos(CFG.leo_theta_max)
         n_draws, batch = 20_000, 250
+
+        def cosines():
+            return sample_bpp_cap(CFG.leo, rng, math.pi, batch, positions=True)[1][:, 0] / CFG.leo.radius_km
+
         hits = sum(
-            int(np.count_nonzero((sample_bpp_cap(CFG.leo, rng, math.pi, batch)[0] >= cos_max).sum(axis=1) >= 3))
+            int(np.count_nonzero((cosines() >= cos_max).reshape(batch, -1).sum(axis=1) >= 3))
             for _ in range(n_draws // batch)
         )
         want = values(CFG, "availability", "leo", 3)[2]
@@ -366,16 +370,15 @@ class TestLeoInterferenceCap:
     def test_empty_cap_fraction_by_simulation(self):
         # fraction of draws leaving a fixed cap of the interference radius
         # empty; the fixed direction (the z axis) plays the serving
-        # satellite. Whole shells are drawn in batches as caps of angle pi,
-        # whose unit z coordinate is sqrt(1 - c^2) sin(azimuth).
+        # satellite. Whole shells are drawn in batches as caps of angle pi.
         theta_d, p_zero = an.leo_interference_cap(CFG)
         rng = derive_rng(41)
         cos_cut = math.cos(theta_d)
         n_draws, batch = 20_000, 250
         empty = 0
         for _ in range(n_draws // batch):
-            cos_theta, azimuth = sample_bpp_cap(CFG.leo, rng, math.pi, batch)
-            cos_sep = np.sqrt(1.0 - cos_theta**2) * np.sin(azimuth)
+            _, positions = sample_bpp_cap(CFG.leo, rng, math.pi, batch, positions=True)
+            cos_sep = positions[:, 2].reshape(batch, -1) / CFG.leo.radius_km
             empty += int(np.count_nonzero(cos_sep.max(axis=1) < cos_cut))
         se = math.sqrt(p_zero * (1 - p_zero) / n_draws)
         assert abs(empty / n_draws - p_zero) < 3 * se

@@ -202,6 +202,27 @@ def test_bad_rtol_exits_two(tmp_path, capsys, command, rtol):
     assert "configuration error" in capsys.readouterr().err
 
 
+# Receive beams whose effective range reaches the horizon (pi/2), where no
+# interference cap exists: 3 x 30 deg Gaussian, 90 deg flat top, and a sinc
+# of one element (3 rad).
+WIDE_BEAMS = [["rx.phi_3db=30 deg"], ["rx.pattern=flattop", "rx.phi_3db=90 deg"],
+              ["rx.pattern=sinc", "rx.n_elements=1"]]
+
+
+@pytest.mark.parametrize("beam", WIDE_BEAMS, ids=["gaussian", "flattop", "sinc"])
+@pytest.mark.parametrize("command", sorted(RTOL_COMMANDS))
+def test_wide_receive_beam_exits_two(tmp_path, capsys, command, beam):
+    sets = [arg for item in beam for arg in ("--set", item)]
+    code, text = run(tmp_path, *RTOL_COMMANDS[command], *sets)
+    assert code == 2 and text is None
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_receive_beam_just_inside_the_horizon_runs(tmp_path):
+    code, text = run(tmp_path, *RTOL_COMMANDS["curve"], "--set", "rx.phi_3db=29.9 deg")
+    assert code == 0 and len(rows(text)) == 2
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 @pytest.mark.parametrize("command", sorted(RTOL_COMMANDS))
 def test_bad_jobs_exits_two(tmp_path, capsys, command, jobs):
@@ -260,6 +281,14 @@ def test_too_large_k_exits_two(tmp_path, capsys, command):
     assert "K values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k_values", ["", ","])
+@pytest.mark.parametrize("command", sorted(TOO_LARGE_K))
+def test_empty_k_list_exits_two(tmp_path, capsys, command, k_values):
+    code, text = run(tmp_path, *TOO_LARGE_K[command], "--K", k_values)
+    assert code == 2 and text is None
+    assert "K list is empty" in capsys.readouterr().err
+
+
 # The smallest run of each command that reads --config and writes --out.
 IO_COMMANDS = {
     "curve": ["curve", "--sweep", "n_leo=1000:1000:1", "--K", "1"],
@@ -304,6 +333,22 @@ def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys, out
     assert cli.main(["validate", "--out", str(tmp_path / out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["directory", "file"])
+def test_out_without_write_permission_fails_before_any_work(tmp_path, monkeypatch, capsys, existing):
+    # os.access denies writing the directory, or the file already there.
+    out = tmp_path / "out.csv"
+    if existing:
+        out.write_text("kept\n")
+    denied = str(out if existing else tmp_path)
+    monkeypatch.setattr(os, "access", lambda path, mode: os.fspath(path) != denied)
+    monkeypatch.setattr(mc, "simulate", refuse)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["validate", "--out", str(out)]) == 2
+    assert f"configuration error: cannot write '{out}': Permission denied" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert out.read_text() == "kept\n" if existing else not out.exists()
 
 
 def test_oversized_grid_exits_two(tmp_path, monkeypatch, capsys):

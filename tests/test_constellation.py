@@ -83,60 +83,63 @@ class TestBppCap:
 
     def test_count_mean_and_variance(self):
         n = 20_000
-        cos_theta, _ = sample_bpp_cap(LEO, derive_rng(11), self.HORIZON, n)
-        counts = np.sum(~np.isnan(cos_theta), axis=1)
+        counts, _ = sample_bpp_cap(LEO, derive_rng(11), self.HORIZON, n)
         mean = LEO.n_sats * self.FRACTION
         var = mean * (1.0 - self.FRACTION)
         assert abs(counts.mean() - mean) < 4.0 * math.sqrt(var / n)
         assert abs(counts.var(ddof=1) / var - 1.0) < 4.0 * math.sqrt(2.0 / n)
 
     def test_cosine_uniform_over_cap(self):
-        cos_theta, azimuth = sample_bpp_cap(LEO, derive_rng(12), self.HORIZON, 200)
-        live = ~np.isnan(cos_theta)
+        _, pos = sample_bpp_cap(LEO, derive_rng(12), self.HORIZON, 200, positions=True)
         cos_h = math.cos(self.HORIZON)
-        assert kstest(cos_theta[live], "uniform", args=(cos_h, 1.0 - cos_h)).pvalue > 0.01
-        assert kstest(azimuth[live], "uniform", args=(0.0, 2.0 * math.pi)).pvalue > 0.01
+        azimuth = np.mod(np.arctan2(pos[:, 2], pos[:, 1]), 2.0 * math.pi)
+        assert kstest(pos[:, 0] / LEO.radius_km, "uniform", args=(cos_h, 1.0 - cos_h)).pvalue > 0.01
+        assert kstest(azimuth, "uniform", args=(0.0, 2.0 * math.pi)).pvalue > 0.01
 
-    def test_rows_nearest_first_then_padding(self):
-        cos_theta, azimuth = sample_bpp_cap(LEO, derive_rng(13), self.HORIZON, 50)
-        live = ~np.isnan(cos_theta)
-        assert np.array_equal(np.isnan(azimuth), ~live)
-        # Padding only at the end of a row, and the widest row has none.
-        assert np.all(live[:, :-1] >= live[:, 1:]) and live[:, -1].any()
-        assert np.all(np.diff(cos_theta, axis=1)[live[:, 1:]] <= 0.0)
+    def test_rows_nearest_first(self):
+        counts, pos = sample_bpp_cap(LEO, derive_rng(13), self.HORIZON, 50, positions=True)
+        assert pos.shape == (counts.sum(), 3) and counts.min() > 1
+        # Packed shell by shell; within a shell the cosine never rises.
+        shell = np.repeat(np.arange(counts.size), counts)
+        steps = np.diff(pos[:, 0] / LEO.radius_km)
+        assert np.all(steps[shell[1:] == shell[:-1]] <= 0.0)
 
     def test_positions_on_shell_inside_cap(self):
-        cos_theta, azimuth = sample_bpp_cap(LEO, derive_rng(14), self.HORIZON, 20)
-        pos = cap_positions(LEO.radius_km, cos_theta, azimuth)
-        live = ~np.isnan(cos_theta)
-        assert pos.shape == cos_theta.shape + (3,)
-        assert np.max(np.abs(np.linalg.norm(pos[live], axis=1) / LEO.radius_km - 1.0)) < 1e-12
-        angles = central_angle_to_target(pos[live])
-        assert np.max(np.abs(np.cos(angles) - cos_theta[live])) < 1e-12
+        counts, pos = sample_bpp_cap(LEO, derive_rng(14), self.HORIZON, 20, positions=True)
+        assert pos.shape == (counts.sum(), 3)
+        assert np.max(np.abs(np.linalg.norm(pos, axis=1) / LEO.radius_km - 1.0)) < 1e-12
+        angles = central_angle_to_target(pos)
+        assert np.max(np.abs(np.cos(angles) - pos[:, 0] / LEO.radius_km)) < 1e-12
         assert np.all(angles <= self.HORIZON + 1e-12)
 
     def test_empty_shell(self):
-        cos_theta, azimuth = sample_bpp_cap(LeoShellConfig(0, 7371.0, 1.0), derive_rng(15), self.HORIZON, 4)
-        assert cos_theta.shape == azimuth.shape == (4, 0)
+        counts, pos = sample_bpp_cap(LeoShellConfig(0, 7371.0, 1.0), derive_rng(15), self.HORIZON, 4, positions=True)
+        assert np.array_equal(counts, [0, 0, 0, 0]) and pos.shape == (0, 3)
 
     def test_matches_out_of_place_draw(self):
         # Same stream, same arithmetic: equal to the last bit.
         for size in (1, 50, 1024):
-            got = sample_bpp_cap(LEO, derive_rng(16), self.HORIZON, size)
+            got = sample_bpp_cap(LEO, derive_rng(16), self.HORIZON, size, positions=True)
             want = out_of_place_cap_draw(LEO, derive_rng(16), self.HORIZON, size)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
 
+    def test_counts_alone_draw_the_same(self):
+        alone, with_positions = derive_rng(17), derive_rng(17)
+        counts, none = sample_bpp_cap(LEO, alone, self.HORIZON, 30)
+        same_counts, _ = sample_bpp_cap(LEO, with_positions, self.HORIZON, 30, positions=True)
+        assert none is None and np.array_equal(counts, same_counts)
+        assert alone.random() == with_positions.random()
+
 
 def out_of_place_cap_draw(config, rng, cap_angle, size):
-    """The cap draw with a fresh array at every step."""
+    """The cap draw with a fresh array at every step, packed shell by shell."""
     counts = rng.binomial(config.n_sats, 0.5 * (1.0 - math.cos(cap_angle)), size=size)
     width = int(counts.max(initial=0))
-    padding = np.arange(width) >= counts[:, None]
-    u = np.sort(np.where(padding, np.inf, rng.random((size, width))), axis=1)
-    u[padding] = np.nan
-    azimuth = np.where(padding, np.nan, 2.0 * np.pi * rng.random((size, width)))
-    return 1.0 - u * (1.0 - math.cos(cap_angle)), azimuth
+    live = np.arange(width) < counts[:, None]
+    u = np.sort(np.where(live, rng.random((size, width)), np.inf), axis=1)
+    azimuth = 2.0 * np.pi * rng.random((size, width))
+    return counts, cap_positions(config.radius_km, 1.0 - u[live] * (1.0 - math.cos(cap_angle)), azimuth[live])
 
 
 def per_orbit_dsbpp(config, rng):
@@ -254,9 +257,10 @@ class TestDsbppCap:
         cfg = build_system_config(load_settings(overrides=overrides))
         cap_rng, full_rng = derive_rng(31), derive_rng(31)
         for _ in range(10):
-            visible, positions = sample_dsbpp_cap(cfg.meo, cap_rng, cfg.meo_theta_max, 10_000, positions=True)
+            counts, positions = sample_dsbpp_cap(cfg.meo, cap_rng, cfg.meo_theta_max, 10_000, positions=True)
             full = whole_shells(cfg.meo, full_rng, 10_000)
-            assert np.array_equal(visible, central_angle_to_target(full) <= cfg.meo_theta_max)
+            visible = central_angle_to_target(full) <= cfg.meo_theta_max
+            assert np.array_equal(counts, visible.sum(axis=1))
             assert np.array_equal(positions, full[visible])
         assert cap_rng.random() == full_rng.random()
 
@@ -265,15 +269,15 @@ class TestDsbppCap:
         assert np.array_equal(sample_dsbpp(MEO, derive_rng(35)), whole_shells(MEO, derive_rng(35), 1)[0])
 
     def test_mask_alone_draws_the_same(self):
-        visible, positions = sample_dsbpp_cap(MEO, derive_rng(32), 1.0, 50)
+        counts, positions = sample_dsbpp_cap(MEO, derive_rng(32), 1.0, 50)
         with_positions, _ = sample_dsbpp_cap(MEO, derive_rng(32), 1.0, 50, positions=True)
-        assert positions is None and visible.shape == (50, 12)
-        assert np.array_equal(visible, with_positions)
+        assert positions is None and counts.shape == (50,)
+        assert np.array_equal(counts, with_positions)
 
     def test_empty_shell(self):
         cfg = MeoShellConfig(0, 6, 26371.0, math.pi / 6)
-        visible, positions = sample_dsbpp_cap(cfg, derive_rng(33), 1.0, 4, positions=True)
-        assert visible.shape == (4, 0) and positions.shape == (0, 3)
+        counts, positions = sample_dsbpp_cap(cfg, derive_rng(33), 1.0, 4, positions=True)
+        assert np.array_equal(counts, [0, 0, 0, 0]) and positions.shape == (0, 3)
 
 
 class TestCentralAngle:

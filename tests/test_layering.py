@@ -54,3 +54,14 @@ def test_guard_sees_both_forms(tmp_path):
         encoding="utf-8",
     )
     assert sorted(private_uses(probe)) == ["analytic._hybrid", "channel._series_weights", "geom._helper"]
+
+
+MAX_LINE = 120
+
+
+def test_lines_fit_the_width():
+    roots = [PACKAGE, Path(__file__).resolve().parent]
+    long_lines = [f"{path.name}:{number}" for root in roots for path in sorted(root.glob("*.py"))
+                  for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+                  if len(line) > MAX_LINE]
+    assert long_lines == []

@@ -20,8 +20,7 @@ from constelsim.constellation import (
     sample_bpp_cap,
     sample_dsbpp,
 )
-from constelsim.mc import CHUNK_TRIALS, McSpec, run_validation, simulate
-from test_geom import horizon_angle
+from constelsim.mc import McSpec, run_validation, simulate
 
 CFG = default_config()
 DENSE = build_system_config(load_settings(overrides={"leo.altitude_km": "2000"}))
@@ -56,7 +55,7 @@ def run(tmp_path, *argv, name="out.csv"):
 
 
 def assert_summaries_equal(a, b):
-    assert a.spec == b.spec and a.estimates.keys() == b.estimates.keys()
+    assert a.estimates.keys() == b.estimates.keys()
     for key in a.estimates:
         for x, y in zip(a.estimates[key], b.estimates[key]):
             assert np.array_equal(x, y, equal_nan=True), key
@@ -66,11 +65,11 @@ def assert_summaries_equal(a, b):
 class TestDeterminism:
     def test_same_seed_same_summary(self):
         spec = McSpec(n_trials=400, master_seed=3)
-        assert_summaries_equal(simulate(CFG, spec), simulate(CFG, spec))
+        assert_summaries_equal(simulate(CFG, spec, 6), simulate(CFG, spec, 6))
 
     def test_seed_changes_summary(self):
-        a = simulate(CFG, McSpec(n_trials=400, master_seed=3))
-        b = simulate(CFG, McSpec(n_trials=400, master_seed=4))
+        a = simulate(CFG, McSpec(n_trials=400, master_seed=3), 6)
+        b = simulate(CFG, McSpec(n_trials=400, master_seed=4), 6)
         assert not np.array_equal(a.leo_rank_pass, b.leo_rank_pass)
 
     def test_same_seed_same_validate_bytes(self, tmp_path):
@@ -87,17 +86,18 @@ class TestDeterminism:
         assert code_1 == code_2 == 0
         assert serial == parallel
 
-    def test_availability_does_not_depend_on_localizability(self):
+    def test_availability_does_not_depend_on_localizability(self, monkeypatch):
         # Geometry and fading come from separate streams per batch, so the
-        # second chunk of a batch sees the same geometry either way.
-        spec = McSpec(n_trials=2500, master_seed=5, n_batches=2)
-        assert spec.n_trials // spec.n_batches > CHUNK_TRIALS
-        both = simulate(CFG, spec)
-        alone = simulate(CFG, spec, metrics=("availability",))
+        # later chunks of a batch see the same geometry either way.
+        monkeypatch.setattr(mc, "CHUNK_TRIALS", 50)
+        spec = McSpec(n_trials=2500, master_seed=5)
+        assert spec.n_trials // spec.n_batches > mc.CHUNK_TRIALS
+        both = simulate(CFG, spec, 6)
+        alone = simulate(CFG, spec, 6, metrics=("availability",))
         for system in ("leo", "meo", "hybrid"):
-            assert np.array_equal(both.estimate("availability", system)[0], alone.estimate("availability", system)[0])
-        assert np.all(np.isnan(alone.estimate("localizability", "leo")[0]))
-        assert np.all(np.isnan(alone.estimate("localizability", "hybrid")[1]))
+            assert np.array_equal(both.estimates["availability", system][0], alone.estimates["availability", system][0])
+        assert np.all(np.isnan(alone.estimates["localizability", "leo"][0]))
+        assert np.all(np.isnan(alone.estimates["localizability", "hybrid"][1]))
 
 
 class ZeroUniforms:
@@ -115,10 +115,21 @@ class ZeroUniforms:
 
 
 class TestSpec:
-    @pytest.mark.parametrize("n_batches", [0, 51])
-    def test_rejects_batches_outside_trials(self, n_batches):
-        with pytest.raises(ValueError):
-            McSpec(n_trials=50, n_batches=n_batches)
+    def test_holds_exactly_the_mc_settings(self):
+        assert [field.name for field in dataclasses.fields(McSpec)] == [
+            "n_trials", "master_seed", "sum_all_interferers"]
+
+    def test_few_trials_run_one_batch_each(self, monkeypatch):
+        # Five trials, five batches: one fresh geometry stream per trial.
+        batches = []
+
+        def recording(seed, index):
+            batches.append(index)
+            return derive_rng(seed, index)
+
+        monkeypatch.setattr(mc, "derive_rng", recording)
+        simulate(CFG, McSpec(n_trials=5, master_seed=2), 2, metrics=("availability",))
+        assert batches == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("trials, batches", [(1, 1), (3, 3), (20, 20), (100_000, 20)])
     def test_settings_use_up_to_twenty_batches(self, trials, batches):
@@ -134,30 +145,32 @@ class TestEstimates:
     def test_leo_availability_matches_binomial(self):
         # Batches of 1500 trials run as more than one chunk.
         spec = McSpec(n_trials=30_000, master_seed=17)
-        assert spec.n_trials // spec.n_batches > CHUNK_TRIALS
-        summary = simulate(CFG, spec, metrics=("availability",))
+        assert spec.n_trials // spec.n_batches > mc.CHUNK_TRIALS
+        summary = simulate(CFG, spec, 6, metrics=("availability",))
         fraction = 0.5 * (1.0 - math.cos(CFG.leo_theta_max))
-        exact = binom.sf(np.arange(spec.k_max), CFG.leo.n_sats, fraction)
-        values, errors = summary.estimate("availability", "leo")
+        exact = binom.sf(np.arange(6), CFG.leo.n_sats, fraction)
+        values, errors = summary.estimates["availability", "leo"]
         assert np.all(np.abs(values - exact) <= 3.0 * errors)
 
     def test_matched_mode_localizability_rows_pass(self):
         spec = McSpec(n_trials=3000, master_seed=1, sum_all_interferers=False)
-        rows = run_validation(CFG, spec, metrics=("localizability",))
+        rows = run_validation(CFG, spec, [1, 2, 3, 4, 5, 6], metrics=("localizability",))
         assert len(rows) == 18
         assert all(row.passed for row in rows), [(r.metric, r.k) for r in rows if not r.passed]
 
     def test_validation_builds_only_the_given_k(self):
-        spec = McSpec(n_trials=200, master_seed=1, k_max=4)
-        rows = run_validation(CFG, spec, ks=[3])
+        spec = McSpec(n_trials=200, master_seed=1)
+        rows = run_validation(CFG, spec, [3])
         assert [(row.metric, row.k) for row in rows] == [
             (f"{system}_{metric}", 3) for metric in ("availability", "localizability")
             for system in ("leo", "meo", "hybrid")]
 
-    @pytest.mark.parametrize("ks", [[0], [5], [2, -1]])
+    # The largest K is k_max, so only an empty list or a K below 1 lies
+    # outside [1, k_max].
+    @pytest.mark.parametrize("ks", [[0], [], [2, -1]])
     def test_validation_rejects_k_outside_k_max(self, ks):
         with pytest.raises(ValueError, match="K values"):
-            run_validation(CFG, McSpec(n_trials=20, master_seed=1, k_max=4), metrics=("availability",), ks=ks)
+            run_validation(CFG, McSpec(n_trials=20, master_seed=1), ks, metrics=("availability",))
 
     def test_faithful_passes_match_per_trial_loop(self):
         # Two independent samples of the per-rank LEO pass fractions and the
@@ -173,7 +186,7 @@ class TestEstimates:
             meo[trial] = sum(loop_passes(DENSE, meo_pos, DENSE.meo_theta_max, DENSE.meo_link, 12, rng))
         leo /= n_loop
         n_mc = 20_000
-        summary = simulate(DENSE, McSpec(n_trials=n_mc, master_seed=8, k_max=3))
+        summary = simulate(DENSE, McSpec(n_trials=n_mc, master_seed=8), 3)
         se = np.sqrt(leo * (1 - leo) / n_loop + summary.leo_rank_pass * (1 - summary.leo_rank_pass) / n_mc)
         assert np.all(np.abs(summary.leo_rank_pass - leo) <= 4.0 * se + 1e-4)
         meo_mc = summary.meo_single_pass * DENSE.meo.n_sats
@@ -201,8 +214,8 @@ class TestEstimates:
             return sr_sample(params, rng, size)
 
         monkeypatch.setattr(mc, "sr_sample", counting)
-        link = mc._Link(CFG.leo_link, CFG.leo_fading)
-        trial, rank, passes = mc._sinr_passes(CFG, link, positions, counts, n_serve, derive_rng(22), faithful=True)
+        trial, rank, passes = mc._sinr_passes(CFG, CFG.leo_link, CFG.leo_fading, positions, counts, n_serve,
+                                              derive_rng(22), faithful=True)
         assert sum(draws) == n_serve.sum() + (n_serve * (counts - 1)).sum() == 17
         assert passes.shape == trial.shape == (n_serve.sum(),) and np.all(rank < n_serve[trial])
 
@@ -212,7 +225,7 @@ class TestEstimates:
         # beams.
         positions, counts, n_serve = self.ragged_beams(23)
         monkeypatch.setattr(mc, "sr_sample", lambda params, rng, size=None: np.ones(size))
-        link = mc._Link(CFG.leo_link, CFG.leo_fading)
+        noise_term = CFG.leo_link.noise_power_w / CFG.leo_link.unit_range_power_w
         rel = positions - np.array([6371.0, 0.0, 0.0])
         dist_sq = (np.linalg.norm(rel, axis=-1) * 1e3) ** 2
         units = rel / np.linalg.norm(rel, axis=-1, keepdims=True)
@@ -223,35 +236,33 @@ class TestEstimates:
                 others = [first[t] + i for i in range(counts[t]) if i != s]
                 dome = np.arccos(np.clip(units[others] @ units[first[t] + s], -1.0, 1.0))
                 interference = np.sum(CFG.rx_pattern.gain_shape(dome) / dist_sq[others])
-                sinr[t, s] = (1.0 / dist_sq[first[t] + s]) / (link.noise_term + interference)
+                sinr[t, s] = (1.0 / dist_sq[first[t] + s]) / (noise_term + interference)
         ordered = sorted(sinr.values())
-        link.threshold = math.sqrt(ordered[len(ordered) // 2 - 1] * ordered[len(ordered) // 2])
-        trial, rank, passes = mc._sinr_passes(CFG, link, positions, counts, n_serve, derive_rng(24), faithful=True)
+        threshold = math.sqrt(ordered[len(ordered) // 2 - 1] * ordered[len(ordered) // 2])
+        link = dataclasses.replace(CFG.leo_link, sinr_threshold=threshold)
+        trial, rank, passes = mc._sinr_passes(CFG, link, CFG.leo_fading, positions, counts, n_serve, derive_rng(24),
+                                              faithful=True)
         assert {(t, r): bool(p) for t, r, p in zip(trial, rank, passes)} \
-            == {key: value > link.threshold for key, value in sinr.items()}
+            == {key: value > threshold for key, value in sinr.items()}
         assert 0 < passes.sum() < len(sinr)
 
     def test_matched_interferer_survives_zero_uniforms(self):
         # U = 0 would put the interferer at central angle 0, which
         # dome_from_central rejects. With p_zero = 0 every beam has one.
         rng = derive_rng(4)
-        cos_theta, azimuth = sample_bpp_cap(CFG.leo, rng, horizon_angle(CFG.leo.radius_km), 64)
-        visible = cos_theta >= math.cos(CFG.leo_theta_max)
-        positions = cap_positions(CFG.leo.radius_km, cos_theta[visible], azimuth[visible])
-        counts = visible.sum(axis=1)
+        counts, positions = sample_bpp_cap(CFG.leo, rng, CFG.leo_theta_max, 64, positions=True)
         theta_d, _ = leo_interference_cap(CFG)
-        link = mc._Link(CFG.leo_link, CFG.leo_fading)
-        _, _, passes = mc._sinr_passes(CFG, link, positions, counts, np.minimum(counts, 3), ZeroUniforms(rng),
-                                       faithful=False, matched_cap=(theta_d, 0.0))
+        _, _, passes = mc._sinr_passes(CFG, CFG.leo_link, CFG.leo_fading, positions, counts, np.minimum(counts, 3),
+                                       ZeroUniforms(rng), faithful=False, matched_cap=(theta_d, 0.0))
         assert passes.shape == (np.minimum(counts, 3).sum(),) and passes.dtype == bool
 
     def test_no_leo_no_meo(self):
         cfg = dataclasses.replace(CFG, leo=dataclasses.replace(CFG.leo, n_sats=0),
                                   meo=dataclasses.replace(CFG.meo, n_orbits=0))
-        summary = simulate(cfg, McSpec(n_trials=50, master_seed=2))
+        summary = simulate(cfg, McSpec(n_trials=50, master_seed=2), 6)
         for metric in ("availability", "localizability"):
             for system in ("leo", "meo", "hybrid"):
-                assert np.all(summary.estimate(metric, system)[0] == 0.0)
+                assert np.all(summary.estimates[metric, system][0] == 0.0)
 
 
 @st.composite
