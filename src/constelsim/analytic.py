@@ -36,6 +36,15 @@ single-satellite probability), and :func:`compose` turns them into the LEO,
 MEO and hybrid arrays. The Monte Carlo estimates compose through the same
 function.
 
+A sweep repeats each layer's inputs across its points, so the three
+integrals sit behind bounded ``lru_cache`` helpers keyed by only what they
+read, and return read-only arrays. The interferer's count law reads the LEO
+radius, the receive pattern, the LEO fading and threshold, theta_d and
+rtol, but no LEO count (only ``p_zero`` does, mixed in after). The LEO rank
+probabilities read the LEO shell, link and fading, the pattern, k_max and
+rtol. The MEO pass probability reads the MEO radius, theta_max, the MEO
+link and fading and rtol, but no MEO count.
+
 Every integral goes through :func:`integrate_adaptive`, a globally adaptive
 Gauss-Kronrod 10/21 rule (QUADPACK's pair) that evaluates its integrand on
 arrays of nodes and integrates vector-valued integrands on one shared
@@ -47,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -328,13 +338,13 @@ def contact_angle_pdfs(n: int, theta_max: float, k_max: int, theta) -> np.ndarra
 # Interference cap
 # ---------------------------------------------------------------------------
 
-def leo_interference_cap(config: SystemConfig) -> tuple[float, float]:
+def leo_interference_cap(leo: LeoShellConfig, pattern: AntennaPattern) -> tuple[float, float]:
     """Interference cap of a LEO beam: the central half-angle ``theta_d`` of
     the cap around the serving satellite that the receive beam's effective
     range maps to, and the probability ``p_zero`` that no LEO satellite
     falls inside it."""
-    theta_d = central_from_dome(config.leo.radius_km, config.rx_pattern.effective_range)
-    return theta_d, (0.5 * (1.0 + math.cos(theta_d))) ** config.leo.n_sats
+    theta_d = central_from_dome(leo.radius_km, pattern.effective_range)
+    return theta_d, (0.5 * (1.0 + math.cos(theta_d))) ** leo.n_sats
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +368,7 @@ def _pass_integral(n, radius_km, theta_max, link, fading, counts, k_max, rtol, l
 
 def leo_rank_coverage_probs(config: SystemConfig, k_max: int, rtol: float = 1e-8) -> np.ndarray:
     """Per-rank probabilities that the k-th nearest LEO satellite is
-    detectable and clears the SINR threshold, for k = 1..k_max.
+    detectable and clears the SINR threshold, for k = 1..k_max (read-only).
 
     The interferer adds gamma * gain_shape(dome(theta_i)) * W_i to the
     threshold, with path loss taken at the serving range, so its count law
@@ -370,32 +380,48 @@ def leo_rank_coverage_probs(config: SystemConfig, k_max: int, rtol: float = 1e-8
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    leo, fading, link = config.leo, config.leo_fading, config.leo_link
+    return _leo_rank_probs(config.leo, config.leo_link, config.leo_fading, config.rx_pattern, k_max, rtol)
+
+
+@lru_cache(maxsize=32)
+def _leo_rank_probs(leo, link, fading, pattern, k_max, rtol) -> np.ndarray:
     out = np.zeros(k_max)
-    if leo.n_sats == 0:
-        return out
-    theta_d, p_zero = leo_interference_cap(config)
+    if leo.n_sats > 0:
+        theta_d, p_zero = leo_interference_cap(leo, pattern)
+        counts = (1.0 - p_zero) * _interferer_law(leo.radius_km, pattern, fading, link.sinr_threshold, theta_d, rtol)
+        counts[0] += p_zero
+        ranks = min(k_max, leo.n_sats)
+        out[:ranks] = _pass_integral(leo.n_sats, leo.radius_km, max_central_angle(leo.radius_km, leo.beam_angle),
+                                     link, fading, counts, ranks, rtol, "rank coverage")
+    out.flags.writeable = False  # shared by every caller
+    return out
+
+
+@lru_cache(maxsize=32)
+def _interferer_law(radius_km, pattern, fading, threshold, theta_d, rtol) -> np.ndarray:
+    """Cap average of one interferer's count law, without ``p_zero``."""
     cap = 2.0 * _cap_fraction(theta_d)
 
     def over_angle(theta_i):
-        shape = config.rx_pattern.gain_shape(dome_from_central(leo.radius_km, theta_i))
-        return sr_count_pmf(fading, link.sinr_threshold * shape) * (np.sin(theta_i) / cap)
+        shape = pattern.gain_shape(dome_from_central(radius_km, theta_i))
+        return sr_count_pmf(fading, threshold * shape) * (np.sin(theta_i) / cap)
 
-    counts = (1.0 - p_zero) * integrate_adaptive(over_angle, 0.0, theta_d, rtol / 10, "interferer count law")
-    counts[0] += p_zero
-    ranks = min(k_max, leo.n_sats)
-    out[:ranks] = _pass_integral(leo.n_sats, leo.radius_km, config.leo_theta_max, link, fading, counts,
-                                 ranks, rtol, "rank coverage")
-    return out
+    law = integrate_adaptive(over_angle, 0.0, theta_d, rtol / 10, "interferer count law")
+    law.flags.writeable = False
+    return law
 
 
 def meo_single_localizability(config: SystemConfig, rtol: float = 1e-8) -> float:
     """Probability that one MEO satellite is detectable and clears its
     (noise-limited) SNR threshold: the pass integral of a one-satellite
     shell, whose contact-angle density is sin(theta) / 2."""
-    pass_prob = _pass_integral(1, config.meo.radius_km, config.meo_theta_max, config.meo_link, config.meo_fading,
-                               None, 1, rtol, "meo single-satellite localizability")
-    return float(pass_prob[0])
+    return _meo_pass_prob(config.meo.radius_km, config.meo_theta_max, config.meo_link, config.meo_fading, rtol)
+
+
+@lru_cache(maxsize=32)
+def _meo_pass_prob(radius_km, theta_max, link, fading, rtol) -> float:
+    return float(_pass_integral(1, radius_km, theta_max, link, fading, None, 1, rtol,
+                                "meo single-satellite localizability")[0])
 
 
 # ---------------------------------------------------------------------------

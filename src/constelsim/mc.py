@@ -207,7 +207,7 @@ def simulate(
     want_loc = "localizability" in metrics
     n_meo = config.meo.n_sats
     faithful = spec.sum_all_interferers
-    matched_cap = None if faithful else analytic.leo_interference_cap(config)
+    matched_cap = None if faithful else analytic.leo_interference_cap(config.leo, config.rx_pattern)
 
     sizes = np.diff(np.linspace(0, spec.n_trials, spec.n_batches + 1).astype(int))
     avail_hist = np.zeros(3 * (k_max + 1))  # trials per count up to k_max: leo, meo, hybrid

@@ -13,7 +13,7 @@ from scipy.stats import binom, chisquare, kstest
 import constelsim
 import constelsim.analytic as an
 from constelsim.analytic import SystemConfig
-from constelsim.channel import sr_sf
+from constelsim.channel import FlatTopPattern, sr_sf
 from constelsim.config import build_system_config, default_config, load_settings
 from constelsim.constellation import (
     LeoShellConfig,
@@ -39,6 +39,31 @@ def values(cfg, metric, system, k_max):
     return an.evaluate(cfg, metric, (system,), k_max)[system]
 
 
+class KeptUniforms:
+    """A generator that keeps the last block of uniforms drawn from ``rng``."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def random(self, size=None):
+        self.last = self._rng.random(size)
+        return self.last
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def shell_cosines(rng, batch):
+    """Cosines of the central angles to the target of ``batch`` whole
+    baseline LEO shells, shape ``(batch, n_sats)``, unsorted, from the
+    uniforms ``sample_bpp_cap`` draws for a cap of angle pi (Binomial(N, 1)
+    = N points, each with cosine 1 - 2u), without building positions."""
+    kept = KeptUniforms(rng)
+    counts, _ = sample_bpp_cap(CFG.leo, kept, math.pi, batch)
+    assert np.all(counts == CFG.leo.n_sats)
+    return 1.0 - 2.0 * kept.last[0]
+
+
 def with_leo_threshold(cfg, gamma):
     return replace(cfg, leo_link=replace(cfg.leo_link, sinr_threshold=gamma))
 
@@ -62,12 +87,8 @@ class TestLeoAvailability:
         rng = derive_rng(31)
         cos_max = math.cos(CFG.leo_theta_max)
         n_draws, batch = 20_000, 250
-
-        def cosines():
-            return sample_bpp_cap(CFG.leo, rng, math.pi, batch, positions=True)[1][:, 0] / CFG.leo.radius_km
-
         hits = sum(
-            int(np.count_nonzero((cosines() >= cos_max).reshape(batch, -1).sum(axis=1) >= 3))
+            int(np.count_nonzero((shell_cosines(rng, batch) >= cos_max).sum(axis=1) >= 3))
             for _ in range(n_draws // batch)
         )
         want = values(CFG, "availability", "leo", 3)[2]
@@ -245,16 +266,17 @@ class TestHybridAvailability:
 
 def sum_form_contact_pdf(n, k, theta):
     """The rank density assembled term by term from the occupancy CDF
-    derivative, kept numerically stable through binomial pmf factors."""
-    c = math.cos(theta)
+    derivative, kept numerically stable through binomial pmf factors;
+    elementwise over an array of angles."""
+    theta = np.asarray(theta, dtype=float)
+    c = np.cos(theta)
     p = 0.5 * (1 - c)
-    if p <= 0.0:
-        return 0.0 if k > 1 else n * 0.5 * math.sin(theta) * (0.5 * (1 + c)) ** (n - 1)
-    total = 0.0
-    for j in range(k):
+    j = np.arange(k).reshape((k,) + (1,) * theta.ndim)
+    with np.errstate(divide="ignore", invalid="ignore"):
         bracket = (n - j) / (1 + c) - j / (1 - c)
-        total += float(binom.pmf(j, n, p)) * bracket
-    return math.sin(theta) * total
+        total = np.sin(theta) * np.sum(binom.pmf(j, n, p) * bracket, axis=0)
+    at_zero = 0.0 if k > 1 else n * 0.5 * np.sin(theta) * (0.5 * (1 + c)) ** (n - 1)
+    return np.where(p > 0.0, total, at_zero)
 
 
 def rank_pdf(cfg, k, theta):
@@ -281,7 +303,7 @@ class TestContactAngles:
         grid = np.linspace(1e-3, math.pi - 1e-3, 60)
         got = an.contact_angle_pdfs(n, math.pi, n, grid)
         for k in range(1, n + 1):
-            want = [sum_form_contact_pdf(n, k, float(theta)) for theta in grid]
+            want = sum_form_contact_pdf(n, k, grid)
             np.testing.assert_allclose(got[k - 1], want, rtol=1e-9, atol=1e-12)
             assert got[k - 1].max() > 0.01
         np.testing.assert_allclose(got.sum(axis=0), n * 0.5 * np.sin(grid), rtol=1e-13)
@@ -360,26 +382,24 @@ class TestContactAngles:
 class TestLeoInterferenceCap:
     def test_no_satellites(self):
         cfg = config_with(**{"leo.n_sats": "0"})
-        assert an.leo_interference_cap(cfg)[1] == 1.0
+        assert an.leo_interference_cap(cfg.leo, cfg.rx_pattern)[1] == 1.0
 
     def test_baseline_values(self):
-        theta_d, p_zero = an.leo_interference_cap(CFG)
+        theta_d, p_zero = an.leo_interference_cap(CFG.leo, CFG.rx_pattern)
         assert theta_d == pytest.approx(0.059646355, abs=1e-8)
         assert p_zero == pytest.approx(0.168788705, abs=1e-8)
 
     def test_empty_cap_fraction_by_simulation(self):
         # fraction of draws leaving a fixed cap of the interference radius
-        # empty; the fixed direction (the z axis) plays the serving
-        # satellite. Whole shells are drawn in batches as caps of angle pi.
-        theta_d, p_zero = an.leo_interference_cap(CFG)
+        # empty; the fixed direction (the target's, as the shell is
+        # isotropic) plays the serving satellite. Whole shells are drawn in
+        # batches as caps of angle pi.
+        theta_d, p_zero = an.leo_interference_cap(CFG.leo, CFG.rx_pattern)
         rng = derive_rng(41)
         cos_cut = math.cos(theta_d)
         n_draws, batch = 20_000, 250
-        empty = 0
-        for _ in range(n_draws // batch):
-            _, positions = sample_bpp_cap(CFG.leo, rng, math.pi, batch, positions=True)
-            cos_sep = positions[:, 2].reshape(batch, -1) / CFG.leo.radius_km
-            empty += int(np.count_nonzero(cos_sep.max(axis=1) < cos_cut))
+        empty = sum(int(np.count_nonzero(shell_cosines(rng, batch).max(axis=1) < cos_cut))
+                    for _ in range(n_draws // batch))
         se = math.sqrt(p_zero * (1 - p_zero) / n_draws)
         assert abs(empty / n_draws - p_zero) < 3 * se
 
@@ -575,6 +595,40 @@ class TestHybridConvolution:
     def test_matches_previous_composition(self, meo_pmf, cutoff, want):
         got = an.compose(np.cumprod(self.RANKS), meo_pmf, cutoff)["hybrid"]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+# Each change to the baseline, with the quadrature tolerance and k_max of
+# the evaluation, and the caches it must miss: (count law, LEO ranks, MEO).
+CACHE_MISSES = {
+    "pattern": ({"rx_pattern": FlatTopPattern(CFG.rx_pattern.phi_3db)}, 1e-8, 6, (1, 1, 0)),
+    "leo fading": ({"leo_fading": replace(CFG.leo_fading, m=2.0)}, 1e-8, 6, (1, 1, 0)),
+    "meo fading": ({"meo_fading": replace(CFG.meo_fading, m=2.0)}, 1e-8, 6, (0, 0, 1)),
+    "leo threshold": ({"leo_link": replace(CFG.leo_link, sinr_threshold=5.0)}, 1e-8, 6, (1, 1, 0)),
+    "meo threshold": ({"meo_link": replace(CFG.meo_link, sinr_threshold=0.05)}, 1e-8, 6, (0, 0, 1)),
+    "rtol": ({}, 1e-9, 6, (1, 1, 1)),
+    "k_max": ({}, 1e-8, 5, (0, 1, 0)),
+}
+
+
+class TestLayerCaches:
+    @pytest.mark.parametrize("change", sorted(CACHE_MISSES))
+    def test_changed_sub_config_misses(self, analytic_caches, change):
+        fields, rtol, k_max, misses = CACHE_MISSES[change]
+        an.evaluate(CFG, "localizability", an.SYSTEMS, 6)
+        cfg = replace(CFG, **fields)
+        before = [cache.cache_info().misses for cache in analytic_caches]
+        got = an.evaluate(cfg, "localizability", an.SYSTEMS, k_max, rtol)
+        assert tuple(cache.cache_info().misses - b for cache, b in zip(analytic_caches, before)) == misses
+        for cache in analytic_caches:
+            cache.cache_clear()
+        want = an.evaluate(cfg, "localizability", an.SYSTEMS, k_max, rtol)
+        for system in an.SYSTEMS:
+            np.testing.assert_array_equal(got[system], want[system])
+
+    def test_cached_ranks_are_read_only(self):
+        probs = an.leo_rank_coverage_probs(CFG, 6)
+        with pytest.raises(ValueError):
+            probs[0] = 0.0
 
 
 class TestEvaluate:

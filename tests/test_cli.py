@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
@@ -9,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import constelsim
-from constelsim import cli, mc
-from constelsim.config import ConfigError, emit_settings, load_settings, parse_config_text
+from constelsim import analytic, cli, mc
+from constelsim.config import (
+    ConfigError,
+    build_system_config,
+    emit_settings,
+    load_settings,
+    parse_config_text,
+)
 
 VALIDATE_HEADER = "metric,K,analytic,empirical,std_err,delta,pass"
 UNIT_SUFFIXES = ("dBW", "dBm", "dBi", "dB", "deg", "rad")
@@ -108,6 +115,41 @@ class TestHeatmap:
         assert code_1 == code_2 == 0
         assert serial == parallel
         assert len(rows(serial)) == 1 + 3 * 2
+
+    # 10 LEO counts by 13 MEO counts, localizability at K = 4.
+    LOC_GRID = ["heatmap", "--metric", "localizability", "--sweep", "n_leo=500:5000:500",
+                "--sweep", "n_meo=0:24:2", "--K", "4"]
+
+    def test_each_layer_once_per_sub_config(self, tmp_path, monkeypatch):
+        # The count law reads no LEO count and the MEO pass no MEO count, so
+        # the grid needs one of each, and one rank pass per LEO count.
+        labels = []
+        original = analytic.integrate_adaptive
+
+        def counting(func, a, b, rtol, label):
+            labels.append(label)
+            return original(func, a, b, rtol, label)
+
+        monkeypatch.setattr(analytic, "integrate_adaptive", counting)
+        code, _ = run(tmp_path, *self.LOC_GRID)
+        assert code == 0
+        assert Counter(labels) == {"interferer count law": 1, "rank coverage": 10,
+                                   "meo single-satellite localizability": 1}
+
+    def test_cached_grid_matches_uncached_points(self, tmp_path, analytic_caches):
+        lines = ["n_leo,n_meo,value"]
+        for n_leo in range(500, 5001, 500):
+            for n_meo in range(0, 25, 2):
+                for cache in analytic_caches:
+                    cache.cache_clear()
+                cfg = build_system_config(load_settings(overrides={
+                    "leo.n_sats": str(n_leo), "meo.n_orbits": str(n_meo), "meo.sats_per_orbit": "1"}))
+                value = analytic.evaluate(cfg, "localizability", ("hybrid",), 4)["hybrid"][3]
+                lines.append(f"{n_leo},{n_meo},{value:.12g}")
+        for jobs in ("1", "2"):
+            code, text = run(tmp_path, *self.LOC_GRID, "--jobs", jobs, name=f"jobs{jobs}.csv")
+            assert code == 0
+            assert text == "\n".join(lines) + "\n"
 
     def test_axis_order_does_not_matter(self, tmp_path):
         leo, meo = "n_leo=0:1000:500", "n_meo=0:12:6"

@@ -1,6 +1,8 @@
-"""Layering guard: a module of the package uses only the public names of
+"""Layering guards: a module of the package uses only the public names of
 its sibling modules. Underscore names (the fading kernel's weights and
-Poisson matrix, say) stay inside the module that defines them."""
+Poisson matrix, say) stay inside the module that defines them. Every
+memoising cache has a fixed size, so memory stays bounded however long a
+sweep runs."""
 
 import ast
 from pathlib import Path
@@ -54,6 +56,64 @@ def test_guard_sees_both_forms(tmp_path):
         encoding="utf-8",
     )
     assert sorted(private_uses(probe)) == ["analytic._hybrid", "channel._series_weights", "geom._helper"]
+
+
+def unbounded_caches(path: Path) -> list[int]:
+    """Lines of the ``functools`` caches in the module at ``path`` without an
+    explicit integer ``maxsize``: a bare ``cache`` or ``lru_cache``, or an
+    ``lru_cache(...)`` whose size is None, missing or not an integer literal."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {}  # local name -> functools name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update({alias.asname or alias.name: alias.name for alias in node.names})
+        elif isinstance(node, ast.Import):
+            names.update({alias.asname or alias.name: alias.name for alias in node.names if alias.name == "functools"})
+
+    def functools_name(node):
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.attr if names.get(node.value.id) == "functools" else None
+        return None
+
+    sized, lines = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and functools_name(node.func) == "lru_cache":
+            sized.add(id(node.func))
+            sizes = node.args[:1] + [keyword.value for keyword in node.keywords if keyword.arg == "maxsize"]
+            if not any(isinstance(size, ast.Constant) and type(size.value) is int for size in sizes):
+                lines.append(node.lineno)
+    for node in ast.walk(tree):
+        if functools_name(node) in ("cache", "lru_cache") and id(node) not in sized:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_cache_is_bounded():
+    found = {path.name: unbounded_caches(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_cache_guard_fires(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import functools\n"
+        "from functools import cache, lru_cache as memo\n"
+        "@memo(maxsize=32)\n"
+        "def sized(): ...\n"
+        "@memo\n"
+        "def bare(): ...\n"
+        "@cache\n"
+        "def unbounded(): ...\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def none(): ...\n"
+        "positional = functools.lru_cache(64)(len)\n"
+        "typed_only = memo(typed=True)(len)\n"
+        "named = memo(maxsize=SIZE)(len)\n",
+        encoding="utf-8",
+    )
+    assert unbounded_caches(probe) == [5, 7, 9, 12, 13]
 
 
 MAX_LINE = 120

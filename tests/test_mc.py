@@ -251,7 +251,7 @@ class TestEstimates:
         # dome_from_central rejects. With p_zero = 0 every beam has one.
         rng = derive_rng(4)
         counts, positions = sample_bpp_cap(CFG.leo, rng, CFG.leo_theta_max, 64, positions=True)
-        theta_d, _ = leo_interference_cap(CFG)
+        theta_d, _ = leo_interference_cap(CFG.leo, CFG.rx_pattern)
         _, _, passes = mc._sinr_passes(CFG, CFG.leo_link, CFG.leo_fading, positions, counts, np.minimum(counts, 3),
                                        ZeroUniforms(rng), faithful=False, matched_cap=(theta_d, 0.0))
         assert passes.shape == (np.minimum(counts, 3).sum(),) and passes.dtype == bool
