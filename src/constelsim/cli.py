@@ -6,7 +6,8 @@ MEO count; both run the same sweep, one CSV line per grid point. ``validate``
 runs the analytic-vs-simulation campaign and exits nonzero if any row is out
 of tolerance; ``sample`` dumps one drawn constellation. All output is CSV
 with 12-significant-digit values and newline endings, written in
-deterministic sweep order.
+deterministic sweep order. The parser holds only the invoked subcommand,
+so a command pays for building no other command's options.
 
 Exit codes: 0 success, 1 validation failures, 2 configuration errors, an
 unreadable ``--config`` or an unwritable ``--out`` among them. An ``--out``
@@ -177,12 +178,13 @@ def cmd_curve(opts) -> int:
         raise ConfigError("curve needs exactly one --sweep axis")
     _check_axis_system(axes[0].name, opts.system)
     ks = _parse_k_list(opts.k_values)
-    mc_spec = build_mc_settings(settings)
+    # Monte Carlo settings are read, and so checked, only when --mc asks for them.
+    mc_spec = build_mc_settings(settings) if opts.mc else None
 
     header = ["x"] + [f"{opts.metric}_K{k}" for k in ks]
     if opts.mc:
         header += [f"{opts.metric}_K{k}_{column}" for k in ks for column in ("mc", "se")]
-    return _sweep(opts, settings, axes, header, opts.system, ks, mc_spec if opts.mc else None)
+    return _sweep(opts, settings, axes, header, opts.system, ks, mc_spec)
 
 
 def cmd_heatmap(opts) -> int:
@@ -279,59 +281,57 @@ def _write(path: str | None, text: str):
         raise ConfigError(f"cannot write '{path}': {exc.strerror or exc}") from exc
 
 
-def _add_common(sub):
-    sub.add_argument("--config", default=None, help="configuration file (key = value lines)")
-    sub.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one configuration key")
-    sub.add_argument("--seed", type=int, default=None, help="Monte Carlo master seed")
-    sub.add_argument("--trials", type=int, default=None, help="Monte Carlo trial count")
-    sub.add_argument("--out", default="-", help="output path, '-' for stdout")
-    sub.add_argument("--rtol", type=float, default=1e-8, help="quadrature relative tolerance")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers for sweep points")
+# Options every subcommand takes, then per subcommand its help, handler and
+# own options, in ``--help`` order. An option is its flag and the keywords
+# of ``add_argument``.
+_COMMON = (
+    ("--config", dict(default=None, help="configuration file (key = value lines)")),
+    ("--set", dict(action="append", metavar="KEY=VALUE", help="override one configuration key")),
+    ("--seed", dict(type=int, default=None, help="Monte Carlo master seed")),
+    ("--trials", dict(type=int, default=None, help="Monte Carlo trial count")),
+    ("--out", dict(default="-", help="output path, '-' for stdout")),
+    ("--rtol", dict(type=float, default=1e-8, help="quadrature relative tolerance")),
+    ("--jobs", dict(type=int, default=1, help="parallel workers for sweep points")),
+)
+_SWEEP = ("--sweep", dict(action="append", required=True, metavar="NAME=MIN:MAX:STEP"))
+_METRIC = ("--metric", dict(choices=analytic.METRICS, default="availability"))
+_K_LIST = ("--K", dict(dest="k_values", default="1,2,3,4,5,6", help="comma-separated K list"))
+_COMMANDS = {
+    "curve": ("sweep one parameter, one CSV column per K", cmd_curve, (
+        _SWEEP, _METRIC, ("--system", dict(choices=analytic.SYSTEMS, default="hybrid")), _K_LIST,
+        ("--mc", dict(action="store_true", help="append Monte Carlo columns")))),
+    "heatmap": ("grid LEO count against total MEO count", cmd_heatmap,
+                (_SWEEP, _METRIC, ("--K", dict(dest="k_values", default="6")))),
+    "validate": ("analytic vs Monte Carlo validation report", cmd_validate,
+                 (("--metrics", dict(default=",".join(analytic.METRICS))), _K_LIST)),
+    "sample": ("dump one sampled constellation as CSV", cmd_sample, ()),
+    "emit-config": ("print the effective configuration", cmd_emit_config, ()),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with only ``command``'s subparser, or with every
+    subcommand's when ``command`` is None."""
     parser = argparse.ArgumentParser(
         prog="constelsim",
         description="Availability and localizability of LEO/MEO satellite constellations",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    curve = subs.add_parser("curve", help="sweep one parameter, one CSV column per K")
-    _add_common(curve)
-    curve.add_argument("--sweep", action="append", required=True, metavar="NAME=MIN:MAX:STEP")
-    curve.add_argument("--metric", choices=analytic.METRICS, default="availability")
-    curve.add_argument("--system", choices=analytic.SYSTEMS, default="hybrid")
-    curve.add_argument("--K", dest="k_values", default="1,2,3,4,5,6", help="comma-separated K list")
-    curve.add_argument("--mc", action="store_true", help="append Monte Carlo columns")
-    curve.set_defaults(fn=cmd_curve)
-
-    heat = subs.add_parser("heatmap", help="grid LEO count against total MEO count")
-    _add_common(heat)
-    heat.add_argument("--sweep", action="append", required=True, metavar="NAME=MIN:MAX:STEP")
-    heat.add_argument("--metric", choices=analytic.METRICS, default="availability")
-    heat.add_argument("--K", dest="k_values", default="6")
-    heat.set_defaults(fn=cmd_heatmap)
-
-    val = subs.add_parser("validate", help="analytic vs Monte Carlo validation report")
-    _add_common(val)
-    val.add_argument("--metrics", default=",".join(analytic.METRICS))
-    val.add_argument("--K", dest="k_values", default="1,2,3,4,5,6", help="comma-separated K list")
-    val.set_defaults(fn=cmd_validate)
-
-    samp = subs.add_parser("sample", help="dump one sampled constellation as CSV")
-    _add_common(samp)
-    samp.set_defaults(fn=cmd_sample)
-
-    emit = subs.add_parser("emit-config", help="print the effective configuration")
-    _add_common(emit)
-    emit.set_defaults(fn=cmd_emit_config)
-
+    # With one subcommand built, the metavar keeps every name in the usage
+    # line that argparse's errors print.
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else (command,):
+        help_text, fn, options = _COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        for flag, kwargs in _COMMON + options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    opts = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    opts = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         if not 0 < opts.rtol < math.inf:  # false for NaN too
             raise ConfigError(f"--rtol must be positive and finite, got {opts.rtol}")

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -94,6 +95,16 @@ class TestCurve:
         code, text = run(tmp_path, "curve", "--K", "1,2,1", "--sweep", "n_leo=1000:1000:1")
         assert code == 2 and text is None
         assert "configuration error" in capsys.readouterr().err
+
+    def test_mc_settings_checked_only_with_mc(self, tmp_path, capsys):
+        # Without --mc no Monte Carlo setting is read, as for heatmap.
+        argv = ["curve", "--K", "1,2", "--sweep", "n_leo=1000:2000:1000"]
+        code, plain = run(tmp_path, *argv, name="plain.csv")
+        code_zero, zero = run(tmp_path, *argv, "--trials", "0", name="zero.csv")
+        assert code == code_zero == 0 and zero == plain
+        code, text = run(tmp_path, *argv, "--trials", "0", "--mc", name="mc.csv")
+        assert code == 2 and text is None
+        assert "n_trials must be at least 1" in capsys.readouterr().err
 
 
 class TestHeatmap:
@@ -446,6 +457,99 @@ class TestEmitConfig:
         assert "configuration error" in capsys.readouterr().err
 
 
+COMMANDS = ("curve", "heatmap", "validate", "sample", "emit-config")
+
+# ``constelsim --help``, which lists every subcommand, at 80 columns.
+TOP_HELP = """\
+usage: constelsim [-h] {curve,heatmap,validate,sample,emit-config} ...
+
+Availability and localizability of LEO/MEO satellite constellations
+
+positional arguments:
+  {curve,heatmap,validate,sample,emit-config}
+    curve               sweep one parameter, one CSV column per K
+    heatmap             grid LEO count against total MEO count
+    validate            analytic vs Monte Carlo validation report
+    sample              dump one sampled constellation as CSV
+    emit-config         print the effective configuration
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+# Counts the argument parsers that importing the CLI module constructs.
+_IMPORT_PROBE = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs)
+import constelsim.cli
+print(len(built))
+"""
+
+
+def exit_output(capsys, parse, argv):
+    """Exit code and (stdout, stderr) of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    return exit_info.value.code, capsys.readouterr()
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """Records each ``argparse.ArgumentParser`` constructed."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_command_help_matches_full_parser(self, capsys, command):
+        one = exit_output(capsys, cli.build_parser(command).parse_args, [command, "--help"])
+        full = exit_output(capsys, cli.build_parser().parse_args, [command, "--help"])
+        assert one == full and one[0] == 0
+        assert one[1].out.startswith(f"usage: constelsim {command} [-h]")
+
+    def test_top_level_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert exit_output(capsys, cli.main, ["--help"]) == (0, (TOP_HELP, ""))
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--bogus"],
+                                      ["curve", "--sweep", "n_leo=1000:1000:1", "--bogus"]])
+    def test_usage_lists_every_command(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, (out, err) = exit_output(capsys, cli.main, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: constelsim [-h] {curve,heatmap,validate,sample,emit-config} ...\n")
+
+    def test_emit_config_builds_two_parsers(self, tmp_path, parsers_built):
+        assert run(tmp_path, "emit-config")[0] == 0
+        assert parsers_built == ["constelsim", "constelsim emit-config"]
+
+    def test_curve_builds_two_parsers(self, tmp_path, parsers_built):
+        code, text = run(tmp_path, "curve", "--K", "1", "--sweep", "n_leo=1000:1000:1")
+        assert code == 0 and len(rows(text)) == 2
+        assert parsers_built == ["constelsim", "constelsim curve"]
+
+    def test_import_builds_no_parser(self):
+        assert fresh_python("-c", _IMPORT_PROBE) == "0\n"
+
+    def test_console_script_reads_sys_argv(self, tmp_path):
+        # ``python -m constelsim.cli`` calls main() with no arguments, as the
+        # console script does.
+        argv = ["emit-config", "--set", "leo.n_sats=1234"]
+        code, text = run(tmp_path, *argv)
+        assert code == 0
+        assert fresh_python("-m", "constelsim.cli", *argv) == text
+
+
 decimals = st.decimals(min_value=-1000, max_value=1000, places=2)
 steps = st.decimals(min_value=Decimal("0.01"), max_value=50, places=2)
 
@@ -469,13 +573,19 @@ print(sorted(name for name, module in sys.modules.items() if name.split(".")[0] 
 """
 
 
-def test_runs_with_scipy_blocked(tmp_path):
-    # numpy is the only runtime dependency; scipy serves the tests alone.
+def fresh_python(*args) -> str:
+    """Standard output of a fresh interpreter run with ``args``, with this
+    package importable."""
     src = str(Path(constelsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path)], capture_output=True, text=True,
-                         env=env, check=True, timeout=120)
-    first, loaded = out.stdout.splitlines()
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=True,
+                          timeout=120).stdout
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    stdout = fresh_python("-c", _NO_SCIPY_PROBE, str(tmp_path))
+    first, loaded = stdout.splitlines()
     curve, validate, cdf, pdf, sf = first.split()
     assert curve == "0" and validate in ("0", "1")
     assert 0.0 < float(cdf) < 1.0 and float(pdf) > 0.0
