@@ -277,30 +277,35 @@ def binom_law(n: int, p: float) -> np.ndarray:
 
 
 def tail(law: np.ndarray, k_max: int) -> np.ndarray:
-    """P(N >= K) for K = 1..k_max, where N has the pmf ``law`` on 0, 1, ...;
-    summed from the far end, so small tails keep their relative accuracy,
-    and zero past the law's end."""
-    tail = np.cumsum(law[::-1])[::-1][1:]
-    return np.concatenate([tail, np.zeros(max(0, k_max - tail.size))])[:k_max]
+    """P(N >= K) for K = 1..k_max, where N has the pmf ``law`` on 0, 1, ...
+    along its last axis (leading axes broadcast); summed from the far end,
+    so small tails keep their relative accuracy, and zero past the law's
+    end."""
+    tail = np.cumsum(law[..., ::-1], axis=-1)[..., ::-1][..., 1:]
+    pad = np.zeros(tail.shape[:-1] + (max(0, k_max - tail.shape[-1]),))
+    return np.concatenate([tail, pad], axis=-1)[..., :k_max]
 
 
 def compose(leo: np.ndarray, meo_law: np.ndarray, cutoff: int) -> dict[str, np.ndarray]:
-    """LEO, MEO and hybrid values for K = 1..len(leo), keyed by system.
+    """LEO, MEO and hybrid values for K = 1..k_max, keyed by system, along
+    the last axis; leading axes broadcast, so a stack of cases composes in
+    one call.
 
-    ``leo[K - 1]`` is the probability that the LEO layer alone supplies K
-    satellites (zero past the LEO population), and ``meo_law`` is the law
+    ``leo[..., K - 1]`` is the probability that the LEO layer alone supplies
+    K satellites (zero past the LEO population), and ``meo_law`` is the law
     of the MEO count; the MEO value is its tail. The hybrid counts MEO
     satellites first: with ``j`` of them, the LEO layer must supply the
     remaining ``K - j``. Counts beyond ``cutoff`` are dropped (their total
     mass is below epsilon by construction), and so are counts the law does
     not cover.
     """
-    k_max = len(leo)
-    hybrid = np.zeros(k_max)
-    for j in range(min(cutoff, len(meo_law) - 1) + 1):
+    k_max = leo.shape[-1]
+    hybrid = np.zeros(np.broadcast_shapes(leo.shape, meo_law.shape[:-1] + (k_max,)))
+    for j in range(min(cutoff, meo_law.shape[-1] - 1) + 1):
         # LEO value for K - j, zero where j >= K (those K are covered below).
-        hybrid += np.concatenate([np.zeros(j), leo])[:k_max] * meo_law[j]
-    hybrid += tail(meo_law[: cutoff + 1], k_max)
+        shifted = np.concatenate([np.zeros(leo.shape[:-1] + (j,)), leo], axis=-1)[..., :k_max]
+        hybrid += shifted * meo_law[..., j, None]
+    hybrid += tail(meo_law[..., : cutoff + 1], k_max)
     return {"leo": leo, "meo": tail(meo_law, k_max), "hybrid": hybrid}
 
 

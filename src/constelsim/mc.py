@@ -21,10 +21,13 @@ detection angle. MEO beams carry no rank, so every visible MEO satellite
 serves, in orbit-major order.
 
 The SINR works on links, never on padded boxes. From the counts alone,
-:func:`_link_indices` lists every (trial, rank) serving beam, trial by trial
-and then rank by rank, and every (beam, other visible satellite) pair, beam
-by beam and then by the other's rank, so fading is drawn only for links that
-exist. Per-rank pass counts and per-trial MEO pass counts come back through
+:func:`_ragged` lists every (trial, rank) serving beam, trial by trial and
+then rank by rank. A beam is open when its signal clears the threshold over
+noise alone; a closed beam fails whatever the interference, so only open
+beams take interferers. :func:`_link_indices` lists every (open beam, other
+visible satellite) pair, beam by beam and then by the other's rank, so
+fading is drawn only for links that exist and can change a verdict.
+Per-rank pass counts and per-trial MEO pass counts come back through
 ``np.bincount``.
 
 RNG contract. Batch ``b`` of the min(20, n_trials) batch-means batches
@@ -33,10 +36,15 @@ that stream's first spawned child, in sub-chunks of at most
 ``CHUNK_TRIALS`` trials (a module constant, so memory stays bounded at any
 trial count). Each chunk draws the LEO cap, then the whole MEO shell, from
 the geometry stream and then, with localizability, the LEO links' fading
-and the MEO links', serving beams first, from the fading stream. Results
-therefore depend on the config, ``master_seed``, ``n_trials`` and ``k_max``
-only, and availability estimates do not depend on whether localizability is
-simulated too.
+and the MEO links' from the fading stream. Per layer, the serving beams'
+fading comes first, one value per beam; in faithful mode the interferers'
+follows, one value per (open beam, other visible satellite) pair in
+:func:`_link_indices` order. Which beams are open depends on the serving
+draws, so the interferer draws are fewer than one per pair but each verdict
+is the same function of independent draws as with every pair drawn, and
+every estimator keeps its law. Results therefore depend on the config,
+``master_seed``, ``n_trials`` and ``k_max`` only, and availability
+estimates do not depend on whether localizability is simulated too.
 
 Two interference modes exist. The faithful default sums every visible
 same-layer satellite with its exact range and exact dome-angle receive gain.
@@ -54,7 +62,8 @@ The availability estimates are plain trial fractions. The localizability
 estimates mirror the closed-form metric, which multiplies per-rank
 probabilities: per-rank pass fractions and the MEO pass-count law are
 estimated and go through the closed forms' own
-:func:`~constelsim.analytic.compose`.
+:func:`~constelsim.analytic.compose`, the whole run and every batch in one
+call.
 """
 
 from __future__ import annotations
@@ -97,53 +106,66 @@ class McSpec:
         return min(20, self.n_trials)
 
 
-def _link_indices(counts: np.ndarray, n_serve: np.ndarray):
-    """Indices of the links of trials whose packed visible satellites number
-    ``counts``, of which the first ``n_serve`` serve.
+def _ragged(sizes: np.ndarray):
+    """Owner of each of ``sizes.sum()`` items, owner by owner, and its index
+    within its owner."""
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    Returns the trial and rank of every serving beam, trial by trial and
-    then rank by rank, and the beam (an index into those) and the other
-    satellite's rank of every (beam, other visible satellite) pair, beam by
-    beam and then by the other's rank.
+
+def _link_indices(counts: np.ndarray, trial: np.ndarray, rank: np.ndarray, is_open: np.ndarray):
+    """Interferer pairs of the open serving beams of trials whose packed
+    visible satellites number ``counts``.
+
+    Beam ``i`` serves trial ``trial[i]`` at rank ``rank[i]``, as
+    :func:`_ragged` lists them from the serving counts, and ``is_open[i]``
+    says whether it takes interferers. Returns the beam (an index into those)
+    and the other satellite's rank of every (open beam, other visible
+    satellite) pair, beam by beam and then by the other's rank.
     """
-    def ragged(sizes):
-        # Owner of each item, and its index within the owner.
-        owner = np.repeat(np.arange(sizes.size), sizes)
-        return owner, np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-
-    trial, rank = ragged(n_serve)
-    beam, other = ragged(counts[trial] - 1)
+    beam, other = _ragged((counts[trial] - 1) * is_open)
     other += other >= rank[beam]
-    return trial, rank, beam, other
+    return beam, other
 
 
 def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, counts, n_serve, rng, faithful,
                  matched_cap=None):
-    """Trial, rank and pass flag of every serving beam of one layer, in
-    :func:`_link_indices` order. ``positions`` holds each trial's
+    """Trial, rank and pass flag of every serving beam of one layer, trial
+    by trial and then rank by rank. ``positions`` holds each trial's
     ``counts`` visible satellites, packed trial by trial; the first
     ``n_serve`` of each trial serve. A beam passes when
     SINR = (W_s / l_s^2) / (noise / unit-range power + sum shape_i W_i / l_i^2)
     exceeds the link's threshold.
 
-    One fading value is drawn per serving beam and, in faithful mode, one per
-    (beam, other visible satellite) pair. Faithful interference sums every
-    other visible satellite. Otherwise a ``matched_cap`` of (theta_d,
+    One fading value is drawn per serving beam. Faithful interference sums
+    every other visible satellite, but only for the open beams: those whose
+    signal clears the threshold over noise alone. A closed beam fails
+    whatever the interference, since a non-negative term added to the
+    denominator cannot raise the ratio (rounded addition and division keep
+    that order), so its verdict needs no interferer. One fading value is
+    drawn per (open beam, other visible satellite) pair, in
+    :func:`_link_indices` order. Otherwise a ``matched_cap`` of (theta_d,
     p_zero) synthesizes the closed form's one interferer, and without one
     there is no interference.
     """
-    trial, rank, beam, other = _link_indices(counts, n_serve)
+    trial, rank = _ragged(n_serve)
     first = np.cumsum(counts) - counts  # packed row of each trial's rank 0
     rel = positions - _TARGET_KM
     dist_km = np.sqrt(np.einsum("sx,sx->s", rel, rel))
     dist_sq = (dist_km * KM_TO_M) ** 2
     at_beam = first[trial] + rank
     signal = sr_sample(fading, rng, size=trial.size) / dist_sq[at_beam]
+    noise_term = link.noise_power_w / link.unit_range_power_w
     if faithful:
-        at_other = first[trial[beam]] + other
-        units = rel / dist_km[:, None]
-        cos_dome = np.einsum("px,px->p", units.take(at_beam[beam], axis=0), units.take(at_other, axis=0))
-        power = config.rx_pattern.gain_shape(np.arccos(np.clip(cos_dome, -1.0, 1.0))) \
+        beam, other = _link_indices(counts, trial, rank, signal / noise_term > link.sinr_threshold)
+        at_serving, at_other = at_beam[beam], first[trial[beam]] + other
+        # Unit vectors as contiguous x, y and z rows, so each pair's cosine
+        # is three products of 1-D gathers.
+        ux, uy, uz = np.divide(rel.T, dist_km, order="C")
+        cos_dome = ux.take(at_serving) * ux.take(at_other) + uy.take(at_serving) * uy.take(at_other) \
+            + uz.take(at_serving) * uz.take(at_other)
+        np.clip(cos_dome, -1.0, 1.0, out=cos_dome)
+        power = config.rx_pattern.gain_shape(np.arccos(cos_dome, out=cos_dome)) \
             * sr_sample(fading, rng, size=beam.size) / dist_sq[at_other]
         interference = np.bincount(beam, weights=power, minlength=trial.size)
     elif matched_cap is not None:
@@ -162,7 +184,6 @@ def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, co
         interference = config.rx_pattern.gain_shape(dome) * power / dist_sq[at_beam]
     else:
         interference = 0.0
-    noise_term = link.noise_power_w / link.unit_range_power_w
     return trial, rank, signal / (noise_term + interference) > link.sinr_threshold
 
 
@@ -232,31 +253,30 @@ def simulate(
                 meo_pmf[b] += np.bincount(np.bincount(trial[passes], minlength=n), minlength=n_meo + 1)
 
     n = float(spec.n_trials)
-    avail = [analytic.tail(hist, k_max) / n for hist in avail_hist.reshape(3, k_max + 1)]
+    avail = analytic.tail(avail_hist.reshape(3, k_max + 1), k_max) / n
     cutoff = n_meo if faithful else analytic.n_meo_max(config)
 
     def single_pass(pmf):
         return float(np.dot(np.arange(n_meo + 1), pmf) / n_meo) if n_meo else 0.0
 
-    def loc_estimates(rank_fracs, pmf):
-        """LEO, MEO and hybrid localizability from per-rank pass fractions
-        and the MEO pass-count distribution. Faithful mode composes the
-        empirical count law, untruncated. Approximation-matched mode
-        composes its binomial fit, truncated exactly like the closed form
-        (the cutoff is taken from the closed form, not re-estimated, so its
-        discreteness cannot flip on sampling noise)."""
-        law = pmf if faithful else analytic.binom_law(n_meo, single_pass(pmf))
-        return list(analytic.compose(np.cumprod(rank_fracs), law, cutoff).values())
-
     loc = se = [np.full(k_max, np.nan)] * 3
     if want_loc:
-        loc = loc_estimates(rank_pass.sum(axis=0) / n, meo_pmf.sum(axis=0) / n)
-        # Batch-means standard errors for the composed estimators.
-        per_batch = [loc_estimates(rank_pass[b] / s, meo_pmf[b] / s) for b, s in enumerate(sizes) if s > 0]
+        # Row 0 holds the whole run's fractions, the rest one batch each, so
+        # one composition serves the estimates and their batch-means
+        # standard errors. Faithful mode composes the empirical count law,
+        # untruncated. Approximation-matched mode composes its binomial fit,
+        # truncated exactly like the closed form (the cutoff is taken from
+        # the closed form, not re-estimated, so its discreteness cannot flip
+        # on sampling noise).
+        rank_fracs = np.vstack([rank_pass.sum(axis=0) / n, rank_pass / sizes[:, None]])
+        pmfs = np.vstack([meo_pmf.sum(axis=0) / n, meo_pmf / sizes[:, None]])
+        laws = pmfs if faithful else np.array([analytic.binom_law(n_meo, single_pass(pmf)) for pmf in pmfs])
+        composed = np.stack(list(analytic.compose(np.cumprod(rank_fracs, axis=-1), laws, cutoff).values()), axis=1)
+        loc, per_batch = list(composed[0]), composed[1:]
         if len(per_batch) < 2:
             se = [np.full(k_max, np.inf)] * 3
         else:
-            se = list(np.std(np.array(per_batch), axis=0, ddof=1) / math.sqrt(len(per_batch)))
+            se = list(np.std(per_batch, axis=0, ddof=1) / math.sqrt(len(per_batch)))
 
     estimates = {("availability", system): (p, _proportion_se(p, n)) for system, p in zip(SYSTEMS, avail)}
     estimates.update({("localizability", system): pair for system, pair in zip(SYSTEMS, zip(loc, se))})

@@ -596,6 +596,20 @@ class TestHybridConvolution:
         got = an.compose(np.cumprod(self.RANKS), meo_pmf, cutoff)["hybrid"]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("law_size", [4, 13])
+    @pytest.mark.parametrize("cutoff", [0, 2, 12, 20])
+    def test_stacked_equals_row_by_row(self, law_size, cutoff):
+        # The Monte Carlo composes its whole run and every batch in one
+        # call; each row must be exactly the one-case composition.
+        rng = np.random.default_rng(law_size + cutoff)
+        leo = np.cumprod(rng.random((7, 6)), axis=-1)
+        laws = rng.dirichlet(np.ones(law_size), size=7)
+        stacked = an.compose(leo, laws, cutoff)
+        for i in range(len(leo)):
+            row = an.compose(leo[i], laws[i], cutoff)
+            for system in an.SYSTEMS:
+                assert np.array_equal(stacked[system][i], row[system]), (system, i)
+
 
 # Each change to the baseline, with the quadrature tolerance and k_max of
 # the evaluation, and the caches it must miss: (count law, LEO ranks, MEO).

@@ -205,46 +205,84 @@ class TestEstimates:
         positions = cap_positions(CFG.leo.radius_km, cos_theta[visible], azimuth[visible])
         return positions, counts, np.minimum(counts, 2)
 
-    def test_no_fading_drawn_for_missing_beams(self, monkeypatch):
+    def recorded_draws(self, monkeypatch, link):
+        """Pass flags of the beams of ``ragged_beams(21)`` on ``link``, the
+        sizes of the fading arrays drawn, in order, each beam's open flag,
+        recomputed from its serving fading (signal over noise alone above
+        the threshold), and its number of other visible satellites."""
         positions, counts, n_serve = self.ragged_beams(21)
         draws = []
 
-        def counting(params, rng, size=None):
-            draws.append(size)
-            return sr_sample(params, rng, size)
+        def recording(params, rng, size=None):
+            draws.append(sr_sample(params, rng, size))
+            return draws[-1]
 
-        monkeypatch.setattr(mc, "sr_sample", counting)
-        trial, rank, passes = mc._sinr_passes(CFG, CFG.leo_link, CFG.leo_fading, positions, counts, n_serve,
+        monkeypatch.setattr(mc, "sr_sample", recording)
+        trial, rank, passes = mc._sinr_passes(CFG, link, CFG.leo_fading, positions, counts, n_serve,
                                               derive_rng(22), faithful=True)
-        assert sum(draws) == n_serve.sum() + (n_serve * (counts - 1)).sum() == 17
         assert passes.shape == trial.shape == (n_serve.sum(),) and np.all(rank < n_serve[trial])
+        dist_sq = (np.linalg.norm(positions - np.array([6371.0, 0.0, 0.0]), axis=-1) * 1e3) ** 2
+        signal = draws[0] / dist_sq[np.cumsum(counts)[trial] - counts[trial] + rank]
+        is_open = signal / (link.noise_power_w / link.unit_range_power_w) > link.sinr_threshold
+        return passes, [draw.size for draw in draws], is_open, counts[trial] - 1
 
-    def test_packed_interference_matches_per_beam_sum(self, monkeypatch):
-        # With unit fading, each beam's SINR is a plain sum over the other
-        # visible satellites; a threshold between the middle two splits the
-        # beams.
-        positions, counts, n_serve = self.ragged_beams(23)
-        monkeypatch.setattr(mc, "sr_sample", lambda params, rng, size=None: np.ones(size))
-        noise_term = CFG.leo_link.noise_power_w / CFG.leo_link.unit_range_power_w
+    def test_no_fading_drawn_for_missing_beams(self, monkeypatch):
+        # One draw per beam, then one per (open beam, other visible
+        # satellite) pair. At the default noise every beam is open. Noise
+        # raised 5.5-fold closes two of the five beams, which have six other
+        # visible satellites between them: they fail and get no pair draws.
+        for noise_scale, draw_sizes, closed in [(1.0, [5, 12], 0), (5.5, [5, 6], 2)]:
+            link = dataclasses.replace(CFG.leo_link, noise_power_w=noise_scale * CFG.leo_link.noise_power_w)
+            passes, sizes, is_open, others = self.recorded_draws(monkeypatch, link)
+            assert sizes == [is_open.size, others[is_open].sum()] == draw_sizes
+            assert (~is_open).sum() == closed and others[~is_open].sum() == 12 - draw_sizes[1]
+            assert not np.any(passes[~is_open])
+
+    @staticmethod
+    def per_beam_sums(positions, counts, n_serve, noise_term):
+        """SINR and noise-only ratio of every beam under unit fading, keyed
+        by (trial, rank): plain sums over the other visible satellites."""
         rel = positions - np.array([6371.0, 0.0, 0.0])
         dist_sq = (np.linalg.norm(rel, axis=-1) * 1e3) ** 2
         units = rel / np.linalg.norm(rel, axis=-1, keepdims=True)
         first = np.cumsum(counts) - counts
-        sinr = {}
+        sinr, noise_only = {}, {}
         for t in range(counts.size):
             for s in range(n_serve[t]):
                 others = [first[t] + i for i in range(counts[t]) if i != s]
                 dome = np.arccos(np.clip(units[others] @ units[first[t] + s], -1.0, 1.0))
                 interference = np.sum(CFG.rx_pattern.gain_shape(dome) / dist_sq[others])
                 sinr[t, s] = (1.0 / dist_sq[first[t] + s]) / (noise_term + interference)
-        ordered = sorted(sinr.values())
-        threshold = math.sqrt(ordered[len(ordered) // 2 - 1] * ordered[len(ordered) // 2])
-        link = dataclasses.replace(CFG.leo_link, sinr_threshold=threshold)
-        trial, rank, passes = mc._sinr_passes(CFG, link, CFG.leo_fading, positions, counts, n_serve, derive_rng(24),
-                                              faithful=True)
-        assert {(t, r): bool(p) for t, r, p in zip(trial, rank, passes)} \
-            == {key: value > threshold for key, value in sinr.items()}
-        assert 0 < passes.sum() < len(sinr)
+                noise_only[t, s] = (1.0 / dist_sq[first[t] + s]) / noise_term
+        return sinr, noise_only
+
+    def test_packed_interference_matches_per_beam_sum(self, monkeypatch):
+        # With unit fading, each beam's SINR is a plain sum over the other
+        # visible satellites. At the default noise a threshold between the
+        # middle two SINRs splits the beams, and all of them are open. At a
+        # thousandfold noise, one between a beam's SINR and its noise-only
+        # ratio also closes two beams on noise alone. Every verdict must
+        # equal the all-pairs sum's.
+        positions, counts, n_serve = self.ragged_beams(23)
+        monkeypatch.setattr(mc, "sr_sample", lambda params, rng, size=None: np.ones(size))
+        for noise_scale, closed_and_failing_open in [(1.0, (0, 2)), (1000.0, (2, 1))]:
+            link = dataclasses.replace(CFG.leo_link, noise_power_w=noise_scale * CFG.leo_link.noise_power_w)
+            sinr, noise_only = self.per_beam_sums(positions, counts, n_serve,
+                                                  link.noise_power_w / link.unit_range_power_w)
+            if noise_scale == 1.0:
+                ordered = sorted(sinr.values())
+                threshold = math.sqrt(ordered[len(ordered) // 2 - 1] * ordered[len(ordered) // 2])
+            else:
+                threshold = math.sqrt(sinr[3, 1] * noise_only[3, 1])
+            link = dataclasses.replace(link, sinr_threshold=threshold)
+            trial, rank, passes = mc._sinr_passes(CFG, link, CFG.leo_fading, positions, counts, n_serve,
+                                                  derive_rng(24), faithful=True)
+            assert {(t, r): bool(p) for t, r, p in zip(trial, rank, passes)} \
+                == {key: value > threshold for key, value in sinr.items()}
+            assert 0 < passes.sum() < len(sinr)
+            closed = [key for key, value in noise_only.items() if value <= threshold]
+            failing_open = [key for key, value in sinr.items() if value <= threshold < noise_only[key]]
+            assert (len(closed), len(failing_open)) == closed_and_failing_open
 
     def test_matched_interferer_survives_zero_uniforms(self):
         # U = 0 would put the interferer at central angle 0, which
@@ -267,28 +305,36 @@ class TestEstimates:
 
 @st.composite
 def ragged_counts(draw):
-    """Visible counts of up to 12 trials, 0 to 9 each, and serving counts:
-    the first ``k_max`` ranks (LEO) or every visible satellite (MEO)."""
+    """Visible counts of up to 12 trials, 0 to 9 each, serving counts (the
+    first ``k_max`` ranks (LEO) or every visible satellite (MEO)), and an
+    open flag per serving beam."""
     counts = np.array(draw(st.lists(st.integers(0, 9), max_size=12)), dtype=np.intp)
     k_max = draw(st.one_of(st.none(), st.integers(1, 6)))
-    return counts, counts.copy() if k_max is None else np.minimum(counts, k_max)
+    n_serve = counts.copy() if k_max is None else np.minimum(counts, k_max)
+    n_beams = int(n_serve.sum())
+    is_open = np.array(draw(st.lists(st.booleans(), min_size=n_beams, max_size=n_beams)), dtype=bool)
+    return counts, n_serve, is_open
 
 
 class TestLinkIndices:
     @settings(max_examples=300, deadline=None)
     @given(ragged_counts())
-    # Empty trials, lone satellites and counts both sides of k_max; then
-    # MEO's every visible satellite serving.
-    @example((np.array([0, 1, 0, 7, 2, 1, 6]), np.array([0, 1, 0, 6, 2, 1, 6])))
-    @example((np.array([0, 1, 12, 3, 0]), np.array([0, 1, 12, 3, 0])))
+    # Empty trials, lone satellites and counts both sides of k_max, every
+    # beam open; then MEO's every visible satellite serving, every other
+    # beam open.
+    @example((np.array([0, 1, 0, 7, 2, 1, 6]), np.array([0, 1, 0, 6, 2, 1, 6]), np.ones(16, dtype=bool)))
+    @example((np.array([0, 1, 12, 3, 0]), np.array([0, 1, 12, 3, 0]), np.arange(16) % 2 == 0))
     def test_matches_nonzero_over_padded_masks(self, case):
-        counts, n_serve = case
+        counts, n_serve, is_open = case
         width = int(counts.max(initial=0))
         visible = np.arange(width) < counts[:, None]
         serving = np.arange(width) < n_serve[:, None]
-        trial, rank, beam, other = mc._link_indices(counts, n_serve)
+        trial, rank = mc._ragged(n_serve)
         assert np.array_equal(np.stack([trial, rank]), np.stack(np.nonzero(serving)))
-        pairs = np.nonzero(serving[:, :, None] & visible[:, None, :] & ~np.eye(width, dtype=bool))
+        beam, other = mc._link_indices(counts, trial, rank, is_open)
+        opened = np.zeros_like(serving)
+        opened[trial, rank] = is_open
+        pairs = np.nonzero(opened[:, :, None] & visible[:, None, :] & ~np.eye(width, dtype=bool))
         assert np.array_equal(np.stack([trial[beam], rank[beam], other]), np.stack(pairs))
 
 
