@@ -11,17 +11,19 @@ are ordered orbit-major: satellite ``j`` of orbit ``i`` sits at row
 ``i * sats_per_orbit + j``.
 
 The Monte Carlo engine draws whole batches of shells at once, and of each
-shell only the part that can be seen. Both cap samplers return per-shell
-visible counts and, only when asked, the positions of the visible
-satellites packed shell by shell. For LEO, :func:`sample_bpp_cap` draws
-only the visible cap: no satellite outside it can serve or interfere, and
-the binomial cap-count law makes the restricted draw exact. Its positions
-come nearest first within each shell. For MEO, :func:`sample_dsbpp_cap`
-draws every orbit and anomaly, since the orbits couple the satellites, but
-decides visibility from the anomaly alone: each orbit's visible part is one
-arc about the target, so no satellite needs a position, or a distance, to
-be found visible. :func:`sample_bpp` and :func:`sample_dsbpp` still draw
-whole shells.
+shell only the part that can be seen, counts first. For LEO,
+:func:`sample_bpp_cap` draws only the number of satellites in the visible
+cap: no satellite outside it can serve or interfere, and the binomial
+cap-count law makes the restricted draw exact. :func:`place_in_cap` places
+them, i.i.d. uniform in the cap and nearest first within each shell, on a
+stream of the caller's choosing, so a caller that reads only counts draws no
+placement. For MEO, :func:`sample_dsbpp_cap` draws every orbit and one
+uniform per satellite, since the orbits couple the satellites, and decides
+visibility from that uniform alone: each orbit's visible part is one arc
+about the target, so no satellite needs an anomaly, a position or a
+distance to be found visible. It returns the per-shell visible counts and,
+only when asked, the visible satellites' positions packed shell by shell.
+:func:`sample_bpp` and :func:`sample_dsbpp` draw whole shells.
 """
 
 from __future__ import annotations
@@ -115,74 +117,78 @@ def sample_dsbpp_cap(
     target.
 
     Each orbit circle starts in the xy-plane, is tilted about the x-axis by
-    its inclination (sin/2 density), then swung about the z-axis by its
-    azimuth (uniform). Random draws happen in a fixed order: all
-    inclinations, all azimuths, then the anomalies orbit by orbit, each
-    block shell by shell, so a given (config, stream, size) triple is
-    reproducible and does not depend on ``cap_angle`` or ``positions``.
+    its inclination (sin/2 density, so its cosine is uniform on [-1, 1]),
+    then swung about the z-axis by its azimuth (uniform). The part of an
+    orbit within the cap is one arc about a centre anomaly
+    (:func:`~constelsim.geom.orbit_arc`). A uniform anomaly, independent of
+    the orbit, is the centre plus an offset uniform on [-pi, pi), and a
+    satellite is visible when its offset is at most the arc's half-angle:
+    visibility takes no anomaly and no position. Random draws happen in a
+    fixed order: every inclination cosine, every azimuth, then one offset
+    uniform per satellite, orbit by orbit, each block shell by shell, so a
+    given (config, stream, size) triple is reproducible and does not depend
+    on ``cap_angle`` or ``positions``.
 
     Returns the per-shell visible counts and, with ``positions``, the
     ``(counts.sum(), 3)`` positions of the visible satellites, shell by
-    shell in orbit-major order (otherwise None). Visibility takes no
-    position: the part of an orbit within the cap is one arc
-    (:func:`~constelsim.geom.orbit_arc`), and a satellite is visible when
-    its anomaly lies on its orbit's arc. Positions are built for visible
-    satellites only.
+    shell in orbit-major order (otherwise None). Anomalies and positions
+    are built for visible satellites only.
     """
-    inclination = np.arccos(1.0 - 2.0 * rng.random((size, config.n_orbits)))
+    cos_i = 1.0 - 2.0 * rng.random((size, config.n_orbits))
     azimuth = 2.0 * np.pi * rng.random((size, config.n_orbits))
-    anomaly = 2.0 * np.pi * rng.random((size, config.n_orbits, config.sats_per_orbit))
-    cos_i, cos_az, sin_az = np.cos(inclination), np.cos(azimuth), np.sin(azimuth)
+    offset = np.pi * (2.0 * rng.random((size, config.n_orbits, config.sats_per_orbit)) - 1.0)
+    cos_az, sin_az = np.cos(azimuth), np.sin(azimuth)
     centre, half = orbit_arc(cap_angle, cos_az, -cos_i * sin_az)
-    # anomaly - centre lies in (-pi, 3 pi); the arc test wants it wrapped.
-    offset = anomaly - centre[..., None]
-    offset = np.minimum(np.abs(offset), np.abs(offset - 2.0 * np.pi))
-    visible = offset <= half[..., None]
-    counts = visible.sum(axis=(1, 2))
+    visible = np.abs(offset) <= half[..., None]
+    counts = np.count_nonzero(visible, axis=(1, 2))
     if not positions:
         return counts, None
     flat = np.flatnonzero(visible)
     orbit = flat // config.sats_per_orbit
-    cos_i, sin_i, cos_az, sin_az = (a.take(orbit) for a in (cos_i, np.sin(inclination), cos_az, sin_az))
-    x_flat = config.radius_km * np.cos(anomaly.take(flat))
-    y_flat = config.radius_km * np.sin(anomaly.take(flat))
+    cos_i, cos_az, sin_az, centre = (a.take(orbit) for a in (cos_i, cos_az, sin_az, centre))
+    anomaly = centre + offset.take(flat)
+    x_flat = config.radius_km * np.cos(anomaly)
+    y_flat = config.radius_km * np.sin(anomaly)
     y_tilt = y_flat * cos_i
     out = np.empty((flat.size, 3))
     out[:, 0] = x_flat * cos_az - y_tilt * sin_az
     out[:, 1] = x_flat * sin_az + y_tilt * cos_az
-    out[:, 2] = y_flat * sin_i
+    out[:, 2] = y_flat * np.sqrt((1.0 - cos_i) * (1.0 + cos_i))
     return counts, out
 
 
-def sample_bpp_cap(
-    config: LeoShellConfig, rng: np.random.Generator, cap_angle: float, size: int, positions: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw the part of ``size`` independent LEO shells that lies within
-    central angle ``cap_angle`` of the target.
+def sample_bpp_cap(config: LeoShellConfig, rng: np.random.Generator, cap_angle: float, size: int) -> np.ndarray:
+    """Number of points of each of ``size`` independent LEO shells that lie
+    within central angle ``cap_angle`` of the target.
 
     A binomial point process puts Binomial(n_sats, f) of its points in a cap
-    of area fraction f = (1 - cos cap_angle) / 2, each uniform in the cap, so
-    this is the exact law of the shell restricted to the cap. Random draws
-    happen in a fixed order: the counts, then ``(size, largest count)``
-    uniforms for the cosines of the central angles, then as many for the
-    azimuths about the target axis, whether or not ``positions`` is set.
-
-    Returns the per-shell counts and, with ``positions``, the
-    ``(counts.sum(), 3)`` positions of the points, shell by shell and by
-    increasing central angle within a shell (otherwise None).
+    of area fraction f = (1 - cos cap_angle) / 2, each uniform in the cap
+    and independent of the count, so these counts and
+    :func:`place_in_cap` together give the exact law of the shell restricted
+    to the cap.
     """
-    counts = rng.binomial(config.n_sats, 0.5 * (1.0 - math.cos(cap_angle)), size=size)
+    return rng.binomial(config.n_sats, 0.5 * (1.0 - math.cos(cap_angle)), size=size)
+
+
+def place_in_cap(radius_km: float, cap_angle: float, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Positions of points i.i.d. uniform in the cap of central angle
+    ``cap_angle`` about the target on a shell of radius ``radius_km``,
+    ``counts[s]`` of them for shell ``s``.
+
+    Random draws happen in a fixed order: ``(counts.size, largest count)``
+    uniforms for the cosines of the central angles, then one azimuth uniform
+    per point. Returns the ``(counts.sum(), 3)`` positions, shell by shell
+    and by increasing central angle within a shell.
+    """
     width = int(counts.max(initial=0))
-    u, azimuth = rng.random((2, size, width))
-    if not positions:
-        return counts, None
+    u = rng.random((counts.size, width))
     # Ascending uniforms give descending cosines; the azimuths are i.i.d.,
     # so they need no reordering.
     live = np.arange(width) < counts[:, None]
     u[~live] = np.inf
     u.sort(axis=1)
     cos_theta = 1.0 - u[live] * (1.0 - math.cos(cap_angle))
-    return counts, cap_positions(config.radius_km, cos_theta, 2.0 * np.pi * azimuth[live])
+    return cap_positions(radius_km, cos_theta, 2.0 * np.pi * rng.random(cos_theta.size))
 
 
 def cap_positions(radius_km: float, cos_theta: np.ndarray, azimuth: np.ndarray) -> np.ndarray:

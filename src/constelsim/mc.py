@@ -6,18 +6,19 @@ satellite and of the ``k_max`` nearest LEO satellites with exact ranges.
 Interference is same-layer only: the two layers use different carriers.
 
 Trials run as arrays, and the engine touches only what can be seen. Each
-layer comes out of its sampler as per-trial visible counts and, when
-localizability runs, the positions of the visible satellites, packed trial
-by trial. The LEO shell is drawn only inside the visible cap
-(:func:`~constelsim.constellation.sample_bpp_cap` at the detection angle): a
-binomial point process puts a Binomial(N, cap fraction) count there, each
-point uniform in the cap, so the restricted draw has the exact law of the
-full shell where it matters, since satellites outside the visible cap
-neither serve nor interfere. A trial's LEO satellites come nearest first,
-so its K nearest ranks are its first K. The MEO shell is drawn whole, orbit
-by orbit (:func:`~constelsim.constellation.sample_dsbpp_cap`), and a
-satellite is visible when its anomaly lies on its orbit's arc within the
-detection angle. MEO beams carry no rank, so every visible MEO satellite
+layer comes out of its sampler as per-trial visible counts, and the
+positions of the visible satellites, packed trial by trial, are built only
+when localizability runs. The LEO shell is drawn only inside the visible cap,
+counts first (:func:`~constelsim.constellation.sample_bpp_cap` at the
+detection angle): a binomial point process puts a Binomial(N, cap fraction)
+count there, each point uniform in the cap
+(:func:`~constelsim.constellation.place_in_cap`), so the restricted draw has
+the exact law of the full shell where it matters, since satellites outside
+the visible cap neither serve nor interfere. A trial's LEO satellites come
+nearest first, so its K nearest ranks are its first K. The MEO shell is
+drawn whole, orbit by orbit (:func:`~constelsim.constellation.sample_dsbpp_cap`),
+and a satellite is visible when its anomaly lies on its orbit's arc within
+the detection angle. MEO beams carry no rank, so every visible MEO satellite
 serves, in orbit-major order.
 
 The SINR works on links, never on padded boxes. From the counts alone,
@@ -30,21 +31,30 @@ fading is drawn only for links that exist and can change a verdict.
 Per-rank pass counts and per-trial MEO pass counts come back through
 ``np.bincount``.
 
-RNG contract. Batch ``b`` of the min(20, n_trials) batch-means batches
-draws its geometry from ``derive_rng(master_seed, b)`` and its fading from
-that stream's first spawned child, in sub-chunks of at most
-``CHUNK_TRIALS`` trials (a module constant, so memory stays bounded at any
-trial count). Each chunk draws the LEO cap, then the whole MEO shell, from
-the geometry stream and then, with localizability, the LEO links' fading
-and the MEO links' from the fading stream. Per layer, the serving beams'
-fading comes first, one value per beam; in faithful mode the interferers'
-follows, one value per (open beam, other visible satellite) pair in
-:func:`_link_indices` order. Which beams are open depends on the serving
-draws, so the interferer draws are fewer than one per pair but each verdict
-is the same function of independent draws as with every pair drawn, and
-every estimator keeps its law. Results therefore depend on the config,
-``master_seed``, ``n_trials`` and ``k_max`` only, and availability
-estimates do not depend on whether localizability is simulated too.
+RNG contract. A run draws its geometry from one stream,
+``derive_rng(master_seed, 0)``, and, when localizability runs, everything
+else from that stream's first spawned child, the localizability stream.
+Both serve the whole run in chunks of at most ``CHUNK_TRIALS`` trials (a
+module constant, so memory stays bounded at any trial count), and a chunk
+may span batch boundaries. Each chunk draws from the geometry stream the
+LEO cap counts, then the MEO orbits and one uniform per MEO satellite. With
+localizability it then draws from the localizability stream the visible LEO
+satellites' placement in the cap, then the LEO links' fading and then the
+MEO links'. Per layer, the serving beams' fading comes first, one value per
+beam; in faithful mode the interferers' follows, one value per (open beam,
+other visible satellite) pair in :func:`_link_indices` order. Which beams
+are open depends on the serving draws, so the interferer draws are fewer
+than one per pair but each verdict is the same function of independent
+draws as with every pair drawn, and every estimator keeps its law. Results
+therefore depend on the config, ``master_seed``, ``n_trials`` and ``k_max``
+only, and availability estimates do not depend on whether localizability is
+simulated too: an availability-only run draws the same geometry stream and
+no placement at all.
+
+The batch-means batches are the min(20, n_trials) contiguous trial ranges
+of near-equal size. Every trial carries its batch's label, so per-batch
+rank pass counts and MEO pass-count laws fill from one ``np.bincount`` per
+chunk, keyed by (batch, rank) and by (batch, count).
 
 Two interference modes exist. The faithful default sums every visible
 same-layer satellite with its exact range and exact dome-angle receive gain.
@@ -76,11 +86,11 @@ import numpy as np
 from . import analytic
 from .analytic import KM_TO_M, SYSTEMS, SystemConfig
 from .channel import LinkParams, SrFadingParams, sr_sample
-from .constellation import TARGET_DIRECTION, derive_rng, sample_bpp_cap, sample_dsbpp_cap
+from .constellation import TARGET_DIRECTION, derive_rng, place_in_cap, sample_bpp_cap, sample_dsbpp_cap
 from .geom import EARTH_RADIUS_KM, dome_from_central
 
 # Largest number of trials drawn as one array.
-CHUNK_TRIALS = 1024
+CHUNK_TRIALS = 512
 
 _TARGET_KM = TARGET_DIRECTION * EARTH_RADIUS_KM
 
@@ -230,27 +240,31 @@ def simulate(
     faithful = spec.sum_all_interferers
     matched_cap = None if faithful else analytic.leo_interference_cap(config.leo, config.rx_pattern)
 
-    sizes = np.diff(np.linspace(0, spec.n_trials, spec.n_batches + 1).astype(int))
+    ends = np.linspace(0, spec.n_trials, spec.n_batches + 1).astype(int)[1:]  # each batch's end trial
+    sizes = np.diff(ends, prepend=0)
+    geo_rng = derive_rng(spec.master_seed, 0)
+    loc_rng = geo_rng.spawn(1)[0] if want_loc else None
     avail_hist = np.zeros(3 * (k_max + 1))  # trials per count up to k_max: leo, meo, hybrid
     row_start = (k_max + 1) * np.arange(3)[:, None]
-    rank_pass = np.zeros((len(sizes), k_max))
-    meo_pmf = np.zeros((len(sizes), n_meo + 1))
-    for b, size in enumerate(sizes):
-        geo_rng = derive_rng(spec.master_seed, b)
-        fading_rng = geo_rng.spawn(1)[0] if want_loc else None
-        for start in range(0, size, CHUNK_TRIALS):
-            n = min(CHUNK_TRIALS, size - start)
-            n_leo, leo_pos = sample_bpp_cap(config.leo, geo_rng, config.leo_theta_max, n, positions=want_loc)
-            n_meo_vis, meo_pos = sample_dsbpp_cap(config.meo, geo_rng, config.meo_theta_max, n, positions=want_loc)
-            capped = np.minimum([n_leo, n_meo_vis, n_leo + n_meo_vis], k_max) + row_start
-            avail_hist += np.bincount(capped.ravel(), minlength=avail_hist.size)
-            if want_loc:
-                _, rank, passes = _sinr_passes(config, config.leo_link, config.leo_fading, leo_pos, n_leo,
-                                               np.minimum(n_leo, k_max), fading_rng, faithful, matched_cap)
-                rank_pass[b] += np.bincount(rank[passes], minlength=k_max)
-                trial, _, passes = _sinr_passes(config, config.meo_link, config.meo_fading, meo_pos, n_meo_vis,
-                                                n_meo_vis, fading_rng, faithful)
-                meo_pmf[b] += np.bincount(np.bincount(trial[passes], minlength=n), minlength=n_meo + 1)
+    rank_pass = np.zeros(sizes.size * k_max)  # passes per (batch, rank)
+    meo_pmf = np.zeros(sizes.size * (n_meo + 1))  # trials per (batch, MEO pass count)
+    for start in range(0, spec.n_trials, CHUNK_TRIALS):
+        n = min(CHUNK_TRIALS, spec.n_trials - start)
+        n_leo = sample_bpp_cap(config.leo, geo_rng, config.leo_theta_max, n)
+        n_meo_vis, meo_pos = sample_dsbpp_cap(config.meo, geo_rng, config.meo_theta_max, n, positions=want_loc)
+        capped = np.minimum([n_leo, n_meo_vis, n_leo + n_meo_vis], k_max) + row_start
+        avail_hist += np.bincount(capped.ravel(), minlength=avail_hist.size)
+        if want_loc:
+            batch = np.searchsorted(ends, np.arange(start, start + n), side="right")
+            leo_pos = place_in_cap(config.leo.radius_km, config.leo_theta_max, n_leo, loc_rng)
+            trial, rank, passes = _sinr_passes(config, config.leo_link, config.leo_fading, leo_pos, n_leo,
+                                               np.minimum(n_leo, k_max), loc_rng, faithful, matched_cap)
+            rank_pass += np.bincount(batch[trial[passes]] * k_max + rank[passes], minlength=rank_pass.size)
+            trial, _, passes = _sinr_passes(config, config.meo_link, config.meo_fading, meo_pos, n_meo_vis,
+                                            n_meo_vis, loc_rng, faithful)
+            meo_passes = np.bincount(trial[passes], minlength=n)
+            meo_pmf += np.bincount(batch * (n_meo + 1) + meo_passes, minlength=meo_pmf.size)
+    rank_pass, meo_pmf = rank_pass.reshape(sizes.size, k_max), meo_pmf.reshape(sizes.size, n_meo + 1)
 
     n = float(spec.n_trials)
     avail = analytic.tail(avail_hist.reshape(3, k_max + 1), k_max) / n

@@ -21,7 +21,6 @@ from constelsim.constellation import (
     central_angle_to_target,
     derive_rng,
     sample_bpp,
-    sample_bpp_cap,
     sample_dsbpp,
 )
 from constelsim.geom import EARTH_RADIUS_KM
@@ -39,29 +38,12 @@ def values(cfg, metric, system, k_max):
     return an.evaluate(cfg, metric, (system,), k_max)[system]
 
 
-class KeptUniforms:
-    """A generator that keeps the last block of uniforms drawn from ``rng``."""
-
-    def __init__(self, rng):
-        self._rng = rng
-
-    def random(self, size=None):
-        self.last = self._rng.random(size)
-        return self.last
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-
 def shell_cosines(rng, batch):
     """Cosines of the central angles to the target of ``batch`` whole
-    baseline LEO shells, shape ``(batch, n_sats)``, unsorted, from the
-    uniforms ``sample_bpp_cap`` draws for a cap of angle pi (Binomial(N, 1)
-    = N points, each with cosine 1 - 2u), without building positions."""
-    kept = KeptUniforms(rng)
-    counts, _ = sample_bpp_cap(CFG.leo, kept, math.pi, batch)
-    assert np.all(counts == CFG.leo.n_sats)
-    return 1.0 - 2.0 * kept.last[0]
+    baseline LEO shells, shape ``(batch, n_sats)``, unsorted: the points of a
+    binomial point process are i.i.d. uniform on the sphere, so each cosine
+    is 1 - 2u, and no position is built."""
+    return 1.0 - 2.0 * rng.random((batch, CFG.leo.n_sats))
 
 
 def with_leo_threshold(cfg, gamma):
@@ -83,7 +65,7 @@ class TestLeoAvailability:
 
     def test_baseline_matches_simulation(self):
         # Counting oracle over full constellation draws, whole shells in
-        # batches: a cap of angle pi holds Binomial(N, 1) = N satellites.
+        # batches.
         rng = derive_rng(31)
         cos_max = math.cos(CFG.leo_theta_max)
         n_draws, batch = 20_000, 250
@@ -393,7 +375,7 @@ class TestLeoInterferenceCap:
         # fraction of draws leaving a fixed cap of the interference radius
         # empty; the fixed direction (the target's, as the shell is
         # isotropic) plays the serving satellite. Whole shells are drawn in
-        # batches as caps of angle pi.
+        # batches.
         theta_d, p_zero = an.leo_interference_cap(CFG.leo, CFG.rx_pattern)
         rng = derive_rng(41)
         cos_cut = math.cos(theta_d)

@@ -388,20 +388,42 @@ def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys, out
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("existing", [False, True], ids=["directory", "file"])
-def test_out_without_write_permission_fails_before_any_work(tmp_path, monkeypatch, capsys, existing):
+@pytest.mark.parametrize("denied", ["directory", "file", "proc"])
+def test_out_without_write_permission_fails_before_any_work(tmp_path, monkeypatch, capsys, denied):
     # os.access denies writing the directory, or the file already there.
+    # /proc passes os.access for a privileged process, but no file can be
+    # created in it, so opening the file is what refuses it.
     out = tmp_path / "out.csv"
-    if existing:
-        out.write_text("kept\n")
-    denied = str(out if existing else tmp_path)
-    monkeypatch.setattr(os, "access", lambda path, mode: os.fspath(path) != denied)
+    if denied == "proc":
+        if not os.path.isdir("/proc"):
+            pytest.skip("no /proc on this platform")
+        out = Path("/proc/out.csv")
+    else:
+        if denied == "file":
+            out.write_text("kept\n")
+        refused = str(out if denied == "file" else tmp_path)
+        monkeypatch.setattr(os, "access", lambda path, mode: os.fspath(path) != refused)
     monkeypatch.setattr(mc, "simulate", refuse)
     before = sorted(tmp_path.rglob("*"))
-    assert cli.main(["validate", "--out", str(out)]) == 2
-    assert f"configuration error: cannot write '{out}': Permission denied" in capsys.readouterr().err
+    assert cli.main(["validate", "--trials", "20000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot write '{out}': " in err
+    assert denied == "proc" or "Permission denied" in err
     assert sorted(tmp_path.rglob("*")) == before
-    assert out.read_text() == "kept\n" if existing else not out.exists()
+    assert out.read_text() == "kept\n" if denied == "file" else not out.exists()
+
+
+def test_out_is_kept_on_failure_and_rewritten_on_success(tmp_path):
+    # The file is opened before the work: a failing command leaves a file
+    # that was there untouched and removes one it created, and a successful
+    # one replaces the whole content.
+    kept, created = tmp_path / "kept.csv", tmp_path / "created.csv"
+    kept.write_text("kept\n" * 1000)
+    for out in (kept, created):
+        assert cli.main(["sample", "--set", "mc.master_seed=-1", "--out", str(out)]) == 2
+    assert kept.read_text() == "kept\n" * 1000 and not created.exists()
+    assert cli.main(["emit-config", "--out", str(kept)]) == 0
+    assert kept.read_text() == emit_settings(load_settings())
 
 
 def test_oversized_grid_exits_two(tmp_path, monkeypatch, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare, ks_2samp, kstest
+from scipy.stats import chi2_contingency, chisquare, ks_2samp, kstest
 
 from constelsim.constellation import (
     LeoShellConfig,
@@ -10,12 +10,14 @@ from constelsim.constellation import (
     cap_positions,
     central_angle_to_target,
     derive_rng,
+    place_in_cap,
     sample_bpp,
     sample_bpp_cap,
     sample_dsbpp,
     sample_dsbpp_cap,
 )
 from constelsim.config import build_system_config, load_settings
+from constelsim.geom import orbit_arc
 
 LEO = LeoShellConfig(n_sats=2000, radius_km=7371.0, beam_angle=math.pi / 4)
 MEO = MeoShellConfig(n_orbits=2, sats_per_orbit=6, radius_km=26371.0, beam_angle=math.pi / 6)
@@ -81,23 +83,29 @@ class TestBppCap:
     HORIZON = math.acos(6371.0 / 7371.0)
     FRACTION = 0.5 * (1.0 - math.cos(HORIZON))
 
+    def drawn(self, seed, size):
+        """Counts and packed positions of ``size`` caps, both from one stream."""
+        rng = derive_rng(seed)
+        counts = sample_bpp_cap(LEO, rng, self.HORIZON, size)
+        return counts, place_in_cap(LEO.radius_km, self.HORIZON, counts, rng)
+
     def test_count_mean_and_variance(self):
         n = 20_000
-        counts, _ = sample_bpp_cap(LEO, derive_rng(11), self.HORIZON, n)
+        counts = sample_bpp_cap(LEO, derive_rng(11), self.HORIZON, n)
         mean = LEO.n_sats * self.FRACTION
         var = mean * (1.0 - self.FRACTION)
         assert abs(counts.mean() - mean) < 4.0 * math.sqrt(var / n)
         assert abs(counts.var(ddof=1) / var - 1.0) < 4.0 * math.sqrt(2.0 / n)
 
     def test_cosine_uniform_over_cap(self):
-        _, pos = sample_bpp_cap(LEO, derive_rng(12), self.HORIZON, 200, positions=True)
+        _, pos = self.drawn(12, 200)
         cos_h = math.cos(self.HORIZON)
         azimuth = np.mod(np.arctan2(pos[:, 2], pos[:, 1]), 2.0 * math.pi)
         assert kstest(pos[:, 0] / LEO.radius_km, "uniform", args=(cos_h, 1.0 - cos_h)).pvalue > 0.01
         assert kstest(azimuth, "uniform", args=(0.0, 2.0 * math.pi)).pvalue > 0.01
 
     def test_rows_nearest_first(self):
-        counts, pos = sample_bpp_cap(LEO, derive_rng(13), self.HORIZON, 50, positions=True)
+        counts, pos = self.drawn(13, 50)
         assert pos.shape == (counts.sum(), 3) and counts.min() > 1
         # Packed shell by shell; within a shell the cosine never rises.
         shell = np.repeat(np.arange(counts.size), counts)
@@ -105,7 +113,7 @@ class TestBppCap:
         assert np.all(steps[shell[1:] == shell[:-1]] <= 0.0)
 
     def test_positions_on_shell_inside_cap(self):
-        counts, pos = sample_bpp_cap(LEO, derive_rng(14), self.HORIZON, 20, positions=True)
+        counts, pos = self.drawn(14, 20)
         assert pos.shape == (counts.sum(), 3)
         assert np.max(np.abs(np.linalg.norm(pos, axis=1) / LEO.radius_km - 1.0)) < 1e-12
         angles = central_angle_to_target(pos)
@@ -113,47 +121,58 @@ class TestBppCap:
         assert np.all(angles <= self.HORIZON + 1e-12)
 
     def test_empty_shell(self):
-        counts, pos = sample_bpp_cap(LeoShellConfig(0, 7371.0, 1.0), derive_rng(15), self.HORIZON, 4, positions=True)
-        assert np.array_equal(counts, [0, 0, 0, 0]) and pos.shape == (0, 3)
+        rng = derive_rng(15)
+        counts = sample_bpp_cap(LeoShellConfig(0, 7371.0, 1.0), rng, self.HORIZON, 4)
+        assert np.array_equal(counts, [0, 0, 0, 0])
+        assert place_in_cap(7371.0, self.HORIZON, counts, rng).shape == (0, 3)
 
     def test_matches_out_of_place_draw(self):
         # Same stream, same arithmetic: equal to the last bit.
         for size in (1, 50, 1024):
-            got = sample_bpp_cap(LEO, derive_rng(16), self.HORIZON, size, positions=True)
-            want = out_of_place_cap_draw(LEO, derive_rng(16), self.HORIZON, size)
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w)
+            counts = sample_bpp_cap(LEO, derive_rng(16), self.HORIZON, size)
+            got = place_in_cap(LEO.radius_km, self.HORIZON, counts, derive_rng(17))
+            want = out_of_place_placement(LEO.radius_km, self.HORIZON, counts, derive_rng(17))
+            np.testing.assert_array_equal(got, want)
 
     def test_counts_alone_draw_the_same(self):
-        alone, with_positions = derive_rng(17), derive_rng(17)
-        counts, none = sample_bpp_cap(LEO, alone, self.HORIZON, 30)
-        same_counts, _ = sample_bpp_cap(LEO, with_positions, self.HORIZON, 30, positions=True)
-        assert none is None and np.array_equal(counts, same_counts)
-        assert alone.random() == with_positions.random()
+        # The counts take the binomial draw alone; the placement takes one
+        # cosine uniform per (shell, largest count) and one azimuth per point.
+        counted, binomial_only = derive_rng(18), derive_rng(18)
+        counts = sample_bpp_cap(LEO, counted, self.HORIZON, 30)
+        assert np.array_equal(counts, binomial_only.binomial(LEO.n_sats, self.FRACTION, size=30))
+        assert counted.random() == binomial_only.random()
+        placed, skipped = derive_rng(19), derive_rng(19)
+        place_in_cap(LEO.radius_km, self.HORIZON, counts, placed)
+        skipped.random(30 * counts.max() + counts.sum())
+        assert placed.random() == skipped.random()
 
 
-def out_of_place_cap_draw(config, rng, cap_angle, size):
-    """The cap draw with a fresh array at every step, packed shell by shell."""
-    counts = rng.binomial(config.n_sats, 0.5 * (1.0 - math.cos(cap_angle)), size=size)
+def out_of_place_placement(radius_km, cap_angle, counts, rng):
+    """The cap placement with a fresh array at every step, packed shell by
+    shell."""
     width = int(counts.max(initial=0))
     live = np.arange(width) < counts[:, None]
-    u = np.sort(np.where(live, rng.random((size, width)), np.inf), axis=1)
-    azimuth = 2.0 * np.pi * rng.random((size, width))
-    return counts, cap_positions(config.radius_km, 1.0 - u[live] * (1.0 - math.cos(cap_angle)), azimuth[live])
+    u = np.sort(np.where(live, rng.random((counts.size, width)), np.inf), axis=1)
+    azimuth = 2.0 * np.pi * rng.random(int(counts.sum()))
+    return cap_positions(radius_km, 1.0 - u[live] * (1.0 - math.cos(cap_angle)), azimuth)
 
 
 def per_orbit_dsbpp(config, rng):
-    """The per-orbit construction: draw every inclination, then every
-    azimuth, then each orbit's anomalies, and rotate each orbit's flat
-    circle about x by its inclination and then about z by its azimuth."""
-    inclinations = np.arccos(1.0 - 2.0 * rng.random(config.n_orbits))
+    """The per-orbit construction: draw every inclination cosine, then every
+    azimuth, then each orbit's anomaly offsets from the centre of its arc
+    about the target, and rotate each orbit's flat circle about x by its
+    inclination and then about z by its azimuth."""
+    cos_incs = 1.0 - 2.0 * rng.random(config.n_orbits)
     azimuths = 2.0 * np.pi * rng.random(config.n_orbits)
     blocks = []
-    for inc, az in zip(inclinations, azimuths):
-        anomalies = 2.0 * np.pi * rng.random(config.sats_per_orbit)
+    for ci, az in zip(cos_incs, azimuths):
+        # The target (the x axis) has components cos(az) and -cos(i) sin(az)
+        # along the orbit's anomaly-0 and anomaly-pi/2 directions.
+        centre = math.atan2(-ci * math.sin(az), math.cos(az))
+        anomalies = centre + np.pi * (2.0 * rng.random(config.sats_per_orbit) - 1.0)
         r = config.radius_km
         flat = np.column_stack([r * np.cos(anomalies), r * np.sin(anomalies), np.zeros_like(anomalies)])
-        ci, si, ca, sa = math.cos(inc), math.sin(inc), math.cos(az), math.sin(az)
+        si, ca, sa = math.sqrt(1.0 - ci * ci), math.cos(az), math.sin(az)
         rot_x = np.array([[1.0, 0.0, 0.0], [0.0, ci, -si], [0.0, si, ci]])
         rot_z = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
         blocks.append(flat @ rot_x.T @ rot_z.T)
@@ -232,17 +251,32 @@ class TestDsbpp:
 def whole_shells(config, rng, size):
     """``size`` whole MEO shells from the rotation of every satellite's flat
     position, all orbits at once: the arithmetic the packed positions must
-    reproduce bit for bit."""
-    inclination = np.arccos(1.0 - 2.0 * rng.random((size, config.n_orbits, 1)))
+    reproduce bit for bit. Each anomaly is its orbit's arc centre, from its
+    own atan2, plus the drawn offset."""
+    cos_i = 1.0 - 2.0 * rng.random((size, config.n_orbits, 1))
     azimuth = 2.0 * np.pi * rng.random((size, config.n_orbits, 1))
-    anomaly = 2.0 * np.pi * rng.random((size, config.n_orbits, config.sats_per_orbit))
+    offset = np.pi * (2.0 * rng.random((size, config.n_orbits, config.sats_per_orbit)) - 1.0)
+    anomaly = np.arctan2(-cos_i * np.sin(azimuth), np.cos(azimuth)) + offset
     x_flat = config.radius_km * np.cos(anomaly)
     y_flat = config.radius_km * np.sin(anomaly)
-    y_tilt = y_flat * np.cos(inclination)
+    y_tilt = y_flat * cos_i
     out = np.stack([x_flat * np.cos(azimuth) - y_tilt * np.sin(azimuth),
                     x_flat * np.sin(azimuth) + y_tilt * np.cos(azimuth),
-                    y_flat * np.sin(inclination)], axis=-1)
+                    y_flat * np.sqrt((1.0 - cos_i) * (1.0 + cos_i))], axis=-1)
     return out.reshape(size, config.n_sats, 3)
+
+
+def wrapped_anomaly_counts(config, rng, cap_angle, size):
+    """Per-shell visible counts from the anomaly-wrap sampler: inclinations
+    through arccos, uniform anomalies on [0, 2 pi), and each anomaly's
+    distance from its orbit's arc centre wrapped onto [0, pi]."""
+    inclination = np.arccos(1.0 - 2.0 * rng.random((size, config.n_orbits)))
+    azimuth = 2.0 * np.pi * rng.random((size, config.n_orbits))
+    anomaly = 2.0 * np.pi * rng.random((size, config.n_orbits, config.sats_per_orbit))
+    centre, half = orbit_arc(cap_angle, np.cos(azimuth), -np.cos(inclination) * np.sin(azimuth))
+    offset = anomaly - centre[..., None]
+    offset = np.minimum(np.abs(offset), np.abs(offset - 2.0 * np.pi))
+    return (offset <= half[..., None]).sum(axis=(1, 2))
 
 
 class TestDsbppCap:
@@ -267,6 +301,22 @@ class TestDsbppCap:
     def test_whole_shell_sampler_matches(self):
         assert np.array_equal(sample_dsbpp(MEO, derive_rng(34), size=500), whole_shells(MEO, derive_rng(34), 500))
         assert np.array_equal(sample_dsbpp(MEO, derive_rng(35)), whole_shells(MEO, derive_rng(35), 1)[0])
+
+    def test_count_law_matches_anomaly_wrap(self):
+        # Two independent samples of 200k shells' visible counts, offsets
+        # against wrapped anomalies, must follow one law.
+        cfg = build_system_config(load_settings())
+        n, chunk = 200_000, 20_000
+        offset_rng, wrap_rng = derive_rng(36), derive_rng(37)
+        offsets = np.concatenate([sample_dsbpp_cap(cfg.meo, offset_rng, cfg.meo_theta_max, chunk)[0]
+                                  for _ in range(n // chunk)])
+        wrapped = np.concatenate([wrapped_anomaly_counts(cfg.meo, wrap_rng, cfg.meo_theta_max, chunk)
+                                  for _ in range(n // chunk)])
+        table = np.stack([np.bincount(offsets, minlength=cfg.meo.n_sats + 1),
+                          np.bincount(wrapped, minlength=cfg.meo.n_sats + 1)])
+        table = table[:, table.sum(axis=0) > 0]
+        assert table.shape[1] >= 8
+        assert chi2_contingency(table).pvalue > 0.001
 
     def test_mask_alone_draws_the_same(self):
         counts, positions = sample_dsbpp_cap(MEO, derive_rng(32), 1.0, 50)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from constelsim import cli, mc
+from constelsim import analytic, cli, mc
 from constelsim.analytic import leo_interference_cap
 from constelsim.channel import sr_sample
 from constelsim.config import build_mc_settings, build_system_config, default_config, load_settings
@@ -16,6 +16,7 @@ from constelsim.constellation import (
     cap_positions,
     central_angle_to_target,
     derive_rng,
+    place_in_cap,
     sample_bpp,
     sample_bpp_cap,
     sample_dsbpp,
@@ -87,8 +88,9 @@ class TestDeterminism:
         assert serial == parallel
 
     def test_availability_does_not_depend_on_localizability(self, monkeypatch):
-        # Geometry and fading come from separate streams per batch, so the
-        # later chunks of a batch see the same geometry either way.
+        # Geometry has its own stream; LEO placement and fading come from the
+        # localizability stream, so every chunk sees the same geometry either
+        # way.
         monkeypatch.setattr(mc, "CHUNK_TRIALS", 50)
         spec = McSpec(n_trials=2500, master_seed=5)
         assert spec.n_trials // spec.n_batches > mc.CHUNK_TRIALS
@@ -120,16 +122,25 @@ class TestSpec:
             "n_trials", "master_seed", "sum_all_interferers"]
 
     def test_few_trials_run_one_batch_each(self, monkeypatch):
-        # Five trials, five batches: one fresh geometry stream per trial.
-        batches = []
+        # Five trials, five batches of one trial each, all from one geometry
+        # stream: the run's estimates and the five batches' compose as one
+        # stack of 1 + 5 rows.
+        streams, stacks = [], []
+        compose = analytic.compose
 
-        def recording(seed, index):
-            batches.append(index)
+        def recording_rng(seed, index):
+            streams.append((seed, index))
             return derive_rng(seed, index)
 
-        monkeypatch.setattr(mc, "derive_rng", recording)
-        simulate(CFG, McSpec(n_trials=5, master_seed=2), 2, metrics=("availability",))
-        assert batches == [0, 1, 2, 3, 4]
+        def recording_compose(leo, meo_law, cutoff):
+            stacks.append((leo.shape, meo_law.shape))
+            return compose(leo, meo_law, cutoff)
+
+        monkeypatch.setattr(mc, "derive_rng", recording_rng)
+        monkeypatch.setattr(mc.analytic, "compose", recording_compose)
+        simulate(CFG, McSpec(n_trials=5, master_seed=2), 2)
+        assert streams == [(2, 0)]
+        assert stacks == [((6, 2), (6, CFG.meo.n_sats + 1))]
 
     @pytest.mark.parametrize("trials, batches", [(1, 1), (3, 3), (20, 20), (100_000, 20)])
     def test_settings_use_up_to_twenty_batches(self, trials, batches):
@@ -288,7 +299,8 @@ class TestEstimates:
         # U = 0 would put the interferer at central angle 0, which
         # dome_from_central rejects. With p_zero = 0 every beam has one.
         rng = derive_rng(4)
-        counts, positions = sample_bpp_cap(CFG.leo, rng, CFG.leo_theta_max, 64, positions=True)
+        counts = sample_bpp_cap(CFG.leo, rng, CFG.leo_theta_max, 64)
+        positions = place_in_cap(CFG.leo.radius_km, CFG.leo_theta_max, counts, rng)
         theta_d, _ = leo_interference_cap(CFG.leo, CFG.rx_pattern)
         _, _, passes = mc._sinr_passes(CFG, CFG.leo_link, CFG.leo_fading, positions, counts, np.minimum(counts, 3),
                                        ZeroUniforms(rng), faithful=False, matched_cap=(theta_d, 0.0))
@@ -301,6 +313,43 @@ class TestEstimates:
         for metric in ("availability", "localizability"):
             for system in ("leo", "meo", "hybrid"):
                 assert np.all(summary.estimates[metric, system][0] == 0.0)
+
+
+class TestBatchesAcrossChunks:
+    def test_estimates_match_per_trial_rebuild(self, monkeypatch):
+        # Chunks of 7 trials cut across the 20 batches of 5. Each batch's rank
+        # pass fractions and MEO pass-count law are rebuilt trial by trial
+        # from the recorded pass flags of every chunk, LEO then MEO.
+        n_trials, chunk, size, k_max, n_meo = 100, 7, 5, 4, DENSE.meo.n_sats
+        monkeypatch.setattr(mc, "CHUNK_TRIALS", chunk)
+        results = []
+        sinr_passes = mc._sinr_passes
+
+        def recording(*args, **kwargs):
+            results.append(sinr_passes(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(mc, "_sinr_passes", recording)
+        summary = simulate(DENSE, McSpec(n_trials=n_trials, master_seed=6), k_max)
+        assert len(results) == 2 * math.ceil(n_trials / chunk)
+        rank_pass = np.zeros((n_trials // size, k_max))
+        meo_pmf = np.zeros((n_trials // size, n_meo + 1))
+        for c, ((leo_trial, leo_rank, leo_passes), (meo_trial, _, meo_passes)) in enumerate(
+                zip(results[::2], results[1::2])):
+            for trial in range(min(chunk, n_trials - c * chunk)):
+                batch = (c * chunk + trial) // size
+                for rank, passed in zip(leo_rank[leo_trial == trial], leo_passes[leo_trial == trial]):
+                    rank_pass[batch, rank] += passed
+                meo_pmf[batch, int(meo_passes[meo_trial == trial].sum())] += 1
+        assert rank_pass.sum() > 0 and np.count_nonzero(meo_pmf[:, 1:]) > 0
+        rank_fracs = np.vstack([rank_pass.sum(axis=0) / n_trials, rank_pass / size])
+        pmfs = np.vstack([meo_pmf.sum(axis=0) / n_trials, meo_pmf / size])
+        composed = np.stack(list(analytic.compose(np.cumprod(rank_fracs, axis=-1), pmfs, n_meo).values()), axis=1)
+        se = np.std(composed[1:], axis=0, ddof=1) / math.sqrt(n_trials // size)
+        for i, system in enumerate(("leo", "meo", "hybrid")):
+            values, errors = summary.estimates["localizability", system]
+            assert np.array_equal(values, composed[0, i]) and np.array_equal(errors, se[i]), system
+        assert np.array_equal(summary.leo_rank_pass, rank_pass.sum(axis=0) / n_trials)
 
 
 @st.composite

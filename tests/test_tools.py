@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 from constelsim import channel, constellation, geom, mc
@@ -18,7 +19,11 @@ def load_tool(name):
 
 class TestMcStages:
     def test_reports_every_stage_at_200_trials(self, capsys):
-        originals = (mc.sample_bpp_cap, mc.sample_dsbpp_cap, mc._sinr_passes, mc.sr_sample, constellation.orbit_arc)
+        def staged():
+            return (mc.sample_bpp_cap, mc.place_in_cap, mc.sample_dsbpp_cap, mc._sinr_passes, mc.sr_sample,
+                    constellation.orbit_arc)
+
+        originals = staged()
         result = load_tool("mc_stages").main(["--trials", "200", "--repeat", "1", "--set", "leo.altitude_km=2000"])
         assert json.loads(capsys.readouterr().out) == result
         assert (result["trials"], result["seed"], result["overrides"]) == (200, 1, {"leo.altitude_km": "2000"})
@@ -26,7 +31,7 @@ class TestMcStages:
         assert list(seconds) == ["sampling", "visibility", "sinr", "aggregation", "total"]
         assert all(value >= 0 for value in seconds.values())
         assert seconds["sinr"] > 0 and result["fading_draws_per_trial"] > 0
+        assert result["chunks"] == math.ceil(200 / mc.CHUNK_TRIALS)
         # The wrappers are gone once the run ends.
-        assert (mc.sample_bpp_cap, mc.sample_dsbpp_cap, mc._sinr_passes, mc.sr_sample, constellation.orbit_arc) \
-            == originals
+        assert staged() == originals
         assert mc.sr_sample is channel.sr_sample and constellation.orbit_arc is geom.orbit_arc

@@ -5,12 +5,14 @@
 Runs ``mc.simulate`` at K = 1..6 with both metric families on the default
 configuration, changed by any ``--set`` overrides, and prints one JSON
 object: the seconds spent in each stage of the best of ``--repeat`` runs
-(least total), and the fading values drawn per trial.
+(least total), the fading values drawn per trial and the chunks per run
+(one ``sample_bpp_cap`` call each).
 
 Each stage is the exclusive wall-clock time of the functions ``simulate``
 calls through its module namespaces:
 
-- ``sampling``: ``sample_bpp_cap`` and ``sample_dsbpp_cap``, less visibility;
+- ``sampling``: ``sample_bpp_cap``, ``place_in_cap`` and ``sample_dsbpp_cap``,
+  less visibility;
 - ``visibility``: ``geom.orbit_arc``, which ``sample_dsbpp_cap`` calls;
 - ``sinr``: ``mc._sinr_passes``, fading draws included;
 - ``aggregation``: the rest of ``simulate``.
@@ -36,11 +38,11 @@ K_MAX = 6
 def _timed_stages():
     """Wrap the staged functions in exclusive timers while the block runs.
 
-    Yields the seconds per stage and a one-item list holding the number of
-    fading values drawn, both filled in as ``simulate`` runs.
+    Yields the seconds per stage and the number of fading values drawn and
+    of chunks run, all filled in as ``simulate`` runs.
     """
     seconds = dict.fromkeys(STAGES, 0.0)
-    draws = [0]
+    tally = {"draws": 0, "chunks": 0}
     inner = []  # time spent in nested staged calls, one entry per open call
 
     def timed(stage, fn):
@@ -57,12 +59,17 @@ def _timed_stages():
         return wrapper
 
     def counted(params, rng, size=None):
-        draws[0] += 1 if size is None else size
+        tally["draws"] += 1 if size is None else size
         return sr_sample(params, rng, size)
 
-    sr_sample = mc.sr_sample
+    def chunk(*args, **kwargs):
+        tally["chunks"] += 1
+        return sample_bpp_cap(*args, **kwargs)
+
+    sr_sample, sample_bpp_cap = mc.sr_sample, mc.sample_bpp_cap
     patches = [
-        (mc, "sample_bpp_cap", timed("sampling", mc.sample_bpp_cap)),
+        (mc, "sample_bpp_cap", timed("sampling", chunk)),
+        (mc, "place_in_cap", timed("sampling", mc.place_in_cap)),
         (mc, "sample_dsbpp_cap", timed("sampling", mc.sample_dsbpp_cap)),
         (constellation, "orbit_arc", timed("visibility", constellation.orbit_arc)),
         (mc, "_sinr_passes", timed("sinr", mc._sinr_passes)),
@@ -72,22 +79,24 @@ def _timed_stages():
     try:
         for module, name, wrapper in patches:
             setattr(module, name, wrapper)
-        yield seconds, draws
+        yield seconds, tally
     finally:
         for module, name, original in saved:
             setattr(module, name, original)
 
 
 def measure(config, spec) -> dict:
-    """Stage seconds and fading draws per trial of one ``simulate`` run."""
-    with _timed_stages() as (seconds, draws):
+    """Stage seconds, fading draws per trial and chunks of one ``simulate``
+    run."""
+    with _timed_stages() as (seconds, tally):
         start = time.perf_counter()
         mc.simulate(config, spec, K_MAX)
         total = time.perf_counter() - start
     seconds["aggregation"] = total - sum(seconds.values())
     return {
         "seconds": {**{stage: round(seconds[stage], 5) for stage in STAGES}, "total": round(total, 5)},
-        "fading_draws_per_trial": draws[0] / spec.n_trials,
+        "fading_draws_per_trial": tally["draws"] / spec.n_trials,
+        "chunks": tally["chunks"],
     }
 
 
