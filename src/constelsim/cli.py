@@ -11,16 +11,14 @@ so a command pays for building no other command's options.
 
 Exit codes: 0 success, 1 validation failures, 2 configuration errors, an
 unreadable ``--config`` or an unwritable ``--out`` among them. An ``--out``
-file is opened, and created if absent, before any work and rewritten when
-the output is ready: one that is a directory, whose directory does not
-exist, or that this process may not write or cannot open, is refused before
-any work. A file the command created is removed again if the command fails.
+that is a directory, whose directory does not exist, or that this process
+may not write or cannot open, is refused before any work. The file is
+written only once the output is ready.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import math
 import os
@@ -170,7 +168,7 @@ def _sweep(opts, settings: dict, axes: list[SweepAxis], header: list[str], syste
     rows = _map_points([(_apply_point(settings, axes, point), opts.metric, system, ks, opts.rtol, mc_spec)
                         for point in grid], opts.jobs)
     lines = [",".join(header)] + [_format_row([*point, *row]) for point, row in zip(grid, rows)]
-    _write(opts.sink, "\n".join(lines) + "\n")
+    _write(opts.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -212,7 +210,7 @@ def cmd_validate(opts) -> int:
             raise ConfigError(f"unknown metric '{metric}'")
     _check_unique("metric", metrics)
     rows = run_validation(cfg, spec, ks, opts.rtol, metrics)
-    _write(opts.sink, validation_csv(rows))
+    _write(opts.out, validation_csv(rows))
     failures = sum(1 for r in rows if not r.passed)
     if failures:
         print(f"{failures} of {len(rows)} validation rows out of tolerance", file=sys.stderr)
@@ -233,13 +231,13 @@ def cmd_sample(opts) -> int:
     for i, pos in enumerate(meo_pos):
         orbit, sat = divmod(i, per_orbit)
         lines.append(f"meo,{orbit},{sat}," + _format_row(pos))
-    _write(opts.sink, "\n".join(lines) + "\n")
+    _write(opts.out, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_emit_config(opts) -> int:
     settings = load_settings(opts.config, _overrides(opts))
-    _write(opts.sink, emit_settings(settings))
+    _write(opts.out, emit_settings(settings))
     return 0
 
 
@@ -258,57 +256,42 @@ def _overrides(opts) -> dict:
 
 
 def _check_out(path: str):
-    """Refuse an ``--out`` path that cannot be written, without creating
-    anything: it must not be a directory, its parent must be an existing
-    directory, and this process must be allowed to write the file, or to
-    create it there."""
+    """Refuse an ``--out`` path that cannot be written, before any work and
+    leaving nothing behind: it must not be a directory, its parent must be
+    an existing directory, and this process must be allowed to write the
+    file, or to create it there. A regular or absent file is then opened for
+    appending, and removed again if that created it, which refuses a path
+    that passes those checks but cannot be opened (one under /proc, say).
+    Devices, pipes and FIFOs are not opened here: a FIFO would block until
+    it had a reader."""
+    if path == "-":
+        return
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise ConfigError(f"cannot write '{path}': Is a directory")
     if not os.path.isdir(parent):
         raise ConfigError(f"cannot write '{path}': No such file or directory")
-    if not os.access(parent, os.W_OK | os.X_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+    if not (os.access(path, os.W_OK) if os.path.exists(path) else os.access(parent, os.W_OK | os.X_OK)):
         raise ConfigError(f"cannot write '{path}': Permission denied")
-
-
-@contextlib.contextmanager
-def _opened_out(path: str):
-    """The handle the command's output goes through, None for stdout.
-
-    The file is checked and opened for appending before any work, which
-    creates it if absent and keeps what it holds, so a path that cannot be
-    opened fails before the work. :func:`_write` truncates and writes it at
-    the end. A file this run created is removed again if the command fails.
-    """
-    if path == "-":
-        yield None
-        return
-    _check_out(path)
-    created = not os.path.lexists(path)
-    try:
-        handle = open(path, "a", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write '{path}': {exc.strerror or exc}") from exc
-    try:
-        with handle:
-            yield handle
-    except BaseException:
-        if created:
+    absent = not os.path.lexists(path)
+    if absent or os.path.isfile(path):
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise ConfigError(f"cannot write '{path}': {exc.strerror or exc}") from exc
+        if absent:
             os.remove(path)
-        raise
 
 
-def _write(sink, text: str):
-    if sink is None:
+def _write(path: str | None, text: str):
+    if path in (None, "-"):
         sys.stdout.write(text)
         return
     try:
-        sink.seek(0)
-        sink.truncate()
-        sink.write(text)
-        sink.flush()
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write '{sink.name}': {exc.strerror or exc}") from exc
+        raise ConfigError(f"cannot write '{path}': {exc.strerror or exc}") from exc
 
 
 # Options every subcommand takes, then per subcommand its help, handler and
@@ -367,8 +350,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"--rtol must be positive and finite, got {opts.rtol}")
         if opts.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {opts.jobs}")
-        with _opened_out(opts.out) as opts.sink:
-            return opts.fn(opts)
+        _check_out(opts.out)
+        return opts.fn(opts)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ from constelsim.constellation import (
     central_angle_to_target,
     derive_rng,
     sample_bpp,
+    sample_bpp_cap,
     sample_dsbpp,
 )
 from constelsim.geom import EARTH_RADIUS_KM
@@ -40,9 +41,12 @@ def values(cfg, metric, system, k_max):
 
 def shell_cosines(rng, batch):
     """Cosines of the central angles to the target of ``batch`` whole
-    baseline LEO shells, shape ``(batch, n_sats)``, unsorted: the points of a
-    binomial point process are i.i.d. uniform on the sphere, so each cosine
-    is 1 - 2u, and no position is built."""
+    baseline LEO shells, shape ``(batch, n_sats)``, unsorted. The counts come
+    from ``sample_bpp_cap`` for a cap of angle pi (Binomial(N, 1) = N points);
+    the points are i.i.d. uniform on the sphere, so each cosine is 1 - 2u,
+    and no position is built."""
+    counts = sample_bpp_cap(CFG.leo, rng, math.pi, batch)
+    assert np.all(counts == CFG.leo.n_sats)
     return 1.0 - 2.0 * rng.random((batch, CFG.leo.n_sats))
 
 
@@ -65,7 +69,7 @@ class TestLeoAvailability:
 
     def test_baseline_matches_simulation(self):
         # Counting oracle over full constellation draws, whole shells in
-        # batches.
+        # batches: a cap of angle pi holds Binomial(N, 1) = N satellites.
         rng = derive_rng(31)
         cos_max = math.cos(CFG.leo_theta_max)
         n_draws, batch = 20_000, 250
@@ -375,7 +379,7 @@ class TestLeoInterferenceCap:
         # fraction of draws leaving a fixed cap of the interference radius
         # empty; the fixed direction (the target's, as the shell is
         # isotropic) plays the serving satellite. Whole shells are drawn in
-        # batches.
+        # batches as caps of angle pi.
         theta_d, p_zero = an.leo_interference_cap(CFG.leo, CFG.rx_pattern)
         rng = derive_rng(41)
         cos_cut = math.cos(theta_d)

@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
@@ -414,9 +415,9 @@ def test_out_without_write_permission_fails_before_any_work(tmp_path, monkeypatc
 
 
 def test_out_is_kept_on_failure_and_rewritten_on_success(tmp_path):
-    # The file is opened before the work: a failing command leaves a file
-    # that was there untouched and removes one it created, and a successful
-    # one replaces the whole content.
+    # The file is probed before the work: a failing command leaves a file
+    # that was there untouched and no file where there was none, and a
+    # successful one replaces the whole content.
     kept, created = tmp_path / "kept.csv", tmp_path / "created.csv"
     kept.write_text("kept\n" * 1000)
     for out in (kept, created):
@@ -424,6 +425,40 @@ def test_out_is_kept_on_failure_and_rewritten_on_success(tmp_path):
     assert kept.read_text() == "kept\n" * 1000 and not created.exists()
     assert cli.main(["emit-config", "--out", str(kept)]) == 0
     assert kept.read_text() == emit_settings(load_settings())
+
+
+def test_out_to_null_device_is_written():
+    if not os.path.exists(os.devnull):
+        pytest.skip("no null device on this platform")
+    assert cli.main(["emit-config", "--out", os.devnull]) == 0
+
+
+def test_out_to_fifo_is_written(tmp_path):
+    # The probe must not open a FIFO: that would block until a reader came.
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text(encoding="utf-8")))
+    reader.start()
+    try:
+        assert cli.main(["emit-config", "--out", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=10)
+        if reader.is_alive():  # the FIFO was never opened for writing
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join()
+    assert read == [emit_settings(load_settings())]
+
+
+def test_out_to_pipe_is_written():
+    # /dev/stdout here is the pipe the test reads the child's output from.
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout on this platform")
+    stdout = fresh_python("-c", "import sys; from constelsim import cli; "
+                          "sys.exit(cli.main(['emit-config', '--out', '/dev/stdout']))")
+    assert stdout == emit_settings(load_settings())
 
 
 def test_oversized_grid_exits_two(tmp_path, monkeypatch, capsys):
