@@ -29,12 +29,12 @@ V in the fading series (:func:`~constelsim.channel.sr_count_pmf`),
 averaged over the cap by one vector-valued integral per config, so no
 integral is nested.
 
-:func:`evaluate` returns one metric for every K = 1..k_max at once. It builds
-the LEO values for all K (a binomial tail, or the running product of the
-per-rank probabilities) and the MEO count law (binomial in the
-single-satellite probability), and :func:`compose` turns them into the LEO,
-MEO and hybrid arrays. The Monte Carlo estimates compose through the same
-function.
+:func:`evaluate` returns one metric for every system and every
+K = 1..k_max at once. It builds the LEO values for all K (a binomial tail,
+or the running product of the per-rank probabilities) and the MEO count law
+(binomial in the single-satellite probability), and :func:`compose` turns
+them into the LEO, MEO and hybrid arrays. The Monte Carlo estimates compose
+through the same function.
 
 A sweep repeats each layer's inputs across its points, so the three
 integrals sit behind bounded ``lru_cache`` helpers keyed by only what they
@@ -437,13 +437,7 @@ METRICS = ("availability", "localizability")
 SYSTEMS = ("leo", "meo", "hybrid")
 
 
-def evaluate(
-    config: SystemConfig,
-    metric: str,
-    systems: tuple[str, ...],
-    k_max: int,
-    rtol: float = 1e-8,
-) -> dict[str, np.ndarray]:
+def evaluate(config: SystemConfig, metric: str, k_max: int, rtol: float = 1e-8) -> dict[str, np.ndarray]:
     """Closed-form ``metric`` for K = 1..k_max, one array per system.
 
     It builds the LEO values, the MEO count law and the truncation cutoff
@@ -451,27 +445,16 @@ def evaluate(
     availability is the binomial tail of the detectable count, and LEO
     localizability the running product of the per-rank probabilities from
     one rank-coverage pass (zero past the LEO population); the MEO count is
-    binomial in the single-satellite probability. A layer no requested
-    system needs keeps the neutral values: no LEO satellite, a MEO count of
-    zero, and no MEO counts mixed in.
+    binomial in the single-satellite probability.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric '{metric}'")
-    if not set(systems) <= set(SYSTEMS):
-        raise ValueError(f"systems must be drawn from {SYSTEMS}")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    leo, meo_law, cutoff = np.zeros(k_max), np.array([1.0]), 0
-    if "leo" in systems or "hybrid" in systems:
-        if metric == "availability":
-            leo = tail(binom_law(config.leo.n_sats, _cap_fraction(config.leo_theta_max)), k_max)
-        else:
-            leo = np.cumprod(leo_rank_coverage_probs(config, k_max, rtol))
-    if "meo" in systems or "hybrid" in systems:
-        if metric == "availability":
-            p1 = meo_single_availability(config)
-        else:
-            p1 = meo_single_localizability(config, rtol)
-        meo_law, cutoff = binom_law(config.meo.n_sats, p1), n_meo_max(config)
-    out = compose(leo, meo_law, cutoff)
-    return {system: out[system] for system in systems}
+    if metric == "availability":
+        leo = tail(binom_law(config.leo.n_sats, _cap_fraction(config.leo_theta_max)), k_max)
+        p1 = meo_single_availability(config)
+    else:
+        leo = np.cumprod(leo_rank_coverage_probs(config, k_max, rtol))
+        p1 = meo_single_localizability(config, rtol)
+    return compose(leo, binom_law(config.meo.n_sats, p1), n_meo_max(config))

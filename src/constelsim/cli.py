@@ -109,22 +109,31 @@ def _check_axis_system(name: str, system: str):
         raise ConfigError(f"sweep parameter '{name}' does not affect the {system} system")
 
 
-def _parse_k_list(text: str) -> list[int]:
-    try:
-        ks = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad K list '{text}'") from exc
-    if not ks:
-        raise ConfigError("K list is empty")
-    if not all(1 <= k <= MAX_SWEEP_POINTS for k in ks):
-        raise ConfigError(f"K values must lie in [1, {MAX_SWEEP_POINTS}]")
-    _check_unique("K", ks)
-    return ks
-
-
-def _check_unique(what: str, entries: list):
+def _parse_list(what: str, text: str, parse) -> list:
+    """``parse`` of each entry of the comma-separated ``text``, stripped;
+    blank entries are dropped. An empty list or a repeated entry is refused."""
+    entries = [parse(part) for part in map(str.strip, text.split(",")) if part]
+    if not entries:
+        raise ConfigError(f"{what} list is empty")
     if len(set(entries)) != len(entries):
         raise ConfigError(f"{what} list repeats an entry: {','.join(map(str, entries))}")
+    return entries
+
+
+def _k_value(entry: str) -> int:
+    try:
+        k = int(entry)
+    except ValueError as exc:
+        raise ConfigError(f"bad K value '{entry}'") from exc
+    if not 1 <= k <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"K values must lie in [1, {MAX_SWEEP_POINTS}]")
+    return k
+
+
+def _known_metric(entry: str) -> str:
+    if entry not in analytic.METRICS:
+        raise ConfigError(f"unknown metric '{entry}'")
+    return entry
 
 
 def _format_row(values) -> str:
@@ -132,11 +141,12 @@ def _format_row(values) -> str:
 
 
 def _curve_point(args):
-    """Closed-form values of one sweep point at each K, followed by an MC
-    (value, SE) pair per K when the task carries an ``McSpec``."""
+    """Closed-form values of the task's system at one sweep point, at each
+    K, followed by an MC (value, SE) pair per K when the task carries an
+    ``McSpec``."""
     settings, metric, system, ks, rtol, mc_spec = args
     cfg = build_system_config(settings)
-    values = analytic.evaluate(cfg, metric, (system,), max(ks), rtol)[system]
+    values = analytic.evaluate(cfg, metric, max(ks), rtol)[system]
     row = [float(values[k - 1]) for k in ks]
     if mc_spec is not None:
         values, errors = simulate(cfg, mc_spec, max(ks), metrics=(metric,)).estimates[metric, system]
@@ -172,13 +182,12 @@ def _sweep(opts, settings: dict, axes: list[SweepAxis], header: list[str], syste
     return 0
 
 
-def cmd_curve(opts) -> int:
-    settings = load_settings(opts.config, _overrides(opts))
+def cmd_curve(opts, settings: dict) -> int:
     axes = [_parse_sweep(s) for s in opts.sweep]
     if len(axes) != 1:
         raise ConfigError("curve needs exactly one --sweep axis")
     _check_axis_system(axes[0].name, opts.system)
-    ks = _parse_k_list(opts.k_values)
+    ks = _parse_list("K", opts.k_values, _k_value)
     # Monte Carlo settings are read, and so checked, only when --mc asks for them.
     mc_spec = build_mc_settings(settings) if opts.mc else None
 
@@ -188,27 +197,21 @@ def cmd_curve(opts) -> int:
     return _sweep(opts, settings, axes, header, opts.system, ks, mc_spec)
 
 
-def cmd_heatmap(opts) -> int:
-    settings = load_settings(opts.config, _overrides(opts))
+def cmd_heatmap(opts, settings: dict) -> int:
     axes = {axis.name: axis for axis in map(_parse_sweep, opts.sweep)}
     if len(opts.sweep) != 2 or set(axes) != {"n_leo", "n_meo"}:
         raise ConfigError("heatmap needs exactly two --sweep axes, n_leo and n_meo")
-    ks = _parse_k_list(opts.k_values)
+    ks = _parse_list("K", opts.k_values, _k_value)
     if len(ks) != 1:
         raise ConfigError("heatmap needs exactly one K value")
     return _sweep(opts, settings, [axes["n_leo"], axes["n_meo"]], ["n_leo", "n_meo", "value"], "hybrid", ks)
 
 
-def cmd_validate(opts) -> int:
-    settings = load_settings(opts.config, _overrides(opts))
+def cmd_validate(opts, settings: dict) -> int:
     cfg = build_system_config(settings)
-    ks = _parse_k_list(opts.k_values)
+    ks = _parse_list("K", opts.k_values, _k_value)
     spec = build_mc_settings(settings)
-    metrics = tuple(opts.metrics.split(",")) if opts.metrics else analytic.METRICS
-    for metric in metrics:
-        if metric not in analytic.METRICS:
-            raise ConfigError(f"unknown metric '{metric}'")
-    _check_unique("metric", metrics)
+    metrics = tuple(_parse_list("metric", opts.metrics, _known_metric))
     rows = run_validation(cfg, spec, ks, opts.rtol, metrics)
     _write(opts.out, validation_csv(rows))
     failures = sum(1 for r in rows if not r.passed)
@@ -218,8 +221,7 @@ def cmd_validate(opts) -> int:
     return 0
 
 
-def cmd_sample(opts) -> int:
-    settings = load_settings(opts.config, _overrides(opts))
+def cmd_sample(opts, settings: dict) -> int:
     cfg = build_system_config(settings)
     rng = derive_rng(build_mc_settings(settings).master_seed, 0)
     leo_pos = sample_bpp(cfg.leo, rng)
@@ -235,8 +237,7 @@ def cmd_sample(opts) -> int:
     return 0
 
 
-def cmd_emit_config(opts) -> int:
-    settings = load_settings(opts.config, _overrides(opts))
+def cmd_emit_config(opts, settings: dict) -> int:
     _write(opts.out, emit_settings(settings))
     return 0
 
@@ -296,7 +297,8 @@ def _write(path: str | None, text: str):
 
 # Options every subcommand takes, then per subcommand its help, handler and
 # own options, in ``--help`` order. An option is its flag and the keywords
-# of ``add_argument``.
+# of ``add_argument``. A handler takes the parsed options and the settings
+# that ``main`` loads.
 _COMMON = (
     ("--config", dict(default=None, help="configuration file (key = value lines)")),
     ("--set", dict(action="append", metavar="KEY=VALUE", help="override one configuration key")),
@@ -351,7 +353,7 @@ def main(argv=None) -> int:
         if opts.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {opts.jobs}")
         _check_out(opts.out)
-        return opts.fn(opts)
+        return opts.fn(opts, load_settings(opts.config, _overrides(opts)))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -334,7 +334,7 @@ def run_validation(
     summary = simulate(config, spec, k_max, metrics)
     rows: list[ValidationRow] = []
     for metric in metrics:
-        closed_forms = analytic.evaluate(config, metric, SYSTEMS, k_max, rtol)
+        closed_forms = analytic.evaluate(config, metric, k_max, rtol)
         for system in SYSTEMS:
             values, errors = summary.estimates[metric, system]
             for k in ks:

@@ -36,7 +36,7 @@ def config_with(**settings_overrides) -> SystemConfig:
 
 def values(cfg, metric, system, k_max):
     """``metric`` of one system for K = 1..k_max."""
-    return an.evaluate(cfg, metric, (system,), k_max)[system]
+    return an.evaluate(cfg, metric, k_max)[system]
 
 
 def shell_cosines(rng, batch):
@@ -228,17 +228,17 @@ class TestBinomialLaws:
 
 class TestHybridAvailability:
     def test_reduces_to_leo(self):
-        got = an.evaluate(config_with(**{"meo.n_orbits": "0"}), "availability", an.SYSTEMS, 6)
+        got = an.evaluate(config_with(**{"meo.n_orbits": "0"}), "availability", 6)
         np.testing.assert_allclose(got["hybrid"], got["leo"], rtol=1e-12, atol=1e-12)
 
     def test_reduces_to_meo_within_epsilon(self):
         cfg = config_with(**{"leo.n_sats": "0"})
-        got = an.evaluate(cfg, "availability", an.SYSTEMS, 6)
+        got = an.evaluate(cfg, "availability", 6)
         assert np.all(got["meo"] - cfg.epsilon <= got["hybrid"])
         assert np.all(got["hybrid"] <= got["meo"] + 1e-12)
 
     def test_dominates_both_layers(self):
-        got = an.evaluate(CFG, "availability", an.SYSTEMS, 6)
+        got = an.evaluate(CFG, "availability", 6)
         assert np.all(got["hybrid"] >= got["leo"] - CFG.epsilon)
         assert np.all(got["hybrid"] >= got["meo"] - CFG.epsilon)
 
@@ -247,7 +247,7 @@ class TestHybridAvailability:
 
     def test_rejects_zero_level(self):
         with pytest.raises(ValueError):
-            an.evaluate(CFG, "availability", ("hybrid",), 0)
+            an.evaluate(CFG, "availability", 0)
 
 
 def sum_form_contact_pdf(n, k, theta):
@@ -439,7 +439,7 @@ class TestLeoLocalizability:
             "from constelsim.config import build_system_config, load_settings\n"
             "cfg = build_system_config(load_settings(overrides="
             "{'fading.m': '1', 'fading.b0': '0.05', 'fading.omega': '3'}))\n"
-            "an.evaluate(cfg, 'localizability', an.SYSTEMS, 8)\n"
+            "an.evaluate(cfg, 'localizability', 8)\n"
             "try:\n"
             "    with open('/proc/self/status') as status:\n"
             "        print(next(int(line.split()[1]) for line in status if line.startswith('VmHWM:')))\n"
@@ -508,12 +508,12 @@ class TestMeoLocalizability:
 
 class TestHybridLocalizability:
     def test_reduces_to_leo(self):
-        got = an.evaluate(config_with(**{"meo.n_orbits": "0"}), "localizability", an.SYSTEMS, 3)
+        got = an.evaluate(config_with(**{"meo.n_orbits": "0"}), "localizability", 3)
         assert got["hybrid"][2] == pytest.approx(got["leo"][2], rel=1e-9)
 
     def test_reduces_to_meo_within_epsilon(self):
         cfg = config_with(**{"leo.n_sats": "0"})
-        got = an.evaluate(cfg, "localizability", an.SYSTEMS, 4)
+        got = an.evaluate(cfg, "localizability", 4)
         assert np.all(got["meo"] - cfg.epsilon <= got["hybrid"])
         assert np.all(got["hybrid"] <= got["meo"] + 1e-9)
 
@@ -614,14 +614,14 @@ class TestLayerCaches:
     @pytest.mark.parametrize("change", sorted(CACHE_MISSES))
     def test_changed_sub_config_misses(self, analytic_caches, change):
         fields, rtol, k_max, misses = CACHE_MISSES[change]
-        an.evaluate(CFG, "localizability", an.SYSTEMS, 6)
+        an.evaluate(CFG, "localizability", 6)
         cfg = replace(CFG, **fields)
         before = [cache.cache_info().misses for cache in analytic_caches]
-        got = an.evaluate(cfg, "localizability", an.SYSTEMS, k_max, rtol)
+        got = an.evaluate(cfg, "localizability", k_max, rtol)
         assert tuple(cache.cache_info().misses - b for cache, b in zip(analytic_caches, before)) == misses
         for cache in analytic_caches:
             cache.cache_clear()
-        want = an.evaluate(cfg, "localizability", an.SYSTEMS, k_max, rtol)
+        want = an.evaluate(cfg, "localizability", k_max, rtol)
         for system in an.SYSTEMS:
             np.testing.assert_array_equal(got[system], want[system])
 
@@ -635,9 +635,9 @@ class TestEvaluate:
     @pytest.mark.parametrize("n_leo", ["2000", "3", "0"])
     @pytest.mark.parametrize("metric", an.METRICS)
     def test_matches_scalar_functions(self, metric, n_leo):
-        # All systems and K at once agree with one system and K per call.
+        # All K at once agree with one K per call.
         cfg = config_with(**{"leo.n_sats": n_leo})
-        got = an.evaluate(cfg, metric, an.SYSTEMS, 8)
+        got = an.evaluate(cfg, metric, 8)
         assert list(got) == list(an.SYSTEMS)
         for system in an.SYSTEMS:
             want = [values(cfg, metric, system, k)[k - 1] for k in range(1, 9)]
@@ -652,29 +652,26 @@ class TestEvaluate:
             return original(config, k_max, rtol)
 
         monkeypatch.setattr(an, "leo_rank_coverage_probs", counting)
-        an.evaluate(CFG, "localizability", an.SYSTEMS, 6)
+        an.evaluate(CFG, "localizability", 6)
         assert calls == [6]
-        an.evaluate(CFG, "localizability", ("hybrid",), 4)
+        an.evaluate(CFG, "localizability", 4)
         assert calls == [6, 4]
-        an.evaluate(CFG, "localizability", ("meo",), 6)
-        an.evaluate(CFG, "availability", an.SYSTEMS, 6)
+        an.evaluate(CFG, "availability", 6)
         assert calls == [6, 4]
 
     def test_availability_runs_no_quadrature(self, monkeypatch):
-        want = an.evaluate(CFG, "availability", an.SYSTEMS, 8)
+        want = an.evaluate(CFG, "availability", 8)
 
         def refuse(*args, **kwargs):
             raise AssertionError("availability ran a quadrature")
 
         monkeypatch.setattr(an, "integrate_adaptive", refuse)
-        got = an.evaluate(CFG, "availability", an.SYSTEMS, 8)
+        got = an.evaluate(CFG, "availability", 8)
         for system in an.SYSTEMS:
             np.testing.assert_array_equal(got[system], want[system])
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            an.evaluate(CFG, "coverage", an.SYSTEMS, 6)
+            an.evaluate(CFG, "coverage", 6)
         with pytest.raises(ValueError):
-            an.evaluate(CFG, "availability", ("geo",), 6)
-        with pytest.raises(ValueError):
-            an.evaluate(CFG, "availability", an.SYSTEMS, 0)
+            an.evaluate(CFG, "availability", 0)

@@ -132,9 +132,11 @@ class TestHeatmap:
     LOC_GRID = ["heatmap", "--metric", "localizability", "--sweep", "n_leo=500:5000:500",
                 "--sweep", "n_meo=0:24:2", "--K", "4"]
 
-    def test_each_layer_once_per_sub_config(self, tmp_path, monkeypatch):
+    def test_each_layer_once_per_sub_config(self, tmp_path, monkeypatch, analytic_caches):
         # The count law reads no LEO count and the MEO pass no MEO count, so
-        # the grid needs one of each, and one rank pass per LEO count.
+        # the grid needs one of each, and one rank pass per LEO count. A MEO
+        # curve composes every system too: one LEO pass for its one LEO
+        # sub-config, and one MEO pass per altitude.
         labels = []
         original = analytic.integrate_adaptive
 
@@ -143,10 +145,17 @@ class TestHeatmap:
             return original(func, a, b, rtol, label)
 
         monkeypatch.setattr(analytic, "integrate_adaptive", counting)
-        code, _ = run(tmp_path, *self.LOC_GRID)
-        assert code == 0
-        assert Counter(labels) == {"interferer count law": 1, "rank coverage": 10,
-                                   "meo single-satellite localizability": 1}
+        meo_curve = ["curve", "--metric", "localizability", "--system", "meo", "--sweep", "h_meo=15000:25000:5000"]
+        for argv, want in [
+            (self.LOC_GRID, {"interferer count law": 1, "rank coverage": 10, "meo single-satellite localizability": 1}),
+            (meo_curve, {"interferer count law": 1, "rank coverage": 1, "meo single-satellite localizability": 3}),
+        ]:
+            labels.clear()
+            for cache in analytic_caches:
+                cache.cache_clear()
+            code, _ = run(tmp_path, *argv)
+            assert code == 0
+            assert Counter(labels) == want
 
     def test_cached_grid_matches_uncached_points(self, tmp_path, analytic_caches):
         lines = ["n_leo,n_meo,value"]
@@ -156,7 +165,7 @@ class TestHeatmap:
                     cache.cache_clear()
                 cfg = build_system_config(load_settings(overrides={
                     "leo.n_sats": str(n_leo), "meo.n_orbits": str(n_meo), "meo.sats_per_orbit": "1"}))
-                value = analytic.evaluate(cfg, "localizability", ("hybrid",), 4)["hybrid"][3]
+                value = analytic.evaluate(cfg, "localizability", 4)["hybrid"][3]
                 lines.append(f"{n_leo},{n_meo},{value:.12g}")
         for jobs in ("1", "2"):
             code, text = run(tmp_path, *self.LOC_GRID, "--jobs", jobs, name=f"jobs{jobs}.csv")
@@ -341,6 +350,21 @@ def test_empty_k_list_exits_two(tmp_path, capsys, command, k_values):
     code, text = run(tmp_path, *TOO_LARGE_K[command], "--K", k_values)
     assert code == 2 and text is None
     assert "K list is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metrics", ["", ",", " , "])
+def test_empty_metric_list_exits_two(tmp_path, capsys, metrics):
+    code, text = run(tmp_path, "validate", "--trials", "20", "--metrics", metrics)
+    assert code == 2 and text is None
+    assert "metric list is empty" in capsys.readouterr().err
+
+
+def test_spaced_lists_are_read_entry_by_entry(tmp_path):
+    code, text = run(tmp_path, "validate", "--trials", "20", "--metrics", "availability, localizability",
+                     "--K", " 1 , 2 ")
+    assert code in (0, 1)
+    assert [(r[0], r[1]) for r in rows(text)[1:]] == [
+        (f"{system}_{metric}", k) for metric in analytic.METRICS for system in analytic.SYSTEMS for k in "12"]
 
 
 # The smallest run of each command that reads --config and writes --out.

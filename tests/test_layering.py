@@ -2,14 +2,17 @@
 its sibling modules. Underscore names (the fading kernel's weights and
 Poisson matrix, say) stay inside the module that defines them. Every
 memoising cache has a fixed size, so memory stays bounded however long a
-sweep runs."""
+sweep runs. Every package name the benchmark scripts import exists, so a
+deletion they still depend on fails here rather than in a benchmark run."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import constelsim
 
 PACKAGE = Path(constelsim.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _private(name: str) -> bool:
@@ -116,11 +119,67 @@ def test_cache_guard_fires(tmp_path):
     assert unbounded_caches(probe) == [5, 7, 9, 12, 13]
 
 
+def unresolved_imports(path: Path) -> list[str]:
+    """Dotted names that the script at ``path`` imports from ``constelsim``,
+    or reads as an attribute of a ``constelsim`` module it binds to a name,
+    and that do not exist."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    wanted, modules = [], {}  # (module, name or None); local name -> module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "constelsim":
+            wanted += [(node.module, alias.name) for alias in node.names]
+            if node.module == "constelsim":  # ``from constelsim import cli``
+                modules.update({alias.asname or alias.name: f"constelsim.{alias.name}" for alias in node.names})
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "constelsim":
+                    wanted.append((alias.name, None))
+                    if alias.asname:
+                        modules[alias.asname] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            wanted.append((modules[node.value.id], node.attr))
+
+    def exists(dotted: str) -> bool:
+        module, _, name = dotted.rpartition(".")
+        try:
+            if not hasattr(importlib.import_module(module), name):
+                importlib.import_module(dotted)  # a submodule not imported yet
+        except ImportError:
+            return False
+        return True
+
+    names = [module if name is None else f"{module}.{name}" for module, name in wanted]
+    return sorted(name for name in set(names) if not exists(name))
+
+
+def test_benchmark_imports_resolve():
+    scripts = sorted((REPO / "perfbench").glob("*.py"))
+    assert scripts
+    found = {path.name: unresolved_imports(path) for path in scripts}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_import_guard_fires(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from constelsim import analytic, no_module\n"
+        "from constelsim.constellation import sample_bpp_cap, gone\n"
+        "def f():\n"
+        "    import constelsim.cli as cli\n"
+        "    import constelsim.nothing\n"
+        "    return cli.main, cli.dropped, analytic.missing\n",
+        encoding="utf-8",
+    )
+    assert unresolved_imports(probe) == ["constelsim.analytic.missing", "constelsim.cli.dropped",
+                                         "constelsim.constellation.gone", "constelsim.no_module", "constelsim.nothing"]
+
+
 MAX_LINE = 120
 
 
 def test_lines_fit_the_width():
-    roots = [PACKAGE, Path(__file__).resolve().parent]
+    roots = [PACKAGE, Path(__file__).resolve().parent, REPO / "tools"]
     long_lines = [f"{path.name}:{number}" for root in roots for path in sorted(root.glob("*.py"))
                   for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
                   if len(line) > MAX_LINE]
