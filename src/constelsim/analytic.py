@@ -243,17 +243,19 @@ def meo_single_availability(config: SystemConfig) -> float:
     return float(_cap_fraction(config.meo_theta_max))
 
 
-def n_meo_max(config: SystemConfig) -> int:
+def n_meo_max(config: SystemConfig, availability_law: np.ndarray | None = None) -> int:
     """Smallest satellite count whose exceedance probability is below
     epsilon; zero for an empty MEO layer.
 
     Convolution sums over MEO counts are truncated here; the neglected mass
-    is at most epsilon.
+    is at most epsilon. Both metrics read it from the MEO availability count
+    law, ``availability_law`` when given, so they drop different masses.
     """
     n = config.meo.n_sats
+    law = binom_law(n, meo_single_availability(config)) if availability_law is None else availability_law
     # The tail is non-increasing in K, so this counts the K below the first
     # one whose tail is at most epsilon.
-    return int(np.count_nonzero(tail(binom_law(n, meo_single_availability(config)), n) > config.epsilon))
+    return int(np.count_nonzero(tail(law, n) > config.epsilon))
 
 
 def binom_law(n: int, p: float) -> np.ndarray:
@@ -457,4 +459,5 @@ def evaluate(config: SystemConfig, metric: str, k_max: int, rtol: float = 1e-8) 
     else:
         leo = np.cumprod(leo_rank_coverage_probs(config, k_max, rtol))
         p1 = meo_single_localizability(config, rtol)
-    return compose(leo, binom_law(config.meo.n_sats, p1), n_meo_max(config))
+    law = binom_law(config.meo.n_sats, p1)
+    return compose(leo, law, n_meo_max(config, law if metric == "availability" else None))

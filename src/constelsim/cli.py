@@ -298,13 +298,15 @@ def _write(path: str | None, text: str):
 # Options every subcommand takes, then per subcommand its help, handler and
 # own options, in ``--help`` order. An option is its flag and the keywords
 # of ``add_argument``. A handler takes the parsed options and the settings
-# that ``main`` loads.
+# that ``main`` loads. Only the commands that evaluate take ``_EVALUATION``.
 _COMMON = (
     ("--config", dict(default=None, help="configuration file (key = value lines)")),
     ("--set", dict(action="append", metavar="KEY=VALUE", help="override one configuration key")),
     ("--seed", dict(type=int, default=None, help="Monte Carlo master seed")),
     ("--trials", dict(type=int, default=None, help="Monte Carlo trial count")),
     ("--out", dict(default="-", help="output path, '-' for stdout")),
+)
+_EVALUATION = (
     ("--rtol", dict(type=float, default=1e-8, help="quadrature relative tolerance")),
     ("--jobs", dict(type=int, default=1, help="parallel workers for sweep points")),
 )
@@ -313,12 +315,12 @@ _METRIC = ("--metric", dict(choices=analytic.METRICS, default="availability"))
 _K_LIST = ("--K", dict(dest="k_values", default="1,2,3,4,5,6", help="comma-separated K list"))
 _COMMANDS = {
     "curve": ("sweep one parameter, one CSV column per K", cmd_curve, (
-        _SWEEP, _METRIC, ("--system", dict(choices=analytic.SYSTEMS, default="hybrid")), _K_LIST,
+        *_EVALUATION, _SWEEP, _METRIC, ("--system", dict(choices=analytic.SYSTEMS, default="hybrid")), _K_LIST,
         ("--mc", dict(action="store_true", help="append Monte Carlo columns")))),
     "heatmap": ("grid LEO count against total MEO count", cmd_heatmap,
-                (_SWEEP, _METRIC, ("--K", dict(dest="k_values", default="6")))),
+                (*_EVALUATION, _SWEEP, _METRIC, ("--K", dict(dest="k_values", default="6")))),
     "validate": ("analytic vs Monte Carlo validation report", cmd_validate,
-                 (("--metrics", dict(default=",".join(analytic.METRICS))), _K_LIST)),
+                 (*_EVALUATION, ("--metrics", dict(default=",".join(analytic.METRICS))), _K_LIST)),
     "sample": ("dump one sampled constellation as CSV", cmd_sample, ()),
     "emit-config": ("print the effective configuration", cmd_emit_config, ()),
 }
@@ -348,9 +350,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     opts = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        if not 0 < opts.rtol < math.inf:  # false for NaN too
+        if "rtol" in opts and not 0 < opts.rtol < math.inf:  # false for NaN too
             raise ConfigError(f"--rtol must be positive and finite, got {opts.rtol}")
-        if opts.jobs < 1:
+        if "jobs" in opts and opts.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {opts.jobs}")
         _check_out(opts.out)
         return opts.fn(opts, load_settings(opts.config, _overrides(opts)))

@@ -2,9 +2,10 @@
 
 LEO shells are homogeneous binomial point processes on a sphere: a fixed
 number of satellites placed i.i.d. uniformly. MEO shells are generated
-orbit-first: each orbit normal is uniform on the sphere (inclination density
-sin/2, azimuth uniform), and a fixed number of satellites is placed at
-independent uniform anomalies along each orbit.
+orbit-first: each orbit normal is uniform on the sphere (drawn as its
+component s along the target, uniform on [-1, 1], and its azimuth about the
+target), and a fixed number of satellites is placed at independent uniform
+anomalies along each orbit.
 
 Positions are returned as ``(n, 3)`` float arrays in kilometres. MEO points
 are ordered orbit-major: satellite ``j`` of orbit ``i`` sits at row
@@ -18,11 +19,12 @@ cap-count law makes the restricted draw exact. :func:`place_in_cap` places
 them, i.i.d. uniform in the cap and nearest first within each shell, on a
 stream of the caller's choosing, so a caller that reads only counts draws no
 placement. For MEO, :func:`sample_dsbpp_cap` draws every orbit and one
-uniform per satellite, since the orbits couple the satellites, and decides
-visibility from that uniform alone: each orbit's visible part is one arc
-about the target, so no satellite needs an anomaly, a position or a
-distance to be found visible. It returns the per-shell visible counts and,
-only when asked, the visible satellites' positions packed shell by shell.
+uniform per satellite, since the orbits couple the satellites. Whether the
+target sees a satellite depends only on its orbit's s and its own anomaly:
+the orbit's visible part is one arc about its point nearest the target, so
+no satellite needs a position or a distance to be found visible. It
+returns the per-shell visible counts and, only when asked, the visible
+satellites' positions packed shell by shell.
 :func:`sample_bpp` and :func:`sample_dsbpp` draw whole shells.
 """
 
@@ -116,44 +118,43 @@ def sample_dsbpp_cap(
     each, and mark the satellites within central angle ``cap_angle`` of the
     target.
 
-    Each orbit circle starts in the xy-plane, is tilted about the x-axis by
-    its inclination (sin/2 density, so its cosine is uniform on [-1, 1]),
-    then swung about the z-axis by its azimuth (uniform). The part of an
-    orbit within the cap is one arc about a centre anomaly
-    (:func:`~constelsim.geom.orbit_arc`). A uniform anomaly, independent of
-    the orbit, is the centre plus an offset uniform on [-pi, pi), and a
-    satellite is visible when its offset is at most the arc's half-angle:
-    visibility takes no anomaly and no position. Random draws happen in a
-    fixed order: every inclination cosine, every azimuth, then one offset
-    uniform per satellite, orbit by orbit, each block shell by shell, so a
-    given (config, stream, size) triple is reproducible and does not depend
-    on ``cap_angle`` or ``positions``.
+    An orbit's normal n is uniform, so s = n . target, the sine of the
+    target's angle delta from the orbit plane, is uniform on [-1, 1], and
+    the normal's azimuth psi about the target is uniform. The orbit is
+    within the cap on one arc about its point nearest the target
+    (:func:`~constelsim.geom.orbit_arc`), and a satellite is visible when
+    its anomaly a, uniform on [-pi, pi) from that point, is within the
+    arc's half-angle. Random draws happen in a fixed order: every s, every
+    psi, then one anomaly uniform per satellite, orbit by orbit, each block
+    shell by shell, so a given (config, stream, size) triple is
+    reproducible and does not depend on ``cap_angle`` or ``positions``.
 
     Returns the per-shell visible counts and, with ``positions``, the
-    ``(counts.sum(), 3)`` positions of the visible satellites, shell by
-    shell in orbit-major order (otherwise None). Anomalies and positions
-    are built for visible satellites only.
+    ``(counts.sum(), 3)`` positions of the visible satellites only, shell by
+    shell in orbit-major order (otherwise None). With c = cos(delta), the
+    orbit's normal is (s, c cos psi, c sin psi), and the satellite at
+    anomaly a sits at radius times (c cos a, sin a sin psi - s cos psi cos a,
+    -(s sin psi cos a + sin a cos psi)).
     """
-    cos_i = 1.0 - 2.0 * rng.random((size, config.n_orbits))
-    azimuth = 2.0 * np.pi * rng.random((size, config.n_orbits))
-    offset = np.pi * (2.0 * rng.random((size, config.n_orbits, config.sats_per_orbit)) - 1.0)
-    cos_az, sin_az = np.cos(azimuth), np.sin(azimuth)
-    centre, half = orbit_arc(cap_angle, cos_az, -cos_i * sin_az)
-    visible = np.abs(offset) <= half[..., None]
-    counts = np.count_nonzero(visible, axis=(1, 2))
+    s = 1.0 - 2.0 * rng.random((size, config.n_orbits))
+    psi = 2.0 * np.pi * rng.random((size, config.n_orbits))
+    u = rng.random((size, config.n_orbits, config.sats_per_orbit))
+    cos_delta = np.sqrt((1.0 - s) * (1.0 + s))
+    # The anomaly is pi (2u - 1), so |anomaly| <= half is |u - 1/2| <= half / (2 pi).
+    visible = np.abs(u - 0.5) <= orbit_arc(cap_angle, cos_delta)[..., None] * (0.5 / np.pi)
+    # A product with ones counts each shell's flags faster than count_nonzero.
+    counts = (visible.reshape(size, config.n_sats) @ np.ones(config.n_sats)).astype(np.intp)
     if not positions:
         return counts, None
     flat = np.flatnonzero(visible)
     orbit = flat // config.sats_per_orbit
-    cos_i, cos_az, sin_az, centre = (a.take(orbit) for a in (cos_i, cos_az, sin_az, centre))
-    anomaly = centre + offset.take(flat)
-    x_flat = config.radius_km * np.cos(anomaly)
-    y_flat = config.radius_km * np.sin(anomaly)
-    y_tilt = y_flat * cos_i
+    s, cos_delta, cos_psi, sin_psi = (a.take(orbit) for a in (s, cos_delta, np.cos(psi), np.sin(psi)))
+    anomaly = np.pi * (2.0 * u.take(flat) - 1.0)
+    r_cos, r_sin = config.radius_km * np.cos(anomaly), config.radius_km * np.sin(anomaly)
     out = np.empty((flat.size, 3))
-    out[:, 0] = x_flat * cos_az - y_tilt * sin_az
-    out[:, 1] = x_flat * sin_az + y_tilt * cos_az
-    out[:, 2] = y_flat * np.sqrt((1.0 - cos_i) * (1.0 + cos_i))
+    out[:, 0] = cos_delta * r_cos
+    out[:, 1] = r_sin * sin_psi - s * cos_psi * r_cos
+    out[:, 2] = -(s * sin_psi * r_cos + r_sin * cos_psi)
     return counts, out
 
 

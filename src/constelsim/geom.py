@@ -45,28 +45,21 @@ def max_central_angle(shell_radius_km: float, beam_angle: float) -> float:
     return math.asin(math.sin(half) / ratio) - half
 
 
-def orbit_arc(cap_angle: float, along, across):
-    """Centre and half-angle of the part of a circular orbit that lies within
-    central angle ``cap_angle`` of the target, elementwise.
+def orbit_arc(cap_angle: float, cos_delta):
+    """Half-angle of the arc of a circular orbit that lies within central
+    angle ``cap_angle`` of the target, elementwise over ``cos_delta``, the
+    cosine of the target's angle delta from the orbit plane.
 
-    The orbit is the great circle cos(a) e1 + sin(a) e2 of anomaly a, and
-    ``along`` and ``across`` are the target direction's components on e1
-    and e2. The cosine of the central angle at anomaly a is then
-    cos(delta) cos(a - centre), where delta is the target's angle from the
-    orbit plane, cos(delta) = hypot(along, across) (a form that does not
-    cancel) and centre = atan2(across, along). The orbit is within the cap
-    where |a - centre| (wrapped to [-pi, pi]) is at most the half-angle
-    arccos(cos(cap_angle) / cos(delta)). The half-angle is -1 where the
-    orbit has no point in the cap, cos(delta) < cos(cap_angle).
+    Measured from the orbit's point nearest the target, a point at anomaly
+    a is at central angle arccos(cos(delta) cos(a)), so it lies in the cap
+    where |a| is at most arccos(cos(cap_angle) / cos(delta)). The half-angle
+    is -1 where the orbit has no point in the cap,
+    cos(delta) < cos(cap_angle).
     """
-    cos_delta = np.hypot(along, across)
-    centre = np.arctan2(across, along)
-    cos_cap = math.cos(cap_angle)
     # cos(delta) = 0 is an orbit face-on to the target; the floor keeps the
     # ratio finite there, and its sign carries the answer.
-    ratio = cos_cap / np.maximum(cos_delta, np.finfo(float).tiny)
-    half = np.arccos(np.clip(ratio, -1.0, 1.0))
-    return centre, np.where(ratio > 1.0, -1.0, half)
+    ratio = math.cos(cap_angle) / np.maximum(cos_delta, np.finfo(float).tiny)
+    return np.arccos(np.maximum(ratio, -1.0), out=np.full_like(ratio, -1.0), where=ratio <= 1.0)
 
 
 def dome_from_central(shell_radius_km: float, theta):

@@ -33,23 +33,24 @@ Per-rank pass counts and per-trial MEO pass counts come back through
 
 RNG contract. A run draws its geometry from one stream,
 ``derive_rng(master_seed, 0)``, and, when localizability runs, everything
-else from that stream's first spawned child, the localizability stream.
-Both serve the whole run in chunks of at most ``CHUNK_TRIALS`` trials (a
-module constant, so memory stays bounded at any trial count), and a chunk
-may span batch boundaries. Each chunk draws from the geometry stream the
-LEO cap counts, then the MEO orbits and one uniform per MEO satellite. With
-localizability it then draws from the localizability stream the visible LEO
-satellites' placement in the cap, then the LEO links' fading and then the
-MEO links'. Per layer, the serving beams' fading comes first, one value per
-beam; in faithful mode the interferers' follows, one value per (open beam,
-other visible satellite) pair in :func:`_link_indices` order. Which beams
-are open depends on the serving draws, so the interferer draws are fewer
-than one per pair but each verdict is the same function of independent
-draws as with every pair drawn, and every estimator keeps its law. Results
-therefore depend on the config, ``master_seed``, ``n_trials`` and ``k_max``
-only, and availability estimates do not depend on whether localizability is
-simulated too: an availability-only run draws the same geometry stream and
-no placement at all.
+else from that stream's first spawned child, the localizability stream. Both
+serve the whole run in chunks of at most ``CHUNK_TRIALS`` trials (a module
+constant, so memory stays bounded at any trial count), and a chunk may span
+batch boundaries. Each chunk draws from the geometry stream the LEO cap
+counts, then every MEO orbit's s, then every orbit's azimuth psi (both as
+:func:`~constelsim.constellation.sample_dsbpp_cap` defines them), then one
+anomaly uniform per MEO satellite. With localizability it then draws from
+the localizability stream the visible LEO satellites' placement in the cap,
+then the LEO links' fading and then the MEO links'. Per layer, the serving
+beams' fading comes first, one value per beam; in faithful mode the
+interferers' follows, one value per (open beam, other visible satellite)
+pair in :func:`_link_indices` order. Which beams are open depends on the
+serving draws, so the interferer draws are fewer than one per pair but each
+verdict is the same function of independent draws as with every pair drawn,
+and every estimator keeps its law. Results therefore depend on the config,
+``master_seed``, ``n_trials`` and ``k_max`` only, and availability estimates
+do not depend on whether localizability is simulated too: an
+availability-only run draws the same geometry stream and no placement.
 
 The batch-means batches are the min(20, n_trials) contiguous trial ranges
 of near-equal size. Every trial carries its batch's label, so per-batch

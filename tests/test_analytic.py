@@ -211,6 +211,12 @@ class TestNMeoMax:
         cfg = replace(CFG, epsilon=0.999)
         assert an.n_meo_max(cfg) == 0
 
+    def test_reads_a_given_law(self):
+        law = an.binom_law(CFG.meo.n_sats, an.meo_single_availability(CFG))
+        assert an.n_meo_max(CFG, law) == an.n_meo_max(CFG) == 9
+        # The cutoff is the law's: a point mass at 3 exceeds epsilon up to 3.
+        assert an.n_meo_max(CFG, np.eye(CFG.meo.n_sats + 1)[3]) == 3
+
 
 class TestBinomialLaws:
     @pytest.mark.parametrize("n", [0, 1, 3, 12, 2000])
@@ -658,6 +664,24 @@ class TestEvaluate:
         assert calls == [6, 4]
         an.evaluate(CFG, "availability", 6)
         assert calls == [6, 4]
+
+    @pytest.mark.parametrize("metric", an.METRICS)
+    def test_one_meo_law_per_call(self, metric, monkeypatch):
+        # Availability reads its cutoff from the law it composes;
+        # localizability builds the availability law for its cutoff.
+        want = an.evaluate(CFG, metric, 6)
+        calls = []
+        original = an.binom_law
+
+        def counting(n, p):
+            calls.append(n)
+            return original(n, p)
+
+        monkeypatch.setattr(an, "binom_law", counting)
+        got = an.evaluate(CFG, metric, 6)
+        assert calls.count(CFG.meo.n_sats) == (1 if metric == "availability" else 2)
+        for system in an.SYSTEMS:
+            np.testing.assert_array_equal(got[system], want[system])
 
     def test_availability_runs_no_quadrature(self, monkeypatch):
         want = an.evaluate(CFG, "availability", 8)

@@ -294,6 +294,16 @@ def test_bad_jobs_exits_two(tmp_path, capsys, command, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", [["--rtol", "1e-8"], ["--jobs", "1"]])
+@pytest.mark.parametrize("command", ["sample", "emit-config"])
+def test_unread_options_exit_two(tmp_path, capsys, command, option):
+    # Neither command evaluates, so neither takes a tolerance or workers.
+    with pytest.raises(SystemExit) as exit_info:
+        run(tmp_path, command, *option)
+    assert exit_info.value.code == 2 and not (tmp_path / "out.csv").exists()
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
 class RecordingExecutor:
     """Stands in for ``ProcessPoolExecutor``: records the worker count it is
     asked for and maps in this process, so no process is started."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare, ks_2samp, kstest
 
+from constelsim.analytic import evaluate
 from constelsim.constellation import (
     LeoShellConfig,
     MeoShellConfig,
@@ -158,24 +159,24 @@ def out_of_place_placement(radius_km, cap_angle, counts, rng):
 
 
 def per_orbit_dsbpp(config, rng):
-    """The per-orbit construction: draw every inclination cosine, then every
-    azimuth, then each orbit's anomaly offsets from the centre of its arc
-    about the target, and rotate each orbit's flat circle about x by its
-    inclination and then about z by its azimuth."""
-    cos_incs = 1.0 - 2.0 * rng.random(config.n_orbits)
-    azimuths = 2.0 * np.pi * rng.random(config.n_orbits)
+    """The per-orbit construction: draw every s, then every psi, then each
+    orbit's anomaly uniforms; build each orbit's normal
+    (s, c cos psi, c sin psi) with c = sqrt(1 - s^2), its in-plane axis
+    toward the target by projecting the target off the normal, the other
+    by a cross product, and place each satellite at its anomaly from the
+    first axis."""
+    s_all = 1.0 - 2.0 * rng.random(config.n_orbits)
+    psis = 2.0 * np.pi * rng.random(config.n_orbits)
+    target = np.array([1.0, 0.0, 0.0])
     blocks = []
-    for ci, az in zip(cos_incs, azimuths):
-        # The target (the x axis) has components cos(az) and -cos(i) sin(az)
-        # along the orbit's anomaly-0 and anomaly-pi/2 directions.
-        centre = math.atan2(-ci * math.sin(az), math.cos(az))
-        anomalies = centre + np.pi * (2.0 * rng.random(config.sats_per_orbit) - 1.0)
-        r = config.radius_km
-        flat = np.column_stack([r * np.cos(anomalies), r * np.sin(anomalies), np.zeros_like(anomalies)])
-        si, ca, sa = math.sqrt(1.0 - ci * ci), math.cos(az), math.sin(az)
-        rot_x = np.array([[1.0, 0.0, 0.0], [0.0, ci, -si], [0.0, si, ci]])
-        rot_z = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-        blocks.append(flat @ rot_x.T @ rot_z.T)
+    for s, psi in zip(s_all, psis):
+        c = math.sqrt(1.0 - s * s)
+        normal = np.array([s, c * math.cos(psi), c * math.sin(psi)])
+        toward = target - s * normal
+        toward /= np.linalg.norm(toward)
+        across = np.cross(normal, toward)
+        anomalies = np.pi * (2.0 * rng.random(config.sats_per_orbit) - 1.0)
+        blocks.append(config.radius_km * (np.cos(anomalies)[:, None] * toward + np.sin(anomalies)[:, None] * across))
     return np.vstack(blocks)
 
 
@@ -249,34 +250,59 @@ class TestDsbpp:
 
 
 def whole_shells(config, rng, size):
-    """``size`` whole MEO shells from the rotation of every satellite's flat
-    position, all orbits at once: the arithmetic the packed positions must
-    reproduce bit for bit. Each anomaly is its orbit's arc centre, from its
-    own atan2, plus the drawn offset."""
-    cos_i = 1.0 - 2.0 * rng.random((size, config.n_orbits, 1))
-    azimuth = 2.0 * np.pi * rng.random((size, config.n_orbits, 1))
-    offset = np.pi * (2.0 * rng.random((size, config.n_orbits, config.sats_per_orbit)) - 1.0)
-    anomaly = np.arctan2(-cos_i * np.sin(azimuth), np.cos(azimuth)) + offset
-    x_flat = config.radius_km * np.cos(anomaly)
-    y_flat = config.radius_km * np.sin(anomaly)
-    y_tilt = y_flat * cos_i
-    out = np.stack([x_flat * np.cos(azimuth) - y_tilt * np.sin(azimuth),
-                    x_flat * np.sin(azimuth) + y_tilt * np.cos(azimuth),
-                    y_flat * np.sqrt((1.0 - cos_i) * (1.0 + cos_i))], axis=-1)
+    """``size`` whole MEO shells, every satellite placed, all orbits at
+    once: the arithmetic the packed positions must reproduce bit for bit.
+    Each anomaly pi (2u - 1) is measured from its orbit's point nearest the
+    target."""
+    s = 1.0 - 2.0 * rng.random((size, config.n_orbits, 1))
+    psi = 2.0 * np.pi * rng.random((size, config.n_orbits, 1))
+    anomaly = np.pi * (2.0 * rng.random((size, config.n_orbits, config.sats_per_orbit)) - 1.0)
+    cos_delta = np.sqrt((1.0 - s) * (1.0 + s))
+    r_cos, r_sin = config.radius_km * np.cos(anomaly), config.radius_km * np.sin(anomaly)
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    out = np.stack([cos_delta * r_cos,
+                    r_sin * sin_psi - s * cos_psi * r_cos,
+                    -(s * sin_psi * r_cos + r_sin * cos_psi)], axis=-1)
     return out.reshape(size, config.n_sats, 3)
 
 
 def wrapped_anomaly_counts(config, rng, cap_angle, size):
-    """Per-shell visible counts from the anomaly-wrap sampler: inclinations
-    through arccos, uniform anomalies on [0, 2 pi), and each anomaly's
-    distance from its orbit's arc centre wrapped onto [0, pi]."""
-    inclination = np.arccos(1.0 - 2.0 * rng.random((size, config.n_orbits)))
-    azimuth = 2.0 * np.pi * rng.random((size, config.n_orbits))
+    """Per-shell visible counts from the anomaly-wrap sampler: the same
+    draws, but each anomaly uniform on [0, 2 pi) from the orbit's axis
+    (0, sin psi, -cos psi), a quarter turn before the point nearest the
+    target, and its distance from that point wrapped onto [0, pi]."""
+    s = 1.0 - 2.0 * rng.random((size, config.n_orbits))
+    rng.random((size, config.n_orbits))  # psi: the counts do not depend on it
     anomaly = 2.0 * np.pi * rng.random((size, config.n_orbits, config.sats_per_orbit))
-    centre, half = orbit_arc(cap_angle, np.cos(azimuth), -np.cos(inclination) * np.sin(azimuth))
-    offset = anomaly - centre[..., None]
-    offset = np.minimum(np.abs(offset), np.abs(offset - 2.0 * np.pi))
+    half = orbit_arc(cap_angle, np.sqrt(1.0 - s * s))
+    offset = np.abs(anomaly - 0.5 * np.pi)
+    offset = np.minimum(offset, 2.0 * np.pi - offset)
     return (offset <= half[..., None]).sum(axis=(1, 2))
+
+
+def inclination_node_counts(config, rng, cap_angle, size):
+    """Per-shell visible counts from the inclination/node construction:
+    each orbit's circle in the xy-plane, tilted about x by an inclination
+    of sin/2 density and swung about z by a uniform node, with anomalies
+    uniform on [0, 2 pi); a satellite is visible when its own position is
+    within ``cap_angle`` of the target (the x axis)."""
+    cos_i = 1.0 - 2.0 * rng.random((size, config.n_orbits, 1))
+    node = 2.0 * np.pi * rng.random((size, config.n_orbits, 1))
+    anomaly = 2.0 * np.pi * rng.random((size, config.n_orbits, config.sats_per_orbit))
+    x = np.cos(anomaly) * np.cos(node) - np.sin(anomaly) * cos_i * np.sin(node)
+    return (x >= math.cos(cap_angle)).sum(axis=(1, 2))
+
+
+def count_pmf(sampler, config, seed, cap_angle, n, chunk=20_000):
+    """Visible-count frequencies of ``n`` shells from ``sampler``, drawn in
+    chunks from one stream."""
+    rng = derive_rng(seed)
+    counts = np.concatenate([sampler(config, rng, cap_angle, chunk) for _ in range(n // chunk)])
+    return np.bincount(counts, minlength=config.n_sats + 1) / n
+
+
+def sampled_counts(config, rng, cap_angle, size):
+    return sample_dsbpp_cap(config, rng, cap_angle, size)[0]
 
 
 class TestDsbppCap:
@@ -304,7 +330,8 @@ class TestDsbppCap:
 
     def test_count_law_matches_anomaly_wrap(self):
         # Two independent samples of 200k shells' visible counts, offsets
-        # against wrapped anomalies, must follow one law.
+        # from the nearest point against wrapped anomalies, must follow one
+        # law.
         cfg = build_system_config(load_settings())
         n, chunk = 200_000, 20_000
         offset_rng, wrap_rng = derive_rng(36), derive_rng(37)
@@ -317,6 +344,47 @@ class TestDsbppCap:
         table = table[:, table.sum(axis=0) > 0]
         assert table.shape[1] >= 8
         assert chi2_contingency(table).pvalue > 0.001
+
+    def test_one_per_orbit_tail_matches_closed_form(self):
+        # With one satellite per orbit the satellites are independent and
+        # each uniform on the shell, so the paper's binomial law is exact.
+        cfg = build_system_config(load_settings(overrides={"meo.n_orbits": "12", "meo.sats_per_orbit": "1"}))
+        n = 200_000
+        pmf = count_pmf(sampled_counts, cfg.meo, 38, cfg.meo_theta_max, n)
+        got = np.cumsum(pmf[::-1])[::-1][1:]
+        want = evaluate(cfg, "availability", 12)["meo"]
+        se = np.sqrt(want * (1.0 - want) / n)
+        assert np.all(np.abs(got - want) <= 4.0 * se), (got - want) / se
+
+    @pytest.mark.parametrize("layout", [(2, 6), (3, 4)])
+    def test_count_law_matches_inclination_node(self, layout):
+        # Orbits drawn in the target's frame and by inclination and node
+        # give one count law: per count, two independent samples of 100k
+        # shells agree within 4 SE.
+        layers = {"meo.n_orbits": str(layout[0]), "meo.sats_per_orbit": str(layout[1])}
+        cfg = build_system_config(load_settings(overrides=layers))
+        n = 100_000
+        got = count_pmf(sampled_counts, cfg.meo, 39, cfg.meo_theta_max, n)
+        want = count_pmf(inclination_node_counts, cfg.meo, 40, cfg.meo_theta_max, n)
+        pooled = 0.5 * (got + want)
+        se = np.sqrt(2.0 * pooled * (1.0 - pooled) / n)
+        assert np.count_nonzero(pooled > 1e-3) >= 8
+        assert np.all(np.abs(got - want) <= 4.0 * se), (got - want) / se
+
+    def test_visible_positions_uniform_in_cap(self):
+        # On the shell and in the cap. With one satellite per orbit the
+        # visible satellites are independent, so the cosine of their central
+        # angle is i.i.d. uniform on [cos theta_max, 1].
+        theta_max = build_system_config(load_settings()).meo_theta_max
+        one_per_orbit = MeoShellConfig(12, 1, 26371.0, math.pi / 6)
+        for cfg in (MEO, one_per_orbit):
+            counts, pos = sample_dsbpp_cap(cfg, derive_rng(41), theta_max, 2000, positions=True)
+            assert pos.shape == (counts.sum(), 3) and counts.sum() > 5000
+            assert np.max(np.abs(np.linalg.norm(pos, axis=1) / cfg.radius_km - 1.0)) < 1e-12
+            assert np.all(central_angle_to_target(pos) <= theta_max + 1e-12)
+        cos_max = math.cos(theta_max)
+        cosines = pos[:, 0] / one_per_orbit.radius_km
+        assert kstest(cosines, "uniform", args=(cos_max, 1.0 - cos_max)).pvalue > 0.01
 
     def test_mask_alone_draws_the_same(self):
         counts, positions = sample_dsbpp_cap(MEO, derive_rng(32), 1.0, 50)

@@ -251,21 +251,21 @@ class TestMaxOrbitCentralAngle:
 
 
 class TestOrbitArc:
-    """``orbit_arc`` against the slant-range oracle above. An orbit drawn by
-    the MEO sampler has in-plane axes (cos az, sin az, 0) and
-    (-cos i sin az, cos i cos az, sin i); its normal makes angle
-    arccos(sin i sin az) with the target direction (1, 0, 0)."""
+    """``orbit_arc`` against the slant-range oracle above. An orbit whose
+    normal n has s = n . target passes the target at angle delta from its
+    plane, sin(delta) = s, and its normal makes angle arccos(s) with the
+    target direction."""
 
     def test_polar_orbit_doubles_theta_max(self):
         theta_max = max_central_angle(MEO, math.pi / 6)
-        centre, half = orbit_arc(theta_max, 1.0, 0.0)
-        assert centre == 0.0 and half == pytest.approx(theta_max, rel=1e-12)
+        half = orbit_arc(theta_max, 1.0)
+        assert half == pytest.approx(theta_max, rel=1e-12)
         want = max_orbit_central_angle(MEO, math.pi / 2, max_detect_distance(MEO, theta_max))
         assert 2.0 * half == pytest.approx(want, rel=1e-12)
 
     def test_face_on_orbit_is_empty(self):
         # cos(delta) = 0 exactly: no divide warning, which pytest would raise.
-        _, half = orbit_arc(1.0, np.zeros(2), np.zeros(2))
+        half = orbit_arc(1.0, np.zeros(2))
         assert np.all(half < 0)
         assert max_orbit_central_angle(MEO, 0.0, max_detect_distance(MEO, 1.0)) == 0.0
 
@@ -274,22 +274,38 @@ class TestOrbitArc:
         got, want = [], []
         for _ in range(25):
             theta_max = rng.uniform(0.1, 1.3)
-            inclination, azimuth = math.acos(1.0 - 2.0 * rng.random()), 2.0 * math.pi * rng.random()
-            _, half = orbit_arc(theta_max, math.cos(azimuth), -math.cos(inclination) * math.sin(azimuth))
+            s = 1.0 - 2.0 * rng.random()
+            half = orbit_arc(theta_max, math.sqrt((1.0 - s) * (1.0 + s)))
             got.append(max(2.0 * half, 0.0))
-            normal = math.acos(math.sin(inclination) * math.sin(azimuth))
-            want.append(max_orbit_central_angle(MEO, normal, max_detect_distance(MEO, theta_max)))
+            want.append(max_orbit_central_angle(MEO, math.acos(s), max_detect_distance(MEO, theta_max)))
         assert 0 < np.count_nonzero(got) < 25
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_centre_is_nearest_point(self):
+        # Scan random orbits, each built from its normal with an arbitrary
+        # in-plane basis: the arc within the cap is centred on the orbit's
+        # point nearest the target, at central angle delta, and spans twice
+        # the half-angle.
         rng = np.random.default_rng(13)
-        along, across = rng.normal(size=(2, 50)) * 0.5
-        centre, _ = orbit_arc(0.5, along, across)
         anomaly = np.linspace(-math.pi, math.pi, 20001)
-        cos_angle = along[:, None] * np.cos(anomaly) + across[:, None] * np.sin(anomaly)
-        nearest = anomaly[np.argmax(cos_angle, axis=1)]
-        np.testing.assert_allclose(np.angle(np.exp(1j * (nearest - centre))), 0.0, atol=2 * math.pi / 20000)
+        step = 2 * math.pi / 20000
+        for _ in range(50):
+            normal = rng.normal(size=3)
+            normal /= np.linalg.norm(normal)
+            first = np.cross(normal, rng.normal(size=3))
+            first /= np.linalg.norm(first)
+            cos_angle = first[0] * np.cos(anomaly) + np.cross(normal, first)[0] * np.sin(anomaly)
+            cos_delta = math.sqrt(1.0 - normal[0] ** 2)
+            assert cos_angle.max() == pytest.approx(cos_delta, abs=1e-6)
+            half = orbit_arc(0.5, cos_delta)
+            inside = anomaly[cos_angle >= math.cos(0.5)]
+            if half < 0:
+                assert inside.size == 0
+                continue
+            nearest = anomaly[np.argmax(cos_angle)]
+            offset = np.angle(np.exp(1j * (inside - nearest)))
+            assert np.max(np.abs(offset)) == pytest.approx(half, abs=2 * step)
+            assert inside.size * step == pytest.approx(2.0 * half, abs=3 * step)
 
 
 class TestDomeCentralConversions:

@@ -5,6 +5,9 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from constelsim import channel, constellation, geom, mc
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -27,6 +30,7 @@ class TestMcStages:
         result = load_tool("mc_stages").main(["--trials", "200", "--repeat", "1", "--set", "leo.altitude_km=2000"])
         assert json.loads(capsys.readouterr().out) == result
         assert (result["trials"], result["seed"], result["overrides"]) == (200, 1, {"leo.altitude_km": "2000"})
+        assert result["metrics"] == ["availability", "localizability"]
         seconds = result["seconds"]
         assert list(seconds) == ["sampling", "visibility", "sinr", "aggregation", "total"]
         assert all(value >= 0 for value in seconds.values())
@@ -35,3 +39,29 @@ class TestMcStages:
         # The wrappers are gone once the run ends.
         assert staged() == originals
         assert mc.sr_sample is channel.sr_sample and constellation.orbit_arc is geom.orbit_arc
+
+    def test_availability_only_draws_no_fading(self, capsys, monkeypatch):
+        # The campaign of ``validate --metrics availability``: sampling and
+        # visibility only, and the visibility stage is the half-angle.
+        calls = []
+
+        def half_angle(cap_angle, cos_delta):
+            calls.append(np.shape(cos_delta))
+            return geom.orbit_arc(cap_angle, cos_delta)
+
+        monkeypatch.setattr(constellation, "orbit_arc", half_angle)
+        trials, orbits = 2 * mc.CHUNK_TRIALS + 76, 2
+        result = load_tool("mc_stages").main(["--trials", str(trials), "--repeat", "1", "--metrics", "availability",
+                                              "--set", f"meo.n_orbits={orbits}"])
+        assert json.loads(capsys.readouterr().out) == result
+        assert result["metrics"] == ["availability"]
+        assert result["seconds"]["sinr"] == 0 and result["fading_draws_per_trial"] == 0
+        assert result["seconds"]["visibility"] > 0 and result["chunks"] == 3
+        # One half-angle call per chunk, one value per (trial, orbit).
+        assert calls == [(mc.CHUNK_TRIALS, orbits)] * 2 + [(76, orbits)]
+        assert constellation.orbit_arc is half_angle
+
+    def test_rejects_unknown_metric(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            load_tool("mc_stages").main(["--trials", "20", "--metrics", "availability,coverage"])
+        assert exit_info.value.code == 2 and "--metrics" in capsys.readouterr().err

@@ -1,19 +1,23 @@
 """Per-stage timing of one Monte Carlo campaign.
 
-    PYTHONPATH=src python3 tools/mc_stages.py [--trials N] [--seed S] [--repeat R] [--set KEY=VALUE ...]
+    PYTHONPATH=src python3 tools/mc_stages.py [--trials N] [--seed S] [--repeat R]
+                                              [--metrics LIST] [--set KEY=VALUE ...]
 
-Runs ``mc.simulate`` at K = 1..6 with both metric families on the default
-configuration, changed by any ``--set`` overrides, and prints one JSON
-object: the seconds spent in each stage of the best of ``--repeat`` runs
-(least total), the fading values drawn per trial and the chunks per run
-(one ``sample_bpp_cap`` call each).
+Runs ``mc.simulate`` at K = 1..6 on the default configuration, changed by
+any ``--set`` overrides, for the metric families of ``--metrics`` (both by
+default; ``--metrics availability`` times the campaign that
+``validate --metrics availability`` runs), and prints one JSON object: the
+seconds spent in each stage of the best of ``--repeat`` runs (least total),
+the fading values drawn per trial and the chunks per run (one
+``sample_bpp_cap`` call each).
 
 Each stage is the exclusive wall-clock time of the functions ``simulate``
 calls through its module namespaces:
 
 - ``sampling``: ``sample_bpp_cap``, ``place_in_cap`` and ``sample_dsbpp_cap``,
   less visibility;
-- ``visibility``: ``geom.orbit_arc``, which ``sample_dsbpp_cap`` calls;
+- ``visibility``: ``geom.orbit_arc``, the half-angle of each MEO orbit's
+  arc within the cap, which ``sample_dsbpp_cap`` calls;
 - ``sinr``: ``mc._sinr_passes``, fading draws included;
 - ``aggregation``: the rest of ``simulate``.
 
@@ -28,6 +32,7 @@ import json
 import time
 
 from constelsim import constellation, mc
+from constelsim.analytic import METRICS
 from constelsim.config import build_mc_settings, build_system_config, load_settings
 
 STAGES = ("sampling", "visibility", "sinr", "aggregation")
@@ -85,12 +90,12 @@ def _timed_stages():
             setattr(module, name, original)
 
 
-def measure(config, spec) -> dict:
+def measure(config, spec, metrics=METRICS) -> dict:
     """Stage seconds, fading draws per trial and chunks of one ``simulate``
-    run."""
+    run of ``metrics``."""
     with _timed_stages() as (seconds, tally):
         start = time.perf_counter()
-        mc.simulate(config, spec, K_MAX)
+        mc.simulate(config, spec, K_MAX, metrics)
         total = time.perf_counter() - start
     seconds["aggregation"] = total - sum(seconds.values())
     return {
@@ -105,15 +110,20 @@ def main(argv=None) -> dict:
     parser.add_argument("--trials", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=3, help="runs; the one with the least total is reported")
+    parser.add_argument("--metrics", default=",".join(METRICS), help="comma-separated metric families")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="config override")
     args = parser.parse_args(argv)
+    metrics = tuple(args.metrics.split(","))
+    if not set(metrics) <= set(METRICS):
+        parser.error(f"--metrics takes entries of {', '.join(METRICS)}, got {args.metrics}")
     overrides = dict(item.split("=", 1) for item in args.set)
     run_keys = {"mc.n_trials": str(args.trials), "mc.master_seed": str(args.seed)}
     settings = load_settings(overrides={**overrides, **run_keys})
     config, spec = build_system_config(settings), build_mc_settings(settings)
-    runs = [measure(config, spec) for _ in range(max(args.repeat, 1))]
+    runs = [measure(config, spec, metrics) for _ in range(max(args.repeat, 1))]
     best = min(runs, key=lambda run: run["seconds"]["total"])
-    result = {"trials": spec.n_trials, "seed": spec.master_seed, "overrides": overrides, **best}
+    result = {"trials": spec.n_trials, "seed": spec.master_seed, "metrics": list(metrics), "overrides": overrides,
+              **best}
     print(json.dumps(result))
     return result
 
