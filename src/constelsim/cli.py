@@ -6,8 +6,15 @@ MEO count; both run the same sweep, one CSV line per grid point. ``validate``
 runs the analytic-vs-simulation campaign and exits nonzero if any row is out
 of tolerance; ``sample`` dumps one drawn constellation. All output is CSV
 with 12-significant-digit values and newline endings, written in
-deterministic sweep order. The parser holds only the invoked subcommand,
-so a command pays for building no other command's options.
+deterministic sweep order.
+
+:func:`main` builds one argument parser, the invoked command's own (prog
+``constelsim <command>``), and parses the arguments after the command name
+with it. The full parser (:func:`build_parser`), every command's parser
+under the top level, is built only for what it alone can answer: top-level
+help and a missing or unknown command. Arguments the command's parser leaves
+over are refused by the top-level parser with no command added. Usage, help
+and error texts are those of the full parser, byte for byte.
 
 Exit codes: 0 success, 1 validation failures, 2 configuration errors, an
 unreadable ``--config`` or an unwritable ``--out`` among them. An ``--out``
@@ -28,6 +35,7 @@ from dataclasses import dataclass
 from . import analytic
 from .config import (
     ConfigError,
+    build_master_seed,
     build_mc_settings,
     build_system_config,
     emit_settings,
@@ -223,7 +231,7 @@ def cmd_validate(opts, settings: dict) -> int:
 
 def cmd_sample(opts, settings: dict) -> int:
     cfg = build_system_config(settings)
-    rng = derive_rng(build_mc_settings(settings).master_seed, 0)
+    rng = derive_rng(build_master_seed(settings), 0)
     leo_pos = sample_bpp(cfg.leo, rng)
     meo_pos = sample_dsbpp(cfg.meo, rng)
     lines = ["layer,orbit_index,sat_index,x_km,y_km,z_km"]
@@ -251,7 +259,7 @@ def _overrides(opts) -> dict:
         out[key] = value
     if opts.seed is not None:
         out["mc.master_seed"] = str(opts.seed)
-    if opts.trials is not None:
+    if getattr(opts, "trials", None) is not None:
         out["mc.n_trials"] = str(opts.trials)
     return out
 
@@ -296,9 +304,10 @@ def _write(path: str | None, text: str):
 
 
 # Options every subcommand takes, then per subcommand its help, handler and
-# own options, in ``--help`` order. An option is its flag and the keywords
-# of ``add_argument``. A handler takes the parsed options and the settings
-# that ``main`` loads. Only the commands that evaluate take ``_EVALUATION``.
+# options, in ``--help`` order. An option is its flag and the keywords of
+# ``add_argument``. A handler takes the parsed options and the settings that
+# ``main`` loads. Only the commands that evaluate take ``_EVALUATION``, and
+# ``sample``, which runs no trials, takes no ``--trials``.
 _COMMON = (
     ("--config", dict(default=None, help="configuration file (key = value lines)")),
     ("--set", dict(action="append", metavar="KEY=VALUE", help="override one configuration key")),
@@ -315,47 +324,74 @@ _METRIC = ("--metric", dict(choices=analytic.METRICS, default="availability"))
 _K_LIST = ("--K", dict(dest="k_values", default="1,2,3,4,5,6", help="comma-separated K list"))
 _COMMANDS = {
     "curve": ("sweep one parameter, one CSV column per K", cmd_curve, (
-        *_EVALUATION, _SWEEP, _METRIC, ("--system", dict(choices=analytic.SYSTEMS, default="hybrid")), _K_LIST,
-        ("--mc", dict(action="store_true", help="append Monte Carlo columns")))),
+        *_COMMON, *_EVALUATION, _SWEEP, _METRIC, ("--system", dict(choices=analytic.SYSTEMS, default="hybrid")),
+        _K_LIST, ("--mc", dict(action="store_true", help="append Monte Carlo columns")))),
     "heatmap": ("grid LEO count against total MEO count", cmd_heatmap,
-                (*_EVALUATION, _SWEEP, _METRIC, ("--K", dict(dest="k_values", default="6")))),
+                (*_COMMON, *_EVALUATION, _SWEEP, _METRIC, ("--K", dict(dest="k_values", default="6")))),
     "validate": ("analytic vs Monte Carlo validation report", cmd_validate,
-                 (*_EVALUATION, ("--metrics", dict(default=",".join(analytic.METRICS))), _K_LIST)),
-    "sample": ("dump one sampled constellation as CSV", cmd_sample, ()),
-    "emit-config": ("print the effective configuration", cmd_emit_config, ()),
+                 (*_COMMON, *_EVALUATION, ("--metrics", dict(default=",".join(analytic.METRICS))), _K_LIST)),
+    "sample": ("dump one sampled constellation as CSV", cmd_sample,
+               tuple(option for option in _COMMON if option[0] != "--trials")),
+    "emit-config": ("print the effective configuration", cmd_emit_config, _COMMON),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser with only ``command``'s subparser, or with every
-    subcommand's when ``command`` is None."""
+def _with_options(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for flag, kwargs in _COMMANDS[command][2]:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+def _top_parser(metavar: str | None = None) -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The top-level parser and its subcommand action, with no subcommand
+    added yet. Argparse names the commands from the subparsers added;
+    ``metavar`` names them in the usage line where none will be."""
     parser = argparse.ArgumentParser(
         prog="constelsim",
         description="Availability and localizability of LEO/MEO satellite constellations",
     )
-    # With one subcommand built, the metavar keeps every name in the usage
-    # line that argparse's errors print.
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
-    for name in _COMMANDS if command is None else (command,):
-        help_text, fn, options = _COMMANDS[name]
-        sub = subs.add_parser(name, help=help_text)
-        for flag, kwargs in _COMMON + options:
-            sub.add_argument(flag, **kwargs)
-        sub.set_defaults(fn=fn)
+    return parser, parser.add_subparsers(dest="command", required=True, metavar=metavar)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser: the top level with every subcommand's parser."""
+    parser, subs = _top_parser()
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _with_options(subs.add_parser(name, help=help_text), name)
     return parser
 
 
+def command_parser(command: str) -> argparse.ArgumentParser:
+    """``command``'s own parser, as :func:`build_parser` adds it, for the
+    arguments after the command name."""
+    return _with_options(argparse.ArgumentParser(prog=f"constelsim {command}"), command)
+
+
+def parse_argv(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The command named first in ``argv`` and its options, parsed by its
+    own parser alone, or by the full parser when ``argv`` starts with no
+    command. Exits as the full parser's ``parse_args`` does on help and on
+    errors, with the same output."""
+    if not argv or argv[0] not in _COMMANDS:
+        opts = build_parser().parse_args(argv)
+        return opts.command, opts
+    opts, extras = command_parser(argv[0]).parse_known_args(argv[1:])
+    if extras:
+        # The full parser's parse_args refuses leftovers at its top level.
+        top, _ = _top_parser(metavar="{" + ",".join(_COMMANDS) + "}")
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    return argv[0], opts
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    opts = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    command, opts = parse_argv(sys.argv[1:] if argv is None else argv)
     try:
         if "rtol" in opts and not 0 < opts.rtol < math.inf:  # false for NaN too
             raise ConfigError(f"--rtol must be positive and finite, got {opts.rtol}")
         if "jobs" in opts and opts.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {opts.jobs}")
         _check_out(opts.out)
-        return opts.fn(opts, load_settings(opts.config, _overrides(opts)))
+        return _COMMANDS[command][1](opts, load_settings(opts.config, _overrides(opts)))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

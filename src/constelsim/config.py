@@ -207,6 +207,15 @@ def build_mc_settings(settings: dict) -> McSpec:
         raise ConfigError(f"mc: {exc}") from exc
 
 
+def build_master_seed(settings: dict) -> int:
+    """The Monte Carlo master seed alone, from ``mc.master_seed``, for a
+    command that draws but runs no trials."""
+    master_seed = _integer(settings, "mc.master_seed")
+    if master_seed < 0:
+        raise ConfigError("mc: master_seed must be non-negative")
+    return master_seed
+
+
 def default_config() -> SystemConfig:
     return build_system_config(load_settings())
 

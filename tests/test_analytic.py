@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import binom, chisquare, kstest
 
@@ -555,6 +557,45 @@ class TestIntegrateAdaptive:
         assert info.value.label == "square root"
         with pytest.raises(an.QuadratureError, match="non-finite"):
             an.integrate_adaptive(lambda x: np.full_like(x, np.nan), 0.0, 1.0, 1e-8, "nan")
+
+    def test_first_round_is_equal_panels(self):
+        nodes = []
+
+        def recorded(x):
+            nodes.append(x)
+            return np.sin(x)
+
+        assert an.integrate_adaptive(recorded, 0.0, math.pi, 1e-8, "sine") == pytest.approx(2.0, abs=1e-12)
+        assert len(nodes) == 1 and nodes[0].size == 21 * an.FIRST_PANELS
+        panels = nodes[0].reshape(an.FIRST_PANELS, 21)
+        np.testing.assert_allclose(panels[:, 10], (np.arange(an.FIRST_PANELS) + 0.5) * math.pi / an.FIRST_PANELS,
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("max_panels", [1, 2])
+    def test_panel_cap_below_first_round(self, monkeypatch, max_panels):
+        # The first round never takes more panels than the cap allows.
+        monkeypatch.setattr(an, "MAX_PANELS", max_panels)
+        assert an.integrate_adaptive(np.sin, 0.0, math.pi, 1e-8, "sine") == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(an.QuadratureError, match=f"square root.*{max_panels} panels"):
+            an.integrate_adaptive(np.sqrt, 0.0, 1.0, 1e-20, "square root")
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_leo=st.integers(0, 6000), altitude=st.floats(400, 2500), orbits=st.integers(0, 7),
+           per_orbit=st.integers(0, 7), pattern=st.sampled_from(["gaussian", "flattop", "sinc", "cosine"]),
+           phi_3db=st.floats(1.1, 23), n_elements=st.integers(2, 80))
+    def test_tolerance_holds_on_random_configs(self, n_leo, altitude, orbits, per_orbit, pattern, phi_3db,
+                                                n_elements):
+        # ROADMAP's ranges; phi_3db sets the Gaussian and flat-top beams,
+        # n_elements the sinc and cosine ones.
+        cfg = config_with(**{"leo.n_sats": str(n_leo), "leo.altitude_km": str(altitude),
+                             "meo.n_orbits": str(orbits), "meo.sats_per_orbit": str(per_orbit),
+                             "rx.pattern": pattern, "rx.phi_3db": f"{phi_3db} deg",
+                             "rx.n_elements": str(n_elements)})
+        for metric in an.METRICS:
+            loose, tight = an.evaluate(cfg, metric, 6, 1e-8), an.evaluate(cfg, metric, 6, 1e-11)
+            for system in an.SYSTEMS:
+                np.testing.assert_allclose(loose[system], tight[system], rtol=0, atol=1e-8,
+                                           err_msg=f"{metric} {system}")
 
 
 class TestSystemConfigValidation:

@@ -514,9 +514,22 @@ class TestSample:
         assert [(r[1], r[2]) for r in table[-12:]] == [(str(o), str(s)) for o in range(2) for s in range(6)]
 
     def test_negative_seed_exits_two(self, tmp_path, capsys):
-        code, text = run(tmp_path, "sample", "--set", "mc.master_seed=-1")
-        assert code == 2 and text is None
-        assert "configuration error" in capsys.readouterr().err
+        for argv in (["--set", "mc.master_seed=-1"], ["--seed", "-1"]):
+            code, text = run(tmp_path, "sample", *argv)
+            assert code == 2 and text is None
+            assert "configuration error: mc: master_seed must be non-negative" in capsys.readouterr().err
+
+    def test_reads_the_seed_alone(self, tmp_path, capsys):
+        # The drawn constellation depends on the seed, not on the trial count,
+        # so ``sample`` takes no --trials and reads no mc.n_trials.
+        code, text = run(tmp_path, "sample", "--seed", "3", "--set", "mc.n_trials=0", name="a.csv")
+        assert code == 0
+        assert run(tmp_path, "sample", "--seed", "3", name="b.csv") == (0, text)
+        assert run(tmp_path, "sample", "--seed", "4", name="c.csv")[1] != text
+        with pytest.raises(SystemExit) as exit_info:
+            run(tmp_path, "sample", "--trials", "0")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --trials 0" in capsys.readouterr().err
 
 
 class TestEmitConfig:
@@ -600,13 +613,49 @@ def parsers_built(monkeypatch):
     return built
 
 
+def parse_outcome(capsys, parse, argv):
+    """What ``parse(argv)`` gives: its exit code, standard output and
+    standard error when it exits, else the parsed options without the
+    command name."""
+    try:
+        opts = parse(argv)
+    except SystemExit as exit_info:
+        return exit_info.code, capsys.readouterr()
+    return {key: value for key, value in vars(opts).items() if key != "command"}
+
+
+# Arguments each command's parser must answer as the full parser does: its
+# help, no options (a sweep command without its sweep), an unknown option, a
+# bad value of a typed option, a bad metric choice, an argument left over
+# after a sweep, and a run that every command but ``sample`` accepts.
+PARITY_ARGS = [["--help"], [], ["--bogus"], ["--seed", "x"], ["--metric", "coverage"],
+               ["--K", "1", "--sweep", "n_leo=1000:1000:1", "--bogus", "x"],
+               ["--set", "leo.n_sats=5", "--seed", "3", "--out", "-", "--trials", "7"]]
+
+
 class TestParser:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_one_command_help_matches_full_parser(self, capsys, command):
-        one = exit_output(capsys, cli.build_parser(command).parse_args, [command, "--help"])
+        one = exit_output(capsys, cli.command_parser(command).parse_args, ["--help"])
         full = exit_output(capsys, cli.build_parser().parse_args, [command, "--help"])
         assert one == full and one[0] == 0
         assert one[1].out.startswith(f"usage: constelsim {command} [-h]")
+
+    @pytest.mark.parametrize("args", PARITY_ARGS, ids=" ".join)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_parser_answers_as_full_parser(self, capsys, monkeypatch, command, args):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, *args]
+        got = parse_outcome(capsys, lambda argv: cli.parse_argv(argv)[1], argv)
+        assert got == parse_outcome(capsys, cli.build_parser().parse_args, argv)
+        if not isinstance(got, dict):  # main exits with the same output
+            assert exit_output(capsys, cli.main, argv) == got
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--bogus", "curve"], ["--", "emit-config"]])
+    def test_no_leading_command_is_answered_by_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = parse_outcome(capsys, lambda argv: cli.parse_argv(argv)[1], argv)
+        assert got == parse_outcome(capsys, cli.build_parser().parse_args, argv)
 
     def test_top_level_help(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -620,14 +669,23 @@ class TestParser:
         assert code == 2 and out == ""
         assert err.startswith("usage: constelsim [-h] {curve,heatmap,validate,sample,emit-config} ...\n")
 
-    def test_emit_config_builds_two_parsers(self, tmp_path, parsers_built):
+    def test_emit_config_builds_one_parser(self, tmp_path, parsers_built):
         assert run(tmp_path, "emit-config")[0] == 0
-        assert parsers_built == ["constelsim", "constelsim emit-config"]
+        assert parsers_built == ["constelsim emit-config"]
 
-    def test_curve_builds_two_parsers(self, tmp_path, parsers_built):
+    def test_curve_builds_one_parser(self, tmp_path, parsers_built):
         code, text = run(tmp_path, "curve", "--K", "1", "--sweep", "n_leo=1000:1000:1")
         assert code == 0 and len(rows(text)) == 2
-        assert parsers_built == ["constelsim", "constelsim curve"]
+        assert parsers_built == ["constelsim curve"]
+
+    def test_leftover_argument_builds_two_parsers(self, capsys, parsers_built):
+        # The command's parser, then the top level alone to refuse the rest.
+        code, _ = exit_output(capsys, cli.main, ["curve", "--sweep", "n_leo=1000:1000:1", "--bogus"])
+        assert code == 2 and parsers_built == ["constelsim curve", "constelsim"]
+
+    def test_full_parser_is_built_without_a_command(self, capsys, parsers_built):
+        assert exit_output(capsys, cli.main, ["--help"])[0] == 0
+        assert parsers_built == ["constelsim", *(f"constelsim {command}" for command in COMMANDS)]
 
     def test_import_builds_no_parser(self):
         assert fresh_python("-c", _IMPORT_PROBE) == "0\n"

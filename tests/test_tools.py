@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from constelsim import channel, constellation, geom, mc
+from constelsim import analytic, channel, constellation, geom, mc
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -65,3 +65,28 @@ class TestMcStages:
         with pytest.raises(SystemExit) as exit_info:
             load_tool("mc_stages").main(["--trials", "20", "--metrics", "availability,coverage"])
         assert exit_info.value.code == 2 and "--metrics" in capsys.readouterr().err
+
+
+class TestQuadRounds:
+    LABELS = ["interferer count law", "rank coverage", "meo single-satellite localizability"]
+
+    def test_baseline_integrals_take_one_round(self, capsys):
+        wrapped = (analytic.integrate_adaptive, analytic._gk21_panels)
+        result = load_tool("quad_rounds").main([])
+        assert json.loads(capsys.readouterr().out) == result
+        assert (result["rtol"], result["k_max"], result["overrides"]) == (1e-8, 6, {})
+        integrals = result["integrals"]
+        assert list(integrals) == self.LABELS
+        # One round of four 21-node panels each.
+        assert [(i["rounds"], i["nodes"]) for i in integrals.values()] == [(1, 84)] * 3
+        assert all(i["seconds"] > 0 for i in integrals.values())
+        assert result["seconds"] >= sum(i["seconds"] for i in integrals.values())
+        # The wrappers are gone and the caches empty once the run ends.
+        assert (analytic.integrate_adaptive, analytic._gk21_panels) == wrapped
+        assert analytic._interferer_law.cache_info().currsize == 0
+
+    def test_counts_every_round(self, capsys):
+        # A sinc receive beam's count law needs more than one round.
+        result = load_tool("quad_rounds").main(["--set", "rx.pattern=sinc"])
+        law = result["integrals"]["interferer count law"]
+        assert law["rounds"] > 1 and law["nodes"] > 21 * analytic.FIRST_PANELS and law["nodes"] % 21 == 0
