@@ -10,11 +10,11 @@ deterministic sweep order.
 
 :func:`main` builds one argument parser, the invoked command's own (prog
 ``constelsim <command>``), and parses the arguments after the command name
-with it. The full parser (:func:`build_parser`), every command's parser
-under the top level, is built only for what it alone can answer: top-level
-help and a missing or unknown command. Arguments the command's parser leaves
-over are refused by the top-level parser with no command added. Usage, help
-and error texts are those of the full parser, byte for byte.
+with it, so that parser answers help and refuses unknown or leftover
+arguments. The full parser (:func:`build_parser`) is built only for
+top-level help and a missing or unknown command. Each command takes the
+options it reads, and ``validate`` also ``--jobs``, which it ignores until
+it runs its trials on several processes (ROADMAP item 11).
 
 Exit codes: 0 success, 1 validation failures, 2 configuration errors, an
 unreadable ``--config`` or an unwritable ``--out`` among them. An ``--out``
@@ -257,7 +257,7 @@ def _overrides(opts) -> dict:
             raise ConfigError(f"--set expects key=value, got '{item}'")
         key, value = (part.strip() for part in item.split("=", 1))
         out[key] = value
-    if opts.seed is not None:
+    if getattr(opts, "seed", None) is not None:
         out["mc.master_seed"] = str(opts.seed)
     if getattr(opts, "trials", None) is not None:
         out["mc.n_trials"] = str(opts.trials)
@@ -303,18 +303,17 @@ def _write(path: str | None, text: str):
         raise ConfigError(f"cannot write '{path}': {exc.strerror or exc}") from exc
 
 
-# Options every subcommand takes, then per subcommand its help, handler and
-# options, in ``--help`` order. An option is its flag and the keywords of
-# ``add_argument``. A handler takes the parsed options and the settings that
-# ``main`` loads. Only the commands that evaluate take ``_EVALUATION``, and
-# ``sample``, which runs no trials, takes no ``--trials``.
-_COMMON = (
+# Per subcommand its help, handler and options, in ``--help`` order. An
+# option is its flag and the keywords of ``add_argument``; a command takes
+# the options it reads (and ``validate`` ``--jobs``). A handler takes the
+# parsed options and the settings that ``main`` loads.
+_SETTINGS = (
     ("--config", dict(default=None, help="configuration file (key = value lines)")),
     ("--set", dict(action="append", metavar="KEY=VALUE", help="override one configuration key")),
-    ("--seed", dict(type=int, default=None, help="Monte Carlo master seed")),
-    ("--trials", dict(type=int, default=None, help="Monte Carlo trial count")),
-    ("--out", dict(default="-", help="output path, '-' for stdout")),
 )
+_SEED = ("--seed", dict(type=int, default=None, help="Monte Carlo master seed"))
+_TRIALS = ("--trials", dict(type=int, default=None, help="Monte Carlo trial count"))
+_OUT = ("--out", dict(default="-", help="output path, '-' for stdout"))
 _EVALUATION = (
     ("--rtol", dict(type=float, default=1e-8, help="quadrature relative tolerance")),
     ("--jobs", dict(type=int, default=1, help="parallel workers for sweep points")),
@@ -324,63 +323,49 @@ _METRIC = ("--metric", dict(choices=analytic.METRICS, default="availability"))
 _K_LIST = ("--K", dict(dest="k_values", default="1,2,3,4,5,6", help="comma-separated K list"))
 _COMMANDS = {
     "curve": ("sweep one parameter, one CSV column per K", cmd_curve, (
-        *_COMMON, *_EVALUATION, _SWEEP, _METRIC, ("--system", dict(choices=analytic.SYSTEMS, default="hybrid")),
-        _K_LIST, ("--mc", dict(action="store_true", help="append Monte Carlo columns")))),
+        *_SETTINGS, _SEED, _TRIALS, _OUT, *_EVALUATION, _SWEEP, _METRIC,
+        ("--system", dict(choices=analytic.SYSTEMS, default="hybrid")), _K_LIST,
+        ("--mc", dict(action="store_true", help="append Monte Carlo columns")))),
     "heatmap": ("grid LEO count against total MEO count", cmd_heatmap,
-                (*_COMMON, *_EVALUATION, _SWEEP, _METRIC, ("--K", dict(dest="k_values", default="6")))),
-    "validate": ("analytic vs Monte Carlo validation report", cmd_validate,
-                 (*_COMMON, *_EVALUATION, ("--metrics", dict(default=",".join(analytic.METRICS))), _K_LIST)),
-    "sample": ("dump one sampled constellation as CSV", cmd_sample,
-               tuple(option for option in _COMMON if option[0] != "--trials")),
-    "emit-config": ("print the effective configuration", cmd_emit_config, _COMMON),
+                (*_SETTINGS, _OUT, *_EVALUATION, _SWEEP, _METRIC, ("--K", dict(dest="k_values", default="6")))),
+    "validate": ("analytic vs Monte Carlo validation report", cmd_validate, (
+        *_SETTINGS, _SEED, _TRIALS, _OUT, *_EVALUATION, ("--metrics", dict(default=",".join(analytic.METRICS))),
+        _K_LIST)),
+    "sample": ("dump one sampled constellation as CSV", cmd_sample, (*_SETTINGS, _SEED, _OUT)),
+    "emit-config": ("print the effective configuration", cmd_emit_config, (*_SETTINGS, _SEED, _TRIALS, _OUT)),
 }
 
 
-def _with_options(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+def command_parser(command: str, parser: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
+    """``parser``, by default a new one of ``command``'s own (prog
+    ``constelsim <command>``), with ``command``'s options added."""
+    if parser is None:
+        parser = argparse.ArgumentParser(prog=f"constelsim {command}")
     for flag, kwargs in _COMMANDS[command][2]:
         parser.add_argument(flag, **kwargs)
     return parser
 
 
-def _top_parser(metavar: str | None = None) -> tuple[argparse.ArgumentParser, argparse.Action]:
-    """The top-level parser and its subcommand action, with no subcommand
-    added yet. Argparse names the commands from the subparsers added;
-    ``metavar`` names them in the usage line where none will be."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser: the top level with every subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="constelsim",
         description="Availability and localizability of LEO/MEO satellite constellations",
     )
-    return parser, parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The full CLI parser: the top level with every subcommand's parser."""
-    parser, subs = _top_parser()
+    subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in _COMMANDS.items():
-        _with_options(subs.add_parser(name, help=help_text), name)
+        command_parser(name, subs.add_parser(name, help=help_text))
     return parser
-
-
-def command_parser(command: str) -> argparse.ArgumentParser:
-    """``command``'s own parser, as :func:`build_parser` adds it, for the
-    arguments after the command name."""
-    return _with_options(argparse.ArgumentParser(prog=f"constelsim {command}"), command)
 
 
 def parse_argv(argv: list[str]) -> tuple[str, argparse.Namespace]:
     """The command named first in ``argv`` and its options, parsed by its
-    own parser alone, or by the full parser when ``argv`` starts with no
-    command. Exits as the full parser's ``parse_args`` does on help and on
-    errors, with the same output."""
-    if not argv or argv[0] not in _COMMANDS:
-        opts = build_parser().parse_args(argv)
-        return opts.command, opts
-    opts, extras = command_parser(argv[0]).parse_known_args(argv[1:])
-    if extras:
-        # The full parser's parse_args refuses leftovers at its top level.
-        top, _ = _top_parser(metavar="{" + ",".join(_COMMANDS) + "}")
-        top.error(f"unrecognized arguments: {' '.join(extras)}")
-    return argv[0], opts
+    own parser, or by the full parser when ``argv`` starts with no command.
+    Exits as that parser's ``parse_args`` does on help and on errors."""
+    if argv and argv[0] in _COMMANDS:
+        return argv[0], command_parser(argv[0]).parse_args(argv[1:])
+    opts = build_parser().parse_args(argv)
+    return opts.command, opts
 
 
 def main(argv=None) -> int:

@@ -8,8 +8,8 @@ from constelsim import analytic
 
 @pytest.fixture(autouse=True)
 def analytic_caches():
-    """The analytic layer caches (count law, LEO ranks, MEO pass), emptied."""
-    caches = (analytic._interferer_law, analytic._leo_rank_probs, analytic._meo_pass_prob)
+    """Every cache of the analytic layer, found by its ``cache_clear``, emptied."""
+    caches = [obj for obj in vars(analytic).values() if hasattr(obj, "cache_clear")]
     for cache in caches:
         cache.cache_clear()
     return caches

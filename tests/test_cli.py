@@ -294,12 +294,21 @@ def test_bad_jobs_exits_two(tmp_path, capsys, command, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option", [["--rtol", "1e-8"], ["--jobs", "1"]])
-@pytest.mark.parametrize("command", ["sample", "emit-config"])
+# Options a command does not read, and the arguments it needs to run. Neither
+# ``sample`` nor ``emit-config`` evaluates, so neither takes a tolerance or
+# workers; ``heatmap`` runs no trials, so it takes no seed or trial count.
+UNREAD_OPTIONS = {"emit-config": ([], [["--rtol", "1e-8"], ["--jobs", "1"]]),
+                  "heatmap": (["--sweep", "n_leo=1000:1000:1", "--sweep", "n_meo=12:12:1"],
+                              [["--seed", "3"], ["--trials", "7"]]),
+                  "sample": ([], [["--rtol", "1e-8"], ["--jobs", "1"]])}
+
+
+@pytest.mark.parametrize("command, option", [
+    pytest.param(command, option, id=f"{command}-option{i}")
+    for command, (_, options) in UNREAD_OPTIONS.items() for i, option in enumerate(options)])
 def test_unread_options_exit_two(tmp_path, capsys, command, option):
-    # Neither command evaluates, so neither takes a tolerance or workers.
     with pytest.raises(SystemExit) as exit_info:
-        run(tmp_path, command, *option)
+        run(tmp_path, command, *UNREAD_OPTIONS[command][0], *option)
     assert exit_info.value.code == 2 and not (tmp_path / "out.csv").exists()
     assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
@@ -624,13 +633,27 @@ def parse_outcome(capsys, parse, argv):
     return {key: value for key, value in vars(opts).items() if key != "command"}
 
 
-# Arguments each command's parser must answer as the full parser does: its
-# help, no options (a sweep command without its sweep), an unknown option, a
-# bad value of a typed option, a bad metric choice, an argument left over
-# after a sweep, and a run that every command but ``sample`` accepts.
+# Arguments for each command's parser: its help, no options (a sweep command
+# without its sweep), an unknown option, a bad value of a typed option, a bad
+# metric choice, an argument left over after a sweep, and a run that every
+# command but ``sample`` accepts.
 PARITY_ARGS = [["--help"], [], ["--bogus"], ["--seed", "x"], ["--metric", "coverage"],
                ["--K", "1", "--sweep", "n_leo=1000:1000:1", "--bogus", "x"],
                ["--set", "leo.n_sats=5", "--seed", "3", "--out", "-", "--trials", "7"]]
+
+# What each command's parser leaves over of PARITY_ARGS, by command and case
+# index. The full parser refuses it at its top level, the command's parser
+# in its own name; every other case it answers as the full parser does.
+LEFT_OVER = {
+    **{(command, 2): "--bogus" for command in ("validate", "sample", "emit-config")},
+    **{(command, 4): "--metric coverage" for command in ("sample", "emit-config")},
+    ("curve", 5): "--bogus x",
+    ("heatmap", 5): "--bogus x",
+    ("validate", 5): "--sweep n_leo=1000:1000:1 --bogus x",
+    ("sample", 5): "--K 1 --sweep n_leo=1000:1000:1 --bogus x",
+    ("emit-config", 5): "--K 1 --sweep n_leo=1000:1000:1 --bogus x",
+    ("sample", 6): "--trials 7",
+}
 
 
 class TestParser:
@@ -647,7 +670,15 @@ class TestParser:
         monkeypatch.setenv("COLUMNS", "80")
         argv = [command, *args]
         got = parse_outcome(capsys, lambda argv: cli.parse_argv(argv)[1], argv)
-        assert got == parse_outcome(capsys, cli.build_parser().parse_args, argv)
+        want = parse_outcome(capsys, cli.build_parser().parse_args, argv)
+        left_over = LEFT_OVER.get((command, PARITY_ARGS.index(args)))
+        if left_over is None:
+            assert got == want
+        else:
+            assert want[1].err.endswith(f"\nconstelsim: error: unrecognized arguments: {left_over}\n")
+            code, (out, err) = got
+            assert code == 2 and out == "" and err.startswith(f"usage: constelsim {command} [-h]")
+            assert err.endswith(f"\nconstelsim {command}: error: unrecognized arguments: {left_over}\n")
         if not isinstance(got, dict):  # main exits with the same output
             assert exit_output(capsys, cli.main, argv) == got
 
@@ -661,8 +692,7 @@ class TestParser:
         monkeypatch.setenv("COLUMNS", "80")
         assert exit_output(capsys, cli.main, ["--help"]) == (0, (TOP_HELP, ""))
 
-    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--bogus"],
-                                      ["curve", "--sweep", "n_leo=1000:1000:1", "--bogus"]])
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--bogus"]])
     def test_usage_lists_every_command(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
         code, (out, err) = exit_output(capsys, cli.main, argv)
@@ -678,10 +708,9 @@ class TestParser:
         assert code == 0 and len(rows(text)) == 2
         assert parsers_built == ["constelsim curve"]
 
-    def test_leftover_argument_builds_two_parsers(self, capsys, parsers_built):
-        # The command's parser, then the top level alone to refuse the rest.
+    def test_leftover_argument_builds_one_parser(self, capsys, parsers_built):
         code, _ = exit_output(capsys, cli.main, ["curve", "--sweep", "n_leo=1000:1000:1", "--bogus"])
-        assert code == 2 and parsers_built == ["constelsim curve", "constelsim"]
+        assert code == 2 and parsers_built == ["constelsim curve"]
 
     def test_full_parser_is_built_without_a_command(self, capsys, parsers_built):
         assert exit_output(capsys, cli.main, ["--help"])[0] == 0

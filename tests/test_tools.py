@@ -72,7 +72,8 @@ class TestQuadRounds:
 
     def test_baseline_integrals_take_one_round(self, capsys):
         wrapped = (analytic.integrate_adaptive, analytic._gk21_panels)
-        result = load_tool("quad_rounds").main([])
+        tool = load_tool("quad_rounds")
+        result = tool.main([])
         assert json.loads(capsys.readouterr().out) == result
         assert (result["rtol"], result["k_max"], result["overrides"]) == (1e-8, 6, {})
         integrals = result["integrals"]
@@ -83,7 +84,8 @@ class TestQuadRounds:
         assert result["seconds"] >= sum(i["seconds"] for i in integrals.values())
         # The wrappers are gone and the caches empty once the run ends.
         assert (analytic.integrate_adaptive, analytic._gk21_panels) == wrapped
-        assert analytic._interferer_law.cache_info().currsize == 0
+        assert {analytic._interferer_law, analytic._leo_rank_probs, analytic._meo_pass_prob} <= set(tool.CACHES)
+        assert [cache.cache_info().currsize for cache in tool.CACHES] == [0] * len(tool.CACHES)
 
     def test_counts_every_round(self, capsys):
         # A sinc receive beam's count law needs more than one round.

@@ -25,7 +25,8 @@ import time
 from constelsim import analytic
 from constelsim.config import build_system_config, load_settings
 
-CACHES = (analytic._interferer_law, analytic._leo_rank_probs, analytic._meo_pass_prob)
+# Every cache of the analytic layer, found by its ``cache_clear``.
+CACHES = tuple(obj for obj in vars(analytic).values() if hasattr(obj, "cache_clear"))
 
 
 def _clear_caches():
