@@ -297,10 +297,11 @@ def test_bad_jobs_exits_two(tmp_path, capsys, command, jobs):
 # Options a command does not read, and the arguments it needs to run. Neither
 # ``sample`` nor ``emit-config`` evaluates, so neither takes a tolerance or
 # workers; ``heatmap`` runs no trials, so it takes no seed or trial count.
-UNREAD_OPTIONS = {"emit-config": ([], [["--rtol", "1e-8"], ["--jobs", "1"]]),
+EVALUATION_OPTIONS = [["--rtol", "1e-8"], ["--jobs", "1"]]
+UNREAD_OPTIONS = {"emit-config": ([], EVALUATION_OPTIONS),
                   "heatmap": (["--sweep", "n_leo=1000:1000:1", "--sweep", "n_meo=12:12:1"],
                               [["--seed", "3"], ["--trials", "7"]]),
-                  "sample": ([], [["--rtol", "1e-8"], ["--jobs", "1"]])}
+                  "sample": ([], EVALUATION_OPTIONS)}
 
 
 @pytest.mark.parametrize("command, option", [
