@@ -83,13 +83,14 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach its tolerance."""
 
     def __init__(self, label: str, estimate: float, error: float, detail: str = ""):
-        self.label = label
-        self.estimate = estimate
-        self.error = error
+        # Every argument goes to the base class, so unpickling can rebuild the error.
+        super().__init__(label, estimate, error, detail)
+        self.label, self.estimate, self.error = label, estimate, error
+
+    def __str__(self) -> str:
+        label, estimate, error, detail = self.args
         msg = f"quadrature '{label}' did not converge: estimate {estimate}, error {error}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        return f"{msg} ({detail})" if detail else msg
 
 
 # Equal panels integrate_adaptive starts from, and most panels it may use
@@ -328,16 +329,17 @@ def compose(leo: np.ndarray, meo_law: np.ndarray, cutoff: int) -> dict[str, np.n
 # Contact angle densities
 # ---------------------------------------------------------------------------
 
-def contact_angle_pdfs(n: int, theta_max: float, k_max: int, theta) -> np.ndarray:
+def contact_angle_pdfs(n: int, k_max: int, theta) -> np.ndarray:
     """Densities of the central angle to the k-th nearest of ``n``
     satellites uniform on their shell, for k = 1..k_max, shape
-    ``(k_max,) + shape(theta)``.
+    ``(k_max,) + shape(theta)``, at angles ``theta`` in [0, pi].
 
     The rank-k density is the derivative of P(Binomial(n, f(theta)) >= k),
     with f the cap fraction; by k C(n, k) = n C(n - 1, k - 1) it is
-    n sin(theta) / 2 * P(Binomial(n - 1, f(theta)) = k - 1). It is
-    defective on [0, theta_max], where it integrates to the probability that
-    a k-th satellite is detectable at all, and zero outside [0, theta_max].
+    n sin(theta) / 2 * P(Binomial(n - 1, f(theta)) = k - 1). Over
+    [0, theta_max] it integrates to the probability that a k-th satellite is
+    detectable at all; the integral's bounds, not this function, cut it
+    there.
     """
     if not 1 <= k_max <= n:
         raise ValueError(f"ranks must lie in [1, {n}], got k_max = {k_max}")
@@ -350,8 +352,7 @@ def contact_angle_pdfs(n: int, theta_max: float, k_max: int, theta) -> np.ndarra
         body = np.exp(math.log(n) + log_comb.reshape(k.shape) + (k - 1) * np.log(p) + (n - k) * np.log1p(-p))
     # p = 0 only at theta = 0, where the rank-1 body tends to n and higher
     # ranks vanish; the sin factor zeroes the density either way.
-    density = np.where(p > 0, body, np.where(k == 1, float(n), 0.0)) * 0.5 * np.sin(theta)
-    return np.where((theta >= 0) & (theta <= theta_max), density, 0.0)
+    return np.where(p > 0, body, np.where(k == 1, float(n), 0.0)) * 0.5 * np.sin(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +382,7 @@ def _pass_integral(n, radius_km, theta_max, link, fading, counts, k_max, rtol, l
     series is evaluated once per node."""
     def integrand(theta):
         x = _noise_threshold(link, radius_km, theta)
-        return contact_angle_pdfs(n, theta_max, k_max, theta) * sr_sf(fading, x, counts)
+        return contact_angle_pdfs(n, k_max, theta) * sr_sf(fading, x, counts)
 
     return np.clip(integrate_adaptive(integrand, 0.0, theta_max, rtol, label), 0.0, 1.0)
 

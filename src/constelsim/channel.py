@@ -16,11 +16,10 @@ summation turns the series truncated after Z terms, exactly, into sums over
 the Poisson probabilities pi_j(x) = x^j e^{-x} / j!, j < Z:
 
     survival  1 - F(w) = sum_j T_j pi_j(x),      T_j = sum_{z=j}^{Z-1} c_z,
-    density   f(w)     = sum_j c_j pi_j(x) / (2 b0),
     CDF       F(w)     = sum_{j>=1} H_j pi_j(x) + T_0 P(Poisson(x) >= Z),
                                                  H_j = sum_{z<j} c_z.
 
-One kernel serves all three. The weights c and their tails T depend on the
+One kernel serves both. The weights c and their tails T depend on the
 fading parameters alone and are cached; Z is the smallest multiple of 16
 whose dropped weights sum to at most the tolerance. The Poisson
 probabilities are built by the recurrence pi_j = pi_{j-1} x / j, one
@@ -270,13 +269,6 @@ def sr_count_pmf(params: SrFadingParams, scale):
     while np.any((total := out.sum(axis=0)) > 1.0):
         out[:, total > 1.0] /= total[total > 1.0]
     return out.reshape((n_terms,) + a.shape)
-
-
-def sr_pdf(params: SrFadingParams, w, tol: float = _SERIES_TOL):
-    """Density of the shadowed-Rician power fading, elementwise over ``w``;
-    the dropped terms are at most ``tol / (2 b0)``."""
-    x, c, _, pi = _series_terms(params, w, tol)
-    return _shaped(w, c @ pi / (2.0 * params.b0))
 
 
 def sr_sample(params: SrFadingParams, rng: np.random.Generator, size=None):

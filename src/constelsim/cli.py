@@ -17,10 +17,11 @@ options it reads, and ``validate`` also ``--jobs``, which it ignores until
 it runs its trials on several processes (ROADMAP item 11).
 
 Exit codes: 0 success, 1 validation failures, 2 configuration errors, an
-unreadable ``--config`` or an unwritable ``--out`` among them. An ``--out``
-that is a directory, whose directory does not exist, or that this process
-may not write or cannot open, is refused before any work. The file is
-written only once the output is ready.
+unreadable ``--config``, an unwritable ``--out`` and a quadrature or fading
+series that does not converge among them. An ``--out`` that is a directory,
+whose directory does not exist, or that this process may not write or
+cannot open, is refused before any work. The file is written only once the
+output is ready.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import analytic
+from .channel import SeriesConvergenceError
 from .config import (
     ConfigError,
     build_master_seed,
@@ -41,8 +42,8 @@ from .config import (
     emit_settings,
     load_settings,
 )
-from .constellation import derive_rng, sample_bpp, sample_dsbpp
-from .mc import run_validation, simulate, validation_csv
+from .constellation import derive_rng, sample_bpp, sample_dsbpp_cap
+from .mc import run_validation, simulate
 
 # Sweepable parameter names, the settings key each sets and the layer it
 # affects. n_meo sets the total MEO count; the closed forms depend only on
@@ -65,13 +66,8 @@ _SWEEP_PARAMS = {
 MAX_SWEEP_POINTS = 100_000
 
 
-@dataclass
-class SweepAxis:
-    name: str
-    values: list
-
-
-def _parse_sweep(text: str) -> SweepAxis:
+def _parse_sweep(text: str) -> tuple[str, list[float]]:
+    """The swept parameter's name and its values."""
     if "=" not in text:
         raise ConfigError(f"sweep must look like name=min:max:step, got '{text}'")
     name, spec = (part.strip() for part in text.split("=", 1))
@@ -94,18 +90,18 @@ def _parse_sweep(text: str) -> SweepAxis:
     last = (hi - lo) / step + 1e-9 * max(1.0, abs(hi)) / step
     if not last < MAX_SWEEP_POINTS:
         raise ConfigError(f"sweep may hold at most {MAX_SWEEP_POINTS} points, got '{spec}'")
-    return SweepAxis(name=name, values=[round(lo + i * step, 12) for i in range(math.floor(last) + 1)])
+    return name, [round(lo + i * step, 12) for i in range(math.floor(last) + 1)]
 
 
-def _apply_point(settings: dict, axes: list[SweepAxis], point: tuple) -> dict:
+def _apply_point(settings: dict, axes: list[tuple[str, list[float]]], point: tuple) -> dict:
     """``settings`` with each of ``axes`` set to its value in ``point``."""
     out = dict(settings)
-    for axis, value in zip(axes, point):
-        key = _SWEEP_PARAMS[axis.name][0]
-        if axis.name == "n_meo":
+    for (name, _), value in zip(axes, point):
+        key = _SWEEP_PARAMS[name][0]
+        if name == "n_meo":
             out["meo.n_orbits"] = value
             out["meo.sats_per_orbit"] = 1
-        elif axis.name.startswith("phi_"):
+        elif name.startswith("phi_"):
             out[key] = math.radians(value)
         else:
             out[key] = value
@@ -175,14 +171,14 @@ def _map_points(tasks, jobs: int) -> list:
         return list(pool.map(_curve_point, tasks))
 
 
-def _sweep(opts, settings: dict, axes: list[SweepAxis], header: list[str], system: str, ks: list[int],
-           mc_spec=None) -> int:
+def _sweep(opts, settings: dict, axes: list[tuple[str, list[float]]], header: list[str], system: str,
+           ks: list[int], mc_spec=None) -> int:
     """Evaluate ``system`` at every point of the grid over ``axes``, first
     axis outermost, and write one CSV line per point: the axis values, then
     the point's row."""
-    if math.prod(len(axis.values) for axis in axes) > MAX_SWEEP_POINTS:
+    if math.prod(len(values) for _, values in axes) > MAX_SWEEP_POINTS:
         raise ConfigError(f"sweep grid may hold at most {MAX_SWEEP_POINTS} points")
-    grid = list(itertools.product(*(axis.values for axis in axes)))
+    grid = list(itertools.product(*(values for _, values in axes)))
     rows = _map_points([(_apply_point(settings, axes, point), opts.metric, system, ks, opts.rtol, mc_spec)
                         for point in grid], opts.jobs)
     lines = [",".join(header)] + [_format_row([*point, *row]) for point, row in zip(grid, rows)]
@@ -194,7 +190,7 @@ def cmd_curve(opts, settings: dict) -> int:
     axes = [_parse_sweep(s) for s in opts.sweep]
     if len(axes) != 1:
         raise ConfigError("curve needs exactly one --sweep axis")
-    _check_axis_system(axes[0].name, opts.system)
+    _check_axis_system(axes[0][0], opts.system)
     ks = _parse_list("K", opts.k_values, _k_value)
     # Monte Carlo settings are read, and so checked, only when --mc asks for them.
     mc_spec = build_mc_settings(settings) if opts.mc else None
@@ -206,13 +202,14 @@ def cmd_curve(opts, settings: dict) -> int:
 
 
 def cmd_heatmap(opts, settings: dict) -> int:
-    axes = {axis.name: axis for axis in map(_parse_sweep, opts.sweep)}
+    axes = dict(map(_parse_sweep, opts.sweep))
     if len(opts.sweep) != 2 or set(axes) != {"n_leo", "n_meo"}:
         raise ConfigError("heatmap needs exactly two --sweep axes, n_leo and n_meo")
     ks = _parse_list("K", opts.k_values, _k_value)
     if len(ks) != 1:
         raise ConfigError("heatmap needs exactly one K value")
-    return _sweep(opts, settings, [axes["n_leo"], axes["n_meo"]], ["n_leo", "n_meo", "value"], "hybrid", ks)
+    return _sweep(opts, settings, [(n, axes[n]) for n in ("n_leo", "n_meo")], ["n_leo", "n_meo", "value"],
+                  "hybrid", ks)
 
 
 def cmd_validate(opts, settings: dict) -> int:
@@ -221,7 +218,10 @@ def cmd_validate(opts, settings: dict) -> int:
     spec = build_mc_settings(settings)
     metrics = tuple(_parse_list("metric", opts.metrics, _known_metric))
     rows = run_validation(cfg, spec, ks, opts.rtol, metrics)
-    _write(opts.out, validation_csv(rows))
+    lines = ["metric,K,analytic,empirical,std_err,delta,pass"] + [
+        f"{r.metric},{_format_row([r.k, r.analytic, r.empirical, r.std_err, r.delta])},{str(r.passed).lower()}"
+        for r in rows]
+    _write(opts.out, "\n".join(lines) + "\n")
     failures = sum(1 for r in rows if not r.passed)
     if failures:
         print(f"{failures} of {len(rows)} validation rows out of tolerance", file=sys.stderr)
@@ -233,7 +233,8 @@ def cmd_sample(opts, settings: dict) -> int:
     cfg = build_system_config(settings)
     rng = derive_rng(build_master_seed(settings), 0)
     leo_pos = sample_bpp(cfg.leo, rng)
-    meo_pos = sample_dsbpp(cfg.meo, rng)
+    # Every satellite lies within central angle pi, so this is the whole shell.
+    meo_pos = sample_dsbpp_cap(cfg.meo, rng, math.pi, 1, positions=True)[1]
     lines = ["layer,orbit_index,sat_index,x_km,y_km,z_km"]
     for i, pos in enumerate(leo_pos):
         lines.append(f"leo,-1,{i}," + _format_row(pos))
@@ -377,7 +378,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--jobs must be at least 1, got {opts.jobs}")
         _check_out(opts.out)
         return _COMMANDS[command][1](opts, load_settings(opts.config, _overrides(opts)))
-    except ConfigError as exc:
+    except (ConfigError, analytic.QuadratureError, SeriesConvergenceError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

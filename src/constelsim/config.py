@@ -71,8 +71,6 @@ _DEFAULTS: dict[str, str] = {
     "mc.sum_all_interferers": "true",
 }
 
-_KNOWN_KEYS = set(_DEFAULTS)
-
 _UNIT_SUFFIXES = ("dBW", "dBm", "dBi", "dB", "deg", "rad")
 
 
@@ -108,9 +106,9 @@ def _parse_value(key: str, raw: str) -> float | str | bool:
     return value
 
 
-def parse_config_text(text: str, base: dict | None = None) -> dict:
+def parse_config_text(text: str) -> dict:
     """Parse ``key = value`` lines into a flat settings dict over defaults."""
-    settings = dict(base) if base is not None else {k: _parse_value(k, v) for k, v in _DEFAULTS.items()}
+    settings = {k: _parse_value(k, v) for k, v in _DEFAULTS.items()}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -118,7 +116,7 @@ def parse_config_text(text: str, base: dict | None = None) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got '{line}'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         settings[key] = _parse_value(key, raw)
     return settings
@@ -126,16 +124,16 @@ def parse_config_text(text: str, base: dict | None = None) -> dict:
 
 def load_settings(path: str | None = None, overrides: dict[str, str] | None = None) -> dict:
     """Settings from defaults, then an optional file, then explicit overrides."""
-    settings = {k: _parse_value(k, v) for k, v in _DEFAULTS.items()}
+    text = ""
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read '{path}': {getattr(exc, 'strerror', None) or exc}") from exc
-        settings = parse_config_text(text, base=settings)
+    settings = parse_config_text(text)
     for key, raw in (overrides or {}).items():
-        if key not in _KNOWN_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"unknown key '{key}'")
         settings[key] = _parse_value(key, str(raw))
     return settings

@@ -24,8 +24,8 @@ target sees a satellite depends only on its orbit's s and its own anomaly:
 the orbit's visible part is one arc about its point nearest the target, so
 no satellite needs a position or a distance to be found visible. It
 returns the per-shell visible counts and, only when asked, the visible
-satellites' positions packed shell by shell.
-:func:`sample_bpp` and :func:`sample_dsbpp` draw whole shells.
+satellites' positions packed shell by shell. :func:`sample_bpp` draws a
+whole LEO shell, and a MEO cap of central angle pi holds its whole shell.
 """
 
 from __future__ import annotations
@@ -102,13 +102,6 @@ def sample_bpp(config: LeoShellConfig, rng: np.random.Generator) -> np.ndarray:
     out[:, 2] = np.cos(polar)
     out *= config.radius_km
     return out
-
-
-def sample_dsbpp(config: MeoShellConfig, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw the MEO shell, as :func:`sample_dsbpp_cap` draws it, whole: shape
-    ``(n_sats, 3)``, or ``(n, n_sats, 3)`` for n shells with ``size=n``."""
-    _, positions = sample_dsbpp_cap(config, rng, math.pi, 1 if size is None else size, positions=True)
-    return positions.reshape((() if size is None else (size,)) + (config.n_sats, 3))
 
 
 def sample_dsbpp_cap(

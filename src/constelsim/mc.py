@@ -310,7 +310,6 @@ class ValidationRow:
     empirical: float
     std_err: float
     delta: float
-    tolerance: float
     passed: bool
 
 
@@ -356,17 +355,7 @@ def run_validation(
                     empirical=emp,
                     std_err=se,
                     delta=delta,
-                    tolerance=tol,
                     passed=abs(delta) <= tol,
                 ))
     return rows
 
-
-def validation_csv(rows: list[ValidationRow]) -> str:
-    lines = ["metric,K,analytic,empirical,std_err,delta,pass"]
-    for row in rows:
-        lines.append(
-            f"{row.metric},{row.k},{row.analytic:.12g},{row.empirical:.12g},"
-            f"{row.std_err:.12g},{row.delta:.12g},{'true' if row.passed else 'false'}"
-        )
-    return "\n".join(lines) + "\n"

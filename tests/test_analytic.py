@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -24,7 +25,7 @@ from constelsim.constellation import (
     derive_rng,
     sample_bpp,
     sample_bpp_cap,
-    sample_dsbpp,
+    sample_dsbpp_cap,
 )
 from constelsim.geom import EARTH_RADIUS_KM
 from test_geom import max_detect_distance, max_orbit_central_angle
@@ -143,7 +144,8 @@ class TestMeoAvailability:
         rng = derive_rng(17)
         n_draws, chunk = 150_000, 10_000
         hits = sum(
-            int(np.count_nonzero(central_angle_to_target(sample_dsbpp(cfg.meo, rng, size=chunk)) <= cfg.meo_theta_max))
+            int(np.count_nonzero(central_angle_to_target(
+                sample_dsbpp_cap(cfg.meo, rng, math.pi, chunk, positions=True)[1]) <= cfg.meo_theta_max))
             for _ in range(n_draws // chunk)
         )
         p1 = an.meo_single_availability(cfg)
@@ -288,14 +290,14 @@ def sum_form_contact_pdf(n, k, theta):
 
 def rank_pdf(cfg, k, theta):
     """Rank-k contact-angle density of the LEO shell of ``cfg`` at one angle."""
-    return float(an.contact_angle_pdfs(cfg.leo.n_sats, cfg.leo_theta_max, k, theta)[k - 1])
+    return float(an.contact_angle_pdfs(cfg.leo.n_sats, k, theta)[k - 1])
 
 
 class TestContactAngles:
     def test_matches_sum_form(self):
         n = CFG.leo.n_sats
         grid = np.linspace(1e-4, CFG.leo_theta_max, 40)
-        got = an.contact_angle_pdfs(n, CFG.leo_theta_max, 6, grid)
+        got = an.contact_angle_pdfs(n, 6, grid)
         assert got.shape == (6, grid.size)
         for k in (1, 2, 4, 6):
             for theta, value in zip(grid, got[k - 1]):
@@ -308,7 +310,7 @@ class TestContactAngles:
         # the density of one of the n satellites, n sin(theta) / 2.
         n = 50
         grid = np.linspace(1e-3, math.pi - 1e-3, 60)
-        got = an.contact_angle_pdfs(n, math.pi, n, grid)
+        got = an.contact_angle_pdfs(n, n, grid)
         for k in range(1, n + 1):
             want = sum_form_contact_pdf(n, k, grid)
             np.testing.assert_allclose(got[k - 1], want, rtol=1e-9, atol=1e-12)
@@ -322,8 +324,7 @@ class TestContactAngles:
             assert rank_pdf(CFG, 1, theta) == pytest.approx(want, rel=1e-10)
 
     def test_zero_angle(self):
-        theta_max = CFG.leo_theta_max
-        got = an.contact_angle_pdfs(CFG.leo.n_sats, theta_max, 3, np.array([-0.01, 0.0, theta_max * 1.01]))
+        got = an.contact_angle_pdfs(CFG.leo.n_sats, 3, np.array([0.0]))
         np.testing.assert_array_equal(got, 0.0)
 
     def test_mass_equals_availability(self):
@@ -369,7 +370,7 @@ class TestContactAngles:
         cfg = config_with(**{"meo.n_orbits": "1", "meo.sats_per_orbit": "1"})
         theta_max = cfg.meo_theta_max
         rng = derive_rng(29)
-        angles = central_angle_to_target(sample_dsbpp(cfg.meo, rng, size=40_000))[:, 0]
+        angles = central_angle_to_target(sample_dsbpp_cap(cfg.meo, rng, math.pi, 40_000, positions=True)[1])
         samples = angles[angles <= theta_max]
         cap = 1 - math.cos(theta_max)
 
@@ -381,9 +382,9 @@ class TestContactAngles:
     def test_rank_bounds(self):
         n = CFG.leo.n_sats
         with pytest.raises(ValueError):
-            an.contact_angle_pdfs(n, CFG.leo_theta_max, 0, 0.01)
+            an.contact_angle_pdfs(n, 0, 0.01)
         with pytest.raises(ValueError):
-            an.contact_angle_pdfs(n, CFG.leo_theta_max, n + 1, 0.01)
+            an.contact_angle_pdfs(n, n + 1, 0.01)
 
 
 class TestLeoInterferenceCap:
@@ -570,6 +571,15 @@ class TestIntegrateAdaptive:
         assert info.value.label == "square root"
         with pytest.raises(an.QuadratureError, match="non-finite"):
             an.integrate_adaptive(lambda x: np.full_like(x, np.nan), 0.0, 1.0, 1e-8, "nan")
+
+    @pytest.mark.parametrize("detail, message", [
+        ("200 panels", "quadrature 'rank coverage' did not converge: estimate 0.25, error 0.001 (200 panels)"),
+        ("", "quadrature 'rank coverage' did not converge: estimate 0.25, error 0.001"),
+    ], ids=["detail", "no-detail"])
+    def test_error_survives_pickling(self, detail, message):
+        # A sweep's worker process hands its error back pickled.
+        error = pickle.loads(pickle.dumps(an.QuadratureError("rank coverage", 0.25, 1e-3, detail)))
+        assert (error.label, error.estimate, error.error, str(error)) == ("rank coverage", 0.25, 1e-3, message)
 
     def test_first_round_is_equal_panels(self):
         nodes = []

@@ -20,13 +20,21 @@ from constelsim.channel import (
     SrFadingParams,
     sr_cdf,
     sr_count_pmf,
-    sr_pdf,
     sr_sample,
     sr_sf,
 )
 from constelsim.constellation import derive_rng
 
 BASE = SrFadingParams(m=19.4, b0=0.158, omega=1.29)
+
+
+def sr_pdf(params: SrFadingParams, w, tol: float = channel._SERIES_TOL):
+    """Density of the shadowed-Rician power fading, elementwise over ``w``:
+    sum_j c_j pi_j(x) / (2 b0) on the series' own weights, with the dropped
+    terms at most ``tol / (2 b0)``."""
+    x, c, _, pi = channel._series_terms(params, w, tol)
+    return channel._shaped(w, c @ pi / (2.0 * params.b0))
+
 
 # Fading parameters whose series converge well inside the term limit.
 fading_params = st.builds(

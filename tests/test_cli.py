@@ -265,6 +265,34 @@ def test_bad_rtol_exits_two(tmp_path, capsys, command, rtol):
     assert "configuration error" in capsys.readouterr().err
 
 
+# Arguments under which each command's numerics fail, and the start of the
+# message: a quadrature that cannot meet its tolerance, and fading whose
+# series weights underflow.
+NUMERICAL_FAILURES = {
+    "quadrature": (["--rtol", "1e-30"], "quadrature 'interferer count law' did not converge"),
+    "series": (["--set", "fading.m=1000", "--set", "fading.b0=0.01", "--set", "fading.omega=100"],
+               "shadowed-Rician series weights underflow"),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(NUMERICAL_FAILURES))
+@pytest.mark.parametrize("command", sorted(RTOL_COMMANDS))
+def test_numerical_failure_exits_two(tmp_path, capsys, command, failure):
+    # Exit code 1 is kept for validation rows out of tolerance.
+    args, message = NUMERICAL_FAILURES[failure]
+    code, text = run(tmp_path, *RTOL_COMMANDS[command], *args)
+    assert code == 2 and text is None
+    assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+
+
+def test_numerical_failure_in_a_worker_exits_two(tmp_path, capsys):
+    # The worker's error reaches this process pickled.
+    code, text = run(tmp_path, "curve", "--metric", "localizability", "--sweep", "n_leo=1000:2000:1000",
+                     "--rtol", "1e-30", "--jobs", "2")
+    assert code == 2 and text is None
+    assert capsys.readouterr().err.startswith(f"configuration error: {NUMERICAL_FAILURES['quadrature'][1]}")
+
+
 # Receive beams whose effective range reaches the horizon (pi/2), where no
 # interference cap exists: 3 x 30 deg Gaussian, 90 deg flat top, and a sinc
 # of one element (3 rad).
@@ -734,20 +762,20 @@ steps = st.decimals(min_value=Decimal("0.01"), max_value=50, places=2)
 
 
 # Blocks every scipy import, then runs a localizability curve, a small
-# validate and the three fading read-outs in one fresh interpreter. Prints
+# validate and the two fading read-outs in one fresh interpreter. Prints
 # the exit codes, the read-outs and every scipy module that loaded anyway.
 _NO_SCIPY_PROBE = """
 import sys
 sys.modules["scipy"] = None  # importing scipy or any submodule now fails
 from constelsim import cli
-from constelsim.channel import SrFadingParams, sr_cdf, sr_pdf, sr_sf
+from constelsim.channel import SrFadingParams, sr_cdf, sr_sf
 
 out = sys.argv[1]
 curve = cli.main(["curve", "--metric", "localizability", "--system", "hybrid",
                   "--sweep", "h_leo=1000:1100:100", "--out", out + "/curve.csv"])
 validate = cli.main(["validate", "--trials", "200", "--out", out + "/validate.csv"])
 fading = SrFadingParams(m=19.4, b0=0.158, omega=1.29)
-print(curve, validate, sr_cdf(fading, 1.0), sr_pdf(fading, 1.0), sr_sf(fading, 1.0))
+print(curve, validate, sr_cdf(fading, 1.0), sr_sf(fading, 1.0))
 print(sorted(name for name, module in sys.modules.items() if name.split(".")[0] == "scipy" and module is not None))
 """
 
@@ -765,9 +793,9 @@ def test_runs_with_scipy_blocked(tmp_path):
     # numpy is the only runtime dependency; scipy serves the tests alone.
     stdout = fresh_python("-c", _NO_SCIPY_PROBE, str(tmp_path))
     first, loaded = stdout.splitlines()
-    curve, validate, cdf, pdf, sf = first.split()
+    curve, validate, cdf, sf = first.split()
     assert curve == "0" and validate in ("0", "1")
-    assert 0.0 < float(cdf) < 1.0 and float(pdf) > 0.0
+    assert 0.0 < float(cdf) < 1.0
     assert abs(float(cdf) + float(sf) - 1.0) <= 2e-12
     assert loaded == "[]"
     assert len(rows((tmp_path / "curve.csv").read_text(encoding="utf-8"))) == 3
@@ -780,13 +808,13 @@ class TestParseSweep:
     def test_points_lie_on_the_grid(self, lo, step, count, past_last):
         # hi is the last grid point, or half a step beyond it.
         hi = lo + (count - 1) * step + (step / 2 if past_last else 0)
-        axis = cli._parse_sweep(f"h_leo={lo}:{hi}:{step}")
-        assert len(axis.values) == count
+        name, values = cli._parse_sweep(f"h_leo={lo}:{hi}:{step}")
+        assert name == "h_leo" and len(values) == count
         lo_f, step_f = float(lo), float(step)
-        assert axis.values == [round(lo_f + i * step_f, 12) for i in range(count)]
+        assert values == [round(lo_f + i * step_f, 12) for i in range(count)]
 
     def test_known_drift_case(self):
-        values = cli._parse_sweep("h_leo=500:2000:0.3").values
+        _, values = cli._parse_sweep("h_leo=500:2000:0.3")
         assert len(values) == 5001
         assert values[61] == 518.3 and values[-1] == 2000.0
 

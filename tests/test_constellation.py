@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare, ks_2samp, kstest
 
+from constelsim import cli
 from constelsim.analytic import evaluate
 from constelsim.constellation import (
     LeoShellConfig,
@@ -14,7 +15,6 @@ from constelsim.constellation import (
     place_in_cap,
     sample_bpp,
     sample_bpp_cap,
-    sample_dsbpp,
     sample_dsbpp_cap,
 )
 from constelsim.config import build_system_config, load_settings
@@ -184,14 +184,15 @@ class TestDsbpp:
     def test_matches_per_orbit_construction(self):
         for cfg in (MEO, MeoShellConfig(5, 3, 26371.0, math.pi / 6), MeoShellConfig(1, 1, 26371.0, 1.0)):
             for trial in range(10):
-                got = sample_dsbpp(cfg, derive_rng(21, trial))
+                got = sample_dsbpp_cap(cfg, derive_rng(21, trial), math.pi, 1, positions=True)[1]
                 want = per_orbit_dsbpp(cfg, derive_rng(21, trial))
                 assert got.shape == want.shape == (cfg.n_sats, 3)
                 assert np.max(np.abs(got - want)) < 1e-9
 
     def test_batched_shape_and_coplanarity(self):
-        pts = sample_dsbpp(MEO, derive_rng(22), size=50)
-        assert pts.shape == (50, 12, 3)
+        counts, pts = sample_dsbpp_cap(MEO, derive_rng(22), math.pi, 50, positions=True)
+        assert np.array_equal(counts, np.full(50, 12)) and pts.shape == (600, 3)
+        pts = pts.reshape(50, 12, 3)
         assert np.max(np.abs(np.linalg.norm(pts, axis=-1) / 26371.0 - 1.0)) < 1e-12
         for shell in pts:
             for orbit in range(MEO.n_orbits):
@@ -204,14 +205,15 @@ class TestDsbpp:
 
     def test_batched_empty(self):
         cfg = MeoShellConfig(0, 6, 26371.0, math.pi / 6)
-        assert sample_dsbpp(cfg, derive_rng(1), size=3).shape == (3, 0, 3)
+        counts, pts = sample_dsbpp_cap(cfg, derive_rng(1), math.pi, 3, positions=True)
+        assert np.array_equal(counts, np.zeros(3)) and pts.shape == (0, 3)
 
     def test_empty(self):
         cfg = MeoShellConfig(0, 6, 26371.0, math.pi / 6)
-        assert sample_dsbpp(cfg, derive_rng(1)).shape == (0, 3)
+        assert sample_dsbpp_cap(cfg, derive_rng(1), math.pi, 1, positions=True)[1].shape == (0, 3)
 
     def test_counts_and_norms(self):
-        pts = sample_dsbpp(MEO, derive_rng(2))
+        pts = sample_dsbpp_cap(MEO, derive_rng(2), math.pi, 1, positions=True)[1]
         assert pts.shape == (12, 3)
         norms = np.linalg.norm(pts, axis=1)
         assert np.max(np.abs(norms / 26371.0 - 1.0)) < 1e-9
@@ -220,7 +222,7 @@ class TestDsbpp:
         # all points of one orbit lie in the plane of its first two points
         rng = derive_rng(3)
         for _ in range(20):
-            pts = sample_dsbpp(MEO, rng)
+            pts = sample_dsbpp_cap(MEO, rng, math.pi, 1, positions=True)[1]
             for orbit in range(MEO.n_orbits):
                 block = pts[orbit * 6:(orbit + 1) * 6]
                 normal = np.cross(block[0], block[1])
@@ -236,7 +238,7 @@ class TestDsbpp:
         cfg = MeoShellConfig(1, 1, 26371.0, math.pi / 6)
         rng = derive_rng(4)
         n = 100_000
-        pts = sample_dsbpp(cfg, rng, size=n)[:, 0]
+        pts = sample_dsbpp_cap(cfg, rng, math.pi, n, positions=True)[1]
         z_bin = np.minimum((pts[:, 2] / 26371.0 + 1.0) / 2.0 * 8.0, 7.9999).astype(int)
         az = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * math.pi)
         az_bin = np.minimum(az / (2 * math.pi) * 6.0, 5.9999).astype(int)
@@ -244,8 +246,8 @@ class TestDsbpp:
         assert chisquare(counts).pvalue > 0.01
 
     def test_determinism(self):
-        a = sample_dsbpp(MEO, derive_rng(7, 1))
-        b = sample_dsbpp(MEO, derive_rng(7, 1))
+        a = sample_dsbpp_cap(MEO, derive_rng(7, 1), math.pi, 1, positions=True)[1]
+        b = sample_dsbpp_cap(MEO, derive_rng(7, 1), math.pi, 1, positions=True)[1]
         assert np.array_equal(a, b)
 
 
@@ -264,6 +266,25 @@ def whole_shells(config, rng, size):
                     r_sin * sin_psi - s * cos_psi * r_cos,
                     -(s * sin_psi * r_cos + r_sin * cos_psi)], axis=-1)
     return out.reshape(size, config.n_sats, 3)
+
+
+def test_sample_command_writes_drawn_shells(tmp_path):
+    # ``sample`` draws the LEO shell, then the whole MEO shell, from the
+    # seed's stream 0, and writes one row per satellite: MEO rows orbit-major.
+    out = tmp_path / "sample.csv"
+    assert cli.main(["sample", "--seed", "5", "--set", "leo.n_sats=7", "--out", str(out)]) == 0
+    header, *lines = out.read_text(encoding="utf-8").splitlines()
+    assert header == "layer,orbit_index,sat_index,x_km,y_km,z_km"
+    cfg = build_system_config(load_settings(overrides={"leo.n_sats": "7"}))
+    rng = derive_rng(5, 0)
+    leo, meo = sample_bpp(cfg.leo, rng), whole_shells(cfg.meo, rng, 1)[0]
+    want = [("leo", -1, i, pos) for i, pos in enumerate(leo)]
+    want += [("meo", *divmod(i, cfg.meo.sats_per_orbit), pos) for i, pos in enumerate(meo)]
+    assert len(lines) == len(want) == 7 + 12
+    for line, (layer, orbit, sat, pos) in zip(lines, want):
+        fields = line.split(",")
+        assert fields[:3] == [layer, str(orbit), str(sat)]
+        np.testing.assert_allclose([float(v) for v in fields[3:]], pos, rtol=1e-9, atol=0)
 
 
 def wrapped_anomaly_counts(config, rng, cap_angle, size):
@@ -325,8 +346,11 @@ class TestDsbppCap:
         assert cap_rng.random() == full_rng.random()
 
     def test_whole_shell_sampler_matches(self):
-        assert np.array_equal(sample_dsbpp(MEO, derive_rng(34), size=500), whole_shells(MEO, derive_rng(34), 500))
-        assert np.array_equal(sample_dsbpp(MEO, derive_rng(35)), whole_shells(MEO, derive_rng(35), 1)[0])
+        # A cap of central angle pi holds every satellite.
+        for seed, size in ((34, 500), (35, 1)):
+            counts, pts = sample_dsbpp_cap(MEO, derive_rng(seed), math.pi, size, positions=True)
+            assert np.array_equal(counts, np.full(size, MEO.n_sats))
+            assert np.array_equal(pts, whole_shells(MEO, derive_rng(seed), size).reshape(-1, 3))
 
     def test_count_law_matches_anomaly_wrap(self):
         # Two independent samples of 200k shells' visible counts, offsets

@@ -19,7 +19,7 @@ from constelsim.constellation import (
     place_in_cap,
     sample_bpp,
     sample_bpp_cap,
-    sample_dsbpp,
+    sample_dsbpp_cap,
 )
 from constelsim.mc import McSpec, run_validation, simulate
 
@@ -193,7 +193,7 @@ class TestEstimates:
             rng = derive_rng(99, trial)
             ranks = loop_passes(DENSE, sample_bpp(DENSE.leo, rng), DENSE.leo_theta_max, DENSE.leo_link, 3, rng)
             leo[:len(ranks)] += ranks
-            meo_pos = sample_dsbpp(DENSE.meo, rng)
+            meo_pos = sample_dsbpp_cap(DENSE.meo, rng, math.pi, 1, positions=True)[1]
             meo[trial] = sum(loop_passes(DENSE, meo_pos, DENSE.meo_theta_max, DENSE.meo_link, 12, rng))
         leo /= n_loop
         n_mc = 20_000
