@@ -21,15 +21,17 @@ and a satellite is visible when its anomaly lies on its orbit's arc within
 the detection angle. MEO beams carry no rank, so every visible MEO satellite
 serves, in orbit-major order.
 
-The SINR works on links, never on padded boxes. From the counts alone,
-:func:`_ragged` lists every (trial, rank) serving beam, trial by trial and
-then rank by rank. A beam is open when its signal clears the threshold over
-noise alone; a closed beam fails whatever the interference, so only open
-beams take interferers. :func:`_link_indices` lists every (open beam, other
-visible satellite) pair, beam by beam and then by the other's rank, so
-fading is drawn only for links that exist and can change a verdict.
-Per-rank pass counts and per-trial MEO pass counts come back through
-``np.bincount``.
+The SINR works on links, never on padded boxes. Each visible satellite has
+one link to the target and so one fading value, which serves as its beam's
+signal and as its interference on every other beam of the trial alike.
+From the counts alone, :func:`_ragged` lists every (trial, rank) serving
+beam, trial by trial and then rank by rank. A beam is open when its signal
+clears the threshold over noise alone; a closed beam fails whatever the
+interference, so only open beams take interferers. :func:`_link_indices`
+lists every (open beam, other visible satellite) pair, beam by beam and then
+by the other's rank, so the gain geometry is computed only for pairs that
+can change a verdict. Per-rank pass counts and per-trial MEO pass counts
+come back through ``np.bincount``.
 
 RNG contract. A run draws its geometry from one stream,
 ``derive_rng(master_seed, 0)``, and, when localizability runs, everything
@@ -41,13 +43,15 @@ counts, then every MEO orbit's s, then every orbit's azimuth psi (both as
 :func:`~constelsim.constellation.sample_dsbpp_cap` defines them), then one
 anomaly uniform per MEO satellite. With localizability it then draws from
 the localizability stream the visible LEO satellites' placement in the cap,
-then the LEO links' fading and then the MEO links'. Per layer, the serving
-beams' fading comes first, one value per beam; in faithful mode the
-interferers' follows, one value per (open beam, other visible satellite)
-pair in :func:`_link_indices` order. Which beams are open depends on the
-serving draws, so the interferer draws are fewer than one per pair but each
-verdict is the same function of independent draws as with every pair drawn,
-and every estimator keeps its law. Results therefore depend on the config,
+then the LEO links' fading and then the MEO links'. Per layer, that is one
+value per visible satellite, in packed order; approximation-matched mode
+then draws its synthetic interferers. A beam's verdict reads its own
+satellite's value and, in faithful mode, the other visible satellites'
+values of its trial: always distinct, independent draws. So each beam's
+pass law, and with it every per-rank LEO pass fraction and per-satellite
+MEO pass probability, is what it would be with a fresh draw per pair; only
+the joint law of the beams within a trial follows the shared links, as the
+system model has it. Results therefore depend on the config,
 ``master_seed``, ``n_trials`` and ``k_max`` only, and availability estimates
 do not depend on whether localizability is simulated too: an
 availability-only run draws the same geometry stream and no placement.
@@ -148,16 +152,19 @@ def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, co
     SINR = (W_s / l_s^2) / (noise / unit-range power + sum shape_i W_i / l_i^2)
     exceeds the link's threshold.
 
-    One fading value is drawn per serving beam. Faithful interference sums
-    every other visible satellite, but only for the open beams: those whose
-    signal clears the threshold over noise alone. A closed beam fails
-    whatever the interference, since a non-negative term added to the
+    One fading value is drawn per visible satellite, in packed order: one
+    per link, since a satellite reaches the target over one channel whether
+    it serves or interferes. Faithful interference sums every other visible
+    satellite, each with its own link's power, but only for the open beams:
+    those whose signal clears the threshold over noise alone. A closed beam
+    fails whatever the interference, since a non-negative term added to the
     denominator cannot raise the ratio (rounded addition and division keep
-    that order), so its verdict needs no interferer. One fading value is
-    drawn per (open beam, other visible satellite) pair, in
-    :func:`_link_indices` order. Otherwise a ``matched_cap`` of (theta_d,
-    p_zero) synthesizes the closed form's one interferer, and without one
-    there is no interference.
+    that order), so its verdict needs no interferer. Each beam's verdict is
+    a function of distinct independent draws, its own and the others', so
+    its law is the one a fresh draw per (beam, interferer) pair would give;
+    beams of one trial share the draws they share physically. Otherwise a
+    ``matched_cap`` of (theta_d, p_zero) synthesizes the closed form's one
+    interferer, and without one there is no interference.
     """
     trial, rank = _ragged(n_serve)
     first = np.cumsum(counts) - counts  # packed row of each trial's rank 0
@@ -165,7 +172,8 @@ def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, co
     dist_km = np.sqrt(np.einsum("sx,sx->s", rel, rel))
     dist_sq = (dist_km * KM_TO_M) ** 2
     at_beam = first[trial] + rank
-    signal = sr_sample(fading, rng, size=trial.size) / dist_sq[at_beam]
+    received = sr_sample(fading, rng, size=dist_sq.size) / dist_sq  # W / l^2 of every visible satellite
+    signal = received[at_beam]
     noise_term = link.noise_power_w / link.unit_range_power_w
     if faithful:
         beam, other = _link_indices(counts, trial, rank, signal / noise_term > link.sinr_threshold)
@@ -176,8 +184,7 @@ def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, co
         cos_dome = ux.take(at_serving) * ux.take(at_other) + uy.take(at_serving) * uy.take(at_other) \
             + uz.take(at_serving) * uz.take(at_other)
         np.clip(cos_dome, -1.0, 1.0, out=cos_dome)
-        power = config.rx_pattern.gain_shape(np.arccos(cos_dome, out=cos_dome)) \
-            * sr_sample(fading, rng, size=beam.size) / dist_sq[at_other]
+        power = config.rx_pattern.gain_shape(np.arccos(cos_dome, out=cos_dome)) * received.take(at_other)
         interference = np.bincount(beam, weights=power, minlength=trial.size)
     elif matched_cap is not None:
         # Present with probability 1 - p_zero, angle uniform over the cap,
@@ -331,10 +338,11 @@ def run_validation(
     if not ks or min(ks) < 1:
         raise ValueError(f"K values must be given and at least 1, got {ks}")
     ks, k_max = sorted(ks), max(ks)
+    # Closed forms first: a configuration they refuse costs no simulation.
+    closed = {metric: analytic.evaluate(config, metric, k_max, rtol) for metric in metrics}
     summary = simulate(config, spec, k_max, metrics)
     rows: list[ValidationRow] = []
-    for metric in metrics:
-        closed_forms = analytic.evaluate(config, metric, k_max, rtol)
+    for metric, closed_forms in closed.items():
         for system in SYSTEMS:
             values, errors = summary.estimates[metric, system]
             for k in ks:

@@ -218,43 +218,56 @@ class TestEstimates:
 
     def recorded_draws(self, monkeypatch, link):
         """Pass flags of the beams of ``ragged_beams(21)`` on ``link``, the
-        sizes of the fading arrays drawn, in order, each beam's open flag,
-        recomputed from its serving fading (signal over noise alone above
-        the threshold), and its number of other visible satellites."""
+        visible counts, the sizes of the fading arrays drawn, in order, the
+        number of interferer pairs listed, each beam's open flag, recomputed
+        from its satellite's fading (signal over noise alone above the
+        threshold), and its number of other visible satellites."""
         positions, counts, n_serve = self.ragged_beams(21)
-        draws = []
+        draws, pairs = [], []
+        link_indices = mc._link_indices
 
         def recording(params, rng, size=None):
             draws.append(sr_sample(params, rng, size))
             return draws[-1]
 
+        def recording_pairs(*args):
+            pairs.append(link_indices(*args))
+            return pairs[-1]
+
         monkeypatch.setattr(mc, "sr_sample", recording)
+        monkeypatch.setattr(mc, "_link_indices", recording_pairs)
         trial, rank, passes = mc._sinr_passes(CFG, link, CFG.leo_fading, positions, counts, n_serve,
                                               derive_rng(22), faithful=True)
         assert passes.shape == trial.shape == (n_serve.sum(),) and np.all(rank < n_serve[trial])
         dist_sq = (np.linalg.norm(positions - np.array([6371.0, 0.0, 0.0]), axis=-1) * 1e3) ** 2
-        signal = draws[0] / dist_sq[np.cumsum(counts)[trial] - counts[trial] + rank]
+        at_beam = np.cumsum(counts)[trial] - counts[trial] + rank
+        signal = draws[0][at_beam] / dist_sq[at_beam]
         is_open = signal / (link.noise_power_w / link.unit_range_power_w) > link.sinr_threshold
-        return passes, [draw.size for draw in draws], is_open, counts[trial] - 1
+        (beam, _), = pairs
+        return passes, counts, [draw.size for draw in draws], beam.size, is_open, counts[trial] - 1
 
     def test_no_fading_drawn_for_missing_beams(self, monkeypatch):
-        # One draw per beam, then one per (open beam, other visible
-        # satellite) pair. At the default noise every beam is open. Noise
-        # raised 5.5-fold closes two of the five beams, which have six other
-        # visible satellites between them: they fail and get no pair draws.
-        for noise_scale, draw_sizes, closed in [(1.0, [5, 12], 0), (5.5, [5, 6], 2)]:
+        # One draw of one value per visible satellite (link), whatever the
+        # beams' verdicts. At the default noise only the lone satellite's
+        # beam is closed, so the open beams take all 12 pairs. Noise raised
+        # 5.5-fold closes two of the five beams, which have four other
+        # visible satellites between them: they fail and get no pairs.
+        for noise_scale, n_pairs, closed in [(1.0, 12, 1), (5.5, 8, 2)]:
             link = dataclasses.replace(CFG.leo_link, noise_power_w=noise_scale * CFG.leo_link.noise_power_w)
-            passes, sizes, is_open, others = self.recorded_draws(monkeypatch, link)
-            assert sizes == [is_open.size, others[is_open].sum()] == draw_sizes
-            assert (~is_open).sum() == closed and others[~is_open].sum() == 12 - draw_sizes[1]
+            passes, counts, sizes, pairs, is_open, others = self.recorded_draws(monkeypatch, link)
+            assert sizes == [counts.sum()] == [9]
+            assert pairs == others[is_open].sum() == n_pairs
+            assert (~is_open).sum() == closed and others[~is_open].sum() == 12 - n_pairs
             assert not np.any(passes[~is_open])
 
     @staticmethod
-    def per_beam_sums(positions, counts, n_serve, noise_term):
-        """SINR and noise-only ratio of every beam under unit fading, keyed
-        by (trial, rank): plain sums over the other visible satellites."""
+    def per_beam_sums(positions, counts, n_serve, noise_term, fading=None):
+        """SINR and noise-only ratio of every beam, keyed by (trial, rank):
+        plain sums over the other visible satellites, each packed satellite
+        weighted by its ``fading`` value (unit fading by default)."""
         rel = positions - np.array([6371.0, 0.0, 0.0])
-        dist_sq = (np.linalg.norm(rel, axis=-1) * 1e3) ** 2
+        received = (np.ones(len(positions)) if fading is None else fading) \
+            / (np.linalg.norm(rel, axis=-1) * 1e3) ** 2
         units = rel / np.linalg.norm(rel, axis=-1, keepdims=True)
         first = np.cumsum(counts) - counts
         sinr, noise_only = {}, {}
@@ -262,9 +275,9 @@ class TestEstimates:
             for s in range(n_serve[t]):
                 others = [first[t] + i for i in range(counts[t]) if i != s]
                 dome = np.arccos(np.clip(units[others] @ units[first[t] + s], -1.0, 1.0))
-                interference = np.sum(CFG.rx_pattern.gain_shape(dome) / dist_sq[others])
-                sinr[t, s] = (1.0 / dist_sq[first[t] + s]) / (noise_term + interference)
-                noise_only[t, s] = (1.0 / dist_sq[first[t] + s]) / noise_term
+                interference = np.sum(CFG.rx_pattern.gain_shape(dome) * received[others])
+                sinr[t, s] = received[first[t] + s] / (noise_term + interference)
+                noise_only[t, s] = received[first[t] + s] / noise_term
         return sinr, noise_only
 
     def test_packed_interference_matches_per_beam_sum(self, monkeypatch):
@@ -294,6 +307,33 @@ class TestEstimates:
             closed = [key for key, value in noise_only.items() if value <= threshold]
             failing_open = [key for key, value in sinr.items() if value <= threshold < noise_only[key]]
             assert (len(closed), len(failing_open)) == closed_and_failing_open
+
+    def test_interferers_share_the_serving_fading(self, monkeypatch):
+        # Each satellite's one link carries one fading value, distinct per
+        # satellite here and fresh on every draw. Every beam's SINR must be
+        # the all-pairs sum weighted by those values: in trial 3 the serving
+        # ranks 0 and 1 interfere with each other through the very values
+        # that serve them. A threshold just below, then just above, each
+        # beam's SINR pins every verdict to it.
+        positions, counts, n_serve = self.ragged_beams(23)
+        drawn = []
+
+        def distinct(params, rng, size=None):
+            drawn.append(1.0 + sum(map(len, drawn)) + np.arange(size))
+            return drawn[-1]
+
+        monkeypatch.setattr(mc, "sr_sample", distinct)
+        link = CFG.leo_link
+        sinr, _ = self.per_beam_sums(positions, counts, n_serve, link.noise_power_w / link.unit_range_power_w,
+                                     fading=1.0 + np.arange(counts.sum()))
+        assert len(sinr) == 5 and (3, 1) in sinr
+        for threshold in sorted(value * scale for value in sinr.values() for scale in (1 - 1e-9, 1 + 1e-9)):
+            drawn.clear()
+            trial, rank, passes = mc._sinr_passes(CFG, dataclasses.replace(link, sinr_threshold=threshold),
+                                                  CFG.leo_fading, positions, counts, n_serve, derive_rng(24),
+                                                  faithful=True)
+            assert {(t, r): bool(p) for t, r, p in zip(trial, rank, passes)} \
+                == {key: value > threshold for key, value in sinr.items()}
 
     def test_matched_interferer_survives_zero_uniforms(self):
         # U = 0 would put the interferer at central angle 0, which

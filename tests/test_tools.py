@@ -24,7 +24,7 @@ class TestMcStages:
     def test_reports_every_stage_at_200_trials(self, capsys):
         def staged():
             return (mc.sample_bpp_cap, mc.place_in_cap, mc.sample_dsbpp_cap, mc._sinr_passes, mc.sr_sample,
-                    constellation.orbit_arc)
+                    mc._link_indices, constellation.orbit_arc)
 
         originals = staged()
         result = load_tool("mc_stages").main(["--trials", "200", "--repeat", "1", "--set", "leo.altitude_km=2000"])
@@ -35,6 +35,8 @@ class TestMcStages:
         assert list(seconds) == ["sampling", "visibility", "sinr", "aggregation", "total"]
         assert all(value >= 0 for value in seconds.values())
         assert seconds["sinr"] > 0 and result["fading_draws_per_trial"] > 0
+        # One draw per visible satellite; at 2000 km the pairs outnumber them.
+        assert result["interferer_pairs_per_trial"] > result["fading_draws_per_trial"]
         assert result["chunks"] == math.ceil(200 / mc.CHUNK_TRIALS)
         # The wrappers are gone once the run ends.
         assert staged() == originals
@@ -55,7 +57,8 @@ class TestMcStages:
                                               "--set", f"meo.n_orbits={orbits}"])
         assert json.loads(capsys.readouterr().out) == result
         assert result["metrics"] == ["availability"]
-        assert result["seconds"]["sinr"] == 0 and result["fading_draws_per_trial"] == 0
+        assert result["seconds"]["sinr"] == 0
+        assert result["fading_draws_per_trial"] == result["interferer_pairs_per_trial"] == 0
         assert result["seconds"]["visibility"] > 0 and result["chunks"] == 3
         # One half-angle call per chunk, one value per (trial, orbit).
         assert calls == [(mc.CHUNK_TRIALS, orbits)] * 2 + [(76, orbits)]

@@ -8,7 +8,10 @@ any ``--set`` overrides, for the metric families of ``--metrics`` (both by
 default; ``--metrics availability`` times the campaign that
 ``validate --metrics availability`` runs), and prints one JSON object: the
 seconds spent in each stage of the best of ``--repeat`` runs (least total),
-the fading values drawn per trial and the chunks per run (one
+the fading values drawn per trial (one per visible satellite of either
+layer, plus approximation-matched mode's synthetic interferers), the (open
+beam, other visible satellite) interferer pairs per trial
+that ``mc._link_indices`` lists, and the chunks per run (one
 ``sample_bpp_cap`` call each).
 
 Each stage is the exclusive wall-clock time of the functions ``simulate``
@@ -43,11 +46,12 @@ K_MAX = 6
 def _timed_stages():
     """Wrap the staged functions in exclusive timers while the block runs.
 
-    Yields the seconds per stage and the number of fading values drawn and
-    of chunks run, all filled in as ``simulate`` runs.
+    Yields the seconds per stage and the number of fading values drawn, of
+    interferer pairs listed and of chunks run, all filled in as ``simulate``
+    runs.
     """
     seconds = dict.fromkeys(STAGES, 0.0)
-    tally = {"draws": 0, "chunks": 0}
+    tally = {"draws": 0, "pairs": 0, "chunks": 0}
     inner = []  # time spent in nested staged calls, one entry per open call
 
     def timed(stage, fn):
@@ -67,11 +71,16 @@ def _timed_stages():
         tally["draws"] += 1 if size is None else size
         return sr_sample(params, rng, size)
 
+    def paired(*args):
+        beam, other = link_indices(*args)
+        tally["pairs"] += beam.size
+        return beam, other
+
     def chunk(*args, **kwargs):
         tally["chunks"] += 1
         return sample_bpp_cap(*args, **kwargs)
 
-    sr_sample, sample_bpp_cap = mc.sr_sample, mc.sample_bpp_cap
+    sr_sample, link_indices, sample_bpp_cap = mc.sr_sample, mc._link_indices, mc.sample_bpp_cap
     patches = [
         (mc, "sample_bpp_cap", timed("sampling", chunk)),
         (mc, "place_in_cap", timed("sampling", mc.place_in_cap)),
@@ -79,6 +88,7 @@ def _timed_stages():
         (constellation, "orbit_arc", timed("visibility", constellation.orbit_arc)),
         (mc, "_sinr_passes", timed("sinr", mc._sinr_passes)),
         (mc, "sr_sample", counted),
+        (mc, "_link_indices", paired),
     ]
     saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
     try:
@@ -91,8 +101,8 @@ def _timed_stages():
 
 
 def measure(config, spec, metrics=METRICS) -> dict:
-    """Stage seconds, fading draws per trial and chunks of one ``simulate``
-    run of ``metrics``."""
+    """Stage seconds, fading draws and interferer pairs per trial and chunks
+    of one ``simulate`` run of ``metrics``."""
     with _timed_stages() as (seconds, tally):
         start = time.perf_counter()
         mc.simulate(config, spec, K_MAX, metrics)
@@ -101,6 +111,7 @@ def measure(config, spec, metrics=METRICS) -> dict:
     return {
         "seconds": {**{stage: round(seconds[stage], 5) for stage in STAGES}, "total": round(total, 5)},
         "fading_draws_per_trial": tally["draws"] / spec.n_trials,
+        "interferer_pairs_per_trial": tally["pairs"] / spec.n_trials,
         "chunks": tally["chunks"],
     }
 
