@@ -3,9 +3,10 @@
 Availability counts satellites within the maximum detectable central angle,
 and needs no quadrature. A single satellite of either shell is uniform on its
 sphere: a LEO point by construction, a MEO satellite because its orbit normal
-and its anomaly are both uniform. So it is detectable with the area fraction
-sin^2(theta_max / 2) of the detectable cap. The LEO count is binomial (points
-are independent), the MEO count binomial with the same single-satellite
+and its anomaly are both uniform. So it is detectable with probability
+F(theta_max), the cap law :func:`~constelsim.geom.cap_fraction` that the
+Monte Carlo's samplers read too. The LEO count is binomial (points are
+independent), the MEO count binomial with the same single-satellite
 probability (ignoring that one orbit's satellites share its attitude), and
 hybrid constellations take a convolution of the two, truncated at the
 smallest MEO count whose exceedance probability drops below ``epsilon``.
@@ -15,8 +16,8 @@ its layer's SINR threshold. Both layers take one pass integral
 (:func:`_pass_integral`): over the serving angle theta, a satellite's
 contact-angle density times its survival P(W > x(theta) + V). For the
 k-th nearest of n satellites uniform on a shell, the density is
-n sin(theta) / 2 * P(Binomial(n - 1, f(theta)) = k - 1), with f the cap
-fraction, by the identity k C(n, k) = n C(n - 1, k - 1)
+n sin(theta) / 2 * P(Binomial(n - 1, F(theta)) = k - 1), with F the cap
+law, by the identity k C(n, k) = n C(n - 1, k - 1)
 (:func:`contact_angle_pdfs`, all ranks in one array). The LEO layer
 integrates every rank at once. A MEO satellite is one satellite uniform on
 its shell (n = 1, density sin(theta) / 2), and the binomial count law does
@@ -38,12 +39,10 @@ through the same function.
 
 A sweep repeats each layer's inputs across its points, so the three
 integrals sit behind bounded ``lru_cache`` helpers keyed by only what they
-read, and return read-only arrays. The interferer's count law reads the LEO
-radius, the receive pattern, the LEO fading and threshold, theta_d and
-rtol, but no LEO count (only ``p_zero`` does, mixed in after). The LEO rank
-probabilities read the LEO shell, link and fading, the pattern, k_max and
-rtol. The MEO pass probability reads the MEO radius, theta_max, the MEO
-link and fading and rtol, but no MEO count.
+read, and return read-only arrays. Only the LEO rank probabilities read a
+satellite count: the interferer's count law leaves the LEO count's
+``p_zero`` to be mixed in after, and the MEO pass probability is one
+satellite's.
 
 Every integral goes through :func:`integrate_adaptive`, a globally adaptive
 Gauss-Kronrod 10/21 rule (QUADPACK's pair) that evaluates its integrand on
@@ -74,7 +73,7 @@ from .channel import (
     sr_sf,
 )
 from .constellation import LeoShellConfig, MeoShellConfig
-from .geom import EARTH_RADIUS_KM, central_from_dome, dome_from_central, max_central_angle
+from .geom import EARTH_RADIUS_KM, cap_fraction, central_from_dome, dome_from_central, max_central_angle
 
 KM_TO_M = 1e3
 
@@ -222,13 +221,6 @@ class SystemConfig:
         return max_central_angle(self.meo.radius_km, self.meo.beam_angle)
 
 
-def _cap_fraction(theta):
-    """Area fraction of the spherical cap with central half-angle theta,
-    elementwise: (1 - cos(theta)) / 2 in the form sin^2(theta / 2), which
-    does not cancel at small theta."""
-    return np.sin(0.5 * theta) ** 2
-
-
 def _noise_threshold(link: LinkParams, shell_radius_km: float, theta) -> np.ndarray:
     """Fading power a satellite at central angle theta on the shell must
     exceed to clear the SINR threshold over noise alone.
@@ -252,9 +244,9 @@ def meo_single_availability(config: SystemConfig) -> float:
     In the doubly stochastic model the orbit normal is uniform on the sphere
     and the anomaly uniform along the orbit, so the satellite itself is
     uniform on the shell: averaged over the attitude, its orbit's visible arc
-    fraction equals the cap fraction sin^2(theta_max / 2).
+    fraction equals F(theta_max) (:func:`~constelsim.geom.cap_fraction`).
     """
-    return float(_cap_fraction(config.meo_theta_max))
+    return float(cap_fraction(config.meo_theta_max))
 
 
 def n_meo_max(config: SystemConfig, availability_law: np.ndarray | None = None) -> int:
@@ -334,9 +326,9 @@ def contact_angle_pdfs(n: int, k_max: int, theta) -> np.ndarray:
     satellites uniform on their shell, for k = 1..k_max, shape
     ``(k_max,) + shape(theta)``, at angles ``theta`` in [0, pi].
 
-    The rank-k density is the derivative of P(Binomial(n, f(theta)) >= k),
-    with f the cap fraction; by k C(n, k) = n C(n - 1, k - 1) it is
-    n sin(theta) / 2 * P(Binomial(n - 1, f(theta)) = k - 1). Over
+    The rank-k density is the derivative of P(Binomial(n, F(theta)) >= k),
+    with F = ``geom.cap_fraction``; by k C(n, k) = n C(n - 1, k - 1) it is
+    n sin(theta) / 2 * P(Binomial(n - 1, F(theta)) = k - 1). Over
     [0, theta_max] it integrates to the probability that a k-th satellite is
     detectable at all; the integral's bounds, not this function, cut it
     there.
@@ -344,7 +336,7 @@ def contact_angle_pdfs(n: int, k_max: int, theta) -> np.ndarray:
     if not 1 <= k_max <= n:
         raise ValueError(f"ranks must lie in [1, {n}], got k_max = {k_max}")
     theta = np.asarray(theta, dtype=float)
-    p = _cap_fraction(theta)
+    p = cap_fraction(theta)
     j = np.arange(1, k_max)  # log C(n - 1, k - 1) is the sum of log((n - j) / j) over j < k
     log_comb = np.concatenate([[0.0], np.cumsum(np.log((n - j) / j))])
     k = np.arange(1, k_max + 1).reshape((k_max,) + (1,) * theta.ndim)
@@ -365,7 +357,7 @@ def leo_interference_cap(leo: LeoShellConfig, pattern: AntennaPattern) -> tuple[
     range maps to, and the probability ``p_zero`` that no LEO satellite
     falls inside it."""
     theta_d = central_from_dome(leo.radius_km, pattern.effective_range)
-    return theta_d, (0.5 * (1.0 + math.cos(theta_d))) ** leo.n_sats
+    return theta_d, (1.0 - cap_fraction(theta_d)) ** leo.n_sats
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +393,20 @@ def leo_rank_coverage_probs(config: SystemConfig, k_max: int, rtol: float = 1e-8
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    return _leo_rank_probs(config.leo, config.leo_link, config.leo_fading, config.rx_pattern, k_max, rtol)
+    return _leo_rank_probs(config.leo, config.leo_theta_max, config.leo_link, config.leo_fading, config.rx_pattern,
+                           k_max, rtol)
 
 
 @lru_cache(maxsize=32)
-def _leo_rank_probs(leo, link, fading, pattern, k_max, rtol) -> np.ndarray:
+def _leo_rank_probs(leo, theta_max, link, fading, pattern, k_max, rtol) -> np.ndarray:
     out = np.zeros(k_max)
     if leo.n_sats > 0:
         theta_d, p_zero = leo_interference_cap(leo, pattern)
         counts = (1.0 - p_zero) * _interferer_law(leo.radius_km, pattern, fading, link.sinr_threshold, theta_d, rtol)
         counts[0] += p_zero
         ranks = min(k_max, leo.n_sats)
-        out[:ranks] = _pass_integral(leo.n_sats, leo.radius_km, max_central_angle(leo.radius_km, leo.beam_angle),
-                                     link, fading, counts, ranks, rtol, "rank coverage")
+        out[:ranks] = _pass_integral(leo.n_sats, leo.radius_km, theta_max, link, fading, counts, ranks, rtol,
+                                     "rank coverage")
     out.flags.writeable = False  # shared by every caller
     return out
 
@@ -421,7 +414,7 @@ def _leo_rank_probs(leo, link, fading, pattern, k_max, rtol) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _interferer_law(radius_km, pattern, fading, threshold, theta_d, rtol) -> np.ndarray:
     """Cap average of one interferer's count law, without ``p_zero``."""
-    cap = 2.0 * _cap_fraction(theta_d)
+    cap = 2.0 * cap_fraction(theta_d)
 
     def over_angle(theta_i):
         shape = pattern.gain_shape(dome_from_central(radius_km, theta_i))
@@ -468,7 +461,7 @@ def evaluate(config: SystemConfig, metric: str, k_max: int, rtol: float = 1e-8) 
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if metric == "availability":
-        leo = tail(binom_law(config.leo.n_sats, _cap_fraction(config.leo_theta_max)), k_max)
+        leo = tail(binom_law(config.leo.n_sats, cap_fraction(config.leo_theta_max)), k_max)
         p1 = meo_single_availability(config)
     else:
         leo = np.cumprod(leo_rank_coverage_probs(config, k_max, rtol))

@@ -317,7 +317,7 @@ _TRIALS = ("--trials", dict(type=int, default=None, help="Monte Carlo trial coun
 _OUT = ("--out", dict(default="-", help="output path, '-' for stdout"))
 _EVALUATION = (
     ("--rtol", dict(type=float, default=1e-8, help="quadrature relative tolerance")),
-    ("--jobs", dict(type=int, default=1, help="parallel workers for sweep points")),
+    ("--jobs", dict(type=int, default=1, help="worker processes for sweep points; validate runs on one")),
 )
 _SWEEP = ("--sweep", dict(action="append", required=True, metavar="NAME=MIN:MAX:STEP"))
 _METRIC = ("--metric", dict(choices=analytic.METRICS, default="availability"))

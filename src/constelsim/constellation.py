@@ -38,7 +38,7 @@ import numpy as np
 # keeps that cost in start-up rather than in the first Monte Carlo batch.
 import numpy.random  # noqa: F401
 
-from .geom import EARTH_RADIUS_KM, orbit_arc
+from .geom import EARTH_RADIUS_KM, cap_fraction, orbit_arc
 
 # The ground target used throughout; the point processes are isotropic, so
 # fixing it loses no generality.
@@ -155,13 +155,13 @@ def sample_bpp_cap(config: LeoShellConfig, rng: np.random.Generator, cap_angle: 
     """Number of points of each of ``size`` independent LEO shells that lie
     within central angle ``cap_angle`` of the target.
 
-    A binomial point process puts Binomial(n_sats, f) of its points in a cap
-    of area fraction f = (1 - cos cap_angle) / 2, each uniform in the cap
-    and independent of the count, so these counts and
+    A binomial point process puts Binomial(n_sats, F(cap_angle)) of its
+    points in the cap, with F the cap law :func:`~constelsim.geom.cap_fraction`,
+    each uniform in the cap and independent of the count, so these counts and
     :func:`place_in_cap` together give the exact law of the shell restricted
     to the cap.
     """
-    return rng.binomial(config.n_sats, 0.5 * (1.0 - math.cos(cap_angle)), size=size)
+    return rng.binomial(config.n_sats, cap_fraction(cap_angle), size=size)
 
 
 def place_in_cap(radius_km: float, cap_angle: float, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -181,7 +181,7 @@ def place_in_cap(radius_km: float, cap_angle: float, counts: np.ndarray, rng: np
     live = np.arange(width) < counts[:, None]
     u[~live] = np.inf
     u.sort(axis=1)
-    cos_theta = 1.0 - u[live] * (1.0 - math.cos(cap_angle))
+    cos_theta = 1.0 - u[live] * (2.0 * cap_fraction(cap_angle))
     return cap_positions(radius_km, cos_theta, 2.0 * np.pi * rng.random(cos_theta.size))
 
 

@@ -45,6 +45,13 @@ def max_central_angle(shell_radius_km: float, beam_angle: float) -> float:
     return math.asin(math.sin(half) / ratio) - half
 
 
+def cap_fraction(theta):
+    """Probability that a point uniform on the sphere lies within central
+    angle ``theta`` of the target, elementwise: (1 - cos(theta)) / 2 in the
+    form sin^2(theta / 2), which does not cancel at small theta."""
+    return np.sin(0.5 * theta) ** 2
+
+
 def orbit_arc(cap_angle: float, cos_delta):
     """Half-angle of the arc of a circular orbit that lies within central
     angle ``cap_angle`` of the target, elementwise over ``cos_delta``, the

@@ -8,17 +8,17 @@ Interference is same-layer only: the two layers use different carriers.
 Trials run as arrays, and the engine touches only what can be seen. Each
 layer comes out of its sampler as per-trial visible counts, and the
 positions of the visible satellites, packed trial by trial, are built only
-when localizability runs. The LEO shell is drawn only inside the visible cap,
-counts first (:func:`~constelsim.constellation.sample_bpp_cap` at the
-detection angle): a binomial point process puts a Binomial(N, cap fraction)
-count there, each point uniform in the cap
-(:func:`~constelsim.constellation.place_in_cap`), so the restricted draw has
-the exact law of the full shell where it matters, since satellites outside
-the visible cap neither serve nor interfere. A trial's LEO satellites come
-nearest first, so its K nearest ranks are its first K. The MEO shell is
-drawn whole, orbit by orbit (:func:`~constelsim.constellation.sample_dsbpp_cap`),
-and a satellite is visible when its anomaly lies on its orbit's arc within
-the detection angle. MEO beams carry no rank, so every visible MEO satellite
+when localizability runs. The LEO shell is drawn only inside the visible
+cap, counts first (:func:`~constelsim.constellation.sample_bpp_cap` at the
+detection angle): a binomial point process puts a Binomial(N, F) count
+there, F the cap law :func:`~constelsim.geom.cap_fraction`, each point
+uniform in the cap (:func:`~constelsim.constellation.place_in_cap`), so the
+restricted draw is exact where it matters: satellites outside the visible
+cap neither serve nor interfere. A trial's LEO satellites come nearest
+first, so its K nearest ranks are its first K. The MEO shell is drawn whole,
+orbit by orbit (:func:`~constelsim.constellation.sample_dsbpp_cap`), and a
+satellite is visible when its anomaly lies on its orbit's arc within the
+detection angle. MEO beams carry no rank, so every visible MEO satellite
 serves, in orbit-major order.
 
 The SINR works on links, never on padded boxes. Each visible satellite has
@@ -92,7 +92,7 @@ from . import analytic
 from .analytic import KM_TO_M, SYSTEMS, SystemConfig
 from .channel import LinkParams, SrFadingParams, sr_sample
 from .constellation import TARGET_DIRECTION, derive_rng, place_in_cap, sample_bpp_cap, sample_dsbpp_cap
-from .geom import EARTH_RADIUS_KM, dome_from_central
+from .geom import EARTH_RADIUS_KM, cap_fraction, dome_from_central
 
 # Largest number of trials drawn as one array.
 CHUNK_TRIALS = 512
@@ -187,15 +187,15 @@ def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, co
         power = config.rx_pattern.gain_shape(np.arccos(cos_dome, out=cos_dome)) * received.take(at_other)
         interference = np.bincount(beam, weights=power, minlength=trial.size)
     elif matched_cap is not None:
-        # Present with probability 1 - p_zero, angle uniform over the cap,
-        # serving-range path loss, zenith-mapped dome gain. The angle solves
-        # 1 - cos(theta_i) = U (1 - cos(theta_d)) in half-angle form. U is
-        # drawn on (0, 1], so the angle is positive as dome_from_central
-        # requires (an arccos form rounds to 0 for tiny U).
+        # Present with probability 1 - p_zero, angle uniform over the cap
+        # (cap_fraction(theta_i) = U cap_fraction(theta_d)), serving-range
+        # path loss, zenith-mapped dome gain. U is drawn on (0, 1], so the
+        # arcsin form gives a positive angle, as dome_from_central requires;
+        # an arccos form rounds to 0 for tiny U.
         theta_d, p_zero = matched_cap
         present = rng.random(trial.size) >= p_zero
         u = 1.0 - rng.random(trial.size)
-        theta_i = 2.0 * np.arcsin(np.sqrt(u) * math.sin(0.5 * theta_d))
+        theta_i = 2.0 * np.arcsin(np.sqrt(u * cap_fraction(theta_d)))
         power = np.zeros(trial.size)
         power[present] = sr_sample(fading, rng, size=int(present.sum()))
         dome = dome_from_central(config.leo.radius_km, theta_i)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constelsim.analytic import integrate_adaptive
 from constelsim.geom import (
     EARTH_RADIUS_KM,
+    cap_fraction,
     central_from_dome,
     dome_from_central,
     max_central_angle,
@@ -306,6 +308,28 @@ class TestOrbitArc:
             offset = np.angle(np.exp(1j * (inside - nearest)))
             assert np.max(np.abs(offset)) == pytest.approx(half, abs=2 * step)
             assert inside.size * step == pytest.approx(2.0 * half, abs=3 * step)
+
+
+class TestCapLaws:
+    """geom's two visibility laws agree. A uniform orbit normal makes
+    s = sin(delta) uniform on [0, 1], and averaged over s the fraction of the
+    orbit within central angle theta, max(orbit_arc, 0) / pi, is the
+    probability that a uniform point lies there, cap_fraction(theta)."""
+
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 1.0, max_central_angle(MEO, math.pi / 6), math.pi / 2, 2.0, 3.0])
+    def test_orbit_arc_averages_to_cap_fraction(self, theta):
+        def fraction(s):
+            return np.maximum(orbit_arc(theta, np.sqrt((1.0 - s) * (1.0 + s))), 0.0) / math.pi
+
+        # The arc has a square-root edge at s = sin(theta); s = sin(theta)
+        # (1 - t^2) smooths it. Beyond the edge the fraction is 0, or 1 for
+        # theta past pi / 2, where the whole orbit is in the cap.
+        edge = math.sin(theta)
+        inner = integrate_adaptive(lambda t: fraction(edge * (1.0 - t * t)) * 2.0 * edge * t, 0.0, 1.0, 1e-13,
+                                   "arc below the edge")
+        outer = integrate_adaptive(fraction, edge, 1.0, 1e-13, "arc beyond the edge")
+        assert outer == pytest.approx(1.0 - edge if theta > math.pi / 2 else 0.0, rel=0, abs=1e-15)
+        assert inner + outer == pytest.approx(cap_fraction(theta), rel=0, abs=1e-10)
 
 
 class TestDomeCentralConversions:

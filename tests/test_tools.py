@@ -20,6 +20,22 @@ def load_tool(name):
     return module
 
 
+# Bad ``--set`` entries either tool refuses, and the text its error names.
+BAD_SETTINGS = [(["--set", "leo.n_sats"], "'leo.n_sats'"), (["--set", "bogus.key=1"], "'bogus.key'"),
+                (["--set", "leo.n_sats=-3"], "n_sats"), (["--set", "rx.pattern=square"], "'square'")]
+
+
+def assert_refused(capsys, tool, argv, named):
+    """``tool`` exits 2 on ``argv`` through its parser, with one error line
+    that names ``named``, and prints nothing to stdout."""
+    with pytest.raises(SystemExit) as exit_info:
+        load_tool(tool).main(argv)
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0] and "Traceback" not in err
+
+
 class TestMcStages:
     def test_reports_every_stage_at_200_trials(self, capsys):
         def staged():
@@ -69,6 +85,11 @@ class TestMcStages:
             load_tool("mc_stages").main(["--trials", "20", "--metrics", "availability,coverage"])
         assert exit_info.value.code == 2 and "--metrics" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", BAD_SETTINGS + [
+        (["--trials", "0"], "n_trials"), (["--seed", "-1"], "master_seed")])
+    def test_bad_settings_exit_two(self, capsys, argv, named):
+        assert_refused(capsys, "mc_stages", ["--trials", "20", "--repeat", "1", *argv], named)
+
 
 class TestQuadRounds:
     LABELS = ["interferer count law", "rank coverage", "meo single-satellite localizability"]
@@ -89,6 +110,11 @@ class TestQuadRounds:
         assert (analytic.integrate_adaptive, analytic._gk21_panels) == wrapped
         assert {analytic._interferer_law, analytic._leo_rank_probs, analytic._meo_pass_prob} <= set(tool.CACHES)
         assert [cache.cache_info().currsize for cache in tool.CACHES] == [0] * len(tool.CACHES)
+
+    @pytest.mark.parametrize("argv, named", BAD_SETTINGS + [
+        (["--k-max", "0"], "--k-max"), (["--rtol", "-1"], "--rtol"), (["--rtol", "nan"], "--rtol")])
+    def test_bad_settings_exit_two(self, capsys, argv, named):
+        assert_refused(capsys, "quad_rounds", argv, named)
 
     def test_counts_every_round(self, capsys):
         # A sinc receive beam's count law needs more than one round.

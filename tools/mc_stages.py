@@ -36,7 +36,7 @@ import time
 
 from constelsim import constellation, mc
 from constelsim.analytic import METRICS
-from constelsim.config import build_mc_settings, build_system_config, load_settings
+from constelsim.config import ConfigError, build_mc_settings, build_system_config, load_settings
 
 STAGES = ("sampling", "visibility", "sinr", "aggregation")
 K_MAX = 6
@@ -127,10 +127,16 @@ def main(argv=None) -> dict:
     metrics = tuple(args.metrics.split(","))
     if not set(metrics) <= set(METRICS):
         parser.error(f"--metrics takes entries of {', '.join(METRICS)}, got {args.metrics}")
+    for item in args.set:
+        if "=" not in item:
+            parser.error(f"--set expects KEY=VALUE, got '{item}'")
     overrides = dict(item.split("=", 1) for item in args.set)
     run_keys = {"mc.n_trials": str(args.trials), "mc.master_seed": str(args.seed)}
-    settings = load_settings(overrides={**overrides, **run_keys})
-    config, spec = build_system_config(settings), build_mc_settings(settings)
+    try:
+        settings = load_settings(overrides={**overrides, **run_keys})
+        config, spec = build_system_config(settings), build_mc_settings(settings)
+    except ConfigError as exc:
+        parser.error(str(exc))
     runs = [measure(config, spec, metrics) for _ in range(max(args.repeat, 1))]
     best = min(runs, key=lambda run: run["seconds"]["total"])
     result = {"trials": spec.n_trials, "seed": spec.master_seed, "metrics": list(metrics), "overrides": overrides,

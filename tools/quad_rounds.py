@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import time
 
 from constelsim import analytic
-from constelsim.config import build_system_config, load_settings
+from constelsim.config import ConfigError, build_system_config, load_settings
 
 # Every cache of the analytic layer, found by its ``cache_clear``.
 CACHES = tuple(obj for obj in vars(analytic).values() if hasattr(obj, "cache_clear"))
@@ -74,8 +75,18 @@ def main(argv=None) -> dict:
     parser.add_argument("--k-max", type=int, default=6, help="largest K")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="config override")
     args = parser.parse_args(argv)
+    if not 0 < args.rtol < math.inf:  # false for NaN too
+        parser.error(f"--rtol must be positive and finite, got {args.rtol}")
+    if args.k_max < 1:
+        parser.error(f"--k-max must be at least 1, got {args.k_max}")
+    for item in args.set:
+        if "=" not in item:
+            parser.error(f"--set expects KEY=VALUE, got '{item}'")
     overrides = dict(item.split("=", 1) for item in args.set)
-    config = build_system_config(load_settings(overrides=overrides))
+    try:
+        config = build_system_config(load_settings(overrides=overrides))
+    except ConfigError as exc:
+        parser.error(str(exc))
     with _counted_rounds() as integrals:
         start = time.perf_counter()
         analytic.evaluate(config, "localizability", args.k_max, args.rtol)
