@@ -357,7 +357,7 @@ def leo_interference_cap(leo: LeoShellConfig, pattern: AntennaPattern) -> tuple[
     range maps to, and the probability ``p_zero`` that no LEO satellite
     falls inside it."""
     theta_d = central_from_dome(leo.radius_km, pattern.effective_range)
-    return theta_d, (1.0 - cap_fraction(theta_d)) ** leo.n_sats
+    return theta_d, math.exp(leo.n_sats * math.log1p(-cap_fraction(theta_d)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,19 +36,21 @@ from . import analytic
 from .channel import SeriesConvergenceError
 from .config import (
     ConfigError,
+    apply_overrides,
     build_master_seed,
     build_mc_settings,
     build_system_config,
     emit_settings,
     load_settings,
+    parse_assignments,
 )
 from .constellation import derive_rng, sample_bpp, sample_dsbpp_cap
 from .mc import run_validation, simulate
 
 # Sweepable parameter names, the settings key each sets and the layer it
 # affects. n_meo sets the total MEO count; the closed forms depend only on
-# the total. Swept values are stored as floats, so a count must be whole
-# when the settings are built, as for --set.
+# the total. Each sweep point is parsed as a --set value is, in degrees on
+# the phi_*_deg axes, so a count must be whole.
 _SWEEP_PARAMS = {
     "n_leo": ("leo.n_sats", "leo"),
     "n_meo": (None, "meo"),
@@ -95,17 +97,13 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 
 def _apply_point(settings: dict, axes: list[tuple[str, list[float]]], point: tuple) -> dict:
     """``settings`` with each of ``axes`` set to its value in ``point``."""
-    out = dict(settings)
+    texts = {}
     for (name, _), value in zip(axes, point):
-        key = _SWEEP_PARAMS[name][0]
         if name == "n_meo":
-            out["meo.n_orbits"] = value
-            out["meo.sats_per_orbit"] = 1
-        elif name.startswith("phi_"):
-            out[key] = math.radians(value)
+            texts["meo.n_orbits"], texts["meo.sats_per_orbit"] = repr(value), "1"
         else:
-            out[key] = value
-    return out
+            texts[_SWEEP_PARAMS[name][0]] = repr(value) + (" deg" if name.startswith("phi_") else "")
+    return apply_overrides(settings, texts)
 
 
 def _check_axis_system(name: str, system: str):
@@ -252,12 +250,7 @@ def cmd_emit_config(opts, settings: dict) -> int:
 
 
 def _overrides(opts) -> dict:
-    out = {}
-    for item in opts.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got '{item}'")
-        key, value = (part.strip() for part in item.split("=", 1))
-        out[key] = value
+    out = parse_assignments(opts.set or [])
     if getattr(opts, "seed", None) is not None:
         out["mc.master_seed"] = str(opts.seed)
     if getattr(opts, "trials", None) is not None:

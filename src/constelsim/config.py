@@ -4,11 +4,14 @@ The file format is flat ``section.key = value`` text. Values may carry a
 unit suffix (``dBW``, ``dBm``, ``dBi``, ``dB``, ``deg``, ``rad``); decibel
 quantities are converted to linear on parse and everything is stored linear
 internally. Altitudes are given in km above the surface and converted to
-shell radii. ``#`` starts a comment.
+shell radii. ``#`` starts a comment. Every text, from a file, ``--set`` or a
+sweep point, becomes a value in :func:`_parse_value` alone; counts are exact
+integers, and a fractional, non-finite or unit-suffixed count is refused.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 from .analytic import SystemConfig
@@ -71,14 +74,23 @@ _DEFAULTS: dict[str, str] = {
     "mc.sum_all_interferers": "true",
 }
 
-_UNIT_SUFFIXES = ("dBW", "dBm", "dBi", "dB", "deg", "rad")
+# Each unit suffix and its conversion to the linear unit stored.
+_UNITS = {"dBW": db_to_linear, "dBm": lambda db: db_to_linear(db) * 1e-3, "dBi": db_to_linear, "dB": db_to_linear,
+          "deg": math.radians, "rad": float}
+
+_COUNTS = frozenset(("leo.n_sats", "meo.n_orbits", "meo.sats_per_orbit", "rx.n_elements", "mc.n_trials",
+                     "mc.master_seed"))
+
+# Each receive pattern's class and the setting it is built from.
+_PATTERNS = {"gaussian": (GaussianPattern, "rx.phi_3db"), "flattop": (FlatTopPattern, "rx.phi_3db"),
+             "sinc": (SincPattern, "rx.n_elements"), "cosine": (CosinePattern, "rx.n_elements")}
 
 
-def _parse_value(key: str, raw: str) -> float | str | bool:
-    raw = raw.strip()
+def _parse_value(key: str, raw: str) -> float | int | str | bool:
+    raw = text = raw.strip()
     if key == "rx.pattern":
         pattern = raw.lower()
-        if pattern not in ("gaussian", "flattop", "sinc", "cosine"):
+        if pattern not in _PATTERNS:
             raise ConfigError(f"unknown antenna pattern '{raw}'")
         return pattern
     if key == "mc.sum_all_interferers":
@@ -87,23 +99,21 @@ def _parse_value(key: str, raw: str) -> float | str | bool:
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"boolean expected for {key}, got '{raw}'")
-    unit = None
-    for suffix in _UNIT_SUFFIXES:
-        if raw.endswith(suffix):
-            unit = suffix
-            raw = raw[: -len(suffix)].strip()
-            break
+    unit = next((suffix for suffix in _UNITS if raw.endswith(suffix)), None)
+    if unit is not None:
+        raw = raw[: -len(unit)].strip()
+    elif key in _COUNTS:
+        with contextlib.suppress(ValueError):
+            return int(raw)  # an integer literal is taken exactly, any other count through the float
     try:
         value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse value for {key}: '{raw}'") from exc
-    if unit == "dBm":
-        return db_to_linear(value) * 1e-3
-    if unit in ("dBW", "dBi", "dB"):
-        return db_to_linear(value)
-    if unit == "deg":
-        return math.radians(value)
-    return value
+    if key in _COUNTS:
+        if unit is not None or not value.is_integer():
+            raise ConfigError(f"{key} must be a whole number, got '{text}'")
+        return int(value)
+    return value if unit is None else _UNITS[unit](value)
 
 
 def parse_config_text(text: str) -> dict:
@@ -131,32 +141,28 @@ def load_settings(path: str | None = None, overrides: dict[str, str] | None = No
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read '{path}': {getattr(exc, 'strerror', None) or exc}") from exc
-    settings = parse_config_text(text)
-    for key, raw in (overrides or {}).items():
+    return apply_overrides(parse_config_text(text), overrides or {})
+
+
+def parse_assignments(items) -> dict[str, str]:
+    """``KEY=VALUE`` entries, as ``--set`` takes them: each stripped key to its stripped value text."""
+    out = {}
+    for item in items:
+        if "=" not in item:
+            raise ConfigError(f"--set expects key=value, got '{item}'")
+        key, value = (part.strip() for part in item.split("=", 1))
+        out[key] = value
+    return out
+
+
+def apply_overrides(settings: dict, overrides: dict[str, str]) -> dict:
+    """A copy of loaded ``settings`` with each key of ``overrides`` parsed from its text."""
+    out = dict(settings)
+    for key, raw in overrides.items():
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown key '{key}'")
-        settings[key] = _parse_value(key, str(raw))
-    return settings
-
-
-def _integer(settings: dict, key: str) -> int:
-    """``settings[key]`` as an int; it must be finite and integral."""
-    if not float(settings[key]).is_integer():
-        raise ConfigError(f"{key} must be a whole number, got {settings[key]!r}")
-    return int(settings[key])
-
-
-def _build_pattern(settings: dict):
-    pattern = settings["rx.pattern"]
-    phi_3db = settings["rx.phi_3db"]
-    n_elements = _integer(settings, "rx.n_elements")
-    if pattern == "gaussian":
-        return GaussianPattern(phi_3db)
-    if pattern == "flattop":
-        return FlatTopPattern(phi_3db)
-    if pattern == "sinc":
-        return SincPattern(n_elements)
-    return CosinePattern(n_elements)
+        out[key] = _parse_value(key, str(raw))
+    return out
 
 
 def _link(settings: dict, layer: str) -> LinkParams:
@@ -168,19 +174,20 @@ def _link(settings: dict, layer: str) -> LinkParams:
 
 
 def build_system_config(settings: dict) -> SystemConfig:
+    pattern, pattern_key = _PATTERNS[settings["rx.pattern"]]
     try:
         fading = SrFadingParams(
             m=settings["fading.m"], b0=settings["fading.b0"], omega=settings["fading.omega"],
         )
         return SystemConfig(
             leo=LeoShellConfig(
-                n_sats=_integer(settings, "leo.n_sats"),
+                n_sats=settings["leo.n_sats"],
                 radius_km=EARTH_RADIUS_KM + settings["leo.altitude_km"],
                 beam_angle=settings["leo.beam_angle"],
             ),
             meo=MeoShellConfig(
-                n_orbits=_integer(settings, "meo.n_orbits"),
-                sats_per_orbit=_integer(settings, "meo.sats_per_orbit"),
+                n_orbits=settings["meo.n_orbits"],
+                sats_per_orbit=settings["meo.sats_per_orbit"],
                 radius_km=EARTH_RADIUS_KM + settings["meo.altitude_km"],
                 beam_angle=settings["meo.beam_angle"],
             ),
@@ -188,7 +195,7 @@ def build_system_config(settings: dict) -> SystemConfig:
             meo_link=_link(settings, "meo"),
             leo_fading=fading,
             meo_fading=fading,
-            rx_pattern=_build_pattern(settings),
+            rx_pattern=pattern(settings[pattern_key]),
             epsilon=settings["epsilon"],
         )
     except ValueError as exc:
@@ -197,9 +204,8 @@ def build_system_config(settings: dict) -> SystemConfig:
 
 def build_mc_settings(settings: dict) -> McSpec:
     """Monte Carlo run spec from the ``mc.*`` keys."""
-    n_trials, master_seed = _integer(settings, "mc.n_trials"), _integer(settings, "mc.master_seed")
     try:
-        return McSpec(n_trials=n_trials, master_seed=master_seed,
+        return McSpec(n_trials=settings["mc.n_trials"], master_seed=settings["mc.master_seed"],
                       sum_all_interferers=bool(settings["mc.sum_all_interferers"]))
     except ValueError as exc:
         raise ConfigError(f"mc: {exc}") from exc
@@ -208,7 +214,7 @@ def build_mc_settings(settings: dict) -> McSpec:
 def build_master_seed(settings: dict) -> int:
     """The Monte Carlo master seed alone, from ``mc.master_seed``, for a
     command that draws but runs no trials."""
-    master_seed = _integer(settings, "mc.master_seed")
+    master_seed = settings["mc.master_seed"]
     if master_seed < 0:
         raise ConfigError("mc: master_seed must be non-negative")
     return master_seed
@@ -219,8 +225,8 @@ def default_config() -> SystemConfig:
 
 
 def emit_settings(settings: dict) -> str:
-    """Canonical re-emission: linear units, radians, and floats in their
-    shortest exact form (``repr``).
+    """Canonical re-emission: linear units, radians, integers exactly, and
+    floats in their shortest exact form (``repr``).
 
     Parsing the emitted text reproduces the same settings exactly.
     """
@@ -229,8 +235,8 @@ def emit_settings(settings: dict) -> str:
         value = settings[key]
         if isinstance(value, bool):
             rendered = "true" if value else "false"
-        elif isinstance(value, str):
-            rendered = value
+        elif isinstance(value, (str, int)):
+            rendered = str(value)
         elif float(value).is_integer() and abs(value) < 1e15:
             rendered = str(int(value))
         else:

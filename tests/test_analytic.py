@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from constelsim.constellation import (
     sample_bpp_cap,
     sample_dsbpp_cap,
 )
-from constelsim.geom import EARTH_RADIUS_KM
+from constelsim.geom import EARTH_RADIUS_KM, cap_fraction
 from test_geom import max_detect_distance, max_orbit_central_angle
 
 CFG = default_config()
@@ -396,6 +397,17 @@ class TestLeoInterferenceCap:
         theta_d, p_zero = an.leo_interference_cap(CFG.leo, CFG.rx_pattern)
         assert theta_d == pytest.approx(0.059646355, abs=1e-8)
         assert p_zero == pytest.approx(0.168788705, abs=1e-8)
+
+    @pytest.mark.parametrize("pattern", ["gaussian", "flattop", "sinc", "cosine"])
+    def test_p_zero_is_exact(self, pattern):
+        # (1 - F)^N for the float F of the cap, against a 60-digit
+        # reference: the rounding of 1 - F is not raised to the N-th power.
+        cfg = config_with(**{"rx.pattern": pattern})
+        theta_d, p_zero = an.leo_interference_cap(cfg.leo, cfg.rx_pattern)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            want = (1 - Decimal(float(cap_fraction(theta_d)))) ** cfg.leo.n_sats
+            assert abs(Decimal(p_zero) / want - 1) < Decimal("1e-15")
 
     def test_empty_cap_fraction_by_simulation(self):
         # fraction of draws leaving a fixed cap of the interference radius

@@ -23,7 +23,8 @@ from constelsim.config import (
 
 VALIDATE_HEADER = "metric,K,analytic,empirical,std_err,delta,pass"
 UNIT_SUFFIXES = ("dBW", "dBm", "dBi", "dB", "deg", "rad")
-NUMERIC_KEYS = sorted(set(load_settings()) - {"rx.pattern", "mc.sum_all_interferers"})
+COUNT_KEYS = ["leo.n_sats", "meo.n_orbits", "meo.sats_per_orbit", "rx.n_elements", "mc.n_trials", "mc.master_seed"]
+REAL_KEYS = sorted(set(load_settings()) - {"rx.pattern", "mc.sum_all_interferers", *COUNT_KEYS})
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -588,14 +589,35 @@ class TestEmitConfig:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_round_trip_is_exact(self, data):
-        # Any numeric key, any finite value, any unit suffix: emitting and
-        # re-parsing gives back exactly the parsed settings.
-        keys = st.sampled_from(NUMERIC_KEYS)
+        # Any real-valued key with any finite value and unit suffix, any
+        # count with any integer, past 2**53 too: emitting and re-parsing
+        # gives back exactly the parsed settings.
         values = st.floats(min_value=-300.0, max_value=300.0, allow_nan=False)
         suffixes = st.sampled_from(("",) + UNIT_SUFFIXES)
-        overrides = data.draw(st.dictionaries(keys, st.tuples(values, suffixes), min_size=1))
-        settings_in = load_settings(overrides={k: f"{v!r} {unit}" for k, (v, unit) in overrides.items()})
+        reals = data.draw(st.dictionaries(st.sampled_from(REAL_KEYS), st.tuples(values, suffixes)))
+        counts = data.draw(st.dictionaries(st.sampled_from(COUNT_KEYS), st.integers(-2**70, 2**70),
+                                           min_size=0 if reals else 1))
+        settings_in = load_settings(overrides={**{k: f"{v!r} {unit}" for k, (v, unit) in reals.items()},
+                                               **{k: str(v) for k, v in counts.items()}})
+        assert {k: settings_in[k] for k in counts} == counts
         assert parse_config_text(emit_settings(settings_in)) == settings_in
+
+    @pytest.mark.parametrize("value", ["2.5", "5 dB", "1 deg", "inf", "nan"])
+    @pytest.mark.parametrize("key", COUNT_KEYS)
+    def test_count_must_be_whole(self, tmp_path, capsys, key, value):
+        # Refused when parsed, before any setting is built.
+        code, text = run(tmp_path, "emit-config", "--set", f"{key}={value}")
+        assert code == 2 and text is None
+        assert f"{key} must be a whole number, got '{value}'" in capsys.readouterr().err
+
+    def test_seeds_past_two_to_the_53_do_not_alias(self, tmp_path):
+        # 2**53 + 1 is the first integer a float cannot hold.
+        argv = ["validate", "--metrics", "availability", "--trials", "2000", "--K", "1,2", "--seed"]
+        code_a, low = run(tmp_path, *argv, str(2**53), name="low.csv")
+        code_b, high = run(tmp_path, *argv, str(2**53 + 1), name="high.csv")
+        assert code_a in (0, 1) and code_b in (0, 1) and low != high
+        code, text = run(tmp_path, "emit-config", "--seed", str(2**53 + 1))
+        assert code == 0 and f"mc.master_seed = {2**53 + 1}" in text.splitlines()
 
     @pytest.mark.parametrize("bad", ["nosuch.key=1", "leo.n_sats=abc", "leo.n_sats"])
     def test_bad_set_exits_two(self, tmp_path, capsys, bad):

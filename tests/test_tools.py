@@ -25,6 +25,21 @@ BAD_SETTINGS = [(["--set", "leo.n_sats"], "'leo.n_sats'"), (["--set", "bogus.key
                 (["--set", "leo.n_sats=-3"], "n_sats"), (["--set", "rx.pattern=square"], "'square'")]
 
 
+def untimed(result):
+    """A tool's result without its timings, which differ run to run."""
+    return {key: untimed(value) if isinstance(value, dict) else value for key, value in result.items()
+            if "seconds" not in key}
+
+
+@pytest.mark.parametrize("tool, argv", [("mc_stages", ["--trials", "20", "--repeat", "1"]), ("quad_rounds", [])])
+def test_spaced_set_reads_as_the_cli_does(capsys, tool, argv):
+    # The CLI's --set grammar: key and value are stripped around the '='.
+    spaced = load_tool(tool).main([*argv, "--set", "leo.n_sats = 500"])
+    tight = load_tool(tool).main([*argv, "--set", "leo.n_sats=500"])
+    assert untimed(spaced) == untimed(tight)
+    assert spaced["overrides"] == {"leo.n_sats": "500"}
+
+
 def assert_refused(capsys, tool, argv, named):
     """``tool`` exits 2 on ``argv`` through its parser, with one error line
     that names ``named``, and prints nothing to stdout."""

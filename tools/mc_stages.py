@@ -36,7 +36,7 @@ import time
 
 from constelsim import constellation, mc
 from constelsim.analytic import METRICS
-from constelsim.config import ConfigError, build_mc_settings, build_system_config, load_settings
+from constelsim.config import ConfigError, build_mc_settings, build_system_config, load_settings, parse_assignments
 
 STAGES = ("sampling", "visibility", "sinr", "aggregation")
 K_MAX = 6
@@ -127,12 +127,9 @@ def main(argv=None) -> dict:
     metrics = tuple(args.metrics.split(","))
     if not set(metrics) <= set(METRICS):
         parser.error(f"--metrics takes entries of {', '.join(METRICS)}, got {args.metrics}")
-    for item in args.set:
-        if "=" not in item:
-            parser.error(f"--set expects KEY=VALUE, got '{item}'")
-    overrides = dict(item.split("=", 1) for item in args.set)
     run_keys = {"mc.n_trials": str(args.trials), "mc.master_seed": str(args.seed)}
     try:
+        overrides = parse_assignments(args.set)
         settings = load_settings(overrides={**overrides, **run_keys})
         config, spec = build_system_config(settings), build_mc_settings(settings)
     except ConfigError as exc:

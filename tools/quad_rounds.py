@@ -24,7 +24,7 @@ import math
 import time
 
 from constelsim import analytic
-from constelsim.config import ConfigError, build_system_config, load_settings
+from constelsim.config import ConfigError, build_system_config, load_settings, parse_assignments
 
 # Every cache of the analytic layer, found by its ``cache_clear``.
 CACHES = tuple(obj for obj in vars(analytic).values() if hasattr(obj, "cache_clear"))
@@ -79,11 +79,8 @@ def main(argv=None) -> dict:
         parser.error(f"--rtol must be positive and finite, got {args.rtol}")
     if args.k_max < 1:
         parser.error(f"--k-max must be at least 1, got {args.k_max}")
-    for item in args.set:
-        if "=" not in item:
-            parser.error(f"--set expects KEY=VALUE, got '{item}'")
-    overrides = dict(item.split("=", 1) for item in args.set)
     try:
+        overrides = parse_assignments(args.set)
         config = build_system_config(load_settings(overrides=overrides))
     except ConfigError as exc:
         parser.error(str(exc))
