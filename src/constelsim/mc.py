@@ -27,11 +27,19 @@ signal and as its interference on every other beam of the trial alike.
 From the counts alone, :func:`_ragged` lists every (trial, rank) serving
 beam, trial by trial and then rank by rank. A beam is open when its signal
 clears the threshold over noise alone; a closed beam fails whatever the
-interference, so only open beams take interferers. :func:`_link_indices`
-lists every (open beam, other visible satellite) pair, beam by beam and then
-by the other's rank, so the gain geometry is computed only for pairs that
-can change a verdict. Per-rank pass counts and per-trial MEO pass counts
-come back through ``np.bincount``.
+interference, so only open beams take interferers. Two more rules settle
+open beams with as few pairs as keep every verdict bit for bit what the sum
+over all pairs gives. Every gain shape lies in [0, 1], so the other links of
+the trial at full gain bound a beam's interference; an open beam that
+passes against that bound, widened by a margin rounding cannot cross,
+passes without any pair. The rest sum their interferers by rank in two
+blocks, the nearest ``PREFIX_RANKS`` other ranks first: a beam that fails on
+those fails on its whole sum, so only the beams that still pass go on, onto
+the same running sums. :func:`_link_indices` lists the (beam, other visible
+satellite) pairs of one block, beam by beam and then by the other's rank, so
+the gain geometry is computed only for pairs that can change a verdict.
+Per-rank pass counts and per-trial MEO pass counts come back through
+``np.bincount``.
 
 RNG contract. A run draws its geometry from one stream,
 ``derive_rng(master_seed, 0)``, and, when localizability runs, everything
@@ -96,6 +104,12 @@ from .geom import EARTH_RADIUS_KM, cap_fraction, dome_from_central
 
 # Largest number of trials drawn as one array.
 CHUNK_TRIALS = 512
+# Other ranks that every unsettled open beam sums first; only the beams that
+# still pass on them sum the rest (see _sinr_passes).
+PREFIX_RANKS = 2
+# Width of the surely-passing bound's margin, relative to the trial's total
+# received power and per visible satellite (see _sinr_passes).
+BOUND_MARGIN = 2.0 ** -40
 
 _TARGET_KM = TARGET_DIRECTION * EARTH_RADIUS_KM
 
@@ -128,17 +142,26 @@ def _ragged(sizes: np.ndarray):
     return owner, np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
-def _link_indices(counts: np.ndarray, trial: np.ndarray, rank: np.ndarray, is_open: np.ndarray):
+def _link_indices(counts: np.ndarray, trial: np.ndarray, rank: np.ndarray, is_open: np.ndarray, block: slice):
     """Interferer pairs of the open serving beams of trials whose packed
     visible satellites number ``counts``.
 
     Beam ``i`` serves trial ``trial[i]`` at rank ``rank[i]``, as
     :func:`_ragged` lists them from the serving counts, and ``is_open[i]``
-    says whether it takes interferers. Returns the beam (an index into those)
-    and the other satellite's rank of every (open beam, other visible
-    satellite) pair, beam by beam and then by the other's rank.
+    says whether it takes interferers. Each beam's other visible satellites
+    are taken by rank, and ``block``, a slice without a step, picks a run of
+    them: ``slice(2)`` the first two, ``slice(2, None)`` the rest. Returns
+    the beam (an index into those) and the other satellite's rank of every
+    (open beam, other visible satellite in the block) pair, beam by beam and
+    then by the other's rank.
     """
-    beam, other = _ragged((counts[trial] - 1) * is_open)
+    open_beam = np.flatnonzero(is_open)
+    n_other = counts[trial[open_beam]] - 1
+    start = block.start or 0
+    stop = n_other if block.stop is None else np.minimum(n_other, block.stop)
+    owner, other = _ragged(np.maximum(stop - start, 0))
+    beam = open_beam[owner]
+    other += start
     other += other >= rank[beam]
     return beam, other
 
@@ -165,6 +188,35 @@ def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, co
     beams of one trial share the draws they share physically. Otherwise a
     ``matched_cap`` of (theta_d, p_zero) synthesizes the closed form's one
     interferer, and without one there is no interference.
+
+    Faithful mode settles the open beams in two more rules, each keeping
+    every verdict bit for bit what the one all-pairs sum gives.
+
+    Surely passing. Every gain shape lies in [0, 1], so fl(g r) <= r, and
+    rounded addition is monotone: a beam's rounded pair sum I is at most the
+    same sum of its others' received powers r. Write u = 2^-53, n for the
+    trial's visible count, T for the exact sum of its received powers,
+    S = T - signal for the others' and gamma_k = k u / (1 - k u). Summed in
+    order, I <= S (1 + gamma_(n-2)), and the trial's ``total`` lies within
+    gamma_(n-1) T of T; the rounded ``total - signal`` adds at most
+    u (1 + gamma_(n-1)) T more. So I exceeds ``total - signal`` by at most
+    about 2 n u T. The bound adds ``counts[trial] * BOUND_MARGIN * total``,
+    2^13 n u times ``total``; the margin's product and the bound's sum round
+    off at most 2 u T between them, so the margin covers the excess some
+    2000-fold at any count with n u < 0.01. (It assumes ``total`` above
+    2^-980, where the margin's product would underflow; received powers lie
+    hundreds of decades above.) ``total`` is at least ``signal``, so the
+    bound is non-negative and only open beams settle. A beam that clears the
+    threshold against the bound clears it against I, since the rounded sum
+    with noise and the division keep order: it passes without any pair.
+
+    Surely failing. The other open beams sum their others by rank, as the
+    all-pairs sum does: first the nearest ``PREFIX_RANKS`` others for every
+    such beam, then the rest for the beams that still pass, added onto the
+    same running sums (``np.add.at`` adds in order). Every term is
+    non-negative and rounded addition never lowers a sum, so a beam that
+    fails on its prefix fails on its whole sum, and a beam that goes on
+    ends with the all-pairs sum bit for bit.
     """
     trial, rank = _ragged(n_serve)
     first = np.cumsum(counts) - counts  # packed row of each trial's rank 0
@@ -176,17 +228,27 @@ def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, co
     signal = received[at_beam]
     noise_term = link.noise_power_w / link.unit_range_power_w
     if faithful:
-        beam, other = _link_indices(counts, trial, rank, signal / noise_term > link.sinr_threshold)
-        at_serving, at_other = at_beam[beam], first[trial[beam]] + other
+        # Received power of every visible link of each beam's trial.
+        owner = np.repeat(np.arange(counts.size), counts)
+        total = np.bincount(owner, weights=received, minlength=counts.size)[trial]
+        bound = total - signal + counts[trial] * BOUND_MARGIN * total
+        settled = signal / (noise_term + bound) > link.sinr_threshold
+        pending = (signal / noise_term > link.sinr_threshold) & ~settled
         # Unit vectors as contiguous x, y and z rows, so each pair's cosine
         # is three products of 1-D gathers.
         ux, uy, uz = np.divide(rel.T, dist_km, order="C")
-        cos_dome = ux.take(at_serving) * ux.take(at_other) + uy.take(at_serving) * uy.take(at_other) \
-            + uz.take(at_serving) * uz.take(at_other)
-        np.clip(cos_dome, -1.0, 1.0, out=cos_dome)
-        power = config.rx_pattern.gain_shape(np.arccos(cos_dome, out=cos_dome)) * received.take(at_other)
-        interference = np.bincount(beam, weights=power, minlength=trial.size)
-    elif matched_cap is not None:
+        interference = np.zeros(trial.size)
+        for block in (slice(PREFIX_RANKS), slice(PREFIX_RANKS, None)):
+            beam, other = _link_indices(counts, trial, rank, pending, block)
+            at_serving, at_other = at_beam[beam], first[trial[beam]] + other
+            cos_dome = ux.take(at_serving) * ux.take(at_other) + uy.take(at_serving) * uy.take(at_other) \
+                + uz.take(at_serving) * uz.take(at_other)
+            np.clip(cos_dome, -1.0, 1.0, out=cos_dome)
+            power = config.rx_pattern.gain_shape(np.arccos(cos_dome, out=cos_dome)) * received.take(at_other)
+            np.add.at(interference, beam, power)
+            pending &= signal / (noise_term + interference) > link.sinr_threshold
+        return trial, rank, settled | pending
+    if matched_cap is not None:
         # Present with probability 1 - p_zero, angle uniform over the cap
         # (cap_fraction(theta_i) = U cap_fraction(theta_d)), serving-range
         # path loss, zenith-mapped dome gain. U is drawn on (0, 1], so the

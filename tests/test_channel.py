@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad, quad_vec
@@ -404,6 +404,31 @@ PATTERNS = [
 ]
 
 
+def nudged(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place, up or down."""
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, math.inf if ulps > 0 else -math.inf)
+    return float(x)
+
+
+@st.composite
+def pattern_and_angle(draw):
+    """A receive pattern of any shape, with a drawn beamwidth or element
+    count, and a dome angle in [0, pi]: zero, a subnormal, within a few ulps
+    of a lobe edge, or anywhere."""
+    kind = draw(st.sampled_from([GaussianPattern, FlatTopPattern, SincPattern, CosinePattern]))
+    if kind in (GaussianPattern, FlatTopPattern):
+        pattern = kind(draw(st.floats(1e-4, 1.0)))
+        edges = [pattern.phi_3db, pattern.effective_range]
+    else:
+        pattern = kind(draw(st.integers(1, 200)))
+        edges = [k / pattern.n_elements for k in (0.5, 1, 2, 3)]  # half width, nulls and sidelobe edges
+    near_edge = st.tuples(st.sampled_from(edges), st.integers(-4, 4)).map(lambda edge: nudged(*edge))
+    angle = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.2250738585072014e-308), near_edge,
+                           st.floats(0.0, math.pi)))
+    return pattern, min(angle, math.pi)
+
+
 class TestPatterns:
     def test_boresight(self):
         for pat in PATTERNS:
@@ -432,6 +457,21 @@ class TestPatterns:
         assert PATTERNS[1].effective_range == pytest.approx(0.13962634015954636)
         assert PATTERNS[2].effective_range == pytest.approx(3.0 / 35)
         assert PATTERNS[3].effective_range == pytest.approx(1.0 / 35)
+
+    # The SINR engine's surely-passing bound rests on fl(g r) <= r, so on
+    # every gain shape lying in [0, 1] at every dome angle in [0, pi].
+    @settings(max_examples=200, deadline=None)
+    @given(pattern_and_angle(), st.floats(5e-324, 1e300))
+    @example((SincPattern(35), 0.0), 1.0)
+    @example((SincPattern(1), 5e-324), 1.0)
+    @example((CosinePattern(35), 1.0 / 35), 1.0)
+    @example((GaussianPattern(1e-4), 2.2250738585072014e-308), 1.0)
+    def test_shape_lies_in_unit_interval(self, case, received):
+        pattern, angle = case
+        # Scalars and arrays take different numpy loops; both must hold.
+        gains = np.append(pattern.gain_shape(np.array([angle, -angle])), pattern.gain_shape(angle))
+        assert np.all((gains >= 0.0) & (gains <= 1.0)), gains
+        assert np.all(gains * received <= received)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from constelsim import analytic, cli, mc
-from constelsim.analytic import leo_interference_cap
-from constelsim.channel import sr_sample
+from constelsim.analytic import KM_TO_M, leo_interference_cap
+from constelsim.channel import CosinePattern, FlatTopPattern, SincPattern, sr_sample
 from constelsim.config import build_mc_settings, build_system_config, default_config, load_settings
 from constelsim.constellation import (
     cap_positions,
@@ -219,9 +220,10 @@ class TestEstimates:
     def recorded_draws(self, monkeypatch, link):
         """Pass flags of the beams of ``ragged_beams(21)`` on ``link``, the
         visible counts, the sizes of the fading arrays drawn, in order, the
-        number of interferer pairs listed, each beam's open flag, recomputed
-        from its satellite's fading (signal over noise alone above the
-        threshold), and its number of other visible satellites."""
+        number of interferer pairs listed in each rank block, each beam's
+        open flag, recomputed from its satellite's fading (signal over noise
+        alone above the threshold), and its number of other visible
+        satellites."""
         positions, counts, n_serve = self.ragged_beams(21)
         draws, pairs = [], []
         link_indices = mc._link_indices
@@ -243,21 +245,24 @@ class TestEstimates:
         at_beam = np.cumsum(counts)[trial] - counts[trial] + rank
         signal = draws[0][at_beam] / dist_sq[at_beam]
         is_open = signal / (link.noise_power_w / link.unit_range_power_w) > link.sinr_threshold
-        (beam, _), = pairs
-        return passes, counts, [draw.size for draw in draws], beam.size, is_open, counts[trial] - 1
+        return passes, counts, [draw.size for draw in draws], [beam.size for beam, _ in pairs], is_open, \
+            counts[trial] - 1
 
     def test_no_fading_drawn_for_missing_beams(self, monkeypatch):
         # One draw of one value per visible satellite (link), whatever the
         # beams' verdicts. At the default noise only the lone satellite's
-        # beam is closed, so the open beams take all 12 pairs. Noise raised
-        # 5.5-fold closes two of the five beams, which have four other
-        # visible satellites between them: they fail and get no pairs.
-        for noise_scale, n_pairs, closed in [(1.0, 12, 1), (5.5, 8, 2)]:
+        # beam is closed, and no open beam passes against the all-links
+        # bound, so the four open beams take their nearest two others (8
+        # pairs), and trial 3's two beams, which pass on those, take their
+        # other two each. Noise raised 5.5-fold closes two of the five
+        # beams, which have four other visible satellites between them:
+        # they fail and get no pairs.
+        for noise_scale, block_pairs, closed in [(1.0, [8, 4], 1), (5.5, [6, 2], 2)]:
             link = dataclasses.replace(CFG.leo_link, noise_power_w=noise_scale * CFG.leo_link.noise_power_w)
             passes, counts, sizes, pairs, is_open, others = self.recorded_draws(monkeypatch, link)
             assert sizes == [counts.sum()] == [9]
-            assert pairs == others[is_open].sum() == n_pairs
-            assert (~is_open).sum() == closed and others[~is_open].sum() == 12 - n_pairs
+            assert pairs == block_pairs and sum(pairs) == others[is_open].sum()
+            assert (~is_open).sum() == closed and others[~is_open].sum() == 12 - sum(pairs)
             assert not np.any(passes[~is_open])
 
     @staticmethod
@@ -420,11 +425,168 @@ class TestLinkIndices:
         serving = np.arange(width) < n_serve[:, None]
         trial, rank = mc._ragged(n_serve)
         assert np.array_equal(np.stack([trial, rank]), np.stack(np.nonzero(serving)))
-        beam, other = mc._link_indices(counts, trial, rank, is_open)
         opened = np.zeros_like(serving)
         opened[trial, rank] = is_open
-        pairs = np.nonzero(opened[:, :, None] & visible[:, None, :] & ~np.eye(width, dtype=bool))
-        assert np.array_equal(np.stack([trial[beam], rank[beam], other]), np.stack(pairs))
+        others = opened[:, :, None] & visible[:, None, :] & ~np.eye(width, dtype=bool)
+        # Where each other satellite stands among its beam's others, by rank.
+        place = np.arange(width) - (np.arange(width) > np.arange(width)[:, None])
+        for block, (start, stop) in [(slice(None), (0, width)), (slice(mc.PREFIX_RANKS), (0, mc.PREFIX_RANKS)),
+                                     (slice(mc.PREFIX_RANKS, None), (mc.PREFIX_RANKS, width))]:
+            beam, other = mc._link_indices(counts, trial, rank, is_open, block)
+            pairs = np.nonzero(others & (start <= place) & (place < stop))
+            assert np.array_equal(np.stack([trial[beam], rank[beam], other]), np.stack(pairs))
+
+
+def nudged(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place, up or down."""
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, math.inf if ulps > 0 else -math.inf)
+    return float(x)
+
+
+def all_pairs_sinr(config, link, fading, positions, counts, n_serve, rng):
+    """SINR of every serving beam, and its ratio against the sum of every
+    other link of its trial at full gain. Each open beam sums all its
+    interferers in one ``np.bincount``, and a closed one none: the faithful
+    branch of ``mc._sinr_passes`` as it stood before beams were settled
+    early, kept as the oracle of their verdicts."""
+    trial, rank = mc._ragged(n_serve)
+    first = np.cumsum(counts) - counts
+    rel = positions - mc._TARGET_KM
+    dist_km = np.sqrt(np.einsum("sx,sx->s", rel, rel))
+    dist_sq = (dist_km * KM_TO_M) ** 2
+    at_beam = first[trial] + rank
+    received = mc.sr_sample(fading, rng, size=dist_sq.size) / dist_sq
+    signal = received[at_beam]
+    noise_term = link.noise_power_w / link.unit_range_power_w
+    beam, other = mc._link_indices(counts, trial, rank, signal / noise_term > link.sinr_threshold, slice(None))
+    at_serving, at_other = at_beam[beam], first[trial[beam]] + other
+    ux, uy, uz = np.divide(rel.T, dist_km, order="C")
+    cos_dome = ux.take(at_serving) * ux.take(at_other) + uy.take(at_serving) * uy.take(at_other) \
+        + uz.take(at_serving) * uz.take(at_other)
+    np.clip(cos_dome, -1.0, 1.0, out=cos_dome)
+    power = config.rx_pattern.gain_shape(np.arccos(cos_dome, out=cos_dome)) * received.take(at_other)
+    interference = np.bincount(beam, weights=power, minlength=trial.size)
+    total = np.bincount(np.repeat(np.arange(counts.size), counts), weights=received, minlength=counts.size)
+    return signal / (noise_term + interference), signal / (noise_term + (total[trial] - signal))
+
+
+RX_PATTERNS = [CFG.rx_pattern, FlatTopPattern(CFG.rx_pattern.phi_3db), SincPattern(35), CosinePattern(35)]
+
+
+@st.composite
+def settling_cases(draw):
+    """Ragged counts with packed positions on the LEO shell drawn from a
+    few directions, so that links coincide and gains reach 1; log-uniform
+    fading values, one link at times 2^60 times stronger than the rest; a
+    receive pattern; and where the threshold goes: within a few ulps of one
+    beam's all-pairs SINR or of its ratio against the all-links sum. The
+    directions and fading values come from a drawn seed."""
+    counts, n_serve, _ = draw(ragged_counts())
+    n = int(counts.sum())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = cap_positions(CFG.leo.radius_km, rng.choice([1.0, 0.9999, 0.999, 0.99, 0.95], n),
+                              rng.choice([0.0, 1.0, 2.5, 4.0], n))
+    fading = 2.0 ** rng.uniform(-12.0, 6.0, n)
+    if n and draw(st.booleans()):
+        fading[draw(st.integers(0, n - 1))] *= 2.0 ** 60
+    anchor = draw(st.tuples(st.integers(0, max(int(n_serve.sum()) - 1, 0)), st.sampled_from(["sinr", "bound"]),
+                            st.integers(-4, 4)))
+    return counts, n_serve, positions, fading, draw(st.sampled_from(RX_PATTERNS)), anchor
+
+
+class TestSettledVerdicts:
+    @staticmethod
+    def verdicts(pattern, threshold, fading, positions, counts, n_serve):
+        """Pass flags of ``mc._sinr_passes`` and all-pairs SINRs on one set of
+        fading values (the LEO link at ``threshold``)."""
+        config = dataclasses.replace(CFG, rx_pattern=pattern)
+        link = dataclasses.replace(CFG.leo_link, sinr_threshold=threshold)
+        args = (config, link, CFG.leo_fading, positions, counts, n_serve, None)
+        with mock.patch.object(mc, "sr_sample", lambda params, rng, size=None: fading.copy()):
+            trial, rank, passes = mc._sinr_passes(*args, faithful=True)
+            sinr, _ = all_pairs_sinr(*args)
+        assert np.array_equal(np.stack([trial, rank]), np.stack(mc._ragged(n_serve)))
+        return passes, sinr
+
+    @settings(max_examples=200, deadline=None)
+    @given(settling_cases())
+    # Rank 0 outweighs the rest of its trial by 2^56, so the trial's total
+    # less its signal rounds to 0, yet the others' interference is as
+    # large as the noise; the threshold sits one ulp above its SINR.
+    @example((np.array([3]), np.array([3]), cap_positions(CFG.leo.radius_km, np.array([1.0, 0.999, 0.99]),
+                                                          np.array([0.0, 1.0, 2.5])),
+              np.array([2.0 ** 56, 1.0, 1.0]), CFG.rx_pattern, (0, "sinr", 1)))
+    def test_match_all_pairs_sum(self, case):
+        counts, n_serve, positions, fading, pattern, (beam, anchor, ulps) = case
+        threshold = CFG.leo_link.sinr_threshold
+        if n_serve.sum():
+            # Every beam with a positive signal is open at the least threshold.
+            with mock.patch.object(mc, "sr_sample", lambda params, rng, size=None: fading.copy()):
+                sinr, bound_ratio = all_pairs_sinr(
+                    dataclasses.replace(CFG, rx_pattern=pattern),
+                    dataclasses.replace(CFG.leo_link, sinr_threshold=5e-324), CFG.leo_fading, positions, counts,
+                    n_serve, None)
+            threshold = max(nudged((sinr if anchor == "sinr" else bound_ratio)[beam], ulps), 5e-324)
+        passes, sinr = self.verdicts(pattern, threshold, fading, positions, counts, n_serve)
+        assert np.array_equal(passes, sinr > threshold)
+
+    @pytest.mark.parametrize("layout", ["spread", "stacked"])
+    def test_thresholds_at_every_sinr(self, layout):
+        # Forty 2000 km trials of nine visible satellites, six serving. With
+        # the threshold at a beam's all-pairs SINR, or one ulp below it, its
+        # verdict flips on a one-ulp change in its interference sum, such as
+        # adding the second block's terms as a sum of their own. Spread over
+        # the cap under the default beam, the gains vary. Stacked at one
+        # point under a flat-top beam, every gain is 1, so each beam's sum
+        # lies within rounding of the all-links bound; a margin of one ulp of
+        # the trial's total would not cover it.
+        rng = derive_rng(31)
+        counts = np.full(40, 9)
+        positions = place_in_cap(DENSE.leo.radius_km, DENSE.leo_theta_max, counts, rng)
+        pattern = CFG.rx_pattern
+        if layout == "stacked":
+            positions, pattern = np.repeat(positions[::9], 9, axis=0), FlatTopPattern(CFG.rx_pattern.phi_3db)
+        fading = sr_sample(DENSE.leo_fading, rng, size=int(counts.sum()))
+        n_serve = np.minimum(counts, 6)
+        _, sinr = self.verdicts(pattern, 5e-324, fading, positions, counts, n_serve)
+        for threshold in np.unique(np.concatenate([sinr, np.nextafter(sinr, 0.0)])):
+            passes, _ = self.verdicts(pattern, threshold, fading, positions, counts, n_serve)
+            assert np.array_equal(passes, sinr > threshold)
+
+    def test_prefix_and_second_block_failures(self):
+        # One trial of five satellites, 1000 km from the target; ranks 0 and
+        # 1 serve, and a flat-top beam gives every pair gain 1 or 0. Rank 1
+        # is strong and points with ranks 0, 3 and 4; rank 2 lies off every
+        # beam. Rank 0 is open but sinks on rank 1, inside its prefix (ranks
+        # 1 and 2). Rank 1 passes on its prefix (ranks 0 and 2) and sinks
+        # on ranks 3 and 4 in the second block.
+        tilt = np.array([0.01, 0.0, 1.0, 0.02, 0.03])
+        units = np.stack([np.cos(tilt), np.sin(tilt), np.zeros(5)], axis=-1)
+        positions = mc._TARGET_KM + 1000.0 * units
+        counts, n_serve = np.array([5]), np.array([2])
+        fading = np.array([1.0, 100.0, 1.0, 10.0, 10.0])
+        received, noise_term = fading / 1e12, CFG.leo_link.noise_power_w / CFG.leo_link.unit_range_power_w
+        threshold = CFG.leo_link.sinr_threshold
+        assert received[0] / noise_term > threshold > received[0] / (noise_term + received[1])
+        assert received[1] / (noise_term + received[0]) > threshold > received[1] / (
+            noise_term + received[0] + received[3] + received[4])
+        pattern = FlatTopPattern(CFG.rx_pattern.phi_3db)
+        listed = []
+        link_indices = mc._link_indices
+
+        def recording(*args):
+            listed.append(link_indices(*args))
+            return listed[-1]
+
+        with mock.patch.object(mc, "_link_indices", recording):
+            passes, sinr = self.verdicts(pattern, threshold, fading, positions, counts, n_serve)
+        assert not passes.any() and np.array_equal(passes, sinr > threshold)
+        # The settling run lists the prefix pairs of both beams, then the
+        # rest of beam 1's; the oracle lists every pair at once.
+        (prefix, rest, every) = [np.stack(pairs).T.tolist() for pairs in listed]
+        assert (prefix, rest) == ([[0, 1], [0, 2], [1, 0], [1, 2]], [[1, 3], [1, 4]])
+        assert every == [[0, 1], [0, 2], [0, 3], [0, 4], [1, 0], [1, 2], [1, 3], [1, 4]]
 
 
 class TestFewTrials:

@@ -66,8 +66,11 @@ class TestMcStages:
         assert list(seconds) == ["sampling", "visibility", "sinr", "aggregation", "total"]
         assert all(value >= 0 for value in seconds.values())
         assert seconds["sinr"] > 0 and result["fading_draws_per_trial"] > 0
-        # One draw per visible satellite; at 2000 km the pairs outnumber them.
+        # One draw per visible satellite; at 2000 km the pairs outnumber them,
+        # though beams settle both ways: passing before they take any pair,
+        # failing on their nearest others.
         assert result["interferer_pairs_per_trial"] > result["fading_draws_per_trial"]
+        assert result["settled_pass_per_trial"] > 0 and result["settled_fail_per_trial"] > 0
         assert result["chunks"] == math.ceil(200 / mc.CHUNK_TRIALS)
         # The wrappers are gone once the run ends.
         assert staged() == originals
@@ -90,6 +93,7 @@ class TestMcStages:
         assert result["metrics"] == ["availability"]
         assert result["seconds"]["sinr"] == 0
         assert result["fading_draws_per_trial"] == result["interferer_pairs_per_trial"] == 0
+        assert result["settled_pass_per_trial"] == result["settled_fail_per_trial"] == 0
         assert result["seconds"]["visibility"] > 0 and result["chunks"] == 3
         # One half-angle call per chunk, one value per (trial, orbit).
         assert calls == [(mc.CHUNK_TRIALS, orbits)] * 2 + [(76, orbits)]

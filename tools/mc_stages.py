@@ -11,7 +11,10 @@ seconds spent in each stage of the best of ``--repeat`` runs (least total),
 the fading values drawn per trial (one per visible satellite of either
 layer, plus approximation-matched mode's synthetic interferers), the (open
 beam, other visible satellite) interferer pairs per trial
-that ``mc._link_indices`` lists, and the chunks per run (one
+that ``mc._link_indices`` lists, the beams per trial that its two rank
+blocks show settled (``settled_pass``: passing without any pair, against the
+all-links bound; ``settled_fail``: failing on the nearest
+``mc.PREFIX_RANKS`` others, so taking no more), and the chunks per run (one
 ``sample_bpp_cap`` call each).
 
 Each stage is the exclusive wall-clock time of the functions ``simulate``
@@ -34,6 +37,8 @@ import contextlib
 import json
 import time
 
+import numpy as np
+
 from constelsim import constellation, mc
 from constelsim.analytic import METRICS
 from constelsim.config import ConfigError, build_mc_settings, build_system_config, load_settings, parse_assignments
@@ -47,12 +52,13 @@ def _timed_stages():
     """Wrap the staged functions in exclusive timers while the block runs.
 
     Yields the seconds per stage and the number of fading values drawn, of
-    interferer pairs listed and of chunks run, all filled in as ``simulate``
-    runs.
+    interferer pairs listed, of beams settled either way and of chunks run,
+    all filled in as ``simulate`` runs.
     """
     seconds = dict.fromkeys(STAGES, 0.0)
-    tally = {"draws": 0, "pairs": 0, "chunks": 0}
+    tally = {"draws": 0, "pairs": 0, "settled_pass": 0, "settled_fail": 0, "chunks": 0}
     inner = []  # time spent in nested staged calls, one entry per open call
+    blocks = []  # beams that take pairs in each rank block of the running _sinr_passes call
 
     def timed(stage, fn):
         def wrapper(*args, **kwargs):
@@ -71,22 +77,33 @@ def _timed_stages():
         tally["draws"] += 1 if size is None else size
         return sr_sample(params, rng, size)
 
-    def paired(*args):
-        beam, other = link_indices(*args)
+    def paired(counts, trial, rank, is_open, block):
+        beam, other = link_indices(counts, trial, rank, is_open, block)
         tally["pairs"] += beam.size
+        blocks.append(is_open.copy())
         return beam, other
+
+    def settled(*args, **kwargs):
+        blocks.clear()
+        trial, rank, passes = sinr_passes(*args, **kwargs)
+        if blocks:  # faithful mode: the prefix block, then the rest
+            prefix, rest = blocks
+            tally["settled_pass"] += np.count_nonzero(passes & ~prefix)
+            tally["settled_fail"] += np.count_nonzero(prefix & ~rest)
+        return trial, rank, passes
 
     def chunk(*args, **kwargs):
         tally["chunks"] += 1
         return sample_bpp_cap(*args, **kwargs)
 
     sr_sample, link_indices, sample_bpp_cap = mc.sr_sample, mc._link_indices, mc.sample_bpp_cap
+    sinr_passes = mc._sinr_passes
     patches = [
         (mc, "sample_bpp_cap", timed("sampling", chunk)),
         (mc, "place_in_cap", timed("sampling", mc.place_in_cap)),
         (mc, "sample_dsbpp_cap", timed("sampling", mc.sample_dsbpp_cap)),
         (constellation, "orbit_arc", timed("visibility", constellation.orbit_arc)),
-        (mc, "_sinr_passes", timed("sinr", mc._sinr_passes)),
+        (mc, "_sinr_passes", timed("sinr", settled)),
         (mc, "sr_sample", counted),
         (mc, "_link_indices", paired),
     ]
@@ -101,8 +118,8 @@ def _timed_stages():
 
 
 def measure(config, spec, metrics=METRICS) -> dict:
-    """Stage seconds, fading draws and interferer pairs per trial and chunks
-    of one ``simulate`` run of ``metrics``."""
+    """Stage seconds, fading draws, interferer pairs and settled beams per
+    trial and chunks of one ``simulate`` run of ``metrics``."""
     with _timed_stages() as (seconds, tally):
         start = time.perf_counter()
         mc.simulate(config, spec, K_MAX, metrics)
@@ -112,6 +129,8 @@ def measure(config, spec, metrics=METRICS) -> dict:
         "seconds": {**{stage: round(seconds[stage], 5) for stage in STAGES}, "total": round(total, 5)},
         "fading_draws_per_trial": tally["draws"] / spec.n_trials,
         "interferer_pairs_per_trial": tally["pairs"] / spec.n_trials,
+        "settled_pass_per_trial": tally["settled_pass"] / spec.n_trials,
+        "settled_fail_per_trial": tally["settled_fail"] / spec.n_trials,
         "chunks": tally["chunks"],
     }
 
