@@ -22,7 +22,7 @@ the Poisson probabilities pi_j(x) = x^j e^{-x} / j!, j < Z:
 One kernel serves both. The weights c and their tails T depend on the
 fading parameters alone and are cached; Z is the smallest multiple of 16
 whose dropped weights sum to at most the tolerance. The Poisson
-probabilities are built by the recurrence pi_j = pi_{j-1} x / j, one
+probabilities are one running product, pi_j = pi_{j-1} (x / j), one
 multiply per term and point. Every term is non-negative, so the truncated
 survival and CDF each err on the low side by at most the tolerance.
 Upper tails come from the survival read-out, never from ``1 - F``: that
@@ -123,24 +123,31 @@ def _series_weights(params: SrFadingParams, tol: float, max_terms: int) -> tuple
     ``tol``. Keyed on the term limit too, so a lowered limit is never
     bypassed by a cached result."""
     beta, m = params._beta, params.m
-    z = np.arange(max_terms, dtype=float)
     c0 = math.exp(m * math.log(params._beta_complement))
-    c = np.cumprod(np.concatenate(([c0], beta * (m + z[:-1]) / z[1:])))
-    if c[0] == 0.0:
+    if c0 == 0.0:
         raise SeriesConvergenceError("shadowed-Rician series weights underflow")
-    # The ratio c_{z+1} / c_z = beta (m + z) / (z + 1) tends to beta
-    # monotonically, so its supremum past the last kept term Z - 1 is at one
-    # end or the other, and the dropped weights sum to at most
-    # c_{Z-1} r / (1 - r).
-    ends = np.arange(16, max_terms + 1, 16)
-    ratio = beta * np.maximum(m + ends - 1.0, ends) / ends
-    with np.errstate(divide="ignore"):
-        bound = np.where(ratio < 1.0, c[ends - 1] * ratio / (1.0 - ratio), np.inf)
-    done = np.flatnonzero(bound <= tol)
-    if not done.size:
-        raise SeriesConvergenceError(
-            f"shadowed-Rician series did not converge within {max_terms} terms"
-        )
+    # Built on 64, 128, ... terms until a cut is found. ``cumprod`` runs in
+    # sequence, so each build is bit for bit the first terms of the full one.
+    n_terms = min(64, max_terms)
+    while True:
+        z = np.arange(n_terms, dtype=float)
+        c = np.cumprod(np.concatenate(([c0], beta * (m + z[:-1]) / z[1:])))
+        # The ratio c_{z+1} / c_z = beta (m + z) / (z + 1) tends to beta
+        # monotonically, so its supremum past the last kept term Z - 1 is at
+        # one end or the other, and the dropped weights sum to at most
+        # c_{Z-1} r / (1 - r).
+        ends = np.arange(16, n_terms + 1, 16)
+        ratio = beta * np.maximum(m + ends - 1.0, ends) / ends
+        with np.errstate(divide="ignore"):
+            bound = np.where(ratio < 1.0, c[ends - 1] * ratio / (1.0 - ratio), np.inf)
+        done = np.flatnonzero(bound <= tol)
+        if done.size:
+            break
+        if n_terms == max_terms:
+            raise SeriesConvergenceError(
+                f"shadowed-Rician series did not converge within {max_terms} terms"
+            )
+        n_terms = min(2 * n_terms, max_terms)
     c = c[: ends[done[0]]]
     # Contiguous, not a reversed view: BLAS takes no negative strides, and
     # numpy's fallback for ``tails @ pi`` runs ten times slower.
@@ -156,13 +163,13 @@ _LOG_SPACE_X = 700.0
 
 def _poisson_matrix(x: np.ndarray, n_terms: int) -> np.ndarray:
     """Poisson probabilities pi_j(x) = x^j e^{-x} / j!, shape
-    ``(n_terms, x.size)``, built upward by pi_j = pi_{j-1} x / j, and taken
-    in log space for x past ``_LOG_SPACE_X``."""
+    ``(n_terms, x.size)``, built as one running product down the rows
+    e^{-x}, x (1 / 1), x (1 / 2), ..., and taken in log space for x past
+    ``_LOG_SPACE_X``."""
     pi = np.empty((n_terms, x.size))
     pi[0] = np.exp(-x)
-    for j in range(1, n_terms):
-        np.multiply(pi[j - 1], x, out=pi[j])
-        pi[j] *= 1.0 / j
+    np.multiply(x, (1.0 / np.arange(1, n_terms))[:, None], out=pi[1:])
+    np.cumprod(pi, axis=0, out=pi)
     far = x > _LOG_SPACE_X
     if far.any():
         j = np.arange(n_terms, dtype=float)

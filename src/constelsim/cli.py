@@ -8,10 +8,14 @@ of tolerance; ``sample`` dumps one drawn constellation. All output is CSV
 with 12-significant-digit values and newline endings, written in
 deterministic sweep order.
 
-:func:`main` builds one argument parser, the invoked command's own (prog
-``constelsim <command>``), and parses the arguments after the command name
-with it, so that parser answers help and refuses unknown or leftover
-arguments. The full parser (:func:`build_parser`) is built only for
+:func:`main` reads plain arguments after the command name, exact flags
+each with one value that converts and lies among its choices, straight from
+the command's option table, and builds no argument parser for them. Any
+other arguments go to one parser, the invoked command's own (prog
+``constelsim <command>``), which returns the same options for a valid
+form the plain read declines (an abbreviated flag, ``--flag=value``, a
+value that starts with '-'), answers help and refuses unknown, leftover or
+bad arguments. The full parser (:func:`build_parser`) is built only for
 top-level help and a missing or unknown command. Each command takes the
 options it reads, and ``validate`` also ``--jobs``, which it ignores until
 it runs its trials on several processes (ROADMAP item 11).
@@ -352,12 +356,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_parse(command: str, args: list[str]) -> argparse.Namespace | None:
+    """``command``'s options as its parser's ``parse_args(args)`` returns
+    them, read without building the parser, or None when ``args`` is not
+    plain. Plain means: only exact flags of ``command``, each followed by one
+    value that does not start with '-' (``store_true`` flags by none); every
+    value converts by its option's ``type`` and lies among its ``choices``;
+    and every required option is given. ``append`` options accumulate, a
+    repeated option keeps its last value, and absent ones take their
+    defaults. No option of ``_COMMANDS`` has a string default with a
+    ``type``, which argparse would convert, or a default for ``append``."""
+    options = dict(_COMMANDS[command][2])
+    given = {}
+    tokens = iter(args)
+    for flag in tokens:
+        kwargs = options.get(flag)
+        if kwargs is None:
+            return None
+        action = kwargs.get("action")
+        if action == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value reads as one that starts with '-'
+        if text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        if action == "append":
+            given.setdefault(flag, []).append(value)
+        else:
+            given[flag] = value
+    if any(kwargs.get("required") and flag not in given for flag, kwargs in options.items()):
+        return None
+    return argparse.Namespace(**{
+        kwargs.get("dest", flag[2:].replace("-", "_")):
+            given.get(flag, kwargs.get("default", False if kwargs.get("action") == "store_true" else None))
+        for flag, kwargs in options.items()})
+
+
 def parse_argv(argv: list[str]) -> tuple[str, argparse.Namespace]:
-    """The command named first in ``argv`` and its options, parsed by its
+    """The command named first in ``argv`` and its options: read plainly
+    when they are plain (:func:`_plain_parse`), else parsed by the command's
     own parser, or by the full parser when ``argv`` starts with no command.
     Exits as that parser's ``parse_args`` does on help and on errors."""
     if argv and argv[0] in _COMMANDS:
-        return argv[0], command_parser(argv[0]).parse_args(argv[1:])
+        opts = _plain_parse(argv[0], argv[1:])
+        return argv[0], opts if opts is not None else command_parser(argv[0]).parse_args(argv[1:])
     opts = build_parser().parse_args(argv)
     return opts.command, opts
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad, quad_vec
-from scipy.stats import kstest
+from scipy.stats import kstest, poisson
 
 import constelsim.channel as channel
 from constelsim.channel import (
@@ -199,6 +200,69 @@ class TestSrSf:
         monkeypatch.setattr(channel, "_MAX_SERIES_TERMS", 4)
         with pytest.raises(SeriesConvergenceError):
             sr_sf(BASE, 1.0)
+
+
+def full_series_weights(params: SrFadingParams, tol: float, max_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights and tails cut from all ``max_terms`` weights built at
+    once: the previous implementation of ``_series_weights``, kept as its
+    oracle."""
+    beta, m = params._beta, params.m
+    z = np.arange(max_terms, dtype=float)
+    c0 = math.exp(m * math.log(params._beta_complement))
+    c = np.cumprod(np.concatenate(([c0], beta * (m + z[:-1]) / z[1:])))
+    if c[0] == 0.0:
+        raise SeriesConvergenceError("shadowed-Rician series weights underflow")
+    ends = np.arange(16, max_terms + 1, 16)
+    ratio = beta * np.maximum(m + ends - 1.0, ends) / ends
+    with np.errstate(divide="ignore"):
+        bound = np.where(ratio < 1.0, c[ends - 1] * ratio / (1.0 - ratio), np.inf)
+    done = np.flatnonzero(bound <= tol)
+    if not done.size:
+        raise SeriesConvergenceError(f"shadowed-Rician series did not converge within {max_terms} terms")
+    c = c[: ends[done[0]]]
+    return c, np.ascontiguousarray(np.cumsum(c[::-1])[::-1])
+
+
+def weights_outcome(build, params: SrFadingParams, tol: float, max_terms: int):
+    """The bytes and shapes of ``build``'s weights and tails, or its error
+    message."""
+    try:
+        c, tails = build(params, tol, max_terms)
+    except SeriesConvergenceError as exc:
+        return str(exc)
+    return c.shape, c.tobytes(), tails.shape, tails.tobytes()
+
+
+class TestSeriesWeights:
+    # Fading triples from 16 to past 10,000 series terms, and two whose
+    # first weight underflows.
+    GRID_M = (0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 19.4, 25.0, 100.0, 1000.0)
+    GRID_B0 = (0.01, 0.05, 0.158, 0.5)
+    GRID_OMEGA = (0.0, 0.3, 1.29, 100.0)
+
+    @pytest.mark.parametrize("max_terms", [4, 64, 10_000])
+    def test_match_the_full_build(self, max_terms):
+        # Bit for bit, errors included, at the default tolerance and the
+        # test density's tighter one.
+        outcomes = Counter()
+        for m, b0, omega, tol in itertools.product(self.GRID_M, self.GRID_B0, self.GRID_OMEGA, (1e-12, 1e-16)):
+            fading = SrFadingParams(m=m, b0=b0, omega=omega)
+            want = weights_outcome(full_series_weights, fading, tol, max_terms)
+            assert weights_outcome(channel._series_weights.__wrapped__, fading, tol, max_terms) == want
+            outcomes[want if isinstance(want, str) else want[0][0] > 64] += 1
+        assert outcomes["shadowed-Rician series weights underflow"] > 0
+        if max_terms == 10_000:
+            # Cuts within the first build, cuts past it, and refusals.
+            refused = f"shadowed-Rician series did not converge within {max_terms} terms"
+            assert outcomes[False] and outcomes[True] and outcomes[refused]
+
+
+class TestPoissonMatrix:
+    @pytest.mark.parametrize("n_points", [1, 84, 600])
+    def test_matches_the_poisson_law(self, n_points):
+        x = np.geomspace(1e-3, 1000.0, n_points)
+        j = np.arange(1200.0)[:, None]
+        np.testing.assert_allclose(channel._poisson_matrix(x, 1200), poisson.pmf(j, x), rtol=1e-11, atol=1e-300)
 
 
 def truncated_mixture_pmf(params: SrFadingParams, scale) -> np.ndarray:

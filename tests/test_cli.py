@@ -712,6 +712,24 @@ LEFT_OVER = {
 }
 
 
+# The argv shapes of the benchmark's three workloads: plain, so read
+# without building a parser.
+BENCHMARK_ARGV = [
+    ["curve", "--metric", "localizability", "--system", "hybrid", "--K", "1,2,3,4,5,6",
+     "--sweep", "n_leo=1000:2000:1000", "--seed", "5", "--jobs", "1", "--out", "out.csv"],
+    ["validate", "--metrics", "availability", "--trials", "5000", "--seed", "5", "--jobs", "1", "--out", "out.csv"],
+    ["validate", "--trials", "3000", "--set", "leo.altitude_km=2000", "--seed", "5", "--jobs", "1",
+     "--out", "out.csv"],
+]
+
+
+def same_options(one: argparse.Namespace, other: argparse.Namespace) -> bool:
+    """Whether two namespaces hold the same options, each of the same type
+    and ``repr``, so 1 differs from 1.0 and True, and a NaN equals a NaN."""
+    return {key: repr(value) for key, value in vars(one).items()} == \
+        {key: repr(value) for key, value in vars(other).items()}
+
+
 class TestParser:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_one_command_help_matches_full_parser(self, capsys, command):
@@ -755,14 +773,20 @@ class TestParser:
         assert code == 2 and out == ""
         assert err.startswith("usage: constelsim [-h] {curve,heatmap,validate,sample,emit-config} ...\n")
 
-    def test_emit_config_builds_one_parser(self, tmp_path, parsers_built):
+    def test_emit_config_builds_no_parser(self, tmp_path, parsers_built):
         assert run(tmp_path, "emit-config")[0] == 0
-        assert parsers_built == ["constelsim emit-config"]
+        assert parsers_built == []
 
-    def test_curve_builds_one_parser(self, tmp_path, parsers_built):
-        code, text = run(tmp_path, "curve", "--K", "1", "--sweep", "n_leo=1000:1000:1")
+    def test_curve_builds_no_parser(self, tmp_path, parsers_built):
+        code, text = run(tmp_path, "curve", "--K", "1", "--sweep", "n_leo=1000:1000:1", "--mc", "--trials", "20")
         assert code == 0 and len(rows(text)) == 2
-        assert parsers_built == ["constelsim curve"]
+        assert parsers_built == []
+
+    @pytest.mark.parametrize("argv", BENCHMARK_ARGV, ids=lambda argv: " ".join(argv[:3]))
+    def test_benchmark_argv_builds_no_parser(self, parsers_built, argv):
+        command, opts = cli.parse_argv(argv)
+        assert parsers_built == []
+        assert command == argv[0] and same_options(opts, cli.command_parser(command).parse_args(argv[1:]))
 
     def test_leftover_argument_builds_one_parser(self, capsys, parsers_built):
         code, _ = exit_output(capsys, cli.main, ["curve", "--sweep", "n_leo=1000:1000:1", "--bogus"])
@@ -782,6 +806,93 @@ class TestParser:
         code, text = run(tmp_path, *argv)
         assert code == 0
         assert fresh_python("-m", "constelsim.cli", *argv) == text
+
+
+# Option keywords the plain read handles; an option with any other (nargs,
+# const, another action) would need it extended.
+PLAIN_KEYWORDS = {"action", "choices", "default", "dest", "help", "metavar", "required", "type"}
+
+# Values no option of a command takes plainly: dash-led, unconvertible or
+# outside every choice, next to edge cases that convert.
+ODD_VALUES = ["-", "-1", "--x", "-h", "x", "1.5", "1e400", "nan", " 7", "7 ", "", "a b", "coverage", "leo"]
+
+
+def option_value(kwargs: dict):
+    """A strategy for the text after an option: mostly a value it takes,
+    else an odd one."""
+    if "choices" in kwargs:
+        good = st.sampled_from(kwargs["choices"])
+    elif kwargs.get("type") is int:
+        good = st.integers(0, 2**70).map(str)
+    elif kwargs.get("type") is float:
+        good = st.floats(min_value=0.0).map(repr)
+    else:
+        good = st.from_regex(r"[ab1=.:, ][ab1=.:, -]{0,5}", fullmatch=True)
+    return st.integers(0, 4).flatmap(lambda draw: good if draw else st.sampled_from(ODD_VALUES))
+
+
+@st.composite
+def command_args(draw):
+    """A command and the arguments after its name: exact flags with a value
+    or none, abbreviated flags, ``--flag=value``, repeats, stray tokens and
+    help, often with a sweep command's required ``--sweep``."""
+    command = draw(st.sampled_from(COMMANDS))
+    options = dict(cli._COMMANDS[command][2])
+    args = []
+    if "--sweep" in options and draw(st.integers(0, 3)):
+        args += ["--sweep", "n_leo=1000:1000:1"]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(sorted(options)))
+        kwargs = options[flag]
+        value = draw(option_value(kwargs))
+        kind = draw(st.sampled_from(["exact"] * 8 + ["bare", "abbreviated", "equals", "stray"]))
+        if kind == "exact":
+            args += [flag] if kwargs.get("action") == "store_true" else [flag, value]
+        elif kind == "bare":
+            args.append(flag)
+        elif kind == "abbreviated":
+            args += [flag[:draw(st.integers(2, max(2, len(flag) - 1)))], value]
+        elif kind == "equals":
+            args.append(f"{flag}={value}")
+        else:
+            args.append(draw(st.sampled_from(["-h", "--help", "--", "--bogus", "-", "x", "--mc", "--seed", value])))
+    return command, args
+
+
+class TestPlainParse:
+    @settings(max_examples=200, deadline=None)
+    @given(command_args())
+    def test_declines_or_matches_the_parser(self, drawn):
+        command, args = drawn
+        plain = cli._plain_parse(command, args)
+        if plain is not None:
+            assert same_options(plain, cli.command_parser(command).parse_args(args))
+
+    @pytest.mark.parametrize("args", [
+        ["--tri", "5"], ["--rtol=1e-9"], ["--out", "-"], ["--seed", "-1"], ["--seed", "x"], ["--metric", "coverage"],
+        ["--bogus"], ["-h"], ["--"], ["--seed"], ["--sweep", "n_leo=1:1:1", "x"], ["--mc", "x"], []])
+    def test_declines_what_is_not_plain(self, args):
+        # Each is answered by the parser: a valid form the plain read does
+        # not take, an error, help, or (for ``[]``) a missing --sweep.
+        assert cli._plain_parse("curve", args) is None
+
+    def test_reads_every_kind_of_option(self):
+        args = ["--set", "a=1", "--rtol", "1e-9", "--mc", "--metric", "localizability", "--set", "b=2",
+                "--K", "2", "--sweep", "n_leo=1:1:1", "--seed", "3", "--seed", "4"]
+        plain = cli._plain_parse("curve", args)
+        assert same_options(plain, cli.command_parser("curve").parse_args(args))
+        assert (plain.set, plain.seed, plain.rtol, plain.mc, plain.k_values) == (["a=1", "b=2"], 4, 1e-9, True, "2")
+        assert (plain.trials, plain.config, plain.out, plain.jobs, plain.system) == (None, None, "-", 1, "hybrid")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_option_table_needs_no_more(self, command):
+        # argparse converts a string default by the option's type, and
+        # appends onto a copy of an append option's default; the plain read
+        # does neither, so neither may occur.
+        for flag, kwargs in cli._COMMANDS[command][2]:
+            assert set(kwargs) <= PLAIN_KEYWORDS and kwargs.get("action") in (None, "store_true", "append")
+            assert not ("type" in kwargs and isinstance(kwargs.get("default"), str)), flag
+            assert not (kwargs.get("action") == "append" and kwargs.get("default") is not None), flag
 
 
 decimals = st.decimals(min_value=-1000, max_value=1000, places=2)

@@ -127,7 +127,8 @@ class TestQuadRounds:
         assert result["seconds"] >= sum(i["seconds"] for i in integrals.values())
         # The wrappers are gone and the caches empty once the run ends.
         assert (analytic.integrate_adaptive, analytic._gk21_panels) == wrapped
-        assert {analytic._interferer_law, analytic._leo_rank_probs, analytic._meo_pass_prob} <= set(tool.CACHES)
+        assert {analytic._interferer_law, analytic._leo_rank_probs, analytic._meo_pass_prob,
+                channel._series_weights} <= set(tool.CACHES)
         assert [cache.cache_info().currsize for cache in tool.CACHES] == [0] * len(tool.CACHES)
 
     @pytest.mark.parametrize("argv, named", BAD_SETTINGS + [

@@ -2,10 +2,11 @@
 
     PYTHONPATH=src python3 tools/quad_rounds.py [--rtol R] [--k-max K] [--set KEY=VALUE ...]
 
-Clears the analytic caches, runs ``analytic.evaluate`` at localizability
-(availability needs no quadrature) on the default configuration, changed by
-any ``--set`` overrides, and prints one JSON object. Under ``integrals`` it
-holds, per :func:`~constelsim.analytic.integrate_adaptive` label:
+Clears the analytic and channel caches, runs ``analytic.evaluate`` at
+localizability (availability needs no quadrature) on the default
+configuration, changed by any ``--set`` overrides, and prints one JSON
+object. Under ``integrals`` it holds, per
+:func:`~constelsim.analytic.integrate_adaptive` label:
 
 - ``rounds``: calls of the integrand, one per adaptive round;
 - ``nodes``: nodes evaluated over all rounds, 21 per panel;
@@ -23,11 +24,13 @@ import json
 import math
 import time
 
-from constelsim import analytic
+from constelsim import analytic, channel
 from constelsim.config import ConfigError, build_system_config, load_settings, parse_assignments
 
-# Every cache of the analytic layer, found by its ``cache_clear``.
-CACHES = tuple(obj for obj in vars(analytic).values() if hasattr(obj, "cache_clear"))
+# Every cache of the analytic and channel layers, found by its
+# ``cache_clear``: a repeated run in one process redoes the fading series'
+# set-up as well as the integrals.
+CACHES = tuple(obj for module in (analytic, channel) for obj in vars(module).values() if hasattr(obj, "cache_clear"))
 
 
 def _clear_caches():
