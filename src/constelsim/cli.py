@@ -313,7 +313,7 @@ _SEED = ("--seed", dict(type=int, default=None, help="Monte Carlo master seed"))
 _TRIALS = ("--trials", dict(type=int, default=None, help="Monte Carlo trial count"))
 _OUT = ("--out", dict(default="-", help="output path, '-' for stdout"))
 _EVALUATION = (
-    ("--rtol", dict(type=float, default=1e-8, help="quadrature relative tolerance")),
+    ("--rtol", dict(type=float, default=analytic.RTOL, help="quadrature relative tolerance")),
     ("--jobs", dict(type=int, default=1, help="worker processes for sweep points; validate runs on one")),
 )
 _SWEEP = ("--sweep", dict(action="append", required=True, metavar="NAME=MIN:MAX:STEP"))

@@ -1,4 +1,5 @@
-"""Configuration: baseline values, file parsing, canonical emission.
+"""Configuration: the settings types, each checking its values, baseline
+values (the only defaults), file parsing and canonical emission.
 
 The file format is flat ``section.key = value`` text. Values may carry a
 unit suffix (``dBW``, ``dBm``, ``dBi``, ``dB``, ``deg``, ``rad``); decibel
@@ -13,9 +14,10 @@ from __future__ import annotations
 
 import contextlib
 import math
+from dataclasses import dataclass
 
-from .analytic import SystemConfig
 from .channel import (
+    AntennaPattern,
     CosinePattern,
     FlatTopPattern,
     GaussianPattern,
@@ -23,9 +25,7 @@ from .channel import (
     SincPattern,
     SrFadingParams,
 )
-from .constellation import LeoShellConfig, MeoShellConfig
-from .geom import EARTH_RADIUS_KM
-from .mc import McSpec
+from .geom import EARTH_RADIUS_KM, max_central_angle
 
 
 class ConfigError(ValueError):
@@ -34,6 +34,97 @@ class ConfigError(ValueError):
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
+
+
+def _check_shell(layer: str, radius_km: float, beam_angle: float):
+    if not EARTH_RADIUS_KM < radius_km < math.inf:
+        raise ValueError(f"{layer} shell radius must be finite and exceed the Earth radius")
+    if not 0 < beam_angle < 2 * math.pi:
+        raise ValueError("beam angle must lie in (0, 2*pi)")
+
+
+@dataclass(frozen=True)
+class LeoShellConfig:
+    n_sats: int
+    radius_km: float
+    beam_angle: float  # full width of the transmit cone, radians
+
+    def __post_init__(self):
+        if self.n_sats < 0:
+            raise ValueError("n_sats must be non-negative")
+        _check_shell("LEO", self.radius_km, self.beam_angle)
+
+
+@dataclass(frozen=True)
+class MeoShellConfig:
+    n_orbits: int
+    sats_per_orbit: int
+    radius_km: float
+    beam_angle: float
+
+    def __post_init__(self):
+        if self.n_orbits < 0 or self.sats_per_orbit < 0:
+            raise ValueError("orbit and satellite counts must be non-negative")
+        _check_shell("MEO", self.radius_km, self.beam_angle)
+
+    @property
+    def n_sats(self) -> int:
+        return self.n_orbits * self.sats_per_orbit
+
+
+@dataclass(frozen=True)
+class SystemConfig:
+    """Full two-layer system description, all linear units."""
+
+    leo: LeoShellConfig
+    meo: MeoShellConfig
+    leo_link: LinkParams
+    meo_link: LinkParams
+    leo_fading: SrFadingParams
+    meo_fading: SrFadingParams
+    rx_pattern: AntennaPattern
+    epsilon: float
+
+    def __post_init__(self):
+        if not 0 < self.epsilon < 1:
+            raise ValueError("epsilon must lie in (0, 1)")
+        if not self.rx_pattern.effective_range < math.pi / 2:
+            raise ValueError(f"receive pattern's effective range must lie below pi/2, got "
+                             f"{self.rx_pattern.effective_range} rad")
+
+    @property
+    def leo_theta_max(self) -> float:
+        return max_central_angle(self.leo.radius_km, self.leo.beam_angle)
+
+    @property
+    def meo_theta_max(self) -> float:
+        return max_central_angle(self.meo.radius_km, self.meo.beam_angle)
+
+
+def _checked_seed(seed: int) -> int:
+    if seed < 0:
+        raise ConfigError("mc: master_seed must be non-negative")
+    return seed
+
+
+@dataclass(frozen=True)
+class McSpec:
+    """Monte Carlo run settings, the ``mc.*`` keys: trial count, master seed
+    and interference mode."""
+
+    n_trials: int
+    master_seed: int
+    sum_all_interferers: bool
+
+    def __post_init__(self):
+        if self.n_trials < 1:
+            raise ConfigError("mc: n_trials must be at least 1")
+        _checked_seed(self.master_seed)
+
+    @property
+    def n_batches(self) -> int:
+        """Number of batch-means batches."""
+        return min(20, self.n_trials)
 
 
 # Baseline system: a 2000-satellite LEO shell at 1000 km with 45-degree
@@ -176,9 +267,7 @@ def _link(settings: dict, layer: str) -> LinkParams:
 def build_system_config(settings: dict) -> SystemConfig:
     pattern, pattern_key = _PATTERNS[settings["rx.pattern"]]
     try:
-        fading = SrFadingParams(
-            m=settings["fading.m"], b0=settings["fading.b0"], omega=settings["fading.omega"],
-        )
+        fading = SrFadingParams(m=settings["fading.m"], b0=settings["fading.b0"], omega=settings["fading.omega"])
         return SystemConfig(
             leo=LeoShellConfig(
                 n_sats=settings["leo.n_sats"],
@@ -204,20 +293,14 @@ def build_system_config(settings: dict) -> SystemConfig:
 
 def build_mc_settings(settings: dict) -> McSpec:
     """Monte Carlo run spec from the ``mc.*`` keys."""
-    try:
-        return McSpec(n_trials=settings["mc.n_trials"], master_seed=settings["mc.master_seed"],
-                      sum_all_interferers=bool(settings["mc.sum_all_interferers"]))
-    except ValueError as exc:
-        raise ConfigError(f"mc: {exc}") from exc
+    return McSpec(n_trials=settings["mc.n_trials"], master_seed=settings["mc.master_seed"],
+                  sum_all_interferers=bool(settings["mc.sum_all_interferers"]))
 
 
 def build_master_seed(settings: dict) -> int:
     """The Monte Carlo master seed alone, from ``mc.master_seed``, for a
     command that draws but runs no trials."""
-    master_seed = settings["mc.master_seed"]
-    if master_seed < 0:
-        raise ConfigError("mc: master_seed must be non-negative")
-    return master_seed
+    return _checked_seed(settings["mc.master_seed"])
 
 
 def default_config() -> SystemConfig:

@@ -30,54 +30,17 @@ whole LEO shell, and a MEO cap of central angle pi holds its whole shell.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 # numpy imports its random package lazily, on first use; importing it here
 # keeps that cost in start-up rather than in the first Monte Carlo batch.
 import numpy.random  # noqa: F401
 
-from .geom import EARTH_RADIUS_KM, cap_fraction, orbit_arc
+from .config import LeoShellConfig, MeoShellConfig
+from .geom import cap_fraction, orbit_arc
 
 # The ground target used throughout; the point processes are isotropic, so
 # fixing it loses no generality.
 TARGET_DIRECTION = np.array([1.0, 0.0, 0.0])
-
-
-@dataclass(frozen=True)
-class LeoShellConfig:
-    n_sats: int
-    radius_km: float
-    beam_angle: float  # full width of the transmit cone, radians
-
-    def __post_init__(self):
-        if self.n_sats < 0:
-            raise ValueError("n_sats must be non-negative")
-        if not EARTH_RADIUS_KM < self.radius_km < math.inf:
-            raise ValueError("LEO shell radius must be finite and exceed the Earth radius")
-        if not 0 < self.beam_angle < 2 * math.pi:
-            raise ValueError("beam angle must lie in (0, 2*pi)")
-
-
-@dataclass(frozen=True)
-class MeoShellConfig:
-    n_orbits: int
-    sats_per_orbit: int
-    radius_km: float
-    beam_angle: float
-
-    def __post_init__(self):
-        if self.n_orbits < 0 or self.sats_per_orbit < 0:
-            raise ValueError("orbit and satellite counts must be non-negative")
-        if not EARTH_RADIUS_KM < self.radius_km < math.inf:
-            raise ValueError("MEO shell radius must be finite and exceed the Earth radius")
-        if not 0 < self.beam_angle < 2 * math.pi:
-            raise ValueError("beam angle must lie in (0, 2*pi)")
-
-    @property
-    def n_sats(self) -> int:
-        return self.n_orbits * self.sats_per_orbit
 
 
 def derive_rng(master_seed: int, index: int = 0) -> np.random.Generator:

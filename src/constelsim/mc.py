@@ -97,8 +97,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .analytic import KM_TO_M, SYSTEMS, SystemConfig
+from .analytic import KM_TO_M, SYSTEMS
 from .channel import LinkParams, SrFadingParams, sr_sample
+from .config import McSpec, SystemConfig
 from .constellation import TARGET_DIRECTION, derive_rng, place_in_cap, sample_bpp_cap, sample_dsbpp_cap
 from .geom import EARTH_RADIUS_KM, cap_fraction, dome_from_central
 
@@ -112,27 +113,6 @@ PREFIX_RANKS = 2
 BOUND_MARGIN = 2.0 ** -40
 
 _TARGET_KM = TARGET_DIRECTION * EARTH_RADIUS_KM
-
-
-@dataclass(frozen=True)
-class McSpec:
-    """Monte Carlo run settings, the ``mc.*`` keys: trial count, master seed
-    and interference mode."""
-
-    n_trials: int = 100_000
-    master_seed: int = 1
-    sum_all_interferers: bool = True
-
-    def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
-
-    @property
-    def n_batches(self) -> int:
-        """Number of batch-means batches."""
-        return min(20, self.n_trials)
 
 
 def _ragged(sizes: np.ndarray):
@@ -386,7 +366,7 @@ def run_validation(
     config: SystemConfig,
     spec: McSpec,
     ks: list[int],
-    rtol: float = 1e-8,
+    rtol: float = analytic.RTOL,
     metrics: tuple[str, ...] = analytic.METRICS,
 ) -> list[ValidationRow]:
     """Compare every closed-form expression against the simulation at the

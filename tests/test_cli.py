@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,6 +16,10 @@ import constelsim
 from constelsim import analytic, cli, mc
 from constelsim.config import (
     ConfigError,
+    LeoShellConfig,
+    McSpec,
+    MeoShellConfig,
+    SystemConfig,
     build_system_config,
     emit_settings,
     load_settings,
@@ -248,6 +253,31 @@ class TestValidate:
         code, text = run(tmp_path, "validate", "--metrics", "availability", "--set", bad, *trials)
         assert code == 2 and text is None
         assert "configuration error" in capsys.readouterr().err
+
+    # Each check of the settings types, and the one message it gives.
+    TYPE_CHECKS = {
+        "leo.n_sats=-1": "n_sats must be non-negative",
+        "meo.n_orbits=-1": "orbit and satellite counts must be non-negative",
+        "leo.altitude_km=-1": "LEO shell radius must be finite and exceed the Earth radius",
+        "meo.altitude_km=inf": "MEO shell radius must be finite and exceed the Earth radius",
+        "leo.beam_angle=0 deg": "beam angle must lie in (0, 2*pi)",
+        "meo.beam_angle=360 deg": "beam angle must lie in (0, 2*pi)",
+        "epsilon=1": "epsilon must lie in (0, 1)",
+        "mc.n_trials=0": "mc: n_trials must be at least 1",
+        "mc.master_seed=-1": "mc: master_seed must be non-negative",
+    }
+
+    @pytest.mark.parametrize("bad", sorted(TYPE_CHECKS))
+    def test_settings_type_check_message(self, tmp_path, capsys, bad):
+        code, text = run(tmp_path, "validate", "--metrics", "availability", "--set", bad)
+        assert code == 2 and text is None
+        assert capsys.readouterr().err == f"configuration error: {self.TYPE_CHECKS[bad]}\n"
+
+    @pytest.mark.parametrize("settings_type", [LeoShellConfig, MeoShellConfig, SystemConfig, McSpec])
+    def test_settings_types_take_no_defaults(self, settings_type):
+        # A default is stated once, as a line of config._DEFAULTS.
+        for field in dataclasses.fields(settings_type):
+            assert field.default is field.default_factory is dataclasses.MISSING, field.name
 
 
 # The smallest run of each command that reaches its quadrature.

@@ -6,9 +6,8 @@ from scipy.stats import chi2_contingency, chisquare, ks_2samp, kstest
 
 from constelsim import cli
 from constelsim.analytic import evaluate
+from constelsim.config import LeoShellConfig, MeoShellConfig, build_system_config, load_settings
 from constelsim.constellation import (
-    LeoShellConfig,
-    MeoShellConfig,
     cap_positions,
     central_angle_to_target,
     derive_rng,
@@ -17,7 +16,6 @@ from constelsim.constellation import (
     sample_bpp_cap,
     sample_dsbpp_cap,
 )
-from constelsim.config import build_system_config, load_settings
 from constelsim.geom import orbit_arc
 
 LEO = LeoShellConfig(n_sats=2000, radius_km=7371.0, beam_angle=math.pi / 4)

@@ -1,12 +1,18 @@
 """Layering guards: a module of the package uses only the public names of
 its sibling modules. Underscore names (the fading kernel's weights and
-Poisson matrix, say) stay inside the module that defines them. Every
+Poisson matrix, say) stay inside the module that defines them. A module
+imports only the package modules below it: the settings layer, ``config``,
+needs neither the samplers nor the engine, and the closed forms need no
+simulation code. Every
 memoising cache has a fixed size, so memory stays bounded however long a
 sweep runs. Every package name the benchmark scripts import exists, so a
 deletion they still depend on fails here rather than in a benchmark run."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import constelsim
@@ -59,6 +65,78 @@ def test_guard_sees_both_forms(tmp_path):
         encoding="utf-8",
     )
     assert sorted(private_uses(probe)) == ["analytic._hybrid", "channel._series_weights", "geom._helper"]
+
+
+# The package modules each package module may import, at module level or
+# inside a function.
+ALLOWED_IMPORTS = {
+    "__init__": {"geom"},
+    "geom": set(),
+    "channel": set(),
+    "config": {"channel", "geom"},
+    "constellation": {"config", "geom"},
+    "analytic": {"channel", "config", "geom"},
+    "mc": {"analytic", "channel", "config", "constellation", "geom"},
+    "cli": {"analytic", "channel", "config", "constellation", "mc"},
+}
+
+
+def package_imports(path: Path) -> set[str]:
+    """Package modules that the module at ``path`` imports anywhere in its
+    source, function bodies included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "constelsim"):
+            source = (node.module or "").removeprefix("constelsim").lstrip(".")
+            if source:
+                found.add(source.split(".")[0])
+            else:  # ``from . import analytic`` or ``from constelsim import analytic``
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("constelsim."))
+    return found
+
+
+def test_modules_import_only_the_layers_below():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert sorted(path.stem for path in paths) == sorted(ALLOWED_IMPORTS)
+    found = {path.stem: sorted(package_imports(path) - ALLOWED_IMPORTS[path.stem]) for path in paths}
+    assert {name: extra for name, extra in found.items() if extra} == {}
+
+
+def test_layer_guard_fires(tmp_path):
+    probe = tmp_path / "config.py"
+    probe.write_text(
+        "from . import analytic\n"
+        "from .channel import sr_sf\n"
+        "import constelsim.geom as g\n"
+        "from constelsim import mc\n"
+        "import numpy.random\n"
+        "def build():\n"
+        "    from .constellation import derive_rng\n"
+        "    import constelsim.cli\n"
+        "    return derive_rng\n",
+        encoding="utf-8",
+    )
+    assert package_imports(probe) == {"analytic", "channel", "cli", "constellation", "geom", "mc"}
+    assert sorted(package_imports(probe) - ALLOWED_IMPORTS["config"]) == ["analytic", "cli", "constellation", "mc"]
+
+
+def test_settings_and_closed_forms_load_no_simulation_code():
+    # A fresh interpreter, so nothing this test process has loaded counts.
+    code = (
+        "import sys\n"
+        "import constelsim.config\n"
+        "print(sorted(sys.modules.keys() & {'constelsim.analytic', 'constelsim.constellation', 'constelsim.mc'}))\n"
+        "import constelsim.analytic\n"
+        "print(sorted(sys.modules.keys() & {'numpy.random', 'constelsim.constellation', 'constelsim.mc'}))\n"
+    )
+    src = str(PACKAGE.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+                          timeout=120)
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def unbounded_caches(path: Path) -> list[int]:

@@ -12,7 +12,7 @@ from scipy.stats import binom
 from constelsim import analytic, cli, mc
 from constelsim.analytic import KM_TO_M, leo_interference_cap
 from constelsim.channel import CosinePattern, FlatTopPattern, SincPattern, sr_sample
-from constelsim.config import build_mc_settings, build_system_config, default_config, load_settings
+from constelsim.config import McSpec, build_mc_settings, build_system_config, default_config, load_settings
 from constelsim.constellation import (
     cap_positions,
     central_angle_to_target,
@@ -22,7 +22,7 @@ from constelsim.constellation import (
     sample_bpp_cap,
     sample_dsbpp_cap,
 )
-from constelsim.mc import McSpec, run_validation, simulate
+from constelsim.mc import run_validation, simulate
 
 CFG = default_config()
 DENSE = build_system_config(load_settings(overrides={"leo.altitude_km": "2000"}))
@@ -66,12 +66,12 @@ def assert_summaries_equal(a, b):
 
 class TestDeterminism:
     def test_same_seed_same_summary(self):
-        spec = McSpec(n_trials=400, master_seed=3)
+        spec = McSpec(n_trials=400, master_seed=3, sum_all_interferers=True)
         assert_summaries_equal(simulate(CFG, spec, 6), simulate(CFG, spec, 6))
 
     def test_seed_changes_summary(self):
-        a = simulate(CFG, McSpec(n_trials=400, master_seed=3), 6)
-        b = simulate(CFG, McSpec(n_trials=400, master_seed=4), 6)
+        a = simulate(CFG, McSpec(n_trials=400, master_seed=3, sum_all_interferers=True), 6)
+        b = simulate(CFG, McSpec(n_trials=400, master_seed=4, sum_all_interferers=True), 6)
         assert not np.array_equal(a.leo_rank_pass, b.leo_rank_pass)
 
     def test_same_seed_same_validate_bytes(self, tmp_path):
@@ -93,7 +93,7 @@ class TestDeterminism:
         # localizability stream, so every chunk sees the same geometry either
         # way.
         monkeypatch.setattr(mc, "CHUNK_TRIALS", 50)
-        spec = McSpec(n_trials=2500, master_seed=5)
+        spec = McSpec(n_trials=2500, master_seed=5, sum_all_interferers=True)
         assert spec.n_trials // spec.n_batches > mc.CHUNK_TRIALS
         both = simulate(CFG, spec, 6)
         alone = simulate(CFG, spec, 6, metrics=("availability",))
@@ -139,7 +139,7 @@ class TestSpec:
 
         monkeypatch.setattr(mc, "derive_rng", recording_rng)
         monkeypatch.setattr(mc.analytic, "compose", recording_compose)
-        simulate(CFG, McSpec(n_trials=5, master_seed=2), 2)
+        simulate(CFG, McSpec(n_trials=5, master_seed=2, sum_all_interferers=True), 2)
         assert streams == [(2, 0)]
         assert stacks == [((6, 2), (6, CFG.meo.n_sats + 1))]
 
@@ -156,7 +156,7 @@ class TestSpec:
 class TestEstimates:
     def test_leo_availability_matches_binomial(self):
         # Batches of 1500 trials run as more than one chunk.
-        spec = McSpec(n_trials=30_000, master_seed=17)
+        spec = McSpec(n_trials=30_000, master_seed=17, sum_all_interferers=True)
         assert spec.n_trials // spec.n_batches > mc.CHUNK_TRIALS
         summary = simulate(CFG, spec, 6, metrics=("availability",))
         fraction = 0.5 * (1.0 - math.cos(CFG.leo_theta_max))
@@ -171,7 +171,7 @@ class TestEstimates:
         assert all(row.passed for row in rows), [(r.metric, r.k) for r in rows if not r.passed]
 
     def test_validation_builds_only_the_given_k(self):
-        spec = McSpec(n_trials=200, master_seed=1)
+        spec = McSpec(n_trials=200, master_seed=1, sum_all_interferers=True)
         rows = run_validation(CFG, spec, [3])
         assert [(row.metric, row.k) for row in rows] == [
             (f"{system}_{metric}", 3) for metric in ("availability", "localizability")
@@ -182,7 +182,8 @@ class TestEstimates:
     @pytest.mark.parametrize("ks", [[0], [], [2, -1]])
     def test_validation_rejects_k_outside_k_max(self, ks):
         with pytest.raises(ValueError, match="K values"):
-            run_validation(CFG, McSpec(n_trials=20, master_seed=1), ks, metrics=("availability",))
+            spec = McSpec(n_trials=20, master_seed=1, sum_all_interferers=True)
+            run_validation(CFG, spec, ks, metrics=("availability",))
 
     def test_faithful_passes_match_per_trial_loop(self):
         # Two independent samples of the per-rank LEO pass fractions and the
@@ -198,7 +199,7 @@ class TestEstimates:
             meo[trial] = sum(loop_passes(DENSE, meo_pos, DENSE.meo_theta_max, DENSE.meo_link, 12, rng))
         leo /= n_loop
         n_mc = 20_000
-        summary = simulate(DENSE, McSpec(n_trials=n_mc, master_seed=8), 3)
+        summary = simulate(DENSE, McSpec(n_trials=n_mc, master_seed=8, sum_all_interferers=True), 3)
         se = np.sqrt(leo * (1 - leo) / n_loop + summary.leo_rank_pass * (1 - summary.leo_rank_pass) / n_mc)
         assert np.all(np.abs(summary.leo_rank_pass - leo) <= 4.0 * se + 1e-4)
         meo_mc = summary.meo_single_pass * DENSE.meo.n_sats
@@ -354,7 +355,7 @@ class TestEstimates:
     def test_no_leo_no_meo(self):
         cfg = dataclasses.replace(CFG, leo=dataclasses.replace(CFG.leo, n_sats=0),
                                   meo=dataclasses.replace(CFG.meo, n_orbits=0))
-        summary = simulate(cfg, McSpec(n_trials=50, master_seed=2), 6)
+        summary = simulate(cfg, McSpec(n_trials=50, master_seed=2, sum_all_interferers=True), 6)
         for metric in ("availability", "localizability"):
             for system in ("leo", "meo", "hybrid"):
                 assert np.all(summary.estimates[metric, system][0] == 0.0)
@@ -375,7 +376,7 @@ class TestBatchesAcrossChunks:
             return results[-1]
 
         monkeypatch.setattr(mc, "_sinr_passes", recording)
-        summary = simulate(DENSE, McSpec(n_trials=n_trials, master_seed=6), k_max)
+        summary = simulate(DENSE, McSpec(n_trials=n_trials, master_seed=6, sum_all_interferers=True), k_max)
         assert len(results) == 2 * math.ceil(n_trials / chunk)
         rank_pass = np.zeros((n_trials // size, k_max))
         meo_pmf = np.zeros((n_trials // size, n_meo + 1))

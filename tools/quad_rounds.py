@@ -74,7 +74,7 @@ def _counted_rounds():
 
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description="Count the quadrature rounds of one cold analytic evaluation.")
-    parser.add_argument("--rtol", type=float, default=1e-8, help="quadrature relative tolerance")
+    parser.add_argument("--rtol", type=float, default=analytic.RTOL, help="quadrature relative tolerance")
     parser.add_argument("--k-max", type=int, default=6, help="largest K")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="config override")
     args = parser.parse_args(argv)
