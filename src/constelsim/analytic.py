@@ -59,6 +59,7 @@ module needs nothing beyond numpy.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -143,7 +144,7 @@ def _gk21_panels(func, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
     spread = np.abs(values - 0.5 * kronrod[..., None]) @ _GK_KRONROD
     with np.errstate(divide="ignore", invalid="ignore"):
         error = np.where(spread > 0, spread * np.minimum(1.0, (200.0 * gap / spread) ** 1.5), gap)
-    error = np.maximum(error, 50.0 * np.finfo(float).eps * (np.abs(values) @ _GK_KRONROD))
+    error = np.maximum(error, 50.0 * sys.float_info.epsilon * (np.abs(values) @ _GK_KRONROD))
     return kronrod * half, (error * half).reshape(-1, lo.size).max(axis=0)
 
 
@@ -165,7 +166,11 @@ def integrate_adaptive(func, a: float, b: float, rtol: float, label: str):
     would take more than ``MAX_PANELS`` panels or the integrand is not
     finite.
     """
-    edges = np.linspace(a, b, min(FIRST_PANELS, MAX_PANELS) + 1)
+    panels = min(FIRST_PANELS, MAX_PANELS)
+    # np.linspace(a, b, panels + 1)'s own arithmetic, bit for bit unless its
+    # step underflows to 0, without its first call's cost.
+    step = (b - a) / panels
+    edges = np.array([a + k * step for k in range(panels)] + [b])
     lo, hi = edges[:-1], edges[1:]
     value, error = _gk21_panels(func, lo, hi)
     while True:

@@ -34,6 +34,7 @@ import argparse
 import itertools
 import math
 import os
+import re
 import sys
 
 from . import analytic
@@ -236,7 +237,7 @@ def cmd_sample(opts, settings: dict) -> int:
     rng = derive_rng(build_master_seed(settings), 0)
     leo_pos = sample_bpp(cfg.leo, rng)
     # Every satellite lies within central angle pi, so this is the whole shell.
-    meo_pos = sample_dsbpp_cap(cfg.meo, rng, math.pi, 1, positions=True)[1]
+    meo_pos = sample_dsbpp_cap(cfg.meo, rng, math.pi, 1, positions=True)[1].T
     lines = ["layer,orbit_index,sat_index,x_km,y_km,z_km"]
     for i, pos in enumerate(leo_pos):
         lines.append(f"leo,-1,{i}," + _format_row(pos))
@@ -356,11 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Dash-led strings that argparse takes as option values rather than flags in
+# a parser none of whose options looks like a negative number: a lone '-'
+# and its negative-number pattern.
+_DASH_VALUE = re.compile(r"-|-\d+|-\d*\.\d+")
+
+
 def _plain_parse(command: str, args: list[str]) -> argparse.Namespace | None:
     """``command``'s options as its parser's ``parse_args(args)`` returns
     them, read without building the parser, or None when ``args`` is not
     plain. Plain means: only exact flags of ``command``, each followed by one
-    value that does not start with '-' (``store_true`` flags by none); every
+    value (``store_true`` flags by none) that does not start with '-' or is
+    one of the dash-led values argparse reads as values here (a lone '-' or
+    a negative number, since no option looks like one); every
     value converts by its option's ``type`` and lies among its ``choices``;
     and every required option is given. ``append`` options accumulate, a
     repeated option keeps its last value, and absent ones take their
@@ -377,8 +386,8 @@ def _plain_parse(command: str, args: list[str]) -> argparse.Namespace | None:
         if action == "store_true":
             given[flag] = True
             continue
-        text = next(tokens, "-")  # a missing value reads as one that starts with '-'
-        if text.startswith("-"):
+        text = next(tokens, None)
+        if text is None or (text.startswith("-") and not _DASH_VALUE.fullmatch(text)):
             return None
         try:
             value = kwargs.get("type", str)(text)

@@ -7,25 +7,29 @@ component s along the target, uniform on [-1, 1], and its azimuth about the
 target), and a fixed number of satellites is placed at independent uniform
 anomalies along each orbit.
 
-Positions are returned as ``(n, 3)`` float arrays in kilometres. MEO points
-are ordered orbit-major: satellite ``j`` of orbit ``i`` sits at row
-``i * sats_per_orbit + j``.
+A whole shell (:func:`sample_bpp`) comes as an ``(n, 3)`` float array in
+kilometres. The cap samplers, which feed the Monte Carlo engine, return
+``(3, n)`` arrays instead: one row each of x, y and z, with the target on
+the x axis, so the engine reads each coordinate as one contiguous array;
+``.T`` is the ``(n, 3)`` view. MEO points are ordered orbit-major: satellite
+``j`` of orbit ``i`` is point ``i * sats_per_orbit + j``.
 
 The Monte Carlo engine draws whole batches of shells at once, and of each
 shell only the part that can be seen, counts first. For LEO,
 :func:`sample_bpp_cap` draws only the number of satellites in the visible
 cap: no satellite outside it can serve or interfere, and the binomial
 cap-count law makes the restricted draw exact. :func:`place_in_cap` places
-them, i.i.d. uniform in the cap and nearest first within each shell, on a
-stream of the caller's choosing, so a caller that reads only counts draws no
-placement. For MEO, :func:`sample_dsbpp_cap` draws every orbit and one
-uniform per satellite, since the orbits couple the satellites. Whether the
-target sees a satellite depends only on its orbit's s and its own anomaly:
-the orbit's visible part is one arc about its point nearest the target, so
-no satellite needs a position or a distance to be found visible. It
-returns the per-shell visible counts and, only when asked, the visible
-satellites' positions packed shell by shell. :func:`sample_bpp` draws a
-whole LEO shell, and a MEO cap of central angle pi holds its whole shell.
+them, i.i.d. uniform in the cap and nearest first within each shell, one
+cosine uniform per point, on a stream of the caller's choosing, so a caller
+that reads only counts draws no placement. For MEO, :func:`sample_dsbpp_cap`
+draws every orbit and one uniform per satellite, since the orbits couple the
+satellites. Whether the target sees a satellite depends only on its orbit's
+s and its own anomaly: the orbit's visible part is one arc about its point
+nearest the target, so no satellite needs a position or a distance to be
+found visible. It returns the per-shell visible counts and, only when asked,
+the visible satellites' positions packed shell by shell. :func:`sample_bpp`
+draws a whole LEO shell, and a MEO cap of central angle pi holds its whole
+shell.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ from .geom import cap_fraction, orbit_arc
 # The ground target used throughout; the point processes are isotropic, so
 # fixing it loses no generality.
 TARGET_DIRECTION = np.array([1.0, 0.0, 0.0])
+# Most shells one place_in_cap call orders: its sort key holds a shell's
+# index in the 10 bits above a uniform's 53-bit numerator.
+MAX_PLACED_SHELLS = 2**10
 
 
 def derive_rng(master_seed: int, index: int = 0) -> np.random.Generator:
@@ -86,7 +93,7 @@ def sample_dsbpp_cap(
     reproducible and does not depend on ``cap_angle`` or ``positions``.
 
     Returns the per-shell visible counts and, with ``positions``, the
-    ``(counts.sum(), 3)`` positions of the visible satellites only, shell by
+    ``(3, counts.sum())`` positions of the visible satellites only, shell by
     shell in orbit-major order (otherwise None). With c = cos(delta), the
     orbit's normal is (s, c cos psi, c sin psi), and the satellite at
     anomaly a sits at radius times (c cos a, sin a sin psi - s cos psi cos a,
@@ -107,10 +114,10 @@ def sample_dsbpp_cap(
     s, cos_delta, cos_psi, sin_psi = (a.take(orbit) for a in (s, cos_delta, np.cos(psi), np.sin(psi)))
     anomaly = np.pi * (2.0 * u.take(flat) - 1.0)
     r_cos, r_sin = config.radius_km * np.cos(anomaly), config.radius_km * np.sin(anomaly)
-    out = np.empty((flat.size, 3))
-    out[:, 0] = cos_delta * r_cos
-    out[:, 1] = r_sin * sin_psi - s * cos_psi * r_cos
-    out[:, 2] = -(s * sin_psi * r_cos + r_sin * cos_psi)
+    out = np.empty((3, flat.size))
+    out[0] = cos_delta * r_cos
+    out[1] = r_sin * sin_psi - s * cos_psi * r_cos
+    out[2] = -(s * sin_psi * r_cos + r_sin * cos_psi)
     return counts, out
 
 
@@ -130,30 +137,41 @@ def sample_bpp_cap(config: LeoShellConfig, rng: np.random.Generator, cap_angle: 
 def place_in_cap(radius_km: float, cap_angle: float, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Positions of points i.i.d. uniform in the cap of central angle
     ``cap_angle`` about the target on a shell of radius ``radius_km``,
-    ``counts[s]`` of them for shell ``s``.
+    ``counts[s]`` of them for shell ``s``, at most ``MAX_PLACED_SHELLS``
+    shells.
 
-    Random draws happen in a fixed order: ``(counts.size, largest count)``
-    uniforms for the cosines of the central angles, then one azimuth uniform
-    per point. Returns the ``(counts.sum(), 3)`` positions, shell by shell
+    Random draws happen in a fixed order: one uniform per point, shell by
+    shell, for the cosines of the central angles, then one azimuth uniform
+    per point. Returns the ``(3, counts.sum())`` positions, shell by shell
     and by increasing central angle within a shell.
     """
-    width = int(counts.max(initial=0))
-    u = rng.random((counts.size, width))
-    # Ascending uniforms give descending cosines; the azimuths are i.i.d.,
-    # so they need no reordering.
-    live = np.arange(width) < counts[:, None]
-    u[~live] = np.inf
-    u.sort(axis=1)
-    cos_theta = 1.0 - u[live] * (2.0 * cap_fraction(cap_angle))
+    if counts.size > MAX_PLACED_SHELLS:
+        raise ValueError(f"at most {MAX_PLACED_SHELLS} shells are placed at once, got {counts.size}")
+    # Generator.random returns k / 2^53 with an integer k below 2^53, so the
+    # shell index placed above k makes one int64 key per point, below 2^63
+    # for up to 2^10 shells, and a single sort of the keys orders every
+    # shell's uniforms exactly. Ascending uniforms give descending cosines;
+    # the azimuths are i.i.d., so they need no reordering.
+    key = (rng.random(int(counts.sum())) * 2.0**53).astype(np.int64)
+    key += np.repeat(np.arange(counts.size, dtype=np.int64) << 53, counts)
+    key.sort()
+    key &= 2**53 - 1
+    cos_theta = 1.0 - key * 2.0**-53 * (2.0 * cap_fraction(cap_angle))
     return cap_positions(radius_km, cos_theta, 2.0 * np.pi * rng.random(cos_theta.size))
 
 
 def cap_positions(radius_km: float, cos_theta: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
-    """Positions (km, trailing axis of 3) of points on a shell given in
-    polar coordinates about ``TARGET_DIRECTION`` (the x axis): the cosine of
-    the central angle and the azimuth."""
+    """Positions (km, leading axis of 3: x, y and z) of points on a shell
+    given in polar coordinates about ``TARGET_DIRECTION`` (the x axis): the
+    cosine of the central angle and the azimuth.
+
+    The azimuth's cosine and sine are (1 - t^2) / (1 + t^2) and
+    2 t / (1 + t^2) with t = tan(azimuth / 2): numpy vectorizes its tangent
+    but not its cosine and sine, which cost several times as much."""
+    t = np.tan(0.5 * azimuth)
     sin_theta = np.sqrt(1.0 - cos_theta**2)
-    return radius_km * np.stack([cos_theta, sin_theta * np.cos(azimuth), sin_theta * np.sin(azimuth)], axis=-1)
+    sin_theta /= 1.0 + t * t
+    return radius_km * np.stack([cos_theta, sin_theta * (1.0 - t * t), sin_theta * (2.0 * t)])
 
 
 def central_angle_to_target(positions: np.ndarray, target_direction: np.ndarray = TARGET_DIRECTION) -> np.ndarray:

@@ -8,6 +8,7 @@ the ground target.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -65,7 +66,7 @@ def orbit_arc(cap_angle: float, cos_delta):
     """
     # cos(delta) = 0 is an orbit face-on to the target; the floor keeps the
     # ratio finite there, and its sign carries the answer.
-    ratio = math.cos(cap_angle) / np.maximum(cos_delta, np.finfo(float).tiny)
+    ratio = math.cos(cap_angle) / np.maximum(cos_delta, sys.float_info.min)
     return np.arccos(np.maximum(ratio, -1.0), out=np.full_like(ratio, -1.0), where=ratio <= 1.0)
 
 

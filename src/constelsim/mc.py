@@ -7,19 +7,20 @@ Interference is same-layer only: the two layers use different carriers.
 
 Trials run as arrays, and the engine touches only what can be seen. Each
 layer comes out of its sampler as per-trial visible counts, and the
-positions of the visible satellites, packed trial by trial, are built only
-when localizability runs. The LEO shell is drawn only inside the visible
-cap, counts first (:func:`~constelsim.constellation.sample_bpp_cap` at the
-detection angle): a binomial point process puts a Binomial(N, F) count
-there, F the cap law :func:`~constelsim.geom.cap_fraction`, each point
-uniform in the cap (:func:`~constelsim.constellation.place_in_cap`), so the
-restricted draw is exact where it matters: satellites outside the visible
-cap neither serve nor interfere. A trial's LEO satellites come nearest
-first, so its K nearest ranks are its first K. The MEO shell is drawn whole,
-orbit by orbit (:func:`~constelsim.constellation.sample_dsbpp_cap`), and a
-satellite is visible when its anomaly lies on its orbit's arc within the
-detection angle. MEO beams carry no rank, so every visible MEO satellite
-serves, in orbit-major order.
+positions of the visible satellites, packed trial by trial as one row each
+of x, y and z, are built only when localizability runs. The LEO shell is
+drawn only inside the visible cap, counts first
+(:func:`~constelsim.constellation.sample_bpp_cap` at the detection angle): a
+binomial point process puts a Binomial(N, F) count there, F the cap law
+:func:`~constelsim.geom.cap_fraction`, each point uniform in the cap
+(:func:`~constelsim.constellation.place_in_cap`), so the restricted draw is
+exact where it matters: satellites outside the visible cap neither serve nor
+interfere. A trial's LEO satellites come nearest first, so its K nearest
+ranks are its first K. The MEO shell is drawn whole, orbit by orbit
+(:func:`~constelsim.constellation.sample_dsbpp_cap`), and a satellite is
+visible when its anomaly lies on its orbit's arc within the detection angle.
+MEO beams carry no rank, so every visible MEO satellite serves, in
+orbit-major order.
 
 The SINR works on links, never on padded boxes. Each visible satellite has
 one link to the target and so one fading value, which serves as its beam's
@@ -44,30 +45,37 @@ Per-rank pass counts and per-trial MEO pass counts come back through
 RNG contract. A run draws its geometry from one stream,
 ``derive_rng(master_seed, 0)``, and, when localizability runs, everything
 else from that stream's first spawned child, the localizability stream. Both
-serve the whole run in chunks of at most ``CHUNK_TRIALS`` trials (a module
-constant, so memory stays bounded at any trial count), and a chunk may span
-batch boundaries. Each chunk draws from the geometry stream the LEO cap
-counts, then every MEO orbit's s, then every orbit's azimuth psi (both as
+serve the whole run in chunks of ``CHUNK_TRIALS`` trials, 1024, the last
+chunk taking the rest (a module constant, so memory stays bounded at any
+trial count), and a chunk may span batch boundaries. Each chunk draws from
+the geometry stream the LEO cap counts, then every MEO orbit's s, then every
+orbit's azimuth psi (both as
 :func:`~constelsim.constellation.sample_dsbpp_cap` defines them), then one
 anomaly uniform per MEO satellite. With localizability it then draws from
-the localizability stream the visible LEO satellites' placement in the cap,
-then the LEO links' fading and then the MEO links'. Per layer, that is one
-value per visible satellite, in packed order; approximation-matched mode
-then draws its synthetic interferers. A beam's verdict reads its own
-satellite's value and, in faithful mode, the other visible satellites'
-values of its trial: always distinct, independent draws. So each beam's
-pass law, and with it every per-rank LEO pass fraction and per-satellite
-MEO pass probability, is what it would be with a fresh draw per pair; only
-the joint law of the beams within a trial follows the shared links, as the
-system model has it. Results therefore depend on the config,
-``master_seed``, ``n_trials`` and ``k_max`` only, and availability estimates
-do not depend on whether localizability is simulated too: an
-availability-only run draws the same geometry stream and no placement.
+the localizability stream the visible LEO satellites' placement in the cap
+(:func:`~constelsim.constellation.place_in_cap`): one cosine uniform per
+visible satellite, trial by trial, then one azimuth uniform per visible
+satellite. Then come the LEO links' fading and then the MEO links'. In
+faithful mode that is one value per visible satellite, in packed order;
+approximation-matched mode reads only the serving beams' links and draws one
+value per beam, in beam order, then its synthetic interferers. A beam's
+verdict reads its own satellite's value and, in faithful mode, the other
+visible satellites' values of its trial: always distinct, independent
+draws. So each beam's pass law, and with it every per-rank LEO pass
+fraction and per-satellite MEO pass probability, is what it would be with a
+fresh draw per pair; only the joint law of the beams within a trial follows
+the shared links, as the system model has it. Results therefore depend on
+the config, ``master_seed``, ``n_trials`` and ``k_max`` only, and
+availability estimates do not depend on whether localizability is
+simulated too: an availability-only run draws the same geometry stream and
+no placement.
 
-The batch-means batches are the min(20, n_trials) contiguous trial ranges
-of near-equal size. Every trial carries its batch's label, so per-batch
-rank pass counts and MEO pass-count laws fill from one ``np.bincount`` per
-chunk, keyed by (batch, rank) and by (batch, count).
+The batch-means batches are the n_batches = min(20, n_trials) contiguous
+trial ranges of near-equal size, batch b ending at trial
+(b + 1) * n_trials // n_batches in exact integer arithmetic. Every trial
+carries its batch's label, so per-batch rank pass counts and MEO pass-count
+laws fill from one ``np.bincount`` per chunk, keyed by (batch, rank) and by
+(batch, count).
 
 Two interference modes exist. The faithful default sums every visible
 same-layer satellite with its exact range and exact dome-angle receive gain.
@@ -100,19 +108,23 @@ from . import analytic
 from .analytic import KM_TO_M, SYSTEMS
 from .channel import LinkParams, SrFadingParams, sr_sample
 from .config import McSpec, SystemConfig
-from .constellation import TARGET_DIRECTION, derive_rng, place_in_cap, sample_bpp_cap, sample_dsbpp_cap
+from .constellation import derive_rng, place_in_cap, sample_bpp_cap, sample_dsbpp_cap
 from .geom import EARTH_RADIUS_KM, cap_fraction, dome_from_central
 
-# Largest number of trials drawn as one array.
-CHUNK_TRIALS = 512
+# Largest number of trials drawn as one array, at most MAX_PLACED_SHELLS,
+# the most trials one LEO placement orders. In a pinned sweep, chunks of 768
+# and 1024 ran the baseline's simulate about 14% and 19% faster than 512,
+# the three were alike at 2000 km, and the tracemalloc peak grows in
+# proportion. In fresh processes, as the benchmark runs them, 1024 is the
+# smallest of the three with which the dense workload's end-to-end gain
+# held in every set of pairs (BENCH_coordinate_rows.json).
+CHUNK_TRIALS = 1024
 # Other ranks that every unsettled open beam sums first; only the beams that
 # still pass on them sum the rest (see _sinr_passes).
 PREFIX_RANKS = 2
 # Width of the surely-passing bound's margin, relative to the trial's total
 # received power and per visible satellite (see _sinr_passes).
 BOUND_MARGIN = 2.0 ** -40
-
-_TARGET_KM = TARGET_DIRECTION * EARTH_RADIUS_KM
 
 
 def _ragged(sizes: np.ndarray):
@@ -150,14 +162,16 @@ def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, co
                  matched_cap=None):
     """Trial, rank and pass flag of every serving beam of one layer, trial
     by trial and then rank by rank. ``positions`` holds each trial's
-    ``counts`` visible satellites, packed trial by trial; the first
-    ``n_serve`` of each trial serve. A beam passes when
+    ``counts`` visible satellites as x, y and z rows, packed trial by trial;
+    the first ``n_serve`` of each trial serve. A beam passes when
     SINR = (W_s / l_s^2) / (noise / unit-range power + sum shape_i W_i / l_i^2)
     exceeds the link's threshold.
 
-    One fading value is drawn per visible satellite, in packed order: one
-    per link, since a satellite reaches the target over one channel whether
-    it serves or interferes. Faithful interference sums every other visible
+    In faithful mode one fading value is drawn per visible satellite, in
+    packed order: one per link, since a satellite reaches the target over
+    one channel whether it serves or interferes. Otherwise only the serving
+    satellites' links are read, and one value is drawn per beam, in beam
+    order. Faithful interference sums every other visible
     satellite, each with its own link's power, but only for the open beams:
     those whose signal clears the threshold over noise alone. A closed beam
     fails whatever the interference, since a non-negative term added to the
@@ -199,36 +213,20 @@ def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, co
     ends with the all-pairs sum bit for bit.
     """
     trial, rank = _ragged(n_serve)
-    first = np.cumsum(counts) - counts  # packed row of each trial's rank 0
-    rel = positions - _TARGET_KM
-    dist_km = np.sqrt(np.einsum("sx,sx->s", rel, rel))
-    dist_sq = (dist_km * KM_TO_M) ** 2
+    first = np.cumsum(counts) - counts  # packed index of each trial's rank 0
     at_beam = first[trial] + rank
-    received = sr_sample(fading, rng, size=dist_sq.size) / dist_sq  # W / l^2 of every visible satellite
-    signal = received[at_beam]
+    x, y, z = positions
+    x = x - EARTH_RADIUS_KM  # the target sits at (EARTH_RADIUS_KM, 0, 0)
+    # Summed x, z, y: the order numpy's einsum takes over a C-ordered
+    # (n, 3) array, which the tests' reference arithmetic uses.
+    dist_km = np.sqrt(x * x + z * z + y * y)
+    dist_sq = (dist_km * KM_TO_M) ** 2
     noise_term = link.noise_power_w / link.unit_range_power_w
-    if faithful:
-        # Received power of every visible link of each beam's trial.
-        owner = np.repeat(np.arange(counts.size), counts)
-        total = np.bincount(owner, weights=received, minlength=counts.size)[trial]
-        bound = total - signal + counts[trial] * BOUND_MARGIN * total
-        settled = signal / (noise_term + bound) > link.sinr_threshold
-        pending = (signal / noise_term > link.sinr_threshold) & ~settled
-        # Unit vectors as contiguous x, y and z rows, so each pair's cosine
-        # is three products of 1-D gathers.
-        ux, uy, uz = np.divide(rel.T, dist_km, order="C")
-        interference = np.zeros(trial.size)
-        for block in (slice(PREFIX_RANKS), slice(PREFIX_RANKS, None)):
-            beam, other = _link_indices(counts, trial, rank, pending, block)
-            at_serving, at_other = at_beam[beam], first[trial[beam]] + other
-            cos_dome = ux.take(at_serving) * ux.take(at_other) + uy.take(at_serving) * uy.take(at_other) \
-                + uz.take(at_serving) * uz.take(at_other)
-            np.clip(cos_dome, -1.0, 1.0, out=cos_dome)
-            power = config.rx_pattern.gain_shape(np.arccos(cos_dome, out=cos_dome)) * received.take(at_other)
-            np.add.at(interference, beam, power)
-            pending &= signal / (noise_term + interference) > link.sinr_threshold
-        return trial, rank, settled | pending
-    if matched_cap is not None:
+    if not faithful:
+        beam_sq = dist_sq[at_beam]
+        signal = sr_sample(fading, rng, size=trial.size) / beam_sq
+        if matched_cap is None:
+            return trial, rank, signal / noise_term > link.sinr_threshold
         # Present with probability 1 - p_zero, angle uniform over the cap
         # (cap_fraction(theta_i) = U cap_fraction(theta_d)), serving-range
         # path loss, zenith-mapped dome gain. U is drawn on (0, 1], so the
@@ -241,10 +239,37 @@ def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, co
         power = np.zeros(trial.size)
         power[present] = sr_sample(fading, rng, size=int(present.sum()))
         dome = dome_from_central(config.leo.radius_km, theta_i)
-        interference = config.rx_pattern.gain_shape(dome) * power / dist_sq[at_beam]
-    else:
-        interference = 0.0
-    return trial, rank, signal / (noise_term + interference) > link.sinr_threshold
+        interference = config.rx_pattern.gain_shape(dome) * power / beam_sq
+        return trial, rank, signal / (noise_term + interference) > link.sinr_threshold
+    received = sr_sample(fading, rng, size=dist_sq.size) / dist_sq  # W / l^2 of every visible satellite
+    signal = received[at_beam]
+    # Received power of every visible link of each beam's trial.
+    owner = np.repeat(np.arange(counts.size), counts)
+    total = np.bincount(owner, weights=received, minlength=counts.size)[trial]
+    bound = total - signal + counts[trial] * BOUND_MARGIN * total
+    settled = signal / (noise_term + bound) > link.sinr_threshold
+    pending = (signal / noise_term > link.sinr_threshold) & ~settled
+    # Unit vectors as x, y and z rows, so each pair's cosine is three
+    # products of 1-D gathers.
+    ux, uy, uz = x / dist_km, y / dist_km, z / dist_km
+    interference = np.zeros(trial.size)
+    for block in (slice(PREFIX_RANKS), slice(PREFIX_RANKS, None)):
+        beam, other = _link_indices(counts, trial, rank, pending, block)
+        at_serving, at_other = at_beam[beam], first[trial[beam]] + other
+        cos_dome = ux.take(at_serving) * ux.take(at_other) + uy.take(at_serving) * uy.take(at_other) \
+            + uz.take(at_serving) * uz.take(at_other)
+        np.clip(cos_dome, -1.0, 1.0, out=cos_dome)
+        power = config.rx_pattern.gain_shape(np.arccos(cos_dome, out=cos_dome)) * received.take(at_other)
+        np.add.at(interference, beam, power)
+        pending &= signal / (noise_term + interference) > link.sinr_threshold
+    return trial, rank, settled | pending
+
+
+def _batch_ends(n_trials: int, n_batches: int) -> np.ndarray:
+    """End trial (exclusive) of each batch, b * n_trials // n_batches for
+    the b-th of b = 1..n_batches, in exact integer arithmetic, so batch
+    sizes differ by at most one."""
+    return np.array([b * n_trials // n_batches for b in range(1, n_batches + 1)])
 
 
 @dataclass
@@ -290,7 +315,7 @@ def simulate(
     faithful = spec.sum_all_interferers
     matched_cap = None if faithful else analytic.leo_interference_cap(config.leo, config.rx_pattern)
 
-    ends = np.linspace(0, spec.n_trials, spec.n_batches + 1).astype(int)[1:]  # each batch's end trial
+    ends = _batch_ends(spec.n_trials, spec.n_batches)
     sizes = np.diff(ends, prepend=0)
     geo_rng = derive_rng(spec.master_seed, 0)
     loc_rng = geo_rng.spawn(1)[0] if want_loc else None

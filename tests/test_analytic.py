@@ -143,7 +143,7 @@ class TestMeoAvailability:
         n_draws, chunk = 150_000, 10_000
         hits = sum(
             int(np.count_nonzero(central_angle_to_target(
-                sample_dsbpp_cap(cfg.meo, rng, math.pi, chunk, positions=True)[1]) <= cfg.meo_theta_max))
+                sample_dsbpp_cap(cfg.meo, rng, math.pi, chunk, positions=True)[1].T) <= cfg.meo_theta_max))
             for _ in range(n_draws // chunk)
         )
         p1 = an.meo_single_availability(cfg)
@@ -366,7 +366,7 @@ class TestContactAngles:
         cfg = config_with(**{"meo.n_orbits": "1", "meo.sats_per_orbit": "1"})
         theta_max = cfg.meo_theta_max
         rng = derive_rng(29)
-        angles = central_angle_to_target(sample_dsbpp_cap(cfg.meo, rng, math.pi, 40_000, positions=True)[1])
+        angles = central_angle_to_target(sample_dsbpp_cap(cfg.meo, rng, math.pi, 40_000, positions=True)[1].T)
         samples = angles[angles <= theta_max]
         cap = 1 - math.cos(theta_max)
 
@@ -600,6 +600,26 @@ class TestIntegrateAdaptive:
         panels = nodes[0].reshape(an.FIRST_PANELS, 21)
         np.testing.assert_allclose(panels[:, 10], (np.arange(an.FIRST_PANELS) + 0.5) * math.pi / an.FIRST_PANELS,
                                    rtol=1e-15)
+
+    @pytest.mark.parametrize("max_panels", [1, 2, an.FIRST_PANELS])
+    def test_first_round_edges_match_linspace(self, monkeypatch, max_panels):
+        # np.linspace's edges bit for bit: angle-like intervals, endpoints
+        # across 600 decades of either sign, reversed and empty intervals.
+        rng = np.random.default_rng(max_panels)
+        ends = np.concatenate([rng.uniform(0.0, math.pi, (1000, 2)),
+                               rng.choice([-1.0, 1.0], (1000, 2)) * 10.0 ** rng.uniform(-300, 300, (1000, 2)),
+                               [[0.0, 0.0], [1.5, 1.5], [math.pi, 0.0], [-0.0, 1e-300]]])
+        edges = []
+
+        def recording(func, lo, hi):
+            edges.append(np.append(lo, hi[-1]))
+            return np.zeros(lo.size), np.zeros(lo.size)
+
+        monkeypatch.setattr(an, "MAX_PANELS", max_panels)
+        monkeypatch.setattr(an, "_gk21_panels", recording)
+        for a, b in ends.tolist():
+            assert an.integrate_adaptive(np.sin, a, b, 1e-8, "edges") == 0.0
+            assert np.array_equal(edges.pop(), np.linspace(a, b, max_panels + 1)), (a, b)
 
     @pytest.mark.parametrize("max_panels", [1, 2])
     def test_panel_cap_below_first_round(self, monkeypatch, max_panels):

@@ -9,7 +9,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import constelsim
@@ -842,9 +842,11 @@ class TestParser:
 # const, another action) would need it extended.
 PLAIN_KEYWORDS = {"action", "choices", "default", "dest", "help", "metavar", "required", "type"}
 
-# Values no option of a command takes plainly: dash-led, unconvertible or
-# outside every choice, next to edge cases that convert.
-ODD_VALUES = ["-", "-1", "--x", "-h", "x", "1.5", "1e400", "nan", " 7", "7 ", "", "a b", "coverage", "leo"]
+# Odd values: dash-led (argparse reads '-' and the negative numbers '-1',
+# '-0' and '-.5' as values, the rest as flags), unconvertible or outside
+# every choice, next to edge cases that convert.
+ODD_VALUES = ["-", "-1", "-0", "-.5", "-1.", "-1e3", "-x", "--x", "-h", "x", "1.5", "1e400", "nan", " 7", "7 ", "",
+              "a b", "coverage", "leo"]
 
 
 def option_value(kwargs: dict):
@@ -892,6 +894,8 @@ def command_args(draw):
 class TestPlainParse:
     @settings(max_examples=200, deadline=None)
     @given(command_args())
+    @example(("curve", ["--sweep", "n_leo=1:1:1", "--out", "-"]))
+    @example(("validate", ["--seed", "-1", "--rtol", "-.5"]))
     def test_declines_or_matches_the_parser(self, drawn):
         command, args = drawn
         plain = cli._plain_parse(command, args)
@@ -899,12 +903,30 @@ class TestPlainParse:
             assert same_options(plain, cli.command_parser(command).parse_args(args))
 
     @pytest.mark.parametrize("args", [
-        ["--tri", "5"], ["--rtol=1e-9"], ["--out", "-"], ["--seed", "-1"], ["--seed", "x"], ["--metric", "coverage"],
-        ["--bogus"], ["-h"], ["--"], ["--seed"], ["--sweep", "n_leo=1:1:1", "x"], ["--mc", "x"], []])
+        ["--tri", "5"], ["--rtol=1e-9"], ["--seed", "-1e3"], ["--rtol", "-1."], ["--out", "-x"], ["--seed", "x"],
+        ["--metric", "coverage"], ["--bogus"], ["-h"], ["--"], ["--seed"], ["--sweep", "n_leo=1:1:1", "x"],
+        ["--mc", "x"], []])
     def test_declines_what_is_not_plain(self, args):
         # Each is answered by the parser: a valid form the plain read does
-        # not take, an error, help, or (for ``[]``) a missing --sweep.
+        # not take, an error (argparse reads '-1e3', '-1.' and '-x' as flags,
+        # so their options lack a value), help, or (for ``[]``) a missing
+        # --sweep.
         assert cli._plain_parse("curve", args) is None
+
+    @pytest.mark.parametrize("args", [["--out", "-"], ["--seed", "-1"], ["--seed", "-0"], ["--rtol", "-.5"],
+                                      ["--rtol", "-2.5", "--set", "-"]])
+    def test_reads_dash_values(self, parsers_built, args):
+        # A lone '-' and negative numbers are values to argparse too.
+        args = ["--sweep", "n_leo=1:1:1", *args]
+        plain = cli._plain_parse("curve", args)
+        assert plain is not None and parsers_built == []
+        assert same_options(plain, cli.command_parser("curve").parse_args(args))
+
+    def test_negative_seed_exits_two_without_a_parser(self, tmp_path, capsys, parsers_built):
+        code = cli.main(["validate", "--set", "mc.n_trials=300", "--seed", "-1", "--out", str(tmp_path / "out.csv")])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "configuration error: mc: master_seed must be non-negative\n")
+        assert parsers_built == [] and not (tmp_path / "out.csv").exists()
 
     def test_reads_every_kind_of_option(self):
         args = ["--set", "a=1", "--rtol", "1e-9", "--mc", "--metric", "localizability", "--set", "b=2",

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare, ks_2samp, kstest
 
 from constelsim import cli
 from constelsim.analytic import evaluate
 from constelsim.config import LeoShellConfig, MeoShellConfig, build_system_config, load_settings
 from constelsim.constellation import (
+    MAX_PLACED_SHELLS,
     cap_positions,
     central_angle_to_target,
     derive_rng,
@@ -78,15 +81,38 @@ class TestBpp:
             LeoShellConfig(10, 7371.0, 7.0)
 
 
+@st.composite
+def placed_counts(draw):
+    """Per-shell counts of up to ``MAX_PLACED_SHELLS`` shells: mostly empty,
+    with up to 12 shells of 1 to 40 points at drawn indices."""
+    size = draw(st.integers(0, MAX_PLACED_SHELLS))
+    counts = np.zeros(size, dtype=np.intp)
+    if size:
+        filled = draw(st.dictionaries(st.integers(0, size - 1), st.integers(1, 40), max_size=12))
+        counts[list(filled)] = list(filled.values())
+    return counts
+
+
+def per_shell_placement(radius_km, cap_angle, counts, rng):
+    """The cap placement with each shell's cosine uniforms sorted by its own
+    ``np.sort``, packed shell by shell."""
+    u = rng.random(int(counts.sum()))
+    ends = np.cumsum(counts)
+    u = np.concatenate([np.zeros(0)] + [np.sort(u[end - n:end]) for n, end in zip(counts, ends)])
+    azimuth = 2.0 * np.pi * rng.random(u.size)
+    return cap_positions(radius_km, 1.0 - u * (1.0 - math.cos(cap_angle)), azimuth)
+
+
 class TestBppCap:
     HORIZON = math.acos(6371.0 / 7371.0)
     FRACTION = 0.5 * (1.0 - math.cos(HORIZON))
 
     def drawn(self, seed, size):
-        """Counts and packed positions of ``size`` caps, both from one stream."""
+        """Counts and packed ``(n, 3)`` positions of ``size`` caps, both from
+        one stream."""
         rng = derive_rng(seed)
         counts = sample_bpp_cap(LEO, rng, self.HORIZON, size)
-        return counts, place_in_cap(LEO.radius_km, self.HORIZON, counts, rng)
+        return counts, place_in_cap(LEO.radius_km, self.HORIZON, counts, rng).T
 
     def test_count_mean_and_variance(self):
         n = 20_000
@@ -105,7 +131,7 @@ class TestBppCap:
 
     def test_rows_nearest_first(self):
         counts, pos = self.drawn(13, 50)
-        assert pos.shape == (counts.sum(), 3) and counts.min() > 1
+        assert pos.T.shape == (3, counts.sum()) and pos.T.flags.c_contiguous and counts.min() > 1
         # Packed shell by shell; within a shell the cosine never rises.
         shell = np.repeat(np.arange(counts.size), counts)
         steps = np.diff(pos[:, 0] / LEO.radius_km)
@@ -123,37 +149,47 @@ class TestBppCap:
         rng = derive_rng(15)
         counts = sample_bpp_cap(LeoShellConfig(0, 7371.0, 1.0), rng, self.HORIZON, 4)
         assert np.array_equal(counts, [0, 0, 0, 0])
-        assert place_in_cap(7371.0, self.HORIZON, counts, rng).shape == (0, 3)
+        assert place_in_cap(7371.0, self.HORIZON, counts, rng).shape == (3, 0)
 
     def test_matches_out_of_place_draw(self):
         # Same stream, same arithmetic: equal to the last bit.
-        for size in (1, 50, 1024):
+        for size in (1, 50, MAX_PLACED_SHELLS):
             counts = sample_bpp_cap(LEO, derive_rng(16), self.HORIZON, size)
             got = place_in_cap(LEO.radius_km, self.HORIZON, counts, derive_rng(17))
-            want = out_of_place_placement(LEO.radius_km, self.HORIZON, counts, derive_rng(17))
+            want = per_shell_placement(LEO.radius_km, self.HORIZON, counts, derive_rng(17))
             np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(placed_counts(), st.integers(0, 2**32 - 1))
+    # No shells; empty shells about one at the largest count the benchmark's
+    # densest workload sees, and about a whole 2000-satellite shell; the
+    # last shell index a call takes, alone and after an empty block.
+    @example(np.zeros(0, dtype=np.intp), 1)
+    @example(np.array([0, 0, 25, 0, 1]), 2)
+    @example(np.array([0, 2000, 0]), 3)
+    @example(np.eye(1, MAX_PLACED_SHELLS, MAX_PLACED_SHELLS - 1, dtype=np.intp)[0] * 7, 4)
+    @example(np.full(MAX_PLACED_SHELLS, 3), 5)
+    def test_ragged_sort_matches_per_shell_sort(self, counts, seed):
+        got = place_in_cap(LEO.radius_km, self.HORIZON, counts, derive_rng(seed))
+        want = per_shell_placement(LEO.radius_km, self.HORIZON, counts, derive_rng(seed))
+        assert got.shape == (3, counts.sum())
+        np.testing.assert_array_equal(got, want)
+
+    def test_refuses_more_shells_than_its_key_holds(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_PLACED_SHELLS} shells"):
+            place_in_cap(LEO.radius_km, self.HORIZON, np.ones(MAX_PLACED_SHELLS + 1, dtype=np.intp), derive_rng(6))
 
     def test_counts_alone_draw_the_same(self):
         # The counts take the binomial draw alone; the placement takes one
-        # cosine uniform per (shell, largest count) and one azimuth per point.
+        # cosine uniform and one azimuth uniform per point.
         counted, binomial_only = derive_rng(18), derive_rng(18)
         counts = sample_bpp_cap(LEO, counted, self.HORIZON, 30)
         assert np.array_equal(counts, binomial_only.binomial(LEO.n_sats, self.FRACTION, size=30))
         assert counted.random() == binomial_only.random()
         placed, skipped = derive_rng(19), derive_rng(19)
         place_in_cap(LEO.radius_km, self.HORIZON, counts, placed)
-        skipped.random(30 * counts.max() + counts.sum())
+        skipped.random(2 * counts.sum())
         assert placed.random() == skipped.random()
-
-
-def out_of_place_placement(radius_km, cap_angle, counts, rng):
-    """The cap placement with a fresh array at every step, packed shell by
-    shell."""
-    width = int(counts.max(initial=0))
-    live = np.arange(width) < counts[:, None]
-    u = np.sort(np.where(live, rng.random((counts.size, width)), np.inf), axis=1)
-    azimuth = 2.0 * np.pi * rng.random(int(counts.sum()))
-    return cap_positions(radius_km, 1.0 - u[live] * (1.0 - math.cos(cap_angle)), azimuth)
 
 
 def per_orbit_dsbpp(config, rng):
@@ -182,15 +218,15 @@ class TestDsbpp:
     def test_matches_per_orbit_construction(self):
         for cfg in (MEO, MeoShellConfig(5, 3, 26371.0, math.pi / 6), MeoShellConfig(1, 1, 26371.0, 1.0)):
             for trial in range(10):
-                got = sample_dsbpp_cap(cfg, derive_rng(21, trial), math.pi, 1, positions=True)[1]
+                got = sample_dsbpp_cap(cfg, derive_rng(21, trial), math.pi, 1, positions=True)[1].T
                 want = per_orbit_dsbpp(cfg, derive_rng(21, trial))
                 assert got.shape == want.shape == (cfg.n_sats, 3)
                 assert np.max(np.abs(got - want)) < 1e-9
 
     def test_batched_shape_and_coplanarity(self):
         counts, pts = sample_dsbpp_cap(MEO, derive_rng(22), math.pi, 50, positions=True)
-        assert np.array_equal(counts, np.full(50, 12)) and pts.shape == (600, 3)
-        pts = pts.reshape(50, 12, 3)
+        assert np.array_equal(counts, np.full(50, 12)) and pts.shape == (3, 600)
+        pts = pts.T.reshape(50, 12, 3)
         assert np.max(np.abs(np.linalg.norm(pts, axis=-1) / 26371.0 - 1.0)) < 1e-12
         for shell in pts:
             for orbit in range(MEO.n_orbits):
@@ -204,14 +240,14 @@ class TestDsbpp:
     def test_batched_empty(self):
         cfg = MeoShellConfig(0, 6, 26371.0, math.pi / 6)
         counts, pts = sample_dsbpp_cap(cfg, derive_rng(1), math.pi, 3, positions=True)
-        assert np.array_equal(counts, np.zeros(3)) and pts.shape == (0, 3)
+        assert np.array_equal(counts, np.zeros(3)) and pts.shape == (3, 0)
 
     def test_empty(self):
         cfg = MeoShellConfig(0, 6, 26371.0, math.pi / 6)
-        assert sample_dsbpp_cap(cfg, derive_rng(1), math.pi, 1, positions=True)[1].shape == (0, 3)
+        assert sample_dsbpp_cap(cfg, derive_rng(1), math.pi, 1, positions=True)[1].shape == (3, 0)
 
     def test_counts_and_norms(self):
-        pts = sample_dsbpp_cap(MEO, derive_rng(2), math.pi, 1, positions=True)[1]
+        pts = sample_dsbpp_cap(MEO, derive_rng(2), math.pi, 1, positions=True)[1].T
         assert pts.shape == (12, 3)
         norms = np.linalg.norm(pts, axis=1)
         assert np.max(np.abs(norms / 26371.0 - 1.0)) < 1e-9
@@ -220,7 +256,7 @@ class TestDsbpp:
         # all points of one orbit lie in the plane of its first two points
         rng = derive_rng(3)
         for _ in range(20):
-            pts = sample_dsbpp_cap(MEO, rng, math.pi, 1, positions=True)[1]
+            pts = sample_dsbpp_cap(MEO, rng, math.pi, 1, positions=True)[1].T
             for orbit in range(MEO.n_orbits):
                 block = pts[orbit * 6:(orbit + 1) * 6]
                 normal = np.cross(block[0], block[1])
@@ -236,7 +272,7 @@ class TestDsbpp:
         cfg = MeoShellConfig(1, 1, 26371.0, math.pi / 6)
         rng = derive_rng(4)
         n = 100_000
-        pts = sample_dsbpp_cap(cfg, rng, math.pi, n, positions=True)[1]
+        pts = sample_dsbpp_cap(cfg, rng, math.pi, n, positions=True)[1].T
         z_bin = np.minimum((pts[:, 2] / 26371.0 + 1.0) / 2.0 * 8.0, 7.9999).astype(int)
         az = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * math.pi)
         az_bin = np.minimum(az / (2 * math.pi) * 6.0, 5.9999).astype(int)
@@ -340,7 +376,7 @@ class TestDsbppCap:
             full = whole_shells(cfg.meo, full_rng, 10_000)
             visible = central_angle_to_target(full) <= cfg.meo_theta_max
             assert np.array_equal(counts, visible.sum(axis=1))
-            assert np.array_equal(positions, full[visible])
+            assert np.array_equal(positions.T, full[visible])
         assert cap_rng.random() == full_rng.random()
 
     def test_whole_shell_sampler_matches(self):
@@ -348,7 +384,7 @@ class TestDsbppCap:
         for seed, size in ((34, 500), (35, 1)):
             counts, pts = sample_dsbpp_cap(MEO, derive_rng(seed), math.pi, size, positions=True)
             assert np.array_equal(counts, np.full(size, MEO.n_sats))
-            assert np.array_equal(pts, whole_shells(MEO, derive_rng(seed), size).reshape(-1, 3))
+            assert np.array_equal(pts.T, whole_shells(MEO, derive_rng(seed), size).reshape(-1, 3))
 
     def test_count_law_matches_anomaly_wrap(self):
         # Two independent samples of 200k shells' visible counts, offsets
@@ -401,7 +437,8 @@ class TestDsbppCap:
         one_per_orbit = MeoShellConfig(12, 1, 26371.0, math.pi / 6)
         for cfg in (MEO, one_per_orbit):
             counts, pos = sample_dsbpp_cap(cfg, derive_rng(41), theta_max, 2000, positions=True)
-            assert pos.shape == (counts.sum(), 3) and counts.sum() > 5000
+            assert pos.shape == (3, counts.sum()) and counts.sum() > 5000
+            pos = pos.T
             assert np.max(np.abs(np.linalg.norm(pos, axis=1) / cfg.radius_km - 1.0)) < 1e-12
             assert np.all(central_angle_to_target(pos) <= theta_max + 1e-12)
         cos_max = math.cos(theta_max)
@@ -417,7 +454,7 @@ class TestDsbppCap:
     def test_empty_shell(self):
         cfg = MeoShellConfig(0, 6, 26371.0, math.pi / 6)
         counts, positions = sample_dsbpp_cap(cfg, derive_rng(33), 1.0, 4, positions=True)
-        assert np.array_equal(counts, [0, 0, 0, 0]) and positions.shape == (0, 3)
+        assert np.array_equal(counts, [0, 0, 0, 0]) and positions.shape == (3, 0)
 
 
 class TestCentralAngle:

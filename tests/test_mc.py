@@ -22,10 +22,12 @@ from constelsim.constellation import (
     sample_bpp_cap,
     sample_dsbpp_cap,
 )
+from constelsim.geom import EARTH_RADIUS_KM, cap_fraction, dome_from_central
 from constelsim.mc import run_validation, simulate
 
 CFG = default_config()
 DENSE = build_system_config(load_settings(overrides={"leo.altitude_km": "2000"}))
+TARGET_KM = np.array([EARTH_RADIUS_KM, 0.0, 0.0])
 
 
 def loop_passes(cfg, positions, theta_max, link, k_max, rng):
@@ -195,7 +197,7 @@ class TestEstimates:
             rng = derive_rng(99, trial)
             ranks = loop_passes(DENSE, sample_bpp(DENSE.leo, rng), DENSE.leo_theta_max, DENSE.leo_link, 3, rng)
             leo[:len(ranks)] += ranks
-            meo_pos = sample_dsbpp_cap(DENSE.meo, rng, math.pi, 1, positions=True)[1]
+            meo_pos = sample_dsbpp_cap(DENSE.meo, rng, math.pi, 1, positions=True)[1].T
             meo[trial] = sum(loop_passes(DENSE, meo_pos, DENSE.meo_theta_max, DENSE.meo_link, 12, rng))
         leo /= n_loop
         n_mc = 20_000
@@ -207,9 +209,9 @@ class TestEstimates:
 
     @staticmethod
     def ragged_beams(seed):
-        """Packed positions, visible counts and serving counts of four trials
-        with 3, 0, 1 and 5 visible LEO satellites, the first two of each
-        serving."""
+        """Packed positions (x, y and z rows), visible counts and serving
+        counts of four trials with 3, 0, 1 and 5 visible LEO satellites, the
+        first two of each serving."""
         counts = np.array([3, 0, 1, 5])
         visible = np.arange(5) < counts[:, None]
         rng = derive_rng(seed)
@@ -242,7 +244,7 @@ class TestEstimates:
         trial, rank, passes = mc._sinr_passes(CFG, link, CFG.leo_fading, positions, counts, n_serve,
                                               derive_rng(22), faithful=True)
         assert passes.shape == trial.shape == (n_serve.sum(),) and np.all(rank < n_serve[trial])
-        dist_sq = (np.linalg.norm(positions - np.array([6371.0, 0.0, 0.0]), axis=-1) * 1e3) ** 2
+        dist_sq = (np.linalg.norm(positions.T - TARGET_KM, axis=-1) * 1e3) ** 2
         at_beam = np.cumsum(counts)[trial] - counts[trial] + rank
         signal = draws[0][at_beam] / dist_sq[at_beam]
         is_open = signal / (link.noise_power_w / link.unit_range_power_w) > link.sinr_threshold
@@ -271,8 +273,8 @@ class TestEstimates:
         """SINR and noise-only ratio of every beam, keyed by (trial, rank):
         plain sums over the other visible satellites, each packed satellite
         weighted by its ``fading`` value (unit fading by default)."""
-        rel = positions - np.array([6371.0, 0.0, 0.0])
-        received = (np.ones(len(positions)) if fading is None else fading) \
+        rel = positions.T - TARGET_KM
+        received = (np.ones(len(rel)) if fading is None else fading) \
             / (np.linalg.norm(rel, axis=-1) * 1e3) ** 2
         units = rel / np.linalg.norm(rel, axis=-1, keepdims=True)
         first = np.cumsum(counts) - counts
@@ -453,7 +455,7 @@ def all_pairs_sinr(config, link, fading, positions, counts, n_serve, rng):
     early, kept as the oracle of their verdicts."""
     trial, rank = mc._ragged(n_serve)
     first = np.cumsum(counts) - counts
-    rel = positions - mc._TARGET_KM
+    rel = np.ascontiguousarray(positions.T) - TARGET_KM  # einsum's order of sums follows the layout
     dist_km = np.sqrt(np.einsum("sx,sx->s", rel, rel))
     dist_sq = (dist_km * KM_TO_M) ** 2
     at_beam = first[trial] + rank
@@ -547,7 +549,7 @@ class TestSettledVerdicts:
         positions = place_in_cap(DENSE.leo.radius_km, DENSE.leo_theta_max, counts, rng)
         pattern = CFG.rx_pattern
         if layout == "stacked":
-            positions, pattern = np.repeat(positions[::9], 9, axis=0), FlatTopPattern(CFG.rx_pattern.phi_3db)
+            positions, pattern = np.repeat(positions[:, ::9], 9, axis=1), FlatTopPattern(CFG.rx_pattern.phi_3db)
         fading = sr_sample(DENSE.leo_fading, rng, size=int(counts.sum()))
         n_serve = np.minimum(counts, 6)
         _, sinr = self.verdicts(pattern, 5e-324, fading, positions, counts, n_serve)
@@ -564,7 +566,7 @@ class TestSettledVerdicts:
         # on ranks 3 and 4 in the second block.
         tilt = np.array([0.01, 0.0, 1.0, 0.02, 0.03])
         units = np.stack([np.cos(tilt), np.sin(tilt), np.zeros(5)], axis=-1)
-        positions = mc._TARGET_KM + 1000.0 * units
+        positions = (TARGET_KM + 1000.0 * units).T
         counts, n_serve = np.array([5]), np.array([2])
         fading = np.array([1.0, 100.0, 1.0, 10.0, 10.0])
         received, noise_term = fading / 1e12, CFG.leo_link.noise_power_w / CFG.leo_link.unit_range_power_w
@@ -588,6 +590,139 @@ class TestSettledVerdicts:
         (prefix, rest, every) = [np.stack(pairs).T.tolist() for pairs in listed]
         assert (prefix, rest) == ([[0, 1], [0, 2], [1, 0], [1, 2]], [[1, 3], [1, 4]])
         assert every == [[0, 1], [0, 2], [0, 3], [0, 4], [1, 0], [1, 2], [1, 3], [1, 4]]
+
+
+def parent_sinr_passes(config, link, fading, positions, counts, n_serve, rng, faithful, matched_cap=None):
+    """``mc._sinr_passes`` as it stood on ``(n, 3)`` positions: distances by
+    an einsum over the positions less the target's, unit vectors
+    transposed into rows, and one fading value per visible satellite in
+    every mode. Kept as the oracle of the row layout's verdicts."""
+    trial, rank = mc._ragged(n_serve)
+    first = np.cumsum(counts) - counts
+    rel = positions - TARGET_KM
+    dist_km = np.sqrt(np.einsum("sx,sx->s", rel, rel))
+    dist_sq = (dist_km * KM_TO_M) ** 2
+    at_beam = first[trial] + rank
+    received = mc.sr_sample(fading, rng, size=dist_sq.size) / dist_sq
+    signal = received[at_beam]
+    noise_term = link.noise_power_w / link.unit_range_power_w
+    if faithful:
+        owner = np.repeat(np.arange(counts.size), counts)
+        total = np.bincount(owner, weights=received, minlength=counts.size)[trial]
+        bound = total - signal + counts[trial] * mc.BOUND_MARGIN * total
+        settled = signal / (noise_term + bound) > link.sinr_threshold
+        pending = (signal / noise_term > link.sinr_threshold) & ~settled
+        ux, uy, uz = np.divide(rel.T, dist_km, order="C")
+        interference = np.zeros(trial.size)
+        for block in (slice(mc.PREFIX_RANKS), slice(mc.PREFIX_RANKS, None)):
+            beam, other = mc._link_indices(counts, trial, rank, pending, block)
+            at_serving, at_other = at_beam[beam], first[trial[beam]] + other
+            cos_dome = ux.take(at_serving) * ux.take(at_other) + uy.take(at_serving) * uy.take(at_other) \
+                + uz.take(at_serving) * uz.take(at_other)
+            np.clip(cos_dome, -1.0, 1.0, out=cos_dome)
+            power = config.rx_pattern.gain_shape(np.arccos(cos_dome, out=cos_dome)) * received.take(at_other)
+            np.add.at(interference, beam, power)
+            pending &= signal / (noise_term + interference) > link.sinr_threshold
+        return trial, rank, settled | pending
+    if matched_cap is not None:
+        theta_d, p_zero = matched_cap
+        present = rng.random(trial.size) >= p_zero
+        u = 1.0 - rng.random(trial.size)
+        theta_i = 2.0 * np.arcsin(np.sqrt(u * cap_fraction(theta_d)))
+        power = np.zeros(trial.size)
+        power[present] = mc.sr_sample(fading, rng, size=int(present.sum()))
+        dome = dome_from_central(config.leo.radius_km, theta_i)
+        interference = config.rx_pattern.gain_shape(dome) * power / dist_sq[at_beam]
+    else:
+        interference = 0.0
+    return trial, rank, signal / (noise_term + interference) > link.sinr_threshold
+
+
+class TestRowLayout:
+    @staticmethod
+    def verdicts(sinr_passes, draws, args, faithful, matched_cap):
+        """``sinr_passes(*args)`` with its fading draws taken, in order,
+        from the front of ``draws``; returns its output and the sizes drawn."""
+        sizes, queue = [], list(draws)
+
+        def fixed(params, rng, size=None):
+            sizes.append(size)
+            return queue.pop(0)[:size].copy()
+
+        with mock.patch.object(mc, "sr_sample", fixed):
+            out = sinr_passes(*args, derive_rng(7), faithful, matched_cap)
+        return out, sizes
+
+    @settings(max_examples=150, deadline=None)
+    @given(settling_cases(), st.sampled_from(["faithful", "matched", "no interference"]), st.floats(0.0, 1.0))
+    def test_matches_parent_arithmetic(self, case, mode, p_zero):
+        # The same trial, rank and pass flags as the parent's (n, 3)
+        # arithmetic on the same draws: every visible link's fading in
+        # faithful mode, the serving beams' alone otherwise, which the
+        # parent read from its draw for every link.
+        counts, n_serve, positions, fading, pattern, (beam, anchor, ulps) = case
+        config = dataclasses.replace(CFG, rx_pattern=pattern)
+        threshold = CFG.leo_link.sinr_threshold
+        if n_serve.sum():
+            with mock.patch.object(mc, "sr_sample", lambda params, rng, size=None: fading.copy()):
+                sinr, bound_ratio = all_pairs_sinr(
+                    config, dataclasses.replace(CFG.leo_link, sinr_threshold=5e-324), CFG.leo_fading, positions,
+                    counts, n_serve, None)
+            threshold = max(nudged((sinr if anchor == "sinr" else bound_ratio)[beam], ulps), 5e-324)
+        link = dataclasses.replace(CFG.leo_link, sinr_threshold=threshold)
+        faithful = mode == "faithful"
+        matched_cap = (leo_interference_cap(CFG.leo, pattern)[0], p_zero) if mode == "matched" else None
+        trial, rank = mc._ragged(n_serve)
+        at_beam = (np.cumsum(counts) - counts)[trial] + rank
+        interferers = 2.0 ** np.linspace(-6.0, 6.0, trial.size)
+        args = (config, link, CFG.leo_fading)
+        got, got_sizes = self.verdicts(mc._sinr_passes, [fading if faithful else fading[at_beam], interferers],
+                                       (*args, positions, counts, n_serve), faithful, matched_cap)
+        want, want_sizes = self.verdicts(parent_sinr_passes, [fading, interferers],
+                                         (*args, np.ascontiguousarray(positions.T), counts, n_serve), faithful,
+                                         matched_cap)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert got_sizes[0] == (counts.sum() if faithful else trial.size) and want_sizes[0] == counts.sum()
+        assert got_sizes[1:] == want_sizes[1:]
+
+    def test_matched_mode_draws_one_value_per_beam(self):
+        # Trials of 3, 0, 1 and 5 visible satellites, the first two of each
+        # serving: nine links, five beams. Faithful mode draws one fading
+        # value per link; matched mode one per beam and then one per
+        # synthetic interferer, every beam having one at p_zero = 0; without
+        # interference one per beam.
+        positions, counts, n_serve = TestEstimates.ragged_beams(21)
+        theta_d = leo_interference_cap(CFG.leo, CFG.rx_pattern)[0]
+        drawn = []
+
+        def recording(params, rng, size=None):
+            drawn.append(size)
+            return sr_sample(params, rng, size)
+
+        for faithful, matched_cap, sizes in [(True, None, [9]), (False, (theta_d, 0.0), [5, 5]),
+                                             (False, (theta_d, 1.0), [5, 0]), (False, None, [5])]:
+            drawn.clear()
+            with mock.patch.object(mc, "sr_sample", recording):
+                _, _, passes = mc._sinr_passes(CFG, CFG.leo_link, CFG.leo_fading, positions, counts, n_serve,
+                                               derive_rng(22), faithful, matched_cap)
+            assert drawn == sizes and passes.shape == (5,)
+
+
+class TestBatchEnds:
+    def test_sizes_differ_by_at_most_one(self):
+        # Exact integer ends at every trial count up to 2,000. The former
+        # float form, np.linspace(0, n, n_batches + 1).astype(int), cut
+        # these counts elsewhere.
+        moved = []
+        for n in range(1, 2001):
+            spec = McSpec(n_trials=n, master_seed=1, sum_all_interferers=True)
+            ends = mc._batch_ends(n, spec.n_batches)
+            sizes = np.diff(ends, prepend=0)
+            assert ends[-1] == n and sizes.size == min(20, n) and sizes.max() - sizes.min() <= 1, n
+            if not np.array_equal(ends, np.linspace(0, n, spec.n_batches + 1).astype(int)[1:]):
+                moved.append(n)
+        assert moved == [164, 328, 656, 676, 1292, 1312, 1332, 1352]
 
 
 class TestFewTrials:

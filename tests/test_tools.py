@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,10 @@ BAD_SETTINGS = [(["--set", "leo.n_sats"], "'leo.n_sats'"), (["--set", "bogus.key
 
 
 def untimed(result):
-    """A tool's result without its timings, which differ run to run."""
+    """A tool's result without its timings and memory peak, which differ run
+    to run."""
     return {key: untimed(value) if isinstance(value, dict) else value for key, value in result.items()
-            if "seconds" not in key}
+            if "seconds" not in key and key != "tracemalloc_peak_mb"}
 
 
 @pytest.mark.parametrize("tool, argv", [("mc_stages", ["--trials", "20", "--repeat", "1"]), ("quad_rounds", [])])
@@ -71,7 +73,8 @@ class TestMcStages:
         # failing on their nearest others.
         assert result["interferer_pairs_per_trial"] > result["fading_draws_per_trial"]
         assert result["settled_pass_per_trial"] > 0 and result["settled_fail_per_trial"] > 0
-        assert result["chunks"] == math.ceil(200 / mc.CHUNK_TRIALS)
+        assert result["chunks"] == math.ceil(200 / mc.CHUNK_TRIALS) and result["chunk_trials"] == mc.CHUNK_TRIALS
+        assert result["tracemalloc_peak_mb"] > 0 and not tracemalloc.is_tracing()
         # The wrappers are gone once the run ends.
         assert staged() == originals
         assert mc.sr_sample is channel.sr_sample and constellation.orbit_arc is geom.orbit_arc
@@ -95,9 +98,40 @@ class TestMcStages:
         assert result["fading_draws_per_trial"] == result["interferer_pairs_per_trial"] == 0
         assert result["settled_pass_per_trial"] == result["settled_fail_per_trial"] == 0
         assert result["seconds"]["visibility"] > 0 and result["chunks"] == 3
-        # One half-angle call per chunk, one value per (trial, orbit).
-        assert calls == [(mc.CHUNK_TRIALS, orbits)] * 2 + [(76, orbits)]
+        # One half-angle call per chunk, one value per (trial, orbit), in the
+        # timed run and again in the run under tracemalloc.
+        assert calls == ([(mc.CHUNK_TRIALS, orbits)] * 2 + [(76, orbits)]) * 2
         assert constellation.orbit_arc is half_angle
+
+    def test_matched_mode_draws_per_beam(self, capsys, monkeypatch):
+        # Approximation-matched mode draws one fading value per serving LEO
+        # beam, then one per synthetic interferer, and one per visible MEO
+        # satellite: the tool's count is their sum. Chunks of 70 trials.
+        calls = []
+        sinr_passes, sr_sample = mc._sinr_passes, mc.sr_sample
+
+        def recording(config, link, fading, positions, counts, n_serve, *args, **kwargs):
+            calls.append({"counts": counts.sum(), "serving": n_serve.sum(), "draws": []})
+            return sinr_passes(config, link, fading, positions, counts, n_serve, *args, **kwargs)
+
+        def drawing(params, rng, size=None):
+            calls[-1]["draws"].append(size)
+            return sr_sample(params, rng, size)
+
+        monkeypatch.setattr(mc, "_sinr_passes", recording)
+        monkeypatch.setattr(mc, "sr_sample", drawing)
+        result = load_tool("mc_stages").main(["--trials", "200", "--repeat", "1", "--chunk-trials", "70", "--set",
+                                              "leo.altitude_km=2000", "--set", "mc.sum_all_interferers=false"])
+        assert json.loads(capsys.readouterr().out) == result and result["chunks"] == 3
+        timed, traced = calls[:6], calls[6:]  # the timed run, then the one under tracemalloc
+        assert len(traced) == 6 and [call["draws"] for call in traced] == [call["draws"] for call in timed]
+        leo, meo = timed[::2], timed[1::2]
+        assert all(call["draws"][0] == call["serving"] < call["counts"] for call in leo)
+        assert all(call["draws"] == [call["counts"]] for call in meo)
+        synthetic = sum(call["draws"][1] for call in leo)
+        assert 0 < synthetic < sum(call["serving"] for call in leo)
+        assert result["fading_draws_per_trial"] * 200 == sum(call["serving"] for call in leo) + synthetic \
+            + sum(call["counts"] for call in meo)
 
     def test_rejects_unknown_metric(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -105,7 +139,8 @@ class TestMcStages:
         assert exit_info.value.code == 2 and "--metrics" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, named", BAD_SETTINGS + [
-        (["--trials", "0"], "n_trials"), (["--seed", "-1"], "master_seed")])
+        (["--trials", "0"], "n_trials"), (["--seed", "-1"], "master_seed"), (["--chunk-trials", "0"], "--chunk-trials"),
+        (["--chunk-trials", "1025"], "--chunk-trials")])
     def test_bad_settings_exit_two(self, capsys, argv, named):
         assert_refused(capsys, "mc_stages", ["--trials", "20", "--repeat", "1", *argv], named)
 

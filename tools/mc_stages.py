@@ -1,21 +1,26 @@
 """Per-stage timing of one Monte Carlo campaign.
 
     PYTHONPATH=src python3 tools/mc_stages.py [--trials N] [--seed S] [--repeat R]
-                                              [--metrics LIST] [--set KEY=VALUE ...]
+                                              [--metrics LIST] [--chunk-trials C]
+                                              [--set KEY=VALUE ...]
 
 Runs ``mc.simulate`` at K = 1..6 on the default configuration, changed by
 any ``--set`` overrides, for the metric families of ``--metrics`` (both by
 default; ``--metrics availability`` times the campaign that
-``validate --metrics availability`` runs), and prints one JSON object: the
+``validate --metrics availability`` runs), in chunks of ``--chunk-trials``
+trials (``mc.CHUNK_TRIALS`` by default, at most
+``constellation.MAX_PLACED_SHELLS``), and prints one JSON object: the
 seconds spent in each stage of the best of ``--repeat`` runs (least total),
-the fading values drawn per trial (one per visible satellite of either
-layer, plus approximation-matched mode's synthetic interferers), the (open
-beam, other visible satellite) interferer pairs per trial
+the fading values drawn per trial (in faithful mode one per visible
+satellite of either layer; in approximation-matched mode one per serving
+LEO beam, one per synthetic interferer and one per visible MEO satellite),
+the (open beam, other visible satellite) interferer pairs per trial
 that ``mc._link_indices`` lists, the beams per trial that its two rank
 blocks show settled (``settled_pass``: passing without any pair, against the
 all-links bound; ``settled_fail``: failing on the nearest
-``mc.PREFIX_RANKS`` others, so taking no more), and the chunks per run (one
-``sample_bpp_cap`` call each).
+``mc.PREFIX_RANKS`` others, so taking no more), the chunks per run (one
+``sample_bpp_cap`` call each), and ``tracemalloc_peak_mb``, the peak of
+memory traced by ``tracemalloc`` over one more run without the timers.
 
 Each stage is the exclusive wall-clock time of the functions ``simulate``
 calls through its module namespaces:
@@ -27,7 +32,8 @@ calls through its module namespaces:
 - ``sinr``: ``mc._sinr_passes``, fading draws included;
 - ``aggregation``: the rest of ``simulate``.
 
-The wrappers are removed again when the run ends.
+The wrappers are removed again, and the chunk size restored, when the run
+ends.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import argparse
 import contextlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -117,6 +124,17 @@ def _timed_stages():
             setattr(module, name, original)
 
 
+def traced_peak_mb(config, spec, metrics=METRICS) -> float:
+    """Peak memory (MB) that ``tracemalloc`` traces over one ``simulate``
+    run of ``metrics``, without the stage timers."""
+    tracemalloc.start()
+    try:
+        mc.simulate(config, spec, K_MAX, metrics)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def measure(config, spec, metrics=METRICS) -> dict:
     """Stage seconds, fading draws, interferer pairs and settled beams per
     trial and chunks of one ``simulate`` run of ``metrics``."""
@@ -141,11 +159,15 @@ def main(argv=None) -> dict:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=3, help="runs; the one with the least total is reported")
     parser.add_argument("--metrics", default=",".join(METRICS), help="comma-separated metric families")
+    parser.add_argument("--chunk-trials", type=int, default=mc.CHUNK_TRIALS,
+                        help=f"trials drawn as one array, 1 to {constellation.MAX_PLACED_SHELLS}")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="config override")
     args = parser.parse_args(argv)
     metrics = tuple(args.metrics.split(","))
     if not set(metrics) <= set(METRICS):
         parser.error(f"--metrics takes entries of {', '.join(METRICS)}, got {args.metrics}")
+    if not 1 <= args.chunk_trials <= constellation.MAX_PLACED_SHELLS:
+        parser.error(f"--chunk-trials must lie in 1..{constellation.MAX_PLACED_SHELLS}, got {args.chunk_trials}")
     run_keys = {"mc.n_trials": str(args.trials), "mc.master_seed": str(args.seed)}
     try:
         overrides = parse_assignments(args.set)
@@ -153,10 +175,15 @@ def main(argv=None) -> dict:
         config, spec = build_system_config(settings), build_mc_settings(settings)
     except ConfigError as exc:
         parser.error(str(exc))
-    runs = [measure(config, spec, metrics) for _ in range(max(args.repeat, 1))]
+    chunk_trials, mc.CHUNK_TRIALS = mc.CHUNK_TRIALS, args.chunk_trials
+    try:
+        runs = [measure(config, spec, metrics) for _ in range(max(args.repeat, 1))]
+        peak_mb = traced_peak_mb(config, spec, metrics)
+    finally:
+        mc.CHUNK_TRIALS = chunk_trials
     best = min(runs, key=lambda run: run["seconds"]["total"])
     result = {"trials": spec.n_trials, "seed": spec.master_seed, "metrics": list(metrics), "overrides": overrides,
-              **best}
+              "chunk_trials": args.chunk_trials, **best, "tracemalloc_peak_mb": round(peak_mb, 4)}
     print(json.dumps(result))
     return result
 
