@@ -279,25 +279,45 @@ def sr_count_pmf(params: SrFadingParams, scale):
 
 
 def sr_sample(params: SrFadingParams, rng: np.random.Generator, size=None):
-    """Draw fading powers W = |a + n|^2 with a Nakagami-m line-of-sight
-    amplitude (E[a^2] = omega) and complex scatter of per-component
-    variance b0. The power so built has exactly the CDF of :func:`sr_cdf`."""
-    shape = () if size is None else size
-    # In place: the line-of-sight power becomes its amplitude, then holds
-    # the quadrature scatter once the in-phase sum is formed.
+    """Draw fading powers W = |A + n|^2 with a Nakagami-m line-of-sight
+    amplitude A (E[A^2] = omega) and complex scatter n of per-component
+    variance b0. The power so built has exactly the CDF of :func:`sr_cdf`.
+
+    The scatter is drawn in polar form: its modulus R = sqrt(2 b0 E), E a
+    standard exponential, and its angle phi uniform on [-pi, pi), which by
+    Box-Muller is the law of two independent normals. Then
+    W = (A + R cos phi)^2 + (R sin phi)^2, a sum of squares, so never
+    negative. Random draws happen in a fixed order: one gamma per value for
+    A^2 (none when omega is 0), then one exponential per value, then one
+    uniform per value for phi.
+    """
+    # A scalar is drawn as one value: a ufunc gives a 0-d array operand back
+    # as a scalar, which the in-place steps below cannot take as ``out``.
+    shape = (1,) if size is None else size
     amp = rng.gamma(shape=params.m, scale=params.omega / params.m, size=shape) \
         if params.omega > 0 else np.zeros(shape)
     np.sqrt(amp, out=amp)
-    scale = math.sqrt(params.b0)
-    w = rng.standard_normal(shape)
-    w *= scale
-    w += amp
-    w *= w
-    im = rng.standard_normal(out=amp)
-    im *= scale
-    im *= im
-    w += im
-    return float(w) if size is None else w
+    radius = rng.standard_exponential(shape)
+    radius *= 2.0 * params.b0
+    np.sqrt(radius, out=radius)
+    # t = tan(phi / 2), and cos phi and sin phi are (1 - t^2) / (1 + t^2)
+    # and 2 t / (1 + t^2): numpy vectorizes its float64 tangent but not its
+    # cosine and sine, which cost several times as much.
+    t = rng.random(shape)
+    t -= 0.5
+    t *= math.pi
+    np.tan(t, out=t)
+    t_sq = t * t
+    radius /= 1.0 + t_sq
+    t *= 2.0
+    t *= radius  # the quadrature part, R sin phi
+    np.subtract(1.0, t_sq, out=t_sq)
+    t_sq *= radius
+    t_sq += amp  # the in-phase sum, A + R cos phi
+    t_sq *= t_sq
+    t *= t
+    t_sq += t
+    return float(t_sq[0]) if size is None else t_sq
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,9 @@ def sample_dsbpp_cap(
     shell in orbit-major order (otherwise None). With c = cos(delta), the
     orbit's normal is (s, c cos psi, c sin psi), and the satellite at
     anomaly a sits at radius times (c cos a, sin a sin psi - s cos psi cos a,
-    -(s sin psi cos a + sin a cos psi)).
+    -(s sin psi cos a + sin a cos psi)). The cosines and sines come from the
+    tangents of the half-angles, tan(psi / 2) once per orbit and tan(a / 2)
+    once per visible satellite, as :func:`cap_positions` takes them.
     """
     s = 1.0 - 2.0 * rng.random((size, config.n_orbits))
     psi = 2.0 * np.pi * rng.random((size, config.n_orbits))
@@ -111,9 +113,10 @@ def sample_dsbpp_cap(
         return counts, None
     flat = np.flatnonzero(visible)
     orbit = flat // config.sats_per_orbit
-    s, cos_delta, cos_psi, sin_psi = (a.take(orbit) for a in (s, cos_delta, np.cos(psi), np.sin(psi)))
-    anomaly = np.pi * (2.0 * u.take(flat) - 1.0)
-    r_cos, r_sin = config.radius_km * np.cos(anomaly), config.radius_km * np.sin(anomaly)
+    # a / 2 = pi (u - 1/2), bit for bit half of pi (2u - 1).
+    cos_psi, sin_psi = _half_angle_cos_sin(np.tan(0.5 * psi), 1.0)
+    s, cos_delta, cos_psi, sin_psi = (a.take(orbit) for a in (s, cos_delta, cos_psi, sin_psi))
+    r_cos, r_sin = _half_angle_cos_sin(np.tan(np.pi * (u.take(flat) - 0.5)), config.radius_km)
     out = np.empty((3, flat.size))
     out[0] = cos_delta * r_cos
     out[1] = r_sin * sin_psi - s * cos_psi * r_cos
@@ -163,15 +166,19 @@ def place_in_cap(radius_km: float, cap_angle: float, counts: np.ndarray, rng: np
 def cap_positions(radius_km: float, cos_theta: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
     """Positions (km, leading axis of 3: x, y and z) of points on a shell
     given in polar coordinates about ``TARGET_DIRECTION`` (the x axis): the
-    cosine of the central angle and the azimuth.
-
-    The azimuth's cosine and sine are (1 - t^2) / (1 + t^2) and
-    2 t / (1 + t^2) with t = tan(azimuth / 2): numpy vectorizes its tangent
-    but not its cosine and sine, which cost several times as much."""
-    t = np.tan(0.5 * azimuth)
+    cosine of the central angle and the azimuth."""
     sin_theta = np.sqrt(1.0 - cos_theta**2)
-    sin_theta /= 1.0 + t * t
-    return radius_km * np.stack([cos_theta, sin_theta * (1.0 - t * t), sin_theta * (2.0 * t)])
+    return radius_km * np.stack([cos_theta, *_half_angle_cos_sin(np.tan(0.5 * azimuth), sin_theta)])
+
+
+def _half_angle_cos_sin(t: np.ndarray, scale):
+    """``scale`` times the cosine and the sine of the angles whose half has
+    tangent ``t``: (1 - t^2) / (1 + t^2) and 2 t / (1 + t^2). numpy
+    vectorizes its float64 tangent but not its cosine and sine, which cost
+    several times as much."""
+    t_sq = t * t
+    scale = scale / (1.0 + t_sq)
+    return scale * (1.0 - t_sq), scale * (2.0 * t)
 
 
 def central_angle_to_target(positions: np.ndarray, target_direction: np.ndarray = TARGET_DIRECTION) -> np.ndarray:

@@ -17,9 +17,9 @@ EARTH_RADIUS_KM = 6371.0
 
 def _radius_ratio(shell_radius_km: float) -> float:
     """Re/Rq of a shell of radius ``shell_radius_km``, which must be finite
-    and at least the Earth's radius."""
-    if not EARTH_RADIUS_KM <= shell_radius_km < math.inf:
-        raise ValueError(f"shell radius {shell_radius_km} km must be finite and at least {EARTH_RADIUS_KM} km")
+    and exceed the Earth's radius, as the shell settings require."""
+    if not EARTH_RADIUS_KM < shell_radius_km < math.inf:
+        raise ValueError(f"shell radius {shell_radius_km} km must be finite and exceed {EARTH_RADIUS_KM} km")
     return EARTH_RADIUS_KM / shell_radius_km
 
 
@@ -37,9 +37,6 @@ def max_central_angle(shell_radius_km: float, beam_angle: float) -> float:
         raise ValueError(f"beam angle must be positive and finite, got {beam_angle}")
     if beam_angle >= 2 * math.pi:
         raise ValueError(f"beam angle must be below 2*pi, got {beam_angle}")
-    if shell_radius_km == EARTH_RADIUS_KM:
-        # Degenerate shell on the surface: both branches collapse.
-        return 0.0
     if beam_angle >= 2 * math.asin(ratio):
         return math.acos(ratio)
     half = beam_angle / 2
@@ -101,8 +98,6 @@ def central_from_dome(shell_radius_km: float, phi_max: float) -> float:
     with u = cot(phi_max) and rho = Re/Rq.
     """
     rho = _radius_ratio(shell_radius_km)
-    if shell_radius_km == EARTH_RADIUS_KM:
-        raise ValueError("shell radius must exceed earth radius")
     if not 0 < phi_max < math.pi / 2:
         raise ValueError(f"dome angle must lie in (0, pi/2), got {phi_max}")
     u = 1.0 / math.tan(phi_max)

@@ -58,9 +58,12 @@ visible satellite, trial by trial, then one azimuth uniform per visible
 satellite. Then come the LEO links' fading and then the MEO links'. In
 faithful mode that is one value per visible satellite, in packed order;
 approximation-matched mode reads only the serving beams' links and draws one
-value per beam, in beam order, then its synthetic interferers. A beam's
-verdict reads its own satellite's value and, in faithful mode, the other
-visible satellites' values of its trial: always distinct, independent
+value per beam, in beam order, then its synthetic interferers. Each block of
+fading values is drawn as :func:`~constelsim.channel.sr_sample` defines it:
+one gamma per value for the line-of-sight power, then one exponential per
+value for the scatter's modulus, then one uniform per value for its angle.
+A beam's verdict reads its own satellite's value and, in faithful mode, the
+other visible satellites' values of its trial: always distinct, independent
 draws. So each beam's pass law, and with it every per-rank LEO pass
 fraction and per-satellite MEO pass probability, is what it would be with a
 fresh draw per pair; only the joint law of the beams within a trial follows
@@ -69,6 +72,16 @@ the config, ``master_seed``, ``n_trials`` and ``k_max`` only, and
 availability estimates do not depend on whether localizability is
 simulated too: an availability-only run draws the same geometry stream and
 no placement.
+
+Memory. A localizability run first fixes glibc's trim and mmap thresholds
+(``TRIM_THRESHOLD`` and ``MMAP_THRESHOLD``, through mallopt(3)), far above a
+chunk's working set and its largest array, so the heap keeps the pages that
+one chunk frees for the next rather than returning them to the system and
+faulting them in again. The thresholds are process-wide and stay set after
+``simulate`` returns: glibc cannot report the values they replace, and a
+later run reuses the same pages. Nothing is set where the C library has no
+mallopt, nor by an availability-only run, whose few faults would not repay
+the call. No draw and no result depends on the thresholds.
 
 The batch-means batches are the n_batches = min(20, n_trials) contiguous
 trial ranges of near-equal size, batch b ending at trial
@@ -99,6 +112,7 @@ call.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -125,6 +139,15 @@ PREFIX_RANKS = 2
 # Width of the surely-passing bound's margin, relative to the trial's total
 # received power and per visible satellite (see _sinr_passes).
 BOUND_MARGIN = 2.0 ** -40
+# glibc allocator thresholds that a localizability run sets (see
+# _keep_chunk_memory). Free memory at the top of the heap is returned to the
+# system only past TRIM_THRESHOLD bytes, far above a chunk's working set
+# (2.25 MB traced at leo.altitude_km=2000), and only blocks of at least
+# MMAP_THRESHOLD bytes get their own mapping, far above a chunk's largest
+# array (its LEO rows, about 221 KB there).
+TRIM_THRESHOLD = 64 * 2**20
+MMAP_THRESHOLD = 16 * 2**20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt's parameter numbers, from glibc's malloc.h
 
 
 def _ragged(sizes: np.ndarray):
@@ -265,6 +288,18 @@ def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, co
     return trial, rank, settled | pending
 
 
+def _keep_chunk_memory():
+    """Fix glibc's trim and mmap thresholds at ``TRIM_THRESHOLD`` and
+    ``MMAP_THRESHOLD`` through mallopt(3), for the rest of the process (see
+    the module docstring); nothing where the C library has no mallopt."""
+    mallopt = getattr(ctypes.pythonapi, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+
+
 def _batch_ends(n_trials: int, n_batches: int) -> np.ndarray:
     """End trial (exclusive) of each batch, b * n_trials // n_batches for
     the b-th of b = 1..n_batches, in exact integer arithmetic, so batch
@@ -319,6 +354,8 @@ def simulate(
     sizes = np.diff(ends, prepend=0)
     geo_rng = derive_rng(spec.master_seed, 0)
     loc_rng = geo_rng.spawn(1)[0] if want_loc else None
+    if want_loc:
+        _keep_chunk_memory()
     avail_hist = np.zeros(3 * (k_max + 1))  # trials per count up to k_max: leo, meo, hybrid
     row_start = (k_max + 1) * np.arange(3)[:, None]
     rank_pass = np.zeros(sizes.size * k_max)  # passes per (batch, rank)

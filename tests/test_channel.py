@@ -447,17 +447,52 @@ class TestSrSample:
     @pytest.mark.parametrize("params", [BASE, SrFadingParams(m=1.0, b0=0.05, omega=0.0)])
     @pytest.mark.parametrize("size", [None, 0, 5, (3, 4)])
     def test_matches_out_of_place_formula(self, params, size):
-        # Same draws, same arithmetic, bit for bit: gamma, then the in-phase
-        # and the quadrature normal.
+        # Same draws, same arithmetic, bit for bit: gamma, then the scatter's
+        # exponential and its angle's uniform, the angle's cosine and sine
+        # through t = tan(phi / 2).
         rng = derive_rng(8)
         shape = () if size is None else size
         los = rng.gamma(params.m, params.omega / params.m, shape) if params.omega > 0 else np.zeros(shape)
-        re = np.sqrt(los) + math.sqrt(params.b0) * rng.standard_normal(shape)
-        im = math.sqrt(params.b0) * rng.standard_normal(shape)
+        radius = np.sqrt(2.0 * params.b0 * rng.standard_exponential(shape))
+        t = np.tan((rng.random(shape) - 0.5) * math.pi)
+        scaled = radius / (1.0 + t * t)
+        re = np.sqrt(los) + (1.0 - t * t) * scaled
+        im = 2.0 * t * scaled
         got_rng = derive_rng(8)
         got = sr_sample(params, got_rng, size)
         assert np.array_equal(got, re * re + im * im)
         assert got_rng.random() == rng.random()
+
+
+    @pytest.mark.parametrize("uniform", [0.0, 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
+    def test_polar_scatter_at_the_angle_ends(self, uniform):
+        # A uniform of 0 is phi = -pi, where t = tan(-pi / 2) rounds to about
+        # -1.6e16; W stays a sum of squares, and (A + R cos phi)^2 +
+        # (R sin phi)^2 with numpy's cosine and sine agrees.
+        amp_sq, expo = 1.2, np.array([0.0, 1e-300, 0.3, 1.0, 40.0])
+
+        class FixedDraws:
+            def gamma(self, shape, scale, size):
+                return np.full(size, amp_sq)
+
+            def standard_exponential(self, size):
+                return expo.copy()
+
+            def random(self, size):
+                return np.full(size, uniform)
+
+        draws = sr_sample(BASE, FixedDraws(), size=expo.size)
+        phi = math.pi * (2.0 * uniform - 1.0)
+        radius = np.sqrt(2.0 * BASE.b0 * expo)
+        want = (math.sqrt(amp_sq) + radius * math.cos(phi)) ** 2 + (radius * math.sin(phi)) ** 2
+        assert np.all(draws >= 0.0) and np.all(np.isfinite(draws))
+        np.testing.assert_allclose(draws, want, rtol=1e-12, atol=1e-14)
+
+    def test_huge_scatter_stays_non_negative(self):
+        p = SrFadingParams(m=1.0, b0=1e300, omega=1.0)
+        draws = sr_sample(p, derive_rng(9), size=100_000)
+        assert np.all(draws >= 0.0) and np.all(np.isfinite(draws))
+        assert draws.mean() == pytest.approx(p.mean_power, rel=0.02)
 
 
 PATTERNS = [

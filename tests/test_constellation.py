@@ -285,17 +285,31 @@ class TestDsbpp:
         assert np.array_equal(a, b)
 
 
-def whole_shells(config, rng, size):
+def half_angle_cos_sin(angle, scale):
+    """``scale`` times the cosine and the sine of ``angle``, through
+    t = tan(angle / 2) as the sampler takes them."""
+    t = np.tan(0.5 * angle)
+    scaled = scale / (1.0 + t * t)
+    return scaled * (1.0 - t * t), scaled * (2.0 * t)
+
+
+def trig_cos_sin(angle, scale):
+    """``scale`` times numpy's cosine and sine of ``angle``."""
+    return scale * np.cos(angle), scale * np.sin(angle)
+
+
+def whole_shells(config, rng, size, cos_sin=half_angle_cos_sin):
     """``size`` whole MEO shells, every satellite placed, all orbits at
-    once: the arithmetic the packed positions must reproduce bit for bit.
+    once: the arithmetic the packed positions must reproduce bit for bit,
+    or, with ``cos_sin=trig_cos_sin``, the cosines and sines taken directly.
     Each anomaly pi (2u - 1) is measured from its orbit's point nearest the
     target."""
     s = 1.0 - 2.0 * rng.random((size, config.n_orbits, 1))
     psi = 2.0 * np.pi * rng.random((size, config.n_orbits, 1))
     anomaly = np.pi * (2.0 * rng.random((size, config.n_orbits, config.sats_per_orbit)) - 1.0)
     cos_delta = np.sqrt((1.0 - s) * (1.0 + s))
-    r_cos, r_sin = config.radius_km * np.cos(anomaly), config.radius_km * np.sin(anomaly)
-    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    r_cos, r_sin = cos_sin(anomaly, config.radius_km)
+    cos_psi, sin_psi = cos_sin(psi, 1.0)
     out = np.stack([cos_delta * r_cos,
                     r_sin * sin_psi - s * cos_psi * r_cos,
                     -(s * sin_psi * r_cos + r_sin * cos_psi)], axis=-1)
@@ -378,6 +392,16 @@ class TestDsbppCap:
             assert np.array_equal(counts, visible.sum(axis=1))
             assert np.array_equal(positions.T, full[visible])
         assert cap_rng.random() == full_rng.random()
+
+    @pytest.mark.parametrize("overrides", [{}, {"meo.altitude_km": "8000"}])
+    def test_positions_match_direct_cosines(self, overrides):
+        # The tangent half-angle moves positions only in their last bits.
+        cfg = build_system_config(load_settings(overrides=overrides))
+        counts, positions = sample_dsbpp_cap(cfg.meo, derive_rng(42), cfg.meo_theta_max, 20_000, positions=True)
+        full = whole_shells(cfg.meo, derive_rng(42), 20_000, cos_sin=trig_cos_sin)
+        visible = central_angle_to_target(full) <= cfg.meo_theta_max
+        assert np.array_equal(counts, visible.sum(axis=1))
+        assert np.max(np.abs(positions.T - full[visible])) <= 1e-9
 
     def test_whole_shell_sampler_matches(self):
         # A cap of central angle pi holds every satellite.

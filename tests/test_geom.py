@@ -96,9 +96,11 @@ def theta_max_bisect(radius, beam_angle):
 
 
 class TestMaxCentralAngle:
-    def test_surface_shell_collapses(self):
+    def test_refuses_surface_shell(self):
+        # The shell settings refuse this radius too, so no config reaches it.
         for phi in (0.1, math.pi / 4, 3.0):
-            assert max_central_angle(EARTH_RADIUS_KM, phi) == 0.0
+            with pytest.raises(ValueError, match="shell radius"):
+                max_central_angle(EARTH_RADIUS_KM, phi)
 
     def test_meo_horizon_branch(self):
         # wide beam: the horizon limits, not the beam

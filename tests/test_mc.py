@@ -1,6 +1,12 @@
+import ctypes
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import types
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+import constelsim
 from constelsim import analytic, cli, mc
 from constelsim.analytic import KM_TO_M, leo_interference_cap
 from constelsim.channel import CosinePattern, FlatTopPattern, SincPattern, sr_sample
@@ -253,14 +260,14 @@ class TestEstimates:
 
     def test_no_fading_drawn_for_missing_beams(self, monkeypatch):
         # One draw of one value per visible satellite (link), whatever the
-        # beams' verdicts. At the default noise only the lone satellite's
-        # beam is closed, and no open beam passes against the all-links
-        # bound, so the four open beams take their nearest two others (8
-        # pairs), and trial 3's two beams, which pass on those, take their
-        # other two each. Noise raised 5.5-fold closes two of the five
-        # beams, which have four other visible satellites between them:
-        # they fail and get no pairs.
-        for noise_scale, block_pairs, closed in [(1.0, [8, 4], 1), (5.5, [6, 2], 2)]:
+        # beams' verdicts. At the default noise every beam is open, and only
+        # the lone satellite's passes against the all-links bound, so the
+        # four others take their nearest two others (8 pairs), and trial 3's
+        # two beams, which pass on those, take their other two each. Noise
+        # raised 5.5-fold closes trial 0's second beam, which has two other
+        # visible satellites, and raised 8-fold also trial 3's second, with
+        # four more: closed beams fail and get no pairs.
+        for noise_scale, block_pairs, closed in [(1.0, [8, 4], 0), (5.5, [6, 4], 1), (8.0, [4, 2], 2)]:
             link = dataclasses.replace(CFG.leo_link, noise_power_w=noise_scale * CFG.leo_link.noise_power_w)
             passes, counts, sizes, pairs, is_open, others = self.recorded_draws(monkeypatch, link)
             assert sizes == [counts.sum()] == [9]
@@ -740,3 +747,58 @@ class TestFewTrials:
             assert loc_se == ["inf"] * 18
         else:
             assert all(math.isfinite(float(se)) for se in loc_se)
+
+
+# Minor page faults of two localizability runs of one size in a fresh
+# process, at 2000 km: three chunks each.
+_FAULT_PROBE = """
+import resource
+from constelsim import mc
+from constelsim.config import McSpec, build_system_config, load_settings
+config = build_system_config(load_settings(overrides={"leo.altitude_km": "2000"}))
+spec = McSpec(n_trials=3 * mc.CHUNK_TRIALS, master_seed=1, sum_all_interferers=True)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    mc.simulate(config, spec, 6)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestChunkMemory:
+    @pytest.mark.skipif(getattr(ctypes.pythonapi, "mallopt", None) is None, reason="the C library has no mallopt")
+    def test_second_run_reuses_the_first_runs_pages(self):
+        # With glibc's default thresholds the heap top is trimmed after a
+        # chunk frees it, and the next chunk (or run) faults its pages in
+        # again: a second run then took as many faults as the first.
+        src = str(Path(constelsim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True, env=env,
+                             check=True, timeout=120).stdout
+        first, second = map(int, out.split())
+        assert second <= 0.1 * first, (first, second)
+
+    def test_only_localizability_sets_the_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(mc.ctypes, "pythonapi", types.SimpleNamespace(mallopt=mallopt))
+        spec = McSpec(n_trials=50, master_seed=3, sum_all_interferers=True)
+        simulate(CFG, spec, 3, ("availability",))
+        assert calls == []
+        simulate(CFG, spec, 3)
+        # M_TRIM_THRESHOLD is -1 and M_MMAP_THRESHOLD -3 in glibc's malloc.h.
+        assert calls == [(-1, mc.TRIM_THRESHOLD), (-3, mc.MMAP_THRESHOLD)]
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int) and mallopt.restype is ctypes.c_int
+
+    def test_runs_without_mallopt(self, monkeypatch):
+        spec = McSpec(n_trials=50, master_seed=3, sum_all_interferers=True)
+        want = simulate(CFG, spec, 3)
+        monkeypatch.setattr(mc.ctypes, "pythonapi", types.SimpleNamespace())
+        got = simulate(CFG, spec, 3)
+        assert got.estimates.keys() == want.estimates.keys()
+        for key, (values, errors) in want.estimates.items():
+            np.testing.assert_array_equal(got.estimates[key][0], values)
+            np.testing.assert_array_equal(got.estimates[key][1], errors)

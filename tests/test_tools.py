@@ -27,10 +27,10 @@ BAD_SETTINGS = [(["--set", "leo.n_sats"], "'leo.n_sats'"), (["--set", "bogus.key
 
 
 def untimed(result):
-    """A tool's result without its timings and memory peak, which differ run
-    to run."""
+    """A tool's result without its timings, memory peak and page faults,
+    which differ run to run."""
     return {key: untimed(value) if isinstance(value, dict) else value for key, value in result.items()
-            if "seconds" not in key and key != "tracemalloc_peak_mb"}
+            if "seconds" not in key and key not in ("tracemalloc_peak_mb", "minor_faults_per_trial")}
 
 
 @pytest.mark.parametrize("tool, argv", [("mc_stages", ["--trials", "20", "--repeat", "1"]), ("quad_rounds", [])])
@@ -65,9 +65,14 @@ class TestMcStages:
         assert (result["trials"], result["seed"], result["overrides"]) == (200, 1, {"leo.altitude_km": "2000"})
         assert result["metrics"] == ["availability", "localizability"]
         seconds = result["seconds"]
-        assert list(seconds) == ["sampling", "visibility", "sinr", "aggregation", "total"]
+        assert list(seconds) == ["sampling", "visibility", "fading", "sinr", "aggregation", "total"]
         assert all(value >= 0 for value in seconds.values())
-        assert seconds["sinr"] > 0 and result["fading_draws_per_trial"] > 0
+        assert seconds["sinr"] > 0 and seconds["fading"] > 0 and result["fading_draws_per_trial"] > 0
+        # Faults of the reported run alone, a few hundred fresh pages at
+        # most, far below this process's count since it started; without
+        # the resource module, null.
+        faults = result["minor_faults_per_trial"]
+        assert 0 <= faults * 200 <= 4096 if load_tool("mc_stages").resource else faults is None
         # One draw per visible satellite; at 2000 km the pairs outnumber them,
         # though beams settle both ways: passing before they take any pair,
         # failing on their nearest others.
@@ -94,7 +99,7 @@ class TestMcStages:
                                               "--set", f"meo.n_orbits={orbits}"])
         assert json.loads(capsys.readouterr().out) == result
         assert result["metrics"] == ["availability"]
-        assert result["seconds"]["sinr"] == 0
+        assert result["seconds"]["sinr"] == result["seconds"]["fading"] == 0
         assert result["fading_draws_per_trial"] == result["interferer_pairs_per_trial"] == 0
         assert result["settled_pass_per_trial"] == result["settled_fail_per_trial"] == 0
         assert result["seconds"]["visibility"] > 0 and result["chunks"] == 3
@@ -137,6 +142,12 @@ class TestMcStages:
         with pytest.raises(SystemExit) as exit_info:
             load_tool("mc_stages").main(["--trials", "20", "--metrics", "availability,coverage"])
         assert exit_info.value.code == 2 and "--metrics" in capsys.readouterr().err
+
+    def test_faults_are_null_without_resource(self, capsys, monkeypatch):
+        tool = load_tool("mc_stages")
+        monkeypatch.setattr(tool, "resource", None)
+        result = tool.main(["--trials", "20", "--repeat", "1"])
+        assert json.loads(capsys.readouterr().out) == result and result["minor_faults_per_trial"] is None
 
     @pytest.mark.parametrize("argv, named", BAD_SETTINGS + [
         (["--trials", "0"], "n_trials"), (["--seed", "-1"], "master_seed"), (["--chunk-trials", "0"], "--chunk-trials"),

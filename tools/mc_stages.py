@@ -11,6 +11,8 @@ default; ``--metrics availability`` times the campaign that
 trials (``mc.CHUNK_TRIALS`` by default, at most
 ``constellation.MAX_PLACED_SHELLS``), and prints one JSON object: the
 seconds spent in each stage of the best of ``--repeat`` runs (least total),
+the minor page faults per trial of that run (``minor_faults_per_trial``,
+from ``resource.getrusage``; null where the ``resource`` module is missing),
 the fading values drawn per trial (in faithful mode one per visible
 satellite of either layer; in approximation-matched mode one per serving
 LEO beam, one per synthetic interferer and one per visible MEO satellite),
@@ -29,7 +31,9 @@ calls through its module namespaces:
   less visibility;
 - ``visibility``: ``geom.orbit_arc``, the half-angle of each MEO orbit's
   arc within the cap, which ``sample_dsbpp_cap`` calls;
-- ``sinr``: ``mc._sinr_passes``, fading draws included;
+- ``fading``: ``channel.sr_sample``, the fading draws, which ``mc._sinr_passes``
+  calls;
+- ``sinr``: ``mc._sinr_passes``, less fading;
 - ``aggregation``: the rest of ``simulate``.
 
 The wrappers are removed again, and the chunk size restored, when the run
@@ -44,13 +48,18 @@ import json
 import time
 import tracemalloc
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import numpy as np
 
 from constelsim import constellation, mc
 from constelsim.analytic import METRICS
 from constelsim.config import ConfigError, build_mc_settings, build_system_config, load_settings, parse_assignments
 
-STAGES = ("sampling", "visibility", "sinr", "aggregation")
+STAGES = ("sampling", "visibility", "fading", "sinr", "aggregation")
 K_MAX = 6
 
 
@@ -111,7 +120,7 @@ def _timed_stages():
         (mc, "sample_dsbpp_cap", timed("sampling", mc.sample_dsbpp_cap)),
         (constellation, "orbit_arc", timed("visibility", constellation.orbit_arc)),
         (mc, "_sinr_passes", timed("sinr", settled)),
-        (mc, "sr_sample", counted),
+        (mc, "sr_sample", timed("fading", counted)),
         (mc, "_link_indices", paired),
     ]
     saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
@@ -135,16 +144,26 @@ def traced_peak_mb(config, spec, metrics=METRICS) -> float:
         tracemalloc.stop()
 
 
+def _minor_faults():
+    """Minor page faults of this process so far, or None without ``resource``."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def measure(config, spec, metrics=METRICS) -> dict:
-    """Stage seconds, fading draws, interferer pairs and settled beams per
-    trial and chunks of one ``simulate`` run of ``metrics``."""
+    """Stage seconds, minor page faults, fading draws, interferer pairs and
+    settled beams per trial and chunks of one ``simulate`` run of
+    ``metrics``."""
     with _timed_stages() as (seconds, tally):
+        faults = _minor_faults()
         start = time.perf_counter()
         mc.simulate(config, spec, K_MAX, metrics)
         total = time.perf_counter() - start
+        if faults is not None:
+            faults = (_minor_faults() - faults) / spec.n_trials
     seconds["aggregation"] = total - sum(seconds.values())
     return {
         "seconds": {**{stage: round(seconds[stage], 5) for stage in STAGES}, "total": round(total, 5)},
+        "minor_faults_per_trial": faults,
         "fading_draws_per_trial": tally["draws"] / spec.n_trials,
         "interferer_pairs_per_trial": tally["pairs"] / spec.n_trials,
         "settled_pass_per_trial": tally["settled_pass"] / spec.n_trials,
