@@ -47,10 +47,11 @@ P(W > w + V): no T_j is short by more than the dropped weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .record import record
 
 _MAX_SERIES_TERMS = 10_000
 _SERIES_TOL = 1e-12
@@ -60,7 +61,7 @@ class SeriesConvergenceError(RuntimeError):
     """Raised when the fading series fails to meet its tail bound."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SrFadingParams:
     """Shadowed-Rician triple: Nakagami shape m, scatter half-power b0,
     line-of-sight average power omega."""
@@ -88,7 +89,7 @@ class SrFadingParams:
         return 2.0 * self.b0 * self.m / (2.0 * self.b0 * self.m + self.omega)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinkParams:
     """One layer's link budget, all linear units (W, m, ratios)."""
 
@@ -324,7 +325,7 @@ def sr_sample(params: SrFadingParams, rng: np.random.Generator, size=None):
 # Receive antenna patterns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GaussianPattern:
     """Gaussian main lobe, half-power beamwidth phi_3db."""
 
@@ -344,7 +345,7 @@ class GaussianPattern:
         return 3.0 * self.phi_3db
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FlatTopPattern:
     phi_3db: float
 
@@ -361,7 +362,7 @@ class FlatTopPattern:
         return self.phi_3db
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SincPattern:
     n_elements: int
 
@@ -379,7 +380,7 @@ class SincPattern:
         return 3.0 / self.n_elements
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CosinePattern:
     n_elements: int
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
 
 from .channel import (
     AntennaPattern,
@@ -26,6 +25,7 @@ from .channel import (
     SrFadingParams,
 )
 from .geom import EARTH_RADIUS_KM, max_central_angle
+from .record import record
 
 
 class ConfigError(ValueError):
@@ -43,7 +43,7 @@ def _check_shell(layer: str, radius_km: float, beam_angle: float):
         raise ValueError("beam angle must lie in (0, 2*pi)")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LeoShellConfig:
     n_sats: int
     radius_km: float
@@ -55,7 +55,7 @@ class LeoShellConfig:
         _check_shell("LEO", self.radius_km, self.beam_angle)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MeoShellConfig:
     n_orbits: int
     sats_per_orbit: int
@@ -72,7 +72,7 @@ class MeoShellConfig:
         return self.n_orbits * self.sats_per_orbit
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SystemConfig:
     """Full two-layer system description, all linear units."""
 
@@ -107,7 +107,7 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class McSpec:
     """Monte Carlo run settings, the ``mc.*`` keys: trial count, master seed
     and interference mode."""

@@ -114,7 +114,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,6 +123,7 @@ from .channel import LinkParams, SrFadingParams, sr_sample
 from .config import McSpec, SystemConfig
 from .constellation import derive_rng, place_in_cap, sample_bpp_cap, sample_dsbpp_cap
 from .geom import EARTH_RADIUS_KM, cap_fraction, dome_from_central
+from .record import record
 
 # Largest number of trials drawn as one array, at most MAX_PLACED_SHELLS,
 # the most trials one LEO placement orders. In a pinned sweep, chunks of 768
@@ -307,7 +307,7 @@ def _batch_ends(n_trials: int, n_batches: int) -> np.ndarray:
     return np.array([b * n_trials // n_batches for b in range(1, n_batches + 1)])
 
 
-@dataclass
+@record()
 class SimulationSummary:
     """Aggregated Monte Carlo estimates with standard errors.
 
@@ -413,7 +413,7 @@ def simulate(
     )
 
 
-@dataclass
+@record()
 class ValidationRow:
     metric: str
     k: int

@@ -3,7 +3,6 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from constelsim.constellation import (
     sample_dsbpp_cap,
 )
 from constelsim.geom import EARTH_RADIUS_KM, cap_fraction
+from constelsim.record import replace
 from test_geom import max_detect_distance, max_orbit_central_angle
 
 CFG = default_config()

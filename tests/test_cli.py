@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import os
 import subprocess
 import sys
@@ -25,6 +24,7 @@ from constelsim.config import (
     load_settings,
     parse_config_text,
 )
+from constelsim.record import fields
 
 VALIDATE_HEADER = "metric,K,analytic,empirical,std_err,delta,pass"
 UNIT_SUFFIXES = ("dBW", "dBm", "dBi", "dB", "deg", "rad")
@@ -275,9 +275,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("settings_type", [LeoShellConfig, MeoShellConfig, SystemConfig, McSpec])
     def test_settings_types_take_no_defaults(self, settings_type):
-        # A default is stated once, as a line of config._DEFAULTS.
-        for field in dataclasses.fields(settings_type):
-            assert field.default is field.default_factory is dataclasses.MISSING, field.name
+        # A default is stated once, as a line of config._DEFAULTS; ``record``
+        # refuses a class-level one, so every field is required.
+        assert fields(settings_type) and not set(fields(settings_type)) & set(vars(settings_type))
 
 
 # The smallest run of each command that reaches its quadrature.

@@ -72,11 +72,12 @@ def test_guard_sees_both_forms(tmp_path):
 ALLOWED_IMPORTS = {
     "__init__": {"geom"},
     "geom": set(),
-    "channel": set(),
-    "config": {"channel", "geom"},
+    "record": set(),
+    "channel": {"record"},
+    "config": {"channel", "geom", "record"},
     "constellation": {"config", "geom"},
     "analytic": {"channel", "config", "geom"},
-    "mc": {"analytic", "channel", "config", "constellation", "geom"},
+    "mc": {"analytic", "channel", "config", "constellation", "geom", "record"},
     "cli": {"analytic", "channel", "config", "constellation", "mc"},
 }
 
@@ -123,20 +124,32 @@ def test_layer_guard_fires(tmp_path):
     assert sorted(package_imports(probe) - ALLOWED_IMPORTS["config"]) == ["analytic", "cli", "constellation", "mc"]
 
 
+def test_record_types_need_only_the_standard_library():
+    # ``record`` sits below every layer: no package module, and not numpy.
+    tree = ast.parse((PACKAGE / "record.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported and all(name in sys.stdlib_module_names for name in imported), imported
+
+
 def test_settings_and_closed_forms_load_no_simulation_code():
     # A fresh interpreter, so nothing this test process has loaded counts.
+    # The record types generate no code, so not even the CLI loads
+    # ``dataclasses``.
     code = (
         "import sys\n"
         "import constelsim.config\n"
         "print(sorted(sys.modules.keys() & {'constelsim.analytic', 'constelsim.constellation', 'constelsim.mc'}))\n"
         "import constelsim.analytic\n"
         "print(sorted(sys.modules.keys() & {'numpy.random', 'constelsim.constellation', 'constelsim.mc'}))\n"
+        "import constelsim.cli\n"
+        "print(sorted(sys.modules.keys() & {'dataclasses'}))\n"
     )
     src = str(PACKAGE.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
                           timeout=120)
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
 
 
 def unbounded_caches(path: Path) -> list[int]:

@@ -1,5 +1,4 @@
 import ctypes
-import dataclasses
 import math
 import os
 import subprocess
@@ -31,6 +30,7 @@ from constelsim.constellation import (
 )
 from constelsim.geom import EARTH_RADIUS_KM, cap_fraction, dome_from_central
 from constelsim.mc import run_validation, simulate
+from constelsim.record import fields, replace
 
 CFG = default_config()
 DENSE = build_system_config(load_settings(overrides={"leo.altitude_km": "2000"}))
@@ -128,8 +128,7 @@ class ZeroUniforms:
 
 class TestSpec:
     def test_holds_exactly_the_mc_settings(self):
-        assert [field.name for field in dataclasses.fields(McSpec)] == [
-            "n_trials", "master_seed", "sum_all_interferers"]
+        assert fields(McSpec) == ("n_trials", "master_seed", "sum_all_interferers")
 
     def test_few_trials_run_one_batch_each(self, monkeypatch):
         # Five trials, five batches of one trial each, all from one geometry
@@ -227,49 +226,53 @@ class TestEstimates:
         positions = cap_positions(CFG.leo.radius_km, cos_theta[visible], azimuth[visible])
         return positions, counts, np.minimum(counts, 2)
 
-    def recorded_draws(self, monkeypatch, link):
-        """Pass flags of the beams of ``ragged_beams(21)`` on ``link``, the
-        visible counts, the sizes of the fading arrays drawn, in order, the
-        number of interferer pairs listed in each rank block, each beam's
-        open flag, recomputed from its satellite's fading (signal over noise
-        alone above the threshold), and its number of other visible
-        satellites."""
+    def recorded_draws(self, monkeypatch, fading):
+        """Pass flags of the beams of ``ragged_beams(21)`` at the default
+        link, with the fixed ``fading`` values in place of drawn ones, one
+        per packed satellite; the visible counts, the sizes of the fading
+        arrays asked for, in order, the number of interferer pairs listed in
+        each rank block, each beam's open flag, recomputed from its
+        satellite's fading (signal over noise alone above the threshold), and
+        its number of other visible satellites."""
         positions, counts, n_serve = self.ragged_beams(21)
-        draws, pairs = [], []
-        link_indices = mc._link_indices
+        sizes, pairs = [], []
+        link, link_indices = CFG.leo_link, mc._link_indices
 
-        def recording(params, rng, size=None):
-            draws.append(sr_sample(params, rng, size))
-            return draws[-1]
+        def fixed(params, rng, size=None):
+            sizes.append(size)
+            return np.array(fading[:size], dtype=float)
 
         def recording_pairs(*args):
             pairs.append(link_indices(*args))
             return pairs[-1]
 
-        monkeypatch.setattr(mc, "sr_sample", recording)
+        monkeypatch.setattr(mc, "sr_sample", fixed)
         monkeypatch.setattr(mc, "_link_indices", recording_pairs)
         trial, rank, passes = mc._sinr_passes(CFG, link, CFG.leo_fading, positions, counts, n_serve,
                                               derive_rng(22), faithful=True)
         assert passes.shape == trial.shape == (n_serve.sum(),) and np.all(rank < n_serve[trial])
         dist_sq = (np.linalg.norm(positions.T - TARGET_KM, axis=-1) * 1e3) ** 2
         at_beam = np.cumsum(counts)[trial] - counts[trial] + rank
-        signal = draws[0][at_beam] / dist_sq[at_beam]
+        signal = np.asarray(fading)[at_beam] / dist_sq[at_beam]
         is_open = signal / (link.noise_power_w / link.unit_range_power_w) > link.sinr_threshold
-        return passes, counts, [draw.size for draw in draws], [beam.size for beam, _ in pairs], is_open, \
-            counts[trial] - 1
+        return passes, counts, sizes, [beam.size for beam, _ in pairs], is_open, counts[trial] - 1
 
     def test_no_fading_drawn_for_missing_beams(self, monkeypatch):
         # One draw of one value per visible satellite (link), whatever the
-        # beams' verdicts. At the default noise every beam is open, and only
-        # the lone satellite's passes against the all-links bound, so the
-        # four others take their nearest two others (8 pairs), and trial 3's
-        # two beams, which pass on those, take their other two each. Noise
-        # raised 5.5-fold closes trial 0's second beam, which has two other
-        # visible satellites, and raised 8-fold also trial 3's second, with
-        # four more: closed beams fail and get no pairs.
-        for noise_scale, block_pairs, closed in [(1.0, [8, 4], 0), (5.5, [6, 4], 1), (8.0, [4, 2], 2)]:
-            link = dataclasses.replace(CFG.leo_link, noise_power_w=noise_scale * CFG.leo_link.noise_power_w)
-            passes, counts, sizes, pairs, is_open, others = self.recorded_draws(monkeypatch, link)
+        # beams' verdicts. The fading values are fixed, so the verdicts
+        # follow from the geometry alone. At unit fading every satellite's
+        # signal over noise alone is about 36 to 43, above the threshold of
+        # 10, so every beam is open, and only the lone satellite's passes
+        # against the all-links bound: the four others take their nearest
+        # two others (8 pairs), and trial 3's two beams, which pass on those,
+        # take their other two each. A value of 0.1 brings a signal over
+        # noise to at most 4.3: at packed index 1 it closes trial 0's second
+        # beam, which has two other visible satellites, and at index 5 also
+        # trial 3's second, with four more. Closed beams fail and get no
+        # pairs.
+        unit, closed_1, closed_5 = [1.0] * 9, [1.0, 0.1] + [1.0] * 7, [1.0, 0.1] + [1.0] * 3 + [0.1] + [1.0] * 3
+        for fading, block_pairs, closed in [(unit, [8, 4], 0), (closed_1, [6, 4], 1), (closed_5, [4, 2], 2)]:
+            passes, counts, sizes, pairs, is_open, others = self.recorded_draws(monkeypatch, fading)
             assert sizes == [counts.sum()] == [9]
             assert pairs == block_pairs and sum(pairs) == others[is_open].sum()
             assert (~is_open).sum() == closed and others[~is_open].sum() == 12 - sum(pairs)
@@ -305,7 +308,7 @@ class TestEstimates:
         positions, counts, n_serve = self.ragged_beams(23)
         monkeypatch.setattr(mc, "sr_sample", lambda params, rng, size=None: np.ones(size))
         for noise_scale, closed_and_failing_open in [(1.0, (0, 2)), (1000.0, (2, 1))]:
-            link = dataclasses.replace(CFG.leo_link, noise_power_w=noise_scale * CFG.leo_link.noise_power_w)
+            link = replace(CFG.leo_link, noise_power_w=noise_scale * CFG.leo_link.noise_power_w)
             sinr, noise_only = self.per_beam_sums(positions, counts, n_serve,
                                                   link.noise_power_w / link.unit_range_power_w)
             if noise_scale == 1.0:
@@ -313,7 +316,7 @@ class TestEstimates:
                 threshold = math.sqrt(ordered[len(ordered) // 2 - 1] * ordered[len(ordered) // 2])
             else:
                 threshold = math.sqrt(sinr[3, 1] * noise_only[3, 1])
-            link = dataclasses.replace(link, sinr_threshold=threshold)
+            link = replace(link, sinr_threshold=threshold)
             trial, rank, passes = mc._sinr_passes(CFG, link, CFG.leo_fading, positions, counts, n_serve,
                                                   derive_rng(24), faithful=True)
             assert {(t, r): bool(p) for t, r, p in zip(trial, rank, passes)} \
@@ -344,7 +347,7 @@ class TestEstimates:
         assert len(sinr) == 5 and (3, 1) in sinr
         for threshold in sorted(value * scale for value in sinr.values() for scale in (1 - 1e-9, 1 + 1e-9)):
             drawn.clear()
-            trial, rank, passes = mc._sinr_passes(CFG, dataclasses.replace(link, sinr_threshold=threshold),
+            trial, rank, passes = mc._sinr_passes(CFG, replace(link, sinr_threshold=threshold),
                                                   CFG.leo_fading, positions, counts, n_serve, derive_rng(24),
                                                   faithful=True)
             assert {(t, r): bool(p) for t, r, p in zip(trial, rank, passes)} \
@@ -362,8 +365,8 @@ class TestEstimates:
         assert passes.shape == (np.minimum(counts, 3).sum(),) and passes.dtype == bool
 
     def test_no_leo_no_meo(self):
-        cfg = dataclasses.replace(CFG, leo=dataclasses.replace(CFG.leo, n_sats=0),
-                                  meo=dataclasses.replace(CFG.meo, n_orbits=0))
+        cfg = replace(CFG, leo=replace(CFG.leo, n_sats=0),
+                                  meo=replace(CFG.meo, n_orbits=0))
         summary = simulate(cfg, McSpec(n_trials=50, master_seed=2, sum_all_interferers=True), 6)
         for metric in ("availability", "localizability"):
             for system in ("leo", "meo", "hybrid"):
@@ -510,8 +513,8 @@ class TestSettledVerdicts:
     def verdicts(pattern, threshold, fading, positions, counts, n_serve):
         """Pass flags of ``mc._sinr_passes`` and all-pairs SINRs on one set of
         fading values (the LEO link at ``threshold``)."""
-        config = dataclasses.replace(CFG, rx_pattern=pattern)
-        link = dataclasses.replace(CFG.leo_link, sinr_threshold=threshold)
+        config = replace(CFG, rx_pattern=pattern)
+        link = replace(CFG.leo_link, sinr_threshold=threshold)
         args = (config, link, CFG.leo_fading, positions, counts, n_serve, None)
         with mock.patch.object(mc, "sr_sample", lambda params, rng, size=None: fading.copy()):
             trial, rank, passes = mc._sinr_passes(*args, faithful=True)
@@ -534,8 +537,8 @@ class TestSettledVerdicts:
             # Every beam with a positive signal is open at the least threshold.
             with mock.patch.object(mc, "sr_sample", lambda params, rng, size=None: fading.copy()):
                 sinr, bound_ratio = all_pairs_sinr(
-                    dataclasses.replace(CFG, rx_pattern=pattern),
-                    dataclasses.replace(CFG.leo_link, sinr_threshold=5e-324), CFG.leo_fading, positions, counts,
+                    replace(CFG, rx_pattern=pattern),
+                    replace(CFG.leo_link, sinr_threshold=5e-324), CFG.leo_fading, positions, counts,
                     n_serve, None)
             threshold = max(nudged((sinr if anchor == "sinr" else bound_ratio)[beam], ulps), 5e-324)
         passes, sinr = self.verdicts(pattern, threshold, fading, positions, counts, n_serve)
@@ -668,15 +671,15 @@ class TestRowLayout:
         # faithful mode, the serving beams' alone otherwise, which the
         # parent read from its draw for every link.
         counts, n_serve, positions, fading, pattern, (beam, anchor, ulps) = case
-        config = dataclasses.replace(CFG, rx_pattern=pattern)
+        config = replace(CFG, rx_pattern=pattern)
         threshold = CFG.leo_link.sinr_threshold
         if n_serve.sum():
             with mock.patch.object(mc, "sr_sample", lambda params, rng, size=None: fading.copy()):
                 sinr, bound_ratio = all_pairs_sinr(
-                    config, dataclasses.replace(CFG.leo_link, sinr_threshold=5e-324), CFG.leo_fading, positions,
+                    config, replace(CFG.leo_link, sinr_threshold=5e-324), CFG.leo_fading, positions,
                     counts, n_serve, None)
             threshold = max(nudged((sinr if anchor == "sinr" else bound_ratio)[beam], ulps), 5e-324)
-        link = dataclasses.replace(CFG.leo_link, sinr_threshold=threshold)
+        link = replace(CFG.leo_link, sinr_threshold=threshold)
         faithful = mode == "faithful"
         matched_cap = (leo_interference_cap(CFG.leo, pattern)[0], p_zero) if mode == "matched" else None
         trial, rank = mc._ragged(n_serve)

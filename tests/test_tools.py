@@ -3,12 +3,14 @@
 import importlib.util
 import json
 import math
+import os
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import constelsim
 from constelsim import analytic, channel, constellation, geom, mc
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -187,3 +189,22 @@ class TestQuadRounds:
         result = load_tool("quad_rounds").main(["--set", "rx.pattern=sinc"])
         law = result["integrals"]["interferer count law"]
         assert law["rounds"] > 1 and law["nodes"] > 21 * analytic.FIRST_PANELS and law["nodes"] % 21 == 0
+
+
+class TestStartupCost:
+    def test_reports_every_package_module(self, capsys):
+        affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        result = load_tool("startup_cost").main(["--runs", "1"])
+        assert json.loads(capsys.readouterr().out) == result
+        package = Path(constelsim.__file__).resolve().parent
+        names = {"constelsim"} | {f"constelsim.{path.stem}" for path in package.glob("*.py")} - {"constelsim.__init__"}
+        assert len(names) == 9 and set(result["modules"]) == names
+        for module in result["modules"].values():
+            assert module["self_ms"] > 0 and module["compile_ms"] > 0
+            assert module["exec_ms"] == pytest.approx(module["self_ms"] - module["compile_ms"], abs=2e-3)
+        assert result["runs"] == 1 and result["wall_ms"] > result["total"]["self_ms"] > 0
+        # The process's own CPU affinity is restored.
+        assert affinity is None or os.sched_getaffinity(0) == affinity
+
+    def test_rejects_no_runs(self, capsys):
+        assert_refused(capsys, "startup_cost", ["--runs", "0"], "--runs")
