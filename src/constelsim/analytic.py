@@ -80,16 +80,6 @@ KM_TO_M = 1e3
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach its tolerance."""
 
-    def __init__(self, label: str, estimate: float, error: float, detail: str = ""):
-        # Every argument goes to the base class, so unpickling can rebuild the error.
-        super().__init__(label, estimate, error, detail)
-        self.label, self.estimate, self.error = label, estimate, error
-
-    def __str__(self) -> str:
-        label, estimate, error, detail = self.args
-        msg = f"quadrature '{label}' did not converge: estimate {estimate}, error {error}"
-        return f"{msg} ({detail})" if detail else msg
-
 
 # Default relative tolerance of every integral; equal panels
 # integrate_adaptive starts from, and most panels it may use before it gives up.
@@ -178,13 +168,15 @@ def integrate_adaptive(func, a: float, b: float, rtol: float, label: str):
         scale = float(np.max(np.abs(total)))
         total_error = float(error.sum())
         if not math.isfinite(total_error):
-            raise QuadratureError(label, scale, total_error, detail="non-finite integrand")
+            raise QuadratureError(f"quadrature '{label}' did not converge: estimate {scale}, error {total_error}"
+                                  " (non-finite integrand)")
         tol = max(1e-4 * rtol, rtol * scale)
         if total_error <= tol:
             return float(total) if total.ndim == 0 else total
         room = MAX_PANELS - lo.size
         if room <= 0:
-            raise QuadratureError(label, scale, total_error, detail=f"{lo.size} panels")
+            raise QuadratureError(f"quadrature '{label}' did not converge: estimate {scale}, error {total_error}"
+                                  f" ({lo.size} panels)")
         order = np.argsort(-error)
         rest = np.append(np.cumsum(error[order][::-1])[::-1][1:], 0.0)
         split, keep = np.split(order, [min(int(np.argmax(rest <= 0.5 * tol)) + 1, room)])

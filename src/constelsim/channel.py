@@ -61,7 +61,7 @@ class SeriesConvergenceError(RuntimeError):
     """Raised when the fading series fails to meet its tail bound."""
 
 
-@record(frozen=True)
+@record
 class SrFadingParams:
     """Shadowed-Rician triple: Nakagami shape m, scatter half-power b0,
     line-of-sight average power omega."""
@@ -89,7 +89,7 @@ class SrFadingParams:
         return 2.0 * self.b0 * self.m / (2.0 * self.b0 * self.m + self.omega)
 
 
-@record(frozen=True)
+@record
 class LinkParams:
     """One layer's link budget, all linear units (W, m, ratios)."""
 
@@ -325,7 +325,7 @@ def sr_sample(params: SrFadingParams, rng: np.random.Generator, size=None):
 # Receive antenna patterns
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
+@record
 class GaussianPattern:
     """Gaussian main lobe, half-power beamwidth phi_3db."""
 
@@ -345,7 +345,7 @@ class GaussianPattern:
         return 3.0 * self.phi_3db
 
 
-@record(frozen=True)
+@record
 class FlatTopPattern:
     phi_3db: float
 
@@ -362,7 +362,7 @@ class FlatTopPattern:
         return self.phi_3db
 
 
-@record(frozen=True)
+@record
 class SincPattern:
     n_elements: int
 
@@ -380,7 +380,7 @@ class SincPattern:
         return 3.0 / self.n_elements
 
 
-@record(frozen=True)
+@record
 class CosinePattern:
     n_elements: int
 

@@ -34,7 +34,6 @@ import argparse
 import itertools
 import math
 import os
-import re
 import sys
 
 from . import analytic
@@ -357,19 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Dash-led strings that argparse takes as option values rather than flags in
-# a parser none of whose options looks like a negative number: a lone '-'
-# and its negative-number pattern.
-_DASH_VALUE = re.compile(r"-|-\d+|-\d*\.\d+")
-
-
 def _plain_parse(command: str, args: list[str]) -> argparse.Namespace | None:
     """``command``'s options as its parser's ``parse_args(args)`` returns
     them, read without building the parser, or None when ``args`` is not
     plain. Plain means: only exact flags of ``command``, each followed by one
-    value (``store_true`` flags by none) that does not start with '-' or is
-    one of the dash-led values argparse reads as values here (a lone '-' or
-    a negative number, since no option looks like one); every
+    value (``store_true`` flags by none) that does not start with '-'; every
     value converts by its option's ``type`` and lies among its ``choices``;
     and every required option is given. ``append`` options accumulate, a
     repeated option keeps its last value, and absent ones take their
@@ -387,7 +378,7 @@ def _plain_parse(command: str, args: list[str]) -> argparse.Namespace | None:
             given[flag] = True
             continue
         text = next(tokens, None)
-        if text is None or (text.startswith("-") and not _DASH_VALUE.fullmatch(text)):
+        if text is None or text.startswith("-"):
             return None
         try:
             value = kwargs.get("type", str)(text)

@@ -43,7 +43,7 @@ def _check_shell(layer: str, radius_km: float, beam_angle: float):
         raise ValueError("beam angle must lie in (0, 2*pi)")
 
 
-@record(frozen=True)
+@record
 class LeoShellConfig:
     n_sats: int
     radius_km: float
@@ -55,7 +55,7 @@ class LeoShellConfig:
         _check_shell("LEO", self.radius_km, self.beam_angle)
 
 
-@record(frozen=True)
+@record
 class MeoShellConfig:
     n_orbits: int
     sats_per_orbit: int
@@ -72,7 +72,7 @@ class MeoShellConfig:
         return self.n_orbits * self.sats_per_orbit
 
 
-@record(frozen=True)
+@record
 class SystemConfig:
     """Full two-layer system description, all linear units."""
 
@@ -107,7 +107,7 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
-@record(frozen=True)
+@record
 class McSpec:
     """Monte Carlo run settings, the ``mc.*`` keys: trial count, master seed
     and interference mode."""

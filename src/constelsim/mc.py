@@ -307,7 +307,7 @@ def _batch_ends(n_trials: int, n_batches: int) -> np.ndarray:
     return np.array([b * n_trials // n_batches for b in range(1, n_batches + 1)])
 
 
-@record()
+@record
 class SimulationSummary:
     """Aggregated Monte Carlo estimates with standard errors.
 
@@ -413,7 +413,7 @@ def simulate(
     )
 
 
-@record()
+@record
 class ValidationRow:
     metric: str
     k: int

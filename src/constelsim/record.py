@@ -15,65 +15,58 @@ A record's fields are its annotations, in order. They take no defaults: a
 class-level value for one is refused when the class is created. The
 ``__init__`` takes the fields by position or keyword, in field order, then
 calls the class's ``__post_init__``, if any, which checks the values.
-Equality holds only between instances of the same class. A frozen record
-hashes its field values, keeps the hash from its first ``hash`` (repeated
-lookups in the ``lru_cache`` tables hash the same records) but pickles
-without it, and refuses to set or delete an attribute; any other record is
-unhashable.
+Equality holds only between instances of the same class. A record refuses
+to set or delete an attribute. It hashes its field values, so it is
+unhashable when one of them is (a dict, say); it keeps the hash from its
+first ``hash`` (repeated lookups in the ``lru_cache`` tables hash the same
+records) but pickles without it.
 """
 
 from operator import attrgetter
 
-# Key of a frozen record's hash in its ``__dict__``, stored at the first
-# ``hash``.
+# Key of a record's hash in its ``__dict__``, stored at the first ``hash``.
 _HASH = "__record_hash__"
 
 
-def record(frozen: bool = False):
-    """Class decorator: make the decorated class a record, frozen if asked."""
+def record(cls):
+    """Class decorator: make the decorated class a record."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    given = [name for name in names if name in cls.__dict__]
+    if given:
+        raise TypeError(f"{cls.__qualname__} fields take no default: {', '.join(given)}")
+    size, name_set, values = len(names), frozenset(names), attrgetter(*names)
+    post_init = getattr(cls, "__post_init__", None)
 
-    def build(cls):
-        names = tuple(cls.__dict__.get("__annotations__", ()))
-        given = [name for name in names if name in cls.__dict__]
-        if given:
-            raise TypeError(f"{cls.__qualname__} fields take no default: {', '.join(given)}")
-        size, name_set, values = len(names), frozenset(names), attrgetter(*names)
-        post_init = getattr(cls, "__post_init__", None)
+    def __init__(self, *args, **kwargs):
+        if not kwargs and len(args) == size:
+            kwargs = dict(zip(names, args))
+        elif args or len(kwargs) != size or not name_set.issuperset(kwargs):
+            kwargs = _bind(cls.__qualname__, names, args, kwargs)
+        self.__dict__.update(kwargs)
+        if post_init is not None:
+            post_init(self)
 
-        def __init__(self, *args, **kwargs):
-            if not kwargs and len(args) == size:
-                kwargs = dict(zip(names, args))
-            elif args or len(kwargs) != size or not name_set.issuperset(kwargs):
-                kwargs = _bind(cls.__qualname__, names, args, kwargs)
-            self.__dict__.update(kwargs)
-            if post_init is not None:
-                post_init(self)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
 
-        def __eq__(self, other):
-            if other.__class__ is not self.__class__:
-                return NotImplemented
-            return values(self) == values(other)
+    def __hash__(self):
+        state = self.__dict__
+        if _HASH not in state:
+            state[_HASH] = hash(values(self))
+        return state[_HASH]
 
-        def __hash__(self):
-            state = self.__dict__
-            if _HASH not in state:
-                state[_HASH] = hash(values(self))
-            return state[_HASH]
+    def __getstate__(self):  # a pickle carries no hash: a string's differs between processes
+        return {name: self.__dict__[name] for name in names}
 
-        def __getstate__(self):  # a pickle carries no hash: a string's differs between processes
-            return {name: self.__dict__[name] for name in names}
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
 
-        def __repr__(self):
-            return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
-
-        cls.__record_fields__ = names
-        cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
-        cls.__hash__ = __hash__ if frozen else None
-        if frozen:
-            cls.__setattr__, cls.__delattr__, cls.__getstate__ = _frozen, _frozen, __getstate__
-        return cls
-
-    return build
+    cls.__record_fields__ = names
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = __init__, __eq__, __hash__, __repr__
+    cls.__setattr__, cls.__delattr__, cls.__getstate__ = _immutable, _immutable, __getstate__
+    return cls
 
 
 def _bind(owner: str, names: tuple, args: tuple, kwargs: dict) -> dict:
@@ -94,8 +87,8 @@ def _bind(owner: str, names: tuple, args: tuple, kwargs: dict) -> dict:
     return bound
 
 
-def _frozen(self, name, value=None):  # both __setattr__ and __delattr__
-    raise AttributeError(f"cannot set or delete {name!r} of a frozen record")
+def _immutable(self, name, value=None):  # both __setattr__ and __delattr__
+    raise AttributeError(f"cannot set or delete {name!r} of a record")
 
 
 def fields(cls) -> tuple[str, ...]:

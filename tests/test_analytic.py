@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -436,6 +437,10 @@ class TestLeoLocalizability:
         probs = an.leo_rank_coverage_probs(CFG, 6)
         assert np.all(np.diff(probs) < 0)
 
+    def test_rejects_no_rank(self):
+        with pytest.raises(ValueError, match="^k_max must be at least 1$"):
+            an.leo_rank_coverage_probs(CFG, 0)
+
     def test_rank_coverage_below_availability(self):
         probs = an.leo_rank_coverage_probs(CFG, 6)
         assert np.all(probs <= values(CFG, "availability", "leo", 6) + 1e-9)
@@ -575,18 +580,19 @@ class TestIntegrateAdaptive:
         # No panel count reaches a relative 1e-20 on a square-root edge.
         with pytest.raises(an.QuadratureError, match=f"square root.*{an.MAX_PANELS} panels") as info:
             an.integrate_adaptive(np.sqrt, 0.0, 1.0, 1e-20, "square root")
-        assert info.value.label == "square root"
+        assert re.fullmatch(r"quadrature 'square root' did not converge: estimate \S+, error \S+ "
+                            rf"\({an.MAX_PANELS} panels\)", str(info.value))
         with pytest.raises(an.QuadratureError, match="non-finite"):
             an.integrate_adaptive(lambda x: np.full_like(x, np.nan), 0.0, 1.0, 1e-8, "nan")
 
-    @pytest.mark.parametrize("detail, message", [
-        ("200 panels", "quadrature 'rank coverage' did not converge: estimate 0.25, error 0.001 (200 panels)"),
-        ("", "quadrature 'rank coverage' did not converge: estimate 0.25, error 0.001"),
+    @pytest.mark.parametrize("message", [
+        "quadrature 'rank coverage' did not converge: estimate 0.25, error 0.001 (200 panels)",
+        "quadrature 'rank coverage' did not converge: estimate 0.25, error 0.001",
     ], ids=["detail", "no-detail"])
-    def test_error_survives_pickling(self, detail, message):
+    def test_error_survives_pickling(self, message):
         # A sweep's worker process hands its error back pickled.
-        error = pickle.loads(pickle.dumps(an.QuadratureError("rank coverage", 0.25, 1e-3, detail)))
-        assert (error.label, error.estimate, error.error, str(error)) == ("rank coverage", 0.25, 1e-3, message)
+        error = pickle.loads(pickle.dumps(an.QuadratureError(message)))
+        assert type(error) is an.QuadratureError and str(error) == message
 
     def test_first_round_is_equal_panels(self):
         nodes = []

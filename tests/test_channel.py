@@ -577,6 +577,10 @@ class TestPatterns:
             GaussianPattern(0.0)
         with pytest.raises(ValueError):
             SincPattern(0)
+        with pytest.raises(ValueError, match="^phi_3db must be positive and finite$"):
+            FlatTopPattern(0.0)
+        with pytest.raises(ValueError, match="^n_elements must be at least 1$"):
+            CosinePattern(0)
 
 
 LINK = LinkParams(

@@ -103,6 +103,15 @@ class TestCurve:
         assert code == 2 and text is None
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--sweep", "n_leo=1000:1000:1", "--sweep", "h_leo=1000:1000:1"], "curve needs exactly one --sweep axis"),
+        (["--sweep", "n_leo=1000:1000:1", "--K", "x"], "bad K value 'x'"),
+    ], ids=["two-axes", "bad-k"])
+    def test_refusal_exits_two(self, tmp_path, capsys, args, message):
+        code, text = run(tmp_path, "curve", *args)
+        assert (code, text) == (2, None)
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+
     def test_mc_settings_checked_only_with_mc(self, tmp_path, capsys):
         # Without --mc no Monte Carlo setting is read, as for heatmap.
         argv = ["curve", "--K", "1,2", "--sweep", "n_leo=1000:2000:1000"]
@@ -188,6 +197,11 @@ class TestHeatmap:
     def test_needs_two_axes(self, tmp_path):
         code, _ = run(tmp_path, "heatmap", "--sweep", "n_leo=0:1000:500")
         assert code == 2
+
+    def test_needs_one_k(self, tmp_path, capsys):
+        code, text = run(tmp_path, "heatmap", "--sweep", "n_leo=0:1000:500", "--sweep", "n_meo=0:12:6", "--K", "1,2")
+        assert (code, text) == (2, None)
+        assert capsys.readouterr() == ("", "configuration error: heatmap needs exactly one K value\n")
 
 
 class TestValidate:
@@ -655,6 +669,24 @@ class TestEmitConfig:
         assert code == 2 and text is None
         assert "configuration error" in capsys.readouterr().err
 
+    def test_bad_boolean_exits_two(self, tmp_path, capsys):
+        code, text = run(tmp_path, "emit-config", "--set", "mc.sum_all_interferers=maybe")
+        assert (code, text) == (2, None)
+        assert capsys.readouterr() == (
+            "", "configuration error: boolean expected for mc.sum_all_interferers, got 'maybe'\n")
+
+    # Each refusal of a configuration file's line, and its line number:
+    # comments and blank lines are skipped but counted.
+    @pytest.mark.parametrize("text, message", [
+        ("leo.n_sats 1500\n", "line 1: expected 'key = value', got 'leo.n_sats 1500'"),
+        ("bogus = 1\n", "line 1: unknown key 'bogus'"),
+        ("# c\n\nleo.n_sats = 1500  # n\nbogus = 1\n", "line 4: unknown key 'bogus'"),
+    ], ids=["no-equals", "unknown-key", "counted-lines"])
+    def test_config_line_refused(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert type(info.value) is ConfigError and str(info.value) == message
+
 
 COMMANDS = ("curve", "heatmap", "validate", "sample", "emit-config")
 
@@ -916,17 +948,20 @@ class TestPlainParse:
     @pytest.mark.parametrize("args", [["--out", "-"], ["--seed", "-1"], ["--seed", "-0"], ["--rtol", "-.5"],
                                       ["--rtol", "-2.5", "--set", "-"]])
     def test_reads_dash_values(self, parsers_built, args):
-        # A lone '-' and negative numbers are values to argparse too.
+        # The plain read declines every dash-led value. The command's parser
+        # reads a lone '-' and negative numbers as values; had it taken one
+        # for a flag, its option would lack a value and the parse would exit.
         args = ["--sweep", "n_leo=1:1:1", *args]
-        plain = cli._plain_parse("curve", args)
-        assert plain is not None and parsers_built == []
-        assert same_options(plain, cli.command_parser("curve").parse_args(args))
+        assert cli._plain_parse("curve", args) is None
+        command, opts = cli.parse_argv(["curve", *args])
+        assert command == "curve" and parsers_built == ["constelsim curve"]
+        assert same_options(opts, cli.command_parser("curve").parse_args(args))
 
-    def test_negative_seed_exits_two_without_a_parser(self, tmp_path, capsys, parsers_built):
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
         code = cli.main(["validate", "--set", "mc.n_trials=300", "--seed", "-1", "--out", str(tmp_path / "out.csv")])
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", "configuration error: mc: master_seed must be non-negative\n")
-        assert parsers_built == [] and not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "out.csv").exists()
 
     def test_reads_every_kind_of_option(self):
         args = ["--set", "a=1", "--rtol", "1e-9", "--mc", "--metric", "localizability", "--set", "b=2",

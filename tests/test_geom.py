@@ -144,6 +144,8 @@ class TestMaxCentralAngle:
             max_central_angle(LEO, -1.0)
         with pytest.raises(ValueError):
             max_central_angle(LEO, math.inf)
+        with pytest.raises(ValueError, match=r"^beam angle must be below 2\*pi, got 6.283185307179586$"):
+            max_central_angle(LEO, 2 * math.pi)
         for radius in (6000.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="shell radius"):
                 max_central_angle(radius, math.pi / 4)

@@ -6,7 +6,9 @@ needs neither the samplers nor the engine, and the closed forms need no
 simulation code. Every
 memoising cache has a fixed size, so memory stays bounded however long a
 sweep runs. Every package name the benchmark scripts import exists, so a
-deletion they still depend on fails here rather than in a benchmark run."""
+deletion they still depend on fails here rather than in a benchmark run.
+Every module-level name of the package is read somewhere in it, save its
+entry points and the few that only the benchmark still holds."""
 
 import ast
 import importlib
@@ -264,6 +266,61 @@ def test_import_guard_fires(tmp_path):
     )
     assert unresolved_imports(probe) == ["constelsim.analytic.missing", "constelsim.cli.dropped",
                                          "constelsim.constellation.gone", "constelsim.no_module", "constelsim.nothing"]
+
+
+# Module-level names of the package that nothing in it reads, each with the
+# benchmark line that still holds it; ROADMAP item 2 deletes them and
+# empties this table. The entry points are read from outside the package.
+UNREAD = {
+    "channel.sr_cdf": "perfbench/tests/test_bench.py:155, through analytic's noqa import",
+    "config.default_config": "perfbench/tests/test_bench.py:150",
+    "constellation.central_angle_to_target": "perfbench/child.py:26",
+}
+ENTRY_POINTS = {"cli.main"}
+
+
+def unread_names(paths) -> set[str]:
+    """``module.name`` of each non-dunder name that a module among ``paths``
+    defines at module level (by ``def``, ``class`` or assignment) and that
+    none of them reads, as a name or as an attribute. An import is no read."""
+    defined, read = set(), set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((path.stem, name.id) for target in targets for name in ast.walk(target)
+                               if isinstance(name, ast.Name))
+        read.update(node.attr if isinstance(node, ast.Attribute) else node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    return {f"{module}.{name}" for module, name in defined
+            if name not in read and not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_package_name_is_read():
+    assert unread_names(sorted(PACKAGE.glob("*.py"))) - ENTRY_POINTS == set(UNREAD)
+
+
+def test_unread_guard_fires(tmp_path):
+    (tmp_path / "low.py").write_text(
+        "__all__ = ['used']\n"
+        "LIMIT, (_pair, spare) = 3, (1, 2)\n"
+        "def used(): return LIMIT + _pair\n"
+        "def imported_only(): ...\n"
+        "class Unread: ...\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "high.py").write_text(
+        "from . import low\n"
+        "from .low import imported_only, used\n"
+        "table: dict = {}\n"
+        "def main(): return low.used(), used\n",
+        encoding="utf-8",
+    )
+    assert unread_names(sorted(tmp_path.glob("*.py"))) == {"high.main", "high.table", "low.Unread",
+                                                           "low.imported_only", "low.spare"}
 
 
 MAX_LINE = 120

@@ -156,6 +156,10 @@ class TestSpec:
         spec = build_mc_settings(load_settings(overrides={"mc.n_trials": str(trials)}))
         assert (spec.n_trials, spec.n_batches) == (trials, batches)
 
+    def test_simulate_rejects_no_rank(self):
+        with pytest.raises(ValueError, match="^k_max must be at least 1$"):
+            simulate(CFG, McSpec(n_trials=20, master_seed=1, sum_all_interferers=True), 0)
+
     def test_zero_trials_exit_two(self, tmp_path, capsys):
         assert cli.main(["validate", "--trials", "0", "--out", str(tmp_path / "out.csv")]) == 2
         assert "configuration error" in capsys.readouterr().err

@@ -208,3 +208,39 @@ class TestStartupCost:
 
     def test_rejects_no_runs(self, capsys):
         assert_refused(capsys, "startup_cost", ["--runs", "0"], "--runs")
+
+
+# A hand-written validate CSV with every class, a zero SE, a zero empirical
+# value and a non-finite row, and what each row scales to: z, ratio,
+# ratio SE and class.
+SCALED_ROWS = [
+    ("leo_availability,1,0.75,0.5,0.125,0.25,true", 2.0, 1.5, 0.375, "agrees"),
+    ("hybrid_availability,1,1,1,0,0,true", None, 1.0, 0.0, "agrees"),
+    ("hybrid_availability,2,0.5,0.4921875,0.0009765625,0.0078125,true", 8.0, 0.5 / 0.4921875,
+     0.5 * 0.0009765625 / 0.4921875**2, "floor"),
+    ("leo_localizability,6,0.0078125,0,0.001953125,0.0078125,true", 4.0, None, None, "floor"),
+    ("meo_localizability,1,0.5,nan,nan,nan,true", None, None, None, "floor"),
+    ("leo_localizability,3,0.25,0.125,0.0078125,0.125,false", 16.0, 2.0, 0.125, "fails"),
+]
+
+
+class TestRowScales:
+    def test_scales_and_classes_every_row(self, tmp_path, capsys):
+        mixed, failing = tmp_path / "mixed.csv", tmp_path / "failing.csv"
+        header = "metric,K,analytic,empirical,std_err,delta,pass\n"
+        mixed.write_text(header + "".join(f"{line}\n" for line, *_ in SCALED_ROWS), encoding="utf-8")
+        failing.write_text(header + f"{SCALED_ROWS[-1][0]}\n", encoding="utf-8")
+        result = load_tool("row_scales").main([str(mixed), str(failing)])
+        assert json.loads(capsys.readouterr().out) == result
+        rows = result["files"][str(mixed)]["rows"]
+        assert [(row["metric"], row["K"]) for row in rows] == [
+            (line.split(",")[0], int(line.split(",")[1])) for line, *_ in SCALED_ROWS]
+        assert [(row["z"], row["ratio"], row["ratio_se"], row["class"]) for row in rows] == [
+            tuple(want) for _, *want in SCALED_ROWS]
+        assert result["files"][str(mixed)]["counts"] == {"agrees": 2, "floor": 3, "fails": 1}
+        assert result["files"][str(failing)]["counts"] == {"agrees": 0, "floor": 0, "fails": 1}
+
+    def test_rejects_another_csv(self, tmp_path, capsys):
+        other = tmp_path / "curve.csv"
+        other.write_text("x,availability_K1\n1000,0.5\n", encoding="utf-8")
+        assert_refused(capsys, "row_scales", [str(other)], "not a validate CSV")
