@@ -119,12 +119,17 @@ def test_frozen_types_refuse_set_and_delete(value):
 
 
 def test_result_types_hash_by_their_fields():
-    # A row's fields all hash; a summary's dict of estimates does not.
+    # A row's fields all hash.
     row = replace(ROW, passed=False)
     assert row != ROW and replace(row, passed=True) == ROW and hash(replace(row, passed=True)) == hash(ROW)
     assert {ROW: 1}[replace(ROW)] == 1
+
+
+@pytest.mark.parametrize("value", [SUMMARY], ids=["SimulationSummary"])
+def test_other_types_are_unhashable(value):
+    # A summary is frozen too, but its dict of estimates does not hash.
     with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-        hash(SUMMARY)
+        hash(value)
 
 
 def test_replace_runs_the_checks_again():
