@@ -51,6 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geom import half_angle_cos_sin
 from .record import record
 
 _MAX_SERIES_TERMS = 10_000
@@ -288,9 +289,10 @@ def sr_sample(params: SrFadingParams, rng: np.random.Generator, size=None):
     standard exponential, and its angle phi uniform on [-pi, pi), which by
     Box-Muller is the law of two independent normals. Then
     W = (A + R cos phi)^2 + (R sin phi)^2, a sum of squares, so never
-    negative. Random draws happen in a fixed order: one gamma per value for
-    A^2 (none when omega is 0), then one exponential per value, then one
-    uniform per value for phi.
+    negative; R cos phi and R sin phi come from
+    :func:`~constelsim.geom.half_angle_cos_sin`. Random draws happen in a
+    fixed order: one gamma per value for A^2 (none when omega is 0), then
+    one exponential per value, then one uniform per value for phi.
     """
     # A scalar is drawn as one value: a ufunc gives a 0-d array operand back
     # as a scalar, which the in-place steps below cannot take as ``out``.
@@ -301,24 +303,15 @@ def sr_sample(params: SrFadingParams, rng: np.random.Generator, size=None):
     radius = rng.standard_exponential(shape)
     radius *= 2.0 * params.b0
     np.sqrt(radius, out=radius)
-    # t = tan(phi / 2), and cos phi and sin phi are (1 - t^2) / (1 + t^2)
-    # and 2 t / (1 + t^2): numpy vectorizes its float64 tangent but not its
-    # cosine and sine, which cost several times as much.
-    t = rng.random(shape)
-    t -= 0.5
-    t *= math.pi
-    np.tan(t, out=t)
-    t_sq = t * t
-    radius /= 1.0 + t_sq
-    t *= 2.0
-    t *= radius  # the quadrature part, R sin phi
-    np.subtract(1.0, t_sq, out=t_sq)
-    t_sq *= radius
-    t_sq += amp  # the in-phase sum, A + R cos phi
-    t_sq *= t_sq
-    t *= t
-    t_sq += t
-    return float(t_sq[0]) if size is None else t_sq
+    phi = rng.random(shape)
+    phi -= 0.5
+    phi *= 2.0 * math.pi
+    in_phase, quadrature = half_angle_cos_sin(phi, radius)  # R cos phi, R sin phi
+    in_phase += amp
+    in_phase *= in_phase
+    quadrature *= quadrature
+    in_phase += quadrature
+    return float(in_phase[0]) if size is None else in_phase
 
 
 # ---------------------------------------------------------------------------

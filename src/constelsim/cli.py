@@ -36,6 +36,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import analytic
 from .channel import SeriesConvergenceError
 from .config import (
@@ -48,7 +50,7 @@ from .config import (
     load_settings,
     parse_assignments,
 )
-from .constellation import derive_rng, sample_bpp, sample_dsbpp_cap
+from .constellation import derive_rng, place_in_cap, sample_dsbpp_cap
 from .mc import run_validation, simulate
 
 # Sweepable parameter names, the settings key each sets and the layer it
@@ -234,8 +236,8 @@ def cmd_validate(opts, settings: dict) -> int:
 def cmd_sample(opts, settings: dict) -> int:
     cfg = build_system_config(settings)
     rng = derive_rng(build_master_seed(settings), 0)
-    leo_pos = sample_bpp(cfg.leo, rng)
-    # Every satellite lies within central angle pi, so this is the whole shell.
+    # A cap of central angle pi holds the whole shell; LEO comes nearest first.
+    leo_pos = place_in_cap(cfg.leo.radius_km, math.pi, np.array([cfg.leo.n_sats]), rng).T
     meo_pos = sample_dsbpp_cap(cfg.meo, rng, math.pi, 1, positions=True)[1].T
     lines = ["layer,orbit_index,sat_index,x_km,y_km,z_km"]
     for i, pos in enumerate(leo_pos):

@@ -7,12 +7,11 @@ component s along the target, uniform on [-1, 1], and its azimuth about the
 target), and a fixed number of satellites is placed at independent uniform
 anomalies along each orbit.
 
-A whole shell (:func:`sample_bpp`) comes as an ``(n, 3)`` float array in
-kilometres. The cap samplers, which feed the Monte Carlo engine, return
-``(3, n)`` arrays instead: one row each of x, y and z, with the target on
-the x axis, so the engine reads each coordinate as one contiguous array;
-``.T`` is the ``(n, 3)`` view. MEO points are ordered orbit-major: satellite
-``j`` of orbit ``i`` is point ``i * sats_per_orbit + j``.
+The cap samplers return positions in kilometres as ``(3, n)`` arrays: one
+row each of x, y and z, with the target on the x axis, so the engine reads
+each coordinate as one contiguous array; ``.T`` is the ``(n, 3)`` view. MEO
+points are ordered orbit-major: satellite ``j`` of orbit ``i`` is point
+``i * sats_per_orbit + j``.
 
 The Monte Carlo engine draws whole batches of shells at once, and of each
 shell only the part that can be seen, counts first. For LEO,
@@ -27,9 +26,10 @@ satellites. Whether the target sees a satellite depends only on its orbit's
 s and its own anomaly: the orbit's visible part is one arc about its point
 nearest the target, so no satellite needs a position or a distance to be
 found visible. It returns the per-shell visible counts and, only when asked,
-the visible satellites' positions packed shell by shell. :func:`sample_bpp`
-draws a whole LEO shell, and a MEO cap of central angle pi holds its whole
-shell.
+the visible satellites' positions packed shell by shell. At central angle
+pi, :func:`place_in_cap` places a whole LEO shell, nearest first, and
+:func:`sample_dsbpp_cap` draws a whole MEO shell. The package no longer
+calls :func:`sample_bpp`, a whole LEO shell as an ``(n, 3)`` array.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .config import LeoShellConfig, MeoShellConfig
-from .geom import cap_fraction, orbit_arc
+from .geom import cap_fraction, half_angle_cos_sin, orbit_arc
 
 # The ground target used throughout; the point processes are isotropic, so
 # fixing it loses no generality.
@@ -97,9 +97,9 @@ def sample_dsbpp_cap(
     shell in orbit-major order (otherwise None). With c = cos(delta), the
     orbit's normal is (s, c cos psi, c sin psi), and the satellite at
     anomaly a sits at radius times (c cos a, sin a sin psi - s cos psi cos a,
-    -(s sin psi cos a + sin a cos psi)). The cosines and sines come from the
-    tangents of the half-angles, tan(psi / 2) once per orbit and tan(a / 2)
-    once per visible satellite, as :func:`cap_positions` takes them.
+    -(s sin psi cos a + sin a cos psi)). The cosines and sines come from
+    :func:`~constelsim.geom.half_angle_cos_sin`, once per orbit for psi and
+    once per visible satellite for a.
     """
     s = 1.0 - 2.0 * rng.random((size, config.n_orbits))
     psi = 2.0 * np.pi * rng.random((size, config.n_orbits))
@@ -113,10 +113,9 @@ def sample_dsbpp_cap(
         return counts, None
     flat = np.flatnonzero(visible)
     orbit = flat // config.sats_per_orbit
-    # a / 2 = pi (u - 1/2), bit for bit half of pi (2u - 1).
-    cos_psi, sin_psi = _half_angle_cos_sin(np.tan(0.5 * psi), 1.0)
+    cos_psi, sin_psi = half_angle_cos_sin(psi, 1.0)
     s, cos_delta, cos_psi, sin_psi = (a.take(orbit) for a in (s, cos_delta, cos_psi, sin_psi))
-    r_cos, r_sin = _half_angle_cos_sin(np.tan(np.pi * (u.take(flat) - 0.5)), config.radius_km)
+    r_cos, r_sin = half_angle_cos_sin(2.0 * np.pi * (u.take(flat) - 0.5), config.radius_km)
     out = np.empty((3, flat.size))
     out[0] = cos_delta * r_cos
     out[1] = r_sin * sin_psi - s * cos_psi * r_cos
@@ -168,17 +167,7 @@ def cap_positions(radius_km: float, cos_theta: np.ndarray, azimuth: np.ndarray) 
     given in polar coordinates about ``TARGET_DIRECTION`` (the x axis): the
     cosine of the central angle and the azimuth."""
     sin_theta = np.sqrt(1.0 - cos_theta**2)
-    return radius_km * np.stack([cos_theta, *_half_angle_cos_sin(np.tan(0.5 * azimuth), sin_theta)])
-
-
-def _half_angle_cos_sin(t: np.ndarray, scale):
-    """``scale`` times the cosine and the sine of the angles whose half has
-    tangent ``t``: (1 - t^2) / (1 + t^2) and 2 t / (1 + t^2). numpy
-    vectorizes its float64 tangent but not its cosine and sine, which cost
-    several times as much."""
-    t_sq = t * t
-    scale = scale / (1.0 + t_sq)
-    return scale * (1.0 - t_sq), scale * (2.0 * t)
+    return radius_km * np.stack([cos_theta, *half_angle_cos_sin(azimuth, sin_theta)])
 
 
 def central_angle_to_target(positions: np.ndarray, target_direction: np.ndarray = TARGET_DIRECTION) -> np.ndarray:

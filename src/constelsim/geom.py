@@ -50,6 +50,24 @@ def cap_fraction(theta):
     return np.sin(0.5 * theta) ** 2
 
 
+def half_angle_cos_sin(angle: np.ndarray, scale):
+    """``scale`` times the cosine and the sine of ``angle``, elementwise,
+    from the tangent t of the half-angle: (1 - t^2) / (1 + t^2) and
+    2 t / (1 + t^2). numpy vectorizes its float64 tangent but not its
+    cosine and sine, which cost several times as much. Every step after the
+    first works in place, so it allocates three arrays."""
+    t = 0.5 * angle
+    np.tan(t, out=t)
+    t_sq = t * t
+    ratio = t_sq + 1.0
+    np.divide(scale, ratio, out=ratio)
+    np.subtract(1.0, t_sq, out=t_sq)
+    t_sq *= ratio
+    t *= 2.0
+    t *= ratio
+    return t_sq, t
+
+
 def orbit_arc(cap_angle: float, cos_delta):
     """Half-angle of the arc of a circular orbit that lies within central
     angle ``cap_angle`` of the target, elementwise over ``cos_delta``, the

@@ -317,6 +317,10 @@ class SimulationSummary:
     are composed from per-rank and per-satellite fractions (matching the
     closed-form metric) with batch-means standard errors, and are NaN when
     localizability was not simulated.
+
+    Records compare field values with ``==``, so a summary equals only
+    itself (see :mod:`constelsim.record`); tests compare summaries field by
+    field (``tests/test_mc.py::assert_summaries_equal``).
     """
 
     estimates: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]

@@ -15,17 +15,16 @@ A record's fields are its annotations, in order. They take no defaults: a
 class-level value for one is refused when the class is created. The
 ``__init__`` takes the fields by position or keyword, in field order, then
 calls the class's ``__post_init__``, if any, which checks the values.
-Equality holds only between instances of the same class. A record refuses
-to set or delete an attribute. It hashes its field values, so it is
-unhashable when one of them is (a dict, say); it keeps the hash from its
-first ``hash`` (repeated lookups in the ``lru_cache`` tables hash the same
-records) but pickles without it.
+Equality holds only between instances of the same class and compares the
+field values with ``==``, so a record that holds an array longer than one
+(a ``SimulationSummary``) equals only itself: numpy's ``==`` on two arrays
+has no single truth value. Tests compare such records field by field
+(``tests/test_mc.py::assert_summaries_equal``). A record refuses to set or
+delete an attribute. It hashes its field values, so it is unhashable when
+one of them is (a dict, say).
 """
 
 from operator import attrgetter
-
-# Key of a record's hash in its ``__dict__``, stored at the first ``hash``.
-_HASH = "__record_hash__"
 
 
 def record(cls):
@@ -52,20 +51,14 @@ def record(cls):
         return values(self) == values(other)
 
     def __hash__(self):
-        state = self.__dict__
-        if _HASH not in state:
-            state[_HASH] = hash(values(self))
-        return state[_HASH]
-
-    def __getstate__(self):  # a pickle carries no hash: a string's differs between processes
-        return {name: self.__dict__[name] for name in names}
+        return hash(values(self))
 
     def __repr__(self):
         return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
 
     cls.__record_fields__ = names
     cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = __init__, __eq__, __hash__, __repr__
-    cls.__setattr__, cls.__delattr__, cls.__getstate__ = _immutable, _immutable, __getstate__
+    cls.__setattr__, cls.__delattr__ = _immutable, _immutable
     return cls
 
 

@@ -317,15 +317,20 @@ def whole_shells(config, rng, size, cos_sin=half_angle_cos_sin):
 
 
 def test_sample_command_writes_drawn_shells(tmp_path):
-    # ``sample`` draws the LEO shell, then the whole MEO shell, from the
-    # seed's stream 0, and writes one row per satellite: MEO rows orbit-major.
+    # ``sample`` places the whole LEO shell in a cap of central angle pi,
+    # nearest first, then draws the whole MEO shell, from the seed's stream
+    # 0, and writes one row per satellite: MEO rows orbit-major.
     out = tmp_path / "sample.csv"
     assert cli.main(["sample", "--seed", "5", "--set", "leo.n_sats=7", "--out", str(out)]) == 0
     header, *lines = out.read_text(encoding="utf-8").splitlines()
     assert header == "layer,orbit_index,sat_index,x_km,y_km,z_km"
     cfg = build_system_config(load_settings(overrides={"leo.n_sats": "7"}))
     rng = derive_rng(5, 0)
-    leo, meo = sample_bpp(cfg.leo, rng), whole_shells(cfg.meo, rng, 1)[0]
+    cos_theta = 1.0 - 2.0 * np.sort(rng.random(7))
+    azimuth = 2.0 * np.pi * rng.random(7)
+    sin_theta = np.sqrt(1.0 - cos_theta**2)
+    leo = cfg.leo.radius_km * np.stack([cos_theta, sin_theta * np.cos(azimuth), sin_theta * np.sin(azimuth)], 1)
+    meo = whole_shells(cfg.meo, rng, 1)[0]
     want = [("leo", -1, i, pos) for i, pos in enumerate(leo)]
     want += [("meo", *divmod(i, cfg.meo.sats_per_orbit), pos) for i, pos in enumerate(meo)]
     assert len(lines) == len(want) == 7 + 12
@@ -333,6 +338,9 @@ def test_sample_command_writes_drawn_shells(tmp_path):
         fields = line.split(",")
         assert fields[:3] == [layer, str(orbit), str(sat)]
         np.testing.assert_allclose([float(v) for v in fields[3:]], pos, rtol=1e-9, atol=0)
+    # Nearest first: the x coordinate, the radius times cos(theta), falls.
+    leo_x = [float(line.split(",")[3]) for line in lines[:7]]
+    assert leo_x == sorted(leo_x, reverse=True)
 
 
 def wrapped_anomaly_counts(config, rng, cap_angle, size):

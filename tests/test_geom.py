@@ -11,6 +11,7 @@ from constelsim.geom import (
     cap_fraction,
     central_from_dome,
     dome_from_central,
+    half_angle_cos_sin,
     max_central_angle,
     orbit_arc,
 )
@@ -312,6 +313,18 @@ class TestOrbitArc:
             offset = np.angle(np.exp(1j * (inside - nearest)))
             assert np.max(np.abs(offset)) == pytest.approx(half, abs=2 * step)
             assert inside.size * step == pytest.approx(2.0 * half, abs=3 * step)
+
+
+@pytest.mark.parametrize("scale", [1.0, MEO])
+def test_half_angle_cos_sin_matches_numpy(scale):
+    # From just inside -pi through pi/2, and a tiny angle whose half-angle
+    # tangent squares to zero: within one unit in the last place of the
+    # scale, and exact where the angle is 0 or tiny.
+    angle = np.array([-math.pi * (1.0 - 2.0**-53), -math.pi / 2, 0.0, 1e-300, math.pi / 2])
+    cos, sin = half_angle_cos_sin(angle, scale)
+    np.testing.assert_allclose(cos, scale * np.cos(angle), rtol=2.0**-52, atol=scale * 2.0**-52)
+    np.testing.assert_allclose(sin, scale * np.sin(angle), rtol=2.0**-52, atol=scale * 2.0**-52)
+    assert sin[3] == scale * 1e-300 and cos[2] == cos[3] == scale
 
 
 class TestCapLaws:

@@ -7,8 +7,9 @@ simulation code. Every
 memoising cache has a fixed size, so memory stays bounded however long a
 sweep runs. Every package name the benchmark scripts import exists, so a
 deletion they still depend on fails here rather than in a benchmark run.
-Every module-level name of the package is read somewhere in it, save its
-entry points and the few that only the benchmark still holds."""
+Every module-level name of the package is read somewhere in it, through
+the binding that defines it, save its entry points, the few that only the
+benchmark still holds and a utility that only the tests use."""
 
 import ast
 import importlib
@@ -72,10 +73,10 @@ def test_guard_sees_both_forms(tmp_path):
 # The package modules each package module may import, at module level or
 # inside a function.
 ALLOWED_IMPORTS = {
-    "__init__": {"geom"},
+    "__init__": set(),
     "geom": set(),
     "record": set(),
-    "channel": {"record"},
+    "channel": {"geom", "record"},
     "config": {"channel", "geom", "record"},
     "constellation": {"config", "geom"},
     "analytic": {"channel", "config", "geom"},
@@ -275,6 +276,11 @@ UNREAD = {
     "channel.sr_cdf": "perfbench/tests/test_bench.py:155, through analytic's noqa import",
     "config.default_config": "perfbench/tests/test_bench.py:150",
     "constellation.central_angle_to_target": "perfbench/child.py:26",
+    "constellation.sample_bpp": "perfbench/child.py:26",
+}
+# Names the package offers its tests as a utility and never reads itself.
+TEST_UTILITIES = {
+    "record.replace": "only the tests read it, to build changed copies of settings and rows",
 }
 ENTRY_POINTS = {"cli.main"}
 
@@ -282,25 +288,57 @@ ENTRY_POINTS = {"cli.main"}
 def unread_names(paths) -> set[str]:
     """``module.name`` of each non-dunder name that a module among ``paths``
     defines at module level (by ``def``, ``class`` or assignment) and that
-    none of them reads, as a name or as an attribute. An import is no read."""
-    defined, read = set(), set()
-    for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    none of them reads. A read counts only where it resolves to the binding
+    that defines the name: the name loaded in its own module, a name bound
+    by ``from .module import name`` (through any re-exports) loaded in the
+    importing module, or ``alias.name`` with ``alias`` bound to the package
+    module. An import is no read, nor is an attribute of any other object."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    # imported: (module, local name) -> (source module, name); aliases:
+    # (module, local name) -> the package module it is bound to.
+    defined, imported, aliases = set(), {}, {}
+    for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add((path.stem, node.name))
+                defined.add((module, node.name))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.update((path.stem, name.id) for target in targets for name in ast.walk(target)
+                defined.update((module, name.id) for target in targets for name in ast.walk(target)
                                if isinstance(name, ast.Name))
-        read.update(node.attr if isinstance(node, ast.Attribute) else node.id for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
-    return {f"{module}.{name}" for module, name in defined
-            if name not in read and not (name.startswith("__") and name.endswith("__"))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "constelsim"):
+                source = (node.module or "").removeprefix("constelsim").lstrip(".")
+                for alias in node.names:
+                    local = (module, alias.asname or alias.name)
+                    if source:
+                        imported[local] = (source, alias.name)
+                    else:  # ``from . import analytic``
+                        aliases[local] = alias.name
+            elif isinstance(node, ast.Import):
+                aliases.update({(module, alias.asname): alias.name.removeprefix("constelsim.") for alias in node.names
+                                if alias.name.startswith("constelsim.") and alias.asname})
+
+    def resolve(ref):
+        seen = set()
+        while ref in imported and ref not in seen:
+            seen.add(ref)
+            ref = imported[ref]
+        return ref
+
+    read = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(resolve((module, node.id)))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and (module, node.value.id) in aliases):
+                read.add(resolve((aliases[module, node.value.id], node.attr)))
+    return {f"{module}.{name}" for module, name in defined - read
+            if not (name.startswith("__") and name.endswith("__"))}
 
 
 def test_every_package_name_is_read():
-    assert unread_names(sorted(PACKAGE.glob("*.py"))) - ENTRY_POINTS == set(UNREAD)
+    assert unread_names(sorted(PACKAGE.glob("*.py"))) - ENTRY_POINTS == set(UNREAD) | set(TEST_UTILITIES)
 
 
 def test_unread_guard_fires(tmp_path):
@@ -309,18 +347,22 @@ def test_unread_guard_fires(tmp_path):
         "LIMIT, (_pair, spare) = 3, (1, 2)\n"
         "def used(): return LIMIT + _pair\n"
         "def imported_only(): ...\n"
+        "def relayed(): ...\n"
+        "def same_spelling(): ...\n"
         "class Unread: ...\n",
         encoding="utf-8",
     )
+    (tmp_path / "mid.py").write_text("from .low import relayed\n", encoding="utf-8")
     (tmp_path / "high.py").write_text(
         "from . import low\n"
         "from .low import imported_only, used\n"
+        "from .mid import relayed as passed_on\n"
         "table: dict = {}\n"
-        "def main(): return low.used(), used\n",
+        "def main(obj): return low.used(), used, passed_on, obj.same_spelling\n",
         encoding="utf-8",
     )
     assert unread_names(sorted(tmp_path.glob("*.py"))) == {"high.main", "high.table", "low.Unread",
-                                                           "low.imported_only", "low.spare"}
+                                                           "low.imported_only", "low.same_spelling", "low.spare"}
 
 
 MAX_LINE = 120
