@@ -362,7 +362,7 @@ def leo_rank_coverage_probs(config: SystemConfig, k_max: int, rtol: float = RTOL
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    return _leo_rank_probs(config.leo, config.leo_theta_max, config.leo_link, config.leo_fading, config.rx_pattern,
+    return _leo_rank_probs(config.leo, config.leo_theta_max, config.leo_link, config.fading, config.rx_pattern,
                            k_max, rtol)
 
 
@@ -398,7 +398,7 @@ def meo_single_localizability(config: SystemConfig, rtol: float = RTOL) -> float
     """Probability that one MEO satellite is detectable and clears its
     (noise-limited) SNR threshold: the pass integral of a one-satellite
     shell, whose contact-angle density is sin(theta) / 2."""
-    return _meo_pass_prob(config.meo.radius_km, config.meo_theta_max, config.meo_link, config.meo_fading, rtol)
+    return _meo_pass_prob(config.meo.radius_km, config.meo_theta_max, config.meo_link, config.fading, rtol)
 
 
 @lru_cache(maxsize=32)

@@ -80,8 +80,7 @@ class SystemConfig:
     meo: MeoShellConfig
     leo_link: LinkParams
     meo_link: LinkParams
-    leo_fading: SrFadingParams
-    meo_fading: SrFadingParams
+    fading: SrFadingParams
     rx_pattern: AntennaPattern
     epsilon: float
 
@@ -91,6 +90,10 @@ class SystemConfig:
         if not self.rx_pattern.effective_range < math.pi / 2:
             raise ValueError(f"receive pattern's effective range must lie below pi/2, got "
                              f"{self.rx_pattern.effective_range} rad")
+
+    @property
+    def leo_fading(self) -> SrFadingParams:  # read only by perfbench/tests/test_bench.py:152
+        return self.fading
 
     @property
     def leo_theta_max(self) -> float:
@@ -267,7 +270,6 @@ def _link(settings: dict, layer: str) -> LinkParams:
 def build_system_config(settings: dict) -> SystemConfig:
     pattern, pattern_key = _PATTERNS[settings["rx.pattern"]]
     try:
-        fading = SrFadingParams(m=settings["fading.m"], b0=settings["fading.b0"], omega=settings["fading.omega"])
         return SystemConfig(
             leo=LeoShellConfig(
                 n_sats=settings["leo.n_sats"],
@@ -282,8 +284,7 @@ def build_system_config(settings: dict) -> SystemConfig:
             ),
             leo_link=_link(settings, "leo"),
             meo_link=_link(settings, "meo"),
-            leo_fading=fading,
-            meo_fading=fading,
+            fading=SrFadingParams(m=settings["fading.m"], b0=settings["fading.b0"], omega=settings["fading.omega"]),
             rx_pattern=pattern(settings[pattern_key]),
             epsilon=settings["epsilon"],
         )

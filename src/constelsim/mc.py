@@ -119,7 +119,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import KM_TO_M, SYSTEMS
-from .channel import LinkParams, SrFadingParams, sr_sample
+from .channel import LinkParams, sr_sample
 from .config import McSpec, SystemConfig
 from .constellation import derive_rng, place_in_cap, sample_bpp_cap, sample_dsbpp_cap
 from .geom import EARTH_RADIUS_KM, cap_fraction, dome_from_central
@@ -181,8 +181,7 @@ def _link_indices(counts: np.ndarray, trial: np.ndarray, rank: np.ndarray, is_op
     return beam, other
 
 
-def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, counts, n_serve, rng, faithful,
-                 matched_cap=None):
+def _sinr_passes(config, link: LinkParams, positions, counts, n_serve, rng, faithful, matched_cap=None):
     """Trial, rank and pass flag of every serving beam of one layer, trial
     by trial and then rank by rank. ``positions`` holds each trial's
     ``counts`` visible satellites as x, y and z rows, packed trial by trial;
@@ -247,7 +246,7 @@ def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, co
     noise_term = link.noise_power_w / link.unit_range_power_w
     if not faithful:
         beam_sq = dist_sq[at_beam]
-        signal = sr_sample(fading, rng, size=trial.size) / beam_sq
+        signal = sr_sample(config.fading, rng, size=trial.size) / beam_sq
         if matched_cap is None:
             return trial, rank, signal / noise_term > link.sinr_threshold
         # Present with probability 1 - p_zero, angle uniform over the cap
@@ -260,11 +259,11 @@ def _sinr_passes(config, link: LinkParams, fading: SrFadingParams, positions, co
         u = 1.0 - rng.random(trial.size)
         theta_i = 2.0 * np.arcsin(np.sqrt(u * cap_fraction(theta_d)))
         power = np.zeros(trial.size)
-        power[present] = sr_sample(fading, rng, size=int(present.sum()))
+        power[present] = sr_sample(config.fading, rng, size=int(present.sum()))
         dome = dome_from_central(config.leo.radius_km, theta_i)
         interference = config.rx_pattern.gain_shape(dome) * power / beam_sq
         return trial, rank, signal / (noise_term + interference) > link.sinr_threshold
-    received = sr_sample(fading, rng, size=dist_sq.size) / dist_sq  # W / l^2 of every visible satellite
+    received = sr_sample(config.fading, rng, size=dist_sq.size) / dist_sq  # W / l^2 of every visible satellite
     signal = received[at_beam]
     # Received power of every visible link of each beam's trial.
     owner = np.repeat(np.arange(counts.size), counts)
@@ -373,11 +372,11 @@ def simulate(
         if want_loc:
             batch = np.searchsorted(ends, np.arange(start, start + n), side="right")
             leo_pos = place_in_cap(config.leo.radius_km, config.leo_theta_max, n_leo, loc_rng)
-            trial, rank, passes = _sinr_passes(config, config.leo_link, config.leo_fading, leo_pos, n_leo,
-                                               np.minimum(n_leo, k_max), loc_rng, faithful, matched_cap)
+            trial, rank, passes = _sinr_passes(config, config.leo_link, leo_pos, n_leo, np.minimum(n_leo, k_max),
+                                               loc_rng, faithful, matched_cap)
             rank_pass += np.bincount(batch[trial[passes]] * k_max + rank[passes], minlength=rank_pass.size)
-            trial, _, passes = _sinr_passes(config, config.meo_link, config.meo_fading, meo_pos, n_meo_vis,
-                                            n_meo_vis, loc_rng, faithful)
+            trial, _, passes = _sinr_passes(config, config.meo_link, meo_pos, n_meo_vis, n_meo_vis, loc_rng,
+                                            faithful)
             meo_passes = np.bincount(trial[passes], minlength=n)
             meo_pmf += np.bincount(batch * (n_meo + 1) + meo_passes, minlength=meo_pmf.size)
     rank_pass, meo_pmf = rank_pass.reshape(sizes.size, k_max), meo_pmf.reshape(sizes.size, n_meo + 1)

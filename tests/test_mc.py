@@ -52,9 +52,9 @@ def loop_passes(cfg, positions, theta_max, link, k_max, rng):
     for r in range(min(k_max, len(visible))):
         others = np.arange(len(visible)) != r
         dome = np.arccos(np.clip(units[others] @ units[r], -1.0, 1.0))
-        fading = sr_sample(cfg.leo_fading, rng, size=int(others.sum()))
+        fading = sr_sample(cfg.fading, rng, size=int(others.sum()))
         interference = per_watt * np.sum(cfg.rx_pattern.gain_shape(dome) * fading / dist_m[others] ** 2)
-        signal = per_watt * sr_sample(cfg.leo_fading, rng) / dist_m[r] ** 2
+        signal = per_watt * sr_sample(cfg.fading, rng) / dist_m[r] ** 2
         out.append(signal / (link.noise_power_w + interference) > link.sinr_threshold)
     return out
 
@@ -252,8 +252,7 @@ class TestEstimates:
 
         monkeypatch.setattr(mc, "sr_sample", fixed)
         monkeypatch.setattr(mc, "_link_indices", recording_pairs)
-        trial, rank, passes = mc._sinr_passes(CFG, link, CFG.leo_fading, positions, counts, n_serve,
-                                              derive_rng(22), faithful=True)
+        trial, rank, passes = mc._sinr_passes(CFG, link, positions, counts, n_serve, derive_rng(22), faithful=True)
         assert passes.shape == trial.shape == (n_serve.sum(),) and np.all(rank < n_serve[trial])
         dist_sq = (np.linalg.norm(positions.T - TARGET_KM, axis=-1) * 1e3) ** 2
         at_beam = np.cumsum(counts)[trial] - counts[trial] + rank
@@ -321,8 +320,8 @@ class TestEstimates:
             else:
                 threshold = math.sqrt(sinr[3, 1] * noise_only[3, 1])
             link = replace(link, sinr_threshold=threshold)
-            trial, rank, passes = mc._sinr_passes(CFG, link, CFG.leo_fading, positions, counts, n_serve,
-                                                  derive_rng(24), faithful=True)
+            trial, rank, passes = mc._sinr_passes(CFG, link, positions, counts, n_serve, derive_rng(24),
+                                                  faithful=True)
             assert {(t, r): bool(p) for t, r, p in zip(trial, rank, passes)} \
                 == {key: value > threshold for key, value in sinr.items()}
             assert 0 < passes.sum() < len(sinr)
@@ -351,9 +350,8 @@ class TestEstimates:
         assert len(sinr) == 5 and (3, 1) in sinr
         for threshold in sorted(value * scale for value in sinr.values() for scale in (1 - 1e-9, 1 + 1e-9)):
             drawn.clear()
-            trial, rank, passes = mc._sinr_passes(CFG, replace(link, sinr_threshold=threshold),
-                                                  CFG.leo_fading, positions, counts, n_serve, derive_rng(24),
-                                                  faithful=True)
+            trial, rank, passes = mc._sinr_passes(CFG, replace(link, sinr_threshold=threshold), positions, counts,
+                                                  n_serve, derive_rng(24), faithful=True)
             assert {(t, r): bool(p) for t, r, p in zip(trial, rank, passes)} \
                 == {key: value > threshold for key, value in sinr.items()}
 
@@ -364,7 +362,7 @@ class TestEstimates:
         counts = sample_bpp_cap(CFG.leo, rng, CFG.leo_theta_max, 64)
         positions = place_in_cap(CFG.leo.radius_km, CFG.leo_theta_max, counts, rng)
         theta_d, _ = leo_interference_cap(CFG.leo, CFG.rx_pattern)
-        _, _, passes = mc._sinr_passes(CFG, CFG.leo_link, CFG.leo_fading, positions, counts, np.minimum(counts, 3),
+        _, _, passes = mc._sinr_passes(CFG, CFG.leo_link, positions, counts, np.minimum(counts, 3),
                                        ZeroUniforms(rng), faithful=False, matched_cap=(theta_d, 0.0))
         assert passes.shape == (np.minimum(counts, 3).sum(),) and passes.dtype == bool
 
@@ -461,7 +459,7 @@ def nudged(x, ulps):
     return float(x)
 
 
-def all_pairs_sinr(config, link, fading, positions, counts, n_serve, rng):
+def all_pairs_sinr(config, link, positions, counts, n_serve, rng):
     """SINR of every serving beam, and its ratio against the sum of every
     other link of its trial at full gain. Each open beam sums all its
     interferers in one ``np.bincount``, and a closed one none: the faithful
@@ -473,7 +471,7 @@ def all_pairs_sinr(config, link, fading, positions, counts, n_serve, rng):
     dist_km = np.sqrt(np.einsum("sx,sx->s", rel, rel))
     dist_sq = (dist_km * KM_TO_M) ** 2
     at_beam = first[trial] + rank
-    received = mc.sr_sample(fading, rng, size=dist_sq.size) / dist_sq
+    received = mc.sr_sample(config.fading, rng, size=dist_sq.size) / dist_sq
     signal = received[at_beam]
     noise_term = link.noise_power_w / link.unit_range_power_w
     beam, other = mc._link_indices(counts, trial, rank, signal / noise_term > link.sinr_threshold, slice(None))
@@ -519,7 +517,7 @@ class TestSettledVerdicts:
         fading values (the LEO link at ``threshold``)."""
         config = replace(CFG, rx_pattern=pattern)
         link = replace(CFG.leo_link, sinr_threshold=threshold)
-        args = (config, link, CFG.leo_fading, positions, counts, n_serve, None)
+        args = (config, link, positions, counts, n_serve, None)
         with mock.patch.object(mc, "sr_sample", lambda params, rng, size=None: fading.copy()):
             trial, rank, passes = mc._sinr_passes(*args, faithful=True)
             sinr, _ = all_pairs_sinr(*args)
@@ -542,8 +540,7 @@ class TestSettledVerdicts:
             with mock.patch.object(mc, "sr_sample", lambda params, rng, size=None: fading.copy()):
                 sinr, bound_ratio = all_pairs_sinr(
                     replace(CFG, rx_pattern=pattern),
-                    replace(CFG.leo_link, sinr_threshold=5e-324), CFG.leo_fading, positions, counts,
-                    n_serve, None)
+                    replace(CFG.leo_link, sinr_threshold=5e-324), positions, counts, n_serve, None)
             threshold = max(nudged((sinr if anchor == "sinr" else bound_ratio)[beam], ulps), 5e-324)
         passes, sinr = self.verdicts(pattern, threshold, fading, positions, counts, n_serve)
         assert np.array_equal(passes, sinr > threshold)
@@ -564,7 +561,7 @@ class TestSettledVerdicts:
         pattern = CFG.rx_pattern
         if layout == "stacked":
             positions, pattern = np.repeat(positions[:, ::9], 9, axis=1), FlatTopPattern(CFG.rx_pattern.phi_3db)
-        fading = sr_sample(DENSE.leo_fading, rng, size=int(counts.sum()))
+        fading = sr_sample(DENSE.fading, rng, size=int(counts.sum()))
         n_serve = np.minimum(counts, 6)
         _, sinr = self.verdicts(pattern, 5e-324, fading, positions, counts, n_serve)
         for threshold in np.unique(np.concatenate([sinr, np.nextafter(sinr, 0.0)])):
@@ -606,7 +603,7 @@ class TestSettledVerdicts:
         assert every == [[0, 1], [0, 2], [0, 3], [0, 4], [1, 0], [1, 2], [1, 3], [1, 4]]
 
 
-def parent_sinr_passes(config, link, fading, positions, counts, n_serve, rng, faithful, matched_cap=None):
+def parent_sinr_passes(config, link, positions, counts, n_serve, rng, faithful, matched_cap=None):
     """``mc._sinr_passes`` as it stood on ``(n, 3)`` positions: distances by
     an einsum over the positions less the target's, unit vectors
     transposed into rows, and one fading value per visible satellite in
@@ -617,7 +614,7 @@ def parent_sinr_passes(config, link, fading, positions, counts, n_serve, rng, fa
     dist_km = np.sqrt(np.einsum("sx,sx->s", rel, rel))
     dist_sq = (dist_km * KM_TO_M) ** 2
     at_beam = first[trial] + rank
-    received = mc.sr_sample(fading, rng, size=dist_sq.size) / dist_sq
+    received = mc.sr_sample(config.fading, rng, size=dist_sq.size) / dist_sq
     signal = received[at_beam]
     noise_term = link.noise_power_w / link.unit_range_power_w
     if faithful:
@@ -644,7 +641,7 @@ def parent_sinr_passes(config, link, fading, positions, counts, n_serve, rng, fa
         u = 1.0 - rng.random(trial.size)
         theta_i = 2.0 * np.arcsin(np.sqrt(u * cap_fraction(theta_d)))
         power = np.zeros(trial.size)
-        power[present] = mc.sr_sample(fading, rng, size=int(present.sum()))
+        power[present] = mc.sr_sample(config.fading, rng, size=int(present.sum()))
         dome = dome_from_central(config.leo.radius_km, theta_i)
         interference = config.rx_pattern.gain_shape(dome) * power / dist_sq[at_beam]
     else:
@@ -680,8 +677,7 @@ class TestRowLayout:
         if n_serve.sum():
             with mock.patch.object(mc, "sr_sample", lambda params, rng, size=None: fading.copy()):
                 sinr, bound_ratio = all_pairs_sinr(
-                    config, replace(CFG.leo_link, sinr_threshold=5e-324), CFG.leo_fading, positions,
-                    counts, n_serve, None)
+                    config, replace(CFG.leo_link, sinr_threshold=5e-324), positions, counts, n_serve, None)
             threshold = max(nudged((sinr if anchor == "sinr" else bound_ratio)[beam], ulps), 5e-324)
         link = replace(CFG.leo_link, sinr_threshold=threshold)
         faithful = mode == "faithful"
@@ -689,12 +685,11 @@ class TestRowLayout:
         trial, rank = mc._ragged(n_serve)
         at_beam = (np.cumsum(counts) - counts)[trial] + rank
         interferers = 2.0 ** np.linspace(-6.0, 6.0, trial.size)
-        args = (config, link, CFG.leo_fading)
         got, got_sizes = self.verdicts(mc._sinr_passes, [fading if faithful else fading[at_beam], interferers],
-                                       (*args, positions, counts, n_serve), faithful, matched_cap)
+                                       (config, link, positions, counts, n_serve), faithful, matched_cap)
         want, want_sizes = self.verdicts(parent_sinr_passes, [fading, interferers],
-                                         (*args, np.ascontiguousarray(positions.T), counts, n_serve), faithful,
-                                         matched_cap)
+                                         (config, link, np.ascontiguousarray(positions.T), counts, n_serve),
+                                         faithful, matched_cap)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         assert got_sizes[0] == (counts.sum() if faithful else trial.size) and want_sizes[0] == counts.sum()
@@ -718,8 +713,8 @@ class TestRowLayout:
                                              (False, (theta_d, 1.0), [5, 0]), (False, None, [5])]:
             drawn.clear()
             with mock.patch.object(mc, "sr_sample", recording):
-                _, _, passes = mc._sinr_passes(CFG, CFG.leo_link, CFG.leo_fading, positions, counts, n_serve,
-                                               derive_rng(22), faithful, matched_cap)
+                _, _, passes = mc._sinr_passes(CFG, CFG.leo_link, positions, counts, n_serve, derive_rng(22),
+                                               faithful, matched_cap)
             assert drawn == sizes and passes.shape == (5,)
 
 

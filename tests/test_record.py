@@ -40,7 +40,7 @@ GAUSSIAN = "GaussianPattern(phi_3db=0.13962634015954636)"
 
 # Each type at baseline values and its ``repr`` as a dataclass gave it.
 REPRS = {
-    "SrFadingParams": (CFG.leo_fading, FADING),
+    "SrFadingParams": (CFG.fading, FADING),
     "LinkParams": (CFG.leo_link, LEO_LINK),
     "GaussianPattern": (CFG.rx_pattern, GAUSSIAN),
     "FlatTopPattern": (FlatTopPattern(PHI), "FlatTopPattern(phi_3db=0.13962634015954636)"),
@@ -49,7 +49,7 @@ REPRS = {
     "LeoShellConfig": (CFG.leo, LEO),
     "MeoShellConfig": (CFG.meo, MEO),
     "SystemConfig": (CFG, f"SystemConfig(leo={LEO}, meo={MEO}, leo_link={LEO_LINK}, meo_link={MEO_LINK}, "
-                          f"leo_fading={FADING}, meo_fading={FADING}, rx_pattern={GAUSSIAN}, epsilon=0.01)"),
+                          f"fading={FADING}, rx_pattern={GAUSSIAN}, epsilon=0.01)"),
     "McSpec": (SPEC, "McSpec(n_trials=100000, master_seed=1, sum_all_interferers=True)"),
     "SimulationSummary": (SUMMARY, "SimulationSummary(estimates={('availability', 'leo'): (array([0.5]), "
                                    "array([0.125]))}, leo_rank_pass=array([0.25]), meo_single_pass=0.75)"),
@@ -158,10 +158,10 @@ def test_replace_runs_the_checks_again():
         replace(CFG, epsilon=1.0)
     with pytest.raises(ValueError, match="n_sats"):
         replace(CFG.leo, n_sats=-1)
-    assert replace(CFG.leo_fading) == CFG.leo_fading
-    assert replace(CFG.leo_fading, m=2.0) == SrFadingParams(2.0, 0.158, 1.29)
+    assert replace(CFG.fading) == CFG.fading
+    assert replace(CFG.fading, m=2.0) == SrFadingParams(2.0, 0.158, 1.29)
     with pytest.raises(TypeError, match="unexpected keyword argument 'q'"):
-        replace(CFG.leo_fading, q=2.0)
+        replace(CFG.fading, q=2.0)
 
 
 @pytest.mark.parametrize("args, kwargs, message", [

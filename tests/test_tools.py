@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import tracemalloc
 from pathlib import Path
 
@@ -117,9 +118,9 @@ class TestMcStages:
         calls = []
         sinr_passes, sr_sample = mc._sinr_passes, mc.sr_sample
 
-        def recording(config, link, fading, positions, counts, n_serve, *args, **kwargs):
+        def recording(config, link, positions, counts, n_serve, *args, **kwargs):
             calls.append({"counts": counts.sum(), "serving": n_serve.sum(), "draws": []})
-            return sinr_passes(config, link, fading, positions, counts, n_serve, *args, **kwargs)
+            return sinr_passes(config, link, positions, counts, n_serve, *args, **kwargs)
 
         def drawing(params, rng, size=None):
             calls[-1]["draws"].append(size)
@@ -244,3 +245,30 @@ class TestRowScales:
         other = tmp_path / "curve.csv"
         other.write_text("x,availability_K1\n1000,0.5\n", encoding="utf-8")
         assert_refused(capsys, "row_scales", [str(other)], "not a validate CSV")
+
+
+class TestSameOutputs:
+    def test_flags_a_changed_output(self, tmp_path):
+        # Two copies of the package match. A copy that renders the boolean
+        # setting true as True differs in emit-config's --out file alone.
+        tool = load_tool("same_outputs")
+        package = Path(constelsim.__file__).parent
+        trees = {}
+        for name in ("parent", "change", "broken"):
+            trees[name] = tmp_path / name
+            shutil.copytree(package, trees[name] / "constelsim", ignore=shutil.ignore_patterns("__pycache__"))
+        config = trees["broken"] / "constelsim" / "config.py"
+        text = config.read_text(encoding="utf-8")
+        assert text.count('"true" if value') == 1
+        config.write_text(text.replace('"true" if value', '"True" if value'), encoding="utf-8")
+        invocations = {"emit-config": tool.INVOCATIONS["emit-config"]}
+        same = tool.compare(str(trees["parent"]), str(trees["change"]), invocations)
+        assert same["identical"] and same["invocations"][0]["exit_codes"] == [0, 0]
+        differ = tool.compare(str(trees["parent"]), str(trees["broken"]), invocations)
+        row = differ["invocations"][0]
+        assert not differ["identical"] and not row["identical"] and not row["out"]
+        assert row["exit_code"] and row["stdout"] and row["stderr"]
+
+    def test_rejects_a_tree_without_the_package(self, tmp_path, capsys):
+        package_root = str(Path(constelsim.__file__).parents[1])
+        assert_refused(capsys, "same_outputs", [str(tmp_path), package_root], "no constelsim package")
