@@ -735,9 +735,12 @@ class TestOrders:
 
 # Each change to the baseline, with the quadrature tolerance and k_max of
 # the evaluation, and the caches it must miss: (count law, LEO ranks, MEO).
+# LEO and MEO links share one fading triple, so a change to the fading the
+# LEO links see (m) or to the fading the MEO links see (omega) misses all three.
 CACHE_MISSES = {
     "pattern": ({"rx_pattern": FlatTopPattern(CFG.rx_pattern.phi_3db)}, 1e-8, 6, (1, 1, 0)),
-    "fading": ({"fading": replace(CFG.fading, m=2.0)}, 1e-8, 6, (1, 1, 1)),
+    "leo fading": ({"fading": replace(CFG.fading, m=2.0)}, 1e-8, 6, (1, 1, 1)),
+    "meo fading": ({"fading": replace(CFG.fading, omega=2.0 * CFG.fading.omega)}, 1e-8, 6, (1, 1, 1)),
     "leo threshold": ({"leo_link": replace(CFG.leo_link, sinr_threshold=5.0)}, 1e-8, 6, (1, 1, 0)),
     "meo threshold": ({"meo_link": replace(CFG.meo_link, sinr_threshold=0.05)}, 1e-8, 6, (0, 0, 1)),
     "rtol": ({}, 1e-9, 6, (1, 1, 1)),
