@@ -66,6 +66,7 @@ import numpy as np
 
 from .channel import (
     AntennaPattern,
+    ConvergenceError,
     LinkParams,
     sr_cdf,  # noqa: F401 -- unused; perfbench/tests/test_bench.py traces it here
     sr_count_pmf,
@@ -75,10 +76,6 @@ from .config import LeoShellConfig, SystemConfig
 from .geom import EARTH_RADIUS_KM, cap_fraction, central_from_dome, dome_from_central
 
 KM_TO_M = 1e3
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach its tolerance."""
 
 
 # Default relative tolerance of every integral; equal panels
@@ -140,7 +137,7 @@ def _gk21_panels(func, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
 
 def integrate_adaptive(func, a: float, b: float, rtol: float, label: str):
     """Integral of ``func`` over [a, b] by globally adaptive Gauss-Kronrod
-    10/21 quadrature; raises :class:`QuadratureError` on failure.
+    10/21 quadrature; raises :class:`ConvergenceError` on failure.
 
     ``func`` maps an array of nodes, shape ``(m,)``, to values of shape
     ``(..., m)``; the result has shape ``(...)``, a float for a scalar
@@ -167,16 +164,15 @@ def integrate_adaptive(func, a: float, b: float, rtol: float, label: str):
         total = value.sum(axis=-1)
         scale = float(np.max(np.abs(total)))
         total_error = float(error.sum())
-        if not math.isfinite(total_error):
-            raise QuadratureError(f"quadrature '{label}' did not converge: estimate {scale}, error {total_error}"
-                                  " (non-finite integrand)")
+        finite = math.isfinite(total_error)
         tol = max(1e-4 * rtol, rtol * scale)
-        if total_error <= tol:
+        if finite and total_error <= tol:
             return float(total) if total.ndim == 0 else total
         room = MAX_PANELS - lo.size
-        if room <= 0:
-            raise QuadratureError(f"quadrature '{label}' did not converge: estimate {scale}, error {total_error}"
-                                  f" ({lo.size} panels)")
+        if room <= 0 or not finite:
+            reason = f"{lo.size} panels" if finite else "non-finite integrand"
+            raise ConvergenceError(f"quadrature '{label}' did not converge: estimate {scale}, error {total_error}"
+                                   f" ({reason})")
         order = np.argsort(-error)
         rest = np.append(np.cumsum(error[order][::-1])[::-1][1:], 0.0)
         split, keep = np.split(order, [min(int(np.argmax(rest <= 0.5 * tol)) + 1, room)])

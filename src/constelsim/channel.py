@@ -58,8 +58,8 @@ _MAX_SERIES_TERMS = 10_000
 _SERIES_TOL = 1e-12
 
 
-class SeriesConvergenceError(RuntimeError):
-    """Raised when the fading series fails to meet its tail bound."""
+class ConvergenceError(RuntimeError):
+    """The fading series or an adaptive quadrature missed its tolerance."""
 
 
 @record
@@ -127,7 +127,7 @@ def _series_weights(params: SrFadingParams, tol: float, max_terms: int) -> tuple
     beta, m = params._beta, params.m
     c0 = math.exp(m * math.log(params._beta_complement))
     if c0 == 0.0:
-        raise SeriesConvergenceError("shadowed-Rician series weights underflow")
+        raise ConvergenceError("shadowed-Rician series weights underflow")
     # Built on 64, 128, ... terms until a cut is found. ``cumprod`` runs in
     # sequence, so each build is bit for bit the first terms of the full one.
     n_terms = min(64, max_terms)
@@ -146,7 +146,7 @@ def _series_weights(params: SrFadingParams, tol: float, max_terms: int) -> tuple
         if done.size:
             break
         if n_terms == max_terms:
-            raise SeriesConvergenceError(
+            raise ConvergenceError(
                 f"shadowed-Rician series did not converge within {max_terms} terms"
             )
         n_terms = min(2 * n_terms, max_terms)
@@ -318,15 +318,23 @@ def sr_sample(params: SrFadingParams, rng: np.random.Generator, size=None):
 # Receive antenna patterns
 # ---------------------------------------------------------------------------
 
+# Each pattern takes one parameter, and patterns that share it share its check.
+def _check_phi_3db(pattern):
+    if not 0 < pattern.phi_3db < math.inf:
+        raise ValueError("phi_3db must be positive and finite")
+
+
+def _check_n_elements(pattern):
+    if pattern.n_elements < 1:
+        raise ValueError("n_elements must be at least 1")
+
+
 @record
 class GaussianPattern:
     """Gaussian main lobe, half-power beamwidth phi_3db."""
 
     phi_3db: float
-
-    def __post_init__(self):
-        if not 0 < self.phi_3db < math.inf:
-            raise ValueError("phi_3db must be positive and finite")
+    __post_init__ = _check_phi_3db
 
     def gain_shape(self, phi):
         phi = np.asarray(phi, dtype=float)
@@ -341,10 +349,7 @@ class GaussianPattern:
 @record
 class FlatTopPattern:
     phi_3db: float
-
-    def __post_init__(self):
-        if not 0 < self.phi_3db < math.inf:
-            raise ValueError("phi_3db must be positive and finite")
+    __post_init__ = _check_phi_3db
 
     def gain_shape(self, phi):
         phi = np.asarray(phi, dtype=float)
@@ -358,10 +363,7 @@ class FlatTopPattern:
 @record
 class SincPattern:
     n_elements: int
-
-    def __post_init__(self):
-        if self.n_elements < 1:
-            raise ValueError("n_elements must be at least 1")
+    __post_init__ = _check_n_elements
 
     def gain_shape(self, phi):
         # np.sinc(x) = sin(pi x)/(pi x), so this is sin^2(pi Na phi)/(pi Na phi)^2.
@@ -376,10 +378,7 @@ class SincPattern:
 @record
 class CosinePattern:
     n_elements: int
-
-    def __post_init__(self):
-        if self.n_elements < 1:
-            raise ValueError("n_elements must be at least 1")
+    __post_init__ = _check_n_elements
 
     def gain_shape(self, phi):
         phi = np.asarray(phi, dtype=float)

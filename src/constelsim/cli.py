@@ -22,10 +22,10 @@ it runs its trials on several processes (ROADMAP item 11).
 
 Exit codes: 0 success, 1 validation failures, 2 configuration errors, an
 unreadable ``--config``, an unwritable ``--out`` and a quadrature or fading
-series that does not converge among them. An ``--out`` that is a directory,
-whose directory does not exist, or that this process may not write or
-cannot open, is refused before any work. The file is written only once the
-output is ready.
+series that does not converge (a ``ConvergenceError``) among them. An
+``--out`` that is a directory, whose directory does not exist, or that this
+process may not write or cannot open, is refused before any work. The file
+is written only once the output is ready.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import sys
 import numpy as np
 
 from . import analytic
-from .channel import SeriesConvergenceError
+from .channel import ConvergenceError
 from .config import (
     ConfigError,
     apply_overrides,
@@ -421,7 +421,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--jobs must be at least 1, got {opts.jobs}")
         _check_out(opts.out)
         return _COMMANDS[command][1](opts, load_settings(opts.config, _overrides(opts)))
-    except (ConfigError, analytic.QuadratureError, SeriesConvergenceError) as exc:
+    except (ConfigError, ConvergenceError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

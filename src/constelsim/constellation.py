@@ -28,8 +28,9 @@ nearest the target, so no satellite needs a position or a distance to be
 found visible. It returns the per-shell visible counts and, only when asked,
 the visible satellites' positions packed shell by shell. At central angle
 pi, :func:`place_in_cap` places a whole LEO shell, nearest first, and
-:func:`sample_dsbpp_cap` draws a whole MEO shell. The package no longer
-calls :func:`sample_bpp`, a whole LEO shell as an ``(n, 3)`` array.
+:func:`sample_dsbpp_cap` draws a whole MEO shell. :func:`sample_bpp` and
+:func:`central_angle_to_target` serve the benchmark's traced visible-LEO
+statistics and the tests' independent check of ``geom.cap_fraction``.
 """
 
 from __future__ import annotations

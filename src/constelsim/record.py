@@ -14,7 +14,8 @@ records; less their compile time, 13.6 to 15.6 ms and 4.6 to 6.0 ms.
 A record's fields are its annotations, in order. They take no defaults: a
 class-level value for one is refused when the class is created. The
 ``__init__`` takes the fields by position or keyword, in field order, then
-calls the class's ``__post_init__``, if any, which checks the values.
+calls the class's ``__post_init__``, if any, which checks the values; a
+function assigned to that name or inherited serves as one defined there.
 Equality holds only between instances of the same class and compares the
 field values with ``==``, so a record that holds an array longer than one
 (a ``SimulationSummary``) equals only itself: numpy's ``==`` on two arrays

@@ -16,7 +16,7 @@ from scipy.stats import binom, chisquare, kstest
 
 import constelsim
 import constelsim.analytic as an
-from constelsim.channel import FlatTopPattern, sr_sf
+from constelsim.channel import ConvergenceError, FlatTopPattern, sr_sf
 from constelsim.config import SystemConfig, build_system_config, default_config, load_settings
 from constelsim.constellation import (
     central_angle_to_target,
@@ -578,11 +578,11 @@ class TestIntegrateAdaptive:
 
     def test_failures_raise_with_label(self):
         # No panel count reaches a relative 1e-20 on a square-root edge.
-        with pytest.raises(an.QuadratureError, match=f"square root.*{an.MAX_PANELS} panels") as info:
+        with pytest.raises(ConvergenceError, match=f"square root.*{an.MAX_PANELS} panels") as info:
             an.integrate_adaptive(np.sqrt, 0.0, 1.0, 1e-20, "square root")
         assert re.fullmatch(r"quadrature 'square root' did not converge: estimate \S+, error \S+ "
                             rf"\({an.MAX_PANELS} panels\)", str(info.value))
-        with pytest.raises(an.QuadratureError, match="non-finite"):
+        with pytest.raises(ConvergenceError, match="non-finite"):
             an.integrate_adaptive(lambda x: np.full_like(x, np.nan), 0.0, 1.0, 1e-8, "nan")
 
     @pytest.mark.parametrize("message", [
@@ -591,8 +591,8 @@ class TestIntegrateAdaptive:
     ], ids=["detail", "no-detail"])
     def test_error_survives_pickling(self, message):
         # A sweep's worker process hands its error back pickled.
-        error = pickle.loads(pickle.dumps(an.QuadratureError(message)))
-        assert type(error) is an.QuadratureError and str(error) == message
+        error = pickle.loads(pickle.dumps(ConvergenceError(message)))
+        assert type(error) is ConvergenceError and str(error) == message
 
     def test_first_round_is_equal_panels(self):
         nodes = []
@@ -632,7 +632,7 @@ class TestIntegrateAdaptive:
         # The first round never takes more panels than the cap allows.
         monkeypatch.setattr(an, "MAX_PANELS", max_panels)
         assert an.integrate_adaptive(np.sin, 0.0, math.pi, 1e-8, "sine") == pytest.approx(2.0, abs=1e-12)
-        with pytest.raises(an.QuadratureError, match=f"square root.*{max_panels} panels"):
+        with pytest.raises(ConvergenceError, match=f"square root.*{max_panels} panels"):
             an.integrate_adaptive(np.sqrt, 0.0, 1.0, 1e-20, "square root")
 
     @settings(max_examples=20, deadline=None)

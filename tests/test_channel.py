@@ -12,11 +12,11 @@ from scipy.stats import kstest, poisson
 
 import constelsim.channel as channel
 from constelsim.channel import (
+    ConvergenceError,
     CosinePattern,
     FlatTopPattern,
     GaussianPattern,
     LinkParams,
-    SeriesConvergenceError,
     SincPattern,
     SrFadingParams,
     sr_cdf,
@@ -76,13 +76,13 @@ class TestSrCdf:
 
     def test_convergence_guard(self, monkeypatch):
         monkeypatch.setattr(channel, "_MAX_SERIES_TERMS", 4)
-        with pytest.raises(SeriesConvergenceError):
+        with pytest.raises(ConvergenceError):
             sr_cdf(BASE, 1.0)
 
     def test_underflowing_weights_raise(self):
         # c_0 = (2 b0 m / (2 b0 m + omega))^m = (1/6)^1000 is below the
         # smallest double, so every weight the recurrence builds would be 0.
-        with pytest.raises(SeriesConvergenceError):
+        with pytest.raises(ConvergenceError):
             sr_cdf(SrFadingParams(m=1000.0, b0=0.01, omega=100.0), 1.0)
 
 
@@ -158,7 +158,7 @@ class TestSrSf:
 
     def test_convergence_guard(self, monkeypatch):
         monkeypatch.setattr(channel, "_MAX_SERIES_TERMS", 4)
-        with pytest.raises(SeriesConvergenceError):
+        with pytest.raises(ConvergenceError):
             sr_sf(BASE, 1.0)
 
     def test_far_tail_goes_to_zero(self):
@@ -198,7 +198,7 @@ class TestSrSf:
         # under a lower limit through.
         sr_sf(BASE, 1.0)
         monkeypatch.setattr(channel, "_MAX_SERIES_TERMS", 4)
-        with pytest.raises(SeriesConvergenceError):
+        with pytest.raises(ConvergenceError):
             sr_sf(BASE, 1.0)
 
 
@@ -211,14 +211,14 @@ def full_series_weights(params: SrFadingParams, tol: float, max_terms: int) -> t
     c0 = math.exp(m * math.log(params._beta_complement))
     c = np.cumprod(np.concatenate(([c0], beta * (m + z[:-1]) / z[1:])))
     if c[0] == 0.0:
-        raise SeriesConvergenceError("shadowed-Rician series weights underflow")
+        raise ConvergenceError("shadowed-Rician series weights underflow")
     ends = np.arange(16, max_terms + 1, 16)
     ratio = beta * np.maximum(m + ends - 1.0, ends) / ends
     with np.errstate(divide="ignore"):
         bound = np.where(ratio < 1.0, c[ends - 1] * ratio / (1.0 - ratio), np.inf)
     done = np.flatnonzero(bound <= tol)
     if not done.size:
-        raise SeriesConvergenceError(f"shadowed-Rician series did not converge within {max_terms} terms")
+        raise ConvergenceError(f"shadowed-Rician series did not converge within {max_terms} terms")
     c = c[: ends[done[0]]]
     return c, np.ascontiguousarray(np.cumsum(c[::-1])[::-1])
 
@@ -228,7 +228,7 @@ def weights_outcome(build, params: SrFadingParams, tol: float, max_terms: int):
     message."""
     try:
         c, tails = build(params, tol, max_terms)
-    except SeriesConvergenceError as exc:
+    except ConvergenceError as exc:
         return str(exc)
     return c.shape, c.tobytes(), tails.shape, tails.tobytes()
 
@@ -572,15 +572,27 @@ class TestPatterns:
         assert np.all((gains >= 0.0) & (gains <= 1.0)), gains
         assert np.all(gains * received <= received)
 
+    # Every pattern refuses each bad value of its parameter with the one
+    # message of that parameter's check.
+    BAD_VALUES = {
+        GaussianPattern: ((0.0, -1.0, math.inf, math.nan), "phi_3db must be positive and finite"),
+        FlatTopPattern: ((0.0, -1.0, math.inf, math.nan), "phi_3db must be positive and finite"),
+        SincPattern: ((0, -1), "n_elements must be at least 1"),
+        CosinePattern: ((0, -1), "n_elements must be at least 1"),
+    }
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GaussianPattern(0.0)
-        with pytest.raises(ValueError):
-            SincPattern(0)
-        with pytest.raises(ValueError, match="^phi_3db must be positive and finite$"):
-            FlatTopPattern(0.0)
-        with pytest.raises(ValueError, match="^n_elements must be at least 1$"):
-            CosinePattern(0)
+        def refusal(pattern, value):
+            try:
+                pattern(value)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        cases = [(pattern, value, message) for pattern, (values, message) in self.BAD_VALUES.items()
+                 for value in values]
+        found = {(pattern.__name__, repr(value)): refusal(pattern, value) for pattern, value, _ in cases}
+        assert found == {(pattern.__name__, repr(value)): message for pattern, value, message in cases}
 
 
 LINK = LinkParams(

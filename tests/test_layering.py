@@ -9,13 +9,15 @@ sweep runs. Every package name the benchmark scripts import exists, so a
 deletion they still depend on fails here rather than in a benchmark run.
 Every module-level name of the package is read somewhere in it, through
 the binding that defines it, save its entry points, the few that only the
-benchmark still holds and a utility that only the tests use."""
+benchmark still holds and a utility that only the tests use. No two of its
+functions share a body: what two would repeat is written once."""
 
 import ast
 import importlib
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import constelsim
@@ -363,6 +365,60 @@ def test_unread_guard_fires(tmp_path):
     )
     assert unread_names(sorted(tmp_path.glob("*.py"))) == {"high.main", "high.table", "low.Unread",
                                                            "low.imported_only", "low.same_spelling", "low.spare"}
+
+
+# Bodies smaller than this many AST nodes (a one-line ``return self.x``,
+# say) may repeat.
+MIN_REPEATED_NODES = 10
+
+
+def repeated_bodies(paths) -> list[list[str]]:
+    """Groups of ``file:line name`` of the functions among the modules at
+    ``paths`` whose bodies, less any docstring, are the same AST of at least
+    ``MIN_REPEATED_NODES`` nodes."""
+    groups = defaultdict(list)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body[1:] if ast.get_docstring(node, clean=False) is not None else node.body
+            if sum(1 for statement in body for _ in ast.walk(statement)) >= MIN_REPEATED_NODES:
+                groups["\n".join(map(ast.dump, body))].append(f"{path.name}:{node.lineno} {node.name}")
+    return sorted(group for group in groups.values() if len(group) > 1)
+
+
+def test_no_function_body_is_repeated():
+    assert repeated_bodies(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_repeat_guard_fires(tmp_path):
+    # A copied check fires, across modules, in a method and in an async
+    # function, docstring or none; a changed constant or a small body does not.
+    (tmp_path / "low.py").write_text(
+        "def check(value):\n"
+        "    \"\"\"One docstring.\"\"\"\n"
+        "    if value < 1:\n"
+        "        raise ValueError('value must be at least 1')\n"
+        "class Pattern:\n"
+        "    def validate(value):\n"
+        "        if value < 1:\n"
+        "            raise ValueError('value must be at least 1')\n"
+        "    def small(self): return self.x\n"
+        "def other(value):\n"
+        "    if value < 2:\n"
+        "        raise ValueError('value must be at least 1')\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "high.py").write_text(
+        "async def copied(value):\n"
+        "    \"\"\"Another docstring.\"\"\"\n"
+        "    if value < 1:\n"
+        "        raise ValueError('value must be at least 1')\n"
+        "def small(self): return self.x\n",
+        encoding="utf-8",
+    )
+    assert repeated_bodies(sorted(tmp_path.glob("*.py"))) == [
+        ["high.py:1 copied", "low.py:1 check", "low.py:6 validate"]]
 
 
 MAX_LINE = 120

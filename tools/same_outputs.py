@@ -14,8 +14,11 @@ stderr and the ``--out`` file (absent on both sides counts as equal) match;
 The list: each benchmark workload (``perfbench/workloads.py``, read as it
 stands) at seeds 5 and 6; matched-mode ``validate``; a ``curve --mc`` sweep
 on two worker processes; a ``heatmap``; ``sample``, also with an empty LEO
-shell; ``emit-config``; and two refusals, a negative seed and a quadrature
-tolerance no integral can meet.
+shell; ``emit-config``; a localizability ``curve`` under each receive
+pattern but the default gaussian; and eight refusals: a negative seed, a
+quadrature tolerance no integral can meet, fading whose series weights
+underflow, fading whose series does not converge within its term limit,
+and a zero beamwidth or element count for each of the four patterns.
 """
 
 from __future__ import annotations
@@ -33,6 +36,14 @@ from pathlib import Path
 OUT = "out.csv"
 PARTS = ("exit_code", "stdout", "stderr", "out")
 RUN_CLI = "import sys; from constelsim.cli import main; sys.exit(main())"
+ONE_POINT = ["curve", "--metric", "localizability", "--sweep", "n_leo=1000:1000:1"]
+
+
+def _settings(*assignments: str) -> list[str]:
+    """``--set`` arguments, one per ``KEY=VALUE`` assignment."""
+    return [arg for assignment in assignments for arg in ("--set", assignment)]
+
+
 WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))["WORKLOADS"]
 INVOCATIONS = {
     **{f"{name} seed {seed}": workload.argv(seed, OUT) for name, workload in WORKLOADS.items() for seed in (5, 6)},
@@ -44,9 +55,18 @@ INVOCATIONS = {
     "sample": ["sample", "--out", OUT],
     "sample no LEO": ["sample", "--set", "leo.n_sats=0", "--out", OUT],
     "emit-config": ["emit-config", "--out", OUT],
+    **{f"curve {pattern}": [*ONE_POINT, *_settings(f"rx.pattern={pattern}"), "--out", OUT]
+       for pattern in ("flattop", "sinc", "cosine")},
     "refused seed": ["validate", "--seed", "-1", "--out", OUT],
-    "refused rtol": ["curve", "--metric", "localizability", "--sweep", "n_leo=1000:1000:1", "--rtol", "1e-30",
-                     "--out", OUT],
+    "refused rtol": [*ONE_POINT, "--rtol", "1e-30", "--out", OUT],
+    "refused fading underflow": [*ONE_POINT, *_settings("fading.m=1000", "fading.b0=0.001", "fading.omega=100"),
+                                 "--out", OUT],
+    "refused fading terms": [*ONE_POINT, *_settings("fading.m=0.5", "fading.b0=0.0001", "fading.omega=50"),
+                             "--out", OUT],
+    **{f"refused {pattern} {setting}": [*ONE_POINT, *_settings(f"rx.pattern={pattern}", f"{setting}=0"),
+                                        "--out", OUT]
+       for pattern, setting in (("gaussian", "rx.phi_3db"), ("flattop", "rx.phi_3db"),
+                                ("sinc", "rx.n_elements"), ("cosine", "rx.n_elements"))},
 }
 
 
