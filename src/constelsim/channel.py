@@ -103,11 +103,7 @@ class LinkParams:
     sinr_threshold: float
 
     def __post_init__(self):
-        values = (
-            self.tx_power_w, self.tx_gain, self.max_rx_gain, self.wavelength_m,
-            self.system_loss, self.noise_power_w, self.sinr_threshold,
-        )
-        if not all(math.isfinite(v) and v > 0 for v in values):
+        if not all(math.isfinite(v) and v > 0 for v in vars(self).values()):
             raise ValueError("link parameters must be positive and finite")
 
     @property

@@ -25,7 +25,7 @@ from .channel import (
     SrFadingParams,
 )
 from .geom import EARTH_RADIUS_KM, max_central_angle
-from .record import record
+from .record import fields, record
 
 
 class ConfigError(ValueError):
@@ -260,11 +260,9 @@ def apply_overrides(settings: dict, overrides: dict[str, str]) -> dict:
 
 
 def _link(settings: dict, layer: str) -> LinkParams:
-    """One layer's link budget from its ``<layer>.*`` keys, which carry the
-    field names except for the two powers' ``_w``."""
-    names = ("tx_gain", "max_rx_gain", "wavelength_m", "system_loss", "sinr_threshold")
-    return LinkParams(tx_power_w=settings[f"{layer}.tx_power"], noise_power_w=settings[f"{layer}.noise_power"],
-                      **{name: settings[f"{layer}.{name}"] for name in names})
+    """One layer's link budget from its ``<layer>.*`` keys: each key is its
+    field's name less the ``_w`` that only the two powers' fields carry."""
+    return LinkParams(**{name: settings[f"{layer}.{name.removesuffix('_w')}"] for name in fields(LinkParams)})
 
 
 def build_system_config(settings: dict) -> SystemConfig:
@@ -294,8 +292,7 @@ def build_system_config(settings: dict) -> SystemConfig:
 
 def build_mc_settings(settings: dict) -> McSpec:
     """Monte Carlo run spec from the ``mc.*`` keys."""
-    return McSpec(n_trials=settings["mc.n_trials"], master_seed=settings["mc.master_seed"],
-                  sum_all_interferers=bool(settings["mc.sum_all_interferers"]))
+    return McSpec(**{name: settings[f"mc.{name}"] for name in fields(McSpec)})
 
 
 def build_master_seed(settings: dict) -> int:

@@ -43,9 +43,6 @@ import numpy.random  # noqa: F401
 from .config import LeoShellConfig, MeoShellConfig
 from .geom import cap_fraction, half_angle_cos_sin, orbit_arc
 
-# The ground target used throughout; the point processes are isotropic, so
-# fixing it loses no generality.
-TARGET_DIRECTION = np.array([1.0, 0.0, 0.0])
 # Most shells one place_in_cap call orders: its sort key holds a shell's
 # index in the 10 bits above a uniform's 53-bit numerator.
 MAX_PLACED_SHELLS = 2**10
@@ -165,15 +162,15 @@ def place_in_cap(radius_km: float, cap_angle: float, counts: np.ndarray, rng: np
 
 def cap_positions(radius_km: float, cos_theta: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
     """Positions (km, leading axis of 3: x, y and z) of points on a shell
-    given in polar coordinates about ``TARGET_DIRECTION`` (the x axis): the
-    cosine of the central angle and the azimuth."""
+    given in polar coordinates about the target (the x axis): the cosine of
+    the central angle and the azimuth."""
     sin_theta = np.sqrt(1.0 - cos_theta**2)
     return radius_km * np.stack([cos_theta, *half_angle_cos_sin(azimuth, sin_theta)])
 
 
-def central_angle_to_target(positions: np.ndarray, target_direction: np.ndarray = TARGET_DIRECTION) -> np.ndarray:
+def central_angle_to_target(positions: np.ndarray) -> np.ndarray:
     """Central angle (radians, in [0, pi]) between each satellite and the
-    target; ``positions`` has the coordinates on its last axis."""
+    target on the x axis; ``positions`` has the coordinates on its last axis."""
     norms = np.linalg.norm(positions, axis=-1)
-    cos_theta = positions @ target_direction / np.where(norms > 0, norms, 1.0)
+    cos_theta = positions[..., 0] / np.where(norms > 0, norms, 1.0)
     return np.arccos(np.clip(cos_theta, -1.0, 1.0))

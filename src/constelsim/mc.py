@@ -410,7 +410,7 @@ def simulate(
     estimates = {("availability", system): (p, _proportion_se(p, n)) for system, p in zip(SYSTEMS, avail)}
     estimates.update({("localizability", system): pair for system, pair in zip(SYSTEMS, zip(loc, se))})
     return SimulationSummary(
-        estimates,
+        estimates=estimates,
         leo_rank_pass=rank_pass.sum(axis=0) / n,
         meo_single_pass=single_pass(meo_pmf.sum(axis=0) / n),
     )

@@ -13,9 +13,10 @@ records; less their compile time, 13.6 to 15.6 ms and 4.6 to 6.0 ms.
 
 A record's fields are its annotations, in order. They take no defaults: a
 class-level value for one is refused when the class is created. The
-``__init__`` takes the fields by position or keyword, in field order, then
-calls the class's ``__post_init__``, if any, which checks the values; a
-function assigned to that name or inherited serves as one defined there.
+``__init__`` takes all the fields by position, in field order, or all by
+keyword, and refuses any other call with one ``TypeError``. It then calls
+the class's ``__post_init__``, if any, which checks the values; a function
+assigned to that name or inherited serves as one defined there.
 Equality holds only between instances of the same class and compares the
 field values with ``==``, so a record that holds an array longer than one
 (a ``SimulationSummary``) equals only itself: numpy's ``==`` on two arrays
@@ -36,12 +37,13 @@ def record(cls):
         raise TypeError(f"{cls.__qualname__} fields take no default: {', '.join(given)}")
     size, name_set, values = len(names), frozenset(names), attrgetter(*names)
     post_init = getattr(cls, "__post_init__", None)
+    refusal = f"{cls.__qualname__}() takes {', '.join(names)}, all by position or all by keyword"
 
     def __init__(self, *args, **kwargs):
-        if not kwargs and len(args) == size:
+        if args and not kwargs and len(args) == size:
             kwargs = dict(zip(names, args))
-        elif args or len(kwargs) != size or not name_set.issuperset(kwargs):
-            kwargs = _bind(cls.__qualname__, names, args, kwargs)
+        elif args or kwargs.keys() != name_set:
+            raise TypeError(refusal)
         self.__dict__.update(kwargs)
         if post_init is not None:
             post_init(self)
@@ -61,24 +63,6 @@ def record(cls):
     cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = __init__, __eq__, __hash__, __repr__
     cls.__setattr__, cls.__delattr__ = _immutable, _immutable
     return cls
-
-
-def _bind(owner: str, names: tuple, args: tuple, kwargs: dict) -> dict:
-    """Each field's value from a call's positional and keyword arguments,
-    refused with a ``TypeError`` as a function call would be."""
-    if len(args) > len(names):
-        raise TypeError(f"{owner}() takes {len(names)} arguments but {len(args)} were given")
-    bound = dict(zip(names, args))
-    for name, value in kwargs.items():
-        if name not in names:
-            raise TypeError(f"{owner}() got an unexpected keyword argument {name!r}")
-        if name in bound:
-            raise TypeError(f"{owner}() got multiple values for argument {name!r}")
-        bound[name] = value
-    missing = [name for name in names if name not in bound]
-    if missing:
-        raise TypeError(f"{owner}() missing arguments: {', '.join(missing)}")
-    return bound
 
 
 def _immutable(self, name, value=None):  # both __setattr__ and __delattr__

@@ -487,19 +487,11 @@ class TestLeoLocalizability:
                               env=env, check=True, timeout=120)
         assert int(proc.stdout) < 200 * 1024
 
-    def test_no_nested_quadrature(self, monkeypatch):
+    def test_no_nested_quadrature(self, quadrature_labels):
         # One integral for the interferer's count law, one over the serving
         # angle, whatever the number of serving-angle rounds.
-        labels = []
-        original = an.integrate_adaptive
-
-        def counting(func, a, b, rtol, label):
-            labels.append(label)
-            return original(func, a, b, rtol, label)
-
-        monkeypatch.setattr(an, "integrate_adaptive", counting)
         an.leo_rank_coverage_probs(config_with(**{"leo.altitude_km": "2000"}), 6)
-        assert len(labels) == 2
+        assert len(quadrature_labels) == 2
 
     def test_trivial_levels(self):
         assert values(config_with(**{"leo.n_sats": "0"}), "localizability", "leo", 1)[0] == 0.0

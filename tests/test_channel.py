@@ -26,6 +26,8 @@ from constelsim.channel import (
 )
 from constelsim.constellation import derive_rng
 
+from conftest import nudged
+
 BASE = SrFadingParams(m=19.4, b0=0.158, omega=1.29)
 
 
@@ -501,13 +503,6 @@ PATTERNS = [
     SincPattern(n_elements=35),
     CosinePattern(n_elements=35),
 ]
-
-
-def nudged(x, ulps):
-    """``x`` moved by ``ulps`` units in the last place, up or down."""
-    for _ in range(abs(ulps)):
-        x = np.nextafter(x, math.inf if ulps > 0 else -math.inf)
-    return float(x)
 
 
 @st.composite

@@ -147,30 +147,22 @@ class TestHeatmap:
     LOC_GRID = ["heatmap", "--metric", "localizability", "--sweep", "n_leo=500:5000:500",
                 "--sweep", "n_meo=0:24:2", "--K", "4"]
 
-    def test_each_layer_once_per_sub_config(self, tmp_path, monkeypatch, analytic_caches):
+    def test_each_layer_once_per_sub_config(self, tmp_path, quadrature_labels, analytic_caches):
         # The count law reads no LEO count and the MEO pass no MEO count, so
         # the grid needs one of each, and one rank pass per LEO count. A MEO
         # curve composes every system too: one LEO pass for its one LEO
         # sub-config, and one MEO pass per altitude.
-        labels = []
-        original = analytic.integrate_adaptive
-
-        def counting(func, a, b, rtol, label):
-            labels.append(label)
-            return original(func, a, b, rtol, label)
-
-        monkeypatch.setattr(analytic, "integrate_adaptive", counting)
         meo_curve = ["curve", "--metric", "localizability", "--system", "meo", "--sweep", "h_meo=15000:25000:5000"]
         for argv, want in [
             (self.LOC_GRID, {"interferer count law": 1, "rank coverage": 10, "meo single-satellite localizability": 1}),
             (meo_curve, {"interferer count law": 1, "rank coverage": 1, "meo single-satellite localizability": 3}),
         ]:
-            labels.clear()
+            quadrature_labels.clear()
             for cache in analytic_caches:
                 cache.cache_clear()
             code, _ = run(tmp_path, *argv)
             assert code == 0
-            assert Counter(labels) == want
+            assert Counter(quadrature_labels) == want
 
     def test_cached_grid_matches_uncached_points(self, tmp_path, analytic_caches):
         lines = ["n_leo,n_meo,value"]

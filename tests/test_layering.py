@@ -9,8 +9,9 @@ sweep runs. Every package name the benchmark scripts import exists, so a
 deletion they still depend on fails here rather than in a benchmark run.
 Every module-level name of the package is read somewhere in it, through
 the binding that defines it, save its entry points, the few that only the
-benchmark still holds and a utility that only the tests use. No two of its
-functions share a body: what two would repeat is written once."""
+benchmark still holds and a utility that only the tests use. No two
+functions of the package, the tests or the tools share a body: what two
+would repeat is written once."""
 
 import ast
 import importlib
@@ -387,8 +388,17 @@ def repeated_bodies(paths) -> list[list[str]]:
     return sorted(group for group in groups.values() if len(group) > 1)
 
 
+def source_modules() -> list[Path]:
+    """Every module of the package, the tests and the tools."""
+    return [path for root in (PACKAGE, Path(__file__).resolve().parent, REPO / "tools")
+            for path in sorted(root.glob("*.py"))]
+
+
 def test_no_function_body_is_repeated():
-    assert repeated_bodies(sorted(PACKAGE.glob("*.py"))) == []
+    # A helper that two test modules need is defined once, in ``conftest.py``.
+    paths = source_modules()
+    assert {path.parent.name for path in paths} == {"constelsim", "tests", "tools"}
+    assert repeated_bodies(paths) == []
 
 
 def test_repeat_guard_fires(tmp_path):
@@ -425,8 +435,7 @@ MAX_LINE = 120
 
 
 def test_lines_fit_the_width():
-    roots = [PACKAGE, Path(__file__).resolve().parent, REPO / "tools"]
-    long_lines = [f"{path.name}:{number}" for root in roots for path in sorted(root.glob("*.py"))
+    long_lines = [f"{path.name}:{number}" for path in source_modules()
                   for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
                   if len(line) > MAX_LINE]
     assert long_lines == []

@@ -32,6 +32,8 @@ from constelsim.geom import EARTH_RADIUS_KM, cap_fraction, dome_from_central
 from constelsim.mc import run_validation, simulate
 from constelsim.record import fields, replace
 
+from conftest import nudged
+
 CFG = default_config()
 DENSE = build_system_config(load_settings(overrides={"leo.altitude_km": "2000"}))
 TARGET_KM = np.array([EARTH_RADIUS_KM, 0.0, 0.0])
@@ -450,13 +452,6 @@ class TestLinkIndices:
             beam, other = mc._link_indices(counts, trial, rank, is_open, block)
             pairs = np.nonzero(others & (start <= place) & (place < stop))
             assert np.array_equal(np.stack([trial[beam], rank[beam], other]), np.stack(pairs))
-
-
-def nudged(x, ulps):
-    """``x`` moved by ``ulps`` units in the last place, up or down."""
-    for _ in range(abs(ulps)):
-        x = np.nextafter(x, math.inf if ulps > 0 else -math.inf)
-    return float(x)
 
 
 def all_pairs_sinr(config, link, positions, counts, n_serve, rng):

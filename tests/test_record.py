@@ -22,7 +22,7 @@ from constelsim.record import fields, record, replace
 CFG = default_config()
 SPEC = build_mc_settings(load_settings())
 PHI = CFG.rx_pattern.phi_3db
-SUMMARY = SimulationSummary({("availability", "leo"): (np.array([0.5]), np.array([0.125]))},
+SUMMARY = SimulationSummary(estimates={("availability", "leo"): (np.array([0.5]), np.array([0.125]))},
                             leo_rank_pass=np.array([0.25]), meo_single_pass=0.75)
 ROW = ValidationRow(metric="leo_availability", k=1, analytic=0.5, empirical=0.5, std_err=0.125, delta=0.0,
                     passed=True)
@@ -133,7 +133,7 @@ def test_other_types_are_unhashable(value):
 
 
 def summary():
-    return SimulationSummary({("availability", "leo"): (np.array([0.5, 0.25]), np.array([0.125, 0.0625]))},
+    return SimulationSummary(estimates={("availability", "leo"): (np.array([0.5, 0.25]), np.array([0.125, 0.0625]))},
                              leo_rank_pass=np.array([0.25, 0.5]), meo_single_pass=0.75)
 
 
@@ -153,6 +153,10 @@ def test_hash_stores_nothing(value):
     assert sorted(vars(value)) == sorted(fields(value))
 
 
+# A record takes all its fields by position or all by keyword.
+REFUSAL = r"^SrFadingParams\(\) takes m, b0, omega, all by position or all by keyword$"
+
+
 def test_replace_runs_the_checks_again():
     with pytest.raises(ValueError, match="epsilon"):
         replace(CFG, epsilon=1.0)
@@ -160,28 +164,40 @@ def test_replace_runs_the_checks_again():
         replace(CFG.leo, n_sats=-1)
     assert replace(CFG.fading) == CFG.fading
     assert replace(CFG.fading, m=2.0) == SrFadingParams(2.0, 0.158, 1.29)
-    with pytest.raises(TypeError, match="unexpected keyword argument 'q'"):
+    with pytest.raises(TypeError, match=REFUSAL):
         replace(CFG.fading, q=2.0)
 
 
-@pytest.mark.parametrize("args, kwargs, message", [
-    ((1.0, 0.5), {}, r"missing arguments: omega"),
-    ((), {"m": 1.0, "omega": 1.0}, r"missing arguments: b0"),
-    ((1.0, 0.5, 1.0, 2.0), {}, r"takes 3 arguments but 4 were given"),
-    ((1.0, 0.5), {"m": 1.0, "omega": 1.0}, r"multiple values for argument 'm'"),
-    ((), {"m": 1.0, "b0": 0.5, "sigma": 1.0}, r"unexpected keyword argument 'sigma'"),
-    ((), {"m": 1.0, "b0": 0.5, "omega": 1.0, "sigma": 1.0}, r"unexpected keyword argument 'sigma'"),
-])
-def test_bad_arguments_are_refused(args, kwargs, message):
-    with pytest.raises(TypeError, match=message):
+@pytest.mark.parametrize("args, kwargs", [
+    ((1.0, 0.5), {}),
+    ((), {"m": 1.0, "omega": 1.0}),
+    ((1.0, 0.5, 1.0, 2.0), {}),
+    ((1.0, 0.5), {"m": 1.0, "omega": 1.0}),
+    ((), {"m": 1.0, "b0": 0.5, "sigma": 1.0}),
+    ((), {"m": 1.0, "b0": 0.5, "omega": 1.0, "sigma": 1.0}),
+], ids=["args0-kwargs0-missing arguments: omega", "args1-kwargs1-missing arguments: b0",
+        "args2-kwargs2-takes 3 arguments but 4 were given", "args3-kwargs3-multiple values for argument 'm'",
+        "args4-kwargs4-unexpected keyword argument 'sigma'", "args5-kwargs5-unexpected keyword argument 'sigma'"])
+def test_bad_arguments_are_refused(args, kwargs):
+    with pytest.raises(TypeError, match=REFUSAL):
         SrFadingParams(*args, **kwargs)
 
 
 def test_positional_and_keyword_arguments_agree():
     want = SrFadingParams(m=1.0, b0=0.5, omega=2.0)
-    assert SrFadingParams(1.0, 0.5, 2.0) == SrFadingParams(1.0, 0.5, omega=2.0) == want
+    assert SrFadingParams(1.0, 0.5, 2.0) == want
     assert SrFadingParams(omega=2.0, b0=0.5, m=1.0) == want
+    with pytest.raises(TypeError, match=REFUSAL):
+        SrFadingParams(1.0, 0.5, omega=2.0)
     assert fields(want) == fields(SrFadingParams) == ("m", "b0", "omega")
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"])
+@pytest.mark.parametrize("name", fields(LinkParams))
+def test_every_link_field_is_checked(name, value):
+    # The check reads the record's own fields, so it skips none of them.
+    with pytest.raises(ValueError, match="^link parameters must be positive and finite$"):
+        replace(CFG.leo_link, **{name: value})
 
 
 def test_a_class_default_is_refused():
